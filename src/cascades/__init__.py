@@ -9,9 +9,9 @@ unknown parent of every event as a latent variable and runs EM.
 
 from .delays import (DelaySpec, ExponentialDelay, ExpMixtureDelay, GammaDelay,
                      PiecewiseUniformDelay, UniformDelay)
-from .engine import (CascadeModel, FitReport, HomogeneousBaseline,
+from .engine import (CascadeModel, EStepStats, FitReport, HomogeneousBaseline,
                      KernelComponent, PeriodicBaseline, Responsibilities,
-                     SuffStats, compensator, e_step, em_lower_bound,
+                     compensator, e_step, em_lower_bound, estep_stats,
                      fast_applicable, fast_estep, fit, intensity,
                      log_likelihood, m_step, normalize,
                      windowed_log_likelihood)

@@ -121,15 +121,6 @@ class Responsibilities:
     def n_components(self) -> int:
         return len(self.comp_offsets)
 
-    def causes(self, i: int) -> list[tuple[object, float]]:
-        """(cause, weight) pairs for child i; None marks the baseline."""
-        out: list[tuple[object, float]] = [(None, float(self.baseline[i]))]
-        for c in range(self.n_components):
-            lo, hi = self.comp_offsets[c][i], self.comp_offsets[c][i + 1]
-            for k in range(lo, hi):
-                out.append(((int(self.comp_parents[c][k]), c), float(self.comp_z[c][k])))
-        return out
-
     def argmax_cause(self, i: int) -> object:
         """Most responsible cause; ties prefer baseline, then lower parent
         id, then lower component index."""
@@ -154,15 +145,41 @@ class Responsibilities:
 
 
 @dataclass
-class SuffStats:
-    """Aggregated E-step output sufficient for the restricted M-step used
-    by the fast path (label marks, constant fertility, exponential delays)."""
+class ComponentStats:
+    """One component's E-step weights in the forms its families' updates
+    read: a weighted delay sample for ``delays.weighted_mle`` (every
+    candidate pair, or for an exponential delay the one sample
+    (sum z*dt / sum z, sum z), which has the same MLE), the transition's
+    ``transitions.transition_stats``, and expected offspring per parent
+    mark pattern (``_mark_patterns``)."""
+
+    deltas: np.ndarray
+    weights: np.ndarray
+    transition: object
+    credits: np.ndarray
+
+
+@dataclass
+class EStepStats:
+    """What m_step reads from an E-step, from either fast_estep or
+    estep_stats: the baseline's share of each event, the intensity at
+    each child event, and per-component statistics."""
 
     z_base: np.ndarray
     intensity: np.ndarray
-    comp_z: np.ndarray
-    comp_zdt: np.ndarray
-    comp_trans_counts: list
+    components: list[ComponentStats]
+
+    @property
+    def n_components(self) -> int:
+        return len(self.components)
+
+    @property
+    def comp_z(self) -> np.ndarray:
+        return np.array([c.weights.sum() for c in self.components])
+
+    @property
+    def comp_zdt(self) -> np.ndarray:
+        return np.array([np.dot(c.deltas, c.weights) for c in self.components])
 
 
 @dataclass
@@ -196,6 +213,16 @@ def _check_mark_dist(dist: MarkDistribution, schema: MarkSchema, where: str) -> 
             raise ConfigError(f"{where}: label marginal has the wrong length")
     else:
         raise ConfigError(f"{where}: unknown mark distribution")
+
+
+def _groups(comps, attr: str) -> list[list[int]]:
+    """Component indices that share a refit via ``attr``; unshared
+    components form groups of one."""
+    groups: dict[object, list[int]] = {}
+    for ci, comp in enumerate(comps):
+        key = getattr(comp, attr)
+        groups.setdefault(ci if key is None else key, []).append(ci)
+    return list(groups.values())
 
 
 def validate_model(model: CascadeModel, schema: MarkSchema) -> None:
@@ -235,15 +262,11 @@ def validate_model(model: CascadeModel, schema: MarkSchema) -> None:
         if comp.sources is not None and not isinstance(schema, CompositeSchema):
             raise ConfigError(f"{where}: parent source restriction needs composite marks")
     for attr, label in (("transition_group", "transition"), ("delay_group", "delay")):
-        groups: dict[str, list[KernelComponent]] = {}
-        for comp in model.components:
-            key = getattr(comp, attr)
-            if key is not None:
-                groups.setdefault(key, []).append(comp)
-        for key, members in groups.items():
-            kinds = {type(getattr(m, label)) for m in members}
-            if len(kinds) != 1:
-                raise ConfigError(f"{label} group {key!r} mixes different spec kinds")
+        for members in _groups(model.components, attr):
+            comps = [model.components[ci] for ci in members]
+            if len({type(getattr(c, label)) for c in comps}) != 1:
+                raise ConfigError(f"{label} group {getattr(comps[0], attr)!r} "
+                                  "mixes different spec kinds")
 
 
 def _baseline_rate_at(baseline: BaselineSpec, times: np.ndarray) -> np.ndarray:
@@ -295,14 +318,46 @@ def _fertility_matrix(model: CascadeModel, d: Dataset) -> list[np.ndarray]:
     return [fert_mod.evaluate_many(c.fertility, X, len(d)) for c in model.components]
 
 
+def _source_mask(comp: KernelComponent, d: Dataset) -> np.ndarray | None:
+    """Which events may parent under this component; None when all may."""
+    if comp.sources is None:
+        return None
+    allowed = set(comp.sources)
+    return np.fromiter((node in allowed for node in d.node_ids), count=len(d), dtype=bool)
+
+
 def _parent_pool(comp: KernelComponent, d: Dataset) -> np.ndarray:
     """Sorted indices of the events allowed to parent under this component."""
-    if comp.sources is None:
+    mask = _source_mask(comp, d)
+    if mask is None:
         return np.arange(len(d), dtype=np.int64)
-    allowed = set(comp.sources)
-    keep = np.fromiter((node in allowed for node in d.node_ids),
-                       count=len(d), dtype=bool) if len(d) else np.zeros(0, bool)
-    return np.nonzero(keep)[0].astype(np.int64)
+    return np.nonzero(mask)[0].astype(np.int64)
+
+
+def _window_exposure(comp: KernelComponent, delay: DelaySpec, d: Dataset,
+                     a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Events that may parent children inside (a, b] under this component,
+    and the delay mass each of them puts there."""
+    pool = _parent_pool(comp, d)
+    pool = pool[d.times[pool] < b]
+    t = d.times[pool]
+    return pool, np.asarray(delay_mod.cdf(delay, b - t)) - np.asarray(delay_mod.cdf(delay, a - t))
+
+
+def _mark_patterns(d: Dataset) -> tuple[np.ndarray | None, np.ndarray, int]:
+    """Parent mark patterns that fertility can tell apart (distinct feature
+    rows, or one pattern, given as None, for other marks), each event's
+    pattern index and the pattern count."""
+    if isinstance(d.schema, BinarySchema):
+        rows, index = d.feature_patterns
+        return rows, index, len(rows)
+    return None, np.zeros(len(d), dtype=np.int64), 1
+
+
+def _check_components(resp: Responsibilities | EStepStats, model: CascadeModel) -> None:
+    if resp.n_components != len(model.components):
+        raise DataError(f"responsibilities cover {resp.n_components} components, "
+                        f"the model has {len(model.components)}")
 
 
 class _TransitionEval:
@@ -310,7 +365,6 @@ class _TransitionEval:
 
     def __init__(self, spec: TransitionSpec, d: Dataset):
         self.spec = spec
-        self.d = d
         if isinstance(spec, IdentityTransition):
             self.codes = d.mark_codes
         elif isinstance(spec, PriorTransition):
@@ -387,12 +441,9 @@ def _estep_core(model: CascadeModel, d: Dataset, children: np.ndarray | None,
     cutoffs = [delay_mod.tail_cutoff(c.delay, model.truncation_mass) for c in comps]
 
     his = [np.searchsorted(pt, times[kids], side="left") for pt in pool_times]
-    los = []
-    for c, pt in enumerate(pool_times):
-        if np.isinf(cutoffs[c]):
-            los.append(np.zeros(kids.size, dtype=np.int64))
-        else:
-            los.append(np.searchsorted(pt, times[kids] - cutoffs[c], side="left"))
+    # an infinite cutoff searches for -inf, which lands on the first parent
+    los = [np.searchsorted(pt, times[kids] - cut, side="left")
+           for pt, cut in zip(pool_times, cutoffs)]
 
     lam = np.zeros(n, dtype=np.float64)
     z_base = np.zeros(n, dtype=np.float64)
@@ -464,16 +515,9 @@ def compensator(model: CascadeModel, d: Dataset,
     """Expected event count over the window given the realized history."""
     a, b = _resolve_window(d, window)
     total = baseline_integral(model.baseline, a, b)
-    times = d.times
-    alphas = _fertility_matrix(model, d)
-    for c, comp in enumerate(model.components):
-        pool = _parent_pool(comp, d)
-        pool = pool[times[pool] < b]
-        if not pool.size:
-            continue
-        mass = (np.asarray(delay_mod.cdf(comp.delay, b - times[pool]))
-                - np.asarray(delay_mod.cdf(comp.delay, a - times[pool])))
-        total += float(np.dot(alphas[c][pool], mass))
+    for alpha, comp in zip(_fertility_matrix(model, d), model.components):
+        pool, mass = _window_exposure(comp, comp.delay, d, a, b)
+        total += float(np.dot(alpha[pool], mass))
     return float(total)
 
 
@@ -520,7 +564,6 @@ def intensity(model: CascadeModel, history: Dataset, t: float, x: Mark) -> float
     base = float(_baseline_rate_at(model.baseline, np.asarray([t]))[0]
                  * trans_mod.mark_prob(model.baseline.mark, x))
     total = base
-    X = history.feature_matrix if isinstance(history.schema, BinarySchema) else None
     for comp in model.components:
         pool = _parent_pool(comp, history)
         cutoff = delay_mod.tail_cutoff(comp.delay, model.truncation_mass)
@@ -544,6 +587,7 @@ def em_lower_bound(model: CascadeModel, d: Dataset, resp: Responsibilities,
     e_step on the same model). Equality with the log likelihood holds
     exactly when z came from e_step under this model.
     """
+    _check_components(resp, model)
     fresh, lam, kids = _estep_core(model, d, children, window, want_resp=True)
     bound = 0.0
     for i in kids:
@@ -570,16 +614,33 @@ def em_lower_bound(model: CascadeModel, d: Dataset, resp: Responsibilities,
 # M-step
 
 
-def _pair_arrays(resp: Responsibilities, c: int, times: np.ndarray):
-    offsets = resp.comp_offsets[c]
-    rep = np.repeat(np.arange(resp.n, dtype=np.int64), np.diff(offsets))
-    parents = resp.comp_parents[c]
-    return rep, parents, resp.comp_z[c], times[rep] - times[parents]
+def _pair_arrays(resp: Responsibilities, c: int):
+    """Component c's candidate pairs as (child, parent, z) arrays."""
+    children = np.repeat(np.arange(resp.n, dtype=np.int64), np.diff(resp.comp_offsets[c]))
+    return children, resp.comp_parents[c], resp.comp_z[c]
 
 
-def _group_key(comp: KernelComponent, idx: int, attr: str) -> str:
-    explicit = getattr(comp, attr)
-    return explicit if explicit is not None else f"__solo_{idx}"
+def _component_stats(model: CascadeModel, d: Dataset,
+                     resp: Responsibilities) -> list[ComponentStats]:
+    if resp.n != len(d):
+        raise DataError("responsibilities do not match the dataset")
+    _, pattern, n_patterns = _mark_patterns(d)
+    out = []
+    for c, comp in enumerate(model.components):
+        children, parents, z = _pair_arrays(resp, c)
+        out.append(ComponentStats(
+            deltas=d.times[children] - d.times[parents], weights=z,
+            transition=trans_mod.transition_stats(comp.transition, d, children, parents, z),
+            credits=np.bincount(pattern[parents], weights=z, minlength=n_patterns)))
+    return out
+
+
+def estep_stats(model: CascadeModel, d: Dataset, children: np.ndarray | None = None,
+                window: tuple[float, float] | None = None) -> EStepStats:
+    """The pairwise E-step, summed into the statistics m_step reads."""
+    validate_model(model, d.schema)
+    resp, lam, _ = _estep_core(model, d, children, window, want_resp=True)
+    return EStepStats(resp.baseline, lam, _component_stats(model, d, resp))
 
 
 def _update_baseline(model: CascadeModel, d: Dataset, z_base: np.ndarray,
@@ -598,71 +659,16 @@ def _update_baseline(model: CascadeModel, d: Dataset, z_base: np.ndarray,
         width = baseline.period / k
         idx = np.clip((np.mod(d.times, baseline.period) / width).astype(np.int64), 0, k - 1)
         sums = np.bincount(idx, weights=z_base, minlength=k)
-        rates = np.zeros(k)
-        for j in range(k):
-            if occupancy[j] > 0:
-                rates[j] = sums[j] / occupancy[j]
-            elif sums[j] > 1e-9:
-                raise NumericalError(f"baseline bucket {j} has credit but no exposure")
+        stuck = np.nonzero((occupancy <= 0) & (sums > 1e-9))[0]
+        if stuck.size:
+            raise NumericalError(f"baseline bucket {stuck[0]} has credit but no exposure")
+        rates = np.divide(sums, occupancy, out=np.zeros(k), where=occupancy > 0)
         baseline = replace(baseline, rates=tuple(rates.tolist()))
     if update_mark and total > 0:
-        if isinstance(baseline.mark, FeaturePrior):
-            mark = trans_mod.fit_prior_weighted(d.feature_matrix, z_base)
-        else:
-            mark = trans_mod.fit_marginal_weighted(d.label_index, z_base,
-                                                   d.n_label_values)
+        mark = trans_mod.fit_mark_dist(baseline.mark,
+                                       trans_mod.prior_stats(baseline.mark, d, z_base))
         baseline = replace(baseline, mark=mark)
     return baseline
-
-
-def _fit_transition(spec: TransitionSpec, stats) -> TransitionSpec:
-    if isinstance(spec, CategoricalMatrix):
-        return trans_mod.fit_categorical(stats, spec.prior_direction, spec.prior_strength)
-    if isinstance(spec, FeatureMixture):
-        gamma = trans_mod.fit_mixture_from_stats(stats, spec.prior)
-        return replace(spec, resample_prob=gamma)
-    if isinstance(spec, PriorTransition):
-        weights, d = stats
-        if isinstance(spec.dist, FeaturePrior):
-            return PriorTransition(trans_mod.fit_prior_weighted(d.feature_matrix, weights))
-        return PriorTransition(trans_mod.fit_marginal_weighted(
-            d.label_index, weights, d.n_label_values))
-    return spec
-
-
-def _transition_stats(spec: TransitionSpec, d: Dataset, rep, parents, z):
-    """Sufficient statistics for refitting one component's transition."""
-    if isinstance(spec, CategoricalMatrix):
-        n = d.n_label_values
-        counts = np.zeros((n, n))
-        np.add.at(counts, (d.label_index[parents], d.label_index[rep]), z)
-        return counts
-    if isinstance(spec, FeatureMixture):
-        X = d.feature_matrix
-        Xp, Xc = X[parents], X[rep]
-        width = X.shape[1]
-        table = np.zeros((width, 2, 2))
-        match = Xp == Xc
-        for b in (0, 1):
-            childbit = Xc == b
-            for m in (0, 1):
-                sel = childbit & (match == bool(m))
-                table[:, b, m] = z @ sel
-        return table
-    if isinstance(spec, PriorTransition):
-        weights = np.bincount(rep, weights=z, minlength=len(d))
-        return (weights, d)
-    return None
-
-
-def _merge_transition_stats(spec: TransitionSpec, acc, new):
-    if new is None:
-        return acc
-    if acc is None:
-        return new
-    if isinstance(spec, PriorTransition):
-        return (acc[0] + new[0], acc[1])
-    return acc + new
 
 
 def expected_transition_counts(model: CascadeModel, d: Dataset,
@@ -671,35 +677,26 @@ def expected_transition_counts(model: CascadeModel, d: Dataset,
     for label-like schemas; None entries for feature-marked components."""
     if not _label_like(d.schema):
         return [None for _ in model.components]
-    out = []
-    n = d.n_label_values
-    for c in range(len(model.components)):
-        rep, parents, z, _ = _pair_arrays(resp, c, d.times)
-        counts = np.zeros((n, n))
-        np.add.at(counts, (d.label_index[parents], d.label_index[rep]), z)
-        out.append(counts)
-    return out
+    return [trans_mod.label_pair_table(d, *_pair_arrays(resp, c))
+            for c in range(len(model.components))]
 
 
-def component_credits(resp: Responsibilities, n_events: int) -> list[np.ndarray]:
-    """Expected triggered counts per potential parent, per component."""
-    return [np.bincount(resp.comp_parents[c], weights=resp.comp_z[c],
-                        minlength=n_events)
-            for c in range(resp.n_components)]
-
-
-def m_step(model: CascadeModel, d: Dataset, resp: Responsibilities,
+def m_step(model: CascadeModel, d: Dataset, resp: Responsibilities | EStepStats,
            children: np.ndarray | None = None,
            window: tuple[float, float] | None = None,
            update_baseline_mark: bool = True,
            freeze_delays: bool = False) -> CascadeModel:
-    """Weighted maximum likelihood updates given fixed responsibilities.
+    """Weighted maximum likelihood updates given fixed responsibilities,
+    from e_step's pairs or from the statistics of estep_stats or
+    fast_estep.
 
-    Delays refit from (delay, weight) pairs; transitions from weighted
-    (parent, child) statistics; fertilities from per-parent credits over
-    edge-corrected exposures under the freshly updated delays; baseline
-    rates from baseline-assigned weight over exposure. Components with
-    no credit keep their delay and transition parameters.
+    Delays refit from weighted delay samples; transitions from their
+    family's statistics; fertilities from credits over edge-corrected
+    exposures under the freshly updated delays, both summed per parent
+    mark pattern; baseline rates from baseline-assigned weight over
+    exposure. Delay and transition groups pool their members'
+    statistics. Components with no credit keep their delay and
+    transition parameters.
 
     The delay refit ignores how the edge-corrected compensator depends
     on the delay, so it can overshoot slightly when much of the delay
@@ -710,61 +707,44 @@ def m_step(model: CascadeModel, d: Dataset, resp: Responsibilities,
     validate_model(model, d.schema)
     window = _resolve_window(d, window)
     a, b = window
-    if resp.n != len(d):
+    _check_components(resp, model)
+    if isinstance(resp, Responsibilities):
+        z_base, stats = resp.baseline, _component_stats(model, d, resp)
+    else:
+        z_base, stats = resp.z_base, resp.components
+    if z_base.size != len(d):
         raise DataError("responsibilities do not match the dataset")
-    times = d.times
-    comps = list(model.components)
-    baseline = _update_baseline(model, d, resp.baseline, window, update_baseline_mark)
+    comps = model.components
+    baseline = _update_baseline(model, d, z_base, window, update_baseline_mark)
 
-    pair_cache = [_pair_arrays(resp, c, times) for c in range(len(comps))]
-
-    # delays, pooled within delay groups
     new_delays: list[DelaySpec] = [c.delay for c in comps]
     if not freeze_delays:
-        delay_groups: dict[str, list[int]] = {}
-        for ci, comp in enumerate(comps):
-            delay_groups.setdefault(_group_key(comp, ci, "delay_group"), []).append(ci)
-        for members in delay_groups.values():
-            dts = np.concatenate([pair_cache[ci][3] for ci in members])
-            zs = np.concatenate([pair_cache[ci][2] for ci in members])
-            if zs.sum() > ZERO_CREDIT:
-                fitted = delay_mod.weighted_mle(comps[members[0]].delay, dts, zs)
+        for members in _groups(comps, "delay_group"):
+            deltas = np.concatenate([stats[ci].deltas for ci in members])
+            weights = np.concatenate([stats[ci].weights for ci in members])
+            if weights.sum() > ZERO_CREDIT:
+                fitted = delay_mod.weighted_mle(comps[members[0]].delay, deltas, weights)
                 for ci in members:
                     new_delays[ci] = fitted
 
-    # transitions, pooled within transition groups
     new_transitions: list[TransitionSpec] = [c.transition for c in comps]
-    trans_groups: dict[str, list[int]] = {}
-    for ci, comp in enumerate(comps):
-        trans_groups.setdefault(_group_key(comp, ci, "transition_group"), []).append(ci)
-    for members in trans_groups.values():
-        spec = comps[members[0]].transition
-        if isinstance(spec, IdentityTransition):
-            continue
-        acc = None
-        credit = 0.0
-        for ci in members:
-            rep, parents, z, _ = pair_cache[ci]
-            credit += float(z.sum())
-            acc = _merge_transition_stats(spec, acc,
-                                          _transition_stats(spec, d, rep, parents, z))
-        if credit > ZERO_CREDIT and acc is not None:
-            fitted = _fit_transition(spec, acc)
+    for members in _groups(comps, "transition_group"):
+        credit = sum(float(stats[ci].weights.sum()) for ci in members)
+        if credit > ZERO_CREDIT and stats[members[0]].transition is not None:
+            fitted = trans_mod.fit_transition(comps[members[0]].transition,
+                                              sum(stats[ci].transition for ci in members))
             for ci in members:
                 new_transitions[ci] = fitted
 
-    # fertilities under the new delays
-    X = d.feature_matrix if isinstance(d.schema, BinarySchema) else None
+    # fertilities under the new delays, one row per parent mark pattern
+    rows, pattern, n_patterns = _mark_patterns(d)
     new_ferts: list[FertilitySpec] = []
     for ci, comp in enumerate(comps):
-        pool = _parent_pool(comp, d)
-        pool = pool[times[pool] < b]
-        credits = np.bincount(pair_cache[ci][1], weights=pair_cache[ci][2],
-                              minlength=len(d))[pool]
-        exposure = (np.asarray(delay_mod.cdf(new_delays[ci], b - times[pool]))
-                    - np.asarray(delay_mod.cdf(new_delays[ci], a - times[pool])))
-        Xp = X[pool] if X is not None else None
-        new_ferts.append(fert_mod.update(comp.fertility, Xp, credits, exposure))
+        pool, exposure = _window_exposure(comp, new_delays[ci], d, a, b)
+        seen = np.bincount(pattern[pool], minlength=n_patterns) > 0
+        exposures = np.bincount(pattern[pool], weights=exposure, minlength=n_patterns)
+        new_ferts.append(fert_mod.update(comp.fertility, None if rows is None else rows[seen],
+                                         stats[ci].credits[seen], exposures[seen]))
 
     rebuilt = tuple(replace(comp, fertility=new_ferts[ci], transition=new_transitions[ci],
                             delay=new_delays[ci])
@@ -817,18 +797,8 @@ def fast_applicable(model: CascadeModel, d: Dataset, max_labels: int = 256) -> b
     return True
 
 
-def _transition_matrix(spec: TransitionSpec, n: int) -> np.ndarray:
-    if isinstance(spec, IdentityTransition):
-        return np.eye(n)
-    if isinstance(spec, PriorTransition):
-        return np.tile(spec.dist.as_array, (n, 1))
-    if isinstance(spec, CategoricalMatrix):
-        return spec.as_array
-    raise DataError("transition not representable as a label matrix")
-
-
 def fast_estep(model: CascadeModel, d: Dataset, children: np.ndarray | None = None,
-               window: tuple[float, float] | None = None) -> SuffStats:
+               window: tuple[float, float] | None = None) -> EStepStats:
     """Exact E-step sufficient statistics in one ordered scan.
 
     For exponential delays the triggered intensity by source label r
@@ -836,7 +806,7 @@ def fast_estep(model: CascadeModel, d: Dataset, children: np.ndarray | None = No
     D[r] (decayed parent count) and its age-weighted companion E[r]
     replace explicit parent pairs. Equal timestamps are processed as a
     group so simultaneous events never explain each other. No
-    truncation is applied; this matches e_step with zero tail mass.
+    truncation is applied; this matches estep_stats with zero tail mass.
     """
     validate_model(model, d.schema)
     if not fast_applicable(model, d):
@@ -855,16 +825,9 @@ def fast_estep(model: CascadeModel, d: Dataset, children: np.ndarray | None = No
     C = len(comps)
     rates = np.array([c.delay.rate for c in comps])
     # weight[c][r, j]: delay rate * fertility(r) * g(j | r)
-    weight = [c.delay.rate * c.fertility.rate * _transition_matrix(c.transition, L)
+    weight = [c.delay.rate * c.fertility.rate * trans_mod.label_matrix(c.transition, L)
               for c in comps]
-    masks = []
-    for comp in comps:
-        if comp.sources is None:
-            masks.append(None)
-        else:
-            allowed = set(comp.sources)
-            masks.append(np.fromiter((node in allowed for node in d.node_ids),
-                                     count=n, dtype=bool))
+    masks = [_source_mask(comp, d) for comp in comps]
 
     D = np.zeros((C, L))
     E = np.zeros((C, L))
@@ -918,99 +881,13 @@ def fast_estep(model: CascadeModel, d: Dataset, children: np.ndarray | None = No
                     D[c, labels[k]] += 1.0
         i = j
 
-    return SuffStats(z_base=z_base, intensity=lam, comp_z=comp_z,
-                     comp_zdt=comp_zdt, comp_trans_counts=counts)
-
-
-def suffstats_from_estep(model: CascadeModel, d: Dataset,
-                         children: np.ndarray | None = None,
-                         window: tuple[float, float] | None = None) -> SuffStats:
-    """The fast path's statistics computed by the pairwise E-step, for
-    equivalence checks. Truncation is disabled to match fast_estep."""
-    full = replace(model, truncation_mass=0.0)
-    resp, lam, _ = _estep_core(full, d, children, window, want_resp=True)
-    comp_z = np.zeros(len(model.components))
-    comp_zdt = np.zeros(len(model.components))
-    counts = []
-    n_lab = d.n_label_values if _label_like(d.schema) else 0
-    for c in range(len(model.components)):
-        rep, parents, z, dts = _pair_arrays(resp, c, d.times)
-        comp_z[c] = z.sum()
-        comp_zdt[c] = float(np.dot(z, dts))
-        if n_lab:
-            mat = np.zeros((n_lab, n_lab))
-            np.add.at(mat, (d.label_index[parents], d.label_index[rep]), z)
-            counts.append(mat)
-        else:
-            counts.append(None)
-    return SuffStats(z_base=resp.baseline, intensity=lam, comp_z=comp_z,
-                     comp_zdt=comp_zdt, comp_trans_counts=counts)
-
-
-def _mstep_from_stats(model: CascadeModel, d: Dataset, stats: SuffStats,
-                      children: np.ndarray | None,
-                      window: tuple[float, float],
-                      update_baseline_mark: bool,
-                      freeze_delays: bool = False) -> CascadeModel:
-    """M-step from aggregated statistics; mirrors m_step for the
-    restricted family handled by the fast path."""
-    a, b = window
-    times = d.times
-    comps = list(model.components)
-    baseline = _update_baseline(model, d, stats.z_base, window, update_baseline_mark)
-
-    new_delays: list[DelaySpec] = [c.delay for c in comps]
-    if not freeze_delays:
-        delay_groups: dict[str, list[int]] = {}
-        for ci, comp in enumerate(comps):
-            delay_groups.setdefault(_group_key(comp, ci, "delay_group"), []).append(ci)
-        for members in delay_groups.values():
-            z_tot = sum(stats.comp_z[ci] for ci in members)
-            zdt_tot = sum(stats.comp_zdt[ci] for ci in members)
-            if z_tot > ZERO_CREDIT and zdt_tot > 0:
-                fitted = ExponentialDelay(rate=float(z_tot / zdt_tot))
-                for ci in members:
-                    new_delays[ci] = fitted
-
-    new_transitions: list[TransitionSpec] = [c.transition for c in comps]
-    trans_groups: dict[str, list[int]] = {}
-    for ci, comp in enumerate(comps):
-        trans_groups.setdefault(_group_key(comp, ci, "transition_group"), []).append(ci)
-    for members in trans_groups.values():
-        spec = comps[members[0]].transition
-        if isinstance(spec, IdentityTransition):
-            continue
-        pooled = sum(stats.comp_trans_counts[ci] for ci in members)
-        if float(pooled.sum()) <= ZERO_CREDIT:
-            continue
-        if isinstance(spec, CategoricalMatrix):
-            fitted: TransitionSpec = trans_mod.fit_categorical(
-                pooled, spec.prior_direction, spec.prior_strength)
-        else:  # prior transition over labels: weighted child-label marginal
-            child_w = pooled.sum(axis=0)
-            fitted = PriorTransition(LabelMarginal(tuple((child_w / child_w.sum()).tolist())))
-        for ci in members:
-            new_transitions[ci] = fitted
-
-    new_ferts: list[FertilitySpec] = []
-    for ci, comp in enumerate(comps):
-        pool = _parent_pool(comp, d)
-        pool = pool[times[pool] < b]
-        exposure = (np.asarray(delay_mod.cdf(new_delays[ci], b - times[pool]))
-                    - np.asarray(delay_mod.cdf(new_delays[ci], a - times[pool])))
-        total_exposure = float(exposure.sum())
-        credit = float(stats.comp_z[ci])
-        if total_exposure <= 0:
-            if credit > 1e-9:
-                raise NumericalError(f"component {comp.name!r} has credit but no exposure")
-            new_ferts.append(comp.fertility)
-        else:
-            new_ferts.append(ConstantFertility(credit / total_exposure))
-
-    rebuilt = tuple(replace(comp, fertility=new_ferts[ci], transition=new_transitions[ci],
-                            delay=new_delays[ci])
-                    for ci, comp in enumerate(comps))
-    return replace(model, baseline=baseline, components=rebuilt)
+    # one parent mark pattern and, per component, one delay sample
+    mean_dt = np.divide(comp_zdt, comp_z, out=np.zeros(C), where=comp_z > 0)
+    return EStepStats(z_base, lam, [
+        ComponentStats(deltas=mean_dt[c:c + 1], weights=comp_z[c:c + 1],
+                       transition=trans_mod.label_table_stats(comp.transition, counts[c]),
+                       credits=comp_z[c:c + 1])
+        for c, comp in enumerate(comps)])
 
 
 # ---------------------------------------------------------------------------
@@ -1057,23 +934,15 @@ def fit(model: CascadeModel, d: Dataset, max_iters: int = 50, tol: float = 1e-6,
         raise ConfigError("fast engine requested but the model does not qualify")
     window = _resolve_window(d, window)
 
-    def evaluate(m: CascadeModel):
-        if use_fast:
-            stats = fast_estep(m, d, children, window)
-            kids = _child_ids(d, children, window)
-            ll = _ll_value(m, d, stats.intensity, kids, window)
-            return stats, ll
-        resp, lam, kids = _estep_core(m, d, children, window, want_resp=True)
-        ll = _ll_value(m, d, lam, kids, window)
-        return resp, ll
+    estep = fast_estep if use_fast else estep_stats
 
-    def improve(m: CascadeModel, state, freeze_delays: bool = False) -> CascadeModel:
-        if use_fast:
-            m2 = _mstep_from_stats(m, d, state, children, window,
-                                   update_baseline_mark, freeze_delays)
-        else:
-            m2 = m_step(m, d, state, children, window, update_baseline_mark,
-                        freeze_delays)
+    def evaluate(m: CascadeModel):
+        stats = estep(m, d, children, window)
+        return stats, _ll_value(m, d, stats.intensity, kids, window)
+
+    def improve(m: CascadeModel, stats: EStepStats,
+                freeze_delays: bool = False) -> CascadeModel:
+        m2 = m_step(m, d, stats, children, window, update_baseline_mark, freeze_delays)
         if m2.normalization:
             m2 = normalize(m2, d, children, window)
         return m2
@@ -1084,19 +953,16 @@ def fit(model: CascadeModel, d: Dataset, max_iters: int = 50, tol: float = 1e-6,
         return _ll_value(m, hd, lam, kids, hwin)
 
     kids = _child_ids(d, children, window)
-    if kids.size == 0:
-        ll0 = _ll_value(model, d, np.zeros(len(d)), kids, window)
-        return FitReport(model, [ll0], 0, True,
-                         heldout_trace=[heldout_ll(model)] if heldout else None,
-                         component_shares=[_component_shares(model, d)],
-                         delay_means=[[delay_mod.delay_mean(c.delay)
-                                       for c in model.components]])
-
-    state, ll = evaluate(model)
-    trace = [ll]
     held = [heldout_ll(model)] if heldout else None
     shares = [_component_shares(model, d)]
     dmeans = [[delay_mod.delay_mean(c.delay) for c in model.components]]
+    if kids.size == 0:
+        ll0 = _ll_value(model, d, np.zeros(len(d)), kids, window)
+        return FitReport(model, [ll0], 0, True, heldout_trace=held,
+                         component_shares=shares, delay_means=dmeans)
+
+    state, ll = evaluate(model)
+    trace = [ll]
     converged = False
     iterations = 0
     for _ in range(max_iters):

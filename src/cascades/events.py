@@ -159,6 +159,12 @@ class Dataset:
         return np.array([ev.mark.bits for ev in self.events], dtype=np.uint8)
 
     @cached_property
+    def feature_patterns(self) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct rows of the feature matrix, and each event's row index."""
+        rows, index = np.unique(self.feature_matrix, axis=0, return_inverse=True)
+        return rows, index.reshape(-1)
+
+    @cached_property
     def label_index(self) -> np.ndarray:
         """(N,) zero-based label (or composite type) indices."""
         if isinstance(self.schema, LabelSchema):

@@ -117,17 +117,6 @@ def evaluate_many(spec: FertilitySpec, X: np.ndarray | None, n: int) -> np.ndarr
     raise DataError(f"unknown fertility spec {type(spec).__name__}")
 
 
-def allocate_linear(spec: LinearFertility, mark: BinaryMark) -> tuple[float, np.ndarray]:
-    """Split one unit of credit between the bias and the active features
-    in proportion to their additive contributions."""
-    total = evaluate(spec, mark)
-    if total <= 0:
-        raise NumericalError("cannot allocate credit for a zero-fertility mark")
-    x = np.asarray(mark.bits, dtype=np.float64)
-    shares = np.asarray(spec.slopes) * x / total
-    return spec.bias / total, shares
-
-
 def update_linear(credit_bias: float, credits: np.ndarray,
                   exposure_bias: float, exposures: np.ndarray) -> LinearFertility:
     """Per-term Poisson MLE: each coefficient is credit over exposure."""
@@ -139,12 +128,10 @@ def update_linear(credit_bias: float, credits: np.ndarray,
         bias = 0.0
     else:
         bias = credit_bias / exposure_bias
-    slopes = np.zeros_like(credits)
-    for i in range(credits.size):
-        if exposures[i] > 0:
-            slopes[i] = credits[i] / exposures[i]
-        elif credits[i] > 1e-12:
-            raise NumericalError(f"linear fertility slope {i} has credit but no exposure")
+    stuck = np.nonzero((exposures <= 0) & (credits > 1e-12))[0]
+    if stuck.size:
+        raise NumericalError(f"linear fertility slope {stuck[0]} has credit but no exposure")
+    slopes = np.divide(credits, exposures, out=np.zeros_like(credits), where=exposures > 0)
     return LinearFertility(float(bias), tuple(slopes.tolist()))
 
 
@@ -180,12 +167,10 @@ def update_multiplicative(spec: MultiplicativeFertility, X: np.ndarray,
     if len(spec.weights) != width + 1:
         raise DataError("feature width does not match multiplicative fertility")
     w = np.asarray(spec.weights, dtype=np.float64).copy()
-    Xf = X.astype(np.float64)
-    alpha = w[0] * np.exp(Xf @ np.log(w[1:]))
+    alpha = evaluate_many(spec, X, n)
     active = [np.ones(n, dtype=bool)] + [X[:, j - 1] == 1 for j in range(1, width + 1)]
     numer = [credits.sum()] + [float(credits[active[j]].sum()) for j in range(1, width + 1)]
-    obj = float(np.dot(credits[credits > 0], np.log(alpha[credits > 0])) -
-                np.dot(exposures, alpha)) if np.any(credits > 0) else -np.dot(exposures, alpha)
+    obj = poisson_objective(spec, X, credits, exposures)
     for _ in range(max_sweeps):
         max_change = 0.0
         for j in range(width + 1):
@@ -207,8 +192,8 @@ def update_multiplicative(spec: MultiplicativeFertility, X: np.ndarray,
                 alpha[sel] *= new / w[j]
                 max_change = max(max_change, abs(new - w[j]) / max(w[j], WEIGHT_FLOOR))
                 w[j] = new
-        new_obj = float(np.dot(credits[credits > 0], np.log(alpha[credits > 0])) -
-                        np.dot(exposures, alpha)) if np.any(credits > 0) else -np.dot(exposures, alpha)
+        new_obj = poisson_objective(MultiplicativeFertility(tuple(w.tolist())), X,
+                                    credits, exposures)
         if new_obj < obj - 1e-10 * (1.0 + abs(obj)):
             raise NumericalError("multiplicative fertility sweep decreased the objective")
         obj = new_obj
@@ -222,7 +207,10 @@ def update(spec: FertilitySpec, X: np.ndarray | None, credits: np.ndarray,
     """Dispatch the M-step update for any fertility spec.
 
     ``credits`` holds expected triggered counts per potential parent and
-    ``exposures`` the matching edge-corrected delay masses. Combined
+    ``exposures`` the matching edge-corrected delay masses. Fertility
+    depends on the mark alone, so parents with equal marks may share one
+    row (X holding the mark, the row summing their credits and
+    exposures) and the update stays the same. Combined
     specs first split each parent's credit across terms in proportion
     to the terms' contributions (Poisson superposition), then update
     each term on its share.

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence, Union
 
@@ -95,13 +95,19 @@ def fit_prior(d: Dataset) -> FeaturePrior:
     return FeaturePrior(tuple((d.feature_matrix.mean(axis=0)).tolist()))
 
 
-def fit_prior_weighted(feature_matrix: np.ndarray, weights: np.ndarray) -> FeaturePrior:
-    w = np.asarray(weights, dtype=np.float64)
-    total = w.sum()
-    if total <= 0:
+def prior_stats(dist: MarkDistribution, d: Dataset, weights: np.ndarray) -> np.ndarray:
+    """Additive statistics for refitting a mark distribution from
+    per-event weights: the weight per label, or for a feature prior the
+    total weight followed by X^T w."""
+    if isinstance(dist, FeaturePrior):
+        return np.concatenate([[weights.sum()], d.feature_matrix.T.astype(np.float64) @ weights])
+    return np.bincount(d.label_index, weights=weights, minlength=d.n_label_values)
+
+
+def fit_prior_weighted(stats: np.ndarray) -> FeaturePrior:
+    if stats[0] <= 0:
         raise DataError("weighted prior fit needs positive total weight")
-    p = (feature_matrix.T.astype(np.float64) @ w) / total
-    return FeaturePrior(tuple(np.clip(p, 0.0, 1.0).tolist()))
+    return FeaturePrior(tuple(np.clip(stats[1:] / stats[0], 0.0, 1.0).tolist()))
 
 
 def fit_marginal(d: Dataset) -> LabelMarginal:
@@ -112,13 +118,18 @@ def fit_marginal(d: Dataset) -> LabelMarginal:
     return LabelMarginal(tuple((counts / counts.sum()).tolist()))
 
 
-def fit_marginal_weighted(label_index: np.ndarray, weights: np.ndarray,
-                          n_labels: int) -> LabelMarginal:
-    sums = np.bincount(label_index, weights=weights, minlength=n_labels)
-    total = sums.sum()
+def fit_marginal_weighted(stats: np.ndarray) -> LabelMarginal:
+    total = stats.sum()
     if total <= 0:
         raise DataError("weighted marginal fit needs positive total weight")
-    return LabelMarginal(tuple((sums / total).tolist()))
+    return LabelMarginal(tuple((stats / total).tolist()))
+
+
+def fit_mark_dist(dist: MarkDistribution, stats: np.ndarray) -> MarkDistribution:
+    """Refit a mark distribution of the kind of ``dist`` from ``prior_stats``."""
+    if isinstance(dist, FeaturePrior):
+        return fit_prior_weighted(stats)
+    return fit_marginal_weighted(stats)
 
 
 def sample_mark(dist: MarkDistribution, rng: np.random.Generator) -> Mark:
@@ -280,15 +291,21 @@ def mixture_stats(pairs: Sequence[tuple[BinaryMark, BinaryMark, float]],
     b and match indicator m. Together with the prior this is sufficient
     for fitting the resample probability.
     """
-    width = len(prior.probs)
-    table = np.zeros((width, 2, 2), dtype=np.float64)
-    for parent, child, w in pairs:
-        if w < 0:
-            raise DataError("pair weights must be nonnegative")
-        for f in range(width):
-            b = child.bits[f]
-            m = int(parent.bits[f] == child.bits[f])
-            table[f, b, m] += w
+    w = np.array([pair[2] for pair in pairs], dtype=np.float64)
+    if np.any(w < 0):
+        raise DataError("pair weights must be nonnegative")
+    Xp, Xc = (np.array([pair[k].bits for pair in pairs], dtype=np.uint8)
+              .reshape(-1, len(prior.probs)) for k in (0, 1))
+    return _mixture_table(Xp, Xc, w)
+
+
+def _mixture_table(Xp: np.ndarray, Xc: np.ndarray, w: np.ndarray) -> np.ndarray:
+    table = np.zeros((Xc.shape[1], 2, 2))
+    match = Xp == Xc
+    for b in (0, 1):
+        childbit = Xc == b
+        for m in (0, 1):
+            table[:, b, m] = w @ (childbit & (match == bool(m)))
     return table
 
 
@@ -351,6 +368,68 @@ def fit_mixture_from_stats(table: np.ndarray, prior: FeaturePrior,
 def fit_mixture(pairs: Sequence[tuple[BinaryMark, BinaryMark, float]],
                 prior: FeaturePrior, tol: float = 1e-8) -> float:
     return fit_mixture_from_stats(mixture_stats(pairs, prior), prior, tol=tol)
+
+
+def label_pair_table(d: Dataset, children: np.ndarray, parents: np.ndarray,
+                     z: np.ndarray) -> np.ndarray:
+    """Pair weights summed into a (parent label, child label) table."""
+    n = d.n_label_values
+    cells = d.label_index[parents] * n + d.label_index[children]
+    return np.bincount(cells, weights=z, minlength=n * n).reshape(n, n)
+
+
+def transition_stats(spec: TransitionSpec, d: Dataset, children: np.ndarray,
+                     parents: np.ndarray, z: np.ndarray):
+    """Sufficient statistics for refitting ``spec`` from weighted
+    (parent, child) event pairs, or None when the family has nothing to
+    fit. They have a fixed size and add up, so components sharing a
+    transition group pool theirs with ``+``:
+
+    - categorical: the (parent label, child label) weight table
+    - prior: ``prior_stats`` of the children's weights
+    - feature mixture: the (F, 2, 2) table of ``mixture_stats``
+    """
+    if isinstance(spec, CategoricalMatrix):
+        return label_pair_table(d, children, parents, z)
+    if isinstance(spec, FeatureMixture):
+        X = d.feature_matrix
+        return _mixture_table(X[parents], X[children], z)
+    if isinstance(spec, PriorTransition):
+        return prior_stats(spec.dist, d, np.bincount(children, weights=z, minlength=len(d)))
+    return None
+
+
+def label_matrix(spec: TransitionSpec, n: int) -> np.ndarray:
+    """g(child label | parent label) as an n x n matrix, for label families."""
+    if isinstance(spec, IdentityTransition):
+        return np.eye(n)
+    if isinstance(spec, PriorTransition):
+        return np.tile(spec.dist.as_array, (n, 1))
+    if isinstance(spec, CategoricalMatrix):
+        return spec.as_array
+    raise DataError("transition not representable as a label matrix")
+
+
+def label_table_stats(spec: TransitionSpec, table: np.ndarray):
+    """``transition_stats`` of a label-mark family from its (parent label,
+    child label) weight table."""
+    if isinstance(spec, CategoricalMatrix):
+        return table
+    if isinstance(spec, PriorTransition):
+        return table.sum(axis=0)
+    return None
+
+
+def fit_transition(spec: TransitionSpec, stats) -> TransitionSpec:
+    """Weighted maximum likelihood refit of ``spec`` from its (pooled)
+    ``transition_stats``."""
+    if isinstance(spec, CategoricalMatrix):
+        return fit_categorical(stats, spec.prior_direction, spec.prior_strength)
+    if isinstance(spec, FeatureMixture):
+        return replace(spec, resample_prob=fit_mixture_from_stats(stats, spec.prior))
+    if isinstance(spec, PriorTransition):
+        return PriorTransition(fit_mark_dist(spec.dist, stats))
+    return spec
 
 
 def fit_categorical(counts, prior_direction=None, prior_strength: float = 0.0,

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from cascades import (CascadeModel, CategoricalMatrix, ConfigError,
                       fast_applicable, fast_estep, fit, intensity,
                       log_likelihood, m_step, normalize, simulate,
                       windowed_log_likelihood)
-from cascades.engine import (Responsibilities, baseline_integral,
-                             suffstats_from_estep, validate_model)
+from cascades.engine import (Responsibilities, baseline_integral, estep_stats,
+                             validate_model)
 from cascades.events import BinaryMark, BinarySchema, CompositeMark, CompositeSchema
 
 
@@ -300,20 +301,22 @@ def test_fast_path_matches_direct_with_ties_and_scopes():
                          ExponentialDelay(2.0))))
     assert fast_applicable(model, d)
     fast = fast_estep(model, d)
-    direct = suffstats_from_estep(model, d)
+    direct = estep_stats(replace(model, truncation_mass=0.0), d)
     assert np.allclose(fast.z_base, direct.z_base, rtol=1e-9, atol=1e-300)
     assert np.allclose(fast.intensity, direct.intensity, rtol=1e-9)
     assert np.allclose(fast.comp_z, direct.comp_z, rtol=1e-9)
     assert np.allclose(fast.comp_zdt, direct.comp_zdt, rtol=1e-9)
-    for a, b in zip(fast.comp_trans_counts, direct.comp_trans_counts):
-        assert np.allclose(a, b, rtol=1e-9, atol=1e-12)
+    for a, b in zip(fast.components, direct.components):
+        if a.transition is not None:
+            assert np.allclose(a.transition, b.transition, rtol=1e-9, atol=1e-12)
 
     # windowed + masked: same agreement
     mask = np.zeros(len(d), dtype=bool)
     mask[::2] = True
     window = (5.0, 25.0)
     fast_w = fast_estep(model, d, children=mask, window=window)
-    direct_w = suffstats_from_estep(model, d, children=mask, window=window)
+    direct_w = estep_stats(replace(model, truncation_mass=0.0), d, children=mask,
+                           window=window)
     assert np.allclose(fast_w.z_base, direct_w.z_base, rtol=1e-9)
     assert np.allclose(fast_w.comp_z, direct_w.comp_z, rtol=1e-9)
 
@@ -370,3 +373,60 @@ def test_delay_group_pools_statistics():
     dts = np.array([1.0, 2.5, 1.5, 1.0, 2.5, 1.5])
     assert new.components[0].delay.rate == pytest.approx(
         z.sum() / np.dot(z, dts), rel=1e-12)
+
+
+def test_component_count_mismatch_rejected():
+    model, d = label_toy()
+    second = replace(model.components[0], name="k2")
+    wider = replace(model, components=model.components + (second,))
+    for fitted, resp in ((wider, e_step(model, d)), (model, e_step(wider, d))):
+        with pytest.raises(DataError, match="components"):
+            m_step(fitted, d, resp)
+        with pytest.raises(DataError, match="components"):
+            em_lower_bound(fitted, d, resp)
+
+
+def _numbers(obj) -> list[float]:
+    """Every numeric parameter of a model, in a fixed order."""
+    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        return [float(obj)]
+    if isinstance(obj, (tuple, list)):
+        return [x for item in obj for x in _numbers(item)]
+    if hasattr(obj, "__dataclass_fields__"):
+        return _numbers([getattr(obj, f) for f in obj.__dataclass_fields__])
+    return []
+
+
+def test_mstep_from_fast_and_pairwise_statistics_agree():
+    rng = np.random.default_rng(21)
+    n = 240
+    times = np.sort(rng.uniform(0, 60, size=n))
+    types = rng.integers(1, 4, size=n)
+    nodes = rng.choice(["u", "v"], size=n)
+    d = Dataset([Event(float(t), CompositeMark(int(k), str(v)))
+                 for t, k, v in zip(times, types, nodes)],
+                horizon=60.0, schema=CompositeSchema(3, frozenset({"u", "v"})))
+    model = CascadeModel(
+        HomogeneousBaseline(0.8, LabelMarginal((0.3, 0.3, 0.4))),
+        (KernelComponent("self", ConstantFertility(0.3),
+                         CategoricalMatrix(((0.6, 0.2, 0.2), (0.2, 0.6, 0.2),
+                                            (0.2, 0.2, 0.6))),
+                         ExponentialDelay(1.0), sources=("u",),
+                         transition_group="shared", delay_group="shared"),
+         KernelComponent("nbr", ConstantFertility(0.2),
+                         CategoricalMatrix(((0.4, 0.3, 0.3), (0.3, 0.4, 0.3),
+                                            (0.3, 0.3, 0.4))),
+                         ExponentialDelay(0.5), sources=("v",),
+                         transition_group="shared"),
+         KernelComponent("same", ConstantFertility(0.1), IdentityTransition(),
+                         ExponentialDelay(2.0), delay_group="shared"),
+         KernelComponent("any", ConstantFertility(0.1),
+                         PriorTransition(LabelMarginal((0.5, 0.25, 0.25))),
+                         ExponentialDelay(0.3))),
+        truncation_mass=0.0)
+    assert fast_applicable(model, d)
+    from_fast = m_step(model, d, fast_estep(model, d))
+    from_pairs = m_step(model, d, e_step(model, d))
+    assert from_fast.components[0].delay == from_fast.components[2].delay
+    assert from_fast.components[0].transition == from_fast.components[1].transition
+    np.testing.assert_allclose(_numbers(from_fast), _numbers(from_pairs), rtol=1e-12, atol=0)

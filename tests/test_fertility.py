@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from cascades import (BinaryMark, CombinedFertility, ConstantFertility,
-                      DataError, LinearFertility, MultiplicativeFertility,
-                      NumericalError)
+from cascades import (BinaryMark, BinarySchema, CombinedFertility,
+                      ConstantFertility, DataError, Dataset, Event,
+                      LinearFertility, MultiplicativeFertility, NumericalError)
 from cascades import fertility as fert
 from cascades.fertility import (evaluate, evaluate_many, poisson_objective,
                                 scaled, update, update_multiplicative)
@@ -163,3 +163,40 @@ def test_validation():
         MultiplicativeFertility((0.0, 1.0))
     with pytest.raises(DataError):
         CombinedFertility((CombinedFertility((ConstantFertility(1.0),)),))
+
+
+def _numbers(spec) -> np.ndarray:
+    if isinstance(spec, CombinedFertility):
+        return np.concatenate([_numbers(term) for term in spec.terms])
+    if isinstance(spec, LinearFertility):
+        return np.array((spec.bias,) + spec.slopes)
+    if isinstance(spec, MultiplicativeFertility):
+        return np.array(spec.weights)
+    return np.array([spec.rate])
+
+
+@pytest.mark.parametrize("spec", [
+    ConstantFertility(0.4),
+    LinearFertility(0.2, (0.1, 0.3, 0.05, 0.5)),
+    MultiplicativeFertility((0.3, 1.3, 0.8, 1.5, 0.6)),
+    CombinedFertility((ConstantFertility(0.1),
+                       LinearFertility(0.1, (0.2, 0.0, 0.3, 0.1)),
+                       MultiplicativeFertility((0.2, 1.1, 0.9, 1.4, 0.7)))),
+], ids=["constant", "linear", "multiplicative", "combined"])
+def test_pattern_grouped_update_matches_per_parent(spec):
+    # one row per distinct mark, summing its parents' credits and exposures
+    rng = np.random.default_rng(12)
+    n = 2000
+    d = Dataset([Event(float(i), bm(*bits)) for i, bits in
+                 enumerate(rng.integers(0, 2, size=(n, 4)).tolist())],
+                horizon=float(n), schema=BinarySchema(("a", "b", "c", "d")))
+    X = d.feature_matrix
+    exposures = rng.uniform(0.1, 1.0, n)
+    credits = rng.poisson(1.5 * evaluate_many(spec, X, n) * exposures) * rng.uniform(0.5, 1.0, n)
+    rows, index = d.feature_patterns
+    assert len(rows) == 16
+    grouped = update(spec, rows, np.bincount(index, credits, len(rows)),
+                     np.bincount(index, exposures, len(rows)))
+    per_parent = update(spec, X, credits, exposures)
+    assert type(grouped) is type(per_parent)
+    np.testing.assert_allclose(_numbers(grouped), _numbers(per_parent), rtol=1e-12, atol=0)
