@@ -885,9 +885,8 @@ def fast_estep(model: CascadeModel, d: Dataset, children: np.ndarray | None = No
     mean_dt = np.divide(comp_zdt, comp_z, out=np.zeros(C), where=comp_z > 0)
     return EStepStats(z_base, lam, [
         ComponentStats(deltas=mean_dt[c:c + 1], weights=comp_z[c:c + 1],
-                       transition=trans_mod.label_table_stats(comp.transition, counts[c]),
-                       credits=comp_z[c:c + 1])
-        for c, comp in enumerate(comps)])
+                       transition=counts[c], credits=comp_z[c:c + 1])
+        for c in range(C)])
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import numpy as np
 from . import delays as delay_mod
 from .delays import DelaySpec, ExponentialDelay
 from .engine import (CascadeModel, HomogeneousBaseline, KernelComponent,
-                     e_step, estep_stats, expected_transition_counts, fit, m_step,
+                     e_step, expected_transition_counts, fit, m_step,
                      windowed_log_likelihood)
 from .errors import ConfigError, DataError
 from .events import CompositeMark, CompositeSchema, Dataset, Event
@@ -242,9 +242,9 @@ def _fit_per_neighbor(model: CascadeModel, d: Dataset, mask: np.ndarray,
     ll_prev = None
     ll = windowed_log_likelihood(model, d, mask, window)
     for _ in range(max_iters):
-        stats = estep_stats(model, d, mask, window)
-        model = m_step(model, d, stats, mask, window, update_baseline_mark=False)
-        n = stats.comp_z[nbr_idx]
+        resp = e_step(model, d, mask, window)
+        model = m_step(model, d, resp, mask, window, update_baseline_mark=False)
+        n = np.array([resp.comp_z[ci].sum() for ci in nbr_idx])
         rates = regularized_rates(n, m_counts, pool_weight)
         comps = list(model.components)
         for k, ci in enumerate(nbr_idx):

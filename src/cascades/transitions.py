@@ -385,18 +385,19 @@ def transition_stats(spec: TransitionSpec, d: Dataset, children: np.ndarray,
     fit. They have a fixed size and add up, so components sharing a
     transition group pool theirs with ``+``:
 
-    - categorical: the (parent label, child label) weight table
-    - prior: ``prior_stats`` of the children's weights
     - feature mixture: the (F, 2, 2) table of ``mixture_stats``
+    - feature prior: ``prior_stats`` of the children's weights
+    - every family on label or composite marks: the (parent label,
+      child label) weight table of ``label_pair_table``
     """
-    if isinstance(spec, CategoricalMatrix):
-        return label_pair_table(d, children, parents, z)
     if isinstance(spec, FeatureMixture):
         X = d.feature_matrix
         return _mixture_table(X[parents], X[children], z)
-    if isinstance(spec, PriorTransition):
+    if isinstance(spec, PriorTransition) and isinstance(spec.dist, FeaturePrior):
         return prior_stats(spec.dist, d, np.bincount(children, weights=z, minlength=len(d)))
-    return None
+    if isinstance(d.schema, BinarySchema):
+        return None
+    return label_pair_table(d, children, parents, z)
 
 
 def label_matrix(spec: TransitionSpec, n: int) -> np.ndarray:
@@ -410,16 +411,6 @@ def label_matrix(spec: TransitionSpec, n: int) -> np.ndarray:
     raise DataError("transition not representable as a label matrix")
 
 
-def label_table_stats(spec: TransitionSpec, table: np.ndarray):
-    """``transition_stats`` of a label-mark family from its (parent label,
-    child label) weight table."""
-    if isinstance(spec, CategoricalMatrix):
-        return table
-    if isinstance(spec, PriorTransition):
-        return table.sum(axis=0)
-    return None
-
-
 def fit_transition(spec: TransitionSpec, stats) -> TransitionSpec:
     """Weighted maximum likelihood refit of ``spec`` from its (pooled)
     ``transition_stats``."""
@@ -428,6 +419,8 @@ def fit_transition(spec: TransitionSpec, stats) -> TransitionSpec:
     if isinstance(spec, FeatureMixture):
         return replace(spec, resample_prob=fit_mixture_from_stats(stats, spec.prior))
     if isinstance(spec, PriorTransition):
+        if isinstance(spec.dist, LabelMarginal):
+            stats = stats.sum(axis=0)  # weight per child label
         return PriorTransition(fit_mark_dist(spec.dist, stats))
     return spec
 

@@ -307,8 +307,7 @@ def test_fast_path_matches_direct_with_ties_and_scopes():
     assert np.allclose(fast.comp_z, direct.comp_z, rtol=1e-9)
     assert np.allclose(fast.comp_zdt, direct.comp_zdt, rtol=1e-9)
     for a, b in zip(fast.components, direct.components):
-        if a.transition is not None:
-            assert np.allclose(a.transition, b.transition, rtol=1e-9, atol=1e-12)
+        assert np.allclose(a.transition, b.transition, rtol=1e-9, atol=1e-12)
 
     # windowed + masked: same agreement
     mask = np.zeros(len(d), dtype=bool)
