@@ -10,6 +10,14 @@ windows) and an M-step of weighted closed-form or Newton updates, with
 an optional projection that rescales the model so the expected total
 event count matches the observed one.
 
+The E-step is array code over candidate pairs: per component,
+``searchsorted`` bounds each child's window among the allowed parents,
+the windows of a run of children expand into flat (child, parent) pair
+arrays, every kernel factor is evaluated once over those pairs, and
+``bincount`` sums each child's intensity. Runs hold at most
+``PAIR_CHUNK`` pairs and write into output arrays allocated once at full
+size, so memory beyond the responsibilities stays bounded.
+
 A separate fast path computes the same sufficient statistics in
 O(N * L) for label-marked models whose delays are all exponential,
 using decayed per-source-label accumulators instead of event pairs.
@@ -36,6 +44,7 @@ from .transitions import (CategoricalMatrix, FeatureMixture, FeaturePrior,
                           PriorTransition, TransitionSpec)
 
 ZERO_CREDIT = 0.0  # component credit at or below this skips parameter updates
+PAIR_CHUNK = 1 << 18  # candidate pairs the pairwise E-step evaluates at once
 
 
 @dataclass(frozen=True)
@@ -322,8 +331,8 @@ def _source_mask(comp: KernelComponent, d: Dataset) -> np.ndarray | None:
     """Which events may parent under this component; None when all may."""
     if comp.sources is None:
         return None
-    allowed = set(comp.sources)
-    return np.fromiter((node in allowed for node in d.node_ids), count=len(d), dtype=bool)
+    names, codes = d.node_codes
+    return np.isin(names, comp.sources)[codes]
 
 
 def _parent_pool(comp: KernelComponent, d: Dataset) -> np.ndarray:
@@ -361,7 +370,7 @@ def _check_components(resp: Responsibilities | EStepStats, model: CascadeModel) 
 
 
 class _TransitionEval:
-    """Vectorized g(child | parents) for one component on one dataset."""
+    """Vectorized g(child | parent) for one component on one dataset."""
 
     def __init__(self, spec: TransitionSpec, d: Dataset):
         self.spec = spec
@@ -370,31 +379,38 @@ class _TransitionEval:
         elif isinstance(spec, PriorTransition):
             self.child_probs = _mark_prob_vector(spec.dist, d)
         elif isinstance(spec, FeatureMixture):
+            rows, self.pattern = d.feature_patterns
+            # one value per (parent pattern, child pattern) when the table
+            # is no larger than a chunk of pairs, else computed per pair
+            self.table = (self._mixture(rows[:, None, :], rows[None, :, :])
+                          if len(rows) ** 2 <= PAIR_CHUNK else None)
             self.X = d.feature_matrix
-            self.p = spec.prior.as_array
         elif isinstance(spec, CategoricalMatrix):
             self.theta = spec.as_array
             self.labels = d.label_index
 
-    def values(self, child: int, parents: np.ndarray) -> np.ndarray:
+    def _mixture(self, xp: np.ndarray, xc: np.ndarray) -> np.ndarray:
+        gamma = self.spec.resample_prob
+        p = self.spec.prior.as_array
+        q = np.where(xc == 1, p, 1.0 - p)
+        with np.errstate(divide="ignore"):
+            logs = np.where(xp == xc, np.log((1.0 - gamma) + gamma * q),
+                            np.log(gamma * q))
+        return np.exp(logs.sum(axis=-1))
+
+    def values(self, children: np.ndarray, parents: np.ndarray) -> np.ndarray:
+        """g(mark of children[k] | mark of parents[k]) for every pair k."""
         spec = self.spec
         if isinstance(spec, IdentityTransition):
-            return (self.codes[parents] == self.codes[child]).astype(np.float64)
+            return (self.codes[parents] == self.codes[children]).astype(np.float64)
         if isinstance(spec, PriorTransition):
-            return np.full(parents.shape, self.child_probs[child])
+            return self.child_probs[children]
         if isinstance(spec, FeatureMixture):
-            gamma = spec.resample_prob
-            xc = self.X[child]
-            q = np.where(xc == 1, self.p, 1.0 - self.p)
-            copy_or_draw = (1.0 - gamma) + gamma * q
-            draw_only = gamma * q
-            match = self.X[parents] == xc[None, :]
-            with np.errstate(divide="ignore"):
-                logs = np.where(match, np.log(copy_or_draw)[None, :],
-                                np.log(draw_only)[None, :])
-            return np.exp(logs.sum(axis=1))
+            if self.table is not None:
+                return self.table[self.pattern[parents], self.pattern[children]]
+            return self._mixture(self.X[parents], self.X[children])
         if isinstance(spec, CategoricalMatrix):
-            return self.theta[self.labels[parents], self.labels[child]]
+            return self.theta[self.labels[parents], self.labels[children]]
         raise DataError(f"unknown transition spec {type(spec).__name__}")
 
 
@@ -430,8 +446,10 @@ def _estep_core(model: CascadeModel, d: Dataset, children: np.ndarray | None,
     times = d.times
     n = len(d)
     kids = _child_ids(d, children, window)
-    base_rates = _baseline_rate_at(model.baseline, times[kids]) if kids.size else np.zeros(0)
+    kid_times = times[kids]
+    base_rates = _baseline_rate_at(model.baseline, kid_times) if kids.size else np.zeros(0)
     base_marks = _mark_prob_vector(model.baseline.mark, d) if n else np.zeros(0)
+    base_vals = base_rates * base_marks[kids]
 
     comps = model.components
     alphas = _fertility_matrix(model, d)
@@ -440,57 +458,63 @@ def _estep_core(model: CascadeModel, d: Dataset, children: np.ndarray | None,
     pool_times = [times[p] for p in pools]
     cutoffs = [delay_mod.tail_cutoff(c.delay, model.truncation_mass) for c in comps]
 
-    his = [np.searchsorted(pt, times[kids], side="left") for pt in pool_times]
+    his = [np.searchsorted(pt, kid_times, side="left") for pt in pool_times]
     # an infinite cutoff searches for -inf, which lands on the first parent
-    los = [np.searchsorted(pt, times[kids] - cut, side="left")
+    los = [np.searchsorted(pt, kid_times - cut, side="left")
            for pt, cut in zip(pool_times, cutoffs)]
+    # per component: each child's candidate count and the offset of its
+    # first pair among the pairs of all children
+    counts = [hi - lo for lo, hi in zip(los, his)]
+    starts = [np.concatenate(([0], np.cumsum(cnt))) for cnt in counts]
 
     lam = np.zeros(n, dtype=np.float64)
     z_base = np.zeros(n, dtype=np.float64)
-    counts = [np.zeros(n, dtype=np.int64) for _ in comps]
-    parents_chunks: list[list[np.ndarray]] = [[] for _ in comps]
-    vals_chunks: list[list[np.ndarray]] = [[] for _ in comps]
+    if want_resp:
+        comp_offsets = [np.zeros(n + 1, dtype=np.int64) for _ in comps]
+        for offsets, cnt in zip(comp_offsets, counts):
+            offsets[kids + 1] = cnt
+            np.cumsum(offsets, out=offsets)
+        comp_parents = [np.empty(st[-1], dtype=np.int64) for st in starts]
+        comp_z = [np.empty(st[-1], dtype=np.float64) for st in starts]
 
-    for pos, i in enumerate(kids):
-        t = times[i]
-        base_val = base_rates[pos] * base_marks[i]
-        total = base_val
-        row = []
+    # chunks are runs of whole children holding at most PAIR_CHUNK pairs
+    # over all components (or one child with more)
+    pair_ends = np.cumsum(sum(counts, np.zeros(kids.size, dtype=np.int64)))
+    s = 0
+    while s < kids.size:
+        done = int(pair_ends[s - 1]) if s else 0
+        e = max(int(np.searchsorted(pair_ends, done + PAIR_CHUNK, side="right")), s + 1)
+        total = base_vals[s:e].copy()
+        chunk = []
         for c, comp in enumerate(comps):
-            js = pools[c][los[c][pos]:his[c][pos]]
-            if js.size:
-                dt = t - times[js]
-                vals = (alphas[c][js]
-                        * evals[c].values(i, js)
-                        * delay_mod.density(comp.delay, dt))
-                total += vals.sum()
-            else:
-                vals = np.zeros(0, dtype=np.float64)
-            row.append((js, vals))
-            counts[c][i] = js.size
-        if total <= 0.0 or not np.isfinite(total):
+            p0, p1 = starts[c][s], starts[c][e]
+            if p1 == p0:
+                continue
+            cnt = counts[c][s:e]
+            js = pools[c][np.arange(p0, p1) + np.repeat(los[c][s:e] - starts[c][s:e], cnt)]
+            dt = np.repeat(kid_times[s:e], cnt) - times[js]
+            vals = (alphas[c][js]
+                    * evals[c].values(np.repeat(kids[s:e], cnt), js)
+                    * delay_mod.density(comp.delay, dt))
+            total += np.bincount(np.repeat(np.arange(e - s), cnt), weights=vals,
+                                 minlength=e - s)
+            if want_resp:
+                chunk.append((c, p0, p1, cnt, js, vals))
+        bad = ~((total > 0.0) & np.isfinite(total))
+        if bad.any():
+            i = kids[s + int(np.argmax(bad))]
             raise NumericalError(
-                f"event {int(i)} at t={t!r} has zero intensity under every cause")
-        lam[i] = total
+                f"event {int(i)} at t={times[i]!r} has zero intensity under every cause")
+        lam[kids[s:e]] = total
         if want_resp:
-            z_base[i] = base_val / total
-            for c, (js, vals) in enumerate(row):
-                parents_chunks[c].append(js)
-                vals_chunks[c].append(vals / total)
+            z_base[kids[s:e]] = base_vals[s:e] / total
+            for c, p0, p1, cnt, js, vals in chunk:
+                comp_parents[c][p0:p1] = js
+                comp_z[c][p0:p1] = vals / np.repeat(total, cnt)
+        s = e
 
     resp = None
     if want_resp:
-        comp_offsets, comp_parents, comp_z = [], [], []
-        for c in range(len(comps)):
-            offsets = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(counts[c], out=offsets[1:])
-            comp_offsets.append(offsets)
-            if parents_chunks[c]:
-                comp_parents.append(np.concatenate(parents_chunks[c]))
-                comp_z.append(np.concatenate(vals_chunks[c]))
-            else:
-                comp_parents.append(np.zeros(0, dtype=np.int64))
-                comp_z.append(np.zeros(0, dtype=np.float64))
         resp = Responsibilities(n, z_base, comp_offsets, comp_parents, comp_z)
     return resp, lam, kids
 
@@ -589,24 +613,22 @@ def em_lower_bound(model: CascadeModel, d: Dataset, resp: Responsibilities,
     """
     _check_components(resp, model)
     fresh, lam, kids = _estep_core(model, d, children, window, want_resp=True)
+    terms = [(resp.baseline[kids], fresh.baseline[kids] * lam[kids])]
+    for c in range(len(model.components)):
+        offsets = resp.comp_offsets[c]
+        cnt = np.diff(fresh.comp_offsets[c])[kids]
+        if len(offsets) != len(d) + 1 or np.any(np.diff(offsets)[kids] != cnt):
+            raise DataError("responsibilities do not match the model's layout")
+        # resp's pairs of the children, in fresh's order
+        first = np.cumsum(cnt) - cnt
+        at = np.arange(cnt.sum()) + np.repeat(offsets[kids] - first, cnt)
+        terms.append((resp.comp_z[c][at], fresh.comp_z[c] * np.repeat(lam[kids], cnt)))
     bound = 0.0
-    for i in kids:
-        k_base = fresh.baseline[i] * lam[i]
-        z = resp.baseline[i]
-        if z > 0:
-            if k_base <= 0:
-                return -np.inf
-            bound += z * np.log(k_base / z)
-        for c in range(len(model.components)):
-            lo, hi = fresh.comp_offsets[c][i], fresh.comp_offsets[c][i + 1]
-            k_vals = fresh.comp_z[c][lo:hi] * lam[i]
-            z_vals = resp.comp_z[c][resp.comp_offsets[c][i]:resp.comp_offsets[c][i + 1]]
-            if z_vals.shape != k_vals.shape:
-                raise DataError("responsibilities do not match the model's layout")
-            pos = z_vals > 0
-            if np.any(k_vals[pos] <= 0):
-                return -np.inf
-            bound += float(np.dot(z_vals[pos], np.log(k_vals[pos] / z_vals[pos])))
+    for z, k in terms:
+        pos = z > 0
+        if np.any(k[pos] <= 0):
+            return -np.inf
+        bound += float(np.dot(z[pos], np.log(k[pos] / z[pos])))
     return bound - compensator(model, d, window)
 
 
@@ -933,11 +955,21 @@ def fit(model: CascadeModel, d: Dataset, max_iters: int = 50, tol: float = 1e-6,
         raise ConfigError("fast engine requested but the model does not qualify")
     window = _resolve_window(d, window)
 
-    estep = fast_estep if use_fast else estep_stats
-
     def evaluate(m: CascadeModel):
-        stats = estep(m, d, children, window)
-        return stats, _ll_value(m, d, stats.intensity, kids, window)
+        """The E-step under m and its log likelihood; the direct engine
+        keeps the responsibilities, which only get summed into
+        statistics (``reduce``) for states an M-step refits from."""
+        if use_fast:
+            stats = fast_estep(m, d, children, window)
+            return stats, _ll_value(m, d, stats.intensity, kids, window)
+        resp, lam, _ = _estep_core(m, d, children, window, want_resp=True)
+        return (resp, lam), _ll_value(m, d, lam, kids, window)
+
+    def reduce(m: CascadeModel, state) -> EStepStats:
+        if use_fast:
+            return state
+        resp, lam = state
+        return EStepStats(resp.baseline, lam, _component_stats(m, d, resp))
 
     def improve(m: CascadeModel, stats: EStepStats,
                 freeze_delays: bool = False) -> CascadeModel:
@@ -965,13 +997,16 @@ def fit(model: CascadeModel, d: Dataset, max_iters: int = 50, tol: float = 1e-6,
     converged = False
     iterations = 0
     for _ in range(max_iters):
-        candidate = improve(model, state)
+        # one reduction per refit state (the frozen-delay retry reuses it);
+        # dropping the state frees its pair arrays before the next E-step
+        stats, state = reduce(model, state), None
+        candidate = improve(model, stats)
         state_new, ll_new = evaluate(candidate)
         if ll_new < ll:
             # the delay refit ignores the edge-corrected compensator and
             # can overshoot; redoing the update with delays frozen makes
             # every remaining piece an exact coordinate ascent
-            fallback = improve(model, state, freeze_delays=True)
+            fallback = improve(model, stats, freeze_delays=True)
             state_fb, ll_fb = evaluate(fallback)
             if ll_fb > ll_new:
                 candidate, state_new, ll_new = fallback, state_fb, ll_fb

@@ -179,6 +179,11 @@ class Dataset:
             raise DataError("node_ids requires a composite schema")
         return np.array([ev.mark.node for ev in self.events], dtype=object)
 
+    @cached_property
+    def node_codes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct node ids (sorted), and each event's index into them."""
+        return np.unique(self.node_ids, return_inverse=True)
+
     @property
     def n_label_values(self) -> int:
         if isinstance(self.schema, LabelSchema):
