@@ -14,7 +14,9 @@ The E-step is array code over candidate pairs: per component,
 ``searchsorted`` bounds each child's window among the allowed parents,
 the windows of a run of children expand into flat (child, parent) pair
 arrays, every kernel factor is evaluated once over those pairs, and
-``bincount`` sums each child's intensity. Runs hold at most
+``bincount`` sums each child's intensity. Mark probabilities and
+transitions come from ``transitions`` (``mark_probs``, ``PairProbs``),
+which ``intensity`` and model validation use too. Runs hold at most
 ``PAIR_CHUNK`` pairs and write into output arrays allocated once at full
 size, so memory beyond the responsibilities stays bounded.
 
@@ -36,15 +38,14 @@ from . import fertility as fert_mod
 from . import transitions as trans_mod
 from .delays import DelaySpec, ExponentialDelay
 from .errors import ConfigError, DataError, NumericalError
-from .events import (BinarySchema, CompositeSchema, Dataset, LabelSchema,
-                     Mark, MarkSchema)
-from .fertility import ConstantFertility, FertilitySpec
-from .transitions import (CategoricalMatrix, FeatureMixture, FeaturePrior,
-                          IdentityTransition, LabelMarginal, MarkDistribution,
-                          PriorTransition, TransitionSpec)
+from .events import (BinarySchema, CompositeSchema, Dataset, Event, Mark,
+                     MarkSchema, label_count)
+from .fertility import FertilitySpec
+from .transitions import MarkDistribution, PairProbs, TransitionSpec
 
 ZERO_CREDIT = 0.0  # component credit at or below this skips parameter updates
 PAIR_CHUNK = 1 << 18  # candidate pairs the pairwise E-step evaluates at once
+FAST_MAX_LABELS = 256  # label count beyond which fast_estep does not apply
 
 
 @dataclass(frozen=True)
@@ -206,24 +207,6 @@ class FitReport:
 # model validation and small helpers
 
 
-def _label_like(schema: MarkSchema) -> bool:
-    return isinstance(schema, (LabelSchema, CompositeSchema))
-
-
-def _check_mark_dist(dist: MarkDistribution, schema: MarkSchema, where: str) -> None:
-    if isinstance(dist, FeaturePrior):
-        if not isinstance(schema, BinarySchema) or len(dist.probs) != schema.width:
-            raise ConfigError(f"{where}: feature prior does not fit the mark schema")
-    elif isinstance(dist, LabelMarginal):
-        if not _label_like(schema):
-            raise ConfigError(f"{where}: label marginal needs label or composite marks")
-        n = schema.n_labels if isinstance(schema, LabelSchema) else schema.n_types
-        if len(dist.probs) != n:
-            raise ConfigError(f"{where}: label marginal has the wrong length")
-    else:
-        raise ConfigError(f"{where}: unknown mark distribution")
-
-
 def _groups(comps, attr: str) -> list[list[int]]:
     """Component indices that share a refit via ``attr``; unshared
     components form groups of one."""
@@ -236,38 +219,15 @@ def _groups(comps, attr: str) -> list[list[int]]:
 
 def validate_model(model: CascadeModel, schema: MarkSchema) -> None:
     """Raise ConfigError when the model cannot score marks of ``schema``."""
-    _check_mark_dist(model.baseline.mark, schema, "baseline")
+    trans_mod.check_mark_dist(model.baseline.mark, schema, "baseline")
     names = set()
     for comp in model.components:
         if comp.name in names:
             raise ConfigError(f"duplicate component name {comp.name!r}")
         names.add(comp.name)
         where = f"component {comp.name!r}"
-        fert = comp.fertility
-        if not isinstance(fert, ConstantFertility) and not isinstance(schema, BinarySchema):
-            raise ConfigError(f"{where}: feature-based fertility needs binary marks")
-        if isinstance(schema, BinarySchema):
-            widths = {fert_mod.LinearFertility: lambda f: len(f.slopes),
-                      fert_mod.MultiplicativeFertility: lambda f: len(f.weights) - 1}
-            terms = fert.terms if isinstance(fert, fert_mod.CombinedFertility) else (fert,)
-            for term in terms:
-                getter = widths.get(type(term))
-                if getter is not None and getter(term) != schema.width:
-                    raise ConfigError(f"{where}: fertility width mismatch")
-        trans = comp.transition
-        if isinstance(trans, FeatureMixture):
-            if not isinstance(schema, BinarySchema) or len(trans.prior.probs) != schema.width:
-                raise ConfigError(f"{where}: feature mixture does not fit the schema")
-        elif isinstance(trans, CategoricalMatrix):
-            if not _label_like(schema):
-                raise ConfigError(f"{where}: categorical transition needs label marks")
-            n = schema.n_labels if isinstance(schema, LabelSchema) else schema.n_types
-            if len(trans.matrix) != n:
-                raise ConfigError(f"{where}: categorical transition has the wrong size")
-        elif isinstance(trans, PriorTransition):
-            _check_mark_dist(trans.dist, schema, where)
-        elif not isinstance(trans, IdentityTransition):
-            raise ConfigError(f"{where}: unknown transition")
+        fert_mod.check_schema(comp.fertility, schema, where)
+        trans_mod.check_transition(comp.transition, schema, where)
         if comp.sources is not None and not isinstance(schema, CompositeSchema):
             raise ConfigError(f"{where}: parent source restriction needs composite marks")
     for attr, label in (("transition_group", "transition"), ("delay_group", "delay")):
@@ -312,14 +272,6 @@ def _scaled_baseline(baseline: BaselineSpec, s: float) -> BaselineSpec:
     if isinstance(baseline, HomogeneousBaseline):
         return replace(baseline, rate=baseline.rate * s)
     return replace(baseline, rates=tuple(r * s for r in baseline.rates))
-
-
-def _mark_prob_vector(dist: MarkDistribution, d: Dataset) -> np.ndarray:
-    if isinstance(dist, FeaturePrior):
-        X = d.feature_matrix
-        p = dist.as_array
-        return np.prod(np.where(X == 1, p[None, :], 1.0 - p[None, :]), axis=1)
-    return dist.as_array[d.label_index]
 
 
 def _fertility_matrix(model: CascadeModel, d: Dataset) -> list[np.ndarray]:
@@ -369,51 +321,6 @@ def _check_components(resp: Responsibilities | EStepStats, model: CascadeModel) 
                         f"the model has {len(model.components)}")
 
 
-class _TransitionEval:
-    """Vectorized g(child | parent) for one component on one dataset."""
-
-    def __init__(self, spec: TransitionSpec, d: Dataset):
-        self.spec = spec
-        if isinstance(spec, IdentityTransition):
-            self.codes = d.mark_codes
-        elif isinstance(spec, PriorTransition):
-            self.child_probs = _mark_prob_vector(spec.dist, d)
-        elif isinstance(spec, FeatureMixture):
-            rows, self.pattern = d.feature_patterns
-            # one value per (parent pattern, child pattern) when the table
-            # is no larger than a chunk of pairs, else computed per pair
-            self.table = (self._mixture(rows[:, None, :], rows[None, :, :])
-                          if len(rows) ** 2 <= PAIR_CHUNK else None)
-            self.X = d.feature_matrix
-        elif isinstance(spec, CategoricalMatrix):
-            self.theta = spec.as_array
-            self.labels = d.label_index
-
-    def _mixture(self, xp: np.ndarray, xc: np.ndarray) -> np.ndarray:
-        gamma = self.spec.resample_prob
-        p = self.spec.prior.as_array
-        q = np.where(xc == 1, p, 1.0 - p)
-        with np.errstate(divide="ignore"):
-            logs = np.where(xp == xc, np.log((1.0 - gamma) + gamma * q),
-                            np.log(gamma * q))
-        return np.exp(logs.sum(axis=-1))
-
-    def values(self, children: np.ndarray, parents: np.ndarray) -> np.ndarray:
-        """g(mark of children[k] | mark of parents[k]) for every pair k."""
-        spec = self.spec
-        if isinstance(spec, IdentityTransition):
-            return (self.codes[parents] == self.codes[children]).astype(np.float64)
-        if isinstance(spec, PriorTransition):
-            return self.child_probs[children]
-        if isinstance(spec, FeatureMixture):
-            if self.table is not None:
-                return self.table[self.pattern[parents], self.pattern[children]]
-            return self._mixture(self.X[parents], self.X[children])
-        if isinstance(spec, CategoricalMatrix):
-            return self.theta[self.labels[parents], self.labels[children]]
-        raise DataError(f"unknown transition spec {type(spec).__name__}")
-
-
 def _resolve_window(d: Dataset, window: tuple[float, float] | None) -> tuple[float, float]:
     if window is None:
         return d.start, d.horizon
@@ -448,12 +355,12 @@ def _estep_core(model: CascadeModel, d: Dataset, children: np.ndarray | None,
     kids = _child_ids(d, children, window)
     kid_times = times[kids]
     base_rates = _baseline_rate_at(model.baseline, kid_times) if kids.size else np.zeros(0)
-    base_marks = _mark_prob_vector(model.baseline.mark, d) if n else np.zeros(0)
+    base_marks = trans_mod.mark_probs(model.baseline.mark, d) if n else np.zeros(0)
     base_vals = base_rates * base_marks[kids]
 
     comps = model.components
     alphas = _fertility_matrix(model, d)
-    evals = [_TransitionEval(c.transition, d) for c in comps]
+    evals = [PairProbs(c.transition, d, PAIR_CHUNK) for c in comps]
     pools = [_parent_pool(c, d) for c in comps]
     pool_times = [times[p] for p in pools]
     cutoffs = [delay_mod.tail_cutoff(c.delay, model.truncation_mass) for c in comps]
@@ -584,21 +491,20 @@ def intensity(model: CascadeModel, history: Dataset, t: float, x: Mark) -> float
     """Conditional intensity at (t, x) given the events of ``history``
     strictly before t (truncation windows applied)."""
     validate_model(model, history.schema)
-    times = history.times
-    base = float(_baseline_rate_at(model.baseline, np.asarray([t]))[0]
-                 * trans_mod.mark_prob(model.baseline.mark, x))
-    total = base
-    for comp in model.components:
-        pool = _parent_pool(comp, history)
-        cutoff = delay_mod.tail_cutoff(comp.delay, model.truncation_mass)
-        lo = np.searchsorted(times[pool], t - cutoff, side="left") if np.isfinite(cutoff) else 0
-        hi = np.searchsorted(times[pool], t, side="left")
-        js = pool[lo:hi]
-        for j in js:
-            ev = history.events[int(j)]
-            total += (fert_mod.evaluate(comp.fertility, ev.mark)
-                      * trans_mod.trans_prob(comp.transition, ev.mark, x)
-                      * float(delay_mod.density(comp.delay, t - ev.t)))
+    cutoffs = [delay_mod.tail_cutoff(c.delay, model.truncation_mass)
+               for c in model.components]
+    # the events inside some component's truncation window, then (t, x)
+    lo, hi = np.searchsorted(history.times, [t - max(cutoffs, default=0.0), t], side="left")
+    d = Dataset(history.events[lo:hi] + [Event(t, x)], t, history.schema, _sorted=True)
+    q = len(d) - 1
+    total = float(_baseline_rate_at(model.baseline, d.times[q:])[0]
+                  * trans_mod.mark_probs(model.baseline.mark, d)[q])
+    for alpha, comp, cut in zip(_fertility_matrix(model, d), model.components, cutoffs):
+        pool = _parent_pool(comp, d)
+        js = pool[np.searchsorted(d.times[pool], t - cut, side="left"):]
+        js = js[js < q]
+        g = PairProbs(comp.transition, d, PAIR_CHUNK).values(np.full(js.size, q), js)
+        total += float(np.sum(alpha[js] * g * delay_mod.density(comp.delay, t - d.times[js])))
     return total
 
 
@@ -697,7 +603,7 @@ def expected_transition_counts(model: CascadeModel, d: Dataset,
                                resp: Responsibilities) -> list[np.ndarray | None]:
     """Per-component z-weighted (parent label, child label) count matrices
     for label-like schemas; None entries for feature-marked components."""
-    if not _label_like(d.schema):
+    if label_count(d.schema) is None:
         return [None for _ in model.components]
     return [trans_mod.label_pair_table(d, *_pair_arrays(resp, c))
             for c in range(len(model.components))]
@@ -800,23 +706,14 @@ def normalize(model: CascadeModel, d: Dataset, children: np.ndarray | None = Non
 # fast path for exponential delays over label marks
 
 
-def fast_applicable(model: CascadeModel, d: Dataset, max_labels: int = 256) -> bool:
-    """True when the decayed-accumulator E-step covers this model."""
-    if not _label_like(d.schema) or d.n_label_values > max_labels:
-        return False
-    if not isinstance(model.baseline.mark, LabelMarginal):
-        return False
-    for comp in model.components:
-        if not isinstance(comp.delay, ExponentialDelay):
-            return False
-        if not isinstance(comp.fertility, ConstantFertility):
-            return False
-        if isinstance(comp.transition, PriorTransition):
-            if not isinstance(comp.transition.dist, LabelMarginal):
-                return False
-        elif not isinstance(comp.transition, (IdentityTransition, CategoricalMatrix)):
-            return False
-    return True
+def fast_applicable(model: CascadeModel, d: Dataset) -> bool:
+    """True when the decayed-accumulator E-step covers this model, given
+    that it passed validate_model for d's schema: on label marks that
+    leaves label-marginal baselines, label transitions and constant
+    fertilities, so only the delays and the label count decide."""
+    n_labels = label_count(d.schema)
+    return (n_labels is not None and n_labels <= FAST_MAX_LABELS
+            and all(isinstance(c.delay, ExponentialDelay) for c in model.components))
 
 
 def fast_estep(model: CascadeModel, d: Dataset, children: np.ndarray | None = None,

@@ -52,6 +52,15 @@ class CompositeSchema:
 MarkSchema = Union[BinarySchema, LabelSchema, CompositeSchema]
 
 
+def label_count(schema: MarkSchema) -> int | None:
+    """Labels (or composite types) of a label-like schema; None for binary."""
+    if isinstance(schema, LabelSchema):
+        return schema.n_labels
+    if isinstance(schema, CompositeSchema):
+        return schema.n_types
+    return None
+
+
 @dataclass(frozen=True)
 class BinaryMark:
     bits: tuple[int, ...]
@@ -186,28 +195,10 @@ class Dataset:
 
     @property
     def n_label_values(self) -> int:
-        if isinstance(self.schema, LabelSchema):
-            return self.schema.n_labels
-        if isinstance(self.schema, CompositeSchema):
-            return self.schema.n_types
-        raise DataError("schema has no label dimension")
-
-    @cached_property
-    def mark_codes(self) -> np.ndarray:
-        """(N,) integer codes under which equal codes mean equal marks.
-
-        For composite schemas equality is taken on the type coordinate,
-        which is what identity transitions compare in graph models.
-        """
-        if isinstance(self.schema, BinarySchema):
-            width = self.schema.width
-            if width > 62:
-                raise DataError("mark equality codes support at most 62 features")
-            powers = (np.int64(1) << np.arange(width, dtype=np.int64))
-            if not self.events:
-                return np.zeros(0, dtype=np.int64)
-            return self.feature_matrix.astype(np.int64) @ powers
-        return self.label_index
+        n = label_count(self.schema)
+        if n is None:
+            raise DataError("schema has no label dimension")
+        return n
 
     def subset(self, index: np.ndarray) -> "Dataset":
         """View of the events at ``index`` (ascending), same window."""

@@ -19,8 +19,8 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DataError, NumericalError
-from .events import BinaryMark, Mark
+from .errors import ConfigError, DataError, NumericalError
+from .events import BinaryMark, BinarySchema, Mark, MarkSchema
 
 WEIGHT_FLOOR = 1e-12
 
@@ -77,6 +77,19 @@ class CombinedFertility:
 
 FertilitySpec = Union[ConstantFertility, LinearFertility,
                       MultiplicativeFertility, CombinedFertility]
+
+
+def check_schema(spec: FertilitySpec, schema: MarkSchema, where: str) -> None:
+    """Raise ConfigError when ``spec`` cannot score marks of ``schema``."""
+    if isinstance(spec, ConstantFertility):
+        return
+    if not isinstance(schema, BinarySchema):
+        raise ConfigError(f"{where}: feature-based fertility needs binary marks")
+    for term in spec.terms if isinstance(spec, CombinedFertility) else (spec,):
+        if ((isinstance(term, LinearFertility) and len(term.slopes) != schema.width)
+                or (isinstance(term, MultiplicativeFertility)
+                    and len(term.weights) - 1 != schema.width)):
+            raise ConfigError(f"{where}: fertility width mismatch")
 
 
 def evaluate(spec: FertilitySpec, mark: Mark) -> float:

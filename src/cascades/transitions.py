@@ -6,6 +6,12 @@ prior (child drawn independently of the parent), a per-feature
 copy-or-resample mixture for binary marks, and a row-stochastic
 categorical matrix for label marks with optional Dirichlet shrinkage.
 For composite (type, node) marks transitions act on the type coordinate.
+
+Each family's math is written here once: schema checks, mark
+probabilities per event (``mark_probs``), g over (child, parent) event
+pairs (``PairProbs``, read by the E-step and ``intensity``; the fast path
+reads ``label_matrix``, the table PairProbs gathers on label marks),
+sampling, and the M-step statistics and refits.
 """
 
 from __future__ import annotations
@@ -18,9 +24,9 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import DataError, NumericalError
+from .errors import ConfigError, DataError
 from .events import (BinaryMark, BinarySchema, CompositeMark, CompositeSchema,
-                     Dataset, LabelMark, LabelSchema, Mark)
+                     Dataset, LabelMark, LabelSchema, Mark, MarkSchema, label_count)
 
 
 @dataclass(frozen=True)
@@ -66,24 +72,28 @@ def _mark_label_index(mark: Mark) -> int:
     raise DataError("expected a label or composite mark")
 
 
-def prior_prob(prior: FeaturePrior, mark: BinaryMark) -> float:
-    """Probability of a binary mark under independent feature marginals."""
-    p = prior.as_array
-    if len(mark.bits) != p.size:
-        raise DataError("mark width does not match the prior")
-    x = np.asarray(mark.bits, dtype=np.float64)
-    return float(np.prod(np.where(x == 1, p, 1.0 - p)))
-
-
-def mark_prob(dist: MarkDistribution, mark: Mark) -> float:
+def check_mark_dist(dist: MarkDistribution, schema: MarkSchema, where: str) -> None:
+    """Raise ConfigError when ``dist`` cannot score marks of ``schema``."""
     if isinstance(dist, FeaturePrior):
-        if not isinstance(mark, BinaryMark):
-            raise DataError("feature prior expects binary marks")
-        return prior_prob(dist, mark)
-    idx = _mark_label_index(mark)
-    if not 0 <= idx < len(dist.probs):
-        raise DataError(f"label {idx + 1} outside the marginal's range")
-    return float(dist.probs[idx])
+        if not isinstance(schema, BinarySchema) or len(dist.probs) != schema.width:
+            raise ConfigError(f"{where}: feature prior does not fit the mark schema")
+    elif isinstance(dist, LabelMarginal):
+        n = label_count(schema)
+        if n is None:
+            raise ConfigError(f"{where}: label marginal needs label or composite marks")
+        if len(dist.probs) != n:
+            raise ConfigError(f"{where}: label marginal has the wrong length")
+    else:
+        raise ConfigError(f"{where}: unknown mark distribution")
+
+
+def mark_probs(dist: MarkDistribution, d: Dataset) -> np.ndarray:
+    """Probability of every event's mark under ``dist`` (the label's mass,
+    or the product of independent feature marginals)."""
+    if isinstance(dist, FeaturePrior):
+        p = dist.as_array
+        return np.prod(np.where(d.feature_matrix == 1, p[None, :], 1.0 - p[None, :]), axis=1)
+    return dist.as_array[d.label_index]
 
 
 def fit_prior(d: Dataset) -> FeaturePrior:
@@ -208,34 +218,83 @@ TransitionSpec = Union[IdentityTransition, PriorTransition, FeatureMixture,
                        CategoricalMatrix]
 
 
-def _marks_equal(a: Mark, b: Mark) -> bool:
-    if isinstance(a, CompositeMark) and isinstance(b, CompositeMark):
-        return a.type == b.type
-    return a == b
-
-
-def trans_prob(spec: TransitionSpec, parent: Mark, child: Mark) -> float:
-    """Conditional probability g(child | parent)."""
-    if isinstance(spec, IdentityTransition):
-        return 1.0 if _marks_equal(parent, child) else 0.0
-    if isinstance(spec, PriorTransition):
-        return mark_prob(spec.dist, child)
+def check_transition(spec: TransitionSpec, schema: MarkSchema, where: str) -> None:
+    """Raise ConfigError when ``spec`` cannot score marks of ``schema``."""
     if isinstance(spec, FeatureMixture):
-        if not isinstance(parent, BinaryMark) or not isinstance(child, BinaryMark):
-            raise DataError("feature mixture transitions need binary marks")
-        gamma = spec.resample_prob
-        p = spec.prior.as_array
-        xp = np.asarray(parent.bits, dtype=np.float64)
-        xc = np.asarray(child.bits, dtype=np.float64)
-        q = np.where(xc == 1, p, 1.0 - p)
-        factors = (1.0 - gamma) * (xp == xc) + gamma * q
-        if np.any(factors == 0.0):
-            return 0.0
-        # accumulate in log space so long products cannot underflow
-        return float(np.exp(np.log(factors).sum()))
+        if not isinstance(schema, BinarySchema) or len(spec.prior.probs) != schema.width:
+            raise ConfigError(f"{where}: feature mixture does not fit the schema")
+    elif isinstance(spec, CategoricalMatrix):
+        n = label_count(schema)
+        if n is None:
+            raise ConfigError(f"{where}: categorical transition needs label marks")
+        if len(spec.matrix) != n:
+            raise ConfigError(f"{where}: categorical transition has the wrong size")
+    elif isinstance(spec, PriorTransition):
+        check_mark_dist(spec.dist, schema, where)
+    elif not isinstance(spec, IdentityTransition):
+        raise ConfigError(f"{where}: unknown transition")
+
+
+def label_matrix(spec: TransitionSpec, n: int) -> np.ndarray:
+    """g(child label | parent label) as an n x n matrix, for label families."""
+    if isinstance(spec, IdentityTransition):
+        return np.eye(n)
+    if isinstance(spec, PriorTransition):
+        return np.tile(spec.dist.as_array, (n, 1))
     if isinstance(spec, CategoricalMatrix):
-        return float(spec.as_array[_mark_label_index(parent), _mark_label_index(child)])
-    raise DataError(f"unknown transition spec {type(spec).__name__}")
+        return spec.as_array
+    raise DataError("transition not representable as a label matrix")
+
+
+def _mixture_probs(spec: FeatureMixture, xp: np.ndarray, xc: np.ndarray) -> np.ndarray:
+    """g(xc | xp) of a feature mixture over the last axis of the feature
+    rows, as a sum of logs so long products cannot underflow."""
+    gamma = spec.resample_prob
+    p = spec.prior.as_array
+    q = np.where(xc == 1, p, 1.0 - p)
+    with np.errstate(divide="ignore"):
+        logs = np.where(xp == xc, np.log((1.0 - gamma) + gamma * q), np.log(gamma * q))
+    return np.exp(logs.sum(axis=-1))
+
+
+class PairProbs:
+    """g(child mark | parent mark) of one transition over (child, parent)
+    event pairs of one dataset.
+
+    A prior reads its child's mark probability. On label and composite
+    marks identity and categorical transitions gather ``label_matrix``
+    by (parent label, child label); on binary marks identity compares
+    ``Dataset.feature_patterns`` indices. A feature mixture gathers a
+    (parent pattern x child pattern) table when that holds at most
+    ``max_table`` entries, and otherwise evaluates each pair (wide
+    schemas, where distinct patterns can reach the event count).
+    """
+
+    def __init__(self, spec: TransitionSpec, d: Dataset, max_table: int):
+        self.spec = spec
+        self.child = self.table = None
+        if isinstance(spec, PriorTransition):
+            self.child = mark_probs(spec.dist, d)
+        elif isinstance(spec, FeatureMixture):
+            rows, self.codes = d.feature_patterns
+            if len(rows) ** 2 <= max_table:
+                self.table = _mixture_probs(spec, rows[:, None, :], rows[None, :, :])
+            self.X = d.feature_matrix
+        elif isinstance(d.schema, BinarySchema):
+            self.codes = d.feature_patterns[1]
+        else:
+            self.codes = d.label_index
+            self.table = label_matrix(spec, d.n_label_values)
+
+    def values(self, children: np.ndarray, parents: np.ndarray) -> np.ndarray:
+        """g(mark of children[k] | mark of parents[k]) for every pair k."""
+        if self.child is not None:
+            return self.child[children]
+        if self.table is not None:
+            return self.table[self.codes[parents], self.codes[children]]
+        if isinstance(self.spec, FeatureMixture):
+            return _mixture_probs(self.spec, self.X[parents], self.X[children])
+        return (self.codes[parents] == self.codes[children]).astype(np.float64)
 
 
 def sample_child_mark(spec: TransitionSpec, parent: Mark,
@@ -309,14 +368,15 @@ def _mixture_table(Xp: np.ndarray, Xc: np.ndarray, w: np.ndarray) -> np.ndarray:
     return table
 
 
-def fit_mixture_from_stats(table: np.ndarray, prior: FeaturePrior,
-                           tol: float = 1e-8) -> float:
+def fit_mixture_from_stats(table: np.ndarray, prior: FeaturePrior) -> float:
     """Maximize the weighted log likelihood of a FeatureMixture in its
     resample probability; the prior is held fixed.
 
     Each pair-feature contributes log((1-g) * match + g * q) with q the
     prior mass of the observed child bit, so the objective is concave
-    and a guarded Newton iteration on [0, 1] suffices.
+    and a guarded Newton iteration on [0, 1] suffices. It runs until a
+    step moves g by at most a few ulps, so the result does not depend on
+    the scale of the weights beyond rounding.
     """
     p = prior.as_array
     width = p.size
@@ -353,7 +413,7 @@ def fit_mixture_from_stats(table: np.ndarray, prior: FeaturePrior,
     g = 0.5
     for _ in range(200):
         d = deriv(g)
-        if abs(d) < 1e-14 or hi - lo < tol:
+        if d == 0.0:
             break
         if d > 0:
             lo = g
@@ -361,13 +421,16 @@ def fit_mixture_from_stats(table: np.ndarray, prior: FeaturePrior,
             hi = g
         curv = float(np.sum(w * (q - m) ** 2 / (m + g * (q - m)) ** 2))
         step = g + d / curv  # objective is concave: second derivative is -curv
-        g = step if lo < step < hi else 0.5 * (lo + hi)
+        prev, g = g, (step if lo < step < hi else 0.5 * (lo + hi))
+        # a collapsed bracket also ends here: its midpoint is lo or hi
+        if abs(g - prev) <= 4.0 * np.spacing(prev):
+            break
     return float(min(max(g, 0.0), 1.0))
 
 
 def fit_mixture(pairs: Sequence[tuple[BinaryMark, BinaryMark, float]],
-                prior: FeaturePrior, tol: float = 1e-8) -> float:
-    return fit_mixture_from_stats(mixture_stats(pairs, prior), prior, tol=tol)
+                prior: FeaturePrior) -> float:
+    return fit_mixture_from_stats(mixture_stats(pairs, prior), prior)
 
 
 def label_pair_table(d: Dataset, children: np.ndarray, parents: np.ndarray,
@@ -398,17 +461,6 @@ def transition_stats(spec: TransitionSpec, d: Dataset, children: np.ndarray,
     if isinstance(d.schema, BinarySchema):
         return None
     return label_pair_table(d, children, parents, z)
-
-
-def label_matrix(spec: TransitionSpec, n: int) -> np.ndarray:
-    """g(child label | parent label) as an n x n matrix, for label families."""
-    if isinstance(spec, IdentityTransition):
-        return np.eye(n)
-    if isinstance(spec, PriorTransition):
-        return np.tile(spec.dist.as_array, (n, 1))
-    if isinstance(spec, CategoricalMatrix):
-        return spec.as_array
-    raise DataError("transition not representable as a label matrix")
 
 
 def fit_transition(spec: TransitionSpec, stats) -> TransitionSpec:

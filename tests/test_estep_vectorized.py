@@ -20,7 +20,8 @@ from cascades import (CascadeModel, CategoricalMatrix, ConstantFertility,
                       FeaturePrior, GammaDelay, HomogeneousBaseline,
                       IdentityTransition, KernelComponent, LabelMark,
                       LabelMarginal, NumericalError, PeriodicBaseline,
-                      PriorTransition, e_step, em_lower_bound, fit, simulate)
+                      PriorTransition, compensator, e_step, em_lower_bound, fit,
+                      intensity, log_likelihood, simulate)
 from cascades import delays as delay_mod
 from cascades import engine
 from cascades.delays import ExpMixtureDelay, PiecewiseUniformDelay, UniformDelay
@@ -35,13 +36,24 @@ DEFAULT_CHUNK = engine.PAIR_CHUNK
 # the per-child reference
 
 
+def _reference_mark_prob(dist, d, i):
+    """Probability of event i's mark under a mark distribution."""
+    if isinstance(dist, FeaturePrior):
+        p = dist.as_array
+        return float(np.prod(np.where(d.feature_matrix[i] == 1, p, 1.0 - p)))
+    return float(dist.as_array[d.label_index[i]])
+
+
 def _reference_values(spec, d, child, parents):
     """g(child | parents) for one child, as the per-child loop computed it."""
     if isinstance(spec, IdentityTransition):
-        codes = d.mark_codes
-        return (codes[parents] == codes[child]).astype(np.float64)
+        if isinstance(d.schema, BinarySchema):
+            X = d.feature_matrix
+            return np.all(X[parents] == X[child], axis=1).astype(np.float64)
+        labels = d.label_index
+        return (labels[parents] == labels[child]).astype(np.float64)
     if isinstance(spec, PriorTransition):
-        return np.full(parents.shape, engine._mark_prob_vector(spec.dist, d)[child])
+        return np.full(parents.shape, _reference_mark_prob(spec.dist, d, child))
     if isinstance(spec, FeatureMixture):
         X, p, gamma = d.feature_matrix, spec.prior.as_array, spec.resample_prob
         xc = X[child]
@@ -61,7 +73,7 @@ def _reference_estep(model, d, children=None, window=None):
     times, n = d.times, len(d)
     kids = engine._child_ids(d, children, window)
     base_rates = engine._baseline_rate_at(model.baseline, times[kids])
-    base_marks = engine._mark_prob_vector(model.baseline.mark, d) if n else np.zeros(0)
+    base_marks = [_reference_mark_prob(model.baseline.mark, d, i) for i in range(n)]
     alphas = engine._fertility_matrix(model, d)
     allowed = []
     for comp in model.components:
@@ -241,6 +253,45 @@ def test_simulated_stream_matches_reference():
     model = _label_model(GammaDelay(2.0, 0.5), 1e-6)
     d, _ = simulate(model, 150.0, seed=7)
     _assert_matches_reference(model, d)
+
+
+@pytest.mark.parametrize("truncation", [0.0, 1e-6])
+@pytest.mark.parametrize("kind", ["label", "binary", "composite"])
+def test_intensity_matches_the_estep(kind, truncation):
+    # identity, prior and categorical transitions on labels, identity,
+    # feature prior and feature mixture on binary marks, identity and
+    # categorical with sources on composite marks, with tied timestamps
+    if kind == "label":
+        model, d = _label_model(GammaDelay(2.0, 1.5), truncation), _label_data(grid=0.5, seed=13)
+    elif kind == "binary":
+        model, d = _binary_model(truncation), _binary_data(seed=14)
+    else:
+        model, d = _composite_model(truncation), _composite_data(seed=15)
+    _, lam, kids = engine._estep_core(model, d, None, None, want_resp=False)
+    got = [intensity(model, d, d.times[i], d.events[i].mark) for i in kids]
+    np.testing.assert_allclose(got, lam[kids], rtol=1e-12, atol=0)
+
+
+def test_identity_on_wide_binary_marks():
+    # identity transitions compare feature rows, whatever the width
+    rng = np.random.default_rng(16)
+    width, n = 70, 120
+    rows = rng.integers(0, 2, size=(4, width))[rng.integers(0, 4, size=n)]
+    d = Dataset([Event(float(t), BinaryMark(tuple(int(b) for b in row)))
+                 for t, row in zip(rng.uniform(0, 40.0, size=n), rows)],
+                horizon=40.0, schema=BinarySchema(tuple(f"f{k}" for k in range(width))))
+    prior = FeaturePrior((0.5,) * width)
+    model = CascadeModel(
+        HomogeneousBaseline(0.9, prior),
+        (KernelComponent("same", ConstantFertility(0.5), IdentityTransition(),
+                         ExponentialDelay(1.0)),
+         KernelComponent("prior", ConstantFertility(0.1), PriorTransition(prior),
+                         GammaDelay(2.0, 1.0))))
+    resp = _assert_matches_reference(model, d)
+    assert sum(z.sum() for z in resp.comp_z) > 1.0  # identity pairs carry weight
+    _, lam, _ = engine._estep_core(model, d, None, None, want_resp=False)
+    assert log_likelihood(model, d) == pytest.approx(
+        np.log(lam).sum() - compensator(model, d), rel=1e-12)
 
 
 def test_source_mask_matches_node_membership():

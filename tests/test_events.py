@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from cascades import (BinaryMark, BinarySchema, CompositeMark, CompositeSchema,
-                      DataError, Dataset, Event, LabelMark, LabelSchema,
-                      ingest, split, write_events)
+                      DataError, Dataset, Event, IdentityTransition, LabelMark,
+                      LabelSchema, ingest, split, write_events)
+from cascades.transitions import PairProbs
 
 
 def bm(*bits):
@@ -55,18 +56,21 @@ def test_columnar_views():
                 schema=SCHEMA2)
     assert np.array_equal(d.times, [1.0, 2.0])
     assert np.array_equal(d.feature_matrix, [[1, 0], [0, 1]])
-    assert d.mark_codes[0] != d.mark_codes[1]
+    patterns = d.feature_patterns[1]
+    assert patterns[0] != patterns[1]
     d2 = Dataset([Event(1.0, bm(1, 0)), Event(2.0, bm(1, 0))], horizon=3.0,
                  schema=SCHEMA2)
-    assert d2.mark_codes[0] == d2.mark_codes[1]
+    assert d2.feature_patterns[1][0] == d2.feature_patterns[1][1]
 
 
 def test_composite_codes_compare_types_only():
     schema = CompositeSchema(2, frozenset({"u", "v"}))
     d = Dataset([Event(1.0, CompositeMark(1, "u")), Event(2.0, CompositeMark(1, "v")),
                  Event(3.0, CompositeMark(2, "u"))], horizon=4.0, schema=schema)
-    assert d.mark_codes[0] == d.mark_codes[1]
-    assert d.mark_codes[0] != d.mark_codes[2]
+    # identity transitions compare the type coordinate only
+    same = PairProbs(IdentityTransition(), d, max_table=0).values(np.array([1, 2]),
+                                                                   np.array([0, 0]))
+    assert same.tolist() == [1.0, 0.0]
     assert list(d.node_ids) == ["u", "v", "u"]
 
 

@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cascades import (BinaryMark, BinarySchema, CategoricalMatrix, DataError,
-                      FeatureMixture, FeaturePrior, IdentityTransition,
-                      LabelMark, LabelMarginal, LabelSchema, PriorTransition,
-                      fit_categorical, fit_mixture)
-from cascades.transitions import (enumerate_marks, fit_mixture_from_stats,
-                                  mixture_stats, sample_child_mark, trans_prob,
-                                  write_matrix_csv)
+                      Dataset, Event, FeatureMixture, FeaturePrior,
+                      IdentityTransition, LabelMark, LabelMarginal, LabelSchema,
+                      PriorTransition, fit_categorical, fit_mixture)
+from cascades.transitions import (PairProbs, enumerate_marks, fit_mixture_from_stats,
+                                  mixture_stats, sample_child_mark, write_matrix_csv)
 
 
 def bm(*bits):
@@ -19,6 +18,21 @@ def bm(*bits):
 
 
 PRIOR3 = FeaturePrior((0.3, 0.5, 0.8))
+
+
+def trans_prob(spec, parent, child):
+    """g(child | parent) from the pair evaluator, over a two-event dataset."""
+    if isinstance(parent, BinaryMark):
+        schema = BinarySchema(tuple(f"f{k}" for k in range(len(parent.bits))))
+    else:
+        schema = LabelSchema(len(spec.matrix if isinstance(spec, CategoricalMatrix)
+                                 else spec.dist.probs))
+    d = Dataset([Event(0.0, parent), Event(1.0, child)], 1.0, schema)
+    pair = (np.array([1]), np.array([0]))
+    value = PairProbs(spec, d, max_table=1 << 18).values(*pair)
+    # a feature mixture evaluated per pair gives the same value as its table
+    np.testing.assert_array_equal(PairProbs(spec, d, max_table=0).values(*pair), value)
+    return float(value[0])
 
 
 @pytest.mark.parametrize("spec", [
@@ -104,6 +118,19 @@ def test_mixture_fit_edge_cases():
     table = np.zeros((1, 2, 2))
     table[0, 1, 0] = 5.0
     assert fit_mixture_from_stats(table, prior) == 1.0
+
+
+def test_mixture_fit_ignores_the_weight_scale():
+    # the maximizer depends only on the weights' ratios, so rescaling the
+    # table may move it by rounding alone, not by a solver tolerance
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        width = int(rng.integers(1, 6))
+        prior = FeaturePrior(tuple(rng.uniform(0.05, 0.95, size=width).tolist()))
+        table = rng.uniform(0.0, 10.0, size=(width, 2, 2))
+        fitted = fit_mixture_from_stats(table, prior)
+        for scale in (3.0, 1.0 + 1e-15):
+            assert abs(fit_mixture_from_stats(table * scale, prior) - fitted) <= 1e-15
 
 
 def test_fit_categorical_shrinkage_formula():
