@@ -167,7 +167,8 @@ def cmd_fit(args) -> int:
                "train_ll": report.ll_trace[-1],
                "test_ll": test_ll,
                "iterations": report.iterations,
-               "converged": report.converged}
+               "converged": report.converged,
+               "engine": report.engine}
     _write_json(os.path.join(args.out, "summary.json"), summary)
     _dump_transitions(report.model, args.out)
     line = (f"fit: {report.iterations} iterations, train LL "
@@ -194,14 +195,14 @@ def cmd_compare(args) -> int:
         report, test_ll = _fit_one(model, train, test, opts)
         rows.append([name, float(report.ll_trace[-1]),
                      float(test_ll) if test_ll is not None else "",
-                     report.iterations, report.converged])
+                     report.iterations, report.converged, report.engine])
         safe = name.replace("/", "_")
         _write_json(os.path.join(args.out, f"model_{safe}.json"),
                     cfg.serialize_model(report.model))
         print(f"{name}: train LL {report.ll_trace[-1]:.4f}"
               + (f", test LL {test_ll:.4f}" if test_ll is not None else ""))
     _write_csv(os.path.join(args.out, "compare.csv"),
-               ["model", "train_ll", "test_ll", "iterations", "converged"], rows)
+               ["model", "train_ll", "test_ll", "iterations", "converged", "engine"], rows)
     return 0
 
 

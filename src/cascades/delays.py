@@ -230,7 +230,8 @@ def _clean_samples(deltas, weights) -> tuple[np.ndarray, np.ndarray]:
     if np.any(w < 0):
         raise DataError("sample weights must be nonnegative")
     keep = w > 0
-    d, w = d[keep], w[keep]
+    if not keep.all():
+        d, w = d[keep], w[keep]
     if d.size == 0 or w.sum() <= 0:
         raise DataError("weighted MLE needs positive total weight")
     if np.any(d <= 0):

@@ -20,9 +20,12 @@ which ``intensity`` and model validation use too. Runs hold at most
 ``PAIR_CHUNK`` pairs and write into output arrays allocated once at full
 size, so memory beyond the responsibilities stays bounded.
 
-A separate fast path computes the same sufficient statistics in
-O(N * L) for label-marked models whose delays are all exponential,
-using decayed per-source-label accumulators instead of event pairs.
+A separate fast path, ``fast_estep``, computes the same sufficient
+statistics in O(N * L) without truncation for label-marked models whose
+delays are all exponential (Ozaki's recursion for exponential Hawkes
+likelihoods): per component and source label, prefix sums over blocks
+of whole tie groups, rebased on each block's first time, give every
+child's decayed parent count and its age-weighted companion at once.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from .transitions import MarkDistribution, PairProbs, TransitionSpec
 ZERO_CREDIT = 0.0  # component credit at or below this skips parameter updates
 PAIR_CHUNK = 1 << 18  # candidate pairs the pairwise E-step evaluates at once
 FAST_MAX_LABELS = 256  # label count beyond which fast_estep does not apply
+EXP_LIMIT = 300.0  # largest rate * (time span) inside one fast_estep block
 
 
 @dataclass(frozen=True)
@@ -194,10 +198,15 @@ class EStepStats:
 
 @dataclass
 class FitReport:
+    """What fit did. ``engine`` names the E-step that ran: "fast"
+    (fast_estep, which applies no truncation) or "direct" (the pairwise
+    E-step under the model's ``truncation_mass``)."""
+
     model: CascadeModel
     ll_trace: list[float]
     iterations: int
     converged: bool
+    engine: str
     heldout_trace: list[float] | None = None
     component_shares: list[list[float]] = field(default_factory=list)
     delay_means: list[list[float]] = field(default_factory=list)
@@ -716,95 +725,128 @@ def fast_applicable(model: CascadeModel, d: Dataset) -> bool:
             and all(isinstance(c.delay, ExponentialDelay) for c in model.components))
 
 
+def _scan_blocks(times: np.ndarray, n: int, max_events: int, span: float):
+    """Cut events [0, n) into blocks [s, e) of whole tie groups, each with
+    at most ``max_events`` events whose times differ by less than
+    ``span``; a tie group that alone breaks a bound is one block."""
+    s = 0
+    while s < n:
+        e = min(n, s + max_events, int(np.searchsorted(times, times[s] + span, side="left")))
+        if e < n and times[e] == times[e - 1]:
+            e = int(np.searchsorted(times, times[e], side="left"))
+        if e <= s:
+            e = min(n, int(np.searchsorted(times, times[s], side="right")))
+        yield s, e
+        s = e
+
+
 def fast_estep(model: CascadeModel, d: Dataset, children: np.ndarray | None = None,
                window: tuple[float, float] | None = None) -> EStepStats:
-    """Exact E-step sufficient statistics in one ordered scan.
+    """Exact E-step sufficient statistics from prefix sums over blocks.
 
-    For exponential delays the triggered intensity by source label r
-    decays geometrically between events, so a per-label accumulator
-    D[r] (decayed parent count) and its age-weighted companion E[r]
-    replace explicit parent pairs. Equal timestamps are processed as a
-    group so simultaneous events never explain each other. No
-    truncation is applied; this matches estep_stats with zero tail mass.
+    For exponential delays the triggered intensity by source label r is
+    a decayed count D[r] = sum_j exp(-rate (t - t_j)) over earlier
+    parents j with label r, and the delay statistic needs its
+    age-weighted companion E[r] = sum_j (t - t_j) exp(-rate (t - t_j)).
+    Both replace explicit parent pairs. Events are cut into blocks of
+    whole tie groups (``_scan_blocks``) holding at most ``PAIR_CHUNK``
+    cells over components and labels, with rate * (time span) below
+    ``EXP_LIMIT``, so ``exp(rate (t_j - t0))`` rebased on the block's
+    first time t0 cannot overflow. Inside a block, exclusive ``cumsum``
+    prefixes gathered at ``searchsorted(times, t, "left")`` give D and E
+    at every child at once, so simultaneous events never explain each
+    other; E is summed over the gaps between consecutive events, so
+    every term is nonnegative and nothing cancels. (D, E) carry into the
+    next block as decayed accumulators. No truncation is applied; this
+    matches estep_stats with zero tail mass.
     """
     validate_model(model, d.schema)
     if not fast_applicable(model, d):
         raise ConfigError("fast E-step needs label marks, constant fertilities "
                           "and exponential delays")
     window = _resolve_window(d, window)
-    a, b = window
-    n = len(d)
-    L = d.n_label_values
-    times = d.times
-    labels = d.label_index
-    is_child = np.zeros(n, dtype=bool)
-    is_child[_child_ids(d, children, window)] = True
-    base_marks = model.baseline.mark.as_array
     comps = model.components
-    C = len(comps)
+    n, L, C = len(d), d.n_label_values, len(comps)
+    times, labels = d.times, d.label_index
+    kids = _child_ids(d, children, window)
+    base = (_baseline_rate_at(model.baseline, times[kids])
+            * model.baseline.mark.as_array[labels[kids]])
     rates = np.array([c.delay.rate for c in comps])
-    # weight[c][r, j]: delay rate * fertility(r) * g(j | r)
-    weight = [c.delay.rate * c.fertility.rate * trans_mod.label_matrix(c.transition, L)
-              for c in comps]
-    masks = [_source_mask(comp, d) for comp in comps]
+    # by_child[c, l, r]: delay rate * fertility * g(l | r), read by child label l
+    by_child = np.array([c.delay.rate * c.fertility.rate
+                         * trans_mod.label_matrix(c.transition, L).T
+                         for c in comps]).reshape(C, L, L)
+    sources = np.ones((C, n))
+    for c, comp in enumerate(comps):
+        mask = _source_mask(comp, d)
+        if mask is not None:
+            sources[c] = mask
 
-    D = np.zeros((C, L))
-    E = np.zeros((C, L))
-    z_base = np.zeros(n)
-    lam = np.zeros(n)
-    comp_z = np.zeros(C)
-    comp_zdt = np.zeros(C)
-    counts = [np.zeros((L, L)) for _ in comps]
+    z_base, lam = np.zeros(n), np.zeros(n)
+    comp_z, comp_zdt = np.zeros(C), np.zeros(C)
+    counts = np.zeros((C, L, L))
+    D, E = np.zeros((C, L)), np.zeros((C, L))  # at time t_end, after its events
+    t_end = 0.0
+    n_used = int(kids[-1]) + 1 if kids.size else 0  # later events parent no child
+    top = rates.max() if C else 0.0
+    blocks = _scan_blocks(times, n_used, max(1, PAIR_CHUNK // max(C * L, 1)),
+                          EXP_LIMIT / top if top > 0 else np.inf)
+    k0 = 0
+    for s, e in blocks:
+        t0 = times[s]
+        if s:
+            decay = np.exp(-rates * (t0 - t_end))[:, None]
+            E, D = decay * (E + (t0 - t_end) * D), decay * D
+        loc = times[s:e] - t0
+        # prefix[c, h, r]: over the block's first h events, the label-r
+        # sources' exp(rate * (t_j - t0)); aged[c, h, r]: the same terms
+        # times (time of event h-1 - t_j), summed gap by gap
+        prefix = np.zeros((C, e - s + 1, L))
+        prefix[:, np.arange(1, e - s + 1), labels[s:e]] = (
+            sources[:, s:e] * np.exp(rates[:, None] * loc))
+        np.cumsum(prefix, axis=1, out=prefix)
+        last = np.concatenate(([0.0], loc))
+        aged = np.zeros_like(prefix)
+        np.cumsum(np.diff(last)[None, :, None] * prefix[:, :-1], axis=1, out=aged[:, 1:])
 
-    i = 0
-    t_prev = times[0] if n else 0.0
-    while i < n:
-        j = i
-        while j < n and times[j] == times[i]:
-            j += 1
-        t = times[i]
-        if t > b:
-            break
-        dt = t - t_prev
-        if dt > 0:
-            decay = np.exp(-rates * dt)
-            E = decay[:, None] * (E + dt * D)
-            D = decay[:, None] * D
-        t_prev = t
-        for k in range(i, j):
-            if not is_child[k]:
-                continue
-            lab = labels[k]
-            base_val = float(_baseline_rate_at(model.baseline, np.asarray([t]))[0]
-                             * base_marks[lab])
-            total = base_val
-            per_comp = []
-            for c in range(C):
-                wvec = weight[c][:, lab] * D[c]
-                svec = weight[c][:, lab] * E[c]
-                per_comp.append((wvec, float(svec.sum())))
-                total += float(wvec.sum())
-            if total <= 0.0 or not np.isfinite(total):
+        k1 = int(np.searchsorted(kids, e, side="left"))
+        if k1 > k0:
+            kb = kids[k0:k1]
+            h = np.searchsorted(times[s:e], times[kb], side="left")
+            age = times[kb] - t0
+            decay = np.exp(-rates[:, None] * age)[:, :, None]
+            pk = np.take(prefix, h, axis=1)
+            Dk = decay * (D[:, None] + pk)
+            Ek = decay * (E[:, None] + age[:, None] * D[:, None] + np.take(aged, h, axis=1)
+                          + (age - last[h])[:, None] * pk)
+            weights = np.take(by_child, labels[kb], axis=1)
+            wsum = np.einsum("cnl,cnl->cn", weights, Dk)
+            total = base[k0:k1] + wsum.sum(axis=0)
+            bad = ~((total > 0.0) & np.isfinite(total))
+            if bad.any():
+                k = int(kb[np.argmax(bad)])
                 raise NumericalError(
-                    f"event {k} at t={t!r} has zero intensity under every cause")
-            lam[k] = total
-            z_base[k] = base_val / total
-            for c in range(C):
-                wvec, sdt = per_comp[c]
-                comp_z[c] += wvec.sum() / total
-                comp_zdt[c] += sdt / total
-                counts[c][:, lab] += wvec / total
-        for k in range(i, j):
-            for c in range(C):
-                if masks[c] is None or masks[c][k]:
-                    D[c, labels[k]] += 1.0
-        i = j
+                    f"event {k} at t={times[k]!r} has zero intensity under every cause")
+            lam[kb] = total
+            z_base[kb] = base[k0:k1] / total
+            comp_z += (wsum / total).sum(axis=1)
+            comp_zdt += (np.einsum("cnl,cnl->cn", weights, Ek) / total).sum(axis=1)
+            # counts[c, l, r] sums D[r] / total over children with label l;
+            # the kernel weights by_child[c, l, r] multiply in after the loop
+            cell = ((np.arange(C)[:, None] * L + labels[kb]) * L)[:, :, None] + np.arange(L)
+            counts += np.bincount(cell.ravel(), weights=(Dk / total[:, None]).ravel(),
+                                  minlength=C * L * L).reshape(C, L, L)
+        k0 = k1
+        t_end, width = times[e - 1], loc[-1]
+        decay = np.exp(-rates * width)[:, None]
+        E, D = decay * (E + width * D + aged[:, -1]), decay * (D + prefix[:, -1])
 
+    counts *= by_child
     # one parent mark pattern and, per component, one delay sample
     mean_dt = np.divide(comp_zdt, comp_z, out=np.zeros(C), where=comp_z > 0)
     return EStepStats(z_base, lam, [
         ComponentStats(deltas=mean_dt[c:c + 1], weights=comp_z[c:c + 1],
-                       transition=counts[c], credits=comp_z[c:c + 1])
+                       transition=counts[c].T, credits=comp_z[c:c + 1])
         for c in range(C)])
 
 
@@ -850,6 +892,7 @@ def fit(model: CascadeModel, d: Dataset, max_iters: int = 50, tol: float = 1e-6,
     use_fast = engine == "fast" or (engine == "auto" and fast_applicable(model, d))
     if engine == "fast" and not fast_applicable(model, d):
         raise ConfigError("fast engine requested but the model does not qualify")
+    engine_name = "fast" if use_fast else "direct"
     window = _resolve_window(d, window)
 
     def evaluate(m: CascadeModel):
@@ -886,7 +929,7 @@ def fit(model: CascadeModel, d: Dataset, max_iters: int = 50, tol: float = 1e-6,
     dmeans = [[delay_mod.delay_mean(c.delay) for c in model.components]]
     if kids.size == 0:
         ll0 = _ll_value(model, d, np.zeros(len(d)), kids, window)
-        return FitReport(model, [ll0], 0, True, heldout_trace=held,
+        return FitReport(model, [ll0], 0, True, engine_name, heldout_trace=held,
                          component_shares=shares, delay_means=dmeans)
 
     state, ll = evaluate(model)
@@ -926,5 +969,5 @@ def fit(model: CascadeModel, d: Dataset, max_iters: int = 50, tol: float = 1e-6,
         if gain < tol * max(abs(ll_new), 1e-12):
             converged = True
             break
-    return FitReport(model, trace, iterations, converged, heldout_trace=held,
+    return FitReport(model, trace, iterations, converged, engine_name, heldout_trace=held,
                      component_shares=shares, delay_means=dmeans)

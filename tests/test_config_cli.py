@@ -1,3 +1,4 @@
+import csv
 import json
 import warnings
 
@@ -150,6 +151,35 @@ def test_cli_simulate_fit_compare_round_trip(tmp_path, capsys):
     assert len(table) == 3
     assert (out_cmp / "model_full.json").exists()
     assert (out_cmp / "model_baseline_only.json").exists()
+
+
+def test_cli_reports_the_engine(tmp_path):
+    sim_conf = _write(tmp_path / "sim.json", {"model": LABEL_MODEL_CONF, "horizon": 60.0})
+    assert main(["simulate", "--config", sim_conf, "--out", str(tmp_path / "sim"),
+                 "--seed", "3"]) == 0
+    data = str(tmp_path / "sim" / "events.jsonl")
+    gamma = json.loads(json.dumps(LABEL_MODEL_CONF))
+    gamma["components"][0]["delay"] = {"kind": "gamma", "shape": 2.0, "rate": 2.0}
+    for engine, model in (("auto", LABEL_MODEL_CONF), ("direct", LABEL_MODEL_CONF)):
+        conf = _write(tmp_path / f"fit_{engine}.json",
+                      {"model": model, "em": {"max_iters": 2, "engine": engine},
+                       "split": 0.75})
+        assert main(["fit", "--config", conf, "--data", data,
+                     "--out", str(tmp_path / engine)]) == 0
+    summaries = {engine: json.loads((tmp_path / engine / "summary.json").read_text())
+                 for engine in ("auto", "direct")}
+    assert summaries["auto"]["engine"] == "fast"
+    assert summaries["direct"]["engine"] == "direct"
+    conf = _write(tmp_path / "cmp.json",
+                  {"models": {"exp": LABEL_MODEL_CONF, "gamma": gamma},
+                   "em": {"max_iters": 2}, "split": 0.75})
+    assert main(["compare", "--config", conf, "--data", data,
+                 "--out", str(tmp_path / "cmp")]) == 0
+    with open(tmp_path / "cmp" / "compare.csv", newline="") as fh:
+        rows = {row["model"]: row for row in csv.DictReader(fh)}
+    assert {name: row["engine"] for name, row in rows.items()} == {
+        "exp": "fast", "gamma": "direct"}
+    assert float(rows["exp"]["train_ll"]) == summaries["auto"]["train_ll"]
 
 
 def test_cli_simulate_is_byte_deterministic(tmp_path):

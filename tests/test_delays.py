@@ -198,6 +198,21 @@ def test_mle_rejects_bad_input():
         weighted_mle(spec, np.array([1.0]), np.array([-1.0]))
 
 
+def test_clean_samples_copies_only_to_drop_zero_weights():
+    deltas, weights = np.array([0.5, 1.0, 2.0]), np.array([1.0, 2.0, 3.0])
+    d, w = delays._clean_samples(deltas, weights)
+    assert d is deltas and w is weights
+    # a zero-weight sample is dropped, even at a nonpositive delay
+    d, w = delays._clean_samples(np.array([0.5, 0.0, 2.0]), np.array([1.0, 0.0, 3.0]))
+    assert d.tolist() == [0.5, 2.0] and w.tolist() == [1.0, 3.0]
+    for bad, message in (((deltas, weights[:2]), "same length"),
+                         ((deltas, -weights), "nonnegative"),
+                         ((deltas, 0 * weights), "positive total weight"),
+                         ((deltas - 1.0, weights), "strictly positive delays")):
+        with pytest.raises(DataError, match=message):
+            delays._clean_samples(*bad)
+
+
 def test_spec_validation():
     with pytest.raises(DataError):
         delays.validate(ExponentialDelay(0.0))

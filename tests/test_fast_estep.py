@@ -1,0 +1,327 @@
+"""The block prefix-sum exponential E-step against a per-event reference loop.
+
+``_reference_fast_estep`` is the ordered scan that ``fast_estep`` replaced,
+kept here as the oracle: it walks the events one tie group at a time and
+decays per-label accumulators between groups. The block scan sums the
+same terms in another order and rebases each block's exponentials, so the
+statistics must agree to 1e-12 relative, not bitwise.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cascades import (CascadeModel, CategoricalMatrix, ConstantFertility, Dataset,
+                      Event, ExponentialDelay, HomogeneousBaseline, IdentityTransition,
+                      KernelComponent, LabelMark, LabelMarginal, NumericalError,
+                      PeriodicBaseline, PriorTransition, fast_estep)
+from cascades import engine
+from cascades import transitions as trans_mod
+from cascades.engine import ComponentStats, EStepStats
+from cascades.events import CompositeMark, CompositeSchema, LabelSchema
+
+RTOL = 1e-12
+DEFAULT_LIMIT = engine.EXP_LIMIT
+
+
+# ---------------------------------------------------------------------------
+# the per-event reference
+
+
+def _reference_fast_estep(model, d, children=None, window=None):
+    """fast_estep's statistics from one tie group at a time."""
+    window = engine._resolve_window(d, window)
+    b = window[1]
+    n, L = len(d), d.n_label_values
+    times, labels = d.times, d.label_index
+    is_child = np.zeros(n, dtype=bool)
+    is_child[engine._child_ids(d, children, window)] = True
+    base_marks = model.baseline.mark.as_array
+    comps = model.components
+    C = len(comps)
+    rates = np.array([c.delay.rate for c in comps])
+    # weight[c][r, j]: delay rate * fertility(r) * g(j | r)
+    weight = [c.delay.rate * c.fertility.rate * trans_mod.label_matrix(c.transition, L)
+              for c in comps]
+    masks = [engine._source_mask(comp, d) for comp in comps]
+    D, E = np.zeros((C, L)), np.zeros((C, L))
+    z_base, lam = np.zeros(n), np.zeros(n)
+    comp_z, comp_zdt = np.zeros(C), np.zeros(C)
+    counts = [np.zeros((L, L)) for _ in comps]
+    i = 0
+    t_prev = times[0] if n else 0.0
+    while i < n:
+        j = i
+        while j < n and times[j] == times[i]:
+            j += 1
+        t = times[i]
+        if t > b:
+            break
+        dt = t - t_prev
+        if dt > 0:
+            decay = np.exp(-rates * dt)
+            E = decay[:, None] * (E + dt * D)
+            D = decay[:, None] * D
+        t_prev = t
+        for k in range(i, j):
+            if not is_child[k]:
+                continue
+            lab = labels[k]
+            base_val = float(engine._baseline_rate_at(model.baseline, np.asarray([t]))[0]
+                             * base_marks[lab])
+            total = base_val
+            per_comp = []
+            for c in range(C):
+                wvec = weight[c][:, lab] * D[c]
+                svec = weight[c][:, lab] * E[c]
+                per_comp.append((wvec, float(svec.sum())))
+                total += float(wvec.sum())
+            if total <= 0.0 or not np.isfinite(total):
+                raise NumericalError(
+                    f"event {k} at t={t!r} has zero intensity under every cause")
+            lam[k] = total
+            z_base[k] = base_val / total
+            for c in range(C):
+                wvec, sdt = per_comp[c]
+                comp_z[c] += wvec.sum() / total
+                comp_zdt[c] += sdt / total
+                counts[c][:, lab] += wvec / total
+        for k in range(i, j):
+            for c in range(C):
+                if masks[c] is None or masks[c][k]:
+                    D[c, labels[k]] += 1.0
+        i = j
+    mean_dt = np.divide(comp_zdt, comp_z, out=np.zeros(C), where=comp_z > 0)
+    return EStepStats(z_base, lam, [
+        ComponentStats(deltas=mean_dt[c:c + 1], weights=comp_z[c:c + 1],
+                       transition=counts[c], credits=comp_z[c:c + 1])
+        for c in range(C)])
+
+
+def _assert_close(got, ref):
+    for x, y in ((got.z_base, ref.z_base), (got.intensity, ref.intensity),
+                 (got.comp_z, ref.comp_z), (got.comp_zdt, ref.comp_zdt)):
+        np.testing.assert_allclose(x, y, rtol=RTOL, atol=0)
+    assert got.n_components == ref.n_components
+    for a, b in zip(got.components, ref.components):
+        np.testing.assert_allclose(a.transition, b.transition, rtol=RTOL, atol=0)
+        np.testing.assert_allclose(a.credits, b.credits, rtol=RTOL, atol=0)
+
+
+def _blocked(events_per_block, limit, model, d, children=None, window=None):
+    """fast_estep with blocks of at most ``events_per_block`` events (None
+    keeps the default) and the exponent limit ``limit``."""
+    cells = max(len(model.components), 1) * d.n_label_values
+    with pytest.MonkeyPatch.context() as mp:
+        if events_per_block is not None:
+            mp.setattr(engine, "PAIR_CHUNK", events_per_block * cells)
+        mp.setattr(engine, "EXP_LIMIT", limit)
+        return fast_estep(model, d, children, window)
+
+
+# block sizes in events and exponent limits every oracle test runs under
+BLOCKINGS = [(None, DEFAULT_LIMIT), (1, DEFAULT_LIMIT), (7, DEFAULT_LIMIT),
+             (None, 1.0), (7, 7.0)]
+
+
+def _assert_matches_reference(model, d, children=None, window=None):
+    ref = _reference_fast_estep(model, d, children, window)
+    for size, limit in BLOCKINGS:
+        _assert_close(_blocked(size, limit, model, d, children, window), ref)
+    return ref
+
+
+# ---------------------------------------------------------------------------
+# data and models
+
+
+def _label_data(times, n_labels=3, seed=0, horizon=None):
+    labels = np.random.default_rng(seed).integers(1, n_labels + 1, size=len(times))
+    horizon = float(np.max(times)) + 1.0 if horizon is None else horizon
+    return Dataset([Event(float(t), LabelMark(int(l))) for t, l in zip(times, labels)],
+                   horizon=horizon, schema=LabelSchema(n_labels))
+
+
+def _uniform_times(n=200, horizon=40.0, grid=None, seed=0):
+    times = np.random.default_rng(seed).uniform(0, horizon, size=n)
+    if grid is not None:  # collide timestamps on a grid
+        times = np.floor(times / grid) * grid
+    return times
+
+
+_CAT3 = CategoricalMatrix(((0.6, 0.2, 0.2), (0.2, 0.6, 0.2), (0.1, 0.3, 0.6)))
+
+
+def _label_model(rates=(1.3, 0.3, 2.0), periodic=True):
+    mark = LabelMarginal((0.3, 0.3, 0.4))
+    base = (PeriodicBaseline(10.0, (0.3, 0.8), mark) if periodic
+            else HomogeneousBaseline(0.5, mark))
+    return CascadeModel(base, (
+        KernelComponent("cat", ConstantFertility(0.4), _CAT3, ExponentialDelay(rates[0])),
+        KernelComponent("same", ConstantFertility(0.2), IdentityTransition(),
+                        ExponentialDelay(rates[1])),
+        KernelComponent("any", ConstantFertility(0.1),
+                        PriorTransition(LabelMarginal((0.2, 0.5, 0.3))),
+                        ExponentialDelay(rates[2]))))
+
+
+def _composite_data(n=200, horizon=40.0, seed=0):
+    rng = np.random.default_rng(seed)
+    times = np.floor(rng.uniform(0, horizon, size=n) * 4) / 4
+    types = rng.integers(1, 4, size=n)
+    nodes = rng.choice(["u", "v", "w"], size=n)
+    return Dataset([Event(float(t), CompositeMark(int(k), str(v)))
+                    for t, k, v in zip(times, types, nodes)],
+                   horizon=horizon, schema=CompositeSchema(3, frozenset({"u", "v", "w"})))
+
+
+def _composite_model():
+    return CascadeModel(
+        HomogeneousBaseline(0.8, LabelMarginal((0.3, 0.3, 0.4))),
+        (KernelComponent("self", ConstantFertility(0.3), _CAT3, ExponentialDelay(1.0),
+                         sources=("u",)),
+         KernelComponent("nbrs", ConstantFertility(0.2), IdentityTransition(),
+                         ExponentialDelay(0.4), sources=("v", "w")),
+         KernelComponent("none", ConstantFertility(0.2), _CAT3, ExponentialDelay(1.0),
+                         sources=("absent",))))
+
+
+# ---------------------------------------------------------------------------
+# oracle tests
+
+
+def test_label_transitions_match_reference():
+    # identity, prior and categorical transitions, periodic baseline
+    _assert_matches_reference(_label_model(), _label_data(_uniform_times(seed=1), seed=1))
+
+
+def test_composite_sources_match_reference():
+    d = _composite_data(seed=3)
+    assert len(np.unique(d.times)) < len(d)  # ties really exist
+    ref = _assert_matches_reference(_composite_model(), d)
+    assert ref.comp_z[2] == 0.0  # no event comes from the absent source
+
+
+def test_mask_and_interior_window_match_reference():
+    d = _label_data(_uniform_times(grid=0.5, seed=4), seed=4)
+    mask = np.zeros(len(d), dtype=bool)
+    mask[::3] = True
+    for children, window in ((mask, None), (None, (10.0, 30.0)), (mask, (10.0, 30.0))):
+        _assert_matches_reference(_label_model(), d, children, window)
+    dc = _composite_data(seed=5)
+    _assert_matches_reference(_composite_model(), dc, np.arange(len(dc)) % 2 == 0, (5.0, 35.0))
+
+
+def test_tie_group_straddling_a_block_cut():
+    # unit-grid ties, and a group of 12 simultaneous events that would
+    # straddle a 7-event cut after the 5 events before it
+    times = np.concatenate([[0.0, 1.0, 1.0, 2.0, 2.0], np.full(12, 3.0),
+                            np.floor(_uniform_times(n=80, horizon=20.0, seed=6)) + 4.0])
+    d = _label_data(np.sort(times), seed=6)
+    blocks = list(engine._scan_blocks(d.times, len(d), 7, np.inf))
+    assert (5, 17) in blocks  # the group is cut out whole, longer than 7
+    assert all(d.times[e] != d.times[e - 1] for _, e in blocks[:-1])
+    _assert_matches_reference(_label_model(), d)
+
+
+def test_bursts_beyond_underflow_match_reference():
+    # rate * gap > 800: the first burst's decayed counts underflow to 0
+    first = _uniform_times(n=60, horizon=5.0, seed=7)
+    d = _label_data(np.concatenate([first, first + 5.0 + 850.0]), seed=7)
+    _assert_matches_reference(_label_model(rates=(1.0, 1.2, 2.0), periodic=False), d)
+
+
+def test_epoch_scale_times_match_reference():
+    times = _uniform_times(n=150, horizon=60.0, grid=0.25, seed=8)
+    _assert_matches_reference(_label_model(periodic=False), _label_data(times + 1.6e9, seed=8))
+
+
+def test_burst_after_a_long_quiet_spell_matches_reference():
+    # the block's first events sit about EXP_LIMIT / rate before a dense
+    # burst, so each burst child's age-weighted sum is tiny next to
+    # (child time - block start) * decayed count; summing it gap by gap
+    # keeps it exact
+    early = np.linspace(0.0, 10.0, 11)
+    burst = 280.0 + np.arange(300) * 1e-5
+    d = _label_data(np.concatenate([early, burst]), seed=9)
+    model = _label_model(rates=(1.0, 0.05, 0.5), periodic=False)
+    assert len(list(engine._scan_blocks(d.times, len(d), 1 << 20, DEFAULT_LIMIT))) == 1
+    _assert_matches_reference(model, d)
+
+
+def test_empty_inputs():
+    model = _label_model()
+    empty = Dataset([], horizon=5.0, schema=LabelSchema(3))
+    stats = fast_estep(model, empty)
+    assert stats.z_base.size == 0 and stats.comp_z.tolist() == [0.0, 0.0, 0.0]
+    _assert_matches_reference(model, empty)
+    # a window holding no children still sees every earlier event
+    d = _label_data(np.array([1.0, 2.0, 8.0, 9.0]), seed=10, horizon=10.0)
+    stats = _assert_matches_reference(model, d, window=(3.0, 7.0))
+    assert not stats.intensity.any()
+    bare = CascadeModel(HomogeneousBaseline(0.5, LabelMarginal((0.3, 0.3, 0.4))))
+    stats = _assert_matches_reference(bare, _label_data(_uniform_times(seed=11), seed=11))
+    np.testing.assert_array_equal(stats.z_base, 1.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10_000), grid=st.sampled_from([None, 0.5, 1.0]),
+       masked=st.booleans(), composite=st.booleans())
+def test_block_sizes_agree(seed, grid, masked, composite):
+    rng = np.random.default_rng(seed)
+    if composite:
+        d, model = _composite_data(int(rng.integers(1, 80)), seed=seed), _composite_model()
+    else:
+        n = int(rng.integers(1, 80))
+        d = _label_data(_uniform_times(n, horizon=30.0, grid=grid, seed=seed), seed=seed)
+        model = _label_model(rates=tuple(rng.uniform(0.05, 3.0, size=3)))
+    children = rng.random(len(d)) < 0.6 if masked else None
+    default = fast_estep(model, d, children)
+    for size in (1, 7):
+        _assert_close(_blocked(size, DEFAULT_LIMIT, model, d, children), default)
+
+
+@pytest.mark.parametrize("size", [None, 1, 7])
+def test_zero_intensity_names_the_first_such_event(size):
+    # no baseline: only children with an earlier parent of their own label
+    # have intensity; events 2 (tied with event 1) and 5 have none
+    times, labels = [0.0, 0.5, 0.5, 1.0, 9.0, 9.5], [1, 1, 2, 2, 1, 3]
+    d = Dataset([Event(t, LabelMark(l)) for t, l in zip(times, labels)],
+                horizon=10.0, schema=LabelSchema(3))
+    model = CascadeModel(
+        HomogeneousBaseline(0.0, LabelMarginal((0.4, 0.3, 0.3))),
+        (KernelComponent("k", ConstantFertility(0.5), IdentityTransition(),
+                         ExponentialDelay(1.0)),))
+    children = np.arange(len(d)) >= 1
+    with pytest.raises(NumericalError) as expected:
+        _reference_fast_estep(model, d, children)
+    with pytest.raises(NumericalError) as got:
+        _blocked(size, DEFAULT_LIMIT, model, d, children)
+    assert str(got.value) == str(expected.value)
+    assert "event 2 " in str(got.value)
+
+
+def test_memory_is_bounded_by_the_block():
+    # 50k events over 256 labels: one float per (event, label) would take
+    # 102 MB; the scan holds a few arrays of PAIR_CHUNK floats at a time
+    n, L = 50_000, 256
+    rng = np.random.default_rng(12)
+    d = _label_data(np.sort(rng.uniform(0, 25_000.0, size=n)), n_labels=L, seed=12)
+    probs = np.full(L, 1.0 / L)
+    model = CascadeModel(HomogeneousBaseline(1.0, LabelMarginal(tuple(probs))), (
+        KernelComponent("same", ConstantFertility(0.3), IdentityTransition(),
+                        ExponentialDelay(1.0)),
+        KernelComponent("any", ConstantFertility(0.2), PriorTransition(LabelMarginal(
+            tuple(probs))), ExponentialDelay(0.1))))
+    d.times, d.label_index  # cached columns belong to the dataset, not the scan
+    tracemalloc.start()
+    try:
+        stats = fast_estep(model, d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stats.intensity.size == n
+    assert peak < 20 * engine.PAIR_CHUNK * 8, f"peak {peak / 1e6:.1f} MB"
