@@ -380,13 +380,22 @@ def _schema_header(schema: MarkSchema) -> dict:
     return {"types": schema.n_types, "nodes": True}
 
 
-def _record(ev: Event, schema: MarkSchema) -> dict:
+def _json_scalar(x) -> str:
+    """x as json.dumps writes it: repr for plain floats and ints."""
+    return repr(x) if type(x) in (float, int) else json.dumps(x)
+
+
+def _row_formatter(schema: MarkSchema):
+    """Event -> one JSONL record line, byte for byte as json.dumps of
+    {"t": ..., <mark fields>} followed by a newline."""
     if isinstance(schema, BinarySchema):
-        active = [i for i, b in enumerate(ev.mark.bits) if b]
-        return {"t": ev.t, "x": active}
+        return lambda ev: '{"t": %s, "x": %s}\n' % (
+            _json_scalar(ev.t), [i for i, b in enumerate(ev.mark.bits) if b])
     if isinstance(schema, LabelSchema):
-        return {"t": ev.t, "label": ev.mark.label}
-    return {"t": ev.t, "type": ev.mark.type, "node": ev.mark.node}
+        return lambda ev: '{"t": %s, "label": %s}\n' % (
+            _json_scalar(ev.t), _json_scalar(ev.mark.label))
+    return lambda ev: '{"t": %s, "type": %s, "node": %s}\n' % (
+        _json_scalar(ev.t), _json_scalar(ev.mark.type), json.dumps(ev.mark.node))
 
 
 def write_events(d: Dataset, path: str) -> None:
@@ -396,5 +405,4 @@ def write_events(d: Dataset, path: str) -> None:
         if d.units is not None:
             header["units"] = d.units
         fh.write(json.dumps(header) + "\n")
-        for ev in d.events:
-            fh.write(json.dumps(_record(ev, d.schema)) + "\n")
+        fh.writelines(map(_row_formatter(d.schema), d.events))

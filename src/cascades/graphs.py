@@ -465,7 +465,9 @@ def simulate_graph(graph: Graph, horizon: float, seed: int, *,
     from the marginal; each event then triggers offspring at its own
     node (rate self_rate) and at each outgoing neighbor (rate
     neighbor_rate), with types drawn from the transition row of the
-    parent type. base_rate is a scalar or a per-node dict.
+    parent type. base_rate is a scalar or a per-node dict. Raises once
+    more than max_events accumulate, counting root events node by node
+    before their times are allocated.
     """
     if horizon <= 0 or not np.isfinite(horizon):
         raise ConfigError(f"horizon must be positive and finite, got {horizon}")
@@ -487,9 +489,14 @@ def simulate_graph(graph: Graph, horizon: float, seed: int, *,
     parents: list[int] = []
     gens: list[int] = []
     queue: deque[int] = deque()
+    n_roots = 0
     for v in graph.nodes:
         rate = base_rate[v] if isinstance(base_rate, dict) else float(base_rate)
         count = _poisson_count(rng, rate * horizon)
+        n_roots += count
+        if n_roots > max_events:
+            raise DataError(f"graph simulation exceeded max_events={max_events}: "
+                            f"{n_roots} root events through node {v!r}")
         node_times = np.sort(rng.random(count) * horizon)
         for t in node_times:
             times.append(float(t))

@@ -5,17 +5,24 @@ drawn over the window first, then each event independently spawns
 offspring under every kernel component. The true cause of every event
 is recorded in a causal forest so inference output can be scored
 against it.
+
+Every Poisson count (roots, offspring, and the graph simulator's) comes
+from one uniform through an exact scalar inverse of the Poisson CDF
+(scipy.special's pdtrik and pdtr), so a stream's layout does not depend
+on the counts' sizes and importing the package does not load scipy's
+statistics module.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sp_stats
+from scipy import special
 
 from . import delays as delay_mod
 from . import fertility as fert_mod
@@ -62,13 +69,26 @@ class CausalForest:
 
 def _poisson_count(rng: np.random.Generator, mu: float) -> int:
     """Poisson draw by inverting one uniform, so each count consumes
-    exactly one stream value regardless of its magnitude."""
-    if mu < 0 or not np.isfinite(mu):
+    exactly one stream value regardless of its magnitude.
+
+    This is the inverse that scipy's poisson.ppf runs internally,
+    evaluated on scalars: the smallest k with pdtr(k, mu) >= u, found
+    from the ceiling of pdtrik and one step down. Every u > 0 gets
+    scipy's integer; u == 0 gets 0, where scipy returns -1. Where the
+    inverse has no value (scipy's ppf gives nan) this raises.
+    """
+    if mu < 0 or not math.isfinite(mu):
         raise NumericalError(f"offspring mean must be finite and nonnegative, got {mu}")
-    if mu == 0.0:
-        rng.random()
+    u = rng.random()
+    if mu == 0.0 or u == 0.0:
         return 0
-    return int(sp_stats.poisson.ppf(rng.random(), mu))
+    root = special.pdtrik(u, mu)
+    if not math.isfinite(root):  # cdflib gives up near mu = 1e11 and above
+        raise NumericalError(f"Poisson inverse failed at mean {mu} and uniform {u}")
+    k = math.ceil(root)
+    if k >= 1 and special.pdtr(k - 1, mu) >= u:
+        return k - 1
+    return k
 
 
 def _default_schema(model: CascadeModel) -> MarkSchema:
@@ -78,9 +98,9 @@ def _default_schema(model: CascadeModel) -> MarkSchema:
     return LabelSchema(len(mark.probs))
 
 
-def _baseline_times(baseline, horizon: float, rng: np.random.Generator) -> np.ndarray:
-    total = baseline_integral(baseline, 0.0, horizon)
-    n = _poisson_count(rng, total)
+def _baseline_times(baseline, horizon: float, n: int,
+                    rng: np.random.Generator) -> np.ndarray:
+    """Sorted times of n baseline events on (0, horizon]."""
     if n == 0:
         return np.zeros(0)
     if isinstance(baseline, HomogeneousBaseline):
@@ -111,8 +131,10 @@ def simulate(model: CascadeModel, horizon: float, seed: int,
     delays, then marks for the children that land inside the horizon.
     Children past the horizon are discarded after their delay is drawn,
     which keeps the stream layout independent of the horizon clipping.
-    Raises when more than max_events accumulate, which usually means
-    the model is supercritical.
+    Raises when more than max_events accumulate: as soon as the root
+    count is drawn if the roots alone exceed it (before any root time is
+    allocated), otherwise at the child that crosses it, which usually
+    means the model is supercritical.
     """
     if schema is None:
         schema = _default_schema(model)
@@ -124,7 +146,12 @@ def simulate(model: CascadeModel, horizon: float, seed: int,
         raise ConfigError(f"horizon must be positive and finite, got {horizon}")
     rng = substream(seed, "cascade")
 
-    root_times = _baseline_times(model.baseline, horizon, rng)
+    n_roots = _poisson_count(rng, baseline_integral(model.baseline, 0.0, horizon))
+    if n_roots > max_events:
+        raise NumericalError(
+            f"simulation exceeded max_events={max_events}: the baseline "
+            f"drew {n_roots} root events")
+    root_times = _baseline_times(model.baseline, horizon, n_roots, rng)
     times: list[float] = []
     marks: list = []
     parents: list[int] = []
@@ -162,7 +189,7 @@ def simulate(model: CascadeModel, horizon: float, seed: int,
                 gens.append(gens[i] + 1)
                 queue.append(len(times) - 1)
                 if len(times) > max_events:
-                    grown = len(times) - len(root_times)
+                    grown = len(times) - n_roots
                     ratio = grown / max(processed, 1)
                     raise NumericalError(
                         f"simulation exceeded max_events={max_events}; mean "
@@ -210,11 +237,12 @@ def parent_recovery_score(forest: CausalForest, resp: Responsibilities,
 
 
 def write_forest(forest: CausalForest, path: str) -> None:
+    """One JSON object per event, formatted as json.dumps would."""
+    rows = zip(forest.parents.tolist(), forest.components.tolist(),
+               forest.generations.tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        for i in range(len(forest)):
-            fh.write(json.dumps({"id": i, "parent": int(forest.parents[i]),
-                                 "component": int(forest.components[i]),
-                                 "gen": int(forest.generations[i])}) + "\n")
+        fh.writelines('{"id": %d, "parent": %d, "component": %d, "gen": %d}\n'
+                      % (i, p, c, g) for i, (p, c, g) in enumerate(rows))
 
 
 def load_forest(path: str) -> CausalForest:

@@ -129,6 +129,27 @@ def test_ingest_roundtrip_composite(tmp_path):
         [(0.5, 2, "x"), (0.75, 3, "y")]
 
 
+def test_write_events_rows_are_json_dumps_bytes(tmp_path):
+    # every record line is exactly json.dumps of the record, whatever the
+    # time's type or the node id's characters
+    node = 'n"\\ü '
+    cases = [
+        (LabelSchema(3), [Event(1, LabelMark(2)), Event(np.float64(2.5), LabelMark(1)),
+                          Event(0.1 + 0.2, LabelMark(3))],
+         lambda ev: {"t": ev.t, "label": ev.mark.label}),
+        (SCHEMA2, [Event(1e-300, bm(0, 0)), Event(3.0, bm(1, 1)), Event(1e17, bm(0, 1))],
+         lambda ev: {"t": ev.t, "x": [i for i, b in enumerate(ev.mark.bits) if b]}),
+        (CompositeSchema(2), [Event(0.5, CompositeMark(1, node)), Event(2, CompositeMark(2, "x"))],
+         lambda ev: {"t": ev.t, "type": ev.mark.type, "node": ev.mark.node}),
+    ]
+    for schema, events, record in cases:
+        d = Dataset(events, horizon=1e18, schema=schema)
+        path = tmp_path / "events.jsonl"
+        write_events(d, str(path))
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert lines[1:] == [json.dumps(record(ev)) + "\n" for ev in d]
+
+
 def test_ingest_errors_name_path_and_line(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"T": 5.0, "schema": {"labels": 2}}\n{"t": 1.0, "label": 1}\nnot json\n')

@@ -1,15 +1,24 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from scipy import special
 from scipy import stats as sp_stats
 
+import cascades
 from cascades import (CascadeModel, CategoricalMatrix, ConfigError,
                       ConstantFertility, DataError, ExponentialDelay,
                       FeatureMixture, FeaturePrior, HomogeneousBaseline,
                       IdentityTransition, KernelComponent, LabelMarginal,
                       NumericalError, PeriodicBaseline, e_step, load_forest,
-                      parent_recovery_score, simulate, substream, write_forest)
+                      parent_recovery_score, simulate, simulate_graph, substream,
+                      write_forest)
 from cascades.engine import Responsibilities
 from cascades.events import BinarySchema, CompositeSchema
+from cascades.graphs import Graph
 from cascades.simulate import CausalForest, _poisson_count
 
 
@@ -105,6 +114,47 @@ def test_event_cap_raises():
         simulate(label_model(rate=5.0), 100.0, seed=1, max_events=20)
 
 
+def test_event_cap_counts_roots_without_components():
+    model = CascadeModel(HomogeneousBaseline(1.0, LabelMarginal((1.0,))))
+    with pytest.raises(NumericalError, match=r"max_events=1000: the baseline drew \d+ root"):
+        simulate(model, 50000.0, 1, max_events=1000)
+    # a root count far too large to allocate is refused before any allocation
+    with pytest.raises(NumericalError, match="root events"):
+        simulate(model, 1e10, 1, max_events=1000)
+
+
+def test_event_cap_blames_roots_not_offspring():
+    with pytest.raises(NumericalError, match="root events") as err:
+        simulate(label_model(rate=1.0, alpha=0.5), 50000.0, 1, max_events=1000)
+    assert "supercritical" not in str(err.value)
+
+
+def test_event_cap_leaves_streams_under_it_unchanged():
+    d1, f1 = simulate(label_model(), 60.0, seed=42)
+    d2, f2 = simulate(label_model(), 60.0, seed=42, max_events=len(d1))
+    assert d1.events == d2.events and np.array_equal(f1.parents, f2.parents)
+    with pytest.raises(NumericalError, match="max_events"):
+        simulate(label_model(), 60.0, seed=42, max_events=len(d1) - 1)
+
+
+def _graph_sim(horizon, max_events, base_rate=1.0):
+    graph = Graph(("a", "b", "c"), {"a": ("b",), "b": ("c",), "c": ()})
+    return simulate_graph(graph, horizon, 3, type_marginal=(1.0,), base_rate=base_rate,
+                          self_rate=0.0, neighbor_rate=0.0,
+                          transition=CategoricalMatrix(((1.0,),)),
+                          delay=ExponentialDelay(1.0), max_events=max_events)
+
+
+def test_graph_event_cap_counts_roots_per_node():
+    # each node alone stays under the cap; the running total crosses it
+    with pytest.raises(DataError, match=r"max_events=1000: \d+ root events through node"):
+        _graph_sim(500.0, 1000)
+    with pytest.raises(DataError, match="through node 'a'"):
+        _graph_sim(1e10, 1000)
+    d, forest = _graph_sim(500.0, 10_000)
+    assert len(d) > 1000 and np.all(forest.parents == -1)
+
+
 def test_composite_schema_redirects_to_graph_simulator():
     schema = CompositeSchema(2, frozenset({"u"}))
     with pytest.raises(ConfigError, match="graph"):
@@ -119,6 +169,11 @@ def test_forest_io_round_trip(tmp_path):
     assert np.array_equal(back.parents, forest.parents)
     assert np.array_equal(back.components, forest.components)
     assert np.array_equal(back.generations, forest.generations)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert lines == [json.dumps({"id": i, "parent": int(forest.parents[i]),
+                                 "component": int(forest.components[i]),
+                                 "gen": int(forest.generations[i])}) + "\n"
+                     for i in range(len(forest))]
 
 
 def test_forest_loader_requires_sequential_ids(tmp_path):
@@ -178,3 +233,60 @@ def test_poisson_count_distribution():
     draws = np.array([_poisson_count(rng, 4.0) for _ in range(4000)])
     assert abs(draws.mean() - 4.0) < 4 * np.sqrt(4.0 / 4000)
     assert abs(draws.var() - 4.0) < 0.5
+
+
+class _FixedUniform:
+    """Generator stub whose random() returns one fixed value and counts calls."""
+
+    def __init__(self, u):
+        self.u = u
+        self.calls = 0
+
+    def random(self):
+        self.calls += 1
+        return self.u
+
+
+def test_poisson_count_zero_uniform_gives_zero():
+    for mu in (0.0, 1e-9, 0.7, 3.5, 5000.0):
+        rng = _FixedUniform(0.0)
+        assert _poisson_count(rng, mu) == 0
+        assert rng.calls == 1
+
+
+def test_poisson_count_rejects_bad_means():
+    for mu in (-1e-12, np.inf, np.nan):
+        with pytest.raises(NumericalError, match="offspring mean"):
+            _poisson_count(_FixedUniform(0.5), mu)
+    # scipy's inverse has no value here either: poisson.ppf gives nan
+    assert np.isnan(sp_stats.poisson.ppf(0.3, 1e12))
+    with pytest.raises(NumericalError, match="Poisson inverse"):
+        _poisson_count(_FixedUniform(0.3), 1e12)
+
+
+def test_poisson_count_matches_scipy_ppf_on_dense_grid():
+    grid = np.random.default_rng(2024)
+    mus = np.concatenate([np.logspace(-9, np.log10(2e4), 120),
+                          grid.uniform(0.0, 60.0, 40), [0.5, 1.0, 3.5, 4000.0]])
+    checked = 0
+    for mu in mus:
+        sd = np.sqrt(mu)
+        ks = np.arange(max(0, int(mu - 8 * sd) - 3), int(mu + 8 * sd) + 4)
+        steps = special.pdtr(ks, mu)
+        us = np.concatenate([grid.random(60), steps,
+                             np.nextafter(steps, 0.0), np.nextafter(steps, 2.0)])
+        us = us[(us > 0.0) & (us < 1.0)]
+        expected = sp_stats.poisson.ppf(us, mu)
+        got = [_poisson_count(_FixedUniform(float(u)), float(mu)) for u in us]
+        assert np.array_equal(got, expected), f"mu={mu!r}"
+        checked += us.size
+    assert checked > 20_000
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cascades.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, cascades.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
