@@ -207,6 +207,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_graph_fit(args) -> int:
+    if args.workers < 1:
+        raise ConfigError(f"--workers: must be at least 1, got {args.workers}")
     conf = cfg.load_config(args.config) if args.config else {}
     if conf:
         cfg._require(conf, args.config, (), ("graph_fit", "split"))

@@ -422,4 +422,16 @@ def parse_graph_options(obj: dict | None, where: str = "graph_fit") -> GraphOpti
         raise ConfigError(f"{where}.rounds: must be at least 1")
     if not opts.strength_grid:
         raise ConfigError(f"{where}.strength_grid: must be nonempty")
+    if not all(0.0 <= c < float("inf") for c in opts.strength_grid):
+        raise ConfigError(f"{where}.strength_grid: strengths must be finite and "
+                          "nonnegative")
+    if not opts.pool_grid or not all(0.0 <= w <= 1.0 for w in opts.pool_grid):
+        raise ConfigError(f"{where}.pool_grid: must be nonempty, with pool weights "
+                          "in [0, 1]")
+    if not 0.0 < opts.val_fraction < 1.0:
+        raise ConfigError(f"{where}.val_fraction: must lie strictly between 0 and 1")
+    if opts.max_iters < 0:
+        raise ConfigError(f"{where}.max_iters: must be nonnegative")
+    if not opts.tol >= 0:
+        raise ConfigError(f"{where}.tol: must be nonnegative")
     return opts

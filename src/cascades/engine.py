@@ -288,20 +288,32 @@ def _fertility_matrix(model: CascadeModel, d: Dataset) -> list[np.ndarray]:
     return [fert_mod.evaluate_many(c.fertility, X, len(d)) for c in model.components]
 
 
+def _source_entry(comp: KernelComponent, d: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """The (mask, indices) of the events at the component's source nodes,
+    cached on the dataset per source tuple and read-only."""
+    key = tuple(comp.sources)
+    entry = d.source_pools.get(key)
+    if entry is None:
+        names, codes = d.node_codes
+        mask = np.isin(names, key)[codes]
+        pool = np.nonzero(mask)[0].astype(np.int64)
+        mask.flags.writeable = pool.flags.writeable = False
+        entry = d.source_pools[key] = (mask, pool)
+    return entry
+
+
 def _source_mask(comp: KernelComponent, d: Dataset) -> np.ndarray | None:
     """Which events may parent under this component; None when all may."""
     if comp.sources is None:
         return None
-    names, codes = d.node_codes
-    return np.isin(names, comp.sources)[codes]
+    return _source_entry(comp, d)[0]
 
 
 def _parent_pool(comp: KernelComponent, d: Dataset) -> np.ndarray:
     """Sorted indices of the events allowed to parent under this component."""
-    mask = _source_mask(comp, d)
-    if mask is None:
+    if comp.sources is None:
         return np.arange(len(d), dtype=np.int64)
-    return np.nonzero(mask)[0].astype(np.int64)
+    return _source_entry(comp, d)[1]
 
 
 def _window_exposure(comp: KernelComponent, delay: DelaySpec, d: Dataset,

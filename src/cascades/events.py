@@ -193,6 +193,13 @@ class Dataset:
         """Distinct node ids (sorted), and each event's index into them."""
         return np.unique(self.node_ids, return_inverse=True)
 
+    @cached_property
+    def source_pools(self) -> dict:
+        """Per tuple of node ids: a read-only mask of the events at those
+        nodes and their indices. The engine fills it on first use; a
+        subset or merged dataset starts with an empty one."""
+        return {}
+
     @property
     def n_label_values(self) -> int:
         n = label_count(self.schema)
@@ -201,13 +208,23 @@ class Dataset:
         return n
 
     def subset(self, index: np.ndarray) -> "Dataset":
-        """View of the events at ``index`` (ascending), same window."""
+        """View of the events at ``index`` (ascending), same window.
+
+        The events passed validation when this dataset was built, so they
+        are not checked again, and the columns already computed here are
+        sliced rather than rebuilt."""
         index = np.asarray(index, dtype=np.int64)
         if index.size and np.any(np.diff(index) <= 0):
             raise DataError("subset index must be strictly increasing")
-        picked = [self.events[int(i)] for i in index]
-        return Dataset(picked, self.horizon, self.schema, start=self.start,
-                       units=self.units, _sorted=True)
+        out = Dataset.__new__(Dataset)
+        out.events = [Event(self.events[i].t, self.events[i].mark, k)
+                      for k, i in enumerate(index.tolist())]
+        out.horizon, out.schema, out.start, out.units = (self.horizon, self.schema,
+                                                         self.start, self.units)
+        for name in ("times", "label_index", "node_ids", "feature_matrix"):
+            if name in self.__dict__:
+                out.__dict__[name] = self.__dict__[name][index]
+        return out
 
     def merge_history(self, history: "Dataset") -> "Dataset":
         """Prepend earlier events so likelihoods can condition on them."""

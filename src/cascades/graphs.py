@@ -6,6 +6,15 @@ and to its incoming neighbors. Because every node has little data, the
 categorical type transitions are shrunk toward directions pooled across
 all nodes, with the shrinkage strength picked on a validation window,
 and per-neighbor rates can be blended with their pooled average.
+
+A round (``fit_round``) runs in two phases: every node fits every
+candidate setting on the head of the window and scores the rest, then
+every node fits only the winning setting on the whole window. A node's
+fits and scores read only its local data (``local_data``: the events at
+the node and at its in-neighbours), so ``workers`` processes each take a
+contiguous block of nodes and receive only that block's local data.
+Likelihood decreases in node fits are counted per fit (``NodeFit``) and
+reported in one warning per round.
 """
 
 from __future__ import annotations
@@ -14,6 +23,7 @@ import json
 import warnings
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from multiprocessing import get_context
 
@@ -22,13 +32,13 @@ import numpy as np
 from . import delays as delay_mod
 from .delays import DelaySpec, ExponentialDelay
 from .engine import (CascadeModel, HomogeneousBaseline, KernelComponent,
-                     e_step, expected_transition_counts, fit, m_step,
+                     _child_ids, e_step, expected_transition_counts, fit, m_step,
                      windowed_log_likelihood)
 from .errors import ConfigError, DataError
 from .events import CompositeMark, CompositeSchema, Dataset, Event
 from .fertility import ConstantFertility
 from .simulate import CausalForest, _poisson_count, substream
-from .transitions import CategoricalMatrix, LabelMarginal
+from .transitions import CategoricalMatrix, LabelMarginal, draw_index
 
 VARIANTS = ("no_neighbors", "shared_transition", "separate_transitions",
             "per_neighbor")
@@ -46,6 +56,9 @@ class Graph:
         if len(set(self.nodes)) != len(self.nodes):
             raise DataError("duplicate node ids in graph")
         known = set(self.nodes)
+        strays = sorted(set(out_edges) - known, key=str)
+        if strays:
+            raise DataError(f"edges out of unknown nodes {strays}")
         self.out = {}
         for v in self.nodes:
             targets = tuple(sorted(out_edges.get(v, ())))
@@ -154,19 +167,25 @@ def _smoothed_marginal(d: Dataset) -> LabelMarginal:
 
 def node_model(graph: Graph, d: Dataset, v: str, variant: str,
                hyper: Hyperparams, strength: float, delay_init: DelaySpec,
-               window: tuple[float, float]) -> tuple[CascadeModel, tuple[str, ...]]:
+               window: tuple[float, float],
+               marginal: LabelMarginal | None = None) -> tuple[CascadeModel, tuple[str, ...]]:
     """Initial model for one node, with the per-component shrinkage
-    context names it pools statistics under."""
+    context names it pools statistics under. ``marginal`` is the
+    baseline type distribution, by default ``d``'s smoothed type
+    frequencies."""
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     if v not in graph.out:
         raise ConfigError(f"node {v!r} is not in the graph")
+    if not 0.0 <= strength < np.inf:
+        raise ConfigError(f"shrinkage strength must be finite and nonnegative, got {strength}")
     a, b = window
     duration = b - a
     if duration <= 0:
         raise DataError("node fits need a window of positive length")
     L = d.n_label_values
-    marginal = _smoothed_marginal(d)
+    if marginal is None:
+        marginal = _smoothed_marginal(d)
     mask_v = d.node_ids == v
     n_v = int(np.sum(mask_v & (d.times > a) & (d.times <= b)))
     baseline = HomogeneousBaseline(max(n_v, 0.5) / duration, marginal)
@@ -177,7 +196,7 @@ def node_model(graph: Graph, d: Dataset, v: str, variant: str,
         rows = tuple(marginal.probs for _ in range(L))
         direction = hyper.directions.get(ctx, uniform_dir) if strength > 0 else None
         return CategoricalMatrix(rows, prior_direction=direction,
-                                 prior_strength=strength if strength > 0 else 0.0)
+                                 prior_strength=float(strength))
 
     neighbors = graph.incoming[v]
     comps: list[KernelComponent] = []
@@ -223,24 +242,42 @@ def node_model(graph: Graph, d: Dataset, v: str, variant: str,
 
 @dataclass
 class NodeFit:
+    """One node's fitted model with its training LL, its transition
+    counts by shrinkage context, and how its EM run went: iterations,
+    whether the tolerance test stopped it, and how many iterations
+    lowered the LL by more than 1e-8 |LL| + 1e-12."""
+
     node: str
     model: CascadeModel
     train_ll: float
     counts: dict
+    iterations: int
+    converged: bool
+    ll_decreases: int
+
+
+def _ll_decreases(trace) -> int:
+    """Steps of an LL trace that fall by more than fit's tolerance."""
+    return sum(prev - new > 1e-8 * abs(prev) + 1e-12
+               for prev, new in zip(trace, trace[1:]))
 
 
 def _fit_per_neighbor(model: CascadeModel, d: Dataset, mask: np.ndarray,
                       window: tuple[float, float], neighbors: tuple[str, ...],
-                      pool_weight: float, max_iters: int, tol: float) -> tuple[CascadeModel, float]:
+                      pool_weight: float, max_iters: int,
+                      tol: float) -> tuple[CascadeModel, list, bool]:
     """EM with the neighbor rates replaced by their shrunken blend after
-    every M-step. Not exact EM, so no monotonicity is enforced."""
+    every M-step. Not exact EM, so no monotonicity is enforced. Returns
+    the model, the LL trace and whether the tolerance test stopped it;
+    like fit, a window without children keeps the initial model."""
     a, b = window
     nbr_idx = [ci for ci, comp in enumerate(model.components)
                if comp.name.startswith("nbr:")]
     m_counts = np.array([np.sum((d.node_ids == u) & (d.times < b)) for u in neighbors],
                         dtype=np.float64)
-    ll_prev = None
-    ll = windowed_log_likelihood(model, d, mask, window)
+    trace = [windowed_log_likelihood(model, d, mask, window)]
+    if _child_ids(d, mask, window).size == 0:
+        return model, trace, True
     for _ in range(max_iters):
         resp = e_step(model, d, mask, window)
         model = m_step(model, d, resp, mask, window, update_baseline_mark=False)
@@ -250,65 +287,117 @@ def _fit_per_neighbor(model: CascadeModel, d: Dataset, mask: np.ndarray,
         for k, ci in enumerate(nbr_idx):
             comps[ci] = replace(comps[ci], fertility=ConstantFertility(float(rates[k])))
         model = replace(model, components=tuple(comps))
-        ll_prev, ll = ll, windowed_log_likelihood(model, d, mask, window)
-        if abs(ll - ll_prev) < tol * max(abs(ll), 1e-12):
-            break
-    return model, ll
+        trace.append(windowed_log_likelihood(model, d, mask, window))
+        if abs(trace[-1] - trace[-2]) < tol * max(abs(trace[-1]), 1e-12):
+            return model, trace, True
+    return model, trace, False
 
 
 def fit_node(graph: Graph, d: Dataset, v: str, variant: str, hyper: Hyperparams,
              strength: float, *, pool_weight: float = 0.5,
              delay_init: DelaySpec = ExponentialDelay(1.0),
              window: tuple[float, float] | None = None,
-             max_iters: int = 25, tol: float = 1e-5) -> NodeFit:
+             max_iters: int = 25, tol: float = 1e-5,
+             marginal: LabelMarginal | None = None) -> NodeFit:
     """Fit one node's model on the given window and collect its pooled
-    transition statistics keyed by shrinkage context."""
+    transition statistics keyed by shrinkage context.
+
+    Only the events at v and at its in-neighbours matter, so ``d`` may
+    be the whole dataset or just those events (``local_data``); pass
+    ``marginal`` to keep the initial model the same either way."""
     if window is None:
         window = (d.start, d.horizon)
     model, contexts = node_model(graph, d, v, variant, hyper, strength,
-                                 delay_init, window)
+                                 delay_init, window, marginal)
     mask = d.node_ids == v
     if variant == "per_neighbor" and graph.incoming[v]:
-        model, ll = _fit_per_neighbor(model, d, mask, window, graph.incoming[v],
-                                      pool_weight, max_iters, tol)
+        model, trace, converged = _fit_per_neighbor(
+            model, d, mask, window, graph.incoming[v], pool_weight, max_iters, tol)
     else:
         report = fit(model, d, max_iters, tol, children=mask, window=window,
                      update_baseline_mark=False, on_decrease="warn",
                      engine="direct")
-        model, ll = report.model, report.ll_trace[-1]
+        model, trace, converged = report.model, report.ll_trace, report.converged
     resp = e_step(model, d, mask, window)
     per_comp = expected_transition_counts(model, d, resp)
     counts: dict[str, np.ndarray] = {}
     for ctx, mat in zip(contexts, per_comp):
         if mat is not None:
             counts[ctx] = counts.get(ctx, 0) + mat
-    return NodeFit(v, model, ll, counts)
+    return NodeFit(v, model, trace[-1], counts, len(trace) - 1, converged,
+                   _ll_decreases(trace))
 
 
-def _node_task(payload):
-    """Evaluate every (strength, pool weight) candidate for one node:
-    validation score from a fit on the head of the window, plus a final
-    fit on the whole window. Runs in worker processes."""
-    (graph, d, v, variant, hyper, candidates, cut, delay_init,
-     max_iters, tol) = payload
+def local_data(graph: Graph, d: Dataset, nodes) -> Dataset:
+    """The events of ``d`` at ``nodes`` or at their in-neighbours: all
+    that the fits and scores of those nodes read."""
+    keep = set(nodes)
+    for v in nodes:
+        keep.update(graph.incoming[v])
+    names, codes = d.node_codes
+    index = np.nonzero(np.isin(names, sorted(keep))[codes])[0]
+    return d if index.size == len(d) else d.subset(index)
+
+
+@dataclass(frozen=True)
+class _NodeFitter:
+    """What every node fit of one round shares; each worker task gets a
+    copy along with its block's events."""
+
+    graph: Graph
+    variant: str
+    hyper: Hyperparams
+    marginal: LabelMarginal
+    delay_init: DelaySpec
+    max_iters: int
+    tol: float
+
+    def __call__(self, d: Dataset, v: str, cand: tuple,
+                 window: tuple[float, float]) -> NodeFit:
+        strength, pool_weight = cand
+        with warnings.catch_warnings():
+            # NodeFit counts fit's LL decreases; fit_round reports them
+            warnings.filterwarnings("ignore", message="log likelihood decreased")
+            return fit_node(self.graph, d, v, self.variant, self.hyper, strength,
+                            pool_weight=0.5 if pool_weight is None else pool_weight,
+                            delay_init=self.delay_init, window=window,
+                            max_iters=self.max_iters, tol=self.tol,
+                            marginal=self.marginal)
+
+
+def _score_block(task) -> list:
+    """Phase one for a block of nodes: per node and candidate, fit the
+    head window of the node's local data and score the validation
+    window. Returns (node, {candidate: (validation LL, LL decreases)})
+    pairs in node order."""
+    fitter, d, nodes, candidates, cut = task
     a, b = d.start, d.horizon
-    mask = d.node_ids == v
-    out = {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    out = []
+    for v in nodes:
+        dv = local_data(fitter.graph, d, (v,))
+        mask = dv.node_ids == v
+        scores = {}
         for cand in candidates:
-            strength, pool_weight = cand
-            head = fit_node(graph, d, v, variant, hyper, strength,
-                            pool_weight=pool_weight if pool_weight is not None else 0.5,
-                            delay_init=delay_init, window=(a, cut),
-                            max_iters=max_iters, tol=tol)
-            val_ll = windowed_log_likelihood(head.model, d, mask, (cut, b))
-            full = fit_node(graph, d, v, variant, hyper, strength,
-                            pool_weight=pool_weight if pool_weight is not None else 0.5,
-                            delay_init=delay_init, window=(a, b),
-                            max_iters=max_iters, tol=tol)
-            out[cand] = (float(val_ll), full)
-    return v, out
+            head = fitter(dv, v, cand, (a, cut))
+            val_ll = windowed_log_likelihood(head.model, dv, mask, (cut, b))
+            scores[cand] = (float(val_ll), head.ll_decreases)
+        out.append((v, scores))
+    return out
+
+
+def _fit_block(task) -> list:
+    """Phase two for a block of nodes: fit the winning candidate on the
+    whole window of each node's local data; (node, NodeFit) pairs."""
+    fitter, d, nodes, best = task
+    return [(v, fitter(local_data(fitter.graph, d, (v,)), v, best, (d.start, d.horizon)))
+            for v in nodes]
+
+
+def _blocks(nodes: tuple, workers: int) -> list:
+    """At most ``workers`` contiguous blocks of near-equal size."""
+    k = max(1, min(workers, len(nodes)))
+    bounds = [len(nodes) * i // k for i in range(k + 1)]
+    return [nodes[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def update_hyperparams(counts_by_context: dict, val_by_strength: dict,
@@ -353,13 +442,19 @@ def fit_round(graph: Graph, d: Dataset, variant: str, hyper: Hyperparams, *,
               delay_init: DelaySpec = ExponentialDelay(1.0),
               max_iters: int = 25, tol: float = 1e-5,
               workers: int = 1) -> RoundResult:
-    """One alternation: fit every node at every candidate shrinkage
-    setting, pick the candidate with the best summed validation score,
-    then refresh the pooled directions from the winning fits.
+    """One alternation in two phases. First every node fits every
+    candidate shrinkage setting on the head of the window and scores
+    the rest; the candidate with the best summed validation score wins.
+    Then every node fits only the winner on the whole window, and the
+    pooled directions are refreshed from those fits.
 
-    Work is farmed over nodes with forked workers; results are reduced
-    in sorted node order, so the outcome does not depend on the worker
-    count.
+    Each node fit reads only the node's local data (``local_data``),
+    with the initial type marginal taken from all of ``d``. The nodes
+    are split into ``workers`` contiguous blocks, one task per block in
+    each phase, run in one pool of forked workers; a task carries only
+    its block's local data. Results are reduced in sorted node order, so
+    the outcome does not depend on the worker count. LL decreases in any
+    node fit are counted per fit and reported in one warning per round.
     """
     if not isinstance(d.schema, CompositeSchema):
         raise DataError("graph fitting needs composite-marked events")
@@ -368,38 +463,52 @@ def fit_round(graph: Graph, d: Dataset, variant: str, hyper: Hyperparams, *,
         raise DataError(f"events mention nodes missing from the graph: {sorted(unknown)}")
     if not 0.0 < val_fraction < 1.0:
         raise ConfigError("val_fraction must lie strictly between 0 and 1")
+    if workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
     a, b = d.start, d.horizon
     cut = a + (1.0 - val_fraction) * (b - a)
     if variant == "per_neighbor":
         candidates = [(float(c), float(w)) for c in strength_grid for w in pool_grid]
     else:
         candidates = [(float(c), None) for c in strength_grid]
-    payloads = [(graph, d, v, variant, hyper, candidates, cut, delay_init,
-                 max_iters, tol) for v in graph.nodes]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=get_context("fork")) as pool:
-            results = list(pool.map(_node_task, payloads))
-    else:
-        results = [_node_task(p) for p in payloads]
+    fitter = _NodeFitter(graph, variant, hyper, _smoothed_marginal(d), delay_init,
+                         max_iters, tol)
+    blocks = [(nodes, local_data(graph, d, nodes))
+              for nodes in _blocks(graph.nodes, workers)]
+    pool = (ProcessPoolExecutor(max_workers=len(blocks), mp_context=get_context("fork"))
+            if len(blocks) > 1 else None)
+    run = map if pool is None else pool.map
 
-    totals = {cand: 0.0 for cand in candidates}
-    for _, per_cand in results:
-        for cand in candidates:
-            totals[cand] += per_cand[cand][0]
-    # best summed validation score; ties prefer stronger pooling, then
-    # smaller strength
-    def sort_key(cand):
-        strength, w = cand
-        return (-totals[cand], -(w if w is not None else 0.0), strength)
+    def each_block(task, *args) -> dict:
+        """The task's results over every block, by node."""
+        outs = run(task, [(fitter, bd, nodes, *args) for nodes, bd in blocks])
+        return {v: res for out in outs for v, res in out}
 
-    best = min(candidates, key=sort_key)
+    with pool or nullcontext():
+        scored = each_block(_score_block, candidates, cut)
+        totals = {cand: 0.0 for cand in candidates}
+        for v in graph.nodes:
+            for cand in candidates:
+                totals[cand] += scored[v][cand][0]
+
+        # best summed validation score; ties prefer stronger pooling, then
+        # smaller strength
+        def sort_key(cand):
+            strength, w = cand
+            return (-totals[cand], -(w if w is not None else 0.0), strength)
+
+        best = min(candidates, key=sort_key)
+        fits = each_block(_fit_block, best)
+
+    decreased = [v for v in graph.nodes if fits[v].ll_decreases
+                 or any(dec for _, dec in scored[v].values())]
+    if decreased:
+        warnings.warn(f"log likelihood decreased in the fits of {len(decreased)} "
+                      f"node(s) this round: {', '.join(decreased)}")
     val_by_strength = {}
     for cand in candidates:
         c = cand[0]
         val_by_strength[c] = max(val_by_strength.get(c, -np.inf), totals[cand])
-
-    fits = {v: per_cand[best][1] for v, per_cand in results}
     pooled: dict[str, np.ndarray] = {}
     for v in graph.nodes:
         for ctx, mat in fits[v].counts.items():
@@ -446,11 +555,13 @@ def fit_graph(graph: Graph, d: Dataset, variant: str, *, rounds: int = 2,
 
 def graph_log_likelihood(models: dict, d: Dataset, graph: Graph,
                          window: tuple[float, float] | None = None) -> float:
-    """Sum of each node's windowed log likelihood under its own model."""
+    """Sum of each node's windowed log likelihood under its own model,
+    scored on the node's local data: node models draw their parents from
+    the node and its in-neighbours only (``node_model``)."""
     total = 0.0
     for v in graph.nodes:
-        mask = d.node_ids == v
-        total += windowed_log_likelihood(models[v], d, mask, window)
+        dv = local_data(graph, d, (v,))
+        total += windowed_log_likelihood(models[v], dv, dv.node_ids == v, window)
     return float(total)
 
 
@@ -479,10 +590,11 @@ def simulate_graph(graph: Graph, horizon: float, seed: int, *,
     rng = substream(seed, "graph")
     schema = CompositeSchema(L, frozenset(graph.nodes))
 
-    def draw_type(probs) -> int:
-        cum = np.cumsum(probs)
-        return int(np.clip(np.searchsorted(cum, rng.random() * cum[-1],
-                                           side="right"), 0, L - 1)) + 1
+    cum_marginal = np.cumsum(marginal).tolist()
+    cum_rows = transition.cumulative
+
+    def draw_type(cum: list[float]) -> int:
+        return draw_index(cum, rng.random() * cum[-1]) + 1
 
     times: list[float] = []
     marks: list[CompositeMark] = []
@@ -500,7 +612,7 @@ def simulate_graph(graph: Graph, horizon: float, seed: int, *,
         node_times = np.sort(rng.random(count) * horizon)
         for t in node_times:
             times.append(float(t))
-            marks.append(CompositeMark(draw_type(marginal), v))
+            marks.append(CompositeMark(draw_type(cum_marginal), v))
             parents.append(-1)
             gens.append(0)
             queue.append(len(times) - 1)
@@ -508,7 +620,7 @@ def simulate_graph(graph: Graph, horizon: float, seed: int, *,
     while queue:
         i = queue.popleft()
         t_i, mark_i = times[i], marks[i]
-        row = theta[mark_i.type - 1]
+        row = cum_rows[mark_i.type - 1]
         targets = (mark_i.node,) + graph.out[mark_i.node]
         for k, target in enumerate(targets):
             rate = self_rate if k == 0 else neighbor_rate

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence, Union
@@ -59,6 +60,11 @@ class LabelMarginal:
     @cached_property
     def as_array(self) -> np.ndarray:
         return np.asarray(self.probs, dtype=np.float64)
+
+    @cached_property
+    def cumulative(self) -> list[float]:
+        """Running sums of the probabilities, the table draws search."""
+        return np.cumsum(self.as_array).tolist()
 
 
 MarkDistribution = Union[FeaturePrior, LabelMarginal]
@@ -142,14 +148,18 @@ def fit_mark_dist(dist: MarkDistribution, stats: np.ndarray) -> MarkDistribution
     return fit_marginal_weighted(stats)
 
 
+def draw_index(cum: list[float], x: float) -> int:
+    """The category a draw x in [0, cum[-1]) falls in, given running
+    sums ``cum``: the first entry above x (numpy's ``searchsorted`` with
+    side="right"), clipped to the last category for x >= cum[-1]."""
+    return min(bisect_right(cum, x), len(cum) - 1)
+
+
 def sample_mark(dist: MarkDistribution, rng: np.random.Generator) -> Mark:
     if isinstance(dist, FeaturePrior):
         bits = tuple(int(u < p) for u, p in zip(rng.random(len(dist.probs)), dist.probs))
         return BinaryMark(bits)
-    cum = np.cumsum(dist.probs)
-    idx = int(np.clip(np.searchsorted(cum, rng.random(), side="right"),
-                      0, len(dist.probs) - 1))
-    return LabelMark(idx + 1)
+    return LabelMark(draw_index(dist.cumulative, rng.random()) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +222,11 @@ class CategoricalMatrix:
     @cached_property
     def as_array(self) -> np.ndarray:
         return np.asarray(self.matrix, dtype=np.float64)
+
+    @cached_property
+    def cumulative(self) -> list[list[float]]:
+        """Running sums along each row, the tables draws search."""
+        return np.cumsum(self.as_array, axis=1).tolist()
 
 
 TransitionSpec = Union[IdentityTransition, PriorTransition, FeatureMixture,
@@ -313,11 +328,8 @@ def sample_child_mark(spec: TransitionSpec, parent: Mark,
                      for i in range(width))
         return BinaryMark(bits)
     if isinstance(spec, CategoricalMatrix):
-        row = spec.as_array[_mark_label_index(parent)]
-        cum = np.cumsum(row)
-        idx = int(np.clip(np.searchsorted(cum, rng.random(), side="right"),
-                          0, row.size - 1))
-        return LabelMark(idx + 1)
+        cum = spec.cumulative[_mark_label_index(parent)]
+        return LabelMark(draw_index(cum, rng.random()) + 1)
     raise DataError(f"unknown transition spec {type(spec).__name__}")
 
 

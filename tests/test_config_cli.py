@@ -99,6 +99,14 @@ def test_em_and_graph_option_parsing():
         parse_graph_options({"variant": "bogus"})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("max_iters", -1), ("tol", -1), ("strength_grid", [-5]), ("pool_grid", [2.0]),
+    ("pool_grid", []), ("val_fraction", 1.5)])
+def test_graph_options_reject_out_of_range_values(field, value):
+    with pytest.raises(ConfigError, match=f"^graph_fit.{field}: "):
+        parse_graph_options({field: value})
+
+
 def _write(path, obj):
     path.write_text(json.dumps(obj, indent=1))
     return str(path)
@@ -256,6 +264,23 @@ def test_cli_graph_fit_worker_equivalence(tmp_path):
                          "--workers", str(workers)]) == 0
         blobs.append((out / "graph_fit.json").read_bytes())
     assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_cli_graph_fit_rejects_worker_counts_below_one(tmp_path, capsys, workers):
+    from cascades import Graph
+    g = Graph(["a", "b"], {"a": ["b"]})
+    d, _ = simulate_graph(g, 20.0, 8, type_marginal=(0.6, 0.4), base_rate=0.3,
+                          self_rate=0.2, neighbor_rate=0.2,
+                          transition=CategoricalMatrix(((0.7, 0.3), (0.4, 0.6))),
+                          delay=ExponentialDelay(1.0))
+    write_events(d, tmp_path / "events.jsonl")
+    write_graph(g, tmp_path / "graph.jsonl")
+    assert main(["graph-fit", "--data", str(tmp_path / "events.jsonl"),
+                 "--graph", str(tmp_path / "graph.jsonl"),
+                 "--out", str(tmp_path / "out"), "--workers", workers]) == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -106,6 +106,28 @@ def test_subset_requires_increasing_index():
         d.subset(np.array([2, 0]))
 
 
+@pytest.mark.parametrize("schema, marks", [
+    (CompositeSchema(2, frozenset({"u", "v"})),
+     [CompositeMark(1, "u"), CompositeMark(2, "v"), CompositeMark(2, "u")]),
+    (SCHEMA2, [bm(1, 0), bm(0, 1), bm(1, 1)])])
+def test_subset_matches_a_freshly_built_dataset(schema, marks):
+    events = [Event(0.5 * k, marks[k % 3]) for k in range(9)]
+    d = Dataset(events, horizon=5.0, schema=schema, start=0.25, units="days")
+    index = np.array([1, 2, 5, 8])
+    columns = (("times", "node_ids", "label_index") if isinstance(schema, CompositeSchema)
+               else ("times", "feature_matrix"))
+    for _ in range(2):  # first without, then with the parent's columns computed
+        sub = d.subset(index)
+        fresh = Dataset([events[i] for i in index], horizon=5.0, schema=schema,
+                        start=0.25, units="days")
+        assert sub.events == fresh.events
+        assert (sub.horizon, sub.schema, sub.start, sub.units) == (
+            fresh.horizon, fresh.schema, fresh.start, fresh.units)
+        for name in columns:
+            np.testing.assert_array_equal(getattr(sub, name), getattr(fresh, name))
+            getattr(d, name)
+
+
 def test_ingest_roundtrip_binary(tmp_path):
     d = Dataset([Event(0.25, bm(1, 0)), Event(1.5, bm(1, 1))], horizon=2.0,
                 schema=SCHEMA2, units="days")

@@ -4,11 +4,17 @@ import numpy as np
 import pytest
 
 from cascades import (CategoricalMatrix, ConfigError, DataError, Dataset,
-                      Event, ExponentialDelay, Graph, Hyperparams, fit_graph,
-                      fit_node, fit_round, graph_log_likelihood, load_graph,
-                      node_model, regularized_rates, simulate_graph,
+                      Event, ExponentialDelay, GammaDelay, Graph, Hyperparams,
+                      fit_graph, fit_node, fit_round, graph_log_likelihood,
+                      load_graph, node_model, regularized_rates, simulate_graph,
                       update_hyperparams, windowed_log_likelihood, write_graph)
-from cascades.events import CompositeMark, CompositeSchema
+from cascades import engine
+from cascades.config import serialize_model
+from cascades.engine import KernelComponent
+from cascades.events import CompositeMark, CompositeSchema, split
+from cascades.fertility import ConstantFertility
+from cascades.graphs import VARIANTS, local_data
+from cascades.transitions import IdentityTransition
 
 TRANS = CategoricalMatrix(((0.7, 0.2, 0.1), (0.1, 0.8, 0.1), (0.2, 0.2, 0.6)))
 
@@ -37,6 +43,11 @@ def test_graph_construction_and_validation():
         Graph(["a", "b"], {"a": ["b", "b"]})
     with pytest.raises(DataError, match="duplicate node"):
         Graph(["a", "a"], {})
+
+
+def test_graph_rejects_edges_out_of_unknown_nodes():
+    with pytest.raises(DataError, match="unknown nodes.*'zz'"):
+        Graph(["a", "b"], {"zz": ["a"], "a": ["b"]})
 
 
 def test_graph_io_round_trip(tmp_path):
@@ -139,6 +150,14 @@ def test_node_model_variants_shape():
         node_model(g, d, "b", "nope", hyper, 1.0, ExponentialDelay(1.0), window)
 
 
+def test_node_model_rejects_negative_strength():
+    g = line_graph()
+    d, _ = sim(g, seed=5)
+    with pytest.raises(ConfigError, match="strength"):
+        node_model(g, d, "b", "shared_transition", Hyperparams.uniform(3), -5.0,
+                   ExponentialDelay(1.0), (0.0, d.horizon))
+
+
 def test_fit_node_returns_counts_per_context():
     g = line_graph()
     d, _ = sim(g, seed=6)
@@ -176,21 +195,210 @@ def test_update_hyperparams_rules():
         update_hyperparams(counts, {0.1: -1.0}, (0.1,))
 
 
+def shapes_graph():
+    """a has no in-neighbours, q gets no events in the head window, z is
+    isolated, and q has two in-neighbours (two per-neighbor components)."""
+    return Graph(["a", "b", "c", "q", "z"],
+                 {"a": ["b"], "b": ["c", "q"], "c": ["q"]})
+
+
+def shapes_data(seed=8, horizon=40.0, head=0.7):
+    """Simulated events with node q's events before the head cut removed."""
+    d, _ = sim(shapes_graph(), horizon=horizon, seed=seed)
+    cut = head * horizon
+    keep = [ev for ev in d.events if ev.mark.node != "q" or ev.t > cut]
+    return Dataset(keep, d.horizon, d.schema, _sorted=True)
+
+
+def assert_fits_equal(r1, r2):
+    assert (r1.strength, r1.pool_weight, r1.val_total) == (r2.strength, r2.pool_weight,
+                                                           r2.val_total)
+    assert r1.val_table == r2.val_table
+    assert r1.hyper == r2.hyper
+    assert list(r1.fits) == list(r2.fits)
+    for v, f1 in r1.fits.items():
+        f2 = r2.fits[v]
+        assert (f1.node, f1.model, f1.train_ll, f1.iterations, f1.converged,
+                f1.ll_decreases) == (f2.node, f2.model, f2.train_ll, f2.iterations,
+                                     f2.converged, f2.ll_decreases)
+        assert f1.counts.keys() == f2.counts.keys()
+        for ctx in f1.counts:
+            assert np.array_equal(f1.counts[ctx], f2.counts[ctx])
+
+
 def test_fit_round_worker_count_is_invisible():
-    g = line_graph()
-    d, _ = sim(g, horizon=40.0, seed=8)
     hyper = Hyperparams.uniform(3)
-    kw = dict(strength_grid=(1.0, 10.0), val_fraction=0.3, max_iters=3, tol=1e-4)
+    kw = dict(strength_grid=(1.0, 10.0), pool_grid=(0.0, 1.0), val_fraction=0.3,
+              max_iters=3, tol=1e-4)
+    cases = [(line_graph(), sim(line_graph(), horizon=40.0, seed=8)[0], "shared_transition"),
+             (shapes_graph(), shapes_data(), "shared_transition"),
+             (shapes_graph(), shapes_data(), "per_neighbor")]
+    for g, d, variant in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rounds = [fit_round(g, d, variant, hyper, workers=w, **kw) for w in (1, 2, 3)]
+        for r in rounds[1:]:
+            assert_fits_equal(rounds[0], r)
+
+
+def test_fit_round_rejects_worker_counts_below_one():
+    g = line_graph()
+    d, _ = sim(g, horizon=20.0, seed=8)
+    for workers in (0, -3):
+        with pytest.raises(ConfigError, match="workers"):
+            fit_round(g, d, "no_neighbors", Hyperparams.uniform(3), workers=workers)
+
+
+def old_round(graph, d, variant, hyper, *, strength_grid, pool_grid, val_fraction,
+              delay_init, max_iters, tol):
+    """fit_round as it was: every node fits every candidate on the head
+    and on the whole window, each fit on the whole dataset."""
+    a, b = d.start, d.horizon
+    cut = a + (1.0 - val_fraction) * (b - a)
+    if variant == "per_neighbor":
+        candidates = [(float(c), float(w)) for c in strength_grid for w in pool_grid]
+    else:
+        candidates = [(float(c), None) for c in strength_grid]
+    results = {}
+    for v in graph.nodes:
+        mask = d.node_ids == v
+        per = {}
+        for strength, w in candidates:
+            kw = dict(pool_weight=0.5 if w is None else w, delay_init=delay_init,
+                      max_iters=max_iters, tol=tol)
+            head = fit_node(graph, d, v, variant, hyper, strength, window=(a, cut), **kw)
+            val = windowed_log_likelihood(head.model, d, mask, (cut, b))
+            full = fit_node(graph, d, v, variant, hyper, strength, window=(a, b), **kw)
+            per[(strength, w)] = (float(val), full)
+        results[v] = per
+    totals = {cand: sum(results[v][cand][0] for v in graph.nodes) for cand in candidates}
+    best = min(candidates, key=lambda c: (-totals[c], -(c[1] or 0.0), c[0]))
+    fits = {v: results[v][best][1] for v in graph.nodes}
+    val_by_strength = {}
+    for cand in candidates:
+        val_by_strength[cand[0]] = max(val_by_strength.get(cand[0], -np.inf), totals[cand])
+    pooled = {}
+    for v in graph.nodes:
+        for ctx, mat in fits[v].counts.items():
+            pooled[ctx] = pooled.get(ctx, 0) + mat
+    return dict(fits=fits, strength=best[0], pool_weight=best[1],
+                val_table=[(c[0], c[1], totals[c]) for c in candidates],
+                hyper=update_hyperparams(pooled, val_by_strength, tuple(strength_grid)))
+
+
+def assert_close(x, y, path=""):
+    """Equal structure, and floats equal to 1e-12 relative."""
+    if isinstance(x, dict):
+        assert x.keys() == y.keys(), path
+        for k in x:
+            assert_close(x[k], y[k], f"{path}/{k}")
+    elif isinstance(x, (list, tuple)):
+        assert len(x) == len(y), path
+        for i, (a, b) in enumerate(zip(x, y)):
+            assert_close(a, b, f"{path}[{i}]")
+    elif isinstance(x, float):
+        assert x == pytest.approx(y, rel=1e-12, abs=1e-300), path
+    else:
+        assert x == y, path
+
+
+# the winner is (10.0, 1.0) here, so one grid order puts it last, the other first
+@pytest.mark.parametrize("delay, grids", [
+    (ExponentialDelay(1.0), ((1.0, 10.0), (0.0, 1.0))),
+    (GammaDelay(1.5, 1.2), ((10.0, 1.0), (1.0, 0.0)))])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_fit_round_matches_the_old_loop(variant, delay, grids):
+    g = shapes_graph()
+    d = shapes_data()
+    kw = dict(strength_grid=grids[0], pool_grid=grids[1], val_fraction=0.3,
+              delay_init=delay, max_iters=3, tol=1e-4)
+    hyper = Hyperparams.uniform(3)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        r1 = fit_round(g, d, "shared_transition", hyper, workers=1, **kw)
-        r2 = fit_round(g, d, "shared_transition", hyper, workers=2, **kw)
-    assert r1.strength == r2.strength
-    assert r1.val_total == pytest.approx(r2.val_total, rel=0, abs=0)
+        new = fit_round(g, d, variant, hyper, workers=2, **kw)
+        old = old_round(g, d, variant, hyper, **kw)
+    assert (new.strength, new.pool_weight) == (old["strength"], old["pool_weight"])
+    assert [row[:2] for row in new.val_table] == [row[:2] for row in old["val_table"]]
+    assert_close([row[2] for row in new.val_table], [row[2] for row in old["val_table"]])
+    assert new.hyper.strength == old["hyper"].strength
+    assert_close(new.hyper.directions, old["hyper"].directions)
+    assert list(new.fits) == list(old["fits"]) == list(g.nodes)
     for v in g.nodes:
-        assert r1.fits[v].train_ll == r2.fits[v].train_ll
-        assert r1.fits[v].model == r2.fits[v].model
-    assert r1.hyper.directions == r2.hyper.directions
+        f_new, f_old = new.fits[v], old["fits"][v]
+        assert (f_new.iterations, f_new.converged) == (f_old.iterations, f_old.converged)
+        assert f_new.ll_decreases == f_old.ll_decreases
+        assert_close(f_new.train_ll, f_old.train_ll, v)
+        assert_close(serialize_model(f_new.model), serialize_model(f_old.model), v)
+        assert f_new.counts.keys() == f_old.counts.keys()
+        for ctx in f_new.counts:
+            np.testing.assert_allclose(f_new.counts[ctx], f_old.counts[ctx], rtol=1e-12,
+                                       atol=0)
+    # the shapes the data was built to have
+    assert g.incoming["a"] == () and g.out["z"] == g.incoming["z"] == ()
+    head = d.times <= 0.7 * d.horizon
+    assert not np.any(head & (d.node_ids == "q")) and np.any(d.node_ids == "q")
+
+
+def test_fit_round_warns_once_naming_nodes_whose_ll_fell():
+    # only node a has events, and every child's type is the next one;
+    # strong shrinkage toward "same type again" lowers a's likelihood
+    g = Graph(["a", "b"], {"a": ["b"]})
+    shift = CategoricalMatrix(((0.02, 0.96, 0.02), (0.02, 0.02, 0.96),
+                               (0.96, 0.02, 0.02)))
+    d, _ = simulate_graph(g, 60.0, 3, type_marginal=(1 / 3,) * 3,
+                          base_rate={"a": 0.4, "b": 0.0}, self_rate=0.5,
+                          neighbor_rate=0.0, transition=shift,
+                          delay=ExponentialDelay(1.0))
+    same = tuple(tuple(0.96 if r == c else 0.02 for c in range(3)) for r in range(3))
+    hyper = Hyperparams({"shared": same}, 1.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = fit_round(g, d, "shared_transition", hyper, strength_grid=(1e4,),
+                        max_iters=5, tol=1e-9)
+    messages = [str(w.message) for w in caught]
+    assert res.fits["a"].ll_decreases > 0 and res.fits["b"].ll_decreases == 0
+    assert len(messages) == 1, messages
+    assert messages[0].endswith("this round: a")
+
+
+def test_ll_decreases_count_drops_beyond_fit_tolerance():
+    from cascades.graphs import _ll_decreases
+    assert _ll_decreases([-10.0]) == 0
+    assert _ll_decreases([-10.0, -9.0, -9.5, -9.5 - 1e-9, -9.4, -9.6]) == 2
+
+
+def test_parent_pool_cache_matches_isin_and_stays_on_its_dataset():
+    g = line_graph()
+    d, _ = sim(g, seed=12)
+    train, test = split(d, 0.7)
+    for data in (d, train, test.merge_history(train), d.subset(np.arange(0, len(d), 3))):
+        assert data.source_pools == {}
+        for sources in (("b",), ("c", "a"), ("absent",)):
+            comp = KernelComponent("k", ConstantFertility(0.1), IdentityTransition(),
+                                   ExponentialDelay(1.0), sources=sources)
+            expect = np.isin(data.node_ids, sources)
+            mask = engine._source_mask(comp, data)
+            pool = engine._parent_pool(comp, data)
+            np.testing.assert_array_equal(mask, expect)
+            np.testing.assert_array_equal(pool, np.nonzero(expect)[0])
+            assert engine._source_mask(comp, data) is mask
+            assert engine._parent_pool(comp, data) is pool
+            assert not mask.flags.writeable and not pool.flags.writeable
+        assert sorted(data.source_pools) == [("absent",), ("b",), ("c", "a")]
+    # datasets derived after the cache filled start empty
+    assert d.subset(np.arange(len(d))).source_pools == {}
+    assert train.source_pools and test.merge_history(train).source_pools == {}
+
+
+def test_local_data_keeps_the_node_and_its_in_neighbours():
+    g = shapes_graph()
+    d = shapes_data()
+    dq = local_data(g, d, ("q",))
+    assert set(np.unique(dq.node_ids)) == {"b", "c", "q"}
+    assert [ev.t for ev in dq.events] == [ev.t for ev in d.events
+                                          if ev.mark.node in ("b", "c", "q")]
+    assert (dq.start, dq.horizon, dq.schema) == (d.start, d.horizon, d.schema)
+    assert local_data(g, d, g.nodes) is d
 
 
 def test_fit_graph_runs_rounds_and_scores():
@@ -208,6 +416,38 @@ def test_fit_graph_runs_rounds_and_scores():
                  for v in g.nodes)
     assert total == pytest.approx(manual, rel=1e-12)
     assert np.isfinite(total)
+
+
+@pytest.mark.parametrize("variant", ["no_neighbors", "separate_transitions",
+                                     "per_neighbor"])
+def test_fit_graph_end_to_end_per_variant(variant):
+    g = shapes_graph()
+    d = shapes_data(seed=13)
+    train, test = split(d, 0.8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = fit_graph(g, train, variant, rounds=2, strength_grid=(1.0, 10.0),
+                        pool_grid=(0.0, 0.5), max_iters=3, tol=1e-4, workers=2)
+    assert list(res.models) == list(g.nodes) and len(res.rounds) == 2
+    last = res.rounds[-1]
+    assert res.hyper is last.hyper and last.strength in (1.0, 10.0)
+    assert (last.pool_weight in (0.0, 0.5)) if variant == "per_neighbor" else (
+        last.pool_weight is None)
+    expect_ctx = {"no_neighbors": {"self"}, "separate_transitions": {"self", "neighbor"},
+                  "per_neighbor": {"self", "neighbor"}}[variant]
+    assert set(res.hyper.directions) == expect_ctx
+    n_comps = {v: len(m.components) for v, m in res.models.items()}
+    if variant == "no_neighbors":
+        assert set(n_comps.values()) == {1}
+    elif variant == "separate_transitions":
+        assert n_comps == {"a": 1, "b": 2, "c": 2, "q": 2, "z": 1}
+    else:
+        assert n_comps == {"a": 1, "b": 2, "c": 2, "q": 3, "z": 1}
+    merged = test.merge_history(train)
+    total = graph_log_likelihood(res.models, merged, g)
+    manual = sum(windowed_log_likelihood(res.models[v], merged, merged.node_ids == v)
+                 for v in g.nodes)
+    assert np.isfinite(total) and total == pytest.approx(manual, rel=1e-12)
 
 
 def test_fit_round_rejects_label_data():

@@ -9,8 +9,9 @@ from cascades import (BinaryMark, BinarySchema, CategoricalMatrix, DataError,
                       Dataset, Event, FeatureMixture, FeaturePrior,
                       IdentityTransition, LabelMark, LabelMarginal, LabelSchema,
                       PriorTransition, fit_categorical, fit_mixture)
-from cascades.transitions import (PairProbs, enumerate_marks, fit_mixture_from_stats,
-                                  mixture_stats, sample_child_mark, write_matrix_csv)
+from cascades.transitions import (PairProbs, draw_index, enumerate_marks,
+                                  fit_mixture_from_stats, mixture_stats, sample_child_mark,
+                                  sample_mark, write_matrix_csv)
 
 
 def bm(*bits):
@@ -223,3 +224,38 @@ def test_categorical_validation():
         CategoricalMatrix(((0.5, 0.5), (0.5, 0.5)), prior_strength=-1.0)
     with pytest.raises(DataError):
         FeatureMixture(1.5, PRIOR3)
+
+
+def _old_draw(probs, x):
+    """The category formula draws used before draw_index."""
+    cum = np.cumsum(probs)
+    return int(np.clip(np.searchsorted(cum, x, side="right"), 0, len(probs) - 1))
+
+
+DRAW_TABLES = [(0.2, 0.3, 0.5), (0.0, 1.0, 0.0), (0.5, 0.0, 0.0, 0.5), (1 / 3,) * 3,
+               (0.1,) * 10, (1.0,), (0.7, 0.2, 0.1 - 1e-12)]
+
+
+def test_draw_index_matches_the_searchsorted_formula():
+    for probs in DRAW_TABLES:
+        cum = np.cumsum(probs).tolist()
+        xs = [0.0, 0.5, 1.0, 1.5, cum[-1], cum[-1] * 1.25]
+        for c in cum:
+            xs += [c, np.nextafter(c, -np.inf), np.nextafter(c, np.inf)]
+        # simulate_graph draws u * cum[-1], which can round up to cum[-1]
+        for u in (0.0, 0.999, 1.0 - 2.0 ** -53, np.nextafter(1.0, -np.inf)):
+            xs.append(u * cum[-1])
+        for x in xs:
+            assert draw_index(cum, float(x)) == _old_draw(probs, x), (probs, x)
+
+
+def test_label_draws_match_the_searchsorted_formula():
+    marginal = LabelMarginal((0.5, 0.3, 0.2))
+    matrix = CategoricalMatrix(((0.6, 0.2, 0.2), (0.0, 0.0, 1.0), (0.25, 0.5, 0.25)))
+    rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+    for k in range(300):
+        assert sample_mark(marginal, rng) == LabelMark(
+            _old_draw(marginal.probs, ref.random()) + 1)
+        parent = LabelMark(k % 3 + 1)
+        assert sample_child_mark(matrix, parent, rng) == LabelMark(
+            _old_draw(matrix.matrix[k % 3], ref.random()) + 1)
