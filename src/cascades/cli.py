@@ -63,7 +63,10 @@ def _fit_one(model, train, test, opts: cfg.EmOptions):
     report = engine.fit(model, train, max_iters=opts.max_iters, tol=opts.tol,
                         heldout=heldout, engine=opts.engine)
     test_ll = None
-    if test is not None:
+    if heldout is not None:
+        # the held-out trace ends with the fitted model's test LL
+        test_ll = report.heldout_trace[-1]
+    elif test is not None:
         test_ll = engine.log_likelihood(report.model, test, history=train)
     return report, test_ll
 

@@ -89,35 +89,39 @@ def validate(spec: DelaySpec) -> None:
     # piecewise and mixture specs validate in __post_init__
 
 
+def _positive_density(spec: DelaySpec, x: np.ndarray) -> np.ndarray:
+    """Density at delays that are all > 0."""
+    if isinstance(spec, ExponentialDelay):
+        return spec.rate * np.exp(-spec.rate * x)
+    if isinstance(spec, GammaDelay):
+        k, r = spec.shape, spec.rate
+        return np.exp(k * np.log(r) + (k - 1.0) * np.log(x) - r * x - special.gammaln(k))
+    if isinstance(spec, UniformDelay):
+        return np.where(x <= spec.width, 1.0 / spec.width, 0.0)
+    if isinstance(spec, PiecewiseUniformDelay):
+        edges = np.asarray(spec.edges)
+        probs = np.asarray(spec.probs)
+        # x > 0 = edges[0], so every index is at least 1
+        idx = np.searchsorted(edges, x, side="left")
+        heights = (probs / np.diff(edges))[np.minimum(idx, len(probs)) - 1]
+        return np.where(idx <= len(probs), heights, 0.0)
+    if isinstance(spec, ExpMixtureDelay):
+        acc = np.zeros_like(x)
+        for w, r in zip(spec.weights, spec.rates):
+            acc += w * r * np.exp(-r * x)
+        return acc
+    raise DataError(f"unknown delay spec {type(spec).__name__}")
+
+
 def density(spec: DelaySpec, dt) -> np.ndarray | float:
     """Density h(dt); zero for dt <= 0. Accepts scalars or arrays."""
     arr = np.asarray(dt, dtype=np.float64)
     pos = arr > 0
-    out = np.zeros_like(arr, dtype=np.float64)
-    if isinstance(spec, ExponentialDelay):
-        out[pos] = spec.rate * np.exp(-spec.rate * arr[pos])
-    elif isinstance(spec, GammaDelay):
-        k, r = spec.shape, spec.rate
-        x = arr[pos]
-        out[pos] = np.exp(k * np.log(r) + (k - 1.0) * np.log(x) - r * x - special.gammaln(k))
-    elif isinstance(spec, UniformDelay):
-        out[pos & (arr <= spec.width)] = 1.0 / spec.width
-    elif isinstance(spec, PiecewiseUniformDelay):
-        edges = np.asarray(spec.edges)
-        probs = np.asarray(spec.probs)
-        widths = np.diff(edges)
-        idx = np.searchsorted(edges, arr, side="left")
-        ok = pos & (idx >= 1) & (idx <= len(probs))
-        b = np.clip(idx - 1, 0, len(probs) - 1)
-        out[ok] = (probs / widths)[b[ok]]
-    elif isinstance(spec, ExpMixtureDelay):
-        x = arr[pos]
-        acc = np.zeros_like(x)
-        for w, r in zip(spec.weights, spec.rates):
-            acc += w * r * np.exp(-r * x)
-        out[pos] = acc
+    if pos.all():  # every E-step delay: no gather and scatter
+        out = _positive_density(spec, arr)
     else:
-        raise DataError(f"unknown delay spec {type(spec).__name__}")
+        out = np.zeros_like(arr, dtype=np.float64)
+        out[pos] = _positive_density(spec, arr[pos])
     return out if arr.ndim else float(out)
 
 

@@ -14,11 +14,13 @@ The E-step is array code over candidate pairs: per component,
 ``searchsorted`` bounds each child's window among the allowed parents,
 the windows of a run of children expand into flat (child, parent) pair
 arrays, every kernel factor is evaluated once over those pairs, and
-``bincount`` sums each child's intensity. Mark probabilities and
+``reduceat`` sums each child's intensity. Mark probabilities and
 transitions come from ``transitions`` (``mark_probs``, ``PairProbs``),
 which ``intensity`` and model validation use too. Runs hold at most
 ``PAIR_CHUNK`` pairs and write into output arrays allocated once at full
-size, so memory beyond the responsibilities stays bounded.
+size, so memory beyond the responsibilities stays bounded. For fitting,
+the same loop sums each run's pairs into the M-step's statistics while
+they are in hand (``estep_stats``), so no pair is visited twice.
 
 A separate fast path, ``fast_estep``, computes the same sufficient
 statistics in O(N * L) without truncation for label-marked models whose
@@ -162,10 +164,12 @@ class Responsibilities:
 class ComponentStats:
     """One component's E-step weights in the forms its families' updates
     read: a weighted delay sample for ``delays.weighted_mle`` (every
-    candidate pair, or for an exponential delay the one sample
-    (sum z*dt / sum z, sum z), which has the same MLE), the transition's
+    candidate pair's delay and weight from the pairwise E-step, or from
+    fast_estep the one sample (sum z*dt / sum z, sum z), which has the
+    same exponential MLE), the transition's
     ``transitions.transition_stats``, and expected offspring per parent
-    mark pattern (``_mark_patterns``)."""
+    mark pattern (``_mark_patterns``). The last two are summed run by
+    run in the pairwise E-step (``_pair_stats``)."""
 
     deltas: np.ndarray
     weights: np.ndarray
@@ -177,7 +181,8 @@ class ComponentStats:
 class EStepStats:
     """What m_step reads from an E-step, from either fast_estep or
     estep_stats: the baseline's share of each event, the intensity at
-    each child event, and per-component statistics."""
+    each child event, and per-component statistics. Unlike
+    ``Responsibilities`` it keeps no parent ids."""
 
     z_base: np.ndarray
     intensity: np.ndarray
@@ -368,8 +373,33 @@ def _child_ids(d: Dataset, children: np.ndarray | None,
 # E-step
 
 
+def _child_sums(vals: np.ndarray, cnt: np.ndarray) -> np.ndarray:
+    """Sums of consecutive runs of ``cnt[k]`` values, 0 for empty runs
+    (where a bare ``reduceat`` would repeat a value, or index past the
+    end for a trailing one)."""
+    out = np.zeros(cnt.size)
+    has = cnt > 0
+    out[has] = np.add.reduceat(vals, (np.cumsum(cnt) - cnt)[has])
+    return out
+
+
+def _pair_stats(comp: KernelComponent, d: Dataset, pattern: np.ndarray, n_patterns: int,
+                children: np.ndarray, parents: np.ndarray, z: np.ndarray):
+    """The statistics of weighted (child, parent) pairs besides the delay
+    sample: the transition's ``transitions.transition_stats`` and the
+    credit per parent mark pattern. Both add up over disjoint pair sets."""
+    credits = (np.array([z.sum()]) if n_patterns == 1
+               else np.bincount(pattern[parents], weights=z, minlength=n_patterns))
+    return trans_mod.transition_stats(comp.transition, d, children, parents, z), credits
+
+
 def _estep_core(model: CascadeModel, d: Dataset, children: np.ndarray | None,
-                window: tuple[float, float] | None, want_resp: bool):
+                window: tuple[float, float] | None, want_resp: bool = False,
+                want_stats: bool = False):
+    """The pairwise E-step: (out, intensity, child ids), where ``out`` is
+    the ``Responsibilities`` with ``want_resp``, the ``EStepStats`` with
+    ``want_stats`` (summed chunk by chunk, so no pair is visited twice)
+    and otherwise None."""
     window = _resolve_window(d, window)
     times = d.times
     n = len(d)
@@ -383,7 +413,7 @@ def _estep_core(model: CascadeModel, d: Dataset, children: np.ndarray | None,
     alphas = _fertility_matrix(model, d)
     evals = [PairProbs(c.transition, d, PAIR_CHUNK) for c in comps]
     pools = [_parent_pool(c, d) for c in comps]
-    pool_times = [times[p] for p in pools]
+    pool_times = [times if c.sources is None else times[p] for c, p in zip(comps, pools)]
     cutoffs = [delay_mod.tail_cutoff(c.delay, model.truncation_mass) for c in comps]
 
     his = [np.searchsorted(pt, kid_times, side="left") for pt in pool_times]
@@ -397,13 +427,22 @@ def _estep_core(model: CascadeModel, d: Dataset, children: np.ndarray | None,
 
     lam = np.zeros(n, dtype=np.float64)
     z_base = np.zeros(n, dtype=np.float64)
+    if want_resp or want_stats:
+        comp_z = [np.empty(st[-1], dtype=np.float64) for st in starts]
     if want_resp:
         comp_offsets = [np.zeros(n + 1, dtype=np.int64) for _ in comps]
         for offsets, cnt in zip(comp_offsets, counts):
             offsets[kids + 1] = cnt
             np.cumsum(offsets, out=offsets)
         comp_parents = [np.empty(st[-1], dtype=np.int64) for st in starts]
-        comp_z = [np.empty(st[-1], dtype=np.float64) for st in starts]
+    if want_stats:
+        # each component's statistics start as those of no pairs
+        _, pattern, n_patterns = _mark_patterns(d)
+        none = np.zeros(0, dtype=np.int64)
+        comp_stats = [ComponentStats(np.empty(st[-1], dtype=np.float64), z,
+                                     *_pair_stats(comp, d, pattern, n_patterns,
+                                                  none, none, np.zeros(0)))
+                      for comp, st, z in zip(comps, starts, comp_z)]
 
     # chunks are runs of whole children holding at most PAIR_CHUNK pairs
     # over all components (or one child with more)
@@ -419,32 +458,40 @@ def _estep_core(model: CascadeModel, d: Dataset, children: np.ndarray | None,
             if p1 == p0:
                 continue
             cnt = counts[c][s:e]
-            js = pools[c][np.arange(p0, p1) + np.repeat(los[c][s:e] - starts[c][s:e], cnt)]
-            dt = np.repeat(kid_times[s:e], cnt) - times[js]
-            vals = (alphas[c][js]
-                    * evals[c].values(np.repeat(kids[s:e], cnt), js)
-                    * delay_mod.density(comp.delay, dt))
-            total += np.bincount(np.repeat(np.arange(e - s), cnt), weights=vals,
-                                 minlength=e - s)
-            if want_resp:
-                chunk.append((c, p0, p1, cnt, js, vals))
+            at = np.arange(p0, p1) + np.repeat(los[c][s:e] - starts[c][s:e], cnt)
+            js = at if comp.sources is None else pools[c][at]
+            ch = np.repeat(kids[s:e], cnt)
+            dt = comp_stats[c].deltas[p0:p1] if want_stats else None
+            dt = np.subtract(np.repeat(kid_times[s:e], cnt), times[js], out=dt)
+            vals = alphas[c][js] * evals[c].values(ch, js) * delay_mod.density(comp.delay, dt)
+            total += _child_sums(vals, cnt)
+            chunk.append((c, p0, p1, cnt, ch, js, vals))
         bad = ~((total > 0.0) & np.isfinite(total))
         if bad.any():
             i = kids[s + int(np.argmax(bad))]
             raise NumericalError(
                 f"event {int(i)} at t={times[i]!r} has zero intensity under every cause")
         lam[kids[s:e]] = total
-        if want_resp:
+        if want_resp or want_stats:
             z_base[kids[s:e]] = base_vals[s:e] / total
-            for c, p0, p1, cnt, js, vals in chunk:
-                comp_parents[c][p0:p1] = js
-                comp_z[c][p0:p1] = vals / np.repeat(total, cnt)
+            for c, p0, p1, cnt, ch, js, vals in chunk:
+                z = np.divide(vals, np.repeat(total, cnt), out=comp_z[c][p0:p1])
+                if want_resp:
+                    comp_parents[c][p0:p1] = js
+                if want_stats:
+                    cs = comp_stats[c]
+                    trans, credits = _pair_stats(comps[c], d, pattern, n_patterns, ch, js, z)
+                    if trans is not None:
+                        cs.transition = cs.transition + trans
+                    cs.credits = cs.credits + credits
         s = e
 
-    resp = None
+    out = None
     if want_resp:
-        resp = Responsibilities(n, z_base, comp_offsets, comp_parents, comp_z)
-    return resp, lam, kids
+        out = Responsibilities(n, z_base, comp_offsets, comp_parents, comp_z)
+    elif want_stats:
+        out = EStepStats(z_base, lam, comp_stats)
+    return out, lam, kids
 
 
 def e_step(model: CascadeModel, d: Dataset, children: np.ndarray | None = None,
@@ -493,7 +540,7 @@ def log_likelihood(model: CascadeModel, d: Dataset,
     validate_model(model, d.schema)
     if history is not None:
         d = d.merge_history(history)
-    _, lam, kids = _estep_core(model, d, None, None, want_resp=False)
+    _, lam, kids = _estep_core(model, d, None, None)
     return _ll_value(model, d, lam, kids, None)
 
 
@@ -504,7 +551,7 @@ def windowed_log_likelihood(model: CascadeModel, d: Dataset,
     earlier event (masked or not) still eligible as a parent and the
     compensator integrated over the same window."""
     validate_model(model, d.schema)
-    _, lam, kids = _estep_core(model, d, children, window, want_resp=False)
+    _, lam, kids = _estep_core(model, d, children, window)
     return _ll_value(model, d, lam, kids, window)
 
 
@@ -571,32 +618,37 @@ def _pair_arrays(resp: Responsibilities, c: int):
 
 def _component_stats(model: CascadeModel, d: Dataset,
                      resp: Responsibilities) -> list[ComponentStats]:
+    """Per-component statistics of given responsibilities, for m_step."""
     if resp.n != len(d):
         raise DataError("responsibilities do not match the dataset")
     _, pattern, n_patterns = _mark_patterns(d)
     out = []
     for c, comp in enumerate(model.components):
         children, parents, z = _pair_arrays(resp, c)
-        out.append(ComponentStats(
-            deltas=d.times[children] - d.times[parents], weights=z,
-            transition=trans_mod.transition_stats(comp.transition, d, children, parents, z),
-            credits=np.bincount(pattern[parents], weights=z, minlength=n_patterns)))
+        out.append(ComponentStats(d.times[children] - d.times[parents], z,
+                                  *_pair_stats(comp, d, pattern, n_patterns,
+                                               children, parents, z)))
     return out
 
 
 def estep_stats(model: CascadeModel, d: Dataset, children: np.ndarray | None = None,
                 window: tuple[float, float] | None = None) -> EStepStats:
-    """The pairwise E-step, summed into the statistics m_step reads."""
+    """The pairwise E-step, summed into the statistics m_step reads as it
+    goes; no responsibilities are kept."""
     validate_model(model, d.schema)
-    resp, lam, _ = _estep_core(model, d, children, window, want_resp=True)
-    return EStepStats(resp.baseline, lam, _component_stats(model, d, resp))
+    stats, _, _ = _estep_core(model, d, children, window, want_stats=True)
+    return stats
 
 
 def _update_baseline(model: CascadeModel, d: Dataset, z_base: np.ndarray,
-                     window: tuple[float, float], update_mark: bool) -> BaselineSpec:
+                     kids: np.ndarray, window: tuple[float, float],
+                     update_mark: bool) -> BaselineSpec:
     a, b = window
     baseline = model.baseline
-    total = float(z_base.sum())
+    # credit summed over the window's children only, so the sum does not
+    # depend on how many other events the dataset holds
+    credit = z_base[kids]
+    total = float(credit.sum())
     if isinstance(baseline, HomogeneousBaseline):
         duration = b - a
         if duration <= 0:
@@ -606,8 +658,9 @@ def _update_baseline(model: CascadeModel, d: Dataset, z_base: np.ndarray,
         occupancy = _bucket_occupancy(baseline, a, b)
         k = len(baseline.rates)
         width = baseline.period / k
-        idx = np.clip((np.mod(d.times, baseline.period) / width).astype(np.int64), 0, k - 1)
-        sums = np.bincount(idx, weights=z_base, minlength=k)
+        idx = np.clip((np.mod(d.times[kids], baseline.period) / width).astype(np.int64),
+                      0, k - 1)
+        sums = np.bincount(idx, weights=credit, minlength=k)
         stuck = np.nonzero((occupancy <= 0) & (sums > 1e-9))[0]
         if stuck.size:
             raise NumericalError(f"baseline bucket {stuck[0]} has credit but no exposure")
@@ -635,9 +688,9 @@ def m_step(model: CascadeModel, d: Dataset, resp: Responsibilities | EStepStats,
            window: tuple[float, float] | None = None,
            update_baseline_mark: bool = True,
            freeze_delays: bool = False) -> CascadeModel:
-    """Weighted maximum likelihood updates given fixed responsibilities,
-    from e_step's pairs or from the statistics of estep_stats or
-    fast_estep.
+    """Weighted maximum likelihood updates given fixed responsibilities:
+    the statistics of estep_stats or fast_estep, or e_step's pairs,
+    which are summed into the same statistics first.
 
     Delays refit from weighted delay samples; transitions from their
     family's statistics; fertilities from credits over edge-corrected
@@ -664,13 +717,17 @@ def m_step(model: CascadeModel, d: Dataset, resp: Responsibilities | EStepStats,
     if z_base.size != len(d):
         raise DataError("responsibilities do not match the dataset")
     comps = model.components
-    baseline = _update_baseline(model, d, z_base, window, update_baseline_mark)
+    baseline = _update_baseline(model, d, z_base, _child_ids(d, children, window), window,
+                                update_baseline_mark)
 
     new_delays: list[DelaySpec] = [c.delay for c in comps]
     if not freeze_delays:
         for members in _groups(comps, "delay_group"):
-            deltas = np.concatenate([stats[ci].deltas for ci in members])
-            weights = np.concatenate([stats[ci].weights for ci in members])
+            if len(members) == 1:
+                deltas, weights = stats[members[0]].deltas, stats[members[0]].weights
+            else:
+                deltas = np.concatenate([stats[ci].deltas for ci in members])
+                weights = np.concatenate([stats[ci].weights for ci in members])
             if weights.sum() > ZERO_CREDIT:
                 fitted = delay_mod.weighted_mle(comps[members[0]].delay, deltas, weights)
                 for ci in members:
@@ -892,7 +949,10 @@ def fit(model: CascadeModel, d: Dataset, max_iters: int = 50, tol: float = 1e-6,
     on_decrease="warn", for shrinkage-driven fits that are not exact
     EM). ``heldout`` evaluates a fixed dataset, child mask and window
     after every iteration. ``engine`` is "direct", "fast", or "auto" to
-    use the fast path whenever it applies.
+    use the fast path whenever it applies. The direct engine keeps only
+    the statistics each E-step sums as it goes (``estep_stats``), never
+    the responsibilities, and the E-steps of the last allowed iteration,
+    whose statistics no M-step reads, compute the likelihood alone.
     """
     validate_model(model, d.schema)
     if max_iters < 0:
@@ -907,21 +967,15 @@ def fit(model: CascadeModel, d: Dataset, max_iters: int = 50, tol: float = 1e-6,
     engine_name = "fast" if use_fast else "direct"
     window = _resolve_window(d, window)
 
-    def evaluate(m: CascadeModel):
-        """The E-step under m and its log likelihood; the direct engine
-        keeps the responsibilities, which only get summed into
-        statistics (``reduce``) for states an M-step refits from."""
+    def evaluate(m: CascadeModel, want_stats: bool):
+        """The E-step under m and its log likelihood. The direct engine
+        sums the statistics an M-step reads only with ``want_stats``;
+        the fast engine always has them."""
         if use_fast:
             stats = fast_estep(m, d, children, window)
             return stats, _ll_value(m, d, stats.intensity, kids, window)
-        resp, lam, _ = _estep_core(m, d, children, window, want_resp=True)
-        return (resp, lam), _ll_value(m, d, lam, kids, window)
-
-    def reduce(m: CascadeModel, state) -> EStepStats:
-        if use_fast:
-            return state
-        resp, lam = state
-        return EStepStats(resp.baseline, lam, _component_stats(m, d, resp))
+        stats, lam, _ = _estep_core(m, d, children, window, want_stats=want_stats)
+        return stats, _ll_value(m, d, lam, kids, window)
 
     def improve(m: CascadeModel, stats: EStepStats,
                 freeze_delays: bool = False) -> CascadeModel:
@@ -932,7 +986,7 @@ def fit(model: CascadeModel, d: Dataset, max_iters: int = 50, tol: float = 1e-6,
 
     def heldout_ll(m: CascadeModel) -> float:
         hd, hkids, hwin = heldout
-        _, lam, kids = _estep_core(m, hd, hkids, hwin, want_resp=False)
+        _, lam, kids = _estep_core(m, hd, hkids, hwin)
         return _ll_value(m, hd, lam, kids, hwin)
 
     kids = _child_ids(d, children, window)
@@ -944,24 +998,23 @@ def fit(model: CascadeModel, d: Dataset, max_iters: int = 50, tol: float = 1e-6,
         return FitReport(model, [ll0], 0, True, engine_name, heldout_trace=held,
                          component_shares=shares, delay_means=dmeans)
 
-    state, ll = evaluate(model)
+    stats, ll = evaluate(model, max_iters > 0)
     trace = [ll]
     converged = False
     iterations = 0
-    for _ in range(max_iters):
-        # one reduction per refit state (the frozen-delay retry reuses it);
-        # dropping the state frees its pair arrays before the next E-step
-        stats, state = reduce(model, state), None
+    for it in range(max_iters):
+        # no M-step reads the statistics of the last allowed iteration
+        more = it + 1 < max_iters
         candidate = improve(model, stats)
-        state_new, ll_new = evaluate(candidate)
+        stats_new, ll_new = evaluate(candidate, more)
         if ll_new < ll:
             # the delay refit ignores the edge-corrected compensator and
             # can overshoot; redoing the update with delays frozen makes
             # every remaining piece an exact coordinate ascent
             fallback = improve(model, stats, freeze_delays=True)
-            state_fb, ll_fb = evaluate(fallback)
+            stats_fb, ll_fb = evaluate(fallback, more)
             if ll_fb > ll_new:
-                candidate, state_new, ll_new = fallback, state_fb, ll_fb
+                candidate, stats_new, ll_new = fallback, stats_fb, ll_fb
         iterations += 1
         trace.append(ll_new)
         if held is not None:
@@ -975,7 +1028,7 @@ def fit(model: CascadeModel, d: Dataset, max_iters: int = 50, tol: float = 1e-6,
             if on_decrease == "raise":
                 raise NumericalError(msg)
             warnings.warn(msg)
-        model, state = candidate, state_new
+        model, stats = candidate, stats_new
         gain = ll_new - ll
         ll = ll_new
         if gain < tol * max(abs(ll_new), 1e-12):

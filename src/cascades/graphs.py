@@ -243,14 +243,14 @@ def node_model(graph: Graph, d: Dataset, v: str, variant: str,
 @dataclass
 class NodeFit:
     """One node's fitted model with its training LL, its transition
-    counts by shrinkage context, and how its EM run went: iterations,
-    whether the tolerance test stopped it, and how many iterations
-    lowered the LL by more than 1e-8 |LL| + 1e-12."""
+    counts by shrinkage context (None when not collected), and how its
+    EM run went: iterations, whether the tolerance test stopped it, and
+    how many iterations lowered the LL by more than 1e-8 |LL| + 1e-12."""
 
     node: str
     model: CascadeModel
     train_ll: float
-    counts: dict
+    counts: dict | None
     iterations: int
     converged: bool
     ll_decreases: int
@@ -298,9 +298,11 @@ def fit_node(graph: Graph, d: Dataset, v: str, variant: str, hyper: Hyperparams,
              delay_init: DelaySpec = ExponentialDelay(1.0),
              window: tuple[float, float] | None = None,
              max_iters: int = 25, tol: float = 1e-5,
-             marginal: LabelMarginal | None = None) -> NodeFit:
-    """Fit one node's model on the given window and collect its pooled
-    transition statistics keyed by shrinkage context.
+             marginal: LabelMarginal | None = None,
+             with_counts: bool = True) -> NodeFit:
+    """Fit one node's model on the given window and, ``with_counts``,
+    collect its pooled transition statistics keyed by shrinkage context
+    (one more E-step under the fitted model).
 
     Only the events at v and at its in-neighbours matter, so ``d`` may
     be the whole dataset or just those events (``local_data``); pass
@@ -318,12 +320,13 @@ def fit_node(graph: Graph, d: Dataset, v: str, variant: str, hyper: Hyperparams,
                      update_baseline_mark=False, on_decrease="warn",
                      engine="direct")
         model, trace, converged = report.model, report.ll_trace, report.converged
-    resp = e_step(model, d, mask, window)
-    per_comp = expected_transition_counts(model, d, resp)
-    counts: dict[str, np.ndarray] = {}
-    for ctx, mat in zip(contexts, per_comp):
-        if mat is not None:
-            counts[ctx] = counts.get(ctx, 0) + mat
+    counts: dict[str, np.ndarray] | None = None
+    if with_counts:
+        counts = {}
+        resp = e_step(model, d, mask, window)
+        for ctx, mat in zip(contexts, expected_transition_counts(model, d, resp)):
+            if mat is not None:
+                counts[ctx] = counts.get(ctx, 0) + mat
     return NodeFit(v, model, trace[-1], counts, len(trace) - 1, converged,
                    _ll_decreases(trace))
 
@@ -353,7 +356,7 @@ class _NodeFitter:
     tol: float
 
     def __call__(self, d: Dataset, v: str, cand: tuple,
-                 window: tuple[float, float]) -> NodeFit:
+                 window: tuple[float, float], with_counts: bool) -> NodeFit:
         strength, pool_weight = cand
         with warnings.catch_warnings():
             # NodeFit counts fit's LL decreases; fit_round reports them
@@ -362,14 +365,15 @@ class _NodeFitter:
                             pool_weight=0.5 if pool_weight is None else pool_weight,
                             delay_init=self.delay_init, window=window,
                             max_iters=self.max_iters, tol=self.tol,
-                            marginal=self.marginal)
+                            marginal=self.marginal, with_counts=with_counts)
 
 
 def _score_block(task) -> list:
     """Phase one for a block of nodes: per node and candidate, fit the
-    head window of the node's local data and score the validation
-    window. Returns (node, {candidate: (validation LL, LL decreases)})
-    pairs in node order."""
+    head window of the node's local data, without the transition counts
+    that only phase two's fits feed, and score the validation window.
+    Returns (node, {candidate: (validation LL, LL decreases)}) pairs in
+    node order."""
     fitter, d, nodes, candidates, cut = task
     a, b = d.start, d.horizon
     out = []
@@ -378,7 +382,7 @@ def _score_block(task) -> list:
         mask = dv.node_ids == v
         scores = {}
         for cand in candidates:
-            head = fitter(dv, v, cand, (a, cut))
+            head = fitter(dv, v, cand, (a, cut), with_counts=False)
             val_ll = windowed_log_likelihood(head.model, dv, mask, (cut, b))
             scores[cand] = (float(val_ll), head.ll_decreases)
         out.append((v, scores))
@@ -389,7 +393,8 @@ def _fit_block(task) -> list:
     """Phase two for a block of nodes: fit the winning candidate on the
     whole window of each node's local data; (node, NodeFit) pairs."""
     fitter, d, nodes, best = task
-    return [(v, fitter(local_data(fitter.graph, d, (v,)), v, best, (d.start, d.horizon)))
+    return [(v, fitter(local_data(fitter.graph, d, (v,)), v, best, (d.start, d.horizon),
+                       with_counts=True))
             for v in nodes]
 
 

@@ -116,8 +116,13 @@ def prior_stats(dist: MarkDistribution, d: Dataset, weights: np.ndarray) -> np.n
     per-event weights: the weight per label, or for a feature prior the
     total weight followed by X^T w."""
     if isinstance(dist, FeaturePrior):
-        return np.concatenate([[weights.sum()], d.feature_matrix.T.astype(np.float64) @ weights])
+        return _feature_sums(d.feature_matrix, weights)
     return np.bincount(d.label_index, weights=weights, minlength=d.n_label_values)
+
+
+def _feature_sums(X: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The total weight followed by X^T w."""
+    return np.concatenate([[weights.sum()], X.T.astype(np.float64) @ weights])
 
 
 def fit_prior_weighted(stats: np.ndarray) -> FeaturePrior:
@@ -469,7 +474,12 @@ def transition_stats(spec: TransitionSpec, d: Dataset, children: np.ndarray,
         X = d.feature_matrix
         return _mixture_table(X[parents], X[children], z)
     if isinstance(spec, PriorTransition) and isinstance(spec.dist, FeaturePrior):
-        return prior_stats(spec.dist, d, np.bincount(children, weights=z, minlength=len(d)))
+        # ``prior_stats`` of the children's weights, summed over the events
+        # from the first child to the last only: a run of pairs costs its
+        # own span, not the whole dataset
+        lo = int(children.min()) if children.size else 0
+        w = np.bincount(children - lo, weights=z)
+        return _feature_sums(d.feature_matrix[lo:lo + w.size], w)
     if isinstance(d.schema, BinarySchema):
         return None
     return label_pair_table(d, children, parents, z)

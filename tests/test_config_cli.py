@@ -316,3 +316,31 @@ def test_cli_rejects_unknown_subcommand(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_fit_takes_the_test_ll_from_the_heldout_trace(monkeypatch):
+    from cascades import Dataset, engine, simulate
+    from cascades.cli import _fit_one
+    from cascades.config import EmOptions
+    from cascades.events import split
+    exp_model = parse_model(LABEL_MODEL_CONF, "model")
+    gamma_conf = dict(LABEL_MODEL_CONF, components=[
+        dict(LABEL_MODEL_CONF["components"][0],
+             delay={"kind": "gamma", "shape": 2.0, "rate": 1.5})])
+    d, _ = simulate(exp_model, 100.0, seed=5)
+    train, test = split(d, 0.75)
+    scored = []
+    log_likelihood = engine.log_likelihood
+    monkeypatch.setattr(engine, "log_likelihood",
+                        lambda *args, **kw: scored.append(1) or log_likelihood(*args, **kw))
+    for model in (exp_model, parse_model(gamma_conf, "model")):
+        for name in ("auto", "direct"):
+            report, test_ll = _fit_one(model, train, test,
+                                       EmOptions(max_iters=4, tol=0.0, engine=name))
+            assert scored == []
+            assert test_ll == log_likelihood(report.model, test, history=train)
+    # a present but empty test split is still scored on its own
+    empty = Dataset([], d.horizon, d.schema, start=d.horizon)
+    report, test_ll = _fit_one(exp_model, train, empty, EmOptions(max_iters=2))
+    assert scored == [1] and report.heldout_trace is None
+    assert test_ll == log_likelihood(report.model, empty, history=train)

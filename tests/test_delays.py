@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
 from cascades import (DataError, ExponentialDelay, ExpMixtureDelay, GammaDelay,
                       PiecewiseUniformDelay, UniformDelay)
@@ -51,6 +51,56 @@ def test_density_zero_at_and_before_zero(spec):
     assert np.all(vals[:3] == 0.0)
     assert float(cdf(spec, 0.0)) == 0.0
     assert float(cdf(spec, -1.0)) == 0.0
+
+
+def _masked_density(spec, dt):
+    """density as it was written before its all-positive path: every
+    family gathers the positive delays and scatters into zeros."""
+    arr = np.asarray(dt, dtype=np.float64)
+    pos = arr > 0
+    out = np.zeros_like(arr, dtype=np.float64)
+    if isinstance(spec, ExponentialDelay):
+        out[pos] = spec.rate * np.exp(-spec.rate * arr[pos])
+    elif isinstance(spec, GammaDelay):
+        k, r = spec.shape, spec.rate
+        x = arr[pos]
+        out[pos] = np.exp(k * np.log(r) + (k - 1.0) * np.log(x) - r * x
+                          - special.gammaln(k))
+    elif isinstance(spec, UniformDelay):
+        out[pos & (arr <= spec.width)] = 1.0 / spec.width
+    elif isinstance(spec, PiecewiseUniformDelay):
+        edges, probs = np.asarray(spec.edges), np.asarray(spec.probs)
+        idx = np.searchsorted(edges, arr, side="left")
+        ok = pos & (idx >= 1) & (idx <= len(probs))
+        b = np.clip(idx - 1, 0, len(probs) - 1)
+        out[ok] = (probs / np.diff(edges))[b[ok]]
+    else:
+        x = arr[pos]
+        acc = np.zeros_like(x)
+        for w, r in zip(spec.weights, spec.rates):
+            acc += w * r * np.exp(-r * x)
+        out[pos] = acc
+    return out if arr.ndim else float(out)
+
+
+@pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: type(s).__name__)
+def test_density_all_positive_path_is_bitwise_the_masked_one(spec):
+    rng = np.random.default_rng(3)
+    # bin edges, the uniform width and values just past them included
+    edges = [1.0, 2.5, 3.0, 6.0]
+    x = np.concatenate([rng.exponential(2.0, size=997), edges,
+                        np.nextafter(edges, np.inf), [1e-300, 50.0]])
+    got = density(spec, x)
+    assert got.dtype == np.float64 and got.shape == x.shape
+    assert got.tobytes() == _masked_density(spec, x).tobytes()
+    # with a nonpositive entry density takes its masked path; same bits
+    assert density(spec, np.append(x, 0.0))[:-1].tobytes() == got.tobytes()
+    mixed = np.concatenate([x[:50], [0.0, -1.0, -1e-12, np.nan], x[50:100]])
+    assert density(spec, mixed).tobytes() == _masked_density(spec, mixed).tobytes()
+    for v in (0.0, -2.0, 1e-9, 1.0, 2.5, 7.0):
+        got_v, want_v = density(spec, v), _masked_density(spec, v)
+        assert type(got_v) is float and got_v == want_v
+    assert density(spec, np.zeros(0)).shape == (0,)
 
 
 @pytest.mark.parametrize("spec,mass", [(s, m) for s in FAMILIES

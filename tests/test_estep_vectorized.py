@@ -6,8 +6,15 @@ direct comparison instead of ``searchsorted``. Offsets and parent ids
 must agree exactly; intensities and weights to 1e-12 relative, because
 each child's kernel values are summed in another order. The chunk size
 must not change a single bit of the output.
+
+The statistics mode (``estep_stats``) is checked against
+``_component_stats`` of e_step's responsibilities: delay samples bitwise,
+transition tables and credits, which it sums run by run, to 1e-12
+relative. ``_reference_fit`` is fit's direct engine as it was before it
+kept statistics instead of responsibilities, kept as the oracle for fit.
 """
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +31,7 @@ from cascades import (CascadeModel, CategoricalMatrix, ConstantFertility,
                       intensity, log_likelihood, simulate)
 from cascades import delays as delay_mod
 from cascades import engine
+from cascades.config import serialize_model
 from cascades.delays import ExpMixtureDelay, PiecewiseUniformDelay, UniformDelay
 from cascades.events import (BinaryMark, BinarySchema, CompositeMark,
                              CompositeSchema, LabelSchema)
@@ -423,21 +431,238 @@ def test_lower_bound_matches_reference_and_rejects_other_layouts():
     assert em_lower_bound(replace(model, components=tuple(comps)), d, resp) == -np.inf
 
 
-def test_fit_reduces_each_refit_state_once(monkeypatch):
-    reductions, refits = [], []
-    reduce, m_step = engine._component_stats, engine.m_step
-    monkeypatch.setattr(engine, "_component_stats",
-                        lambda *args: reductions.append(1) or reduce(*args))
-    monkeypatch.setattr(engine, "m_step",
-                        lambda *args: refits.append(1) or m_step(*args))
-    # slow delays put much of the triggering mass past the horizon, where
-    # the delay refit overshoots and the frozen-delay retry takes over
+# ---------------------------------------------------------------------------
+# the statistics mode
+
+
+def _assert_stats_match_oracle(model, d, children=None, window=None, chunk=DEFAULT_CHUNK):
+    """estep_stats under ``chunk`` against _component_stats of e_step:
+    delay samples, z_base and intensities bitwise, transition tables and
+    credits to 1e-12 relative."""
+    resp = e_step(model, d, children, window)
+    _, lam, kids = engine._estep_core(model, d, children, window)
+    oracle = engine._component_stats(model, d, resp)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "PAIR_CHUNK", chunk)
+        got = engine.estep_stats(model, d, children, window)
+    assert got.z_base.tobytes() == resp.baseline.tobytes()
+    assert got.intensity.tobytes() == lam.tobytes()
+    assert got.n_components == len(oracle)
+    for a, b in zip(got.components, oracle):
+        for x, y in ((a.deltas, b.deltas), (a.weights, b.weights)):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        if b.transition is None:
+            assert a.transition is None
+        else:
+            assert a.transition.shape == b.transition.shape
+            np.testing.assert_allclose(a.transition, b.transition, rtol=1e-12, atol=0)
+        assert a.credits.shape == b.credits.shape
+        np.testing.assert_allclose(a.credits, b.credits, rtol=1e-12, atol=0)
+    return got
+
+
+@pytest.mark.parametrize("chunk", [DEFAULT_CHUNK, 1, 7])
+@pytest.mark.parametrize("delay", _DELAYS, ids=lambda s: type(s).__name__)
+def test_stats_mode_matches_component_stats_for_every_delay(delay, chunk):
+    # categorical, identity and prior transitions on labels
+    d = _label_data(seed=21)
+    for truncation in (0.0, 1e-6):
+        _assert_stats_match_oracle(_label_model(delay, truncation), d, chunk=chunk)
+
+
+@pytest.mark.parametrize("chunk", [DEFAULT_CHUNK, 1, 7])
+def test_stats_mode_matches_component_stats_on_binary_marks(chunk):
+    # feature mixture (its table at the default chunk, per pair below it),
+    # multiplicative fertility, identity with no statistics, feature prior
+    d = _binary_data(n=120, seed=22)
+    table_fits = len(d.feature_patterns[0]) ** 2 <= chunk
+    assert table_fits == (chunk == DEFAULT_CHUNK)
+    for resample in (0.0, 0.3, 1.0):
+        got = _assert_stats_match_oracle(_binary_model(1e-6, resample), d, chunk=chunk)
+        assert got.components[1].transition is None
+        assert got.components[0].credits.size == len(d.feature_patterns[0])
+
+
+@pytest.mark.parametrize("chunk", [DEFAULT_CHUNK, 1, 7])
+def test_stats_mode_with_sources_masks_and_interior_windows(chunk):
+    d = _composite_data(seed=23)
+    model = _composite_model(1e-6)
+    mask = np.arange(len(d)) % 2 == 0
+    for children, window in ((None, None), (mask, None), (None, (5.0, 35.0)),
+                             (mask, (5.0, 35.0))):
+        got = _assert_stats_match_oracle(model, d, children, window, chunk)
+        assert got.components[2].weights.size == 0  # no events at its source
+    dl = _label_data(n=200, grid=0.5, seed=24)
+    _assert_stats_match_oracle(_label_model(GammaDelay(2.0, 1.0), 1e-6), dl,
+                               dl.times > 20.0, (10.0, 30.0), chunk)
+
+
+def test_stats_mode_on_empty_data_and_without_components():
+    empty = Dataset([], horizon=5.0, schema=LabelSchema(3))
+    got = _assert_stats_match_oracle(_label_model(ExponentialDelay(1.0), 1e-6), empty)
+    assert all(c.weights.size == 0 for c in got.components)
+    bare = CascadeModel(HomogeneousBaseline(0.5, LabelMarginal((0.3, 0.3, 0.4))))
+    assert _assert_stats_match_oracle(bare, _label_data(seed=25)).n_components == 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), kind=st.sampled_from(["label", "binary", "composite"]),
+       truncation=st.sampled_from([0.0, 1e-6]), sparse=st.booleans())
+def test_stats_mode_matches_component_stats_across_chunks(seed, kind, truncation, sparse):
+    # sparse streams leave children without pairs at the ends of chunks
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 60))
+    horizon = 400.0 if sparse else 30.0
+    if kind == "label":
+        d = _label_data(n, horizon, grid=None if seed % 2 else 0.5, seed=seed)
+        model = _label_model(_DELAYS[seed % len(_DELAYS)], truncation)
+    elif kind == "binary":
+        d = _binary_data(n, horizon, seed=seed)
+        model = _binary_model(truncation)
+    else:
+        d = _composite_data(n, horizon, seed=seed)
+        model = _composite_model(truncation)
+    children = rng.random(len(d)) < 0.7 if seed % 3 == 0 else None
+    for chunk in (DEFAULT_CHUNK, 1, 7):
+        _assert_stats_match_oracle(model, d, children, chunk=chunk)
+
+
+def test_child_sums_leave_children_without_pairs_at_zero():
+    vals = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+    for cnt, want in (([2, 0, 3], [3.0, 0.0, 12.0]), ([0, 5, 0], [0.0, 15.0, 0.0]),
+                      ([1, 1, 3, 0, 0], [1.0, 2.0, 12.0, 0.0, 0.0])):
+        got = engine._child_sums(vals, np.array(cnt))
+        assert got.tolist() == want
+
+
+def _reference_fit(model, d, max_iters, tol, children=None, window=None):
+    """fit's direct engine as it was: every E-step keeps the
+    responsibilities, which _component_stats sums for each refit state."""
+    window = engine._resolve_window(d, window)
+    kids = engine._child_ids(d, children, window)
+
+    def evaluate(m):
+        resp, lam, _ = engine._estep_core(m, d, children, window, want_resp=True)
+        return (resp, lam), engine._ll_value(m, d, lam, kids, window)
+
+    def reduce(m, state):
+        resp, lam = state
+        return engine.EStepStats(resp.baseline, lam, engine._component_stats(m, d, resp))
+
+    def improve(m, stats, freeze_delays=False):
+        m2 = engine.m_step(m, d, stats, children, window, True, freeze_delays)
+        return engine.normalize(m2, d, children, window) if m2.normalization else m2
+
+    state, ll = evaluate(model)
+    trace, converged = [ll], False
+    for _ in range(max_iters):
+        stats, state = reduce(model, state), None
+        candidate = improve(model, stats)
+        state_new, ll_new = evaluate(candidate)
+        if ll_new < ll:
+            fallback = improve(model, stats, freeze_delays=True)
+            state_fb, ll_fb = evaluate(fallback)
+            if ll_fb > ll_new:
+                candidate, state_new, ll_new = fallback, state_fb, ll_fb
+        trace.append(ll_new)
+        model, state = candidate, state_new
+        gain, ll = ll_new - ll, ll_new
+        if gain < tol * max(abs(ll_new), 1e-12):
+            converged = True
+            break
+    return model, trace, converged
+
+
+def _assert_close(x, y, path=""):
+    """Equal structure, and floats equal to 1e-12 relative."""
+    if isinstance(x, dict):
+        assert x.keys() == y.keys(), path
+        for k in x:
+            _assert_close(x[k], y[k], f"{path}/{k}")
+    elif isinstance(x, (list, tuple)):
+        assert len(x) == len(y), path
+        for i, (a, b) in enumerate(zip(x, y)):
+            _assert_close(a, b, f"{path}[{i}]")
+    elif isinstance(x, float):
+        assert x == pytest.approx(y, rel=1e-12, abs=1e-300), path
+    else:
+        assert x == y, path
+
+
+def _slow_delay_case():
+    """Slow delays put much of the triggering mass past the horizon, where
+    the delay refit overshoots and the frozen-delay retry takes over."""
     mk = lambda rate: CascadeModel(
         HomogeneousBaseline(0.5, LabelMarginal((0.5, 0.5))),
         (KernelComponent("k", ConstantFertility(0.5), IdentityTransition(),
                          ExponentialDelay(rate)),))
     d, _ = simulate(mk(0.1), 60.0, seed=1)
-    report = fit(mk(0.05), d, max_iters=6, tol=0.0, engine="direct")
+    return mk(0.05), d
+
+
+def _fit_cases():
+    slow, ds = _slow_delay_case()
+    dl = _label_data(n=200, seed=26)
+    dc = _composite_data(seed=27)
+    grouped = replace(_composite_model(1e-6), components=tuple(
+        replace(c, transition=_CAT3, transition_group="t", delay=GammaDelay(2.0, 1.0),
+                delay_group="d")
+        for c in _composite_model(1e-6).components))
+    return [(slow, ds, None, None),
+            (_label_model(GammaDelay(2.0, 1.5), 1e-6), dl, None, None),
+            (_label_model(PiecewiseUniformDelay((0.0, 0.5, 2.0, 4.0), (0.5, 0.3, 0.2)),
+                          0.0), dl, dl.times > 5.0, (5.0, 35.0)),
+            (_binary_model(1e-6), _binary_data(n=150, seed=28), None, None),
+            (grouped, dc, np.arange(len(dc)) % 3 > 0, None)]
+
+
+@pytest.mark.parametrize("case", range(5))
+@pytest.mark.parametrize("tol", [0.0, 1e-4])
+def test_direct_fit_matches_the_evaluate_reduce_loop(case, tol):
+    model, d, children, window = _fit_cases()[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report = fit(model, d, max_iters=5, tol=tol, children=children, window=window,
+                     on_decrease="warn", engine="direct")
+        ref_model, ref_trace, ref_converged = _reference_fit(model, d, 5, tol,
+                                                             children, window)
+    assert (report.iterations, report.converged) == (len(ref_trace) - 1, ref_converged)
+    _assert_close(report.ll_trace, ref_trace)
+    _assert_close(serialize_model(report.model), serialize_model(ref_model))
+
+
+def test_direct_fit_keeps_statistics_not_responsibilities(monkeypatch):
+    reductions, built, refits, wants = [], [], [], []
+    reduce, m_step, core = engine._component_stats, engine.m_step, engine._estep_core
+
+    class CountedResponsibilities(engine.Responsibilities):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(engine, "Responsibilities", CountedResponsibilities)
+    monkeypatch.setattr(engine, "_component_stats",
+                        lambda *args: reductions.append(1) or reduce(*args))
+    monkeypatch.setattr(engine, "m_step", lambda *args: refits.append(1) or m_step(*args))
+    model, d = _slow_delay_case()
+    _, ref_trace, _ = _reference_fit(model, d, 6, 0.0)
+    ref_refits, refits[:] = len(refits), []
+    assert len(reductions) == 6 and len(built) > 7
+    reductions[:], built[:] = [], []
+
+    def recorded_core(*args, want_stats=False, **kwargs):
+        wants.append(want_stats)
+        return core(*args, want_stats=want_stats, **kwargs)
+
+    monkeypatch.setattr(engine, "_estep_core", recorded_core)
+    report = fit(model, d, max_iters=6, tol=0.0, engine="direct")
     assert report.iterations == 6
     assert len(refits) > report.iterations  # the frozen-delay retry fired
-    assert len(reductions) == report.iterations
+    assert len(refits) == ref_refits
+    assert reductions == [] and built == []
+    # the E-steps of the last iteration (and its retry) feed no M-step
+    assert wants == sorted(wants, reverse=True) and 1 <= wants.count(False) <= 2
+    _assert_close(report.ll_trace, ref_trace)
+    wants[:] = []
+    fit(model, d, max_iters=0, engine="direct")
+    assert wants == [False]

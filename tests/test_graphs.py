@@ -8,12 +8,12 @@ from cascades import (CategoricalMatrix, ConfigError, DataError, Dataset,
                       fit_graph, fit_node, fit_round, graph_log_likelihood,
                       load_graph, node_model, regularized_rates, simulate_graph,
                       update_hyperparams, windowed_log_likelihood, write_graph)
-from cascades import engine
+from cascades import engine, graphs
 from cascades.config import serialize_model
 from cascades.engine import KernelComponent
 from cascades.events import CompositeMark, CompositeSchema, split
 from cascades.fertility import ConstantFertility
-from cascades.graphs import VARIANTS, local_data
+from cascades.graphs import VARIANTS, _smoothed_marginal, local_data
 from cascades.transitions import IdentityTransition
 
 TRANS = CategoricalMatrix(((0.7, 0.2, 0.1), (0.1, 0.8, 0.1), (0.2, 0.2, 0.6)))
@@ -337,6 +337,65 @@ def test_fit_round_matches_the_old_loop(variant, delay, grids):
     assert g.incoming["a"] == () and g.out["z"] == g.incoming["z"] == ()
     head = d.times <= 0.7 * d.horizon
     assert not np.any(head & (d.node_ids == "q")) and np.any(d.node_ids == "q")
+
+
+def ring_graph(n=12):
+    names = [f"n{i:02d}" for i in range(n)]
+    return Graph(names, {names[i]: [names[(i + 1) % n], names[(i + 3) % n]]
+                         for i in range(n)})
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_fit_node_on_local_data_equals_the_whole_dataset(variant):
+    # the baseline credit sums over the node's children only, so events
+    # that the node's fit never reads cannot move a bit of it
+    g = ring_graph()
+    d, _ = sim(g, horizon=40.0, seed=14)
+    hyper = Hyperparams.uniform(3)
+    marginal = _smoothed_marginal(d)
+    for v in g.nodes:
+        dv = local_data(g, d, (v,))
+        assert len(dv) < len(d)
+        fits = [fit_node(g, data, v, variant, hyper, 1.0, max_iters=4, marginal=marginal)
+                for data in (d, dv)]
+        whole, local = fits
+        assert local.train_ll == whole.train_ll, v
+        assert serialize_model(local.model) == serialize_model(whole.model), v
+        assert (local.iterations, local.converged) == (whole.iterations, whole.converged)
+        assert local.counts.keys() == whole.counts.keys()
+        for ctx in whole.counts:
+            assert local.counts[ctx].tobytes() == whole.counts[ctx].tobytes()
+
+
+def test_only_phase_two_fits_collect_transition_counts(monkeypatch):
+    calls = []
+    counted = engine.e_step
+    monkeypatch.setattr(graphs, "e_step", lambda *args: calls.append(args[2]) or counted(*args))
+    g = shapes_graph()
+    d = shapes_data()
+    kw = dict(strength_grid=(1.0, 10.0), pool_grid=(0.0, 1.0), val_fraction=0.3,
+              delay_init=ExponentialDelay(1.0), max_iters=3, tol=1e-4)
+    hyper = Hyperparams.uniform(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        new = fit_round(g, d, "shared_transition", hyper, workers=1, **kw)
+        assert len(calls) == len(g.nodes)  # one per node, from its phase-two fit
+        old = old_round(g, d, "shared_transition", hyper, **kw)
+    assert (new.strength, new.pool_weight) == (old["strength"], old["pool_weight"])
+    assert new.val_table == old["val_table"]
+    assert new.hyper == old["hyper"]
+    assert list(new.fits) == list(old["fits"])
+    for v, f_new in new.fits.items():
+        f_old = old["fits"][v]
+        assert (f_new.model, f_new.train_ll, f_new.iterations, f_new.converged,
+                f_new.ll_decreases) == (f_old.model, f_old.train_ll, f_old.iterations,
+                                        f_old.converged, f_old.ll_decreases)
+        assert f_new.counts.keys() == f_old.counts.keys()
+        for ctx in f_new.counts:
+            assert f_new.counts[ctx].tobytes() == f_old.counts[ctx].tobytes()
+    head = fit_node(g, d, "b", "shared_transition", hyper, 1.0, max_iters=3,
+                    with_counts=False)
+    assert head.counts is None
 
 
 def test_fit_round_warns_once_naming_nodes_whose_ll_fell():

@@ -10,8 +10,9 @@ from cascades import (BinaryMark, BinarySchema, CategoricalMatrix, DataError,
                       IdentityTransition, LabelMark, LabelMarginal, LabelSchema,
                       PriorTransition, fit_categorical, fit_mixture)
 from cascades.transitions import (PairProbs, draw_index, enumerate_marks,
-                                  fit_mixture_from_stats, mixture_stats, sample_child_mark,
-                                  sample_mark, write_matrix_csv)
+                                  fit_mixture_from_stats, mixture_stats, prior_stats,
+                                  sample_child_mark, sample_mark, transition_stats,
+                                  write_matrix_csv)
 
 
 def bm(*bits):
@@ -259,3 +260,21 @@ def test_label_draws_match_the_searchsorted_formula():
         parent = LabelMark(k % 3 + 1)
         assert sample_child_mark(matrix, parent, rng) == LabelMark(
             _old_draw(matrix.matrix[k % 3], ref.random()) + 1)
+
+
+def test_feature_prior_stats_cover_only_the_span_of_the_children():
+    # the same sums as prior_stats of per-event weights over the whole data
+    rng = np.random.default_rng(5)
+    n, width = 300, 5
+    schema = BinarySchema(tuple(f"f{k}" for k in range(width)))
+    d = Dataset([Event(float(t), BinaryMark(tuple(int(b) for b in row)))
+                 for t, row in zip(np.sort(rng.uniform(0, 50, n)),
+                                   rng.integers(0, 2, size=(n, width)))], 50.0, schema)
+    spec = PriorTransition(FeaturePrior((0.5,) * width))
+    for size, lo, hi in ((500, 0, n), (40, 120, 180), (1, 299, 300), (0, 0, n)):
+        children = rng.integers(lo, hi, size=size)  # any order, with repeats
+        z = rng.random(size)
+        got = transition_stats(spec, d, children, np.zeros(size, dtype=np.int64), z)
+        want = prior_stats(spec.dist, d, np.bincount(children, weights=z, minlength=n))
+        assert got.shape == (width + 1,) and got.dtype == np.float64
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
