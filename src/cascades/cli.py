@@ -19,6 +19,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import replace
 
 from . import config as cfg
 from . import engine, events, graphs
@@ -56,14 +57,13 @@ def _load_events(path: str) -> Dataset:
         raise DataError(f"cannot read events {path}: {exc}") from exc
 
 
-def _fit_one(model, train, test, opts: cfg.EmOptions):
-    heldout = None
-    if test is not None and len(test):
-        heldout = (test.merge_history(train), None, None)
+def _fit_one(model, train, test, merged, opts: cfg.EmOptions):
+    """Fit on train; score test through ``merged`` (see _split_data) if set."""
     report = engine.fit(model, train, max_iters=opts.max_iters, tol=opts.tol,
-                        heldout=heldout, engine=opts.engine)
+                        heldout=None if merged is None else (merged, None, None),
+                        engine=opts.engine)
     test_ll = None
-    if heldout is not None:
+    if merged is not None:
         # the held-out trace ends with the fitted model's test LL
         test_ll = report.heldout_trace[-1]
     elif test is not None:
@@ -135,29 +135,28 @@ def cmd_simulate(args) -> int:
 
 
 def _em_options(conf: dict, args) -> cfg.EmOptions:
-    opts = cfg.parse_em_options(conf.get("em"))
-    if args.iters is not None:
-        opts = cfg.EmOptions(max_iters=args.iters, tol=opts.tol, engine=opts.engine)
-    if args.tol is not None:
-        opts = cfg.EmOptions(max_iters=opts.max_iters, tol=args.tol, engine=opts.engine)
-    return opts
+    given = {"max_iters": args.iters, "tol": args.tol}
+    return replace(cfg.parse_em_options(conf.get("em")),
+                   **{key: v for key, v in given.items() if v is not None})
 
 
 def _split_data(d: Dataset, args, conf: dict):
+    """Train, test, and test with the train history prepended (None if empty)."""
     fraction = args.split if args.split is not None else conf.get("split")
     if fraction is None:
-        return d, None
-    return events.split(d, float(fraction))
+        return d, None, None
+    train, test = events.split(d, float(fraction))
+    return train, test, test.merge_history(train) if len(test) else None
 
 
 def cmd_fit(args) -> int:
     conf = cfg.load_config(args.config)
     cfg._require(conf, args.config, ("model",), ("em", "split"))
     d = _load_events(args.data)
-    train, test = _split_data(d, args, conf)
+    train, test, merged = _split_data(d, args, conf)
     model = cfg.parse_model(conf["model"], "model", data=train)
     opts = _em_options(conf, args)
-    report, test_ll = _fit_one(model, train, test, opts)
+    report, test_ll = _fit_one(model, train, test, merged, opts)
     os.makedirs(args.out, exist_ok=True)
     _write_json(os.path.join(args.out, "model.json"),
                 cfg.serialize_model(report.model))
@@ -189,13 +188,13 @@ def cmd_compare(args) -> int:
     if not isinstance(models_conf, dict) or not models_conf:
         raise ConfigError("models: expected a nonempty object of named models")
     d = _load_events(args.data)
-    train, test = _split_data(d, args, conf)
+    train, test, merged = _split_data(d, args, conf)
     opts = _em_options(conf, args)
     os.makedirs(args.out, exist_ok=True)
     rows = []
     for name, model_conf in models_conf.items():
         model = cfg.parse_model(model_conf, f"models.{name}", data=train)
-        report, test_ll = _fit_one(model, train, test, opts)
+        report, test_ll = _fit_one(model, train, test, merged, opts)
         rows.append([name, float(report.ll_trace[-1]),
                      float(test_ll) if test_ll is not None else "",
                      report.iterations, report.converged, report.engine])
@@ -216,16 +215,8 @@ def cmd_graph_fit(args) -> int:
     if conf:
         cfg._require(conf, args.config, (), ("graph_fit", "split"))
     opts = cfg.parse_graph_options(conf.get("graph_fit"))
-    if args.variant is not None:
-        if args.variant not in graphs.VARIANTS:
-            raise ConfigError(f"unknown variant {args.variant!r}; "
-                              f"expected one of {graphs.VARIANTS}")
-        opts = cfg.GraphOptions(variant=args.variant, rounds=opts.rounds,
-                                strength_grid=opts.strength_grid,
-                                pool_grid=opts.pool_grid,
-                                val_fraction=opts.val_fraction, delay=opts.delay,
-                                max_iters=opts.max_iters, tol=opts.tol)
-    rounds = args.rounds if args.rounds is not None else opts.rounds
+    given = {"variant": args.variant, "rounds": args.rounds}
+    opts = replace(opts, **{key: v for key, v in given.items() if v is not None})
     try:
         graph = graphs.load_graph(args.graph)
     except OSError as exc:
@@ -234,17 +225,14 @@ def cmd_graph_fit(args) -> int:
     if not isinstance(d.schema, CompositeSchema):
         raise DataError("graph fitting needs composite-marked events "
                         "(types plus node ids)")
-    train, test = _split_data(d, args, conf)
-    result = graphs.fit_graph(graph, train, opts.variant, rounds=rounds,
-                              strength_grid=opts.strength_grid,
-                              pool_grid=opts.pool_grid,
-                              val_fraction=opts.val_fraction,
-                              delay_init=opts.delay, max_iters=opts.max_iters,
-                              tol=opts.tol, workers=args.workers)
+    train, test, merged = _split_data(d, args, conf)
+    result = graphs.fit_graph(graph, train, opts.variant, rounds=opts.rounds,
+                              strength_grid=opts.strength_grid, pool_grid=opts.pool_grid,
+                              val_fraction=opts.val_fraction, delay_init=opts.delay,
+                              max_iters=opts.max_iters, tol=opts.tol, workers=args.workers)
     test_ll = None
-    if test is not None and len(test):
-        test_ll = graphs.graph_log_likelihood(result.models,
-                                              test.merge_history(train), graph)
+    if merged is not None:
+        test_ll = graphs.graph_log_likelihood(result.models, merged, graph)
     os.makedirs(args.out, exist_ok=True)
     last = result.rounds[-1]
     payload = {

@@ -10,7 +10,7 @@ data when the model is parsed with a dataset at hand.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import transitions as trans_mod
 from .delays import (DelaySpec, ExponentialDelay, ExpMixtureDelay, GammaDelay,
@@ -22,6 +22,7 @@ from .errors import CascadesError, ConfigError
 from .events import BinarySchema, Dataset
 from .fertility import (CombinedFertility, ConstantFertility, FertilitySpec,
                         LinearFertility, MultiplicativeFertility)
+from .graphs import POOL_GRID, STRENGTH_GRID, VARIANTS
 from .transitions import (CategoricalMatrix, FeatureMixture, FeaturePrior,
                           IdentityTransition, LabelMarginal, MarkDistribution,
                           PriorTransition, TransitionSpec)
@@ -356,6 +357,32 @@ def serialize_model(model: CascadeModel) -> dict:
 # run options
 
 
+def _integer(obj: dict, key: str, where: str) -> int:
+    v = obj[key]
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ConfigError(f"{where}.{key}: expected an integer, got {v!r}")
+    return v
+
+
+def _options(cls, obj: dict | None, where: str, checks):
+    """``cls()`` with the fields that ``obj`` sets, each read by the type
+    of its default (integer, number, list of numbers, string or delay),
+    then ``checks(opts)``: (field, holds, what it needs) triples."""
+    opts = cls()
+    if obj is not None:
+        _require(obj, where, (), tuple(vars(opts)))
+        read = {int: _integer, float: _number, str: lambda o, key, w: o[key],
+                tuple: lambda o, key, w: tuple(_number_list(o, key, w))}
+        opts = replace(opts, **{
+            key: read.get(type(getattr(opts, key)),
+                          lambda o, key, w: parse_delay(o[key], f"{w}.{key}"))(obj, key, where)
+            for key in obj})
+    for key, holds, needs in checks(opts):
+        if not holds:
+            raise ConfigError(f"{where}.{key}: {needs}")
+    return opts
+
+
 @dataclass(frozen=True)
 class EmOptions:
     max_iters: int = 50
@@ -364,74 +391,34 @@ class EmOptions:
 
 
 def parse_em_options(obj: dict | None, where: str = "em") -> EmOptions:
-    if obj is None:
-        return EmOptions()
-    _require(obj, where, (), ("max_iters", "tol", "engine"))
-    opts = EmOptions(
-        max_iters=int(obj.get("max_iters", 50)),
-        tol=float(obj.get("tol", 1e-6)),
-        engine=obj.get("engine", "auto"))
-    if opts.max_iters < 0:
-        raise ConfigError(f"{where}.max_iters: must be nonnegative")
-    if opts.engine not in ("auto", "direct", "fast"):
-        raise ConfigError(f"{where}.engine: must be 'auto', 'direct' or 'fast'")
-    if not opts.tol >= 0:
-        raise ConfigError(f"{where}.tol: must be nonnegative")
-    return opts
+    return _options(EmOptions, obj, where, lambda o: (
+        ("max_iters", o.max_iters >= 0, "must be nonnegative"),
+        ("engine", o.engine in ("auto", "direct", "fast"), "must be 'auto', 'direct' or 'fast'"),
+        ("tol", o.tol >= 0, "must be nonnegative")))
 
 
 @dataclass(frozen=True)
 class GraphOptions:
     variant: str = "shared_transition"
     rounds: int = 2
-    strength_grid: tuple = (0.1, 1.0, 10.0, 100.0)
-    pool_grid: tuple = (0.0, 0.25, 0.5, 0.75, 1.0)
+    strength_grid: tuple = STRENGTH_GRID
+    pool_grid: tuple = POOL_GRID
     val_fraction: float = 0.25
     delay: DelaySpec = ExponentialDelay(1.0)
     max_iters: int = 25
     tol: float = 1e-5
 
 
-def graph_variants() -> tuple:
-    from .graphs import VARIANTS
-    return VARIANTS
-
-
 def parse_graph_options(obj: dict | None, where: str = "graph_fit") -> GraphOptions:
-    if obj is None:
-        return GraphOptions()
-    _require(obj, where, (), ("variant", "rounds", "strength_grid", "pool_grid",
-                              "val_fraction", "delay", "max_iters", "tol"))
-    delay = (parse_delay(obj["delay"], f"{where}.delay")
-             if "delay" in obj else ExponentialDelay(1.0))
-    opts = GraphOptions(
-        variant=obj.get("variant", "shared_transition"),
-        rounds=int(obj.get("rounds", 2)),
-        strength_grid=tuple(float(x) for x in obj.get("strength_grid",
-                                                      (0.1, 1.0, 10.0, 100.0))),
-        pool_grid=tuple(float(x) for x in obj.get("pool_grid",
-                                                  (0.0, 0.25, 0.5, 0.75, 1.0))),
-        val_fraction=float(obj.get("val_fraction", 0.25)),
-        delay=delay,
-        max_iters=int(obj.get("max_iters", 25)),
-        tol=float(obj.get("tol", 1e-5)))
-    if opts.variant not in graph_variants():
-        raise ConfigError(f"{where}.variant: unknown variant {opts.variant!r}, "
-                          f"expected one of {', '.join(graph_variants())}")
-    if opts.rounds < 1:
-        raise ConfigError(f"{where}.rounds: must be at least 1")
-    if not opts.strength_grid:
-        raise ConfigError(f"{where}.strength_grid: must be nonempty")
-    if not all(0.0 <= c < float("inf") for c in opts.strength_grid):
-        raise ConfigError(f"{where}.strength_grid: strengths must be finite and "
-                          "nonnegative")
-    if not opts.pool_grid or not all(0.0 <= w <= 1.0 for w in opts.pool_grid):
-        raise ConfigError(f"{where}.pool_grid: must be nonempty, with pool weights "
-                          "in [0, 1]")
-    if not 0.0 < opts.val_fraction < 1.0:
-        raise ConfigError(f"{where}.val_fraction: must lie strictly between 0 and 1")
-    if opts.max_iters < 0:
-        raise ConfigError(f"{where}.max_iters: must be nonnegative")
-    if not opts.tol >= 0:
-        raise ConfigError(f"{where}.tol: must be nonnegative")
-    return opts
+    return _options(GraphOptions, obj, where, lambda o: (
+        ("variant", o.variant in VARIANTS,
+         f"unknown variant {o.variant!r}, expected one of {', '.join(VARIANTS)}"),
+        ("rounds", o.rounds >= 1, "must be at least 1"),
+        ("strength_grid", len(o.strength_grid) > 0, "must be nonempty"),
+        ("strength_grid", all(0.0 <= c < float("inf") for c in o.strength_grid),
+         "strengths must be finite and nonnegative"),
+        ("pool_grid", len(o.pool_grid) > 0 and all(0.0 <= w <= 1.0 for w in o.pool_grid),
+         "must be nonempty, with pool weights in [0, 1]"),
+        ("val_fraction", 0.0 < o.val_fraction < 1.0, "must lie strictly between 0 and 1"),
+        ("max_iters", o.max_iters >= 0, "must be nonnegative"),
+        ("tol", o.tol >= 0, "must be nonnegative")))

@@ -43,8 +43,8 @@ from . import fertility as fert_mod
 from . import transitions as trans_mod
 from .delays import DelaySpec, ExponentialDelay
 from .errors import ConfigError, DataError, NumericalError
-from .events import (BinarySchema, CompositeSchema, Dataset, Event, Mark,
-                     MarkSchema, label_count)
+from .events import (BinarySchema, CompositeSchema, Dataset, Mark, MarkSchema,
+                     label_count)
 from .fertility import FertilitySpec
 from .transitions import MarkDistribution, PairProbs, TransitionSpec
 
@@ -563,7 +563,7 @@ def intensity(model: CascadeModel, history: Dataset, t: float, x: Mark) -> float
                for c in model.components]
     # the events inside some component's truncation window, then (t, x)
     lo, hi = np.searchsorted(history.times, [t - max(cutoffs, default=0.0), t], side="left")
-    d = Dataset(history.events[lo:hi] + [Event(t, x)], t, history.schema, _sorted=True)
+    d = history._with_query(int(lo), int(hi), t, x)
     q = len(d) - 1
     total = float(_baseline_rate_at(model.baseline, d.times[q:])[0]
                   * trans_mod.mark_probs(model.baseline.mark, d)[q])

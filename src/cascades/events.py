@@ -3,8 +3,9 @@
 An event is a timestamp plus a mark. Three mark families are supported:
 binary feature vectors (fixed width, named features), categorical labels
 (integers 1..L), and composite (type, node) pairs used for graph data.
-A Dataset is a time-sorted list of events over an observation window
-(start, horizon], with columnar numpy views cached for the fitting code.
+A Dataset stores a time-sorted stream over a window (start, horizon] as
+numpy columns, checked once where they enter; ``Event`` objects are a
+view built from the columns, for I/O and the public API.
 """
 
 from __future__ import annotations
@@ -89,83 +90,139 @@ class Event:
     id: int = -1
 
 
-def _check_mark(mark: Mark, schema: MarkSchema, where: str) -> None:
+def _value_columns(values: list, schema: MarkSchema) -> dict:
+    """Mark columns of per-event values: bit rows (an entry other than 0
+    or 1 is stored as 2), labels, or (type, node) pairs. Label codes stay
+    Python ints until ``_check_rows`` has range-checked them."""
     if isinstance(schema, BinarySchema):
-        if not isinstance(mark, BinaryMark) or len(mark.bits) != schema.width:
-            raise DataError(f"{where}: mark does not match binary schema of width {schema.width}")
-        if any(b not in (0, 1) for b in mark.bits):
-            raise DataError(f"{where}: binary mark entries must be 0 or 1")
+        bits = np.array(values, dtype=object).reshape(len(values), schema.width)
+        return {"feature_matrix": np.select([bits == 0, bits == 1], [0, 1], 2).astype(np.uint8)}
+    if isinstance(schema, LabelSchema):
+        return {"label_index": np.array(values, dtype=object) - 1}
+    types, nodes = zip(*values) if values else ((), ())
+    return {"label_index": np.array(types, dtype=object) - 1,
+            "node_ids": np.array(nodes, dtype=object)}
+
+
+def _mark_columns(marks: list, schema: MarkSchema) -> tuple[dict, tuple]:
+    """Mark columns of Mark objects, and (mask, message) of the marks of the
+    wrong kind or binary width for the schema, which get placeholder values."""
+    if isinstance(schema, BinarySchema):
+        wrong = [not isinstance(m, BinaryMark) or len(m.bits) != schema.width for m in marks]
+        values = [(0,) * schema.width if bad else m.bits for m, bad in zip(marks, wrong)]
+        error = f"mark does not match binary schema of width {schema.width}"
     elif isinstance(schema, LabelSchema):
-        if not isinstance(mark, LabelMark):
-            raise DataError(f"{where}: expected a label mark")
-        if not 1 <= mark.label <= schema.n_labels:
-            raise DataError(f"{where}: label {mark.label} outside 1..{schema.n_labels}")
+        wrong = [not isinstance(m, LabelMark) for m in marks]
+        values = [1 if bad else m.label for m, bad in zip(marks, wrong)]
+        error = "expected a label mark"
     elif isinstance(schema, CompositeSchema):
-        if not isinstance(mark, CompositeMark):
-            raise DataError(f"{where}: expected a (type, node) mark")
-        if not 1 <= mark.type <= schema.n_types:
-            raise DataError(f"{where}: type {mark.type} outside 1..{schema.n_types}")
-        if schema.nodes is not None and mark.node not in schema.nodes:
-            raise DataError(f"{where}: unknown node id {mark.node!r}")
+        wrong = [not isinstance(m, CompositeMark) for m in marks]
+        values = [(1, "") if bad else (m.type, m.node) for m, bad in zip(marks, wrong)]
+        error = "expected a (type, node) mark"
     else:
-        raise DataError(f"{where}: unsupported schema {type(schema).__name__}")
+        return {}, (np.ones(len(marks), dtype=bool), f"unsupported schema {type(schema).__name__}")
+    return _value_columns(values, schema), (np.array(wrong, dtype=bool), error)
+
+
+def _check_rows(cols: dict, horizon, schema: MarkSchema, start, wrong: tuple | None = None,
+                first: int = 0) -> None:
+    """Check the window, then raise the DataError of the first faulty row
+    (in time order) from ``first`` on, for the first check it fails: time,
+    mark kind (``wrong``: the mask over those rows and its message), then
+    mark values. Label codes that pass are stored as int64."""
+    if not np.isfinite(horizon) or horizon < 0:
+        raise DataError(f"horizon must be finite and nonnegative, got {horizon}")
+    if start < 0 or start > horizon:
+        raise DataError(f"window start {start} outside [0, {horizon}]")
+    t = cols["times"][first:]
+    checks = [(~np.isfinite(t) | (t < 0),
+               lambda i: f"timestamp {t[i]} is not finite and nonnegative"),
+              (t > horizon, lambda i: f"timestamp {t[i]} beyond horizon {horizon}")]
+    if wrong is not None:
+        checks.append((wrong[0], lambda i: wrong[1]))
+    if isinstance(schema, BinarySchema):
+        checks.append(((cols["feature_matrix"][first:] > 1).any(axis=1),
+                       lambda i: "binary mark entries must be 0 or 1"))
+    elif isinstance(schema, (LabelSchema, CompositeSchema)):
+        code, n = cols["label_index"][first:] + 1, label_count(schema)
+        word = "label" if isinstance(schema, LabelSchema) else "type"
+        checks.append(((code < 1) | (code > n), lambda i: f"{word} {code[i]} outside 1..{n}"))
+    if isinstance(schema, CompositeSchema) and schema.nodes is not None:
+        nodes = cols["node_ids"][first:]
+        checks.append((np.array([v not in schema.nodes for v in nodes], dtype=bool),
+                       lambda i: f"unknown node id {nodes[i]!r}"))
+    fault = np.logical_or.reduce([mask for mask, _ in checks])
+    if fault.any():
+        i = int(fault.argmax())
+        raise DataError(f"event {first + i}: " + next(msg(i) for mask, msg in checks if mask[i]))
+    if "label_index" in cols:
+        cols["label_index"] = cols["label_index"].astype(np.int64)
 
 
 class Dataset:
-    """Time-sorted events over an observation window (start, horizon].
+    """Time-sorted events over an observation window (start, horizon],
+    stored as columns: ``times`` and the schema's mark columns.
 
     Events passed to the constructor are stable-sorted by timestamp, so
-    equal timestamps keep their input order, and ids are reassigned to
-    the sorted rank. ``start`` is nonzero only for split tails, where the
-    dataset represents the window (start, horizon] of a longer stream.
+    equal timestamps keep their input order, and checked; an event's id
+    is its sorted rank. ``start`` is nonzero only for split tails, where
+    the dataset represents the window (start, horizon] of a longer stream.
     """
 
-    def __init__(
-        self,
-        events: Iterable[Event],
-        horizon: float,
-        schema: MarkSchema,
-        start: float = 0.0,
-        units: str | None = None,
-        _sorted: bool = False,
-    ):
-        events = list(events)
-        if not _sorted:
-            events.sort(key=lambda e: e.t)
-        if not np.isfinite(horizon) or horizon < 0:
-            raise DataError(f"horizon must be finite and nonnegative, got {horizon}")
-        if start < 0 or start > horizon:
-            raise DataError(f"window start {start} outside [0, {horizon}]")
-        for i, ev in enumerate(events):
-            if not np.isfinite(ev.t) or ev.t < 0:
-                raise DataError(f"event {i}: timestamp {ev.t} is not finite and nonnegative")
-            if ev.t > horizon:
-                raise DataError(f"event {i}: timestamp {ev.t} beyond horizon {horizon}")
-            _check_mark(ev.mark, schema, f"event {i}")
-        self.events = [Event(ev.t, ev.mark, i) for i, ev in enumerate(events)]
-        self.horizon = float(horizon)
-        self.schema = schema
-        self.start = float(start)
-        self.units = units
+    def __init__(self, events: Iterable[Event], horizon: float, schema: MarkSchema,
+                 start: float = 0.0, units: str | None = None):
+        events = sorted(events, key=lambda ev: ev.t)
+        cols, wrong = _mark_columns([ev.mark for ev in events], schema)
+        cols["times"] = np.array([ev.t for ev in events], dtype=np.float64)
+        _check_rows(cols, horizon, schema, start, wrong)
+        self._cols, self.horizon, self.schema, self.start, self.units = (
+            cols, float(horizon), schema, float(start), units)
+
+    @classmethod
+    def _of(cls, cols: dict, horizon, schema, start=0.0, units=None) -> "Dataset":
+        """A dataset over columns that are already sorted and checked."""
+        out = cls.__new__(cls)
+        out._cols, out.horizon, out.schema, out.start, out.units = (
+            cols, float(horizon), schema, float(start), units)
+        return out
+
+    def _rows(self, index, horizon=None, start=None) -> "Dataset":
+        """The rows at ``index`` (a slice or ascending positions), unchecked."""
+        return Dataset._of({name: col[index] for name, col in self._cols.items()},
+                           self.horizon if horizon is None else horizon, self.schema,
+                           self.start if start is None else start, self.units)
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.times)
 
     def __iter__(self):
         return iter(self.events)
 
-    @cached_property
-    def times(self) -> np.ndarray:
-        return np.array([ev.t for ev in self.events], dtype=np.float64)
+    @property
+    def events(self) -> list[Event]:
+        """The events as Event objects, built from the columns on each
+        access (take the list once rather than index it in a loop)."""
+        if isinstance(self.schema, BinarySchema):
+            marks = [BinaryMark(tuple(row)) for row in self.feature_matrix.tolist()]
+        elif isinstance(self.schema, LabelSchema):
+            marks = map(LabelMark, (self.label_index + 1).tolist())
+        else:
+            marks = map(CompositeMark, (self.label_index + 1).tolist(), self.node_ids.tolist())
+        return list(map(Event, self.times.tolist(), marks, range(len(self))))
 
-    @cached_property
+    def _column(self, name: str, needs: str) -> np.ndarray:
+        if name not in self._cols:
+            raise DataError(f"{name} requires {needs}")
+        return self._cols[name]
+
+    @property
+    def times(self) -> np.ndarray:
+        return self._cols["times"]
+
+    @property
     def feature_matrix(self) -> np.ndarray:
         """(N, F) 0/1 matrix for binary schemas."""
-        if not isinstance(self.schema, BinarySchema):
-            raise DataError("feature_matrix requires a binary schema")
-        if not self.events:
-            return np.zeros((0, self.schema.width), dtype=np.uint8)
-        return np.array([ev.mark.bits for ev in self.events], dtype=np.uint8)
+        return self._column("feature_matrix", "a binary schema")
 
     @cached_property
     def feature_patterns(self) -> tuple[np.ndarray, np.ndarray]:
@@ -173,20 +230,14 @@ class Dataset:
         rows, index = np.unique(self.feature_matrix, axis=0, return_inverse=True)
         return rows, index.reshape(-1)
 
-    @cached_property
+    @property
     def label_index(self) -> np.ndarray:
         """(N,) zero-based label (or composite type) indices."""
-        if isinstance(self.schema, LabelSchema):
-            return np.array([ev.mark.label - 1 for ev in self.events], dtype=np.int64)
-        if isinstance(self.schema, CompositeSchema):
-            return np.array([ev.mark.type - 1 for ev in self.events], dtype=np.int64)
-        raise DataError("label_index requires a label or composite schema")
+        return self._column("label_index", "a label or composite schema")
 
-    @cached_property
+    @property
     def node_ids(self) -> np.ndarray:
-        if not isinstance(self.schema, CompositeSchema):
-            raise DataError("node_ids requires a composite schema")
-        return np.array([ev.mark.node for ev in self.events], dtype=object)
+        return self._column("node_ids", "a composite schema")
 
     @cached_property
     def node_codes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -208,33 +259,34 @@ class Dataset:
         return n
 
     def subset(self, index: np.ndarray) -> "Dataset":
-        """View of the events at ``index`` (ascending), same window.
-
-        The events passed validation when this dataset was built, so they
-        are not checked again, and the columns already computed here are
-        sliced rather than rebuilt."""
+        """The events at ``index`` (strictly increasing positions), same
+        window; they were checked when this dataset was built."""
         index = np.asarray(index, dtype=np.int64)
         if index.size and np.any(np.diff(index) <= 0):
             raise DataError("subset index must be strictly increasing")
-        out = Dataset.__new__(Dataset)
-        out.events = [Event(self.events[i].t, self.events[i].mark, k)
-                      for k, i in enumerate(index.tolist())]
-        out.horizon, out.schema, out.start, out.units = (self.horizon, self.schema,
-                                                         self.start, self.units)
-        for name in ("times", "label_index", "node_ids", "feature_matrix"):
-            if name in self.__dict__:
-                out.__dict__[name] = self.__dict__[name][index]
-        return out
+        if index.size and not 0 <= index[0] <= index[-1] < len(self):
+            raise DataError(f"subset index outside [0, {len(self)})")
+        return self._rows(index)
 
     def merge_history(self, history: "Dataset") -> "Dataset":
         """Prepend earlier events so likelihoods can condition on them."""
         if history.schema != self.schema:
             raise DataError("history schema differs from dataset schema")
-        if history.events and self.events and history.events[-1].t > self.start:
+        if len(history) and history.times[-1] > self.start:
             raise DataError("history extends past the dataset window start")
-        merged = list(history.events) + list(self.events)
-        return Dataset(merged, self.horizon, self.schema, start=self.start,
-                       units=self.units, _sorted=True)
+        return Dataset._of({name: np.concatenate([history._cols[name], col])
+                            for name, col in self._cols.items()},
+                           self.horizon, self.schema, self.start, self.units)
+
+    def _with_query(self, lo: int, hi: int, t: float, mark: Mark) -> "Dataset":
+        """Rows lo:hi, which precede t, then the event (t, mark), over the
+        window (0, t]; only the new event is checked."""
+        cols, wrong = _mark_columns([mark], self.schema)
+        cols["times"] = np.array([t], dtype=np.float64)
+        cols = {name: np.concatenate([self._cols[name][lo:hi], col])
+                for name, col in cols.items()}
+        _check_rows(cols, t, self.schema, 0.0, wrong, first=hi - lo)
+        return Dataset._of(cols, t, self.schema)
 
 
 def split(d: Dataset, fraction: float) -> tuple[Dataset, Dataset]:
@@ -247,11 +299,10 @@ def split(d: Dataset, fraction: float) -> tuple[Dataset, Dataset]:
     if not 0.0 < fraction < 1.0:
         raise DataError(f"split fraction must be in (0, 1), got {fraction}")
     cut = fraction * d.horizon
-    head = [ev for ev in d.events if ev.t <= cut]
-    tail = [ev for ev in d.events if ev.t > cut]
-    train = Dataset(head, cut, d.schema, start=d.start, units=d.units, _sorted=True)
-    test = Dataset(tail, d.horizon, d.schema, start=cut, units=d.units, _sorted=True)
-    return train, test
+    if d.start > cut:
+        raise DataError(f"window start {d.start} outside [0, {cut}]")
+    k = int(np.searchsorted(d.times, cut, side="right"))
+    return d._rows(slice(0, k), horizon=cut), d._rows(slice(k, None), start=cut)
 
 
 _HEADER_KEYS = {"T", "schema", "units"}
@@ -260,27 +311,25 @@ _HEADER_KEYS = {"T", "schema", "units"}
 def _schema_from_header(spec: dict, where: str) -> MarkSchema:
     if not isinstance(spec, dict):
         raise DataError(f"{where}: schema must be an object")
-    if "features" in spec:
-        extra = set(spec) - {"features"}
-        if extra:
-            raise DataError(f"{where}: unexpected schema keys {sorted(extra)}")
-        names = spec["features"]
-        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-            raise DataError(f"{where}: features must be a list of names")
-        return BinarySchema(tuple(names))
-    if "labels" in spec:
-        extra = set(spec) - {"labels"}
-        if extra:
-            raise DataError(f"{where}: unexpected schema keys {sorted(extra)}")
-        return LabelSchema(int(spec["labels"]))
-    if "types" in spec:
-        extra = set(spec) - {"types", "nodes"}
-        if extra:
-            raise DataError(f"{where}: unexpected schema keys {sorted(extra)}")
+    kind = next((k for k in ("features", "labels", "types") if k in spec), None)
+    if kind is None:
+        raise DataError(f"{where}: schema needs one of features/labels/types")
+    extra = set(spec) - {kind} - ({"nodes"} if kind == "types" else set())
+    if extra:
+        raise DataError(f"{where}: unexpected schema keys {sorted(extra)}")
+    value = spec[kind]
+    if kind != "features" and (not isinstance(value, int) or isinstance(value, bool)
+                               or value < 1):
+        raise DataError(f"{where}: \"{kind}\" must be a positive integer, got {value!r}")
+    if kind == "labels":
+        return LabelSchema(value)
+    if kind == "types":
         if spec.get("nodes") is not True:
             raise DataError(f"{where}: composite schema requires \"nodes\": true")
-        return CompositeSchema(int(spec["types"]))
-    raise DataError(f"{where}: schema needs one of features/labels/types")
+        return CompositeSchema(value)
+    if not isinstance(value, list) or not all(isinstance(n, str) for n in value):
+        raise DataError(f"{where}: features must be a list of names")
+    return BinarySchema(tuple(value))
 
 
 def _schemas_compatible(a: MarkSchema, b: MarkSchema) -> bool:
@@ -289,16 +338,19 @@ def _schemas_compatible(a: MarkSchema, b: MarkSchema) -> bool:
     return a == b
 
 
-def _parse_record(obj: dict, schema: MarkSchema, where: str) -> Event:
+def _parse_record(obj: dict, schema: MarkSchema, where: str) -> tuple[float, object]:
+    """The time and mark value of one record: the bit row, the label, or
+    the (type, node) pair."""
     if "t" not in obj:
         raise DataError(f"{where}: record is missing \"t\"")
     t = obj["t"]
     if not isinstance(t, (int, float)) or isinstance(t, bool):
         raise DataError(f"{where}: \"t\" must be a number")
+    allowed = ({"t", "x"} if isinstance(schema, BinarySchema) else
+               {"t", "label"} if isinstance(schema, LabelSchema) else {"t", "type", "node"})
+    if set(obj) - allowed:
+        raise DataError(f"{where}: unexpected keys {sorted(set(obj) - allowed)}")
     if isinstance(schema, BinarySchema):
-        allowed = {"t", "x"}
-        if set(obj) - allowed:
-            raise DataError(f"{where}: unexpected keys {sorted(set(obj) - allowed)}")
         active = obj.get("x", [])
         if not isinstance(active, list):
             raise DataError(f"{where}: \"x\" must be a list of feature indices")
@@ -307,26 +359,18 @@ def _parse_record(obj: dict, schema: MarkSchema, where: str) -> Event:
             if not isinstance(idx, int) or isinstance(idx, bool) or not 0 <= idx < schema.width:
                 raise DataError(f"{where}: feature index {idx!r} outside 0..{schema.width - 1}")
             bits[idx] = 1
-        mark: Mark = BinaryMark(tuple(bits))
-    elif isinstance(schema, LabelSchema):
-        allowed = {"t", "label"}
-        if set(obj) - allowed:
-            raise DataError(f"{where}: unexpected keys {sorted(set(obj) - allowed)}")
+        return float(t), bits
+    if isinstance(schema, LabelSchema):
         label = obj.get("label")
         if not isinstance(label, int) or isinstance(label, bool):
             raise DataError(f"{where}: \"label\" must be an integer")
-        mark = LabelMark(label)
-    else:
-        allowed = {"t", "type", "node"}
-        if set(obj) - allowed:
-            raise DataError(f"{where}: unexpected keys {sorted(set(obj) - allowed)}")
-        typ, node = obj.get("type"), obj.get("node")
-        if not isinstance(typ, int) or isinstance(typ, bool):
-            raise DataError(f"{where}: \"type\" must be an integer")
-        if not isinstance(node, str):
-            raise DataError(f"{where}: \"node\" must be a string")
-        mark = CompositeMark(typ, node)
-    return Event(float(t), mark)
+        return float(t), label
+    typ, node = obj.get("type"), obj.get("node")
+    if not isinstance(typ, int) or isinstance(typ, bool):
+        raise DataError(f"{where}: \"type\" must be an integer")
+    if not isinstance(node, str):
+        raise DataError(f"{where}: \"node\" must be a string")
+    return float(t), (typ, node)
 
 
 def ingest(path: str, schema: MarkSchema | None = None) -> Dataset:
@@ -336,17 +380,15 @@ def ingest(path: str, schema: MarkSchema | None = None) -> Dataset:
     "schema" block; records follow, one JSON object per line. A schema
     must come from the header or the argument (both must agree if given).
     Without a declared horizon the maximum timestamp is used, with a
-    warning. All errors name the offending line.
+    warning. All errors name the offending line. Records are parsed
+    straight into columns.
     """
-    raw_events: list[Event] = []
     horizon: float | None = None
     units: str | None = None
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.readlines()
-    lineno = 0
     body: list[tuple[int, dict]] = []
-    for raw in lines:
-        lineno += 1
+    for lineno, raw in enumerate(lines, start=1):
         text = raw.strip()
         if not text:
             continue
@@ -363,7 +405,10 @@ def ingest(path: str, schema: MarkSchema | None = None) -> Dataset:
         if extra:
             raise DataError(f"{path}:{lineno0}: unexpected header keys {sorted(extra)}")
         if "T" in header:
-            horizon = float(header["T"])
+            T = header["T"]
+            if not isinstance(T, (int, float)) or isinstance(T, bool):
+                raise DataError(f"{path}:{lineno0}: \"T\" must be a number, got {T!r}")
+            horizon = float(T)
         if "units" in header:
             units = str(header["units"])
         if "schema" in header:
@@ -374,19 +419,26 @@ def ingest(path: str, schema: MarkSchema | None = None) -> Dataset:
                 raise DataError(f"{path}:{lineno0}: header schema conflicts with the provided one")
     if schema is None:
         raise DataError(f"{path}: no schema declared in the header or provided by the caller")
+    times: list[float] = []
+    values: list = []
     for lineno, obj in body:
-        ev = _parse_record(obj, schema, f"{path}:{lineno}")
-        if ev.t < 0:
-            raise DataError(f"{path}:{lineno}: negative timestamp {ev.t}")
-        if horizon is not None and ev.t > horizon:
-            raise DataError(f"{path}:{lineno}: timestamp {ev.t} beyond declared horizon {horizon}")
-        raw_events.append(ev)
+        t, value = _parse_record(obj, schema, f"{path}:{lineno}")
+        if t < 0:
+            raise DataError(f"{path}:{lineno}: negative timestamp {t}")
+        if horizon is not None and t > horizon:
+            raise DataError(f"{path}:{lineno}: timestamp {t} beyond declared horizon {horizon}")
+        times.append(t)
+        values.append(value)
     if horizon is None:
-        if not raw_events:
+        if not times:
             raise DataError(f"{path}: empty file without a declared horizon")
-        horizon = max(ev.t for ev in raw_events)
+        horizon = max(times)
         warnings.warn(f"{path}: no horizon declared, defaulting to max timestamp {horizon!r}")
-    return Dataset(raw_events, horizon, schema, units=units)
+    order = sorted(range(len(times)), key=times.__getitem__)  # stable, as list.sort
+    cols = _value_columns([values[j] for j in order], schema)
+    cols["times"] = np.array(times, dtype=np.float64)[order]
+    _check_rows(cols, horizon, schema, 0.0)
+    return Dataset._of(cols, horizon, schema, units=units)
 
 
 def _schema_header(schema: MarkSchema) -> dict:
@@ -397,22 +449,17 @@ def _schema_header(schema: MarkSchema) -> dict:
     return {"types": schema.n_types, "nodes": True}
 
 
-def _json_scalar(x) -> str:
-    """x as json.dumps writes it: repr for plain floats and ints."""
-    return repr(x) if type(x) in (float, int) else json.dumps(x)
-
-
-def _row_formatter(schema: MarkSchema):
-    """Event -> one JSONL record line, byte for byte as json.dumps of
-    {"t": ..., <mark fields>} followed by a newline."""
-    if isinstance(schema, BinarySchema):
-        return lambda ev: '{"t": %s, "x": %s}\n' % (
-            _json_scalar(ev.t), [i for i, b in enumerate(ev.mark.bits) if b])
-    if isinstance(schema, LabelSchema):
-        return lambda ev: '{"t": %s, "label": %s}\n' % (
-            _json_scalar(ev.t), _json_scalar(ev.mark.label))
-    return lambda ev: '{"t": %s, "type": %s, "node": %s}\n' % (
-        _json_scalar(ev.t), _json_scalar(ev.mark.type), json.dumps(ev.mark.node))
+def _record_lines(d: Dataset):
+    """d's JSONL record lines, byte for byte as json.dumps of {"t": ...,
+    <mark fields>} and a newline (tolist gives floats and ints: repr)."""
+    t = d.times.tolist()
+    if isinstance(d.schema, BinarySchema):
+        return ('{"t": %r, "x": %s}\n' % (x, [i for i, b in enumerate(bits) if b])
+                for x, bits in zip(t, d.feature_matrix.tolist()))
+    if isinstance(d.schema, LabelSchema):
+        return ('{"t": %r, "label": %r}\n' % row for row in zip(t, (d.label_index + 1).tolist()))
+    return ('{"t": %r, "type": %r, "node": %s}\n' % (x, k, json.dumps(v))
+            for x, k, v in zip(t, (d.label_index + 1).tolist(), d.node_ids.tolist()))
 
 
 def write_events(d: Dataset, path: str) -> None:
@@ -422,4 +469,4 @@ def write_events(d: Dataset, path: str) -> None:
         if d.units is not None:
             header["units"] = d.units
         fh.write(json.dumps(header) + "\n")
-        fh.writelines(map(_row_formatter(d.schema), d.events))
+        fh.writelines(_record_lines(d))

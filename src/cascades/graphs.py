@@ -35,9 +35,9 @@ from .engine import (CascadeModel, HomogeneousBaseline, KernelComponent,
                      _child_ids, e_step, expected_transition_counts, fit, m_step,
                      windowed_log_likelihood)
 from .errors import ConfigError, DataError
-from .events import CompositeMark, CompositeSchema, Dataset, Event
+from .events import CompositeMark, CompositeSchema, Dataset
 from .fertility import ConstantFertility
-from .simulate import CausalForest, _poisson_count, substream
+from .simulate import CausalForest, _poisson_count, _time_ordered, substream
 from .transitions import CategoricalMatrix, LabelMarginal, draw_index
 
 VARIANTS = ("no_neighbors", "shared_transition", "separate_transitions",
@@ -645,13 +645,5 @@ def simulate_graph(graph: Graph, horizon: float, seed: int, *,
                 if len(times) > max_events:
                     raise DataError(f"graph simulation exceeded max_events={max_events}")
 
-    order = np.argsort(np.asarray(times), kind="stable")
-    inverse = np.empty(len(order), dtype=np.int64)
-    inverse[order] = np.arange(len(order), dtype=np.int64)
-    events = [Event(times[j], marks[j]) for j in order]
-    d = Dataset(events, horizon, schema, _sorted=True)
-    parent_arr = np.array([-1 if parents[j] < 0 else int(inverse[parents[j]])
-                           for j in order], dtype=np.int64)
-    comp_arr = np.where(parent_arr >= 0, 0, -1).astype(np.int64)
-    gen_arr = np.array([gens[j] for j in order], dtype=np.int64)
-    return d, CausalForest(parent_arr, comp_arr, gen_arr)
+    # every triggered event is component 0's
+    return _time_ordered(times, marks, parents, np.minimum(parents, 0), gens, horizon, schema)

@@ -196,16 +196,18 @@ def simulate(model: CascadeModel, horizon: float, seed: int,
                         f"offspring so far is about {ratio:.2f}, the model "
                         "may be supercritical")
 
+    return _time_ordered(times, marks, parents, comp_of, gens, horizon, schema)
+
+
+def _time_ordered(times: list, marks: list, parents: list, comps, gens: list,
+                  horizon: float, schema: MarkSchema) -> tuple[Dataset, CausalForest]:
+    """The drawn events stable-sorted by time, and their forest with each
+    parent renumbered to its sorted rank."""
     order = np.argsort(np.asarray(times), kind="stable")
-    inverse = np.empty(len(order), dtype=np.int64)
-    inverse[order] = np.arange(len(order), dtype=np.int64)
-    events = [Event(times[j], marks[j]) for j in order]
-    d = Dataset(events, horizon, schema, _sorted=True)
-    parent_arr = np.array([-1 if parents[j] < 0 else int(inverse[parents[j]])
-                           for j in order], dtype=np.int64)
-    comp_arr = np.array([comp_of[j] for j in order], dtype=np.int64)
-    gen_arr = np.array([gens[j] for j in order], dtype=np.int64)
-    return d, CausalForest(parent_arr, comp_arr, gen_arr)
+    rank = np.append(np.argsort(order), -1)  # each draw's sorted rank; a root's parent -1 stays -1
+    d = Dataset([Event(times[j], marks[j]) for j in order], horizon, schema)
+    return d, CausalForest(*(np.asarray(col, dtype=np.int64)[order] for col in (
+        rank[np.asarray(parents, dtype=np.int64)], comps, gens)))
 
 
 def parent_recovery_score(forest: CausalForest, resp: Responsibilities,

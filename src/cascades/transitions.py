@@ -26,8 +26,8 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .events import (BinaryMark, BinarySchema, CompositeMark, CompositeSchema,
-                     Dataset, LabelMark, LabelSchema, Mark, MarkSchema, label_count)
+from .events import (BinaryMark, BinarySchema, CompositeMark, Dataset, LabelMark, Mark,
+                     MarkSchema, label_count)
 
 
 @dataclass(frozen=True)
@@ -336,23 +336,6 @@ def sample_child_mark(spec: TransitionSpec, parent: Mark,
         cum = spec.cumulative[_mark_label_index(parent)]
         return LabelMark(draw_index(cum, rng.random()) + 1)
     raise DataError(f"unknown transition spec {type(spec).__name__}")
-
-
-def enumerate_marks(schema) -> list[Mark]:
-    """All marks of a small finite schema, in a fixed order (tests, checks)."""
-    if isinstance(schema, BinarySchema):
-        if schema.width > 12:
-            raise DataError("mark enumeration supports at most 12 features")
-        marks = []
-        for code in range(1 << schema.width):
-            bits = tuple((code >> i) & 1 for i in range(schema.width))
-            marks.append(BinaryMark(bits))
-        return marks
-    if isinstance(schema, LabelSchema):
-        return [LabelMark(i + 1) for i in range(schema.n_labels)]
-    if isinstance(schema, CompositeSchema):
-        raise DataError("composite marks cannot be enumerated without a node set")
-    raise DataError(f"unsupported schema {type(schema).__name__}")
 
 
 # ---------------------------------------------------------------------------

@@ -481,7 +481,8 @@ def test_acceptance_7_shrinkage_beats_unregularized():
                               transition=trans, delay=ExponentialDelay(1.0))
         cut = 15.0
         head_idx = np.nonzero(d.times <= cut)[0]
-        train = Dataset([d.events[int(j)] for j in head_idx], horizon=cut,
+        evs = d.events
+        train = Dataset([evs[int(j)] for j in head_idx], horizon=cut,
                         schema=d.schema)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

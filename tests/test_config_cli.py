@@ -335,12 +335,81 @@ def test_fit_takes_the_test_ll_from_the_heldout_trace(monkeypatch):
                         lambda *args, **kw: scored.append(1) or log_likelihood(*args, **kw))
     for model in (exp_model, parse_model(gamma_conf, "model")):
         for name in ("auto", "direct"):
-            report, test_ll = _fit_one(model, train, test,
+            report, test_ll = _fit_one(model, train, test, test.merge_history(train),
                                        EmOptions(max_iters=4, tol=0.0, engine=name))
             assert scored == []
             assert test_ll == log_likelihood(report.model, test, history=train)
     # a present but empty test split is still scored on its own
     empty = Dataset([], d.horizon, d.schema, start=d.horizon)
-    report, test_ll = _fit_one(exp_model, train, empty, EmOptions(max_iters=2))
+    report, test_ll = _fit_one(exp_model, train, empty, None, EmOptions(max_iters=2))
     assert scored == [1] and report.heldout_trace is None
     assert test_ll == log_likelihood(report.model, empty, history=train)
+
+
+@pytest.mark.parametrize("parse, where, field, value", [
+    (parse_em_options, "em", "max_iters", "x"),
+    (parse_em_options, "em", "max_iters", 2.7),
+    (parse_em_options, "em", "max_iters", True),
+    (parse_em_options, "em", "tol", "abc"),
+    (parse_em_options, "em", "tol", False),
+    (parse_graph_options, "graph_fit", "rounds", "two"),
+    (parse_graph_options, "graph_fit", "rounds", 2.7),
+    (parse_graph_options, "graph_fit", "rounds", True),
+    (parse_graph_options, "graph_fit", "max_iters", 2.5),
+    (parse_graph_options, "graph_fit", "strength_grid", 5),
+    (parse_graph_options, "graph_fit", "pool_grid", ["a"]),
+    (parse_graph_options, "graph_fit", "val_fraction", "half"),
+    (parse_graph_options, "graph_fit", "tol", None)])
+def test_run_options_reject_malformed_values(parse, where, field, value):
+    with pytest.raises(ConfigError, match=f"^{where}.{field}: expected "):
+        parse({field: value})
+
+
+def test_run_option_defaults_come_from_the_dataclasses_and_graphs():
+    from cascades import config, graphs
+    assert parse_em_options({}) == parse_em_options(None) == config.EmOptions()
+    assert parse_graph_options({}) == parse_graph_options(None) == config.GraphOptions()
+    assert config.GraphOptions().strength_grid is graphs.STRENGTH_GRID
+    assert config.GraphOptions().pool_grid is graphs.POOL_GRID
+    assert not hasattr(config, "graph_variants")
+    g = parse_graph_options({"rounds": 3, "max_iters": 0, "pool_grid": [1]})
+    assert (g.rounds, g.max_iters, g.pool_grid) == (3, 0, (1.0,))
+    assert type(g.rounds) is int and type(g.pool_grid[0]) is float
+
+
+@pytest.mark.parametrize("section, field, value", [
+    ("em", "max_iters", "x"), ("em", "tol", "abc"), ("em", "max_iters", 2.7),
+    ("em", "max_iters", True)])
+def test_cli_exits_2_on_malformed_em_options(tmp_path, capsys, section, field, value):
+    data = tmp_path / "e.jsonl"
+    data.write_text('{"T": 2.0, "schema": {"labels": 3}}\n{"t": 1.0, "label": 1}\n')
+    conf = _write(tmp_path / "fit.json", {"model": LABEL_MODEL_CONF, section: {field: value}})
+    assert main(["fit", "--config", conf, "--data", str(data),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert f"{section}.{field}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [("rounds", "two"), ("strength_grid", 5)])
+def test_cli_graph_fit_exits_2_on_malformed_options(tmp_path, capsys, field, value):
+    conf = _write(tmp_path / "gf.json", {"graph_fit": {field: value}})
+    assert main(["graph-fit", "--config", conf, "--data", str(tmp_path / "none.jsonl"),
+                 "--graph", str(tmp_path / "none.jsonl"), "--out", str(tmp_path / "o")]) == 2
+    assert f"graph_fit.{field}" in capsys.readouterr().err
+
+
+def test_compare_merges_the_test_history_once(tmp_path, monkeypatch):
+    from cascades import Dataset
+    sim_conf = _write(tmp_path / "sim.json", {"model": LABEL_MODEL_CONF, "horizon": 40.0})
+    assert main(["simulate", "--config", sim_conf, "--out", str(tmp_path / "s"),
+                 "--seed", "3"]) == 0
+    cmp_conf = _write(tmp_path / "cmp.json", {
+        "models": {"full": LABEL_MODEL_CONF,
+                   "baseline_only": {"baseline": LABEL_MODEL_CONF["baseline"]}},
+        "em": {"max_iters": 2}, "split": 0.75})
+    merges = []
+    merge = Dataset.merge_history
+    monkeypatch.setattr(Dataset, "merge_history",
+                        lambda self, h: merges.append(1) or merge(self, h))
+    assert main(["compare", "--config", cmp_conf, "--data", str(tmp_path / "s/events.jsonl"),
+                 "--out", str(tmp_path / "c")]) == 0
+    assert merges == [1]

@@ -276,7 +276,8 @@ def test_intensity_matches_the_estep(kind, truncation):
     else:
         model, d = _composite_model(truncation), _composite_data(seed=15)
     _, lam, kids = engine._estep_core(model, d, None, None, want_resp=False)
-    got = [intensity(model, d, d.times[i], d.events[i].mark) for i in kids]
+    evs = d.events
+    got = [intensity(model, d, d.times[i], evs[i].mark) for i in kids]
     np.testing.assert_allclose(got, lam[kids], rtol=1e-12, atol=0)
 
 

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cascades import (BinaryMark, BinarySchema, CompositeMark, CompositeSchema,
                       DataError, Dataset, Event, IdentityTransition, LabelMark,
@@ -95,6 +97,11 @@ def test_merge_history_prepends():
     assert merged.start == 2.0
     with pytest.raises(DataError):
         train.merge_history(test)  # history after window start
+    # an empty window takes no history from inside it or past its horizon
+    for horizon, late in ((4.0, test), (0.75, d)):
+        empty = Dataset([], horizon=horizon, schema=LabelSchema(1), start=0.25)
+        with pytest.raises(DataError, match="history extends past the dataset window start"):
+            empty.merge_history(late)
 
 
 def test_subset_requires_increasing_index():
@@ -201,3 +208,283 @@ def test_ingest_without_horizon_warns(tmp_path):
         d = ingest(str(path))
     assert d.horizon == 2.0
     assert any("horizon" in str(w.message) for w in caught)
+
+
+# ---------------------------------------------------------------------------
+# columns are the data: slices match fresh builds, checks match the old loop
+
+
+def _check_mark(mark, schema, where):
+    """The per-row mark check datasets ran before they were columnar,
+    kept as the oracle for the column validator's messages."""
+    if isinstance(schema, BinarySchema):
+        if not isinstance(mark, BinaryMark) or len(mark.bits) != schema.width:
+            raise DataError(f"{where}: mark does not match binary schema of width {schema.width}")
+        if any(b not in (0, 1) for b in mark.bits):
+            raise DataError(f"{where}: binary mark entries must be 0 or 1")
+    elif isinstance(schema, LabelSchema):
+        if not isinstance(mark, LabelMark):
+            raise DataError(f"{where}: expected a label mark")
+        if not 1 <= mark.label <= schema.n_labels:
+            raise DataError(f"{where}: label {mark.label} outside 1..{schema.n_labels}")
+    elif isinstance(schema, CompositeSchema):
+        if not isinstance(mark, CompositeMark):
+            raise DataError(f"{where}: expected a (type, node) mark")
+        if not 1 <= mark.type <= schema.n_types:
+            raise DataError(f"{where}: type {mark.type} outside 1..{schema.n_types}")
+        if schema.nodes is not None and mark.node not in schema.nodes:
+            raise DataError(f"{where}: unknown node id {mark.node!r}")
+    else:
+        raise DataError(f"{where}: unsupported schema {type(schema).__name__}")
+
+
+def _oracle_error(events, horizon, schema, start=0.0):
+    """The message of the old per-row constructor loop, or None."""
+    events = sorted(events, key=lambda e: e.t)
+    if not np.isfinite(horizon) or horizon < 0:
+        return f"horizon must be finite and nonnegative, got {horizon}"
+    if start < 0 or start > horizon:
+        return f"window start {start} outside [0, {horizon}]"
+    for i, ev in enumerate(events):
+        if not np.isfinite(ev.t) or ev.t < 0:
+            return f"event {i}: timestamp {ev.t} is not finite and nonnegative"
+        if ev.t > horizon:
+            return f"event {i}: timestamp {ev.t} beyond horizon {horizon}"
+        try:
+            _check_mark(ev.mark, schema, f"event {i}")
+        except DataError as exc:
+            return str(exc)
+    return None
+
+
+def _built_error(events, horizon, schema, start=0.0):
+    try:
+        Dataset(events, horizon, schema, start=start)
+    except DataError as exc:
+        return str(exc)
+    return None
+
+
+COMPOSITE = CompositeSchema(3, frozenset({"u", "v"}))
+SCHEMAS = {"binary": SCHEMA2, "label": LabelSchema(3), "composite": COMPOSITE}
+GOOD_MARKS = {"binary": [bm(0, 0), bm(1, 0), bm(0, 1), bm(1, 1)],
+              "label": [LabelMark(k) for k in (1, 2, 3)],
+              "composite": [CompositeMark(k, v) for k in (1, 2, 3) for v in ("u", "v")]}
+BAD_MARKS = {"binary": [LabelMark(1), bm(1), bm(0, 1, 1), bm(0, 2), bm(1, "1"), bm(-1, 0)],
+             "label": [LabelMark(0), LabelMark(4), LabelMark(-2), bm(1, 0),
+                       CompositeMark(1, "u")],
+             "composite": [CompositeMark(0, "u"), CompositeMark(4, "v"),
+                           CompositeMark(1, "w"), LabelMark(1), bm(0, 1)]}
+GOOD_TIMES = [0.0, 0.5, 1.0, 1.0, 2.5, 4.0]
+BAD_TIMES = [-1.0, -0.0001, float("nan"), float("inf"), -float("inf"), 4.5, 7.0]
+
+
+@st.composite
+def faulty_streams(draw):
+    kind = draw(st.sampled_from(sorted(SCHEMAS)))
+    n = draw(st.integers(0, 8))
+    times = [draw(st.sampled_from(GOOD_TIMES)) for _ in range(n)]
+    marks = [draw(st.sampled_from(GOOD_MARKS[kind])) for _ in range(n)]
+    for _ in range(draw(st.integers(0, 3))):  # zero, one or several faults
+        if n and draw(st.booleans()):
+            times[draw(st.integers(0, n - 1))] = draw(st.sampled_from(BAD_TIMES))
+        elif n:
+            marks[draw(st.integers(0, n - 1))] = draw(st.sampled_from(BAD_MARKS[kind]))
+    return kind, [Event(t, m) for t, m in zip(times, marks)]
+
+
+@given(faulty_streams())
+@settings(max_examples=400, deadline=None)
+def test_constructor_errors_match_the_per_row_loop(case):
+    kind, events = case
+    assert _built_error(events, 4.0, SCHEMAS[kind]) == _oracle_error(events, 4.0, SCHEMAS[kind])
+
+
+@pytest.mark.parametrize("kind, events, message", [
+    ("label", [Event(1.0, LabelMark(2)), Event(0.5, LabelMark(4))],
+     "event 0: label 4 outside 1..3"),
+    ("label", [Event(1.0, LabelMark(2)), Event(2.0, bm(1, 0))], "event 1: expected a label mark"),
+    ("binary", [Event(1.0, bm(1, 0, 1))], "event 0: mark does not match binary schema of width 2"),
+    ("binary", [Event(1.0, bm(1, 0)), Event(1.0, bm(0, 2))],
+     "event 1: binary mark entries must be 0 or 1"),
+    ("composite", [Event(3.0, CompositeMark(5, "u"))], "event 0: type 5 outside 1..3"),
+    ("composite", [Event(3.0, CompositeMark(1, "w"))], "event 0: unknown node id 'w'"),
+    ("composite", [Event(0.5, CompositeMark(1, "u")), Event(3.0, LabelMark(1))],
+     "event 1: expected a (type, node) mark"),
+    ("label", [Event(2.0, LabelMark(1)), Event(-1.0, LabelMark(1))],
+     "event 0: timestamp -1.0 is not finite and nonnegative"),
+    ("label", [Event(float("nan"), LabelMark(1))],
+     "event 0: timestamp nan is not finite and nonnegative"),
+    ("label", [Event(5.0, LabelMark(1))], "event 0: timestamp 5.0 beyond horizon 4.0"),
+    # several faults: the first in time order wins, and within an event
+    # the time is checked before the mark
+    ("label", [Event(3.0, LabelMark(9)), Event(7.0, bm(0)), Event(1.0, LabelMark(0))],
+     "event 0: label 0 outside 1..3"),
+    ("label", [Event(9.0, LabelMark(9)), Event(1.0, LabelMark(1))],
+     "event 1: timestamp 9.0 beyond horizon 4.0"),
+    # ties keep their input order
+    ("label", [Event(1.0, LabelMark(1)), Event(1.0, LabelMark(7)), Event(1.0, LabelMark(8))],
+     "event 1: label 7 outside 1..3"),
+])
+def test_single_and_multi_fault_messages(kind, events, message):
+    assert _oracle_error(events, 4.0, SCHEMAS[kind]) == message
+    with pytest.raises(DataError) as exc:
+        Dataset(events, 4.0, SCHEMAS[kind])
+    assert str(exc.value) == message
+
+
+def test_window_errors_match_the_per_row_loop():
+    for horizon, start in ((float("nan"), 0.0), (-1.0, 0.0), (2.0, 3.0), (2.0, -1.0)):
+        assert _built_error([], horizon, SCHEMAS["label"], start) == _oracle_error(
+            [], horizon, SCHEMAS["label"], start)
+    with pytest.raises(DataError, match=r"^window start 3.0 outside \[0, 2.5\]$"):
+        split(Dataset([], 10.0, SCHEMAS["label"], start=3.0), 0.25)
+
+
+def test_ingest_range_errors_match_the_per_row_loop(tmp_path):
+    path = tmp_path / "e.jsonl"
+    rows = [{"t": 2.0, "label": 1}, {"t": 1.0, "label": 5}, {"t": 0.5, "label": 2},
+            {"t": 1.0, "label": 0}]
+    path.write_text(json.dumps({"T": 4.0, "schema": {"labels": 3}}) + "\n"
+                    + "".join(json.dumps(r) + "\n" for r in rows))
+    events = [Event(float(r["t"]), LabelMark(r["label"])) for r in rows]
+    with pytest.raises(DataError) as exc:
+        ingest(str(path))
+    assert str(exc.value) == _oracle_error(events, 4.0, LabelSchema(3)) == \
+        "event 1: label 5 outside 1..3"
+    nodes = CompositeSchema(2, frozenset({"a"}))
+    assert _built_error([Event(1.0, CompositeMark(3, "b"))], 2.0, nodes) == \
+        "event 0: type 3 outside 1..2"
+
+
+def _streams(kind):
+    times = st.lists(st.sampled_from([0.0, 0.25, 1.0, 1.0, 2.5, 3.0, 4.75, 6.0, 8.0]),
+                     max_size=12)
+    return st.tuples(times, st.lists(st.sampled_from(GOOD_MARKS[kind]), min_size=12,
+                                     max_size=12))
+
+
+def _assert_same(d, fresh):
+    assert d.events == fresh.events
+    assert (d.horizon, d.schema, d.start, d.units) == (fresh.horizon, fresh.schema,
+                                                       fresh.start, fresh.units)
+    for name in ("times", "label_index", "node_ids", "feature_matrix"):
+        try:
+            want = getattr(fresh, name)
+        except DataError:
+            with pytest.raises(DataError):
+                getattr(d, name)
+            continue
+        got = getattr(d, name)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind", sorted(SCHEMAS))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_slices_match_datasets_built_from_events(kind, data):
+    times, marks = data.draw(_streams(kind))
+    schema = SCHEMAS[kind]
+    events = [Event(t, m) for t, m in zip(times, marks)]
+    d = Dataset(events, 8.0, schema, units="s")
+    evs = d.events  # sorted, with ids
+    fraction = data.draw(st.sampled_from([0.1, 0.3125, 0.5, 0.75]))
+    train, test = split(d, fraction)
+    cut = fraction * 8.0
+    _assert_same(train, Dataset([ev for ev in evs if ev.t <= cut], cut, schema, units="s"))
+    _assert_same(test, Dataset([ev for ev in evs if ev.t > cut], 8.0, schema, start=cut,
+                               units="s"))
+    _assert_same(test.merge_history(train), Dataset(evs, 8.0, schema, start=cut, units="s"))
+    index = np.array(sorted(data.draw(st.sets(st.integers(0, max(len(d) - 1, 0)))
+                                      if len(d) else st.just(set()))), dtype=np.int64)
+    _assert_same(d.subset(index), Dataset([evs[i] for i in index], 8.0, schema, units="s"))
+    t = data.draw(st.sampled_from([0.5, 1.0, 3.0, 8.0]))
+    x = data.draw(st.sampled_from(GOOD_MARKS[kind]))
+    lo, hi = np.searchsorted(d.times, [data.draw(st.sampled_from([0.0, 1.0])), t], side="left")
+    _assert_same(d._with_query(int(lo), int(hi), t, x),
+                 Dataset(evs[lo:hi] + [Event(t, x)], t, schema))
+
+
+def test_query_mark_errors_name_the_query_event():
+    d = Dataset([Event(t, LabelMark(1)) for t in (0.5, 1.0, 2.0)], 4.0, LabelSchema(3))
+    for x, message in ((LabelMark(4), "event 2: label 4 outside 1..3"),
+                       (bm(1, 0), "event 2: expected a label mark")):
+        assert _built_error(d.events[:2] + [Event(1.5, x)], 1.5, d.schema) == message
+        with pytest.raises(DataError) as exc:
+            d._with_query(0, 2, 1.5, x)
+        assert str(exc.value) == message
+
+
+def test_subset_rejects_positions_outside_the_dataset():
+    d = Dataset([Event(t, LabelMark(1)) for t in (1.0, 2.0, 3.0)], 4.0, LabelSchema(1))
+    for index in ([-1], [0, 3], [5]):
+        with pytest.raises(DataError, match=r"outside \[0, 3\)"):
+            d.subset(np.array(index))
+    assert len(d.subset(np.array([], dtype=np.int64))) == 0
+
+
+def test_int_times_read_back_as_floats(tmp_path):
+    d = Dataset([Event(1, LabelMark(1)), Event(2.5, LabelMark(1))], 3, LabelSchema(1))
+    assert [type(ev.t) for ev in d] == [float, float] and d.horizon == 3.0
+    path = tmp_path / "e.jsonl"
+    write_events(d, str(path))
+    assert path.read_text().splitlines()[1] == '{"t": 1.0, "label": 1}'
+    back = ingest(str(path))
+    write_events(back, str(tmp_path / "again.jsonl"))
+    assert (tmp_path / "again.jsonl").read_text() == path.read_text()
+
+
+def test_column_paths_build_no_event_objects(tmp_path, monkeypatch):
+    from cascades import (CascadeModel, CategoricalMatrix, ConstantFertility,
+                          ExponentialDelay, Graph, HomogeneousBaseline, KernelComponent,
+                          LabelMarginal, intensity, simulate_graph)
+    from cascades.graphs import local_data
+    graph = Graph(["a", "b", "c"], {"a": ["b"], "b": ["c"]})
+    g, _ = simulate_graph(graph, 30.0, 3, type_marginal=(0.5, 0.5), base_rate=0.3,
+                          self_rate=0.2, neighbor_rate=0.2,
+                          transition=CategoricalMatrix(((0.5, 0.5), (0.5, 0.5))),
+                          delay=ExponentialDelay(1.0))
+    labels = Dataset([Event(0.1 * k, LabelMark(k % 3 + 1)) for k in range(60)], 6.0,
+                     LabelSchema(3))
+    paths = {}
+    for name, d in (("graph", g), ("labels", labels)):
+        paths[name] = str(tmp_path / f"{name}.jsonl")
+        write_events(d, paths[name])
+    model = CascadeModel(HomogeneousBaseline(1.0, LabelMarginal((0.2, 0.3, 0.5))), (
+        KernelComponent("k", ConstantFertility(0.4), IdentityTransition(),
+                        ExponentialDelay(1.0)),))
+    built = []
+    init = Event.__init__
+    monkeypatch.setattr(Event, "__init__",
+                        lambda self, *args, **kw: built.append(1) or init(self, *args, **kw))
+    d = ingest(paths["labels"])
+    train, test = split(d, 0.5)
+    test.merge_history(train)
+    d.subset(np.arange(0, len(d), 2))
+    intensity(model, d, 3.05, LabelMark(2))
+    local_data(graph, split(ingest(paths["graph"]), 0.6)[0], ("b",))
+    write_events(d, str(tmp_path / "again.jsonl"))
+    assert built == []
+    d.events  # the view is where Event objects come from
+    assert len(built) == len(d)
+
+
+@pytest.mark.parametrize("header, message", [
+    ({"T": "abc"}, '"T" must be a number'),
+    ({"T": True}, '"T" must be a number'),
+    ({"T": None}, '"T" must be a number'),
+    ({"schema": {"labels": 2.7}}, '"labels" must be a positive integer'),
+    ({"schema": {"labels": 0}}, '"labels" must be a positive integer'),
+    ({"schema": {"labels": True}}, '"labels" must be a positive integer'),
+    ({"schema": {"labels": "3"}}, '"labels" must be a positive integer'),
+    ({"schema": {"types": True, "nodes": True}}, '"types" must be a positive integer'),
+    ({"schema": {"types": -1, "nodes": True}}, '"types" must be a positive integer'),
+    ({"schema": {"types": 2.0, "nodes": True}}, '"types" must be a positive integer'),
+])
+def test_ingest_rejects_malformed_headers(tmp_path, header, message):
+    path = tmp_path / "bad.jsonl"
+    header = {"T": 5.0, "schema": {"labels": 2}, **header}
+    path.write_text(json.dumps(header) + '\n\n{"t": 1.0, "label": 1}\n')
+    with pytest.raises(DataError, match=rf"bad\.jsonl:1: {message}"):
+        ingest(str(path))

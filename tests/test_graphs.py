@@ -207,7 +207,7 @@ def shapes_data(seed=8, horizon=40.0, head=0.7):
     d, _ = sim(shapes_graph(), horizon=horizon, seed=seed)
     cut = head * horizon
     keep = [ev for ev in d.events if ev.mark.node != "q" or ev.t > cut]
-    return Dataset(keep, d.horizon, d.schema, _sorted=True)
+    return Dataset(keep, d.horizon, d.schema)
 
 
 def assert_fits_equal(r1, r2):

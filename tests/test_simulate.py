@@ -61,8 +61,9 @@ def test_identity_transition_children_inherit_marks():
     d, forest = simulate(label_model(alpha=0.7), 100.0, seed=5)
     kids = np.nonzero(forest.parents >= 0)[0]
     assert kids.size > 10
+    evs = d.events
     for k in kids:
-        assert d.events[k].mark == d.events[forest.parents[k]].mark
+        assert evs[k].mark == evs[forest.parents[k]].mark
 
 
 def test_categorical_transition_children_follow_rows():
@@ -74,8 +75,9 @@ def test_categorical_transition_children_follow_rows():
     d, forest = simulate(model, 150.0, seed=6)
     kids = np.nonzero(forest.parents >= 0)[0]
     assert kids.size > 20
+    evs = d.events
     for k in kids:
-        assert d.events[k].mark.label != d.events[forest.parents[k]].mark.label
+        assert evs[k].mark.label != evs[forest.parents[k]].mark.label
 
 
 def test_periodic_baseline_respects_zero_buckets():

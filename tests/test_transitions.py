@@ -9,7 +9,7 @@ from cascades import (BinaryMark, BinarySchema, CategoricalMatrix, DataError,
                       Dataset, Event, FeatureMixture, FeaturePrior,
                       IdentityTransition, LabelMark, LabelMarginal, LabelSchema,
                       PriorTransition, fit_categorical, fit_mixture)
-from cascades.transitions import (PairProbs, draw_index, enumerate_marks,
+from cascades.transitions import (PairProbs, draw_index,
                                   fit_mixture_from_stats, mixture_stats, prior_stats,
                                   sample_child_mark, sample_mark, transition_stats,
                                   write_matrix_csv)
@@ -43,7 +43,7 @@ def trans_prob(spec, parent, child):
     FeatureMixture(0.35, PRIOR3),
 ], ids=lambda s: type(s).__name__)
 def test_binary_transition_rows_sum_to_one(spec):
-    marks = enumerate_marks(BinarySchema(("a", "b", "c")))
+    marks = [bm(*((code >> i) & 1 for i in range(3))) for code in range(8)]
     for parent in marks:
         total = sum(trans_prob(spec, parent, child) for child in marks)
         assert total == pytest.approx(1.0, abs=1e-12)
@@ -51,7 +51,7 @@ def test_binary_transition_rows_sum_to_one(spec):
 
 def test_label_transition_rows_sum_to_one():
     mat = CategoricalMatrix(((0.2, 0.8), (0.6, 0.4)))
-    marks = enumerate_marks(LabelSchema(2))
+    marks = [LabelMark(1), LabelMark(2)]
     for parent in marks:
         total = sum(trans_prob(mat, parent, child) for child in marks)
         assert total == pytest.approx(1.0, abs=1e-12)
