@@ -121,7 +121,8 @@ def cmd_simulate(args) -> int:
     horizon = args.horizon if args.horizon is not None else conf.get("horizon")
     if horizon is None:
         raise ConfigError("no horizon: pass --horizon or set it in the config")
-    d, forest = run_simulation(model, float(horizon), args.seed, schema=schema)
+    horizon = cfg._number(horizon, "horizon")
+    d, forest = run_simulation(model, horizon, args.seed, schema=schema)
     os.makedirs(args.out, exist_ok=True)
     tmp_events = os.path.join(args.out, "events.jsonl")
     events.write_events(d, tmp_events + ".tmp")
@@ -130,7 +131,7 @@ def cmd_simulate(args) -> int:
     write_forest(forest, tmp_forest + ".tmp")
     os.replace(tmp_forest + ".tmp", tmp_forest)
     print(f"simulated {len(d)} events ({forest.n_roots} baseline) "
-          f"over (0, {float(horizon)!r}] -> {tmp_events}")
+          f"over (0, {horizon!r}] -> {tmp_events}")
     return 0
 
 
@@ -145,7 +146,7 @@ def _split_data(d: Dataset, args, conf: dict):
     fraction = args.split if args.split is not None else conf.get("split")
     if fraction is None:
         return d, None, None
-    train, test = events.split(d, float(fraction))
+    train, test = events.split(d, cfg._number(fraction, "split"))
     return train, test, test.merge_history(train) if len(test) else None
 
 

@@ -1,9 +1,13 @@
 """Parametric delay distributions on (0, inf) and their weighted MLEs.
 
-Every family exposes a density, a CDF, forward sampling, an analytic
-mean, a tail cutoff used for truncation windows, and a weighted maximum
-likelihood update used by the EM M-step. Densities are zero for
-nonpositive delays in every family.
+Each family is one frozen dataclass that checks its parameters when it
+is built and owns its math, on positive delays only: ``pdf`` and
+``cdf``, the analytic ``mean``, ``cutoff`` (the delay past which a given
+tail mass lies, for truncation windows), ``draw`` and ``refit`` (the
+weighted maximum likelihood update of the EM M-step). ``kind`` names
+the family in JSON configs. The module functions add what every family
+shares: scalar or array arguments, zero density and mass at nonpositive
+delays, the trivial tail masses and the checks on weighted samples.
 """
 
 from __future__ import annotations
@@ -17,15 +21,77 @@ from scipy import optimize, special
 from .errors import DataError, NumericalError
 
 
+def _positive(name: str, value: float) -> None:
+    if not np.isfinite(value) or value <= 0:
+        raise DataError(f"{name} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class ExponentialDelay:
     rate: float
+
+    kind = "exponential"
+
+    def __post_init__(self):
+        _positive("exponential rate", self.rate)
+
+    def pdf(self, x: np.ndarray) -> np.ndarray:
+        return self.rate * np.exp(-self.rate * x)
+
+    def cdf(self, x: np.ndarray) -> np.ndarray:
+        return -np.expm1(-self.rate * x)
+
+    def mean(self) -> float:
+        return 1.0 / self.rate
+
+    def cutoff(self, tail_mass: float) -> float:
+        return -np.log(tail_mass) / self.rate
+
+    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return rng.exponential(1.0 / self.rate, size=n)
+
+    def refit(self, d: np.ndarray, w: np.ndarray) -> ExponentialDelay:
+        return ExponentialDelay(rate=float(w.sum() / np.dot(w, d)))
 
 
 @dataclass(frozen=True)
 class GammaDelay:
     shape: float
     rate: float
+
+    kind = "gamma"
+
+    def __post_init__(self):
+        _positive("gamma shape", self.shape)
+        _positive("gamma rate", self.rate)
+
+    def pdf(self, x: np.ndarray) -> np.ndarray:
+        k, r = self.shape, self.rate
+        return np.exp(k * np.log(r) + (k - 1.0) * np.log(x) - r * x - special.gammaln(k))
+
+    def cdf(self, x: np.ndarray) -> np.ndarray:
+        return special.gammainc(self.shape, self.rate * x)
+
+    def mean(self) -> float:
+        return self.shape / self.rate
+
+    def cutoff(self, tail_mass: float) -> float:
+        return float(special.gammainccinv(self.shape, tail_mass) / self.rate)
+
+    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return rng.gamma(self.shape, 1.0 / self.rate, size=n)
+
+    def refit(self, d: np.ndarray, w: np.ndarray) -> GammaDelay:
+        total = w.sum()
+        mean = np.dot(w, d) / total
+        mean_log = np.dot(w, np.log(d)) / total
+        s = np.log(mean) - mean_log
+        if s < 1e-12:
+            raise DataError("gamma MLE is degenerate: all delays at a single point")
+        var = np.dot(w, (d - mean) ** 2) / total
+        init = mean * mean / var if var > 0 else 1.0
+        shape = _gamma_shape_mle(s, init)
+        return GammaDelay(shape=float(shape), rate=float(shape / mean))
 
 
 @dataclass(frozen=True)
@@ -34,6 +100,30 @@ class UniformDelay:
 
     width: float
 
+    kind = "uniform"
+
+    def __post_init__(self):
+        _positive("uniform width", self.width)
+
+    def pdf(self, x: np.ndarray) -> np.ndarray:
+        return np.where(x <= self.width, 1.0 / self.width, 0.0)
+
+    def cdf(self, x: np.ndarray) -> np.ndarray:
+        return np.clip(x / self.width, 0.0, 1.0)
+
+    def mean(self) -> float:
+        return self.width / 2.0
+
+    def cutoff(self, tail_mass: float) -> float:
+        return self.width
+
+    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        # 1 - U keeps the support at (0, width]
+        return self.width * (1.0 - rng.random(n))
+
+    def refit(self, d: np.ndarray, w: np.ndarray) -> UniformDelay:
+        return self
+
 
 @dataclass(frozen=True)
 class PiecewiseUniformDelay:
@@ -41,6 +131,8 @@ class PiecewiseUniformDelay:
 
     edges: tuple[float, ...]
     probs: tuple[float, ...]
+
+    kind = "piecewise_uniform"
 
     def __post_init__(self):
         if len(self.edges) < 2 or self.edges[0] != 0.0:
@@ -52,6 +144,48 @@ class PiecewiseUniformDelay:
         if abs(sum(self.probs) - 1.0) > 1e-9 or any(p < 0 for p in self.probs):
             raise DataError("piecewise delay probabilities must form a distribution")
 
+    def pdf(self, x: np.ndarray) -> np.ndarray:
+        edges = np.asarray(self.edges)
+        probs = np.asarray(self.probs)
+        # x > 0 = edges[0], so every index is at least 1
+        idx = np.searchsorted(edges, x, side="left")
+        heights = (probs / np.diff(edges))[np.minimum(idx, len(probs)) - 1]
+        return np.where(idx <= len(probs), heights, 0.0)
+
+    def cdf(self, x: np.ndarray) -> np.ndarray:
+        edges = np.asarray(self.edges)
+        probs = np.asarray(self.probs)
+        cum = np.concatenate([[0.0], np.cumsum(probs)])
+        idx = np.clip(np.searchsorted(edges, x, side="left"), 1, len(probs))
+        left = edges[idx - 1]
+        width = edges[idx] - left
+        inside = cum[idx - 1] + probs[idx - 1] * np.clip((x - left) / width, 0.0, 1.0)
+        return np.where(x >= edges[-1], 1.0, inside)
+
+    def mean(self) -> float:
+        edges = np.asarray(self.edges)
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        return float(np.dot(mids, self.probs))
+
+    def cutoff(self, tail_mass: float) -> float:
+        return self.edges[-1]
+
+    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        cum = np.cumsum(self.probs)
+        bins = np.searchsorted(cum, rng.random(n), side="right")
+        bins = np.clip(bins, 0, len(self.probs) - 1)
+        lo = np.asarray(self.edges)[bins]
+        hi = np.asarray(self.edges)[bins + 1]
+        return hi - (hi - lo) * rng.random(n)
+
+    def refit(self, d: np.ndarray, w: np.ndarray) -> PiecewiseUniformDelay:
+        idx = np.searchsorted(np.asarray(self.edges), d, side="left")
+        ok = (idx >= 1) & (idx <= len(self.probs))
+        if not np.any(ok):
+            raise DataError("piecewise MLE: no weighted samples fall inside the bins")
+        sums = np.bincount(idx[ok] - 1, weights=w[ok], minlength=len(self.probs))
+        return PiecewiseUniformDelay(self.edges, tuple((sums / sums.sum()).tolist()))
+
 
 @dataclass(frozen=True)
 class ExpMixtureDelay:
@@ -59,6 +193,8 @@ class ExpMixtureDelay:
 
     weights: tuple[float, ...]
     rates: tuple[float, ...]
+
+    kind = "exp_mixture"
 
     def __post_init__(self):
         if len(self.weights) != len(self.rates) or not self.weights:
@@ -68,49 +204,60 @@ class ExpMixtureDelay:
         if any(r <= 0 for r in self.rates):
             raise DataError("exp mixture rates must be positive")
 
+    def pdf(self, x: np.ndarray) -> np.ndarray:
+        acc = np.zeros_like(x)
+        for w, r in zip(self.weights, self.rates):
+            acc += w * r * np.exp(-r * x)
+        return acc
+
+    def cdf(self, x: np.ndarray) -> np.ndarray:
+        acc = np.zeros_like(x)
+        for w, r in zip(self.weights, self.rates):
+            acc += w * -np.expm1(-r * x)
+        return acc
+
+    def mean(self) -> float:
+        return float(sum(w / r for w, r in zip(self.weights, self.rates)))
+
+    def cutoff(self, tail_mass: float) -> float:
+        hi = -np.log(tail_mass) / min(self.rates)
+        if 1.0 - cdf(self, hi) >= tail_mass:
+            return hi
+        return float(optimize.brentq(lambda x: (1.0 - cdf(self, x)) - tail_mass, 0.0, hi))
+
+    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        cum = np.cumsum(self.weights)
+        comp = np.clip(np.searchsorted(cum, rng.random(n), side="right"),
+                       0, len(self.rates) - 1)
+        return rng.exponential(1.0, size=n) / np.asarray(self.rates)[comp]
+
+    def refit(self, d: np.ndarray, w: np.ndarray) -> ExpMixtureDelay:
+        # one E/M pass over the mixture with the caller-supplied weights
+        total = w.sum()
+        rates = np.asarray(self.rates)
+        mix = np.asarray(self.weights)
+        dens = mix[None, :] * rates[None, :] * np.exp(-np.outer(d, rates))
+        norm = dens.sum(axis=1)
+        if np.any(norm <= 0):
+            raise NumericalError("exp mixture responsibilities vanished")
+        resp = dens / norm[:, None]
+        comp_w = w @ resp
+        comp_wd = (w * d) @ resp
+        new_mix, new_rates = [], []
+        for c in range(len(rates)):
+            if comp_w[c] <= 0:
+                new_mix.append(0.0)
+                new_rates.append(float(rates[c]))
+            else:
+                new_mix.append(float(comp_w[c] / total))
+                new_rates.append(float(comp_w[c] / comp_wd[c]))
+        drift = 1.0 - sum(new_mix)
+        new_mix[int(np.argmax(new_mix))] += drift  # keep an exact simplex
+        return ExpMixtureDelay(tuple(new_mix), tuple(new_rates))
+
 
 DelaySpec = Union[ExponentialDelay, GammaDelay, UniformDelay,
                   PiecewiseUniformDelay, ExpMixtureDelay]
-
-
-def _positive(name: str, value: float) -> None:
-    if not np.isfinite(value) or value <= 0:
-        raise DataError(f"{name} must be positive and finite, got {value}")
-
-
-def validate(spec: DelaySpec) -> None:
-    if isinstance(spec, ExponentialDelay):
-        _positive("exponential rate", spec.rate)
-    elif isinstance(spec, GammaDelay):
-        _positive("gamma shape", spec.shape)
-        _positive("gamma rate", spec.rate)
-    elif isinstance(spec, UniformDelay):
-        _positive("uniform width", spec.width)
-    # piecewise and mixture specs validate in __post_init__
-
-
-def _positive_density(spec: DelaySpec, x: np.ndarray) -> np.ndarray:
-    """Density at delays that are all > 0."""
-    if isinstance(spec, ExponentialDelay):
-        return spec.rate * np.exp(-spec.rate * x)
-    if isinstance(spec, GammaDelay):
-        k, r = spec.shape, spec.rate
-        return np.exp(k * np.log(r) + (k - 1.0) * np.log(x) - r * x - special.gammaln(k))
-    if isinstance(spec, UniformDelay):
-        return np.where(x <= spec.width, 1.0 / spec.width, 0.0)
-    if isinstance(spec, PiecewiseUniformDelay):
-        edges = np.asarray(spec.edges)
-        probs = np.asarray(spec.probs)
-        # x > 0 = edges[0], so every index is at least 1
-        idx = np.searchsorted(edges, x, side="left")
-        heights = (probs / np.diff(edges))[np.minimum(idx, len(probs)) - 1]
-        return np.where(idx <= len(probs), heights, 0.0)
-    if isinstance(spec, ExpMixtureDelay):
-        acc = np.zeros_like(x)
-        for w, r in zip(spec.weights, spec.rates):
-            acc += w * r * np.exp(-r * x)
-        return acc
-    raise DataError(f"unknown delay spec {type(spec).__name__}")
 
 
 def density(spec: DelaySpec, dt) -> np.ndarray | float:
@@ -118,10 +265,10 @@ def density(spec: DelaySpec, dt) -> np.ndarray | float:
     arr = np.asarray(dt, dtype=np.float64)
     pos = arr > 0
     if pos.all():  # every E-step delay: no gather and scatter
-        out = _positive_density(spec, arr)
+        out = spec.pdf(arr)
     else:
         out = np.zeros_like(arr, dtype=np.float64)
-        out[pos] = _positive_density(spec, arr[pos])
+        out[pos] = spec.pdf(arr[pos])
     return out if arr.ndim else float(out)
 
 
@@ -130,47 +277,8 @@ def cdf(spec: DelaySpec, dt) -> np.ndarray | float:
     arr = np.asarray(dt, dtype=np.float64)
     pos = arr > 0
     out = np.zeros_like(arr, dtype=np.float64)
-    if isinstance(spec, ExponentialDelay):
-        out[pos] = -np.expm1(-spec.rate * arr[pos])
-    elif isinstance(spec, GammaDelay):
-        out[pos] = special.gammainc(spec.shape, spec.rate * arr[pos])
-    elif isinstance(spec, UniformDelay):
-        out[pos] = np.clip(arr[pos] / spec.width, 0.0, 1.0)
-    elif isinstance(spec, PiecewiseUniformDelay):
-        edges = np.asarray(spec.edges)
-        probs = np.asarray(spec.probs)
-        cum = np.concatenate([[0.0], np.cumsum(probs)])
-        x = arr[pos]
-        idx = np.clip(np.searchsorted(edges, x, side="left"), 1, len(probs))
-        left = edges[idx - 1]
-        width = edges[idx] - left
-        inside = cum[idx - 1] + probs[idx - 1] * np.clip((x - left) / width, 0.0, 1.0)
-        out[pos] = np.where(x >= edges[-1], 1.0, inside)
-    elif isinstance(spec, ExpMixtureDelay):
-        x = arr[pos]
-        acc = np.zeros_like(x)
-        for w, r in zip(spec.weights, spec.rates):
-            acc += w * -np.expm1(-r * x)
-        out[pos] = acc
-    else:
-        raise DataError(f"unknown delay spec {type(spec).__name__}")
+    out[pos] = spec.cdf(arr[pos])
     return out if arr.ndim else float(out)
-
-
-def delay_mean(spec: DelaySpec) -> float:
-    if isinstance(spec, ExponentialDelay):
-        return 1.0 / spec.rate
-    if isinstance(spec, GammaDelay):
-        return spec.shape / spec.rate
-    if isinstance(spec, UniformDelay):
-        return spec.width / 2.0
-    if isinstance(spec, PiecewiseUniformDelay):
-        edges = np.asarray(spec.edges)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        return float(np.dot(mids, spec.probs))
-    if isinstance(spec, ExpMixtureDelay):
-        return float(sum(w / r for w, r in zip(spec.weights, spec.rates)))
-    raise DataError(f"unknown delay spec {type(spec).__name__}")
 
 
 def tail_cutoff(spec: DelaySpec, tail_mass: float) -> float:
@@ -183,46 +291,12 @@ def tail_cutoff(spec: DelaySpec, tail_mass: float) -> float:
         return np.inf
     if tail_mass >= 1:
         return 0.0
-    if isinstance(spec, ExponentialDelay):
-        return -np.log(tail_mass) / spec.rate
-    if isinstance(spec, GammaDelay):
-        return float(special.gammainccinv(spec.shape, tail_mass) / spec.rate)
-    if isinstance(spec, UniformDelay):
-        return spec.width
-    if isinstance(spec, PiecewiseUniformDelay):
-        return spec.edges[-1]
-    if isinstance(spec, ExpMixtureDelay):
-        hi = -np.log(tail_mass) / min(spec.rates)
-        if 1.0 - cdf(spec, hi) >= tail_mass:
-            return hi
-        return float(optimize.brentq(lambda x: (1.0 - cdf(spec, x)) - tail_mass, 0.0, hi))
-    raise DataError(f"unknown delay spec {type(spec).__name__}")
+    return spec.cutoff(tail_mass)
 
 
 def sample(spec: DelaySpec, rng: np.random.Generator, size: int | None = None):
     """Draw delays; scalars when size is None, else an array of length size."""
-    n = 1 if size is None else size
-    if isinstance(spec, ExponentialDelay):
-        out = rng.exponential(1.0 / spec.rate, size=n)
-    elif isinstance(spec, GammaDelay):
-        out = rng.gamma(spec.shape, 1.0 / spec.rate, size=n)
-    elif isinstance(spec, UniformDelay):
-        # 1 - U keeps the support at (0, width]
-        out = spec.width * (1.0 - rng.random(n))
-    elif isinstance(spec, PiecewiseUniformDelay):
-        cum = np.cumsum(spec.probs)
-        bins = np.searchsorted(cum, rng.random(n), side="right")
-        bins = np.clip(bins, 0, len(spec.probs) - 1)
-        lo = np.asarray(spec.edges)[bins]
-        hi = np.asarray(spec.edges)[bins + 1]
-        out = hi - (hi - lo) * rng.random(n)
-    elif isinstance(spec, ExpMixtureDelay):
-        cum = np.cumsum(spec.weights)
-        comp = np.clip(np.searchsorted(cum, rng.random(n), side="right"),
-                       0, len(spec.rates) - 1)
-        out = rng.exponential(1.0, size=n) / np.asarray(spec.rates)[comp]
-    else:
-        raise DataError(f"unknown delay spec {type(spec).__name__}")
+    out = spec.draw(rng, 1 if size is None else size)
     return float(out[0]) if size is None else out
 
 
@@ -270,50 +344,4 @@ def weighted_mle(spec: DelaySpec, deltas, weights) -> DelaySpec:
     mixture, the current parameters used for its single inner EM pass.
     Zero-weight samples are ignored; weights may be scaled freely.
     """
-    d, w = _clean_samples(deltas, weights)
-    total = w.sum()
-    if isinstance(spec, ExponentialDelay):
-        return ExponentialDelay(rate=float(total / np.dot(w, d)))
-    if isinstance(spec, GammaDelay):
-        mean = np.dot(w, d) / total
-        mean_log = np.dot(w, np.log(d)) / total
-        s = np.log(mean) - mean_log
-        if s < 1e-12:
-            raise DataError("gamma MLE is degenerate: all delays at a single point")
-        var = np.dot(w, (d - mean) ** 2) / total
-        init = mean * mean / var if var > 0 else 1.0
-        shape = _gamma_shape_mle(s, init)
-        return GammaDelay(shape=float(shape), rate=float(shape / mean))
-    if isinstance(spec, UniformDelay):
-        return spec
-    if isinstance(spec, PiecewiseUniformDelay):
-        edges = np.asarray(spec.edges)
-        idx = np.searchsorted(edges, d, side="left")
-        ok = (idx >= 1) & (idx <= len(spec.probs))
-        if not np.any(ok):
-            raise DataError("piecewise MLE: no weighted samples fall inside the bins")
-        sums = np.bincount(idx[ok] - 1, weights=w[ok], minlength=len(spec.probs))
-        return PiecewiseUniformDelay(spec.edges, tuple((sums / sums.sum()).tolist()))
-    if isinstance(spec, ExpMixtureDelay):
-        # one E/M pass over the mixture with the caller-supplied weights
-        rates = np.asarray(spec.rates)
-        mix = np.asarray(spec.weights)
-        dens = mix[None, :] * rates[None, :] * np.exp(-np.outer(d, rates))
-        norm = dens.sum(axis=1)
-        if np.any(norm <= 0):
-            raise NumericalError("exp mixture responsibilities vanished")
-        resp = dens / norm[:, None]
-        comp_w = w @ resp
-        comp_wd = (w * d) @ resp
-        new_mix, new_rates = [], []
-        for c in range(len(rates)):
-            if comp_w[c] <= 0:
-                new_mix.append(0.0)
-                new_rates.append(float(rates[c]))
-            else:
-                new_mix.append(float(comp_w[c] / total))
-                new_rates.append(float(comp_w[c] / comp_wd[c]))
-        drift = 1.0 - sum(new_mix)
-        new_mix[int(np.argmax(new_mix))] += drift  # keep an exact simplex
-        return ExpMixtureDelay(tuple(new_mix), tuple(new_rates))
-    raise DataError(f"unknown delay spec {type(spec).__name__}")
+    return spec.refit(*_clean_samples(deltas, weights))

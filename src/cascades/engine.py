@@ -8,7 +8,9 @@ responsibility across its possible causes (baseline or any earlier
 event under any component, restricted to per-component truncation
 windows) and an M-step of weighted closed-form or Newton updates, with
 an optional projection that rescales the model so the expected total
-event count matches the observed one.
+event count matches the observed one. The baseline families are
+defined here, one class each with its rate, integral, refit and root
+draws.
 
 The E-step is array code over candidate pairs: per component,
 ``searchsorted`` bounds each child's window among the allowed parents,
@@ -61,9 +63,34 @@ class HomogeneousBaseline:
     rate: float
     mark: MarkDistribution
 
+    kind = "homogeneous"
+
     def __post_init__(self):
         if self.rate < 0 or not np.isfinite(self.rate):
             raise ConfigError("baseline rate must be finite and nonnegative")
+
+    def rate_at(self, times: np.ndarray) -> np.ndarray:
+        return np.full(times.shape, self.rate, dtype=np.float64)
+
+    def integral(self, a: float, b: float) -> float:
+        """Expected baseline event count over (a, b], for a < b."""
+        return self.rate * (b - a)
+
+    def scaled(self, s: float) -> HomogeneousBaseline:
+        return replace(self, rate=self.rate * s)
+
+    def refit(self, times: np.ndarray, credit: np.ndarray,
+              a: float, b: float) -> HomogeneousBaseline:
+        """Rates refit from the baseline credit of the events at ``times``
+        inside the window (a, b]."""
+        duration = b - a
+        if duration <= 0:
+            raise DataError("baseline update needs a nonempty window")
+        return replace(self, rate=float(credit.sum()) / duration)
+
+    def draw_times(self, horizon: float, n: int, rng: np.random.Generator) -> np.ndarray:
+        """Sorted times of n baseline events on (0, horizon]."""
+        return np.sort(rng.random(n) * horizon)
 
 
 @dataclass(frozen=True)
@@ -74,11 +101,65 @@ class PeriodicBaseline:
     rates: tuple[float, ...]
     mark: MarkDistribution
 
+    kind = "periodic"
+
     def __post_init__(self):
         if self.period <= 0 or not np.isfinite(self.period):
             raise ConfigError("baseline period must be positive and finite")
         if not self.rates or any(r < 0 or not np.isfinite(r) for r in self.rates):
             raise ConfigError("baseline bucket rates must be finite and nonnegative")
+
+    def _buckets(self, times: np.ndarray) -> np.ndarray:
+        k = len(self.rates)
+        width = self.period / k
+        return np.clip((np.mod(times, self.period) / width).astype(np.int64), 0, k - 1)
+
+    def _occupancy(self, a: float, b: float) -> np.ndarray:
+        """Total time each bucket occupies within the window (a, b]."""
+        k = len(self.rates)
+        width = self.period / k
+
+        def occ(t: float) -> np.ndarray:
+            full, rem = divmod(t, self.period)
+            starts = np.arange(k) * width
+            return full * width + np.clip(rem - starts, 0.0, width)
+
+        return occ(b) - occ(a)
+
+    def rate_at(self, times: np.ndarray) -> np.ndarray:
+        return np.asarray(self.rates, dtype=np.float64)[self._buckets(times)]
+
+    def integral(self, a: float, b: float) -> float:
+        return float(np.dot(self._occupancy(a, b), self.rates))
+
+    def scaled(self, s: float) -> PeriodicBaseline:
+        return replace(self, rates=tuple(r * s for r in self.rates))
+
+    def refit(self, times: np.ndarray, credit: np.ndarray,
+              a: float, b: float) -> PeriodicBaseline:
+        occupancy = self._occupancy(a, b)
+        k = len(self.rates)
+        sums = np.bincount(self._buckets(times), weights=credit, minlength=k)
+        stuck = np.nonzero((occupancy <= 0) & (sums > 1e-9))[0]
+        if stuck.size:
+            raise NumericalError(f"baseline bucket {stuck[0]} has credit but no exposure")
+        rates = np.divide(sums, occupancy, out=np.zeros(k), where=occupancy > 0)
+        return replace(self, rates=tuple(rates.tolist()))
+
+    def draw_times(self, horizon: float, n: int, rng: np.random.Generator) -> np.ndarray:
+        # invert the cumulative integral segment by segment
+        k = len(self.rates)
+        width = self.period / k
+        n_seg = int(np.ceil(horizon / width + 1e-9))
+        left = np.arange(n_seg) * width
+        right = np.minimum(left + width, horizon)
+        seg_rates = np.asarray(self.rates)[np.arange(n_seg) % k]
+        mass = seg_rates * np.maximum(right - left, 0.0)
+        cum = np.concatenate([[0.0], np.cumsum(mass)])
+        u = rng.random(n) * cum[-1]
+        idx = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, n_seg - 1)
+        times = left[idx] + (u - cum[idx]) / seg_rates[idx]
+        return np.sort(np.minimum(times, horizon))
 
 
 BaselineSpec = Union[HomogeneousBaseline, PeriodicBaseline]
@@ -240,7 +321,7 @@ def validate_model(model: CascadeModel, schema: MarkSchema) -> None:
             raise ConfigError(f"duplicate component name {comp.name!r}")
         names.add(comp.name)
         where = f"component {comp.name!r}"
-        fert_mod.check_schema(comp.fertility, schema, where)
+        comp.fertility.check_schema(schema, where)
         trans_mod.check_transition(comp.transition, schema, where)
         if comp.sources is not None and not isinstance(schema, CompositeSchema):
             raise ConfigError(f"{where}: parent source restriction needs composite marks")
@@ -252,45 +333,14 @@ def validate_model(model: CascadeModel, schema: MarkSchema) -> None:
                                   "mixes different spec kinds")
 
 
-def _baseline_rate_at(baseline: BaselineSpec, times: np.ndarray) -> np.ndarray:
-    if isinstance(baseline, HomogeneousBaseline):
-        return np.full(times.shape, baseline.rate, dtype=np.float64)
-    k = len(baseline.rates)
-    width = baseline.period / k
-    idx = np.clip((np.mod(times, baseline.period) / width).astype(np.int64), 0, k - 1)
-    return np.asarray(baseline.rates, dtype=np.float64)[idx]
-
-
-def _bucket_occupancy(baseline: PeriodicBaseline, a: float, b: float) -> np.ndarray:
-    """Total time each bucket occupies within the window (a, b]."""
-    k = len(baseline.rates)
-    width = baseline.period / k
-
-    def occ(t: float) -> np.ndarray:
-        full, rem = divmod(t, baseline.period)
-        starts = np.arange(k) * width
-        return full * width + np.clip(rem - starts, 0.0, width)
-
-    return occ(b) - occ(a)
-
-
 def baseline_integral(baseline: BaselineSpec, a: float, b: float) -> float:
-    if b <= a:
-        return 0.0
-    if isinstance(baseline, HomogeneousBaseline):
-        return baseline.rate * (b - a)
-    return float(np.dot(_bucket_occupancy(baseline, a, b), baseline.rates))
-
-
-def _scaled_baseline(baseline: BaselineSpec, s: float) -> BaselineSpec:
-    if isinstance(baseline, HomogeneousBaseline):
-        return replace(baseline, rate=baseline.rate * s)
-    return replace(baseline, rates=tuple(r * s for r in baseline.rates))
+    """Expected baseline event count over (a, b]."""
+    return 0.0 if b <= a else baseline.integral(a, b)
 
 
 def _fertility_matrix(model: CascadeModel, d: Dataset) -> list[np.ndarray]:
     X = d.feature_matrix if isinstance(d.schema, BinarySchema) else None
-    return [fert_mod.evaluate_many(c.fertility, X, len(d)) for c in model.components]
+    return [c.fertility.rates(X, len(d)) for c in model.components]
 
 
 def _source_entry(comp: KernelComponent, d: Dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -405,7 +455,7 @@ def _estep_core(model: CascadeModel, d: Dataset, children: np.ndarray | None,
     n = len(d)
     kids = _child_ids(d, children, window)
     kid_times = times[kids]
-    base_rates = _baseline_rate_at(model.baseline, kid_times) if kids.size else np.zeros(0)
+    base_rates = model.baseline.rate_at(kid_times) if kids.size else np.zeros(0)
     base_marks = trans_mod.mark_probs(model.baseline.mark, d) if n else np.zeros(0)
     base_vals = base_rates * base_marks[kids]
 
@@ -565,7 +615,7 @@ def intensity(model: CascadeModel, history: Dataset, t: float, x: Mark) -> float
     lo, hi = np.searchsorted(history.times, [t - max(cutoffs, default=0.0), t], side="left")
     d = history._with_query(int(lo), int(hi), t, x)
     q = len(d) - 1
-    total = float(_baseline_rate_at(model.baseline, d.times[q:])[0]
+    total = float(model.baseline.rate_at(d.times[q:])[0]
                   * trans_mod.mark_probs(model.baseline.mark, d)[q])
     for alpha, comp, cut in zip(_fertility_matrix(model, d), model.components, cutoffs):
         pool = _parent_pool(comp, d)
@@ -640,39 +690,6 @@ def estep_stats(model: CascadeModel, d: Dataset, children: np.ndarray | None = N
     return stats
 
 
-def _update_baseline(model: CascadeModel, d: Dataset, z_base: np.ndarray,
-                     kids: np.ndarray, window: tuple[float, float],
-                     update_mark: bool) -> BaselineSpec:
-    a, b = window
-    baseline = model.baseline
-    # credit summed over the window's children only, so the sum does not
-    # depend on how many other events the dataset holds
-    credit = z_base[kids]
-    total = float(credit.sum())
-    if isinstance(baseline, HomogeneousBaseline):
-        duration = b - a
-        if duration <= 0:
-            raise DataError("baseline update needs a nonempty window")
-        baseline = replace(baseline, rate=total / duration)
-    else:
-        occupancy = _bucket_occupancy(baseline, a, b)
-        k = len(baseline.rates)
-        width = baseline.period / k
-        idx = np.clip((np.mod(d.times[kids], baseline.period) / width).astype(np.int64),
-                      0, k - 1)
-        sums = np.bincount(idx, weights=credit, minlength=k)
-        stuck = np.nonzero((occupancy <= 0) & (sums > 1e-9))[0]
-        if stuck.size:
-            raise NumericalError(f"baseline bucket {stuck[0]} has credit but no exposure")
-        rates = np.divide(sums, occupancy, out=np.zeros(k), where=occupancy > 0)
-        baseline = replace(baseline, rates=tuple(rates.tolist()))
-    if update_mark and total > 0:
-        mark = trans_mod.fit_mark_dist(baseline.mark,
-                                       trans_mod.prior_stats(baseline.mark, d, z_base))
-        baseline = replace(baseline, mark=mark)
-    return baseline
-
-
 def expected_transition_counts(model: CascadeModel, d: Dataset,
                                resp: Responsibilities) -> list[np.ndarray | None]:
     """Per-component z-weighted (parent label, child label) count matrices
@@ -717,8 +734,14 @@ def m_step(model: CascadeModel, d: Dataset, resp: Responsibilities | EStepStats,
     if z_base.size != len(d):
         raise DataError("responsibilities do not match the dataset")
     comps = model.components
-    baseline = _update_baseline(model, d, z_base, _child_ids(d, children, window), window,
-                                update_baseline_mark)
+    # baseline credit summed over the window's children only, so the sum
+    # does not depend on how many other events the dataset holds
+    kids = _child_ids(d, children, window)
+    credit = z_base[kids]
+    baseline = model.baseline.refit(d.times[kids], credit, a, b)
+    if update_baseline_mark and float(credit.sum()) > 0:
+        baseline = replace(baseline, mark=trans_mod.fit_mark_dist(
+            baseline.mark, trans_mod.prior_stats(baseline.mark, d, z_base)))
 
     new_delays: list[DelaySpec] = [c.delay for c in comps]
     if not freeze_delays:
@@ -774,10 +797,10 @@ def normalize(model: CascadeModel, d: Dataset, children: np.ndarray | None = Non
     if lam_total <= 0:
         raise NumericalError("cannot normalize: the compensator is zero")
     s = n / lam_total
-    rebuilt = tuple(replace(c, fertility=fert_mod.scaled(c.fertility, s))
-                    for c in model.components)
-    return replace(model, baseline=_scaled_baseline(model.baseline, s),
-                   components=rebuilt)
+    if not np.isfinite(s):
+        raise NumericalError(f"cannot normalize: the scale factor {s} is not finite")
+    rebuilt = tuple(replace(c, fertility=c.fertility.scaled(s)) for c in model.components)
+    return replace(model, baseline=model.baseline.scaled(s), components=rebuilt)
 
 
 # ---------------------------------------------------------------------------
@@ -838,7 +861,7 @@ def fast_estep(model: CascadeModel, d: Dataset, children: np.ndarray | None = No
     n, L, C = len(d), d.n_label_values, len(comps)
     times, labels = d.times, d.label_index
     kids = _child_ids(d, children, window)
-    base = (_baseline_rate_at(model.baseline, times[kids])
+    base = (model.baseline.rate_at(times[kids])
             * model.baseline.mark.as_array[labels[kids]])
     rates = np.array([c.delay.rate for c in comps])
     # by_child[c, l, r]: delay rate * fertility * g(l | r), read by child label l
@@ -992,7 +1015,7 @@ def fit(model: CascadeModel, d: Dataset, max_iters: int = 50, tol: float = 1e-6,
     kids = _child_ids(d, children, window)
     held = [heldout_ll(model)] if heldout else None
     shares = [_component_shares(model, d)]
-    dmeans = [[delay_mod.delay_mean(c.delay) for c in model.components]]
+    dmeans = [[c.delay.mean() for c in model.components]]
     if kids.size == 0:
         ll0 = _ll_value(model, d, np.zeros(len(d)), kids, window)
         return FitReport(model, [ll0], 0, True, engine_name, heldout_trace=held,
@@ -1020,7 +1043,7 @@ def fit(model: CascadeModel, d: Dataset, max_iters: int = 50, tol: float = 1e-6,
         if held is not None:
             held.append(heldout_ll(candidate))
         shares.append(_component_shares(candidate, d))
-        dmeans.append([delay_mod.delay_mean(c.delay) for c in candidate.components])
+        dmeans.append([c.delay.mean() for c in candidate.components])
         drop = ll - ll_new
         if drop > 1e-8 * abs(ll) + 1e-12:
             msg = (f"log likelihood decreased at iteration {iterations}: "

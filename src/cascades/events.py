@@ -338,6 +338,15 @@ def _schemas_compatible(a: MarkSchema, b: MarkSchema) -> bool:
     return a == b
 
 
+def _time(value, where: str, key: str) -> float:
+    """A JSON number as a float; an integer beyond the float range is a
+    DataError, not an OverflowError."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise DataError(f"{where}: \"{key}\" is too large for a float") from None
+
+
 def _parse_record(obj: dict, schema: MarkSchema, where: str) -> tuple[float, object]:
     """The time and mark value of one record: the bit row, the label, or
     the (type, node) pair."""
@@ -346,6 +355,7 @@ def _parse_record(obj: dict, schema: MarkSchema, where: str) -> tuple[float, obj
     t = obj["t"]
     if not isinstance(t, (int, float)) or isinstance(t, bool):
         raise DataError(f"{where}: \"t\" must be a number")
+    t = _time(t, where, "t")
     allowed = ({"t", "x"} if isinstance(schema, BinarySchema) else
                {"t", "label"} if isinstance(schema, LabelSchema) else {"t", "type", "node"})
     if set(obj) - allowed:
@@ -359,18 +369,18 @@ def _parse_record(obj: dict, schema: MarkSchema, where: str) -> tuple[float, obj
             if not isinstance(idx, int) or isinstance(idx, bool) or not 0 <= idx < schema.width:
                 raise DataError(f"{where}: feature index {idx!r} outside 0..{schema.width - 1}")
             bits[idx] = 1
-        return float(t), bits
+        return t, bits
     if isinstance(schema, LabelSchema):
         label = obj.get("label")
         if not isinstance(label, int) or isinstance(label, bool):
             raise DataError(f"{where}: \"label\" must be an integer")
-        return float(t), label
+        return t, label
     typ, node = obj.get("type"), obj.get("node")
     if not isinstance(typ, int) or isinstance(typ, bool):
         raise DataError(f"{where}: \"type\" must be an integer")
     if not isinstance(node, str):
         raise DataError(f"{where}: \"node\" must be a string")
-    return float(t), (typ, node)
+    return t, (typ, node)
 
 
 def ingest(path: str, schema: MarkSchema | None = None) -> Dataset:
@@ -408,7 +418,7 @@ def ingest(path: str, schema: MarkSchema | None = None) -> Dataset:
             T = header["T"]
             if not isinstance(T, (int, float)) or isinstance(T, bool):
                 raise DataError(f"{path}:{lineno0}: \"T\" must be a number, got {T!r}")
-            horizon = float(T)
+            horizon = _time(T, f"{path}:{lineno0}", "T")
         if "units" in header:
             units = str(header["units"])
         if "schema" in header:

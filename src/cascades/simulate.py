@@ -25,10 +25,8 @@ import numpy as np
 from scipy import special
 
 from . import delays as delay_mod
-from . import fertility as fert_mod
 from . import transitions as trans_mod
-from .engine import (CascadeModel, HomogeneousBaseline, PeriodicBaseline,
-                     Responsibilities, baseline_integral, validate_model)
+from .engine import CascadeModel, Responsibilities, baseline_integral, validate_model
 from .errors import ConfigError, DataError, NumericalError
 from .events import (BinarySchema, CompositeSchema, Dataset, Event,
                      LabelSchema, MarkSchema)
@@ -98,28 +96,6 @@ def _default_schema(model: CascadeModel) -> MarkSchema:
     return LabelSchema(len(mark.probs))
 
 
-def _baseline_times(baseline, horizon: float, n: int,
-                    rng: np.random.Generator) -> np.ndarray:
-    """Sorted times of n baseline events on (0, horizon]."""
-    if n == 0:
-        return np.zeros(0)
-    if isinstance(baseline, HomogeneousBaseline):
-        return np.sort(rng.random(n) * horizon)
-    # piecewise-constant rate: invert the cumulative integral segment-wise
-    k = len(baseline.rates)
-    width = baseline.period / k
-    n_seg = int(np.ceil(horizon / width + 1e-9))
-    left = np.arange(n_seg) * width
-    right = np.minimum(left + width, horizon)
-    seg_rates = np.asarray(baseline.rates)[np.arange(n_seg) % k]
-    mass = seg_rates * np.maximum(right - left, 0.0)
-    cum = np.concatenate([[0.0], np.cumsum(mass)])
-    u = rng.random(n) * cum[-1]
-    idx = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, n_seg - 1)
-    times = left[idx] + (u - cum[idx]) / seg_rates[idx]
-    return np.sort(np.minimum(times, horizon))
-
-
 def simulate(model: CascadeModel, horizon: float, seed: int,
              schema: MarkSchema | None = None,
              max_events: int = 10_000_000) -> tuple[Dataset, CausalForest]:
@@ -151,7 +127,7 @@ def simulate(model: CascadeModel, horizon: float, seed: int,
         raise NumericalError(
             f"simulation exceeded max_events={max_events}: the baseline "
             f"drew {n_roots} root events")
-    root_times = _baseline_times(model.baseline, horizon, n_roots, rng)
+    root_times = model.baseline.draw_times(horizon, n_roots, rng)
     times: list[float] = []
     marks: list = []
     parents: list[int] = []
@@ -166,14 +142,21 @@ def simulate(model: CascadeModel, horizon: float, seed: int,
         gens.append(0)
         queue.append(len(times) - 1)
 
+    # fertility depends on the mark alone: one evaluation per distinct
+    # mark, of the mark as a one-row feature matrix
+    mus: dict = {}
+    binary = isinstance(schema, BinarySchema)
     processed = 0
     while queue:
         i = queue.popleft()
         processed += 1
         t_i, mark_i = times[i], marks[i]
+        mu = mus.get(mark_i)
+        if mu is None:
+            row = np.array([mark_i.bits]) if binary else None
+            mu = mus[mark_i] = [float(c.fertility.rates(row, 1)[0]) for c in model.components]
         for c, comp in enumerate(model.components):
-            mu = fert_mod.evaluate(comp.fertility, mark_i)
-            count = _poisson_count(rng, mu)
+            count = _poisson_count(rng, mu[c])
             if count == 0:
                 continue
             deltas = np.atleast_1d(delay_mod.sample(comp.delay, rng, count))

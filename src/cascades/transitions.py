@@ -36,6 +36,8 @@ class FeaturePrior:
 
     probs: tuple[float, ...]
 
+    kind = "features"
+
     def __post_init__(self):
         if any(not 0.0 <= p <= 1.0 for p in self.probs):
             raise DataError("feature prior probabilities must lie in [0, 1]")
@@ -50,6 +52,8 @@ class LabelMarginal:
     """Categorical marginal over labels 1..L."""
 
     probs: tuple[float, ...]
+
+    kind = "labels"
 
     def __post_init__(self):
         if any(p < 0 for p in self.probs):
@@ -175,12 +179,16 @@ def sample_mark(dist: MarkDistribution, rng: np.random.Generator) -> Mark:
 class IdentityTransition:
     """Child mark equals the parent mark (type equality for composites)."""
 
+    kind = "identity"
+
 
 @dataclass(frozen=True)
 class PriorTransition:
     """Child mark drawn from a fixed marginal, independent of the parent."""
 
-    dist: MarkDistribution
+    mark: MarkDistribution
+
+    kind = "prior"
 
 
 @dataclass(frozen=True)
@@ -195,6 +203,8 @@ class FeatureMixture:
 
     resample_prob: float
     prior: FeaturePrior
+
+    kind = "feature_mixture"
 
     def __post_init__(self):
         if not 0.0 <= self.resample_prob <= 1.0:
@@ -212,8 +222,10 @@ class CategoricalMatrix:
     """
 
     matrix: tuple[tuple[float, ...], ...]
-    prior_direction: tuple | None = None
+    prior_direction: tuple[float, ...] | tuple[tuple[float, ...], ...] | None = None
     prior_strength: float = 0.0
+
+    kind = "categorical"
 
     def __post_init__(self):
         rows = np.asarray(self.matrix, dtype=np.float64)
@@ -250,7 +262,7 @@ def check_transition(spec: TransitionSpec, schema: MarkSchema, where: str) -> No
         if len(spec.matrix) != n:
             raise ConfigError(f"{where}: categorical transition has the wrong size")
     elif isinstance(spec, PriorTransition):
-        check_mark_dist(spec.dist, schema, where)
+        check_mark_dist(spec.mark, schema, where)
     elif not isinstance(spec, IdentityTransition):
         raise ConfigError(f"{where}: unknown transition")
 
@@ -260,7 +272,7 @@ def label_matrix(spec: TransitionSpec, n: int) -> np.ndarray:
     if isinstance(spec, IdentityTransition):
         return np.eye(n)
     if isinstance(spec, PriorTransition):
-        return np.tile(spec.dist.as_array, (n, 1))
+        return np.tile(spec.mark.as_array, (n, 1))
     if isinstance(spec, CategoricalMatrix):
         return spec.as_array
     raise DataError("transition not representable as a label matrix")
@@ -294,7 +306,7 @@ class PairProbs:
         self.spec = spec
         self.child = self.table = None
         if isinstance(spec, PriorTransition):
-            self.child = mark_probs(spec.dist, d)
+            self.child = mark_probs(spec.mark, d)
         elif isinstance(spec, FeatureMixture):
             rows, self.codes = d.feature_patterns
             if len(rows) ** 2 <= max_table:
@@ -324,7 +336,7 @@ def sample_child_mark(spec: TransitionSpec, parent: Mark,
     if isinstance(spec, IdentityTransition):
         return parent
     if isinstance(spec, PriorTransition):
-        return sample_mark(spec.dist, rng)
+        return sample_mark(spec.mark, rng)
     if isinstance(spec, FeatureMixture):
         width = len(spec.prior.probs)
         resample = rng.random(width) < spec.resample_prob
@@ -332,10 +344,8 @@ def sample_child_mark(spec: TransitionSpec, parent: Mark,
         bits = tuple(int(draws[i]) if resample[i] else parent.bits[i]
                      for i in range(width))
         return BinaryMark(bits)
-    if isinstance(spec, CategoricalMatrix):
-        cum = spec.cumulative[_mark_label_index(parent)]
-        return LabelMark(draw_index(cum, rng.random()) + 1)
-    raise DataError(f"unknown transition spec {type(spec).__name__}")
+    cum = spec.cumulative[_mark_label_index(parent)]  # a categorical matrix
+    return LabelMark(draw_index(cum, rng.random()) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +466,7 @@ def transition_stats(spec: TransitionSpec, d: Dataset, children: np.ndarray,
     if isinstance(spec, FeatureMixture):
         X = d.feature_matrix
         return _mixture_table(X[parents], X[children], z)
-    if isinstance(spec, PriorTransition) and isinstance(spec.dist, FeaturePrior):
+    if isinstance(spec, PriorTransition) and isinstance(spec.mark, FeaturePrior):
         # ``prior_stats`` of the children's weights, summed over the events
         # from the first child to the last only: a run of pairs costs its
         # own span, not the whole dataset
@@ -476,9 +486,9 @@ def fit_transition(spec: TransitionSpec, stats) -> TransitionSpec:
     if isinstance(spec, FeatureMixture):
         return replace(spec, resample_prob=fit_mixture_from_stats(stats, spec.prior))
     if isinstance(spec, PriorTransition):
-        if isinstance(spec.dist, LabelMarginal):
+        if isinstance(spec.mark, LabelMarginal):
             stats = stats.sum(axis=0)  # weight per child label
-        return PriorTransition(fit_mark_dist(spec.dist, stats))
+        return PriorTransition(fit_mark_dist(spec.mark, stats))
     return spec
 
 

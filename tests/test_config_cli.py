@@ -1,8 +1,12 @@
 import csv
 import json
+import re
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cascades import (CascadeModel, CategoricalMatrix, ConfigError,
                       ConstantFertility, ExponentialDelay, GammaDelay,
@@ -413,3 +417,217 @@ def test_compare_merges_the_test_history_once(tmp_path, monkeypatch):
     assert main(["compare", "--config", cmp_conf, "--data", str(tmp_path / "s/events.jsonl"),
                  "--out", str(tmp_path / "c")]) == 0
     assert merges == [1]
+
+
+# ---------------------------------------------------------------------------
+# the spec codec against the per-family writers it replaced
+
+
+def _oracle_mark_dist(dist):
+    if isinstance(dist, FeaturePrior):
+        return {"kind": "features", "probs": list(dist.probs)}
+    return {"kind": "labels", "probs": list(dist.probs)}
+
+
+def _oracle_delay(spec):
+    if isinstance(spec, ExponentialDelay):
+        return {"kind": "exponential", "rate": spec.rate}
+    if isinstance(spec, GammaDelay):
+        return {"kind": "gamma", "shape": spec.shape, "rate": spec.rate}
+    if isinstance(spec, UniformDelay):
+        return {"kind": "uniform", "width": spec.width}
+    if isinstance(spec, PiecewiseUniformDelay):
+        return {"kind": "piecewise_uniform", "edges": list(spec.edges),
+                "probs": list(spec.probs)}
+    return {"kind": "exp_mixture", "weights": list(spec.weights),
+            "rates": list(spec.rates)}
+
+
+def _oracle_fertility(spec):
+    if isinstance(spec, ConstantFertility):
+        return {"kind": "constant", "rate": spec.rate}
+    if isinstance(spec, LinearFertility):
+        return {"kind": "linear", "bias": spec.bias, "slopes": list(spec.slopes)}
+    if isinstance(spec, MultiplicativeFertility):
+        return {"kind": "multiplicative", "weights": list(spec.weights)}
+    return {"kind": "combined",
+            "terms": [_oracle_fertility(t) for t in spec.terms]}
+
+
+def _oracle_transition(spec):
+    if isinstance(spec, IdentityTransition):
+        return {"kind": "identity"}
+    if isinstance(spec, PriorTransition):
+        return {"kind": "prior", "mark": _oracle_mark_dist(spec.mark)}
+    if isinstance(spec, FeatureMixture):
+        return {"kind": "feature_mixture", "resample_prob": spec.resample_prob,
+                "prior": _oracle_mark_dist(spec.prior)}
+    direction = spec.prior_direction
+    if direction is not None and isinstance(direction[0], tuple):
+        direction = [list(r) for r in direction]
+    elif direction is not None:
+        direction = list(direction)
+    return {"kind": "categorical", "matrix": [list(r) for r in spec.matrix],
+            "prior_direction": direction, "prior_strength": spec.prior_strength}
+
+
+def _oracle_baseline(baseline):
+    if isinstance(baseline, HomogeneousBaseline):
+        return {"kind": "homogeneous", "rate": baseline.rate,
+                "mark": _oracle_mark_dist(baseline.mark)}
+    return {"kind": "periodic", "period": baseline.period,
+            "rates": list(baseline.rates),
+            "mark": _oracle_mark_dist(baseline.mark)}
+
+
+def _oracle_component(comp):
+    out = {"name": comp.name,
+           "fertility": _oracle_fertility(comp.fertility),
+           "transition": _oracle_transition(comp.transition),
+           "delay": _oracle_delay(comp.delay)}
+    if comp.sources is not None:
+        out["sources"] = list(comp.sources)
+    if comp.transition_group is not None:
+        out["transition_group"] = comp.transition_group
+    if comp.delay_group is not None:
+        out["delay_group"] = comp.delay_group
+    return out
+
+
+def _oracle_model(model):
+    return {"baseline": _oracle_baseline(model.baseline),
+            "components": [_oracle_component(c) for c in model.components],
+            "normalization": model.normalization,
+            "truncation_mass": model.truncation_mass}
+
+
+_pos = st.floats(0.01, 50.0)
+_unit = st.floats(0.0, 1.0)
+
+
+def _simplex(n):
+    return st.lists(_pos, min_size=n, max_size=n).map(
+        lambda xs: tuple((np.asarray(xs) / sum(xs)).tolist()))
+
+
+def _mark_dists(width):
+    return st.one_of(st.lists(_unit, min_size=width, max_size=width).map(
+        lambda ps: FeaturePrior(tuple(ps))), _simplex(width).map(LabelMarginal))
+
+
+_widths = st.integers(1, 4)
+_delays = st.one_of(
+    _pos.map(ExponentialDelay),
+    st.builds(GammaDelay, _pos, _pos),
+    _pos.map(UniformDelay),
+    _widths.flatmap(lambda k: st.builds(
+        PiecewiseUniformDelay,
+        st.lists(_pos, min_size=k, max_size=k).map(
+            lambda gaps: (0.0,) + tuple(np.cumsum(gaps).tolist())),
+        _simplex(k))),
+    _widths.flatmap(lambda k: st.builds(
+        ExpMixtureDelay, _simplex(k), st.lists(_pos, min_size=k, max_size=k).map(tuple))))
+_terms = st.one_of(
+    _pos.map(ConstantFertility),
+    st.builds(LinearFertility, _pos, st.lists(_pos, max_size=4).map(tuple)),
+    st.lists(_pos, min_size=1, max_size=5).map(lambda w: MultiplicativeFertility(tuple(w))))
+_fertilities = st.one_of(
+    _terms, st.lists(_terms, min_size=1, max_size=3).map(
+        lambda ts: CombinedFertility(tuple(ts))))
+_directions = _widths.flatmap(lambda k: st.tuples(
+    st.lists(_simplex(k), min_size=k, max_size=k).map(tuple),
+    st.one_of(st.none(), _simplex(k),
+              st.lists(_simplex(k), min_size=k, max_size=k).map(tuple)),
+    st.floats(0.0, 20.0)))
+_transitions = st.one_of(
+    st.just(IdentityTransition()),
+    _widths.flatmap(_mark_dists).map(PriorTransition),
+    st.builds(FeatureMixture, _unit, _widths.flatmap(
+        lambda k: st.lists(_unit, min_size=k, max_size=k)).map(
+            lambda ps: FeaturePrior(tuple(ps)))),
+    _directions.map(lambda args: CategoricalMatrix(*args)))
+_names = st.text("abc", min_size=1, max_size=3)
+_components = st.builds(
+    KernelComponent, _names, _fertilities, _transitions, _delays,
+    st.one_of(st.none(), st.lists(_names, max_size=2).map(tuple)),
+    st.one_of(st.none(), _names), st.one_of(st.none(), _names))
+_baselines = _widths.flatmap(lambda k: st.one_of(
+    st.builds(HomogeneousBaseline, _pos, _mark_dists(k)),
+    st.builds(PeriodicBaseline, _pos, st.lists(_pos, min_size=1, max_size=4).map(tuple),
+              _mark_dists(k))))
+_models = st.builds(CascadeModel, _baselines, st.lists(_components, max_size=3).map(tuple),
+                    st.booleans(), st.floats(0.0, 1e-3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_models)
+def test_codec_writes_the_old_bytes_and_reads_them_back(model):
+    blob = serialize_model(model)
+    assert json.dumps(blob) == json.dumps(_oracle_model(model))
+    assert parse_model(json.loads(json.dumps(blob))) == model
+
+
+def test_every_spec_class_has_a_unique_kind():
+    import typing
+
+    import cascades
+    from cascades.engine import BaselineSpec
+    from cascades.transitions import MarkDistribution
+    specs = [cls for alias in (cascades.DelaySpec, cascades.FertilitySpec,
+                               cascades.TransitionSpec, MarkDistribution, BaselineSpec)
+             for cls in typing.get_args(alias)]
+    assert len(specs) == 17
+    assert all(getattr(cascades, cls.__name__) is cls for cls in specs)
+    kinds = [cls.kind for cls in specs]
+    assert all(isinstance(k, str) for k in kinds) and len(set(kinds)) == len(kinds)
+
+
+def _component(**parts):
+    return {"baseline": LABEL_MODEL_CONF["baseline"],
+            "components": [dict(LABEL_MODEL_CONF["components"][0], **parts)]}
+
+
+@pytest.mark.parametrize("parts, where", [
+    ({"fertility": {"kind": "exponential", "rate": 1.0}}, "components[0].fertility"),
+    ({"transition": {"kind": "feature_mixture", "resample_prob": 0.3,
+                     "prior": {"kind": "labels", "probs": [0.5, 0.5]}}},
+     "components[0].transition.prior"),
+    ({"fertility": {"kind": "combined", "terms": [
+        {"kind": "combined", "terms": [{"kind": "constant", "rate": 0.1}]}]}},
+     "components[0].fertility.terms[0]"),
+])
+def test_specs_of_the_wrong_family_name_their_path(parts, where):
+    with pytest.raises(ConfigError, match=re.escape(f"model.{where}: unknown kind")):
+        parse_model(_component(**parts))
+
+
+_DATA = '{"T": 2.0, "schema": {"labels": 3}}\n{"t": 1.0, "label": 1}\n'
+
+
+def _transition(**fields):
+    return {"model": _component(transition=dict(
+        LABEL_MODEL_CONF["components"][0]["transition"], **fields))}
+
+
+@pytest.mark.parametrize("command, conf, where", [
+    ("simulate", {"model": LABEL_MODEL_CONF, "horizon": "abc"}, "horizon"),
+    ("simulate", {"model": LABEL_MODEL_CONF, "horizon": True}, "horizon"),
+    ("fit", {"model": LABEL_MODEL_CONF, "split": "half"}, "split"),
+    ("fit", {"model": LABEL_MODEL_CONF, "split": [0.5]}, "split"),
+    ("fit", {"model": LABEL_MODEL_CONF, "split": False}, "split"),
+    ("fit", _transition(matrix=[["a"]]), "model.components[0].transition.matrix"),
+    ("fit", _transition(matrix=[[True]]), "model.components[0].transition.matrix"),
+    ("fit", _transition(prior_direction=["x"]),
+     "model.components[0].transition.prior_direction"),
+    ("fit", _transition(prior_direction=[[True]]),
+     "model.components[0].transition.prior_direction"),
+    ("fit", _transition(prior_strength=True),
+     "model.components[0].transition.prior_strength"),
+])
+def test_cli_exits_2_naming_malformed_numbers(tmp_path, capsys, command, conf, where):
+    data = tmp_path / "e.jsonl"
+    data.write_text(_DATA)
+    path = _write(tmp_path / "conf.json", conf)
+    args = ["--data", str(data)] if command == "fit" else ["--seed", "1"]
+    assert main([command, "--config", path, "--out", str(tmp_path / "o")] + args) == 2
+    assert where in capsys.readouterr().err

@@ -9,7 +9,7 @@ from cascades import (CascadeModel, CategoricalMatrix, ConfigError,
                       ConstantFertility, DataError, Dataset, Event,
                       ExponentialDelay, FeatureMixture, FeaturePrior,
                       GammaDelay, HomogeneousBaseline, IdentityTransition,
-                      KernelComponent, LabelMark, LabelMarginal, LabelSchema,
+                      KernelComponent, LabelMark, LabelMarginal, LabelSchema, LinearFertility,
                       NumericalError, PeriodicBaseline, PriorTransition,
                       UniformDelay, compensator, e_step, em_lower_bound,
                       fast_applicable, fast_estep, fit, intensity,
@@ -270,7 +270,7 @@ def test_validate_model_errors():
                             UniformDelay(1.0), delay_group="g"))), schema)
     with pytest.raises(ConfigError):  # feature fertility over label marks
         validate_model(CascadeModel(base, (KernelComponent(
-            "f", FeatureMixture(0.5, FeaturePrior((0.5,))), IdentityTransition(),
+            "f", LinearFertility(0.1, (0.5,)), IdentityTransition(),
             ExponentialDelay(1.0)),)), schema)
 
 

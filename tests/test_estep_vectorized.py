@@ -61,7 +61,7 @@ def _reference_values(spec, d, child, parents):
         labels = d.label_index
         return (labels[parents] == labels[child]).astype(np.float64)
     if isinstance(spec, PriorTransition):
-        return np.full(parents.shape, _reference_mark_prob(spec.dist, d, child))
+        return np.full(parents.shape, _reference_mark_prob(spec.mark, d, child))
     if isinstance(spec, FeatureMixture):
         X, p, gamma = d.feature_matrix, spec.prior.as_array, spec.resample_prob
         xc = X[child]
@@ -80,7 +80,7 @@ def _reference_estep(model, d, children=None, window=None):
     window = engine._resolve_window(d, window)
     times, n = d.times, len(d)
     kids = engine._child_ids(d, children, window)
-    base_rates = engine._baseline_rate_at(model.baseline, times[kids])
+    base_rates = model.baseline.rate_at(times[kids])
     base_marks = [_reference_mark_prob(model.baseline.mark, d, i) for i in range(n)]
     alphas = engine._fertility_matrix(model, d)
     allowed = []

@@ -197,6 +197,11 @@ def test_ingest_errors_name_path_and_line(tmp_path):
     with pytest.raises(DataError, match="horizon"):
         ingest(str(path))
 
+    # an integer time beyond the float range
+    path.write_text('{"T": 5.0, "schema": {"labels": 2}}\n{"t": 1%s, "label": 1}\n' % ("0" * 400))
+    with pytest.raises(DataError, match=r'bad\.jsonl:2: "t" is too large for a float'):
+        ingest(str(path))
+
 
 def test_ingest_without_horizon_warns(tmp_path):
     path = tmp_path / "nohdr.jsonl"
@@ -474,6 +479,7 @@ def test_column_paths_build_no_event_objects(tmp_path, monkeypatch):
     ({"T": "abc"}, '"T" must be a number'),
     ({"T": True}, '"T" must be a number'),
     ({"T": None}, '"T" must be a number'),
+    ({"T": 10 ** 400}, '"T" is too large for a float'),
     ({"schema": {"labels": 2.7}}, '"labels" must be a positive integer'),
     ({"schema": {"labels": 0}}, '"labels" must be a positive integer'),
     ({"schema": {"labels": True}}, '"labels" must be a positive integer'),

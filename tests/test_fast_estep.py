@@ -70,7 +70,7 @@ def _reference_fast_estep(model, d, children=None, window=None):
             if not is_child[k]:
                 continue
             lab = labels[k]
-            base_val = float(engine._baseline_rate_at(model.baseline, np.asarray([t]))[0]
+            base_val = float(model.baseline.rate_at(np.asarray([t]))[0]
                              * base_marks[lab])
             total = base_val
             per_comp = []

@@ -5,27 +5,49 @@ from cascades import (BinaryMark, BinarySchema, CombinedFertility,
                       ConstantFertility, DataError, Dataset, Event,
                       LinearFertility, MultiplicativeFertility, NumericalError)
 from cascades import fertility as fert
-from cascades.fertility import (evaluate, evaluate_many, poisson_objective,
-                                scaled, update, update_multiplicative)
+from cascades.fertility import poisson_objective, update
 
 
 def bm(*bits):
     return BinaryMark(tuple(bits))
 
 
-def test_evaluate_by_kind():
-    assert evaluate(ConstantFertility(0.7), bm(1, 0)) == 0.7
+def rate(spec, *bits):
+    """The fertility of one mark: the evaluator on a one-row matrix."""
+    return spec.rates(np.array([bits]), 1)[0]
+
+
+def test_rates_by_kind():
+    assert rate(ConstantFertility(0.7), 1, 0) == 0.7
+    assert ConstantFertility(0.7).rates(None, 3).tolist() == [0.7] * 3
     lin = LinearFertility(0.2, (0.5, 0.1))
-    assert evaluate(lin, bm(1, 0)) == pytest.approx(0.7)
-    assert evaluate(lin, bm(1, 1)) == pytest.approx(0.8)
+    assert rate(lin, 1, 0) == pytest.approx(0.7)
+    assert rate(lin, 1, 1) == pytest.approx(0.8)
     mul = MultiplicativeFertility((0.4, 2.0, 0.5))
-    assert evaluate(mul, bm(1, 0)) == pytest.approx(0.8)
-    assert evaluate(mul, bm(1, 1)) == pytest.approx(0.4)
+    assert rate(mul, 1, 0) == pytest.approx(0.8)
+    assert rate(mul, 1, 1) == pytest.approx(0.4)
     both = CombinedFertility((ConstantFertility(0.1), lin))
-    assert evaluate(both, bm(1, 0)) == pytest.approx(0.8)
+    assert rate(both, 1, 0) == pytest.approx(0.8)
+    for spec in (lin, mul, both):
+        with pytest.raises(DataError, match="binary marks"):
+            spec.rates(None, 1)
 
 
-def test_evaluate_many_matches_scalar():
+def _oracle_rate(spec, bits):
+    """The fertility of one mark from the definitions, in plain Python."""
+    if isinstance(spec, ConstantFertility):
+        return spec.rate
+    if isinstance(spec, LinearFertility):
+        return spec.bias + sum(s * b for s, b in zip(spec.slopes, bits))
+    if isinstance(spec, MultiplicativeFertility):
+        out = spec.weights[0]
+        for w, b in zip(spec.weights[1:], bits):
+            out *= w if b else 1.0
+        return out
+    return sum(_oracle_rate(t, bits) for t in spec.terms)
+
+
+def test_rates_match_the_definitions_row_by_row():
     rng = np.random.default_rng(0)
     X = rng.integers(0, 2, size=(40, 3)).astype(np.uint8)
     specs = [ConstantFertility(0.3), LinearFertility(0.1, (0.2, 0.0, 0.4)),
@@ -33,10 +55,10 @@ def test_evaluate_many_matches_scalar():
              CombinedFertility((ConstantFertility(0.2),
                                 MultiplicativeFertility((0.3, 2.0, 1.0, 0.5))))]
     for spec in specs:
-        vec = evaluate_many(spec, X, len(X))
+        vec = spec.rates(X, len(X))
         for i in range(len(X)):
-            assert vec[i] == pytest.approx(evaluate(spec, bm(*X[i].tolist())),
-                                           rel=1e-12)
+            assert vec[i] == pytest.approx(rate(spec, *X[i].tolist()), rel=1e-12)
+            assert vec[i] == pytest.approx(_oracle_rate(spec, X[i].tolist()), rel=1e-12)
 
 
 def test_constant_update_is_credit_over_exposure():
@@ -98,7 +120,7 @@ def test_multiplicative_update_beats_profiled_grid():
         credits = rng.uniform(0.0, 3.0, size=50)
         exposures = rng.uniform(0.3, 1.2, size=50)
         spec = MultiplicativeFertility((1.0, 1.0, 1.0))
-        out = update_multiplicative(spec, X, credits, exposures)
+        out = update(spec, X, credits, exposures)
         best = poisson_objective(out, X, credits, exposures)
         total_credit = credits.sum()
         for w1 in np.geomspace(out.weights[1] / 2, out.weights[1] * 2, 40):
@@ -117,7 +139,7 @@ def test_multiplicative_sweeps_monotone():
     credits = rng.uniform(0.0, 2.0, size=40)
     exposures = rng.uniform(0.5, 1.5, size=40)
     spec = MultiplicativeFertility((0.5, 2.0, 0.3, 1.0))
-    out = update_multiplicative(spec, X, credits, exposures)
+    out = update(spec, X, credits, exposures)
     assert (poisson_objective(out, X, credits, exposures)
             >= poisson_objective(spec, X, credits, exposures) - 1e-9)
 
@@ -128,7 +150,7 @@ def test_multiplicative_floor_and_warning():
     exposures = np.array([1.0, 1.0])
     spec = MultiplicativeFertility((1.0, 1.0))
     with pytest.warns(UserWarning, match="floor"):
-        out = update_multiplicative(spec, X, credits, exposures)
+        out = update(spec, X, credits, exposures)
     assert out.weights[1] == fert.WEIGHT_FLOOR
 
 
@@ -142,13 +164,13 @@ def test_combined_update_splits_credit_by_term_share():
 
 
 def test_scaled_by_kind():
-    assert scaled(ConstantFertility(0.4), 2.0).rate == pytest.approx(0.8)
-    lin = scaled(LinearFertility(0.2, (0.3,)), 2.0)
+    assert ConstantFertility(0.4).scaled(2.0).rate == pytest.approx(0.8)
+    lin = LinearFertility(0.2, (0.3,)).scaled(2.0)
     assert lin.bias == pytest.approx(0.4)
     assert lin.slopes[0] == pytest.approx(0.6)
-    mul = scaled(MultiplicativeFertility((0.5, 1.3)), 3.0)
+    mul = MultiplicativeFertility((0.5, 1.3)).scaled(3.0)
     assert mul.weights == pytest.approx((1.5, 1.3))  # bias only
-    both = scaled(CombinedFertility((ConstantFertility(1.0),)), 0.5)
+    both = CombinedFertility((ConstantFertility(1.0),)).scaled(0.5)
     assert both.terms[0].rate == pytest.approx(0.5)
 
 
@@ -192,7 +214,7 @@ def test_pattern_grouped_update_matches_per_parent(spec):
                 horizon=float(n), schema=BinarySchema(("a", "b", "c", "d")))
     X = d.feature_matrix
     exposures = rng.uniform(0.1, 1.0, n)
-    credits = rng.poisson(1.5 * evaluate_many(spec, X, n) * exposures) * rng.uniform(0.5, 1.0, n)
+    credits = rng.poisson(1.5 * spec.rates(X, n) * exposures) * rng.uniform(0.5, 1.0, n)
     rows, index = d.feature_patterns
     assert len(rows) == 16
     grouped = update(spec, rows, np.bincount(index, credits, len(rows)),

@@ -28,7 +28,7 @@ def trans_prob(spec, parent, child):
         schema = BinarySchema(tuple(f"f{k}" for k in range(len(parent.bits))))
     else:
         schema = LabelSchema(len(spec.matrix if isinstance(spec, CategoricalMatrix)
-                                 else spec.dist.probs))
+                                 else spec.mark.probs))
     d = Dataset([Event(0.0, parent), Event(1.0, child)], 1.0, schema)
     pair = (np.array([1]), np.array([0]))
     value = PairProbs(spec, d, max_table=1 << 18).values(*pair)
@@ -275,6 +275,6 @@ def test_feature_prior_stats_cover_only_the_span_of_the_children():
         children = rng.integers(lo, hi, size=size)  # any order, with repeats
         z = rng.random(size)
         got = transition_stats(spec, d, children, np.zeros(size, dtype=np.int64), z)
-        want = prior_stats(spec.dist, d, np.bincount(children, weights=z, minlength=n))
+        want = prior_stats(spec.mark, d, np.bincount(children, weights=z, minlength=n))
         assert got.shape == (width + 1,) and got.dtype == np.float64
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
