@@ -30,7 +30,7 @@ from .simulate import (CausalForest, load_forest, parent_recovery_score,
 from .transitions import (CategoricalMatrix, FeatureMixture, FeaturePrior,
                           IdentityTransition, LabelMarginal, PriorTransition,
                           TransitionSpec, fit_categorical, fit_marginal,
-                          fit_mixture, fit_prior)
+                          fit_prior)
 
 __version__ = "0.1.0"
 

@@ -59,14 +59,17 @@ def _require(obj: dict, where: str, required: tuple, optional: tuple = ()) -> No
 def _number(v, where: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {v!r}")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError:  # a JSON integer past the float range
+        raise ConfigError(f"{where}: number out of floating-point range") from None
 
 
 def _number_list(v, where: str) -> tuple[float, ...]:
     if not isinstance(v, list) or any(isinstance(x, bool) or
                                       not isinstance(x, (int, float)) for x in v):
         raise ConfigError(f"{where}: expected a list of numbers")
-    return tuple(float(x) for x in v)
+    return tuple(_number(x, f"{where}[{i}]") for i, x in enumerate(v))
 
 
 def _integer(v, where: str) -> int:
@@ -199,12 +202,12 @@ def parse_model(obj: dict, where: str = "model",
     if not isinstance(normalization, bool):
         raise ConfigError(f"{where}.normalization: expected true or false")
     truncation = _number(obj.get("truncation_mass", 1e-6), f"{where}.truncation_mass")
-    return _wrap(where, lambda: CascadeModel(
-        baseline=_value(obj["baseline"], BaselineSpec, f"{where}.baseline", data),
-        components=tuple(parse_component(c, f"{where}.components[{i}]", data)
-                         for i, c in enumerate(comps)),
-        normalization=normalization,
-        truncation_mass=truncation))
+    # the nested readers name their own paths; only the model's own
+    # checks need this one
+    baseline = _value(obj["baseline"], BaselineSpec, f"{where}.baseline", data)
+    components = tuple(parse_component(c, f"{where}.components[{i}]", data)
+                       for i, c in enumerate(comps))
+    return _wrap(where, lambda: CascadeModel(baseline, components, normalization, truncation))
 
 
 def serialize_model(model: CascadeModel) -> dict:

@@ -4,10 +4,13 @@ Each family is one frozen dataclass that checks its parameters when it
 is built and owns its math, on positive delays only: ``pdf`` and
 ``cdf``, the analytic ``mean``, ``cutoff`` (the delay past which a given
 tail mass lies, for truncation windows), ``draw`` and ``refit`` (the
-weighted maximum likelihood update of the EM M-step). ``kind`` names
-the family in JSON configs. The module functions add what every family
-shares: scalar or array arguments, zero density and mass at nonpositive
-delays, the trivial tail masses and the checks on weighted samples.
+weighted maximum likelihood update of the EM M-step). ``decay_rate`` is
+the rate of a single exponential, whose decayed sums the engine's
+prefix-sum scan can carry, and None for every other family. ``kind``
+names the family in JSON configs. The module functions add what every
+family shares: scalar or array arguments, zero density and mass at
+nonpositive delays, the trivial tail masses and the checks on weighted
+samples.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from .errors import DataError, NumericalError
 
@@ -34,6 +37,10 @@ class ExponentialDelay:
 
     def __post_init__(self):
         _positive("exponential rate", self.rate)
+
+    @property
+    def decay_rate(self) -> float:
+        return self.rate
 
     def pdf(self, x: np.ndarray) -> np.ndarray:
         return self.rate * np.exp(-self.rate * x)
@@ -60,6 +67,7 @@ class GammaDelay:
     rate: float
 
     kind = "gamma"
+    decay_rate = None
 
     def __post_init__(self):
         _positive("gamma shape", self.shape)
@@ -101,6 +109,7 @@ class UniformDelay:
     width: float
 
     kind = "uniform"
+    decay_rate = None
 
     def __post_init__(self):
         _positive("uniform width", self.width)
@@ -133,6 +142,7 @@ class PiecewiseUniformDelay:
     probs: tuple[float, ...]
 
     kind = "piecewise_uniform"
+    decay_rate = None
 
     def __post_init__(self):
         if len(self.edges) < 2 or self.edges[0] != 0.0:
@@ -195,6 +205,7 @@ class ExpMixtureDelay:
     rates: tuple[float, ...]
 
     kind = "exp_mixture"
+    decay_rate = None
 
     def __post_init__(self):
         if len(self.weights) != len(self.rates) or not self.weights:
@@ -219,11 +230,32 @@ class ExpMixtureDelay:
     def mean(self) -> float:
         return float(sum(w / r for w, r in zip(self.weights, self.rates)))
 
+    def _tail(self, x: float) -> float:
+        """Mass beyond x >= 0, summed term by term."""
+        return float(np.dot(self.weights, np.exp(-np.asarray(self.rates) * x)))
+
     def cutoff(self, tail_mass: float) -> float:
-        hi = -np.log(tail_mass) / min(self.rates)
-        if 1.0 - cdf(self, hi) >= tail_mass:
-            return hi
-        return float(optimize.brentq(lambda x: (1.0 - cdf(self, x)) - tail_mass, 0.0, hi))
+        """The smallest double whose tail mass is at most ``tail_mass``.
+
+        The tail falls monotonically, and so do nonnegative doubles
+        ordered by their bit patterns, so a bisection on those patterns
+        ends at the crossing in at most 64 steps. The search starts from
+        the slowest term's cutoff, which bounds the crossing from above
+        when the weights sum to one, and widens it while rounding of the
+        weights keeps its tail above the mass."""
+        if self._tail(0.0) <= tail_mass:
+            return 0.0
+        top = -np.log(tail_mass) / min(self.rates)
+        while self._tail(top) > tail_mass:
+            top *= 2.0
+        lo, hi = 0, _bits(top)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if self._tail(_double(mid)) <= tail_mass:
+                hi = mid
+            else:
+                lo = mid
+        return _double(hi)
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         cum = np.cumsum(self.weights)
@@ -254,6 +286,14 @@ class ExpMixtureDelay:
         drift = 1.0 - sum(new_mix)
         new_mix[int(np.argmax(new_mix))] += drift  # keep an exact simplex
         return ExpMixtureDelay(tuple(new_mix), tuple(new_rates))
+
+
+def _bits(x: float) -> int:
+    return int(np.array(x, dtype=np.float64).view(np.int64))
+
+
+def _double(bits: int) -> float:
+    return float(np.array(bits, dtype=np.int64).view(np.float64))
 
 
 DelaySpec = Union[ExponentialDelay, GammaDelay, UniformDelay,

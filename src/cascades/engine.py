@@ -24,12 +24,18 @@ size, so memory beyond the responsibilities stays bounded. For fitting,
 the same loop sums each run's pairs into the M-step's statistics while
 they are in hand (``estep_stats``), so no pair is visited twice.
 
-A separate fast path, ``fast_estep``, computes the same sufficient
-statistics in O(N * L) without truncation for label-marked models whose
-delays are all exponential (Ozaki's recursion for exponential Hawkes
-likelihoods): per component and source label, prefix sums over blocks
-of whole tie groups, rebased on each block's first time, give every
-child's decayed parent count and its age-weighted companion at once.
+A second kernel, ``fast_estep``, computes the same sufficient
+statistics in O(N * P) for models whose delays are all exponential over
+at most ``FAST_MAX_LABELS`` mark patterns P, labels or distinct binary
+feature rows (Ozaki's recursion for exponential Hawkes likelihoods): per
+component and source pattern, prefix sums over blocks of whole tie
+groups, rebased on each block's first time, give every child's decayed
+parent count and its age-weighted companion at once. Untruncated, it is
+the fast engine; truncated, it subtracts the sums of the parents before
+each child's window. Every truncated E-step (the direct engine's
+training E-steps, held-out scores and the log likelihoods) picks its
+kernel in ``_estep_core``: the scan when it applies and visits fewer
+cells than there are candidate pairs, the pairwise E-step otherwise.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ import numpy as np
 from . import delays as delay_mod
 from . import fertility as fert_mod
 from . import transitions as trans_mod
-from .delays import DelaySpec, ExponentialDelay
+from .delays import DelaySpec
 from .errors import ConfigError, DataError, NumericalError
 from .events import (BinarySchema, CompositeSchema, Dataset, Mark, MarkSchema,
                      label_count)
@@ -250,7 +256,8 @@ class ComponentStats:
     same exponential MLE), the transition's
     ``transitions.transition_stats``, and expected offspring per parent
     mark pattern (``_mark_patterns``). The last two are summed run by
-    run in the pairwise E-step (``_pair_stats``)."""
+    run in the pairwise E-step (``_pair_stats``) and read off the
+    pattern weight table in fast_estep."""
 
     deltas: np.ndarray
     weights: np.ndarray
@@ -284,9 +291,12 @@ class EStepStats:
 
 @dataclass
 class FitReport:
-    """What fit did. ``engine`` names the E-step that ran: "fast"
-    (fast_estep, which applies no truncation) or "direct" (the pairwise
-    E-step under the model's ``truncation_mass``)."""
+    """What fit did. ``engine`` names what the training E-step computes:
+    "fast" is the untruncated scan (fast_estep), which engine="auto"
+    takes on label and composite marks whenever ``fast_applicable``;
+    "direct" is the E-step truncated at the model's ``truncation_mass``,
+    on whichever kernel visits fewer cells (``_estep_core``: the
+    truncated scan or the pairwise E-step)."""
 
     model: CascadeModel
     ll_trace: list[float]
@@ -445,23 +455,22 @@ def _pair_stats(comp: KernelComponent, d: Dataset, pattern: np.ndarray, n_patter
 
 def _estep_core(model: CascadeModel, d: Dataset, children: np.ndarray | None,
                 window: tuple[float, float] | None, want_resp: bool = False,
-                want_stats: bool = False):
-    """The pairwise E-step: (out, intensity, child ids), where ``out`` is
+                want_stats: bool = False, scan: bool = False):
+    """The truncated E-step: (out, intensity, child ids), where ``out`` is
     the ``Responsibilities`` with ``want_resp``, the ``EStepStats`` with
     ``want_stats`` (summed chunk by chunk, so no pair is visited twice)
-    and otherwise None."""
+    and otherwise None.
+
+    The E-step runs on candidate pairs unless ``scan`` lets it choose the
+    truncated ``fast_estep``, which it takes when that is cheaper
+    (``_scan_is_cheaper``). ``out`` is then the scan's ``EStepStats``
+    whatever ``want_stats`` says."""
     window = _resolve_window(d, window)
     times = d.times
     n = len(d)
     kids = _child_ids(d, children, window)
     kid_times = times[kids]
-    base_rates = model.baseline.rate_at(kid_times) if kids.size else np.zeros(0)
-    base_marks = trans_mod.mark_probs(model.baseline.mark, d) if n else np.zeros(0)
-    base_vals = base_rates * base_marks[kids]
-
     comps = model.components
-    alphas = _fertility_matrix(model, d)
-    evals = [PairProbs(c.transition, d, PAIR_CHUNK) for c in comps]
     pools = [_parent_pool(c, d) for c in comps]
     pool_times = [times if c.sources is None else times[p] for c, p in zip(comps, pools)]
     cutoffs = [delay_mod.tail_cutoff(c.delay, model.truncation_mass) for c in comps]
@@ -474,6 +483,16 @@ def _estep_core(model: CascadeModel, d: Dataset, children: np.ndarray | None,
     # first pair among the pairs of all children
     counts = [hi - lo for lo, hi in zip(los, his)]
     starts = [np.concatenate(([0], np.cumsum(cnt))) for cnt in counts]
+    if scan and not want_resp and _scan_is_cheaper(model, d, kids, cutoffs,
+                                                   sum(int(st[-1]) for st in starts)):
+        stats = fast_estep(model, d, children, window, truncated=True)
+        return stats, stats.intensity, kids
+
+    base_rates = model.baseline.rate_at(kid_times) if kids.size else np.zeros(0)
+    base_marks = trans_mod.mark_probs(model.baseline.mark, d) if n else np.zeros(0)
+    base_vals = base_rates * base_marks[kids]
+    alphas = _fertility_matrix(model, d)
+    evals = [PairProbs(c.transition, d, PAIR_CHUNK) for c in comps]
 
     lam = np.zeros(n, dtype=np.float64)
     z_base = np.zeros(n, dtype=np.float64)
@@ -590,7 +609,7 @@ def log_likelihood(model: CascadeModel, d: Dataset,
     validate_model(model, d.schema)
     if history is not None:
         d = d.merge_history(history)
-    _, lam, kids = _estep_core(model, d, None, None)
+    _, lam, kids = _estep_core(model, d, None, None, scan=True)
     return _ll_value(model, d, lam, kids, None)
 
 
@@ -601,7 +620,7 @@ def windowed_log_likelihood(model: CascadeModel, d: Dataset,
     earlier event (masked or not) still eligible as a parent and the
     compensator integrated over the same window."""
     validate_model(model, d.schema)
-    _, lam, kids = _estep_core(model, d, children, window)
+    _, lam, kids = _estep_core(model, d, children, window, scan=True)
     return _ll_value(model, d, lam, kids, window)
 
 
@@ -804,17 +823,23 @@ def normalize(model: CascadeModel, d: Dataset, children: np.ndarray | None = Non
 
 
 # ---------------------------------------------------------------------------
-# fast path for exponential delays over label marks
+# prefix-sum scan for exponential delays over few mark patterns
+
+
+def scan_applicable(model: CascadeModel, d: Dataset) -> bool:
+    """True when fast_estep covers this model on d, given that it passed
+    validate_model for d's schema: every delay family carries a decay
+    rate, and the marks form at most ``FAST_MAX_LABELS`` patterns.
+    Fertilities become per-pattern factors and transitions pattern
+    tables, so every family of those qualifies."""
+    return (all(c.delay.decay_rate is not None for c in model.components)
+            and trans_mod.pattern_codes(d)[1] <= FAST_MAX_LABELS)
 
 
 def fast_applicable(model: CascadeModel, d: Dataset) -> bool:
-    """True when the decayed-accumulator E-step covers this model, given
-    that it passed validate_model for d's schema: on label marks that
-    leaves label-marginal baselines, label transitions and constant
-    fertilities, so only the delays and the label count decide."""
-    n_labels = label_count(d.schema)
-    return (n_labels is not None and n_labels <= FAST_MAX_LABELS
-            and all(isinstance(c.delay, ExponentialDelay) for c in model.components))
+    """True when the fast engine, the untruncated scan, fits this model:
+    label or composite marks and ``scan_applicable``."""
+    return label_count(d.schema) is not None and scan_applicable(model, d)
 
 
 def _scan_blocks(times: np.ndarray, n: int, max_events: int, span: float):
@@ -832,114 +857,275 @@ def _scan_blocks(times: np.ndarray, n: int, max_events: int, span: float):
         s = e
 
 
+class _DecayedSums:
+    """Per component and source pattern, the decayed parent count D and
+    its age-weighted companion E, walked forward block by block.
+
+    Between blocks (D, E) hold the sums at the block's first time t0 over
+    the events before it. Inside the block [s, e), ``prefix[c, h, r]``
+    sums exp(rate (t_j - t0)) over its first h events of pattern r, and
+    ``aged[c, h, r]`` the same terms times (time of event h-1 - t_j),
+    summed gap by gap so that every term is nonnegative. With
+    ``counting``, N and ``seen`` count the same parents the same way.
+    """
+
+    def __init__(self, times: np.ndarray, codes: np.ndarray, sources: np.ndarray,
+                 rates: np.ndarray, n_codes: int, blocks, counting: bool):
+        self.times, self.codes, self.sources, self.rates = times, codes, sources, rates
+        self.n_codes, self.blocks, self.counting = n_codes, blocks, counting
+        self.D = np.zeros((rates.size, n_codes))
+        self.E = np.zeros((rates.size, n_codes))
+        self.N = np.zeros((rates.size, n_codes))
+        self.s = self.e = None
+
+    def next(self, lead: _DecayedSums | None = None, c: int = 0) -> bool:
+        """Move to the next block; False past the last. When ``lead``, a
+        walk over every component on the same blocks, stands at that
+        block, component c's sums are read from it, not built again."""
+        block = next(self.blocks, None)
+        if block is None:
+            return False
+        s, e = block
+        if lead is not None and lead.s == s:
+            self.s, self.e, self.t0, self.last = s, e, lead.t0, lead.last
+            self.D, self.E, self.N = lead.D[c:c + 1], lead.E[c:c + 1], lead.N[c:c + 1]
+            self.prefix, self.aged = lead.prefix[c:c + 1], lead.aged[c:c + 1]
+            self.seen = lead.seen[c:c + 1]
+            return True
+        rates = self.rates[:, None]
+        t0 = self.times[s]
+        if self.s is not None:
+            if self.counting:
+                self.N = self.N + self.seen[:, -1]
+            # carry past the current block's last event, then on to t0
+            t_end, width = self.times[self.e - 1], self.last[-1]
+            decay = np.exp(-rates * width)
+            E = decay * (self.E + width * self.D + self.aged[:, -1])
+            D = decay * (self.D + self.prefix[:, -1])
+            decay = np.exp(-rates * (t0 - t_end))
+            self.E, self.D = decay * (E + (t0 - t_end) * D), decay * D
+        self.s, self.e, self.t0 = s, e, t0
+        loc = self.times[s:e] - t0
+        cells = (slice(None), np.arange(1, e - s + 1), self.codes[s:e])
+        if self.counting:
+            self.seen = np.zeros((self.rates.size, e - s + 1, self.n_codes))
+            self.seen[cells] = self.sources[:, s:e]
+            np.cumsum(self.seen, axis=1, out=self.seen)
+        prefix = np.zeros((self.rates.size, e - s + 1, self.n_codes))
+        prefix[cells] = self.sources[:, s:e] * np.exp(rates * loc)
+        np.cumsum(prefix, axis=1, out=prefix)
+        self.last = np.concatenate(([0.0], loc))
+        self.aged = np.zeros_like(prefix)
+        np.cumsum(np.diff(self.last)[None, :, None] * prefix[:, :-1], axis=1,
+                  out=self.aged[:, 1:])
+        self.prefix = prefix
+        return True
+
+    def at(self, h: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(D, E), each (components, len(t), patterns), at times t over
+        the events before s + h, for h in [0, e - s] and t no earlier
+        than t0 or the time of event s + h - 1."""
+        age = t - self.t0
+        decay = np.exp(-self.rates[:, None] * age)[:, :, None]
+        pk = np.take(self.prefix, h, axis=1)
+        E = age[:, None] * self.D[:, None]
+        E += self.E[:, None]
+        E += np.take(self.aged, h, axis=1)
+        E += (age - self.last[h])[:, None] * pk
+        E *= decay
+        pk += self.D[:, None]
+        pk *= decay
+        return pk, E
+
+    def count(self, h: np.ndarray) -> np.ndarray:
+        """Parents before s + h per component and pattern, (components,
+        len(h), patterns); needs ``counting``."""
+        return self.N[:, None] + np.take(self.seen, h, axis=1)
+
+
+def _scan_events(model: CascadeModel, d: Dataset, kids: np.ndarray,
+                 cutoffs: list[float]) -> np.ndarray:
+    """The events the scan walks: from the first one inside some child's
+    truncation window to the last child, those that may parent under
+    some component or are children. Events that are neither never enter,
+    so the scan of a node's fit reads only the node's children and its
+    parent pools, as the pairwise E-step does."""
+    if not kids.size:
+        return kids
+    t = d.times[kids[0]] - max(cutoffs, default=0.0)
+    start, end = int(np.searchsorted(d.times, t, side="left")), int(kids[-1]) + 1
+    if any(c.sources is None for c in model.components):
+        return np.arange(start, end)
+    keep = np.zeros(end - start, dtype=bool)
+    keep[kids - start] = True
+    for c in model.components:
+        keep |= _source_mask(c, d)[start:end]
+    return start + np.flatnonzero(keep)
+
+
+def _scan_is_cheaper(model: CascadeModel, d: Dataset, kids: np.ndarray,
+                     cutoffs: list[float], pairs: int) -> bool:
+    """True when the truncated scan covers the model (``scan_applicable``)
+    and visits fewer cells than the ``pairs`` candidate pairs: the events
+    it walks (``_scan_events``) times its walks (one per component and a
+    second per truncated component, to the starts of the windows) times
+    the mark patterns. The walk holds every child, which settles small
+    windows before the walked events are counted."""
+    if not kids.size:
+        return False
+    per_event = ((len(model.components) + sum(cut < np.inf for cut in cutoffs))
+                 * trans_mod.pattern_codes(d)[1])
+    return (pairs > kids.size * per_event and scan_applicable(model, d)
+            and pairs > _scan_events(model, d, kids, cutoffs).size * per_event)
+
+
 def fast_estep(model: CascadeModel, d: Dataset, children: np.ndarray | None = None,
-               window: tuple[float, float] | None = None) -> EStepStats:
+               window: tuple[float, float] | None = None,
+               truncated: bool = False) -> EStepStats:
     """Exact E-step sufficient statistics from prefix sums over blocks.
 
-    For exponential delays the triggered intensity by source label r is
-    a decayed count D[r] = sum_j exp(-rate (t - t_j)) over earlier
-    parents j with label r, and the delay statistic needs its
-    age-weighted companion E[r] = sum_j (t - t_j) exp(-rate (t - t_j)).
-    Both replace explicit parent pairs. Events are cut into blocks of
-    whole tie groups (``_scan_blocks``) holding at most ``PAIR_CHUNK``
-    cells over components and labels, with rate * (time span) below
+    For exponential delays the triggered intensity by source mark pattern
+    r (a label, or a distinct binary feature row) is a decayed count
+    D[r] = sum_j exp(-rate (t - t_j)) over earlier parents j of pattern
+    r, and the delay statistic needs its age-weighted companion E[r] =
+    sum_j (t - t_j) exp(-rate (t - t_j)). Both replace explicit parent
+    pairs: the kernel weight of (child pattern l, parent pattern r) is
+    rate * fertility(r) * g(l | r). Events are cut into blocks of whole
+    tie groups (``_scan_blocks``) holding at most ``PAIR_CHUNK`` cells
+    over components and patterns, with rate * (time span) below
     ``EXP_LIMIT``, so ``exp(rate (t_j - t0))`` rebased on the block's
     first time t0 cannot overflow. Inside a block, exclusive ``cumsum``
     prefixes gathered at ``searchsorted(times, t, "left")`` give D and E
     at every child at once, so simultaneous events never explain each
-    other; E is summed over the gaps between consecutive events, so
-    every term is nonnegative and nothing cancels. (D, E) carry into the
-    next block as decayed accumulators. No truncation is applied; this
-    matches estep_stats with zero tail mass.
+    other (``_DecayedSums``).
+
+    Untruncated (the fast engine), this matches estep_stats with zero
+    tail mass. With ``truncated``, each component drops the parents
+    before k = searchsorted(times, t - cut, "left") for its
+    ``delays.tail_cutoff`` cut, as the pairwise E-step does. Their sums
+    at t are exp(-rate (t - t_k)) D_k and exp(-rate (t - t_k)) (E_k +
+    (t - t_k) D_k), from the sums (D_k, E_k) over them at t_k; a second
+    walk per component gathers these from the block holding k
+    (``_window_start_sums``), and they are subtracted, with rounding
+    below zero clamped to 0 and patterns with no parent inside the
+    window set to 0, as their pairs are. The walks then cover only the
+    events from the first one inside any child's window
+    (``_scan_events``). The transition statistics and per-pattern credits come from the (child
+    pattern, parent pattern) weight table; the delay sample is one
+    (sum z dt / sum z, sum z) per component, which has the same
+    exponential MLE as the pairs.
     """
     validate_model(model, d.schema)
-    if not fast_applicable(model, d):
-        raise ConfigError("fast E-step needs label marks, constant fertilities "
-                          "and exponential delays")
+    if not scan_applicable(model, d):
+        raise ConfigError("fast E-step needs exponential delays and at most "
+                          f"{FAST_MAX_LABELS} mark patterns")
     window = _resolve_window(d, window)
     comps = model.components
-    n, L, C = len(d), d.n_label_values, len(comps)
-    times, labels = d.times, d.label_index
+    codes, P = trans_mod.pattern_codes(d)
+    n, C = len(d), len(comps)
     kids = _child_ids(d, children, window)
-    base = (model.baseline.rate_at(times[kids])
-            * model.baseline.mark.as_array[labels[kids]])
-    rates = np.array([c.delay.rate for c in comps])
-    # by_child[c, l, r]: delay rate * fertility * g(l | r), read by child label l
-    by_child = np.array([c.delay.rate * c.fertility.rate
-                         * trans_mod.label_matrix(c.transition, L).T
-                         for c in comps]).reshape(C, L, L)
-    sources = np.ones((C, n))
+    base = (model.baseline.rate_at(d.times[kids])
+            * trans_mod.mark_probs(model.baseline.mark, d)[kids])
+    rates = np.array([c.delay.decay_rate for c in comps])
+    rows = d.feature_patterns[0] if isinstance(d.schema, BinarySchema) else None
+    # by_child[c, l, r]: delay rate * fertility(r) * g(l | r), read by child pattern l
+    by_child = np.array([c.delay.decay_rate * c.fertility.rates(rows, P)[None, :]
+                         * trans_mod.pattern_matrix(c.transition, d).T
+                         for c in comps]).reshape(C, P, P)
+    cutoffs = ([delay_mod.tail_cutoff(c.delay, model.truncation_mass) for c in comps]
+               if truncated else [np.inf] * C)
+    cut = [c for c in range(C) if np.isfinite(cutoffs[c])]
+    # the walk runs over the events of _scan_events, numbered from 0
+    walked = _scan_events(model, d, kids, cutoffs)
+    times, codes = d.times[walked], codes[walked]
+    sources = np.ones((C, walked.size))
     for c, comp in enumerate(comps):
         mask = _source_mask(comp, d)
         if mask is not None:
-            sources[c] = mask
+            sources[c] = mask[walked]
+    at_kid = np.searchsorted(walked, kids)
 
     z_base, lam = np.zeros(n), np.zeros(n)
     comp_z, comp_zdt = np.zeros(C), np.zeros(C)
-    counts = np.zeros((C, L, L))
-    D, E = np.zeros((C, L)), np.zeros((C, L))  # at time t_end, after its events
-    t_end = 0.0
-    n_used = int(kids[-1]) + 1 if kids.size else 0  # later events parent no child
+    counts = np.zeros((C, P, P))
     top = rates.max() if C else 0.0
-    blocks = _scan_blocks(times, n_used, max(1, PAIR_CHUNK // max(C * L, 1)),
-                          EXP_LIMIT / top if top > 0 else np.inf)
-    k0 = 0
-    for s, e in blocks:
-        t0 = times[s]
-        if s:
-            decay = np.exp(-rates * (t0 - t_end))[:, None]
-            E, D = decay * (E + (t0 - t_end) * D), decay * D
-        loc = times[s:e] - t0
-        # prefix[c, h, r]: over the block's first h events, the label-r
-        # sources' exp(rate * (t_j - t0)); aged[c, h, r]: the same terms
-        # times (time of event h-1 - t_j), summed gap by gap
-        prefix = np.zeros((C, e - s + 1, L))
-        prefix[:, np.arange(1, e - s + 1), labels[s:e]] = (
-            sources[:, s:e] * np.exp(rates[:, None] * loc))
-        np.cumsum(prefix, axis=1, out=prefix)
-        last = np.concatenate(([0.0], loc))
-        aged = np.zeros_like(prefix)
-        np.cumsum(np.diff(last)[None, :, None] * prefix[:, :-1], axis=1, out=aged[:, 1:])
 
-        k1 = int(np.searchsorted(kids, e, side="left"))
+    def blocks():
+        return _scan_blocks(times, walked.size, max(1, PAIR_CHUNK // max(C * P, 1)),
+                            EXP_LIMIT / top if top > 0 else np.inf)
+
+    lead = _DecayedSums(times, codes, sources, rates, P, blocks(), counting=bool(cut))
+    # per truncated component, the walk that gives the sums at window starts
+    trail = {c: _DecayedSums(times, codes, sources[c:c + 1], rates[c:c + 1], P, blocks(),
+                             counting=True)
+             for c in cut}
+    k0 = 0
+    while lead.next():
+        k1 = int(np.searchsorted(at_kid, lead.e, side="left"))
         if k1 > k0:
-            kb = kids[k0:k1]
-            h = np.searchsorted(times[s:e], times[kb], side="left")
-            age = times[kb] - t0
-            decay = np.exp(-rates[:, None] * age)[:, :, None]
-            pk = np.take(prefix, h, axis=1)
-            Dk = decay * (D[:, None] + pk)
-            Ek = decay * (E[:, None] + age[:, None] * D[:, None] + np.take(aged, h, axis=1)
-                          + (age - last[h])[:, None] * pk)
-            weights = np.take(by_child, labels[kb], axis=1)
+            kb, kw = kids[k0:k1], at_kid[k0:k1]
+            tk, lk = times[kw], codes[kw]
+            h = np.searchsorted(times[lead.s:lead.e], tk, side="left")
+            Dk, Ek = lead.at(h, tk)
+            if cut:
+                before = lead.count(h)
+            for c in cut:
+                Dx, Ex, Nx = _window_start_sums(trail[c], lead, c, times, tk - cutoffs[c], tk)
+                # a pattern with no parent inside the window gets exactly
+                # 0, where the subtraction would leave its rounding
+                inside = before[c] > Nx
+                Dk[c] = np.where(inside, np.maximum(Dk[c] - Dx, 0.0), 0.0)
+                Ek[c] = np.where(inside, np.maximum(Ek[c] - Ex, 0.0), 0.0)
+            weights = np.take(by_child, lk, axis=1)
             wsum = np.einsum("cnl,cnl->cn", weights, Dk)
             total = base[k0:k1] + wsum.sum(axis=0)
             bad = ~((total > 0.0) & np.isfinite(total))
             if bad.any():
                 k = int(kb[np.argmax(bad)])
                 raise NumericalError(
-                    f"event {k} at t={times[k]!r} has zero intensity under every cause")
+                    f"event {k} at t={d.times[k]!r} has zero intensity under every cause")
             lam[kb] = total
             z_base[kb] = base[k0:k1] / total
             comp_z += (wsum / total).sum(axis=1)
             comp_zdt += (np.einsum("cnl,cnl->cn", weights, Ek) / total).sum(axis=1)
-            # counts[c, l, r] sums D[r] / total over children with label l;
+            # counts[c, l, r] sums D[r] / total over children of pattern l;
             # the kernel weights by_child[c, l, r] multiply in after the loop
-            cell = ((np.arange(C)[:, None] * L + labels[kb]) * L)[:, :, None] + np.arange(L)
+            cell = ((np.arange(C)[:, None] * P + lk) * P)[:, :, None] + np.arange(P)
             counts += np.bincount(cell.ravel(), weights=(Dk / total[:, None]).ravel(),
-                                  minlength=C * L * L).reshape(C, L, L)
+                                  minlength=C * P * P).reshape(C, P, P)
         k0 = k1
-        t_end, width = times[e - 1], loc[-1]
-        decay = np.exp(-rates * width)[:, None]
-        E, D = decay * (E + width * D + aged[:, -1]), decay * (D + prefix[:, -1])
 
     counts *= by_child
-    # one parent mark pattern and, per component, one delay sample
+    # per component one delay sample; credits per parent mark pattern
     mean_dt = np.divide(comp_zdt, comp_z, out=np.zeros(C), where=comp_z > 0)
     return EStepStats(z_base, lam, [
         ComponentStats(deltas=mean_dt[c:c + 1], weights=comp_z[c:c + 1],
-                       transition=counts[c].T, credits=comp_z[c:c + 1])
+                       transition=trans_mod.pattern_stats(comps[c].transition, d,
+                                                          counts[c].T),
+                       credits=comp_z[c:c + 1] if rows is None else counts[c].sum(axis=0))
         for c in range(C)])
+
+
+def _window_start_sums(walk: _DecayedSums, lead: _DecayedSums, c: int, times: np.ndarray,
+                       lo: np.ndarray,
+                       t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (D, E) of component c at times t over the events before
+    k = searchsorted(times, lo, "left"), and their count, each (len(t),
+    patterns): the block sums at k decayed on to t. ``lo`` rises with t,
+    so ``walk`` only moves forward, and it shares ``lead``'s block when
+    it reaches it."""
+    ks = np.searchsorted(times, lo, side="left")
+    D, E, N = (np.empty((ks.size, walk.n_codes)) for _ in range(3))
+    j = 0
+    while j < ks.size:
+        while walk.e is None or ks[j] >= walk.e:
+            walk.next(lead, c)
+        j2 = int(np.searchsorted(ks, walk.e, side="left"))
+        h = ks[j:j2] - walk.s
+        Dx, Ex = walk.at(h, t[j:j2])
+        D[j:j2], E[j:j2], N[j:j2] = Dx[0], Ex[0], walk.count(h)[0]
+        j = j2
+    return D, E, N
 
 
 # ---------------------------------------------------------------------------
@@ -972,10 +1158,11 @@ def fit(model: CascadeModel, d: Dataset, max_iters: int = 50, tol: float = 1e-6,
     on_decrease="warn", for shrinkage-driven fits that are not exact
     EM). ``heldout`` evaluates a fixed dataset, child mask and window
     after every iteration. ``engine`` is "direct", "fast", or "auto" to
-    use the fast path whenever it applies. The direct engine keeps only
-    the statistics each E-step sums as it goes (``estep_stats``), never
-    the responsibilities, and the E-steps of the last allowed iteration,
-    whose statistics no M-step reads, compute the likelihood alone.
+    use the fast engine whenever ``fast_applicable``. The direct engine
+    keeps only the statistics each E-step sums as it goes, never the
+    responsibilities, and on the pairwise kernel the E-steps of the last
+    allowed iteration, whose statistics no M-step reads, compute the
+    likelihood alone.
     """
     validate_model(model, d.schema)
     if max_iters < 0:
@@ -997,7 +1184,8 @@ def fit(model: CascadeModel, d: Dataset, max_iters: int = 50, tol: float = 1e-6,
         if use_fast:
             stats = fast_estep(m, d, children, window)
             return stats, _ll_value(m, d, stats.intensity, kids, window)
-        stats, lam, _ = _estep_core(m, d, children, window, want_stats=want_stats)
+        stats, lam, _ = _estep_core(m, d, children, window, want_stats=want_stats,
+                                    scan=True)
         return stats, _ll_value(m, d, lam, kids, window)
 
     def improve(m: CascadeModel, stats: EStepStats,
@@ -1009,7 +1197,7 @@ def fit(model: CascadeModel, d: Dataset, max_iters: int = 50, tol: float = 1e-6,
 
     def heldout_ll(m: CascadeModel) -> float:
         hd, hkids, hwin = heldout
-        _, lam, kids = _estep_core(m, hd, hkids, hwin)
+        _, lam, kids = _estep_core(m, hd, hkids, hwin, scan=True)
         return _ll_value(m, hd, lam, kids, hwin)
 
     kids = _child_ids(d, children, window)

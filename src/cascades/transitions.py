@@ -9,9 +9,13 @@ For composite (type, node) marks transitions act on the type coordinate.
 
 Each family's math is written here once: schema checks, mark
 probabilities per event (``mark_probs``), g over (child, parent) event
-pairs (``PairProbs``, read by the E-step and ``intensity``; the fast path
-reads ``label_matrix``, the table PairProbs gathers on label marks),
-sampling, and the M-step statistics and refits.
+pairs (``PairProbs``, read by the pairwise E-step and ``intensity``) and
+over mark patterns (``pattern_matrix``, read by the prefix-sum scan),
+sampling, and the M-step statistics and refits. A mark pattern is a
+label (the type of a composite mark) or a distinct binary feature row
+(``pattern_codes``); the statistics of weighted pairs depend on the
+pairs only through the (parent pattern, child pattern) weight table
+(``pattern_stats``).
 """
 
 from __future__ import annotations
@@ -101,9 +105,14 @@ def mark_probs(dist: MarkDistribution, d: Dataset) -> np.ndarray:
     """Probability of every event's mark under ``dist`` (the label's mass,
     or the product of independent feature marginals)."""
     if isinstance(dist, FeaturePrior):
-        p = dist.as_array
-        return np.prod(np.where(d.feature_matrix == 1, p[None, :], 1.0 - p[None, :]), axis=1)
+        return _row_probs(dist, d.feature_matrix)
     return dist.as_array[d.label_index]
+
+
+def _row_probs(dist: FeaturePrior, X: np.ndarray) -> np.ndarray:
+    """Probability of each feature row of X under independent marginals."""
+    p = dist.as_array
+    return np.prod(np.where(X == 1, p[None, :], 1.0 - p[None, :]), axis=1)
 
 
 def fit_prior(d: Dataset) -> FeaturePrior:
@@ -278,6 +287,28 @@ def label_matrix(spec: TransitionSpec, n: int) -> np.ndarray:
     raise DataError("transition not representable as a label matrix")
 
 
+def pattern_codes(d: Dataset) -> tuple[np.ndarray, int]:
+    """Each event's mark pattern and the pattern count: binary feature
+    rows (``Dataset.feature_patterns``), otherwise labels."""
+    if isinstance(d.schema, BinarySchema):
+        rows, index = d.feature_patterns
+        return index, len(rows)
+    return d.label_index, d.n_label_values
+
+
+def pattern_matrix(spec: TransitionSpec, d: Dataset) -> np.ndarray:
+    """g(child pattern | parent pattern) as a (parent, child) matrix over
+    the patterns of ``pattern_codes``."""
+    if not isinstance(d.schema, BinarySchema):
+        return label_matrix(spec, d.n_label_values)
+    rows = d.feature_patterns[0]
+    if isinstance(spec, FeatureMixture):
+        return _mixture_probs(spec, rows[:, None, :], rows[None, :, :])
+    if isinstance(spec, PriorTransition):
+        return np.tile(_row_probs(spec.mark, rows), (len(rows), 1))
+    return np.eye(len(rows))  # identity: distinct rows match only themselves
+
+
 def _mixture_probs(spec: FeatureMixture, xp: np.ndarray, xc: np.ndarray) -> np.ndarray:
     """g(xc | xp) of a feature mixture over the last axis of the feature
     rows, as a sum of logs so long products cannot underflow."""
@@ -294,12 +325,12 @@ class PairProbs:
     event pairs of one dataset.
 
     A prior reads its child's mark probability. On label and composite
-    marks identity and categorical transitions gather ``label_matrix``
+    marks identity and categorical transitions gather ``pattern_matrix``
     by (parent label, child label); on binary marks identity compares
-    ``Dataset.feature_patterns`` indices. A feature mixture gathers a
-    (parent pattern x child pattern) table when that holds at most
-    ``max_table`` entries, and otherwise evaluates each pair (wide
-    schemas, where distinct patterns can reach the event count).
+    pattern codes. A feature mixture gathers its (parent pattern x child
+    pattern) table when that holds at most ``max_table`` entries, and
+    otherwise evaluates each pair (wide schemas, where distinct patterns
+    can reach the event count).
     """
 
     def __init__(self, spec: TransitionSpec, d: Dataset, max_table: int):
@@ -307,16 +338,14 @@ class PairProbs:
         self.child = self.table = None
         if isinstance(spec, PriorTransition):
             self.child = mark_probs(spec.mark, d)
-        elif isinstance(spec, FeatureMixture):
-            rows, self.codes = d.feature_patterns
-            if len(rows) ** 2 <= max_table:
-                self.table = _mixture_probs(spec, rows[:, None, :], rows[None, :, :])
+            return
+        self.codes, n_patterns = pattern_codes(d)
+        if isinstance(spec, FeatureMixture):
+            if n_patterns ** 2 <= max_table:
+                self.table = pattern_matrix(spec, d)
             self.X = d.feature_matrix
-        elif isinstance(d.schema, BinarySchema):
-            self.codes = d.feature_patterns[1]
-        else:
-            self.codes = d.label_index
-            self.table = label_matrix(spec, d.n_label_values)
+        elif not isinstance(d.schema, BinarySchema):
+            self.table = pattern_matrix(spec, d)
 
     def values(self, children: np.ndarray, parents: np.ndarray) -> np.ndarray:
         """g(mark of children[k] | mark of parents[k]) for every pair k."""
@@ -352,23 +381,11 @@ def sample_child_mark(spec: TransitionSpec, parent: Mark,
 # fitting
 
 
-def mixture_stats(pairs: Sequence[tuple[BinaryMark, BinaryMark, float]],
-                  prior: FeaturePrior) -> np.ndarray:
-    """Aggregate weighted (parent, child) pairs into an (F, 2, 2) table.
-
-    Entry [f, b, m] is the total weight of pair-features with child bit
-    b and match indicator m. Together with the prior this is sufficient
-    for fitting the resample probability.
-    """
-    w = np.array([pair[2] for pair in pairs], dtype=np.float64)
-    if np.any(w < 0):
-        raise DataError("pair weights must be nonnegative")
-    Xp, Xc = (np.array([pair[k].bits for pair in pairs], dtype=np.uint8)
-              .reshape(-1, len(prior.probs)) for k in (0, 1))
-    return _mixture_table(Xp, Xc, w)
-
-
 def _mixture_table(Xp: np.ndarray, Xc: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Weighted (parent row, child row) pairs summed into an (F, 2, 2)
+    table: entry [f, b, m] is the total weight of pair-features with
+    child bit b and match indicator m. Together with the prior this is
+    sufficient for fitting the resample probability."""
     table = np.zeros((Xc.shape[1], 2, 2))
     match = Xp == Xc
     for b in (0, 1):
@@ -438,11 +455,6 @@ def fit_mixture_from_stats(table: np.ndarray, prior: FeaturePrior) -> float:
     return float(min(max(g, 0.0), 1.0))
 
 
-def fit_mixture(pairs: Sequence[tuple[BinaryMark, BinaryMark, float]],
-                prior: FeaturePrior) -> float:
-    return fit_mixture_from_stats(mixture_stats(pairs, prior), prior)
-
-
 def label_pair_table(d: Dataset, children: np.ndarray, parents: np.ndarray,
                      z: np.ndarray) -> np.ndarray:
     """Pair weights summed into a (parent label, child label) table."""
@@ -458,10 +470,12 @@ def transition_stats(spec: TransitionSpec, d: Dataset, children: np.ndarray,
     fit. They have a fixed size and add up, so components sharing a
     transition group pool theirs with ``+``:
 
-    - feature mixture: the (F, 2, 2) table of ``mixture_stats``
+    - feature mixture: the (F, 2, 2) table of ``_mixture_table``
     - feature prior: ``prior_stats`` of the children's weights
     - every family on label or composite marks: the (parent label,
       child label) weight table of ``label_pair_table``
+
+    ``pattern_stats`` gives the same from pattern-pair weights.
     """
     if isinstance(spec, FeatureMixture):
         X = d.feature_matrix
@@ -476,6 +490,22 @@ def transition_stats(spec: TransitionSpec, d: Dataset, children: np.ndarray,
     if isinstance(d.schema, BinarySchema):
         return None
     return label_pair_table(d, children, parents, z)
+
+
+def pattern_stats(spec: TransitionSpec, d: Dataset, table: np.ndarray):
+    """``transition_stats`` of pairs whose weights are summed into
+    ``table``, indexed (parent pattern, child pattern) over the patterns
+    of ``pattern_codes``: on binary marks the mixture's bit indicators
+    and the prior's feature sums are read per pattern row."""
+    if not isinstance(d.schema, BinarySchema):
+        return table
+    rows = d.feature_patterns[0]
+    if isinstance(spec, FeatureMixture):
+        parents, children = np.divmod(np.arange(table.size), len(rows))
+        return _mixture_table(rows[parents], rows[children], table.ravel())
+    if isinstance(spec, PriorTransition):
+        return _feature_sums(rows, table.sum(axis=0))
+    return None
 
 
 def fit_transition(spec: TransitionSpec, stats) -> TransitionSpec:

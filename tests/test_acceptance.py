@@ -29,8 +29,9 @@ from cascades.events import BinaryMark, BinarySchema, LabelSchema
 from cascades.fertility import (CombinedFertility, LinearFertility,
                                 MultiplicativeFertility)
 from cascades.fertility import update as fert_update
-from cascades.transitions import fit_categorical, fit_mixture
+from cascades.transitions import fit_categorical
 from cascades.simulate import CausalForest
+from oracles import fit_mixture
 
 
 def _verdict(num: int, label: str, ok: bool, detail: str = "") -> None:

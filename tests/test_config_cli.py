@@ -631,3 +631,39 @@ def test_cli_exits_2_naming_malformed_numbers(tmp_path, capsys, command, conf, w
     args = ["--data", str(data)] if command == "fit" else ["--seed", "1"]
     assert main([command, "--config", path, "--out", str(tmp_path / "o")] + args) == 2
     assert where in capsys.readouterr().err
+
+
+def _baseline(**fields):
+    return {"baseline": dict(LABEL_MODEL_CONF["baseline"], **fields),
+            "components": LABEL_MODEL_CONF["components"]}
+
+
+@pytest.mark.parametrize("conf, where", [
+    (_baseline(rate=10 ** 400), "model.baseline.rate"),
+    (_baseline(mark={"kind": "labels", "probs": [0.5, 10 ** 400, 0.2]}),
+     "model.baseline.mark.probs[1]"),
+    (_transition(matrix=[[0.6, 0.2, 10 ** 400]] * 3)["model"],
+     "model.components[0].transition.matrix[0][2]"),
+])
+def test_cli_exits_2_on_integers_past_the_float_range(tmp_path, capsys, conf, where):
+    # float() of such a JSON integer raises OverflowError, not ValueError
+    data = tmp_path / "e.jsonl"
+    data.write_text(_DATA)
+    path = _write(tmp_path / "conf.json", {"model": conf})
+    assert main(["fit", "--config", path, "--data", str(data),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert f"{where}: number out of floating-point range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("conf, message", [
+    (_baseline(rate="x"), "model.baseline.rate: expected a number, got 'x'"),
+    (_baseline(rate=-1.0), "model.baseline: baseline rate must be finite and nonnegative"),
+    (_component(delay={"kind": "gamma", "shape": 0.0, "rate": 1.0}),
+     "model.components[0].delay: gamma shape must be positive and finite, got 0.0"),
+    (dict(LABEL_MODEL_CONF, truncation_mass=-1.0),
+     "model: truncation mass must be nonnegative"),
+])
+def test_config_errors_name_their_path_once(conf, message):
+    with pytest.raises(ConfigError) as err:
+        parse_model(conf)
+    assert str(err.value) == message

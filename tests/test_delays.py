@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
+import cascades
 from cascades import (DataError, ExponentialDelay, ExpMixtureDelay, GammaDelay,
                       PiecewiseUniformDelay, UniformDelay)
 from cascades import delays
@@ -111,6 +116,42 @@ def test_tail_cutoff_leaves_requested_mass(spec, mass):
     # the cutoff is tight: a noticeably smaller window misses mass
     if not isinstance(spec, (UniformDelay, PiecewiseUniformDelay)):
         assert float(cdf(spec, 0.8 * cut)) < 1.0 - mass
+
+
+MIXTURES = [ExpMixtureDelay(w, r) for w, r in (
+    ((1.0,), (0.7,)),
+    ((0.4, 0.6), (0.3, 4.0)),
+    ((0.999, 0.001), (5.0, 0.01)),
+    ((0.5, 0.5), (1.0, 1.0)),
+    ((0.0, 1.0), (0.05, 2.0)),
+    ((0.2, 0.3, 0.5), (0.1, 1.0, 10.0)),
+    ((0.1, 0.1, 0.1, 0.7), (3.0, 0.2, 40.0, 1.5)),
+)]
+
+
+def _mixture_tail(spec, x):
+    return float(np.dot(spec.weights, np.exp(-np.asarray(spec.rates) * x)))
+
+
+@pytest.mark.parametrize("spec", MIXTURES, ids=str)
+@pytest.mark.parametrize("mass", [1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.5, 0.9])
+def test_mixture_cutoff_is_the_smallest_double_below_the_mass(spec, mass):
+    from scipy import optimize  # the solver the bisection replaced
+    cut = tail_cutoff(spec, mass)
+    assert _mixture_tail(spec, cut) <= mass < _mixture_tail(spec, np.nextafter(cut, 0.0))
+    hi = -np.log(mass) / min(spec.rates) * 2.0
+    root = optimize.brentq(lambda x: _mixture_tail(spec, x) - mass, 0.0, hi,
+                           xtol=1e-300, rtol=4 * np.finfo(float).eps)
+    assert cut == pytest.approx(root, rel=1e-12, abs=0)
+
+
+def test_cli_import_does_not_load_scipy_optimize():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cascades.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, cascades.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 @pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: type(s).__name__)

@@ -1,27 +1,37 @@
-"""The block prefix-sum exponential E-step against a per-event reference loop.
+"""The block prefix-sum exponential E-step against two oracles.
 
-``_reference_fast_estep`` is the ordered scan that ``fast_estep`` replaced,
-kept here as the oracle: it walks the events one tie group at a time and
-decays per-label accumulators between groups. The block scan sums the
-same terms in another order and rebases each block's exponentials, so the
-statistics must agree to 1e-12 relative, not bitwise.
+Untruncated, against ``_reference_fast_estep``, the ordered scan that
+``fast_estep`` replaced: it walks the events one tie group at a time and
+decays per-label accumulators between groups. Truncated, against the
+pairwise E-step (``_estep_core`` with statistics) on label, composite
+and binary marks. The block scan sums the same terms in another order
+and rebases each block's exponentials, so the statistics must agree to
+1e-12 relative, not bitwise. The last tests check which kernel the
+truncated E-steps choose.
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cascades import (CascadeModel, CategoricalMatrix, ConstantFertility, Dataset,
-                      Event, ExponentialDelay, HomogeneousBaseline, IdentityTransition,
-                      KernelComponent, LabelMark, LabelMarginal, NumericalError,
-                      PeriodicBaseline, PriorTransition, fast_estep)
+from cascades import (BinaryMark, BinarySchema, CascadeModel, CategoricalMatrix,
+                      CombinedFertility, ConstantFertility, Dataset, Event,
+                      ExponentialDelay, FeatureMixture, FeaturePrior, Graph,
+                      HomogeneousBaseline, Hyperparams, IdentityTransition,
+                      KernelComponent, LabelMark, LabelMarginal, LinearFertility,
+                      MultiplicativeFertility, NumericalError, PeriodicBaseline,
+                      PriorTransition, fast_estep, fit, fit_node, log_likelihood,
+                      simulate_graph)
+from cascades import delays as delay_mod
 from cascades import engine
 from cascades import transitions as trans_mod
 from cascades.engine import ComponentStats, EStepStats
 from cascades.events import CompositeMark, CompositeSchema, LabelSchema
+from cascades.graphs import local_data
 
 RTOL = 1e-12
 DEFAULT_LIMIT = engine.EXP_LIMIT
@@ -111,15 +121,16 @@ def _assert_close(got, ref):
         np.testing.assert_allclose(a.credits, b.credits, rtol=RTOL, atol=0)
 
 
-def _blocked(events_per_block, limit, model, d, children=None, window=None):
+def _blocked(events_per_block, limit, model, d, children=None, window=None,
+             truncated=False):
     """fast_estep with blocks of at most ``events_per_block`` events (None
     keeps the default) and the exponent limit ``limit``."""
-    cells = max(len(model.components), 1) * d.n_label_values
+    cells = max(len(model.components), 1) * trans_mod.pattern_codes(d)[1]
     with pytest.MonkeyPatch.context() as mp:
         if events_per_block is not None:
             mp.setattr(engine, "PAIR_CHUNK", events_per_block * cells)
         mp.setattr(engine, "EXP_LIMIT", limit)
-        return fast_estep(model, d, children, window)
+        return fast_estep(model, d, children, window, truncated=truncated)
 
 
 # block sizes in events and exponent limits every oracle test runs under
@@ -325,3 +336,258 @@ def test_memory_is_bounded_by_the_block():
         tracemalloc.stop()
     assert stats.intensity.size == n
     assert peak < 20 * engine.PAIR_CHUNK * 8, f"peak {peak / 1e6:.1f} MB"
+
+
+# ---------------------------------------------------------------------------
+# the truncated scan against the pairwise E-step
+
+
+def _pairwise(model, d, children=None, window=None):
+    stats, _, _ = engine._estep_core(model, d, children, window, want_stats=True)
+    return stats
+
+
+def _assert_close_to_pairs(model, d, got, ref, children=None, window=None):
+    """Every statistic of the scan against the pairwise E-step's, to RTOL.
+    The delay samples differ in form (one summary per component against
+    every pair), so their sums and the exponential refits are compared."""
+    for x, y in ((got.z_base, ref.z_base), (got.intensity, ref.intensity),
+                 (got.comp_z, ref.comp_z), (got.comp_zdt, ref.comp_zdt)):
+        np.testing.assert_allclose(x, y, rtol=RTOL, atol=0)
+    kids = engine._child_ids(d, children, engine._resolve_window(d, window))
+    lls = [engine._ll_value(model, d, s.intensity, kids, window) for s in (got, ref)]
+    assert lls[0] == pytest.approx(lls[1], rel=RTOL, abs=0)
+    assert got.n_components == ref.n_components
+    for comp, a, b in zip(model.components, got.components, ref.components):
+        assert (a.transition is None) == (b.transition is None)
+        for x, y in ((a.transition, b.transition), (a.credits, b.credits)):
+            if y is not None:
+                np.testing.assert_allclose(x, y, rtol=RTOL, atol=0)
+        if b.weights.sum() > 0:
+            rates = [delay_mod.weighted_mle(comp.delay, s.deltas, s.weights).rate
+                     for s in (a, b)]
+            assert rates[0] == pytest.approx(rates[1], rel=RTOL, abs=0)
+
+
+def _assert_scan_matches_pairs(model, d, children=None, window=None):
+    ref = _pairwise(model, d, children, window)
+    for size, limit in BLOCKINGS:
+        got = _blocked(size, limit, model, d, children, window, truncated=True)
+        _assert_close_to_pairs(model, d, got, ref, children, window)
+    return ref
+
+
+def _binary_data(n=240, horizon=50.0, width=3, grid=0.25, seed=0):
+    rng = np.random.default_rng(seed)
+    times = np.sort(np.floor(rng.uniform(0, horizon, size=n) / grid) * grid)
+    X = rng.integers(0, 2, size=(n, width))
+    return Dataset([Event(float(t), BinaryMark(tuple(int(b) for b in row)))
+                    for t, row in zip(times, X)],
+                   horizon=horizon, schema=BinarySchema(tuple(f"f{k}" for k in range(width))))
+
+
+_PRIOR = FeaturePrior((0.3, 0.6, 0.5))
+_FERTILITIES = {
+    "constant": ConstantFertility(0.3),
+    "linear": LinearFertility(0.1, (0.1, 0.2, 0.05)),
+    "multiplicative": MultiplicativeFertility((0.2, 1.3, 0.8, 1.1)),
+    "combined": CombinedFertility((ConstantFertility(0.1),
+                                   MultiplicativeFertility((0.1, 1.3, 0.8, 1.1)))),
+}
+_BINARY_TRANSITIONS = {
+    "identity": IdentityTransition(),
+    "prior": PriorTransition(_PRIOR),
+    "feature_mixture": FeatureMixture(0.3, _PRIOR),
+}
+
+
+def _binary_model(fertility, transition, truncation=1e-6):
+    return CascadeModel(HomogeneousBaseline(0.7, _PRIOR), (
+        KernelComponent("k", fertility, transition, ExponentialDelay(1.1)),
+        KernelComponent("slow", ConstantFertility(0.1), transition, ExponentialDelay(0.2))),
+        truncation_mass=truncation)
+
+
+@pytest.mark.parametrize("truncation", [1e-6, 0.05])
+@pytest.mark.parametrize("transition", sorted(_BINARY_TRANSITIONS))
+@pytest.mark.parametrize("fertility", sorted(_FERTILITIES))
+def test_truncated_scan_on_binary_marks_matches_pairs(fertility, transition, truncation):
+    d = _binary_data(seed=1)
+    assert len(np.unique(d.times)) < len(d)  # ties really exist
+    model = _binary_model(_FERTILITIES[fertility], _BINARY_TRANSITIONS[transition],
+                          truncation)
+    ref = _assert_scan_matches_pairs(model, d)
+    assert ref.components[0].credits.size == len(d.feature_patterns[0])
+    mask = np.arange(len(d)) % 3 > 0
+    _assert_scan_matches_pairs(model, d, mask, (12.0, 40.0))
+
+
+@pytest.mark.parametrize("truncation", [1e-9, 1e-6, 0.01, 0.3])
+def test_truncated_scan_on_label_and_composite_marks_matches_pairs(truncation):
+    d = _label_data(_uniform_times(grid=0.5, seed=13), seed=13)
+    model = replace(_label_model(), truncation_mass=truncation)
+    _assert_scan_matches_pairs(model, d)
+    _assert_scan_matches_pairs(model, d, np.arange(len(d)) % 2 == 0, (10.0, 30.0))
+    # sources-restricted components, one of which no event may parent
+    dc = _composite_data(seed=14)
+    ref = _assert_scan_matches_pairs(replace(_composite_model(), truncation_mass=truncation),
+                                     dc)
+    assert ref.comp_z[2] == 0.0
+
+
+def test_truncated_scan_reads_only_children_and_parent_pools():
+    # the events at w neither parent (the sources are at u) nor are
+    # children, so dropping them changes no bit, as in the pairs
+    d = _composite_data(n=300, seed=15)
+    model = replace(_composite_model(), truncation_mass=1e-3)
+    model = replace(model, components=model.components[:1])
+    children = d.node_ids != "w"
+    assert not children.all()
+    whole = fast_estep(model, d, children, truncated=True)
+    part = fast_estep(model, d.subset(np.nonzero(children)[0]), truncated=True)
+    assert whole.intensity[children].tobytes() == part.intensity.tobytes()
+    assert whole.components[0].transition.tobytes() == part.components[0].transition.tobytes()
+
+
+def test_dense_burst_just_outside_the_cutoff():
+    # a burst of 400 near-simultaneous events, all just past the later
+    # children's windows: subtracting its decayed weight, most of each
+    # child's untruncated sum at the larger tail masses, leaves the few
+    # parents inside
+    for truncation in (1e-6, 0.02, 0.2):
+        cut = ExponentialDelay(1.0).cutoff(truncation)
+        burst = np.arange(400) * 1e-7
+        later = cut + 1e-4 + np.sort(np.random.default_rng(16).uniform(0, 3.0, size=40))
+        d = _label_data(np.concatenate([burst, later]), seed=16)
+        model = CascadeModel(HomogeneousBaseline(0.05, LabelMarginal((0.3, 0.3, 0.4))), (
+            KernelComponent("k", ConstantFertility(0.5), _CAT3, ExponentialDelay(1.0)),
+            KernelComponent("same", ConstantFertility(0.3), IdentityTransition(),
+                            ExponentialDelay(1.0))), truncation_mass=truncation)
+        children = d.times > burst[-1]
+        assert np.all(d.times[children] - cut > burst[-1])  # no burst parent survives
+        untruncated = fast_estep(model, d, children)
+        scan = fast_estep(model, d, children, truncated=True)
+        if truncation > 0.01:  # the burst outweighs the parents inside
+            assert np.max(untruncated.intensity
+                          / np.where(children, scan.intensity, 1.0)) > 2.0
+        _assert_scan_matches_pairs(model, d, children)
+
+
+def test_window_starts_straddling_block_cuts():
+    # 7-event blocks: many children's windows start one or more blocks
+    # before their own, and tied events sit on both sides of the cuts
+    d = _label_data(_uniform_times(n=150, horizon=30.0, grid=0.25, seed=17), seed=17)
+    model = replace(_label_model(rates=(1.3, 0.3, 2.0)), truncation_mass=1e-4)
+    blocks = list(engine._scan_blocks(d.times, len(d), 7, np.inf))
+    block_of = np.repeat(np.arange(len(blocks)), [e - s for s, e in blocks])
+    for comp in model.components:
+        cut = comp.delay.cutoff(model.truncation_mass)
+        starts = np.searchsorted(d.times, d.times - cut, side="left")
+        earlier = block_of[np.minimum(starts, len(d) - 1)] < block_of
+        assert earlier.sum() > 50 and np.any(block_of - block_of[starts] > 1)
+    _assert_scan_matches_pairs(model, d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), kind=st.sampled_from(["label", "composite", "binary"]),
+       grid=st.sampled_from([None, 0.25, 1.0]), log_mass=st.floats(-12.0, -0.5),
+       masked=st.booleans(), windowed=st.booleans())
+def test_truncated_scan_matches_pairs_on_random_streams(seed, kind, grid, log_mass,
+                                                        masked, windowed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 90))
+    if kind == "label":
+        d = _label_data(_uniform_times(n, horizon=30.0, grid=grid, seed=seed), seed=seed)
+        model = _label_model(rates=tuple(rng.uniform(0.05, 3.0, size=3)))
+    elif kind == "composite":
+        d, model = _composite_data(n, horizon=30.0, seed=seed), _composite_model()
+    else:
+        d = _binary_data(n, horizon=30.0, grid=grid or 1e-9, seed=seed)
+        fert = list(_FERTILITIES.values())[seed % 4]
+        model = _binary_model(fert, list(_BINARY_TRANSITIONS.values())[seed % 3])
+    model = replace(model, truncation_mass=10.0 ** log_mass)
+    children = rng.random(len(d)) < 0.6 if masked else None
+    window = (0.2 * d.horizon, 0.8 * d.horizon) if windowed else None
+    ref = _pairwise(model, d, children, window)
+    for size, limit in ((None, DEFAULT_LIMIT), (1, DEFAULT_LIMIT), (7, 1.0)):
+        got = _blocked(size, limit, model, d, children, window, truncated=True)
+        _assert_close_to_pairs(model, d, got, ref, children, window)
+
+
+def test_truncated_memory_is_bounded_by_the_block():
+    n, L = 50_000, 256
+    rng = np.random.default_rng(18)
+    d = _label_data(np.sort(rng.uniform(0, 25_000.0, size=n)), n_labels=L, seed=18)
+    probs = tuple(np.full(L, 1.0 / L))
+    model = CascadeModel(HomogeneousBaseline(1.0, LabelMarginal(probs)), (
+        KernelComponent("same", ConstantFertility(0.3), IdentityTransition(),
+                        ExponentialDelay(1.0)),
+        KernelComponent("any", ConstantFertility(0.2), PriorTransition(LabelMarginal(probs)),
+                        ExponentialDelay(0.1))), truncation_mass=1e-6)
+    d.times, d.label_index
+    tracemalloc.start()
+    try:
+        stats = fast_estep(model, d, truncated=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stats.intensity.size == n
+    assert peak < 20 * engine.PAIR_CHUNK * 8, f"peak {peak / 1e6:.1f} MB"
+
+
+# ---------------------------------------------------------------------------
+# which kernel the truncated E-steps choose
+
+
+def _count_scans(monkeypatch) -> list:
+    calls, scan = [], engine.fast_estep
+    monkeypatch.setattr(engine, "fast_estep",
+                        lambda *a, **k: calls.append(k.get("truncated")) or scan(*a, **k))
+    return calls
+
+
+def test_graph_ring_node_windows_stay_pairwise(monkeypatch):
+    # the benchmark's ring (edges i -> i+1 and i -> i+7, 6 types, horizon
+    # 40): each node's fit sees about 60 events of three nodes, where the
+    # candidate pairs are fewer than the scan's cells
+    n, L = 20, 6
+    names = [f"n{i:03d}" for i in range(n)]
+    g = Graph(names, {names[i]: [names[(i + 1) % n], names[(i + 7) % n]] for i in range(n)})
+    rows = tuple(tuple(0.75 if c == (r + 1) % L else 0.05 for c in range(L)) for r in range(L))
+    d, _ = simulate_graph(g, 40.0, 1, type_marginal=(1 / L,) * L, base_rate=0.25,
+                          self_rate=0.2, neighbor_rate=0.15,
+                          transition=CategoricalMatrix(rows), delay=ExponentialDelay(1.0))
+    calls = _count_scans(monkeypatch)
+    hyper = Hyperparams.uniform(L)
+    sizes = []
+    for v in names:
+        dv = local_data(g, d, (v,))
+        sizes.append(len(dv))
+        fit_node(g, dv, v, "shared_transition", hyper, 10.0, max_iters=4)
+    assert 40 < np.median(sizes) < 90
+    assert calls == []
+
+
+def test_long_dense_windows_take_the_scan(monkeypatch):
+    # binary marks with a slow kernel: each child has about 60 candidate
+    # parents and the scan walks 2 * 8 cells per event
+    rng = np.random.default_rng(19)
+    n = 1200
+    times = np.sort(rng.uniform(0, 400.0, size=n))
+    X = rng.integers(0, 2, size=(n, 3))
+    d = Dataset([Event(float(t), BinaryMark(tuple(int(b) for b in row)))
+                 for t, row in zip(times, X)], horizon=400.0,
+                schema=BinarySchema(("a", "b", "c")))
+    model = CascadeModel(HomogeneousBaseline(0.7, _PRIOR), (KernelComponent(
+        "k", _FERTILITIES["multiplicative"], _BINARY_TRANSITIONS["feature_mixture"],
+        ExponentialDelay(0.6)),))
+    calls = _count_scans(monkeypatch)
+    report = fit(model, d, max_iters=3, tol=0.0, engine="direct")
+    assert report.engine == "direct" and calls == [True] * 4
+    ll = log_likelihood(report.model, d)
+    assert len(calls) == 5
+    monkeypatch.setattr(engine, "scan_applicable", lambda model, d: False)
+    assert log_likelihood(report.model, d) == pytest.approx(ll, rel=RTOL, abs=0)
+    pairwise = fit(model, d, max_iters=3, tol=0.0, engine="direct")
+    assert len(calls) == 5
+    np.testing.assert_allclose(report.ll_trace, pairwise.ll_trace, rtol=1e-10, atol=0)

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 from cascades import (BinaryMark, BinarySchema, CategoricalMatrix, DataError,
                       Dataset, Event, FeatureMixture, FeaturePrior,
                       IdentityTransition, LabelMark, LabelMarginal, LabelSchema,
-                      PriorTransition, fit_categorical, fit_mixture)
+                      PriorTransition, fit_categorical)
 from cascades.transitions import (PairProbs, draw_index,
-                                  fit_mixture_from_stats, mixture_stats, prior_stats,
+                                  fit_mixture_from_stats, pattern_codes,
+                                  pattern_matrix, pattern_stats, prior_stats,
                                   sample_child_mark, sample_mark, transition_stats,
                                   write_matrix_csv)
+from oracles import fit_mixture, mixture_stats
 
 
 def bm(*bits):
@@ -278,3 +280,43 @@ def test_feature_prior_stats_cover_only_the_span_of_the_children():
         want = prior_stats(spec.mark, d, np.bincount(children, weights=z, minlength=n))
         assert got.shape == (width + 1,) and got.dtype == np.float64
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_pattern_tables_give_the_pair_statistics():
+    # g over mark patterns against PairProbs on each pair, and the
+    # statistics of (parent pattern, child pattern) weight tables against
+    # those of the pairs, the mixture table also against the tuple oracle
+    rng = np.random.default_rng(21)
+    n, width, size = 120, 3, 500
+    X = rng.integers(0, 2, size=(n, width))
+    d = Dataset([Event(float(t), BinaryMark(tuple(int(b) for b in row)))
+                 for t, row in zip(np.sort(rng.uniform(0, 50, n)), X)], 50.0,
+                BinarySchema(("a", "b", "c")))
+    codes, P = pattern_codes(d)
+    assert P == len(d.feature_patterns[0]) <= 2 ** width
+    parents, children = rng.integers(0, n, size=(2, size))
+    z = rng.random(size)
+    table = np.bincount(codes[parents] * P + codes[children], weights=z,
+                        minlength=P * P).reshape(P, P)
+    for spec in (IdentityTransition(), PriorTransition(PRIOR3), FeatureMixture(0.3, PRIOR3)):
+        g = pattern_matrix(spec, d)
+        np.testing.assert_allclose(g[codes[parents], codes[children]],
+                                   PairProbs(spec, d, 0).values(children, parents),
+                                   rtol=1e-14, atol=0)
+        got = pattern_stats(spec, d, table)
+        want = transition_stats(spec, d, children, parents, z)
+        assert (got is None) == (want is None)
+        if want is not None:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    pairs = [(BinaryMark(tuple(X[p])), BinaryMark(tuple(X[c])), w)
+             for p, c, w in zip(parents, children, z)]
+    np.testing.assert_allclose(pattern_stats(FeatureMixture(0.3, PRIOR3), d, table),
+                               mixture_stats(pairs, PRIOR3), rtol=1e-12, atol=0)
+    # label marks: every family's statistic is the table itself
+    dl = Dataset([Event(float(t), LabelMark(int(k))) for t, k in
+                  zip(np.sort(rng.uniform(0, 50, n)), rng.integers(1, 4, size=n))],
+                 50.0, LabelSchema(3))
+    assert pattern_codes(dl)[1] == 3
+    square = table[:3, :3]
+    for spec in (IdentityTransition(), PriorTransition(LabelMarginal((0.2, 0.3, 0.5)))):
+        assert pattern_stats(spec, dl, square) is square
