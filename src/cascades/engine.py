@@ -15,10 +15,12 @@ draws.
 The E-step is array code over candidate pairs: per component,
 ``searchsorted`` bounds each child's window among the allowed parents,
 the windows of a run of children expand into flat (child, parent) pair
-arrays, every kernel factor is evaluated once over those pairs, and
-``reduceat`` sums each child's intensity. Mark probabilities and
-transitions come from ``transitions`` (``mark_probs``, ``PairProbs``),
-which ``intensity`` and model validation use too. Runs hold at most
+arrays, the kernel factors that vary per pair are evaluated once over
+those pairs, ``reduceat`` sums them per child, and the factors that read
+only the child scale each child's sum (``_kernel_factors``). Mark
+probabilities and transitions come from ``transitions`` (``mark_probs``,
+``child_probs``, ``PairProbs``), which ``intensity`` and model
+validation use too. Runs hold at most
 ``PAIR_CHUNK`` pairs and write into output arrays allocated once at full
 size, so memory beyond the responsibilities stays bounded. For fitting,
 the same loop sums each run's pairs into the M-step's statistics while
@@ -253,11 +255,15 @@ class ComponentStats:
     read: a weighted delay sample for ``delays.weighted_mle`` (every
     candidate pair's delay and weight from the pairwise E-step, or from
     fast_estep the one sample (sum z*dt / sum z, sum z), which has the
-    same exponential MLE), the transition's
-    ``transitions.transition_stats``, and expected offspring per parent
-    mark pattern (``_mark_patterns``). The last two are summed run by
-    run in the pairwise E-step (``_pair_stats``) and read off the
-    pattern weight table in fast_estep."""
+    same exponential MLE), the transition's statistic in its family's
+    shape (``transitions.transition_stats``: the (parent label, child
+    label) table of a categorical matrix, the (F, 2, 2) table of a
+    feature mixture, a prior's weight per child label or feature sums
+    over the children, None for identity), and expected offspring per
+    parent mark pattern (``_mark_patterns``). The pairwise E-step sums
+    the last two run by run, or from each child's total weight where they
+    read only the children; fast_estep reads them off the pattern weight
+    table (``transitions.pattern_stats``)."""
 
     deltas: np.ndarray
     weights: np.ndarray
@@ -443,14 +449,32 @@ def _child_sums(vals: np.ndarray, cnt: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pair_stats(comp: KernelComponent, d: Dataset, pattern: np.ndarray, n_patterns: int,
-                children: np.ndarray, parents: np.ndarray, z: np.ndarray):
-    """The statistics of weighted (child, parent) pairs besides the delay
-    sample: the transition's ``transitions.transition_stats`` and the
-    credit per parent mark pattern. Both add up over disjoint pair sets."""
-    credits = (np.array([z.sum()]) if n_patterns == 1
-               else np.bincount(pattern[parents], weights=z, minlength=n_patterns))
-    return trans_mod.transition_stats(comp.transition, d, children, parents, z), credits
+def _pattern_credits(pattern: np.ndarray, n_patterns: int, parents: np.ndarray,
+                     z: np.ndarray) -> np.ndarray:
+    """Weighted pairs' credit per parent mark pattern; the credits of
+    disjoint pair sets add up."""
+    if n_patterns == 1:
+        return np.array([z.sum()])
+    return np.bincount(pattern[parents], weights=z, minlength=n_patterns)
+
+
+def _kernel_factors(comp: KernelComponent, d: Dataset, kids: np.ndarray,
+                    rows: np.ndarray | None, n_patterns: int):
+    """Component comp's fertility(parent) * g(child | parent), split by
+    what each factor reads, as (child, alpha, pair). ``child`` is one
+    factor per child at ``kids``, or None: the fertility when it has one
+    value, which it has whenever the data have one parent mark pattern
+    (``_mark_patterns``: every label and composite schema), times a
+    prior's g(child). ``alpha`` is the fertility per event when it may
+    vary by parent, and ``pair`` the ``PairProbs`` of a transition that
+    reads the parent's mark; None otherwise. The choice reads only the
+    families and the pattern count."""
+    g = trans_mod.child_probs(comp.transition, d, kids)
+    pair = None if g is not None else PairProbs(comp.transition, d, PAIR_CHUNK)
+    if n_patterns != 1:
+        return g, comp.fertility.rates(d.feature_matrix, len(d)), pair
+    alpha = float(comp.fertility.rates(rows, 1)[0])
+    return (np.full(kids.size, alpha) if g is None else alpha * g), None, pair
 
 
 def _estep_core(model: CascadeModel, d: Dataset, children: np.ndarray | None,
@@ -464,7 +488,16 @@ def _estep_core(model: CascadeModel, d: Dataset, children: np.ndarray | None,
     The E-step runs on candidate pairs unless ``scan`` lets it choose the
     truncated ``fast_estep``, which it takes when that is cheaper
     (``_scan_is_cheaper``). ``out`` is then the scan's ``EStepStats``
-    whatever ``want_stats`` says."""
+    whatever ``want_stats`` says.
+
+    On pairs, each component's kernel factors apart (``_kernel_factors``):
+    the pair loop evaluates the delay density and only those factors that
+    vary by parent, each child's sum of them is scaled by its child
+    factor, and a pair's weight is its value times (child factor /
+    intensity). Statistics that read only the children (the credits on
+    one mark pattern, a prior's ``transitions.prior_stats``) are summed
+    from each child's total weight after the loop; the rest pair by
+    pair."""
     window = _resolve_window(d, window)
     times = d.times
     n = len(d)
@@ -488,11 +521,10 @@ def _estep_core(model: CascadeModel, d: Dataset, children: np.ndarray | None,
         stats = fast_estep(model, d, children, window, truncated=True)
         return stats, stats.intensity, kids
 
-    base_rates = model.baseline.rate_at(kid_times) if kids.size else np.zeros(0)
-    base_marks = trans_mod.mark_probs(model.baseline.mark, d) if n else np.zeros(0)
-    base_vals = base_rates * base_marks[kids]
-    alphas = _fertility_matrix(model, d)
-    evals = [PairProbs(c.transition, d, PAIR_CHUNK) for c in comps]
+    base_vals = (model.baseline.rate_at(kid_times)
+                 * trans_mod.mark_probs(model.baseline.mark, d, kids))
+    rows, pattern, n_patterns = _mark_patterns(d)
+    factors = [_kernel_factors(c, d, kids, rows, n_patterns) for c in comps]
 
     lam = np.zeros(n, dtype=np.float64)
     z_base = np.zeros(n, dtype=np.float64)
@@ -505,13 +537,15 @@ def _estep_core(model: CascadeModel, d: Dataset, children: np.ndarray | None,
             np.cumsum(offsets, out=offsets)
         comp_parents = [np.empty(st[-1], dtype=np.int64) for st in starts]
     if want_stats:
-        # each component's statistics start as those of no pairs
-        _, pattern, n_patterns = _mark_patterns(d)
+        deltas = [np.empty(st[-1], dtype=np.float64) for st in starts]
+        # each child's total weight per component, and the statistics
+        # summed pair by pair, which start as those of no pairs
+        kid_z = [np.zeros(kids.size) for _ in comps]
         none = np.zeros(0, dtype=np.int64)
-        comp_stats = [ComponentStats(np.empty(st[-1], dtype=np.float64), z,
-                                     *_pair_stats(comp, d, pattern, n_patterns,
-                                                  none, none, np.zeros(0)))
-                      for comp, st, z in zip(comps, starts, comp_z)]
+        pair_trans = [None if pair is None else
+                      trans_mod.transition_stats(c.transition, d, none, none, np.zeros(0))
+                      for c, (_, _, pair) in zip(comps, factors)]
+        pair_credits = [np.zeros(n_patterns) for _ in comps]
 
     # chunks are runs of whole children holding at most PAIR_CHUNK pairs
     # over all components (or one child with more)
@@ -526,15 +560,24 @@ def _estep_core(model: CascadeModel, d: Dataset, children: np.ndarray | None,
             p0, p1 = starts[c][s], starts[c][e]
             if p1 == p0:
                 continue
+            child, alpha, pair = factors[c]
             cnt = counts[c][s:e]
             at = np.arange(p0, p1) + np.repeat(los[c][s:e] - starts[c][s:e], cnt)
             js = at if comp.sources is None else pools[c][at]
-            ch = np.repeat(kids[s:e], cnt)
-            dt = comp_stats[c].deltas[p0:p1] if want_stats else None
+            dt = deltas[c][p0:p1] if want_stats else None
             dt = np.subtract(np.repeat(kid_times[s:e], cnt), times[js], out=dt)
-            vals = alphas[c][js] * evals[c].values(ch, js) * delay_mod.density(comp.delay, dt)
-            total += _child_sums(vals, cnt)
-            chunk.append((c, p0, p1, cnt, ch, js, vals))
+            vals = delay_mod.density(comp.delay, dt)
+            ch = None
+            if alpha is not None:
+                vals *= alpha[js]
+            if pair is not None:
+                ch = np.repeat(kids[s:e], cnt)
+                vals *= pair.values(ch, js)
+            sums = _child_sums(vals, cnt)
+            if child is not None:
+                sums *= child[s:e]
+            total += sums
+            chunk.append((c, p0, p1, cnt, ch, js, vals, sums))
         bad = ~((total > 0.0) & np.isfinite(total))
         if bad.any():
             i = kids[s + int(np.argmax(bad))]
@@ -543,23 +586,34 @@ def _estep_core(model: CascadeModel, d: Dataset, children: np.ndarray | None,
         lam[kids[s:e]] = total
         if want_resp or want_stats:
             z_base[kids[s:e]] = base_vals[s:e] / total
-            for c, p0, p1, cnt, ch, js, vals in chunk:
-                z = np.divide(vals, np.repeat(total, cnt), out=comp_z[c][p0:p1])
+            for c, p0, p1, cnt, ch, js, vals, sums in chunk:
+                child = factors[c][0]
+                scale = (1.0 if child is None else child[s:e]) / total
+                z = np.multiply(vals, np.repeat(scale, cnt), out=comp_z[c][p0:p1])
                 if want_resp:
                     comp_parents[c][p0:p1] = js
                 if want_stats:
-                    cs = comp_stats[c]
-                    trans, credits = _pair_stats(comps[c], d, pattern, n_patterns, ch, js, z)
-                    if trans is not None:
-                        cs.transition = cs.transition + trans
-                    cs.credits = cs.credits + credits
+                    kid_z[c][s:e] = sums / total
+                    if ch is not None:
+                        trans = trans_mod.transition_stats(comps[c].transition, d, ch, js, z)
+                        if trans is not None:
+                            pair_trans[c] = pair_trans[c] + trans
+                    if n_patterns != 1:
+                        pair_credits[c] = pair_credits[c] + _pattern_credits(
+                            pattern, n_patterns, js, z)
         s = e
 
     out = None
     if want_resp:
         out = Responsibilities(n, z_base, comp_offsets, comp_parents, comp_z)
     elif want_stats:
-        out = EStepStats(z_base, lam, comp_stats)
+        out = EStepStats(z_base, lam, [
+            ComponentStats(deltas[c], comp_z[c],
+                           (trans_mod.prior_stats(comp.transition.mark, d, kid_z[c], kids)
+                            if factors[c][2] is None else pair_trans[c]),
+                           (np.array([kid_z[c].sum()]) if n_patterns == 1
+                            else pair_credits[c]))
+            for c, comp in enumerate(comps)])
     return out, lam, kids
 
 
@@ -635,7 +689,7 @@ def intensity(model: CascadeModel, history: Dataset, t: float, x: Mark) -> float
     d = history._with_query(int(lo), int(hi), t, x)
     q = len(d) - 1
     total = float(model.baseline.rate_at(d.times[q:])[0]
-                  * trans_mod.mark_probs(model.baseline.mark, d)[q])
+                  * trans_mod.mark_probs(model.baseline.mark, d, np.array([q]))[0])
     for alpha, comp, cut in zip(_fertility_matrix(model, d), model.components, cutoffs):
         pool = _parent_pool(comp, d)
         js = pool[np.searchsorted(d.times[pool], t - cut, side="left"):]
@@ -694,9 +748,10 @@ def _component_stats(model: CascadeModel, d: Dataset,
     out = []
     for c, comp in enumerate(model.components):
         children, parents, z = _pair_arrays(resp, c)
-        out.append(ComponentStats(d.times[children] - d.times[parents], z,
-                                  *_pair_stats(comp, d, pattern, n_patterns,
-                                               children, parents, z)))
+        out.append(ComponentStats(
+            d.times[children] - d.times[parents], z,
+            trans_mod.transition_stats(comp.transition, d, children, parents, z),
+            _pattern_credits(pattern, n_patterns, parents, z)))
     return out
 
 
@@ -1025,7 +1080,7 @@ def fast_estep(model: CascadeModel, d: Dataset, children: np.ndarray | None = No
     n, C = len(d), len(comps)
     kids = _child_ids(d, children, window)
     base = (model.baseline.rate_at(d.times[kids])
-            * trans_mod.mark_probs(model.baseline.mark, d)[kids])
+            * trans_mod.mark_probs(model.baseline.mark, d, kids))
     rates = np.array([c.delay.decay_rate for c in comps])
     rows = d.feature_patterns[0] if isinstance(d.schema, BinarySchema) else None
     # by_child[c, l, r]: delay rate * fertility(r) * g(l | r), read by child pattern l

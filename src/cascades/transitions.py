@@ -8,14 +8,16 @@ categorical matrix for label marks with optional Dirichlet shrinkage.
 For composite (type, node) marks transitions act on the type coordinate.
 
 Each family's math is written here once: schema checks, mark
-probabilities per event (``mark_probs``), g over (child, parent) event
-pairs (``PairProbs``, read by the pairwise E-step and ``intensity``) and
-over mark patterns (``pattern_matrix``, read by the prefix-sum scan),
-sampling, and the M-step statistics and refits. A mark pattern is a
-label (the type of a composite mark) or a distinct binary feature row
-(``pattern_codes``); the statistics of weighted pairs depend on the
-pairs only through the (parent pattern, child pattern) weight table
-(``pattern_stats``).
+probabilities at given events (``mark_probs``), a prior's g per child
+(``child_probs``), g over (child, parent) event pairs (``PairProbs``,
+read by the pairwise E-step and ``intensity``) and over mark patterns
+(``pattern_matrix``, read by the prefix-sum scan), sampling, and the
+M-step statistics and refits. A mark pattern is a label (the type of a
+composite mark) or a distinct binary feature row (``pattern_codes``);
+the statistics of weighted pairs take the family's shape and depend on
+the pairs only through the (parent pattern, child pattern) weight table
+(``pattern_stats``), a prior's only through each child's total weight
+(``prior_stats``).
 """
 
 from __future__ import annotations
@@ -101,12 +103,17 @@ def check_mark_dist(dist: MarkDistribution, schema: MarkSchema, where: str) -> N
         raise ConfigError(f"{where}: unknown mark distribution")
 
 
-def mark_probs(dist: MarkDistribution, d: Dataset) -> np.ndarray:
-    """Probability of every event's mark under ``dist`` (the label's mass,
-    or the product of independent feature marginals)."""
+def mark_probs(dist: MarkDistribution, d: Dataset,
+               events: np.ndarray | None = None) -> np.ndarray:
+    """Probability under ``dist`` of the marks of the events at ``events``
+    (every event when None): the label's mass, or the product of
+    independent feature marginals, taken once per distinct feature row
+    (``Dataset.feature_patterns``) and gathered by each event's row."""
     if isinstance(dist, FeaturePrior):
-        return _row_probs(dist, d.feature_matrix)
-    return dist.as_array[d.label_index]
+        rows, index = d.feature_patterns
+        return _row_probs(dist, rows)[index if events is None else index[events]]
+    labels = d.label_index
+    return dist.as_array[labels if events is None else labels[events]]
 
 
 def _row_probs(dist: FeaturePrior, X: np.ndarray) -> np.ndarray:
@@ -124,13 +131,18 @@ def fit_prior(d: Dataset) -> FeaturePrior:
     return FeaturePrior(tuple((d.feature_matrix.mean(axis=0)).tolist()))
 
 
-def prior_stats(dist: MarkDistribution, d: Dataset, weights: np.ndarray) -> np.ndarray:
-    """Additive statistics for refitting a mark distribution from
-    per-event weights: the weight per label, or for a feature prior the
-    total weight followed by X^T w."""
+def prior_stats(dist: MarkDistribution, d: Dataset, weights: np.ndarray,
+                events: np.ndarray | None = None) -> np.ndarray:
+    """Additive statistics for refitting a mark distribution from the
+    weights of the events at ``events`` (every event when None): the
+    weight per label, or for a feature prior the total weight followed by
+    X^T w."""
     if isinstance(dist, FeaturePrior):
-        return _feature_sums(d.feature_matrix, weights)
-    return np.bincount(d.label_index, weights=weights, minlength=d.n_label_values)
+        X = d.feature_matrix
+        return _feature_sums(X if events is None else X[events], weights)
+    labels = d.label_index
+    return np.bincount(labels if events is None else labels[events], weights=weights,
+                       minlength=d.n_label_values)
 
 
 def _feature_sums(X: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -320,17 +332,24 @@ def _mixture_probs(spec: FeatureMixture, xp: np.ndarray, xc: np.ndarray) -> np.n
     return np.exp(logs.sum(axis=-1))
 
 
+def child_probs(spec: TransitionSpec, d: Dataset, events: np.ndarray) -> np.ndarray | None:
+    """g(child mark) at ``events`` for a transition that does not read the
+    parent's mark (a prior); None for the families that do."""
+    if isinstance(spec, PriorTransition):
+        return mark_probs(spec.mark, d, events)
+    return None
+
+
 class PairProbs:
     """g(child mark | parent mark) of one transition over (child, parent)
     event pairs of one dataset.
 
-    A prior reads its child's mark probability. On label and composite
-    marks identity and categorical transitions gather ``pattern_matrix``
-    by (parent label, child label); on binary marks identity compares
-    pattern codes. A feature mixture gathers its (parent pattern x child
-    pattern) table when that holds at most ``max_table`` entries, and
-    otherwise evaluates each pair (wide schemas, where distinct patterns
-    can reach the event count).
+    A prior reads its child's mark probability. Categorical transitions
+    gather their matrix by (parent label, child label), and identity
+    compares pattern codes. A feature mixture gathers its (parent pattern
+    x child pattern) table when that holds at most ``max_table`` entries,
+    and otherwise evaluates each pair (wide schemas, where distinct
+    patterns can reach the event count).
     """
 
     def __init__(self, spec: TransitionSpec, d: Dataset, max_table: int):
@@ -344,8 +363,8 @@ class PairProbs:
             if n_patterns ** 2 <= max_table:
                 self.table = pattern_matrix(spec, d)
             self.X = d.feature_matrix
-        elif not isinstance(d.schema, BinarySchema):
-            self.table = pattern_matrix(spec, d)
+        elif isinstance(spec, CategoricalMatrix):
+            self.table = spec.as_array
 
     def values(self, children: np.ndarray, parents: np.ndarray) -> np.ndarray:
         """g(mark of children[k] | mark of parents[k]) for every pair k."""
@@ -466,46 +485,50 @@ def label_pair_table(d: Dataset, children: np.ndarray, parents: np.ndarray,
 def transition_stats(spec: TransitionSpec, d: Dataset, children: np.ndarray,
                      parents: np.ndarray, z: np.ndarray):
     """Sufficient statistics for refitting ``spec`` from weighted
-    (parent, child) event pairs, or None when the family has nothing to
-    fit. They have a fixed size and add up, so components sharing a
-    transition group pool theirs with ``+``:
+    (parent, child) event pairs, shaped by the family, or None when the
+    family has nothing to fit. They have a fixed size and add up, so
+    components sharing a transition group pool theirs with ``+``:
 
+    - categorical: the (parent label, child label) weight table of
+      ``label_pair_table``
     - feature mixture: the (F, 2, 2) table of ``_mixture_table``
-    - feature prior: ``prior_stats`` of the children's weights
-    - every family on label or composite marks: the (parent label,
-      child label) weight table of ``label_pair_table``
+    - prior: ``prior_stats`` of each child's total weight, the weight per
+      child label or the feature sums over the children
+    - identity: None
 
     ``pattern_stats`` gives the same from pattern-pair weights.
     """
+    if isinstance(spec, CategoricalMatrix):
+        return label_pair_table(d, children, parents, z)
     if isinstance(spec, FeatureMixture):
         X = d.feature_matrix
         return _mixture_table(X[parents], X[children], z)
-    if isinstance(spec, PriorTransition) and isinstance(spec.mark, FeaturePrior):
-        # ``prior_stats`` of the children's weights, summed over the events
-        # from the first child to the last only: a run of pairs costs its
-        # own span, not the whole dataset
+    if isinstance(spec, PriorTransition):
+        # each child's weight, over the events from the first child to the
+        # last only: a run of pairs costs its own span, not the whole dataset
         lo = int(children.min()) if children.size else 0
         w = np.bincount(children - lo, weights=z)
-        return _feature_sums(d.feature_matrix[lo:lo + w.size], w)
-    if isinstance(d.schema, BinarySchema):
-        return None
-    return label_pair_table(d, children, parents, z)
+        return prior_stats(spec.mark, d, w, np.arange(lo, lo + w.size))
+    return None
 
 
 def pattern_stats(spec: TransitionSpec, d: Dataset, table: np.ndarray):
     """``transition_stats`` of pairs whose weights are summed into
     ``table``, indexed (parent pattern, child pattern) over the patterns
-    of ``pattern_codes``: on binary marks the mixture's bit indicators
-    and the prior's feature sums are read per pattern row."""
-    if not isinstance(d.schema, BinarySchema):
+    of ``pattern_codes``: a prior reads the child-pattern sums, and on
+    binary marks the mixture's bit indicators and the prior's feature
+    sums are read per pattern row."""
+    if isinstance(spec, CategoricalMatrix):
         return table
+    if isinstance(spec, IdentityTransition):
+        return None
+    if not isinstance(d.schema, BinarySchema):
+        return table.sum(axis=0)  # a label prior: the weight per child label
     rows = d.feature_patterns[0]
     if isinstance(spec, FeatureMixture):
         parents, children = np.divmod(np.arange(table.size), len(rows))
         return _mixture_table(rows[parents], rows[children], table.ravel())
-    if isinstance(spec, PriorTransition):
-        return _feature_sums(rows, table.sum(axis=0))
-    return None
+    return _feature_sums(rows, table.sum(axis=0))
 
 
 def fit_transition(spec: TransitionSpec, stats) -> TransitionSpec:
@@ -516,8 +539,6 @@ def fit_transition(spec: TransitionSpec, stats) -> TransitionSpec:
     if isinstance(spec, FeatureMixture):
         return replace(spec, resample_prob=fit_mixture_from_stats(stats, spec.prior))
     if isinstance(spec, PriorTransition):
-        if isinstance(spec.mark, LabelMarginal):
-            stats = stats.sum(axis=0)  # weight per child label
         return PriorTransition(fit_mark_dist(spec.mark, stats))
     return spec
 

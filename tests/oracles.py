@@ -6,14 +6,30 @@ test oracles.
 (F, 2, 2) table from arrays: over candidate pairs in the pairwise E-step
 and over (parent pattern, child pattern) weights in the scan
 (``transitions.pattern_stats``).
+
+``label_family_stats`` reads a family's statistic off the (parent label,
+child label) weight table that every label family used to keep.
 """
 
 from typing import Sequence
 
 import numpy as np
 
-from cascades import BinaryMark, DataError, FeaturePrior
+from cascades import (BinaryMark, CategoricalMatrix, DataError, FeaturePrior,
+                      IdentityTransition, PriorTransition)
 from cascades.transitions import fit_mixture_from_stats
+
+
+def label_family_stats(spec, table: np.ndarray):
+    """The statistic a label-mark transition keeps, from the (parent label,
+    child label) weight table: the table for a categorical matrix, its
+    parent-axis sum for a prior, None for identity."""
+    if isinstance(spec, CategoricalMatrix):
+        return table
+    if isinstance(spec, PriorTransition):
+        return table.sum(axis=0)
+    assert isinstance(spec, IdentityTransition)
+    return None
 
 
 def mixture_stats(pairs: Sequence[tuple[BinaryMark, BinaryMark, float]],

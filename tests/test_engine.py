@@ -307,7 +307,11 @@ def test_fast_path_matches_direct_with_ties_and_scopes():
     assert np.allclose(fast.comp_z, direct.comp_z, rtol=1e-9)
     assert np.allclose(fast.comp_zdt, direct.comp_zdt, rtol=1e-9)
     for a, b in zip(fast.components, direct.components):
-        assert np.allclose(a.transition, b.transition, rtol=1e-9, atol=1e-12)
+        assert (a.transition is None) == (b.transition is None)
+        if b.transition is not None:
+            assert np.allclose(a.transition, b.transition, rtol=1e-9, atol=1e-12)
+    assert fast.components[1].transition is None  # identity keeps no statistics
+    assert fast.components[2].transition.shape == (3,)  # a prior, the child labels
 
     # windowed + masked: same agreement
     mask = np.zeros(len(d), dtype=bool)

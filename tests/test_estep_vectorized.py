@@ -2,18 +2,24 @@
 
 ``_reference_estep`` is the per-child loop the chunked E-step replaced,
 kept here as the oracle, with each child's candidate parents found by
-direct comparison instead of ``searchsorted``. Offsets and parent ids
-must agree exactly; intensities and weights to 1e-12 relative, because
-each child's kernel values are summed in another order. The chunk size
-must not change a single bit of the output.
+direct comparison instead of ``searchsorted`` and every pair's kernel
+value written as fertility(parent) * g(child | parent) * delay density,
+where the E-step applies the factors that read only the child once per
+child. Offsets and parent ids must agree exactly; intensities and
+weights to 1e-12 relative, because the factors multiply in another
+order and each child's kernel values are summed in another order. The
+chunk size must not change a single bit of the output.
 
 The statistics mode (``estep_stats``) is checked against
-``_component_stats`` of e_step's responsibilities: delay samples bitwise,
-transition tables and credits, which it sums run by run, to 1e-12
-relative. ``_reference_fit`` is fit's direct engine as it was before it
-kept statistics instead of responsibilities, kept as the oracle for fit.
+``_reference_stats``, the oracle's pairs summed into each family's
+statistic here (a label prior's from the (parent label, child label)
+table that every label family used to keep): delay samples exactly,
+pair weights, transition statistics and credits to 1e-12 relative.
+``_reference_fit`` is fit's direct engine as it was before it kept
+statistics instead of responsibilities, kept as the oracle for fit.
 """
 
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -31,11 +37,13 @@ from cascades import (CascadeModel, CategoricalMatrix, ConstantFertility,
                       intensity, log_likelihood, simulate)
 from cascades import delays as delay_mod
 from cascades import engine
+from cascades import transitions as trans_mod
 from cascades.config import serialize_model
 from cascades.delays import ExpMixtureDelay, PiecewiseUniformDelay, UniformDelay
 from cascades.events import (BinaryMark, BinarySchema, CompositeMark,
                              CompositeSchema, LabelSchema)
-from cascades.fertility import MultiplicativeFertility
+from cascades.fertility import LinearFertility, MultiplicativeFertility
+from oracles import label_family_stats, mixture_stats
 
 DEFAULT_CHUNK = engine.PAIR_CHUNK
 
@@ -122,9 +130,59 @@ def _reference_estep(model, d, children=None, window=None):
             [flat(z, np.float64) for z in zs])
 
 
-def _assert_matches_reference(model, d, children=None, window=None):
+def _reference_stats(model, d, children=None, window=None):
+    """The statistics m_step reads, summed from the oracle's pairs: each
+    pair's delay and weight, the transition statistic of each family
+    written out here, and the credit per parent mark pattern."""
+    lam, z_base, offsets, parents, zs = _reference_estep(model, d, children, window)
+    binary = isinstance(d.schema, BinarySchema)
+    out = []
+    for c, comp in enumerate(model.components):
+        kids = np.repeat(np.arange(len(d)), np.diff(offsets[c]))
+        js, z, spec = parents[c], zs[c], comp.transition
+        if not binary:
+            L, labels = d.n_label_values, d.label_index
+            table = np.bincount(labels[js] * L + labels[kids], weights=z,
+                                minlength=L * L).reshape(L, L)
+            trans, credits = label_family_stats(spec, table), np.array([z.sum()])
+        else:
+            X = d.feature_matrix
+            if isinstance(spec, FeatureMixture):
+                trans = mixture_stats([(BinaryMark(tuple(X[j])), BinaryMark(tuple(X[i])), w)
+                                       for i, j, w in zip(kids, js, z)], spec.prior)
+            elif isinstance(spec, PriorTransition):
+                trans = np.concatenate([[z.sum()], X[kids].T.astype(np.float64) @ z])
+            else:
+                trans = None
+            rows, index = d.feature_patterns
+            credits = np.bincount(index[js], weights=z, minlength=len(rows))
+        out.append(engine.ComponentStats(d.times[kids] - d.times[js], z, trans, credits))
+    return engine.EStepStats(z_base, lam, out)
+
+
+def _assert_stats_close(got, ref):
+    """z_base, intensities, pair weights, transition statistics and credits
+    to 1e-12 relative, the delay samples exactly."""
+    np.testing.assert_allclose(got.z_base, ref.z_base, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(got.intensity, ref.intensity, rtol=1e-12, atol=0)
+    assert got.n_components == ref.n_components
+    for a, b in zip(got.components, ref.components):
+        assert a.deltas.dtype == b.deltas.dtype and a.deltas.tobytes() == b.deltas.tobytes()
+        np.testing.assert_allclose(a.weights, b.weights, rtol=1e-12, atol=0)
+        assert (a.transition is None) == (b.transition is None)
+        if b.transition is not None:
+            assert a.transition.shape == b.transition.shape
+            np.testing.assert_allclose(a.transition, b.transition, rtol=1e-12, atol=0)
+        assert a.credits.shape == b.credits.shape
+        np.testing.assert_allclose(a.credits, b.credits, rtol=1e-12, atol=0)
+
+
+def _assert_matches_reference(model, d, children=None, window=None, chunk=DEFAULT_CHUNK):
     lam_ref, zb_ref, off_ref, par_ref, z_ref = _reference_estep(model, d, children, window)
-    resp, lam, _ = engine._estep_core(model, d, children, window, want_resp=True)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "PAIR_CHUNK", chunk)
+        resp, lam, _ = engine._estep_core(model, d, children, window, want_resp=True)
+        _, lam_only, _ = engine._estep_core(model, d, children, window, want_resp=False)
     np.testing.assert_allclose(lam, lam_ref, rtol=1e-12, atol=0)
     np.testing.assert_allclose(resp.baseline, zb_ref, rtol=1e-12, atol=0)
     for c in range(len(model.components)):
@@ -132,7 +190,6 @@ def _assert_matches_reference(model, d, children=None, window=None):
         np.testing.assert_array_equal(resp.comp_parents[c], par_ref[c])
         assert resp.comp_parents[c].dtype == np.int64
         np.testing.assert_allclose(resp.comp_z[c], z_ref[c], rtol=1e-12, atol=0)
-    _, lam_only, _ = engine._estep_core(model, d, children, window, want_resp=False)
     np.testing.assert_array_equal(lam_only, lam)
     return resp
 
@@ -209,8 +266,32 @@ def _composite_model(truncation):
          KernelComponent("nbrs", ConstantFertility(0.2), IdentityTransition(),
                          GammaDelay(2.0, 1.0), sources=("v", "w")),
          KernelComponent("none", ConstantFertility(0.2), _CAT3, ExponentialDelay(1.0),
-                         sources=("absent",))),
+                         sources=("absent",)),
+         KernelComponent("any", ConstantFertility(0.15),
+                         PriorTransition(LabelMarginal((0.5, 0.3, 0.2))),
+                         GammaDelay(1.5, 0.8), sources=("w", "u"))),
         truncation_mass=truncation)
+
+
+def _wide_binary_case(n=120, width=40, seed=0):
+    """Feature rows drawn at random on a wide schema, so nearly every event
+    has its own mark pattern, and fertilities that read the features: the
+    fertility stays a factor of each pair, a feature prior's g a factor
+    of each child."""
+    rng = np.random.default_rng(seed)
+    d = Dataset([Event(float(t), BinaryMark(tuple(int(b) for b in row)))
+                 for t, row in zip(rng.uniform(0, 40.0, size=n),
+                                   rng.integers(0, 2, size=(n, width)))],
+                horizon=40.0, schema=BinarySchema(tuple(f"f{k}" for k in range(width))))
+    prior = FeaturePrior(tuple(rng.uniform(0.2, 0.8, size=width).tolist()))
+    model = CascadeModel(
+        HomogeneousBaseline(0.5, prior),
+        (KernelComponent("prior", LinearFertility(0.05, tuple(rng.uniform(0, 0.02, width).tolist())),
+                         PriorTransition(prior), GammaDelay(2.0, 1.0)),
+         KernelComponent("same", MultiplicativeFertility((0.2,) + (1.01,) * width),
+                         IdentityTransition(), ExponentialDelay(1.0))),
+        truncation_mass=1e-6)
+    return model, d
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +474,29 @@ def test_zero_intensity_names_the_first_such_event(monkeypatch, chunk):
     assert "event 4 " in str(got.value)
 
 
+@pytest.mark.parametrize("chunk", [DEFAULT_CHUNK, 1, 7])
+def test_zero_intensity_under_a_prior_names_the_oracle_event(monkeypatch, chunk):
+    # the prior gives label 2 no mass, so with no baseline a label-2 child
+    # has zero intensity although every pair before it has a kernel value
+    monkeypatch.setattr(engine, "PAIR_CHUNK", chunk)
+    times = [0.0, 0.5, 1.0, 1.2, 1.5, 2.0, 2.5]
+    labels = [1, 1, 1, 1, 1, 2, 1]
+    d = Dataset([Event(t, LabelMark(k)) for t, k in zip(times, labels)], horizon=5.0,
+                schema=LabelSchema(2))
+    model = CascadeModel(
+        HomogeneousBaseline(0.0, LabelMarginal((0.5, 0.5))),
+        (KernelComponent("k", ConstantFertility(0.5), PriorTransition(LabelMarginal((1.0, 0.0))),
+                         GammaDelay(2.0, 1.0)),), truncation_mass=1e-6)
+    children = np.arange(len(d)) >= 1
+    with pytest.raises(NumericalError) as expected:
+        _reference_estep(model, d, children=children)
+    for want_stats in (False, True):
+        with pytest.raises(NumericalError) as got:
+            engine._estep_core(model, d, children, None, want_stats=want_stats)
+        assert str(got.value) == str(expected.value)
+        assert "event 5 " in str(got.value)
+
+
 def _reference_lower_bound(model, d, resp):
     """The per-child Jensen bound the vectorized one replaced."""
     fresh, lam, kids = engine._estep_core(model, d, None, None, want_resp=True)
@@ -437,38 +541,36 @@ def test_lower_bound_matches_reference_and_rejects_other_layouts():
 
 
 def _assert_stats_match_oracle(model, d, children=None, window=None, chunk=DEFAULT_CHUNK):
-    """estep_stats under ``chunk`` against _component_stats of e_step:
-    delay samples, z_base and intensities bitwise, transition tables and
-    credits to 1e-12 relative."""
+    """estep_stats under ``chunk`` against ``_reference_stats``. Its z_base,
+    intensities and pair weights are e_step's bit for bit, and
+    ``_component_stats`` of e_step (m_step's route from
+    responsibilities) matches the oracle too."""
+    ref = _reference_stats(model, d, children, window)
     resp = e_step(model, d, children, window)
-    _, lam, kids = engine._estep_core(model, d, children, window)
-    oracle = engine._component_stats(model, d, resp)
+    _, lam, _ = engine._estep_core(model, d, children, window)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "PAIR_CHUNK", chunk)
         got = engine.estep_stats(model, d, children, window)
     assert got.z_base.tobytes() == resp.baseline.tobytes()
     assert got.intensity.tobytes() == lam.tobytes()
-    assert got.n_components == len(oracle)
-    for a, b in zip(got.components, oracle):
-        for x, y in ((a.deltas, b.deltas), (a.weights, b.weights)):
-            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
-        if b.transition is None:
-            assert a.transition is None
-        else:
-            assert a.transition.shape == b.transition.shape
-            np.testing.assert_allclose(a.transition, b.transition, rtol=1e-12, atol=0)
-        assert a.credits.shape == b.credits.shape
-        np.testing.assert_allclose(a.credits, b.credits, rtol=1e-12, atol=0)
+    for a, z in zip(got.components, resp.comp_z):
+        assert a.weights.tobytes() == z.tobytes()
+    _assert_stats_close(got, ref)
+    _assert_stats_close(engine.EStepStats(resp.baseline, lam,
+                                          engine._component_stats(model, d, resp)), ref)
     return got
 
 
 @pytest.mark.parametrize("chunk", [DEFAULT_CHUNK, 1, 7])
 @pytest.mark.parametrize("delay", _DELAYS, ids=lambda s: type(s).__name__)
 def test_stats_mode_matches_component_stats_for_every_delay(delay, chunk):
-    # categorical, identity and prior transitions on labels
+    # categorical, identity and prior transitions on labels, each keeping
+    # the statistic of its family
     d = _label_data(seed=21)
     for truncation in (0.0, 1e-6):
-        _assert_stats_match_oracle(_label_model(delay, truncation), d, chunk=chunk)
+        got = _assert_stats_match_oracle(_label_model(delay, truncation), d, chunk=chunk)
+        cat, same, prior = (c.transition for c in got.components)
+        assert cat.shape == (3, 3) and same is None and prior.shape == (3,)
 
 
 @pytest.mark.parametrize("chunk", [DEFAULT_CHUNK, 1, 7])
@@ -493,6 +595,7 @@ def test_stats_mode_with_sources_masks_and_interior_windows(chunk):
                              (mask, (5.0, 35.0))):
         got = _assert_stats_match_oracle(model, d, children, window, chunk)
         assert got.components[2].weights.size == 0  # no events at its source
+        assert got.components[3].transition.shape == (3,)  # a prior on the types
     dl = _label_data(n=200, grid=0.5, seed=24)
     _assert_stats_match_oracle(_label_model(GammaDelay(2.0, 1.0), 1e-6), dl,
                                dl.times > 20.0, (10.0, 30.0), chunk)
@@ -507,7 +610,8 @@ def test_stats_mode_on_empty_data_and_without_components():
 
 
 @settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 10_000), kind=st.sampled_from(["label", "binary", "composite"]),
+@given(seed=st.integers(0, 10_000),
+       kind=st.sampled_from(["label", "binary", "composite", "wide"]),
        truncation=st.sampled_from([0.0, 1e-6]), sparse=st.booleans())
 def test_stats_mode_matches_component_stats_across_chunks(seed, kind, truncation, sparse):
     # sparse streams leave children without pairs at the ends of chunks
@@ -520,12 +624,32 @@ def test_stats_mode_matches_component_stats_across_chunks(seed, kind, truncation
     elif kind == "binary":
         d = _binary_data(n, horizon, seed=seed)
         model = _binary_model(truncation)
-    else:
+    elif kind == "composite":
         d = _composite_data(n, horizon, seed=seed)
         model = _composite_model(truncation)
+    else:
+        model, d = _wide_binary_case(n, width=12, seed=seed)
+        model = replace(model, truncation_mass=truncation)
     children = rng.random(len(d)) < 0.7 if seed % 3 == 0 else None
+    window = (d.horizon / 4, d.horizon * 3 / 4) if seed % 4 == 1 else None
     for chunk in (DEFAULT_CHUNK, 1, 7):
-        _assert_stats_match_oracle(model, d, children, chunk=chunk)
+        _assert_stats_match_oracle(model, d, children, window, chunk)
+        _assert_matches_reference(model, d, children, window, chunk)
+
+
+@pytest.mark.parametrize("chunk", [DEFAULT_CHUNK, 1, 7])
+def test_feature_prior_on_a_wide_schema_matches_the_oracle(chunk):
+    # the fertility varies by parent, so it stays in the pair loop, while
+    # the prior's g(child) multiplies each child's sum
+    model, d = _wide_binary_case(seed=31)
+    assert len(d.feature_patterns[0]) > len(d) // 2
+    mask = np.arange(len(d)) % 3 > 0
+    for children, window in ((None, None), (mask, (10.0, 30.0))):
+        _assert_matches_reference(model, d, children, window, chunk)
+        got = _assert_stats_match_oracle(model, d, children, window, chunk)
+        assert got.components[0].transition.shape == (41,)
+        assert got.components[1].transition is None
+        assert got.components[0].credits.size == len(d.feature_patterns[0])
 
 
 def test_child_sums_leave_children_without_pairs_at_zero():
@@ -667,3 +791,34 @@ def test_direct_fit_keeps_statistics_not_responsibilities(monkeypatch):
     wants[:] = []
     fit(model, d, max_iters=0, engine="direct")
     assert wants == [False]
+
+
+def test_prior_fit_over_many_labels_keeps_no_label_table(monkeypatch):
+    # a prior over L labels has L parameters, so the fit holds no L x L
+    # table: one of float64 at L = 4000 is 128 MB, and the whole fit stays
+    # under half of that
+    L, n = 4000, 8000
+    rng = np.random.default_rng(40)
+    d = Dataset([Event(float(t), LabelMark(int(k))) for t, k in
+                 zip(np.sort(rng.uniform(0, 4000.0, n)), rng.integers(1, L + 1, n))],
+                horizon=4000.0, schema=LabelSchema(L))
+    uniform = LabelMarginal((1.0 / L,) * L)
+    model = CascadeModel(HomogeneousBaseline(1.0, uniform),
+                         (KernelComponent("slow", ConstantFertility(0.3),
+                                          PriorTransition(uniform), GammaDelay(2.0, 0.5)),))
+    tables = []
+    pair_table = trans_mod.label_pair_table
+    monkeypatch.setattr(trans_mod, "label_pair_table",
+                        lambda *args: tables.append(1) or pair_table(*args))
+    tracemalloc.start()
+    try:
+        report = fit(model, d, max_iters=2, tol=0.0, engine="direct")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.iterations == 2 and report.engine == "direct"
+    pairs = sum(c.weights.size for c in engine.estep_stats(model, d).components)
+    assert pairs > 50 * n  # the pairs, not the labels, set the size
+    assert peak < 64 * 2 ** 20
+    assert tables == []
+    assert len(report.model.components[0].transition.mark.probs) == L

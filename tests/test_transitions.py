@@ -9,8 +9,8 @@ from cascades import (BinaryMark, BinarySchema, CategoricalMatrix, DataError,
                       Dataset, Event, FeatureMixture, FeaturePrior,
                       IdentityTransition, LabelMark, LabelMarginal, LabelSchema,
                       PriorTransition, fit_categorical)
-from cascades.transitions import (PairProbs, draw_index,
-                                  fit_mixture_from_stats, pattern_codes,
+from cascades.transitions import (PairProbs, child_probs, draw_index,
+                                  fit_mixture_from_stats, mark_probs, pattern_codes,
                                   pattern_matrix, pattern_stats, prior_stats,
                                   sample_child_mark, sample_mark, transition_stats,
                                   write_matrix_csv)
@@ -282,6 +282,33 @@ def test_feature_prior_stats_cover_only_the_span_of_the_children():
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
+def test_mark_probs_at_given_events():
+    # labels: the marginal's entry per event, bit for bit; feature rows: one
+    # product per distinct row, equal to the product over every event's row
+    rng = np.random.default_rng(7)
+    n = 200
+    times = np.sort(rng.uniform(0, 50, n))
+    dl = Dataset([Event(float(t), LabelMark(int(k)))
+                  for t, k in zip(times, rng.integers(1, 4, size=n))], 50.0, LabelSchema(3))
+    X = rng.integers(0, 2, size=(n, 3))
+    db = Dataset([Event(float(t), BinaryMark(tuple(int(b) for b in row)))
+                  for t, row in zip(times, X)], 50.0, BinarySchema(("a", "b", "c")))
+    marginal = LabelMarginal((0.2, 0.3, 0.5))
+    p = PRIOR3.as_array
+    every_row = np.prod(np.where(db.feature_matrix == 1, p[None, :], 1.0 - p[None, :]), axis=1)
+    for events in (np.arange(n), np.array([5, 17, 17, 199]), np.sort(rng.choice(n, 60)),
+                   np.zeros(0, dtype=np.int64)):
+        got = mark_probs(marginal, dl, events)
+        assert got.tobytes() == marginal.as_array[dl.label_index][events].tobytes()
+        assert mark_probs(PRIOR3, db, events).tobytes() == every_row[events].tobytes()
+        for dist, d in ((marginal, dl), (PRIOR3, db)):
+            prior = child_probs(PriorTransition(dist), d, events)
+            assert prior.tobytes() == mark_probs(dist, d, events).tobytes()
+    assert mark_probs(PRIOR3, db).tobytes() == every_row.tobytes()
+    assert child_probs(IdentityTransition(), dl, np.arange(n)) is None
+    assert child_probs(FeatureMixture(0.3, PRIOR3), db, np.arange(n)) is None
+
+
 def test_pattern_tables_give_the_pair_statistics():
     # g over mark patterns against PairProbs on each pair, and the
     # statistics of (parent pattern, child pattern) weight tables against
@@ -312,11 +339,23 @@ def test_pattern_tables_give_the_pair_statistics():
              for p, c, w in zip(parents, children, z)]
     np.testing.assert_allclose(pattern_stats(FeatureMixture(0.3, PRIOR3), d, table),
                                mixture_stats(pairs, PRIOR3), rtol=1e-12, atol=0)
-    # label marks: every family's statistic is the table itself
+    # label marks: the statistic takes the family's shape, the table for a
+    # categorical matrix, its child-label sums for a prior, none for identity
     dl = Dataset([Event(float(t), LabelMark(int(k))) for t, k in
                   zip(np.sort(rng.uniform(0, 50, n)), rng.integers(1, 4, size=n))],
                  50.0, LabelSchema(3))
     assert pattern_codes(dl)[1] == 3
-    square = table[:3, :3]
-    for spec in (IdentityTransition(), PriorTransition(LabelMarginal((0.2, 0.3, 0.5)))):
-        assert pattern_stats(spec, dl, square) is square
+    labels = dl.label_index
+    square = np.bincount(labels[parents] * 3 + labels[children], weights=z,
+                         minlength=9).reshape(3, 3)
+    cat = CategoricalMatrix(((0.6, 0.2, 0.2), (0.2, 0.6, 0.2), (0.1, 0.3, 0.6)))
+    assert pattern_stats(cat, dl, square) is square
+    np.testing.assert_allclose(transition_stats(cat, dl, children, parents, z), square,
+                               rtol=1e-12, atol=0)
+    prior = PriorTransition(LabelMarginal((0.2, 0.3, 0.5)))
+    for got in (pattern_stats(prior, dl, square),
+                transition_stats(prior, dl, children, parents, z)):
+        assert got.shape == (3,)
+        np.testing.assert_allclose(got, square.sum(axis=0), rtol=1e-12, atol=0)
+    assert pattern_stats(IdentityTransition(), dl, square) is None
+    assert transition_stats(IdentityTransition(), dl, children, parents, z) is None
