@@ -304,11 +304,8 @@ def density(spec: DelaySpec, dt) -> np.ndarray | float:
     """Density h(dt); zero for dt <= 0. Accepts scalars or arrays."""
     arr = np.asarray(dt, dtype=np.float64)
     pos = arr > 0
-    if pos.all():  # every E-step delay: no gather and scatter
-        out = spec.pdf(arr)
-    else:
-        out = np.zeros_like(arr, dtype=np.float64)
-        out[pos] = spec.pdf(arr[pos])
+    out = np.zeros_like(arr, dtype=np.float64)
+    out[pos] = spec.pdf(arr[pos])
     return out if arr.ndim else float(out)
 
 

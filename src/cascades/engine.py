@@ -38,6 +38,8 @@ each child's window. Every truncated E-step (the direct engine's
 training E-steps, held-out scores and the log likelihoods) picks its
 kernel in ``_estep_core``: the scan when it applies and visits fewer
 cells than there are candidate pairs, the pairwise E-step otherwise.
+Every log likelihood, and every E-step of a fit, is one ``_evaluate``
+call, which gives the statistics and the likelihood together.
 """
 
 from __future__ import annotations
@@ -431,7 +433,10 @@ def _child_ids(d: Dataset, children: np.ndarray | None,
     left = d.times >= a if a == 0.0 else d.times > a
     inside = left & (d.times <= b)
     if children is not None:
-        inside &= np.asarray(children, dtype=bool)
+        children = np.asarray(children, dtype=bool)
+        if children.shape != inside.shape:
+            raise DataError(f"children mask of length {children.size} for {inside.size} events")
+        inside &= children
     return np.nonzero(inside)[0].astype(np.int64)
 
 
@@ -566,7 +571,8 @@ def _estep_core(model: CascadeModel, d: Dataset, children: np.ndarray | None,
             js = at if comp.sources is None else pools[c][at]
             dt = deltas[c][p0:p1] if want_stats else None
             dt = np.subtract(np.repeat(kid_times[s:e], cnt), times[js], out=dt)
-            vals = delay_mod.density(comp.delay, dt)
+            # parents are strictly earlier, so every delay is positive
+            vals = comp.delay.pdf(dt)
             ch = None
             if alpha is not None:
                 vals *= alpha[js]
@@ -643,12 +649,22 @@ def compensator(model: CascadeModel, d: Dataset,
     return float(total)
 
 
-def _ll_value(model: CascadeModel, d: Dataset, lam: np.ndarray, kids: np.ndarray,
-              window: tuple[float, float] | None) -> float:
-    if kids.size and np.any(lam[kids] <= 0):
-        raise NumericalError("zero intensity at an observed event")
-    point = float(np.log(lam[kids]).sum()) if kids.size else 0.0
-    return point - compensator(model, d, window)
+def _evaluate(model: CascadeModel, d: Dataset, children: np.ndarray | None,
+              window: tuple[float, float] | None, want_stats: bool = False,
+              fast: bool = False) -> tuple[EStepStats | None, float]:
+    """The one E-step evaluation under ``model``: (statistics, log
+    likelihood of the masked events in the window). With ``fast`` it is
+    the untruncated scan, the fast engine; otherwise the truncated E-step
+    on the kernel that visits fewer cells (``_estep_core``), whose
+    statistics are None unless ``want_stats`` or the scan ran. Both
+    kernels raise on an event with zero intensity."""
+    if fast:
+        stats = fast_estep(model, d, children, window)
+        lam, kids = stats.intensity, _child_ids(d, children, _resolve_window(d, window))
+    else:
+        stats, lam, kids = _estep_core(model, d, children, window, want_stats=want_stats,
+                                       scan=True)
+    return stats, float(np.log(lam[kids]).sum()) - compensator(model, d, window)
 
 
 def log_likelihood(model: CascadeModel, d: Dataset,
@@ -663,8 +679,7 @@ def log_likelihood(model: CascadeModel, d: Dataset,
     validate_model(model, d.schema)
     if history is not None:
         d = d.merge_history(history)
-    _, lam, kids = _estep_core(model, d, None, None, scan=True)
-    return _ll_value(model, d, lam, kids, None)
+    return _evaluate(model, d, None, None)[1]
 
 
 def windowed_log_likelihood(model: CascadeModel, d: Dataset,
@@ -674,8 +689,7 @@ def windowed_log_likelihood(model: CascadeModel, d: Dataset,
     earlier event (masked or not) still eligible as a parent and the
     compensator integrated over the same window."""
     validate_model(model, d.schema)
-    _, lam, kids = _estep_core(model, d, children, window, scan=True)
-    return _ll_value(model, d, lam, kids, window)
+    return _evaluate(model, d, children, window)[1]
 
 
 def intensity(model: CascadeModel, history: Dataset, t: float, x: Mark) -> float:
@@ -693,9 +707,9 @@ def intensity(model: CascadeModel, history: Dataset, t: float, x: Mark) -> float
     for alpha, comp, cut in zip(_fertility_matrix(model, d), model.components, cutoffs):
         pool = _parent_pool(comp, d)
         js = pool[np.searchsorted(d.times[pool], t - cut, side="left"):]
-        js = js[js < q]
+        js = js[js < q]  # strictly before t, so every delay is positive
         g = PairProbs(comp.transition, d, PAIR_CHUNK).values(np.full(js.size, q), js)
-        total += float(np.sum(alpha[js] * g * delay_mod.density(comp.delay, t - d.times[js])))
+        total += float(np.sum(alpha[js] * g * comp.delay.pdf(t - d.times[js])))
     return total
 
 
@@ -739,22 +753,6 @@ def _pair_arrays(resp: Responsibilities, c: int):
     return children, resp.comp_parents[c], resp.comp_z[c]
 
 
-def _component_stats(model: CascadeModel, d: Dataset,
-                     resp: Responsibilities) -> list[ComponentStats]:
-    """Per-component statistics of given responsibilities, for m_step."""
-    if resp.n != len(d):
-        raise DataError("responsibilities do not match the dataset")
-    _, pattern, n_patterns = _mark_patterns(d)
-    out = []
-    for c, comp in enumerate(model.components):
-        children, parents, z = _pair_arrays(resp, c)
-        out.append(ComponentStats(
-            d.times[children] - d.times[parents], z,
-            trans_mod.transition_stats(comp.transition, d, children, parents, z),
-            _pattern_credits(pattern, n_patterns, parents, z)))
-    return out
-
-
 def estep_stats(model: CascadeModel, d: Dataset, children: np.ndarray | None = None,
                 window: tuple[float, float] | None = None) -> EStepStats:
     """The pairwise E-step, summed into the statistics m_step reads as it
@@ -774,14 +772,13 @@ def expected_transition_counts(model: CascadeModel, d: Dataset,
             for c in range(len(model.components))]
 
 
-def m_step(model: CascadeModel, d: Dataset, resp: Responsibilities | EStepStats,
+def m_step(model: CascadeModel, d: Dataset, estep: EStepStats,
            children: np.ndarray | None = None,
            window: tuple[float, float] | None = None,
            update_baseline_mark: bool = True,
            freeze_delays: bool = False) -> CascadeModel:
-    """Weighted maximum likelihood updates given fixed responsibilities:
-    the statistics of estep_stats or fast_estep, or e_step's pairs,
-    which are summed into the same statistics first.
+    """Weighted maximum likelihood updates given the statistics of one
+    E-step, from estep_stats or fast_estep.
 
     Delays refit from weighted delay samples; transitions from their
     family's statistics; fertilities from credits over edge-corrected
@@ -797,16 +794,16 @@ def m_step(model: CascadeModel, d: Dataset, resp: Responsibilities | EStepStats,
     kept and every remaining update is an exact coordinate ascent, which
     fit() uses as a fallback to keep the likelihood nondecreasing.
     """
+    if not isinstance(estep, EStepStats):
+        raise TypeError("m_step reads EStepStats, from estep_stats or fast_estep, "
+                        f"not {type(estep).__name__}")
     validate_model(model, d.schema)
     window = _resolve_window(d, window)
     a, b = window
-    _check_components(resp, model)
-    if isinstance(resp, Responsibilities):
-        z_base, stats = resp.baseline, _component_stats(model, d, resp)
-    else:
-        z_base, stats = resp.z_base, resp.components
+    _check_components(estep, model)
+    z_base, stats = estep.z_base, estep.components
     if z_base.size != len(d):
-        raise DataError("responsibilities do not match the dataset")
+        raise DataError("E-step statistics do not match the dataset")
     comps = model.components
     # baseline credit summed over the window's children only, so the sum
     # does not depend on how many other events the dataset holds
@@ -1232,17 +1229,6 @@ def fit(model: CascadeModel, d: Dataset, max_iters: int = 50, tol: float = 1e-6,
     engine_name = "fast" if use_fast else "direct"
     window = _resolve_window(d, window)
 
-    def evaluate(m: CascadeModel, want_stats: bool):
-        """The E-step under m and its log likelihood. The direct engine
-        sums the statistics an M-step reads only with ``want_stats``;
-        the fast engine always has them."""
-        if use_fast:
-            stats = fast_estep(m, d, children, window)
-            return stats, _ll_value(m, d, stats.intensity, kids, window)
-        stats, lam, _ = _estep_core(m, d, children, window, want_stats=want_stats,
-                                    scan=True)
-        return stats, _ll_value(m, d, lam, kids, window)
-
     def improve(m: CascadeModel, stats: EStepStats,
                 freeze_delays: bool = False) -> CascadeModel:
         m2 = m_step(m, d, stats, children, window, update_baseline_mark, freeze_delays)
@@ -1250,21 +1236,16 @@ def fit(model: CascadeModel, d: Dataset, max_iters: int = 50, tol: float = 1e-6,
             m2 = normalize(m2, d, children, window)
         return m2
 
-    def heldout_ll(m: CascadeModel) -> float:
-        hd, hkids, hwin = heldout
-        _, lam, kids = _estep_core(m, hd, hkids, hwin, scan=True)
-        return _ll_value(m, hd, lam, kids, hwin)
-
     kids = _child_ids(d, children, window)
-    held = [heldout_ll(model)] if heldout else None
+    held = [_evaluate(model, *heldout)[1]] if heldout else None
     shares = [_component_shares(model, d)]
     dmeans = [[c.delay.mean() for c in model.components]]
     if kids.size == 0:
-        ll0 = _ll_value(model, d, np.zeros(len(d)), kids, window)
+        ll0 = _evaluate(model, d, children, window)[1]
         return FitReport(model, [ll0], 0, True, engine_name, heldout_trace=held,
                          component_shares=shares, delay_means=dmeans)
 
-    stats, ll = evaluate(model, max_iters > 0)
+    stats, ll = _evaluate(model, d, children, window, max_iters > 0, use_fast)
     trace = [ll]
     converged = False
     iterations = 0
@@ -1272,19 +1253,19 @@ def fit(model: CascadeModel, d: Dataset, max_iters: int = 50, tol: float = 1e-6,
         # no M-step reads the statistics of the last allowed iteration
         more = it + 1 < max_iters
         candidate = improve(model, stats)
-        stats_new, ll_new = evaluate(candidate, more)
+        stats_new, ll_new = _evaluate(candidate, d, children, window, more, use_fast)
         if ll_new < ll:
             # the delay refit ignores the edge-corrected compensator and
             # can overshoot; redoing the update with delays frozen makes
             # every remaining piece an exact coordinate ascent
             fallback = improve(model, stats, freeze_delays=True)
-            stats_fb, ll_fb = evaluate(fallback, more)
+            stats_fb, ll_fb = _evaluate(fallback, d, children, window, more, use_fast)
             if ll_fb > ll_new:
                 candidate, stats_new, ll_new = fallback, stats_fb, ll_fb
         iterations += 1
         trace.append(ll_new)
         if held is not None:
-            held.append(heldout_ll(candidate))
+            held.append(_evaluate(candidate, *heldout)[1])
         shares.append(_component_shares(candidate, d))
         dmeans.append([c.delay.mean() for c in candidate.components])
         drop = ll - ll_new

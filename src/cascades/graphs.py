@@ -32,8 +32,8 @@ import numpy as np
 from . import delays as delay_mod
 from .delays import DelaySpec, ExponentialDelay
 from .engine import (CascadeModel, HomogeneousBaseline, KernelComponent,
-                     _child_ids, e_step, expected_transition_counts, fit, m_step,
-                     windowed_log_likelihood)
+                     _child_ids, _evaluate, e_step, expected_transition_counts, fit,
+                     m_step, windowed_log_likelihood)
 from .errors import ConfigError, DataError
 from .events import CompositeMark, CompositeSchema, Dataset
 from .fertility import ConstantFertility
@@ -267,27 +267,31 @@ def _fit_per_neighbor(model: CascadeModel, d: Dataset, mask: np.ndarray,
                       pool_weight: float, max_iters: int,
                       tol: float) -> tuple[CascadeModel, list, bool]:
     """EM with the neighbor rates replaced by their shrunken blend after
-    every M-step. Not exact EM, so no monotonicity is enforced. Returns
-    the model, the LL trace and whether the tolerance test stopped it;
-    like fit, a window without children keeps the initial model."""
+    every M-step. Not exact EM, so no monotonicity is enforced. One
+    E-step per iteration gives both the LL of the model it scores and
+    the statistics of the next M-step, neighbor credits included.
+    Returns the model, the LL trace and whether the tolerance test
+    stopped it; like fit, a window without children keeps the initial
+    model."""
     a, b = window
     nbr_idx = [ci for ci, comp in enumerate(model.components)
                if comp.name.startswith("nbr:")]
     m_counts = np.array([np.sum((d.node_ids == u) & (d.times < b)) for u in neighbors],
                         dtype=np.float64)
-    trace = [windowed_log_likelihood(model, d, mask, window)]
+    stats, ll = _evaluate(model, d, mask, window, want_stats=max_iters > 0)
+    trace = [ll]
     if _child_ids(d, mask, window).size == 0:
         return model, trace, True
-    for _ in range(max_iters):
-        resp = e_step(model, d, mask, window)
-        model = m_step(model, d, resp, mask, window, update_baseline_mark=False)
-        n = np.array([resp.comp_z[ci].sum() for ci in nbr_idx])
-        rates = regularized_rates(n, m_counts, pool_weight)
+    for it in range(max_iters):
+        model = m_step(model, d, stats, mask, window, update_baseline_mark=False)
+        rates = regularized_rates(stats.comp_z[nbr_idx], m_counts, pool_weight)
         comps = list(model.components)
         for k, ci in enumerate(nbr_idx):
             comps[ci] = replace(comps[ci], fertility=ConstantFertility(float(rates[k])))
         model = replace(model, components=tuple(comps))
-        trace.append(windowed_log_likelihood(model, d, mask, window))
+        # no M-step reads the statistics of the last allowed iteration
+        stats, ll = _evaluate(model, d, mask, window, want_stats=it + 1 < max_iters)
+        trace.append(ll)
         if abs(trace[-1] - trace[-2]) < tol * max(abs(trace[-1]), 1e-12):
             return model, trace, True
     return model, trace, False

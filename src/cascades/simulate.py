@@ -231,23 +231,36 @@ def write_forest(forest: CausalForest, path: str) -> None:
 
 
 def load_forest(path: str) -> CausalForest:
-    parents: list[int] = []
-    comps: list[int] = []
-    gens: list[int] = []
+    """Read a forest as ``write_forest`` writes it: per event an object of
+    integers id (0, 1, 2, ... in order), parent (-1 or an earlier id),
+    component and gen. A malformed record raises DataError at path:line."""
+    keys = ("id", "parent", "component", "gen")
+    cols: list[list[int]] = [[], [], []]
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from exc
-            if obj.get("id") != len(parents):
-                raise DataError(f"{path}:{lineno}: forest ids must be 0,1,2,...")
-            parents.append(int(obj["parent"]))
-            comps.append(int(obj["component"]))
-            gens.append(int(obj["gen"]))
-    return CausalForest(np.asarray(parents, dtype=np.int64),
-                        np.asarray(comps, dtype=np.int64),
-                        np.asarray(gens, dtype=np.int64))
+                raise DataError(f"{where}: malformed JSON ({exc.msg})") from exc
+            if not isinstance(obj, dict):
+                raise DataError(f"{where}: expected a JSON object")
+            missing = [key for key in keys if key not in obj]
+            if missing:
+                raise DataError(f"{where}: missing keys {missing}")
+            for key in keys:
+                v = obj[key]
+                if isinstance(v, bool) or not isinstance(v, int) or not -1 <= v < 2 ** 63:
+                    raise DataError(f"{where}: {key} must be an integer of at least -1, "
+                                    f"got {v!r}")
+            i, parent = obj["id"], obj["parent"]
+            if i != len(cols[0]):
+                raise DataError(f"{where}: forest ids must be 0,1,2,...")
+            if parent >= i:
+                raise DataError(f"{where}: parent {parent} is neither -1 nor an earlier id")
+            for col, key in zip(cols, keys[1:]):
+                col.append(obj[key])
+    return CausalForest(*(np.asarray(col, dtype=np.int64) for col in cols))

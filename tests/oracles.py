@@ -9,6 +9,11 @@ and over (parent pattern, child pattern) weights in the scan
 
 ``label_family_stats`` reads a family's statistic off the (parent label,
 child label) weight table that every label family used to keep.
+
+``component_stats`` sums e_step's responsibilities into the per-component
+statistics m_step reads, as m_step did when it still accepted
+responsibilities; the package sums them inside the E-step
+(``estep_stats``).
 """
 
 from typing import Sequence
@@ -17,7 +22,32 @@ import numpy as np
 
 from cascades import (BinaryMark, CategoricalMatrix, DataError, FeaturePrior,
                       IdentityTransition, PriorTransition)
+from cascades import engine
+from cascades import transitions as trans_mod
 from cascades.transitions import fit_mixture_from_stats
+
+
+def component_stats(model, d, resp) -> list:
+    """Per-component statistics of given responsibilities: every pair's
+    delay and weight, the transition statistic and the credit per parent
+    mark pattern."""
+    if resp.n != len(d):
+        raise DataError("responsibilities do not match the dataset")
+    _, pattern, n_patterns = engine._mark_patterns(d)
+    out = []
+    for c, comp in enumerate(model.components):
+        children, parents, z = engine._pair_arrays(resp, c)
+        out.append(engine.ComponentStats(
+            d.times[children] - d.times[parents], z,
+            trans_mod.transition_stats(comp.transition, d, children, parents, z),
+            engine._pattern_credits(pattern, n_patterns, parents, z)))
+    return out
+
+
+def resp_stats(model, d, resp):
+    """The EStepStats m_step reads, from e_step's responsibilities; m_step
+    does not read the intensity, which is left empty."""
+    return engine.EStepStats(resp.baseline, np.zeros(0), component_stats(model, d, resp))
 
 
 def label_family_stats(spec, table: np.ndarray):

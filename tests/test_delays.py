@@ -58,8 +58,8 @@ def test_density_zero_at_and_before_zero(spec):
 
 
 def _masked_density(spec, dt):
-    """density as it was written before its all-positive path: every
-    family gathers the positive delays and scatters into zeros."""
+    """density written out family by family: every family gathers the
+    positive delays and scatters into zeros."""
     arr = np.asarray(dt, dtype=np.float64)
     pos = arr > 0
     out = np.zeros_like(arr, dtype=np.float64)
@@ -88,16 +88,18 @@ def _masked_density(spec, dt):
 
 
 @pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: type(s).__name__)
-def test_density_all_positive_path_is_bitwise_the_masked_one(spec):
+def test_pdf_on_positive_delays_is_bitwise_the_masked_density(spec):
+    # the E-step and intensity call pdf directly on their delays, which
+    # are positive because parents are strictly earlier
     rng = np.random.default_rng(3)
     # bin edges, the uniform width and values just past them included
     edges = [1.0, 2.5, 3.0, 6.0]
     x = np.concatenate([rng.exponential(2.0, size=997), edges,
                         np.nextafter(edges, np.inf), [1e-300, 50.0]])
-    got = density(spec, x)
+    got = spec.pdf(x)
     assert got.dtype == np.float64 and got.shape == x.shape
     assert got.tobytes() == _masked_density(spec, x).tobytes()
-    # with a nonpositive entry density takes its masked path; same bits
+    assert density(spec, x).tobytes() == got.tobytes()
     assert density(spec, np.append(x, 0.0))[:-1].tobytes() == got.tobytes()
     mixed = np.concatenate([x[:50], [0.0, -1.0, -1e-12, np.nan], x[50:100]])
     assert density(spec, mixed).tobytes() == _masked_density(spec, mixed).tobytes()

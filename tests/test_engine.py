@@ -1,8 +1,11 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from cascades import (CascadeModel, CategoricalMatrix, ConfigError,
@@ -15,6 +18,7 @@ from cascades import (CascadeModel, CategoricalMatrix, ConfigError,
                       fast_applicable, fast_estep, fit, intensity,
                       log_likelihood, m_step, normalize, simulate,
                       windowed_log_likelihood)
+from cascades import MultiplicativeFertility, engine
 from cascades.engine import (Responsibilities, baseline_integral, estep_stats,
                              validate_model)
 from cascades.events import BinaryMark, BinarySchema, CompositeMark, CompositeSchema
@@ -107,7 +111,7 @@ def test_mstep_closed_forms_on_toy():
     model, d = label_toy()
     resp = e_step(model, d)
     with pytest.warns(UserWarning):  # the unused transition row has no counts
-        new = m_step(model, d, resp)
+        new = m_step(model, d, estep_stats(model, d))
     z_base_total = resp.baseline.sum()
     assert new.baseline.rate == pytest.approx(z_base_total / 4.0, rel=1e-12)
     z = resp.comp_z[0][0]
@@ -166,8 +170,7 @@ def test_periodic_baseline_integral_and_mstep():
     d = Dataset([Event(t, LabelMark(1)) for t in (1.0, 2.0, 3.0, 6.0)],
                 horizon=10.0, schema=LabelSchema(1))
     model = CascadeModel(PeriodicBaseline(10.0, (1.0, 1.0), LabelMarginal((1.0,))))
-    resp = e_step(model, d)
-    new = m_step(model, d, resp)
+    new = m_step(model, d, estep_stats(model, d))
     assert new.baseline.rates == pytest.approx((3 / 5.0, 1 / 5.0), rel=1e-12)
 
 
@@ -369,7 +372,7 @@ def test_delay_group_pools_statistics():
                                       delay_group="shared")
     model = CascadeModel(base, (mk("a"), mk("b")), truncation_mass=0.0)
     resp = e_step(model, d)
-    new = m_step(model, d, resp)
+    new = m_step(model, d, estep_stats(model, d))
     assert new.components[0].delay == new.components[1].delay
     # pooled exponential MLE over all pairs of both components
     z = np.concatenate([resp.comp_z[0], resp.comp_z[1]])
@@ -382,11 +385,17 @@ def test_component_count_mismatch_rejected():
     model, d = label_toy()
     second = replace(model.components[0], name="k2")
     wider = replace(model, components=model.components + (second,))
-    for fitted, resp in ((wider, e_step(model, d)), (model, e_step(wider, d))):
+    for fitted, other in ((wider, model), (model, wider)):
         with pytest.raises(DataError, match="components"):
-            m_step(fitted, d, resp)
+            m_step(fitted, d, estep_stats(other, d))
         with pytest.raises(DataError, match="components"):
-            em_lower_bound(fitted, d, resp)
+            em_lower_bound(fitted, d, e_step(other, d))
+
+
+def test_mstep_rejects_responsibilities():
+    model, d = label_toy()
+    with pytest.raises(TypeError, match="estep_stats"):
+        m_step(model, d, e_step(model, d))
 
 
 def _numbers(obj) -> list[float]:
@@ -429,7 +438,148 @@ def test_mstep_from_fast_and_pairwise_statistics_agree():
         truncation_mass=0.0)
     assert fast_applicable(model, d)
     from_fast = m_step(model, d, fast_estep(model, d))
-    from_pairs = m_step(model, d, e_step(model, d))
+    from_pairs = m_step(model, d, estep_stats(model, d))
     assert from_fast.components[0].delay == from_fast.components[2].delay
     assert from_fast.components[0].transition == from_fast.components[1].transition
     np.testing.assert_allclose(_numbers(from_fast), _numbers(from_pairs), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("length", [2, 4, 5])
+def test_children_mask_of_the_wrong_length_is_a_data_error(length):
+    model, _ = label_toy()
+    d = Dataset([Event(t, LabelMark(k)) for t, k in ((0.5, 1), (1.0, 2), (2.0, 1))],
+                horizon=4.0, schema=LabelSchema(2))
+    mask = np.ones(length, dtype=bool)
+    stats = estep_stats(model, d)
+    calls = [lambda: fit(model, d, max_iters=2, children=mask),
+             lambda: fit(model, d, max_iters=2, children=mask, engine="direct"),
+             lambda: fit(model, d, max_iters=2, heldout=(d, mask, None)),
+             lambda: e_step(model, d, children=mask),
+             lambda: estep_stats(model, d, children=mask),
+             lambda: fast_estep(model, d, children=mask),
+             lambda: windowed_log_likelihood(model, d, children=mask),
+             lambda: m_step(model, d, stats, children=mask),
+             lambda: normalize(model, d, children=mask)]
+    for call in calls:
+        with pytest.raises(DataError, match=f"length {length} for 3 events"):
+            call()
+
+
+# ---------------------------------------------------------------------------
+# invariants: a whole-period time shift and a relabeling change nothing
+
+PERIOD = 8.0
+
+
+def _shift_case(marks: str, periodic: bool, seed: int, shift: float = 0.0):
+    """A model and its data on (shift, shift + 64]. Times are odd multiples
+    of 2^-7, so they and their differences stay exact under the shift and
+    no event sits on an integer, where a window may start. Label marks
+    with a dense exponential kernel run on the scan, binary marks with a
+    gamma delay on pairs."""
+    rng = np.random.default_rng(seed)
+    n = 300
+    times = shift + np.sort(rng.integers(0, 64 * 64, size=n) * 2 + 1) / 128.0
+    if marks == "label":
+        mark = LabelMarginal((0.5, 0.3, 0.2))
+        events = [Event(float(t), LabelMark(int(k)))
+                  for t, k in zip(times, rng.integers(1, 4, size=n))]
+        schema = LabelSchema(3)
+        comp = KernelComponent("k", ConstantFertility(0.4),
+                               CategoricalMatrix(((0.6, 0.2, 0.2), (0.2, 0.6, 0.2),
+                                                  (0.1, 0.3, 0.6))),
+                               ExponentialDelay(0.5))
+    else:
+        mark = FeaturePrior((0.3, 0.6, 0.5))
+        events = [Event(float(t), BinaryMark(tuple(int(b) for b in row)))
+                  for t, row in zip(times, rng.integers(0, 2, size=(n, 3)))]
+        schema = BinarySchema(("f0", "f1", "f2"))
+        comp = KernelComponent("k", MultiplicativeFertility((0.3, 1.5, 0.7, 1.2)),
+                               FeatureMixture(0.3, mark), GammaDelay(1.5, 1.0))
+    base = (PeriodicBaseline(PERIOD, (1.0, 3.0, 2.0, 0.5), mark) if periodic
+            else HomogeneousBaseline(2.0, mark))
+    d = Dataset(events, horizon=shift + 64.0, schema=schema, start=shift)
+    return CascadeModel(base, (comp,)), d
+
+
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 1000), k=st.sampled_from([1, 5, 1024]))
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("marks", ["label", "binary"])
+def test_whole_period_time_shift_changes_no_likelihood(marks, periodic, seed, k):
+    shift = k * PERIOD
+    model, d = _shift_case(marks, periodic, seed)
+    _, ds = _shift_case(marks, periodic, seed, shift)
+    assert np.array_equal(ds.times - shift, d.times)
+    mask = np.arange(len(d)) % 3 > 0
+    scans = []
+    core = engine.fast_estep
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "fast_estep", lambda *a, **kw: scans.append(1) or core(*a, **kw))
+        for window in ((0.0, 64.0), (16.0, 48.0)):
+            got = windowed_log_likelihood(model, ds, mask, (window[0] + shift,
+                                                            window[1] + shift))
+            assert got == pytest.approx(windowed_log_likelihood(model, d, mask, window),
+                                        rel=1e-12, abs=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ref = fit(model, d, max_iters=4, tol=0.0, engine="direct", on_decrease="warn")
+            got = fit(model, ds, max_iters=4, tol=0.0, engine="direct", on_decrease="warn")
+    assert got.iterations == ref.iterations == 4
+    np.testing.assert_allclose(got.ll_trace, ref.ll_trace, rtol=1e-12, atol=0)
+    # both kernels are covered: label marks on the scan, binary on pairs
+    assert bool(scans) == (marks == "label")
+
+
+def _relabeled(model: CascadeModel, perm: np.ndarray) -> CascadeModel:
+    """The model with label code l renamed perm[l] (zero-based): the
+    marginal, every categorical row and column and every prior."""
+    inv = np.argsort(perm)
+
+    def mark(dist):
+        return LabelMarginal(tuple(np.asarray(dist.probs)[inv].tolist()))
+
+    def trans(spec):
+        if isinstance(spec, CategoricalMatrix):
+            return CategoricalMatrix(tuple(map(tuple, spec.as_array[np.ix_(inv, inv)])))
+        if isinstance(spec, PriorTransition):
+            return PriorTransition(mark(spec.mark))
+        return spec
+
+    comps = tuple(replace(c, transition=trans(c.transition)) for c in model.components)
+    return replace(model, baseline=replace(model.baseline, mark=mark(model.baseline.mark)),
+                   components=comps)
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 1000), perm=st.permutations(range(4)))
+@pytest.mark.parametrize("engine_name", ["direct", "fast"])
+def test_label_relabeling_permutes_the_fit(engine_name, seed, perm):
+    perm = np.asarray(perm)
+    rng = np.random.default_rng(seed)
+    n = 250
+    times = np.sort(rng.uniform(0, 50.0, size=n))
+    labels = rng.integers(0, 4, size=n)
+    build = lambda codes: Dataset([Event(float(t), LabelMark(int(c) + 1))
+                                   for t, c in zip(times, codes)],
+                                  horizon=50.0, schema=LabelSchema(4))
+    d, dp = build(labels), build(perm[labels])
+    model = CascadeModel(
+        HomogeneousBaseline(1.5, LabelMarginal((0.4, 0.3, 0.2, 0.1))),
+        (KernelComponent("cat", ConstantFertility(0.3),
+                         CategoricalMatrix(((0.5, 0.2, 0.2, 0.1), (0.1, 0.6, 0.2, 0.1),
+                                            (0.2, 0.1, 0.5, 0.2), (0.25, 0.25, 0.25, 0.25))),
+                         ExponentialDelay(1.0)),
+         KernelComponent("any", ConstantFertility(0.2),
+                         PriorTransition(LabelMarginal((0.1, 0.2, 0.3, 0.4))),
+                         ExponentialDelay(0.4)),
+         KernelComponent("same", ConstantFertility(0.1), IdentityTransition(),
+                         ExponentialDelay(2.0))))
+    moved = _relabeled(model, perm)
+    assert log_likelihood(moved, dp) == pytest.approx(log_likelihood(model, d),
+                                                      rel=1e-12, abs=0)
+    ref = fit(model, d, max_iters=4, tol=0.0, engine=engine_name)
+    got = fit(moved, dp, max_iters=4, tol=0.0, engine=engine_name)
+    np.testing.assert_allclose(got.ll_trace, ref.ll_trace, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(_numbers(got.model), _numbers(_relabeled(ref.model, perm)),
+                               rtol=1e-12, atol=0)

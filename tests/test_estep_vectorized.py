@@ -43,7 +43,7 @@ from cascades.delays import ExpMixtureDelay, PiecewiseUniformDelay, UniformDelay
 from cascades.events import (BinaryMark, BinarySchema, CompositeMark,
                              CompositeSchema, LabelSchema)
 from cascades.fertility import LinearFertility, MultiplicativeFertility
-from oracles import label_family_stats, mixture_stats
+from oracles import component_stats, label_family_stats, mixture_stats
 
 DEFAULT_CHUNK = engine.PAIR_CHUNK
 
@@ -543,8 +543,7 @@ def test_lower_bound_matches_reference_and_rejects_other_layouts():
 def _assert_stats_match_oracle(model, d, children=None, window=None, chunk=DEFAULT_CHUNK):
     """estep_stats under ``chunk`` against ``_reference_stats``. Its z_base,
     intensities and pair weights are e_step's bit for bit, and
-    ``_component_stats`` of e_step (m_step's route from
-    responsibilities) matches the oracle too."""
+    ``oracles.component_stats`` of e_step matches the oracle too."""
     ref = _reference_stats(model, d, children, window)
     resp = e_step(model, d, children, window)
     _, lam, _ = engine._estep_core(model, d, children, window)
@@ -557,7 +556,7 @@ def _assert_stats_match_oracle(model, d, children=None, window=None, chunk=DEFAU
         assert a.weights.tobytes() == z.tobytes()
     _assert_stats_close(got, ref)
     _assert_stats_close(engine.EStepStats(resp.baseline, lam,
-                                          engine._component_stats(model, d, resp)), ref)
+                                          component_stats(model, d, resp)), ref)
     return got
 
 
@@ -662,17 +661,18 @@ def test_child_sums_leave_children_without_pairs_at_zero():
 
 def _reference_fit(model, d, max_iters, tol, children=None, window=None):
     """fit's direct engine as it was: every E-step keeps the
-    responsibilities, which _component_stats sums for each refit state."""
+    responsibilities, which ``oracles.component_stats`` sums for each
+    refit state."""
     window = engine._resolve_window(d, window)
     kids = engine._child_ids(d, children, window)
 
     def evaluate(m):
         resp, lam, _ = engine._estep_core(m, d, children, window, want_resp=True)
-        return (resp, lam), engine._ll_value(m, d, lam, kids, window)
+        return (resp, lam), float(np.log(lam[kids]).sum()) - compensator(m, d, window)
 
     def reduce(m, state):
         resp, lam = state
-        return engine.EStepStats(resp.baseline, lam, engine._component_stats(m, d, resp))
+        return engine.EStepStats(resp.baseline, lam, component_stats(m, d, resp))
 
     def improve(m, stats, freeze_delays=False):
         m2 = engine.m_step(m, d, stats, children, window, True, freeze_delays)
@@ -757,8 +757,8 @@ def test_direct_fit_matches_the_evaluate_reduce_loop(case, tol):
 
 
 def test_direct_fit_keeps_statistics_not_responsibilities(monkeypatch):
-    reductions, built, refits, wants = [], [], [], []
-    reduce, m_step, core = engine._component_stats, engine.m_step, engine._estep_core
+    built, refits, wants = [], [], []
+    m_step, core = engine.m_step, engine._estep_core
 
     class CountedResponsibilities(engine.Responsibilities):
         def __init__(self, *args):
@@ -766,14 +766,12 @@ def test_direct_fit_keeps_statistics_not_responsibilities(monkeypatch):
             super().__init__(*args)
 
     monkeypatch.setattr(engine, "Responsibilities", CountedResponsibilities)
-    monkeypatch.setattr(engine, "_component_stats",
-                        lambda *args: reductions.append(1) or reduce(*args))
     monkeypatch.setattr(engine, "m_step", lambda *args: refits.append(1) or m_step(*args))
     model, d = _slow_delay_case()
     _, ref_trace, _ = _reference_fit(model, d, 6, 0.0)
     ref_refits, refits[:] = len(refits), []
-    assert len(reductions) == 6 and len(built) > 7
-    reductions[:], built[:] = [], []
+    assert len(built) > 7
+    built[:] = []
 
     def recorded_core(*args, want_stats=False, **kwargs):
         wants.append(want_stats)
@@ -784,7 +782,7 @@ def test_direct_fit_keeps_statistics_not_responsibilities(monkeypatch):
     assert report.iterations == 6
     assert len(refits) > report.iterations  # the frozen-delay retry fired
     assert len(refits) == ref_refits
-    assert reductions == [] and built == []
+    assert built == []
     # the E-steps of the last iteration (and its retry) feed no M-step
     assert wants == sorted(wants, reverse=True) and 1 <= wants.count(False) <= 2
     _assert_close(report.ll_trace, ref_trace)

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from cascades.events import CompositeMark, CompositeSchema, split
 from cascades.fertility import ConstantFertility
 from cascades.graphs import VARIANTS, _smoothed_marginal, local_data
 from cascades.transitions import IdentityTransition
+from oracles import resp_stats
 
 TRANS = CategoricalMatrix(((0.7, 0.2, 0.1), (0.1, 0.8, 0.1), (0.2, 0.2, 0.6)))
 
@@ -540,3 +542,82 @@ def test_per_neighbor_pooling_changes_rates():
     pooled_rates = [c.fertility.rate for c in pooled.model.components[1:]]
     assert np.ptp(pooled_rates) < 1e-12  # fully pooled rates are all equal
     assert np.ptp(own_rates) > 1e-6 or np.allclose(own_rates, pooled_rates)
+
+
+def two_estep_per_neighbor(model, d, mask, window, neighbors, pool_weight, max_iters, tol):
+    """graphs._fit_per_neighbor as it was: each iteration runs e_step for
+    the M-step and the neighbor credits, then a second E-step for the LL
+    of the updated model."""
+    a, b = window
+    nbr_idx = [ci for ci, comp in enumerate(model.components)
+               if comp.name.startswith("nbr:")]
+    m_counts = np.array([np.sum((d.node_ids == u) & (d.times < b)) for u in neighbors],
+                        dtype=np.float64)
+    trace = [windowed_log_likelihood(model, d, mask, window)]
+    if engine._child_ids(d, mask, window).size == 0:
+        return model, trace, True
+    for _ in range(max_iters):
+        resp = engine.e_step(model, d, mask, window)
+        model = engine.m_step(model, d, resp_stats(model, d, resp), mask, window,
+                              update_baseline_mark=False)
+        n = np.array([resp.comp_z[ci].sum() for ci in nbr_idx])
+        rates = regularized_rates(n, m_counts, pool_weight)
+        comps = list(model.components)
+        for k, ci in enumerate(nbr_idx):
+            comps[ci] = replace(comps[ci], fertility=ConstantFertility(float(rates[k])))
+        model = replace(model, components=tuple(comps))
+        trace.append(windowed_log_likelihood(model, d, mask, window))
+        if abs(trace[-1] - trace[-2]) < tol * max(abs(trace[-1]), 1e-12):
+            return model, trace, True
+    return model, trace, False
+
+
+def star_graph():
+    return Graph(["a", "b", "c", "d"], {"a": ["d"], "b": ["d"], "c": ["d"]})
+
+
+def per_neighbor_cases():
+    """(graph, data, node, window) for every node with in-neighbours; the
+    shapes graph's head window leaves node q without children."""
+    d_star, _ = sim(star_graph(), horizon=60.0, seed=11)
+    d_shapes = shapes_data()
+    cut = 0.7 * d_shapes.horizon
+    out = [(star_graph(), d_star, "d", (0.0, 60.0))]
+    for v in ("b", "c", "q"):
+        for window in ((0.0, cut), (0.0, d_shapes.horizon)):
+            out.append((shapes_graph(), d_shapes, v, window))
+    return out
+
+
+@pytest.mark.parametrize("delay", [ExponentialDelay(1.0), GammaDelay(1.5, 1.2)],
+                         ids=["exponential", "gamma"])
+@pytest.mark.parametrize("pool_weight", [0.0, 0.5, 1.0])
+def test_per_neighbor_fit_matches_the_two_estep_loop(delay, pool_weight):
+    hyper = Hyperparams.uniform(3)
+    for g, d, v, window in per_neighbor_cases():
+        model, _ = node_model(g, d, v, "per_neighbor", hyper, 1.0, delay, window)
+        mask = d.node_ids == v
+        args = (model, d, mask, window, g.incoming[v], pool_weight, 6, 1e-5)
+        got, trace, converged = graphs._fit_per_neighbor(*args)
+        ref, ref_trace, ref_converged = two_estep_per_neighbor(*args)
+        assert (len(trace), converged) == (len(ref_trace), ref_converged), v
+        assert_close(trace, ref_trace, v)
+        assert_close(serialize_model(got), serialize_model(ref), v)
+
+
+def test_per_neighbor_fit_makes_one_estep_per_iteration(monkeypatch):
+    calls = []
+    core = engine._estep_core
+    monkeypatch.setattr(engine, "_estep_core",
+                        lambda *a, **kw: calls.append(1) or core(*a, **kw))
+    g, d, v, window = per_neighbor_cases()[0]
+    model, _ = node_model(g, d, v, "per_neighbor", Hyperparams.uniform(3), 1.0,
+                          ExponentialDelay(1.0), window)
+    for k in (0, 1, 4):
+        args = (model, d, d.node_ids == v, window, g.incoming[v], 0.5, k, 0.0)
+        calls[:] = []
+        _, trace, _ = graphs._fit_per_neighbor(*args)
+        assert len(trace) == k + 1 and len(calls) == k + 1
+        calls[:] = []
+        two_estep_per_neighbor(*args)
+        assert len(calls) == 2 * k + 1

@@ -186,6 +186,32 @@ def test_forest_loader_requires_sequential_ids(tmp_path):
         load_forest(path)
 
 
+ROOT_LINE = '{"id": 0, "parent": -1, "component": -1, "gen": 0}\n'
+
+
+@pytest.mark.parametrize("line, message", [
+    ('[1, 2]', "expected a JSON object"),
+    ('"x"', "expected a JSON object"),
+    ('{"id": 1, "parent": 0, "gen": 1}', r"missing keys \['component'\]"),
+    ('{"id": 1, "parent": "x", "component": 0, "gen": 1}', "parent must be an integer"),
+    ('{"id": 1, "parent": 0.0, "component": 0, "gen": 1}', "parent must be an integer"),
+    ('{"id": 1, "parent": 0, "component": 1.5, "gen": 1}', "component must be an integer"),
+    ('{"id": 1, "parent": 0, "component": 0, "gen": true}', "gen must be an integer"),
+    ('{"id": true, "parent": 0, "component": 0, "gen": 1}', "id must be an integer"),
+    ('{"id": 1, "parent": -2, "component": 0, "gen": 1}', "parent must be an integer"),
+    ('{"id": 1, "parent": 0, "component": 0, "gen": 1e400}', "gen must be an integer"),
+    ('{"id": 1, "parent": 0, "component": 0, "gen": ' + "9" * 30 + '}',
+     "gen must be an integer"),
+    ('{"id": 1, "parent": 1, "component": 0, "gen": 1}', "parent 1 is neither"),
+    ('{"id": 1, "parent": 5, "component": 0, "gen": 1}', "parent 5 is neither"),
+])
+def test_forest_loader_rejects_malformed_records(tmp_path, line, message):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(ROOT_LINE + line + "\n")
+    with pytest.raises(DataError, match=f"bad.jsonl:2: {message}"):
+        load_forest(path)
+
+
 def test_parent_recovery_score_hand_case():
     forest = CausalForest(parents=np.array([-1, 0, 0]),
                           components=np.array([-1, 0, 0]),
