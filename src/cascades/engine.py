@@ -18,11 +18,11 @@ the windows of a run of children expand into flat (child, parent) pair
 arrays, the kernel factors that vary per pair are evaluated once over
 those pairs, ``reduceat`` sums them per child, and the factors that read
 only the child scale each child's sum (``_kernel_factors``). Mark
-probabilities and transitions come from ``transitions`` (``mark_probs``,
-``child_probs``, ``PairProbs``), which ``intensity`` and model
-validation use too. Runs hold at most
-``PAIR_CHUNK`` pairs and write into output arrays allocated once at full
-size, so memory beyond the responsibilities stays bounded. For fitting,
+probabilities and transitions are methods of their families
+(``transitions``: a mark distribution's ``probs_at``, a transition's
+``g_children`` and ``g_pairs``), which ``intensity`` uses too. Runs
+hold at most ``PAIR_CHUNK`` pairs and write into output arrays allocated
+once at full size, so memory beyond the responsibilities stays bounded. For fitting,
 the same loop sums each run's pairs into the M-step's statistics while
 they are in hand (``estep_stats``), so no pair is visited twice.
 
@@ -58,7 +58,7 @@ from .errors import ConfigError, DataError, NumericalError
 from .events import (BinarySchema, CompositeSchema, Dataset, Mark, MarkSchema,
                      label_count)
 from .fertility import FertilitySpec
-from .transitions import MarkDistribution, PairProbs, TransitionSpec
+from .transitions import MarkDistribution, TransitionSpec
 
 ZERO_CREDIT = 0.0  # component credit at or below this skips parameter updates
 PAIR_CHUNK = 1 << 18  # candidate pairs the pairwise E-step evaluates at once
@@ -258,14 +258,12 @@ class ComponentStats:
     candidate pair's delay and weight from the pairwise E-step, or from
     fast_estep the one sample (sum z*dt / sum z, sum z), which has the
     same exponential MLE), the transition's statistic in its family's
-    shape (``transitions.transition_stats``: the (parent label, child
-    label) table of a categorical matrix, the (F, 2, 2) table of a
-    feature mixture, a prior's weight per child label or feature sums
-    over the children, None for identity), and expected offspring per
-    parent mark pattern (``_mark_patterns``). The pairwise E-step sums
-    the last two run by run, or from each child's total weight where they
-    read only the children; fast_estep reads them off the pattern weight
-    table (``transitions.pattern_stats``)."""
+    shape (see ``transitions``; None for identity, and on pairs when no
+    pair was weighed), and expected offspring per parent mark pattern
+    (``_mark_patterns``). The pairwise E-step sums the last two run by
+    run (``stats_from_pairs``), or from each child's total weight where
+    they read only the children (``stats_from_children``); fast_estep
+    reads them off the pattern weight table (``stats_from_patterns``)."""
 
     deltas: np.ndarray
     weights: np.ndarray
@@ -332,7 +330,7 @@ def _groups(comps, attr: str) -> list[list[int]]:
 
 def validate_model(model: CascadeModel, schema: MarkSchema) -> None:
     """Raise ConfigError when the model cannot score marks of ``schema``."""
-    trans_mod.check_mark_dist(model.baseline.mark, schema, "baseline")
+    model.baseline.mark.check_schema(schema, "baseline")
     names = set()
     for comp in model.components:
         if comp.name in names:
@@ -340,7 +338,7 @@ def validate_model(model: CascadeModel, schema: MarkSchema) -> None:
         names.add(comp.name)
         where = f"component {comp.name!r}"
         comp.fertility.check_schema(schema, where)
-        trans_mod.check_transition(comp.transition, schema, where)
+        comp.transition.check_schema(schema, where)
         if comp.sources is not None and not isinstance(schema, CompositeSchema):
             raise ConfigError(f"{where}: parent source restriction needs composite marks")
     for attr, label in (("transition_group", "transition"), ("delay_group", "delay")):
@@ -471,11 +469,11 @@ def _kernel_factors(comp: KernelComponent, d: Dataset, kids: np.ndarray,
     value, which it has whenever the data have one parent mark pattern
     (``_mark_patterns``: every label and composite schema), times a
     prior's g(child). ``alpha`` is the fertility per event when it may
-    vary by parent, and ``pair`` the ``PairProbs`` of a transition that
+    vary by parent, and ``pair`` the ``g_pairs`` of a transition that
     reads the parent's mark; None otherwise. The choice reads only the
     families and the pattern count."""
-    g = trans_mod.child_probs(comp.transition, d, kids)
-    pair = None if g is not None else PairProbs(comp.transition, d, PAIR_CHUNK)
+    g = comp.transition.g_children(d, kids)
+    pair = None if g is not None else comp.transition.g_pairs(d, PAIR_CHUNK)
     if n_patterns != 1:
         return g, comp.fertility.rates(d.feature_matrix, len(d)), pair
     alpha = float(comp.fertility.rates(rows, 1)[0])
@@ -500,9 +498,8 @@ def _estep_core(model: CascadeModel, d: Dataset, children: np.ndarray | None,
     vary by parent, each child's sum of them is scaled by its child
     factor, and a pair's weight is its value times (child factor /
     intensity). Statistics that read only the children (the credits on
-    one mark pattern, a prior's ``transitions.prior_stats``) are summed
-    from each child's total weight after the loop; the rest pair by
-    pair."""
+    one mark pattern, a prior's ``stats_from_children``) are summed from
+    each child's total weight after the loop; the rest pair by pair."""
     window = _resolve_window(d, window)
     times = d.times
     n = len(d)
@@ -526,8 +523,7 @@ def _estep_core(model: CascadeModel, d: Dataset, children: np.ndarray | None,
         stats = fast_estep(model, d, children, window, truncated=True)
         return stats, stats.intensity, kids
 
-    base_vals = (model.baseline.rate_at(kid_times)
-                 * trans_mod.mark_probs(model.baseline.mark, d, kids))
+    base_vals = model.baseline.rate_at(kid_times) * model.baseline.mark.probs_at(d, kids)
     rows, pattern, n_patterns = _mark_patterns(d)
     factors = [_kernel_factors(c, d, kids, rows, n_patterns) for c in comps]
 
@@ -544,12 +540,9 @@ def _estep_core(model: CascadeModel, d: Dataset, children: np.ndarray | None,
     if want_stats:
         deltas = [np.empty(st[-1], dtype=np.float64) for st in starts]
         # each child's total weight per component, and the statistics
-        # summed pair by pair, which start as those of no pairs
+        # summed pair by pair from the first run that has pairs
         kid_z = [np.zeros(kids.size) for _ in comps]
-        none = np.zeros(0, dtype=np.int64)
-        pair_trans = [None if pair is None else
-                      trans_mod.transition_stats(c.transition, d, none, none, np.zeros(0))
-                      for c, (_, _, pair) in zip(comps, factors)]
+        pair_trans = [None for _ in comps]
         pair_credits = [np.zeros(n_patterns) for _ in comps]
 
     # chunks are runs of whole children holding at most PAIR_CHUNK pairs
@@ -578,7 +571,7 @@ def _estep_core(model: CascadeModel, d: Dataset, children: np.ndarray | None,
                 vals *= alpha[js]
             if pair is not None:
                 ch = np.repeat(kids[s:e], cnt)
-                vals *= pair.values(ch, js)
+                vals *= pair(ch, js)
             sums = _child_sums(vals, cnt)
             if child is not None:
                 sums *= child[s:e]
@@ -601,9 +594,10 @@ def _estep_core(model: CascadeModel, d: Dataset, children: np.ndarray | None,
                 if want_stats:
                     kid_z[c][s:e] = sums / total
                     if ch is not None:
-                        trans = trans_mod.transition_stats(comps[c].transition, d, ch, js, z)
+                        trans = comps[c].transition.stats_from_pairs(d, ch, js, z)
                         if trans is not None:
-                            pair_trans[c] = pair_trans[c] + trans
+                            pair_trans[c] = (trans if pair_trans[c] is None
+                                             else pair_trans[c] + trans)
                     if n_patterns != 1:
                         pair_credits[c] = pair_credits[c] + _pattern_credits(
                             pattern, n_patterns, js, z)
@@ -615,7 +609,7 @@ def _estep_core(model: CascadeModel, d: Dataset, children: np.ndarray | None,
     elif want_stats:
         out = EStepStats(z_base, lam, [
             ComponentStats(deltas[c], comp_z[c],
-                           (trans_mod.prior_stats(comp.transition.mark, d, kid_z[c], kids)
+                           (comp.transition.stats_from_children(d, kid_z[c], kids)
                             if factors[c][2] is None else pair_trans[c]),
                            (np.array([kid_z[c].sum()]) if n_patterns == 1
                             else pair_credits[c]))
@@ -703,12 +697,12 @@ def intensity(model: CascadeModel, history: Dataset, t: float, x: Mark) -> float
     d = history._with_query(int(lo), int(hi), t, x)
     q = len(d) - 1
     total = float(model.baseline.rate_at(d.times[q:])[0]
-                  * trans_mod.mark_probs(model.baseline.mark, d, np.array([q]))[0])
+                  * model.baseline.mark.probs_at(d, np.array([q]))[0])
     for alpha, comp, cut in zip(_fertility_matrix(model, d), model.components, cutoffs):
         pool = _parent_pool(comp, d)
         js = pool[np.searchsorted(d.times[pool], t - cut, side="left"):]
         js = js[js < q]  # strictly before t, so every delay is positive
-        g = PairProbs(comp.transition, d, PAIR_CHUNK).values(np.full(js.size, q), js)
+        g = comp.transition.g_pairs(d, PAIR_CHUNK)(np.full(js.size, q), js)
         total += float(np.sum(alpha[js] * g * comp.delay.pdf(t - d.times[js])))
     return total
 
@@ -811,8 +805,7 @@ def m_step(model: CascadeModel, d: Dataset, estep: EStepStats,
     credit = z_base[kids]
     baseline = model.baseline.refit(d.times[kids], credit, a, b)
     if update_baseline_mark and float(credit.sum()) > 0:
-        baseline = replace(baseline, mark=trans_mod.fit_mark_dist(
-            baseline.mark, trans_mod.prior_stats(baseline.mark, d, z_base)))
+        baseline = replace(baseline, mark=baseline.mark.refit(baseline.mark.stats(d, z_base)))
 
     new_delays: list[DelaySpec] = [c.delay for c in comps]
     if not freeze_delays:
@@ -830,9 +823,9 @@ def m_step(model: CascadeModel, d: Dataset, estep: EStepStats,
     new_transitions: list[TransitionSpec] = [c.transition for c in comps]
     for members in _groups(comps, "transition_group"):
         credit = sum(float(stats[ci].weights.sum()) for ci in members)
-        if credit > ZERO_CREDIT and stats[members[0]].transition is not None:
-            fitted = trans_mod.fit_transition(comps[members[0]].transition,
-                                              sum(stats[ci].transition for ci in members))
+        pooled = [stats[ci].transition for ci in members if stats[ci].transition is not None]
+        if credit > ZERO_CREDIT and pooled:
+            fitted = comps[members[0]].transition.refit(sum(pooled))
             for ci in members:
                 new_transitions[ci] = fitted
 
@@ -1076,13 +1069,12 @@ def fast_estep(model: CascadeModel, d: Dataset, children: np.ndarray | None = No
     codes, P = trans_mod.pattern_codes(d)
     n, C = len(d), len(comps)
     kids = _child_ids(d, children, window)
-    base = (model.baseline.rate_at(d.times[kids])
-            * trans_mod.mark_probs(model.baseline.mark, d, kids))
+    base = model.baseline.rate_at(d.times[kids]) * model.baseline.mark.probs_at(d, kids)
     rates = np.array([c.delay.decay_rate for c in comps])
     rows = d.feature_patterns[0] if isinstance(d.schema, BinarySchema) else None
     # by_child[c, l, r]: delay rate * fertility(r) * g(l | r), read by child pattern l
     by_child = np.array([c.delay.decay_rate * c.fertility.rates(rows, P)[None, :]
-                         * trans_mod.pattern_matrix(c.transition, d).T
+                         * c.transition.g_patterns(d).T
                          for c in comps]).reshape(C, P, P)
     cutoffs = ([delay_mod.tail_cutoff(c.delay, model.truncation_mass) for c in comps]
                if truncated else [np.inf] * C)
@@ -1152,8 +1144,7 @@ def fast_estep(model: CascadeModel, d: Dataset, children: np.ndarray | None = No
     mean_dt = np.divide(comp_zdt, comp_z, out=np.zeros(C), where=comp_z > 0)
     return EStepStats(z_base, lam, [
         ComponentStats(deltas=mean_dt[c:c + 1], weights=comp_z[c:c + 1],
-                       transition=trans_mod.pattern_stats(comps[c].transition, d,
-                                                          counts[c].T),
+                       transition=comps[c].transition.stats_from_patterns(d, counts[c].T),
                        credits=comp_z[c:c + 1] if rows is None else counts[c].sum(axis=0))
         for c in range(C)])
 

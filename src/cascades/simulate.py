@@ -25,12 +25,9 @@ import numpy as np
 from scipy import special
 
 from . import delays as delay_mod
-from . import transitions as trans_mod
 from .engine import CascadeModel, Responsibilities, baseline_integral, validate_model
 from .errors import ConfigError, DataError, NumericalError
-from .events import (BinarySchema, CompositeSchema, Dataset, Event,
-                     LabelSchema, MarkSchema)
-from .transitions import FeaturePrior, LabelMarginal
+from .events import BinarySchema, CompositeSchema, Dataset, Event, MarkSchema
 
 
 def substream(seed: int, name: str) -> np.random.Generator:
@@ -89,13 +86,6 @@ def _poisson_count(rng: np.random.Generator, mu: float) -> int:
     return k
 
 
-def _default_schema(model: CascadeModel) -> MarkSchema:
-    mark = model.baseline.mark
-    if isinstance(mark, FeaturePrior):
-        return BinarySchema(tuple(f"f{i + 1}" for i in range(len(mark.probs))))
-    return LabelSchema(len(mark.probs))
-
-
 def simulate(model: CascadeModel, horizon: float, seed: int,
              schema: MarkSchema | None = None,
              max_events: int = 10_000_000) -> tuple[Dataset, CausalForest]:
@@ -113,7 +103,7 @@ def simulate(model: CascadeModel, horizon: float, seed: int,
     means the model is supercritical.
     """
     if schema is None:
-        schema = _default_schema(model)
+        schema = model.baseline.mark.default_schema()
     if isinstance(schema, CompositeSchema):
         raise ConfigError("composite marks are simulated per graph, "
                           "use simulate_graph instead")
@@ -136,7 +126,7 @@ def simulate(model: CascadeModel, horizon: float, seed: int,
     queue: deque[int] = deque()
     for t in root_times:
         times.append(float(t))
-        marks.append(trans_mod.sample_mark(model.baseline.mark, rng))
+        marks.append(model.baseline.mark.draw(rng))
         parents.append(-1)
         comp_of.append(-1)
         gens.append(0)
@@ -164,7 +154,7 @@ def simulate(model: CascadeModel, horizon: float, seed: int,
                 t_child = t_i + float(dt)
                 if t_child > horizon:
                     continue
-                child_mark = trans_mod.sample_child_mark(comp.transition, mark_i, rng)
+                child_mark = comp.transition.draw(mark_i, rng)
                 times.append(t_child)
                 marks.append(child_mark)
                 parents.append(i)

@@ -7,33 +7,77 @@ copy-or-resample mixture for binary marks, and a row-stochastic
 categorical matrix for label marks with optional Dirichlet shrinkage.
 For composite (type, node) marks transitions act on the type coordinate.
 
-Each family's math is written here once: schema checks, mark
-probabilities at given events (``mark_probs``), a prior's g per child
-(``child_probs``), g over (child, parent) event pairs (``PairProbs``,
-read by the pairwise E-step and ``intensity``) and over mark patterns
-(``pattern_matrix``, read by the prefix-sum scan), sampling, and the
-M-step statistics and refits. A mark pattern is a label (the type of a
-composite mark) or a distinct binary feature row (``pattern_codes``);
-the statistics of weighted pairs take the family's shape and depend on
-the pairs only through the (parent pattern, child pattern) weight table
-(``pattern_stats``), a prior's only through each child's total weight
-(``prior_stats``).
+Each family is one frozen dataclass that checks its parameters when it
+is built and owns its math. A mark distribution (``FeaturePrior``,
+``LabelMarginal``) gives ``check_schema``, its probability per mark
+pattern (``pattern_probs``) and at given events (``probs_at``),
+statistics of weighted events or patterns, ``refit``, ``draw`` and its
+``default_schema``. A transition gives ``check_schema``, g over mark
+patterns (``g_patterns``, a (parent, child) matrix read by the
+prefix-sum scan), g per child (``g_children``: a prior's, None for the
+families that read the parent), g over (child, parent) event pairs
+(``g_pairs``, read by the pairwise E-step and ``intensity``), the M-step
+statistics of weighted pairs, of a (parent pattern, child pattern)
+weight table and, for a prior, of each child's weight
+(``stats_from_pairs``, ``stats_from_patterns``,
+``stats_from_children``), ``refit`` and ``draw``. A mark pattern is a
+label (the type of a composite mark) or a distinct binary feature row
+(``pattern_codes``). The statistics take the family's shape: the (parent
+label, child label) table of a categorical matrix, the (F, 2, 2) table
+of a feature mixture, a prior's weight per child label or feature sums
+over the children, None for identity. They add up, so components
+sharing a transition group pool theirs with ``+``.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .events import (BinaryMark, BinarySchema, CompositeMark, Dataset, LabelMark, Mark,
-                     MarkSchema, label_count)
+from .events import (BinaryMark, BinarySchema, CompositeMark, Dataset, LabelMark, LabelSchema,
+                     Mark, MarkSchema, label_count)
+
+
+def _float_array(value, message: str) -> np.ndarray:
+    """``value`` as a float array; a ragged nesting raises DataError."""
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except ValueError:
+        raise DataError(message) from None
+
+
+def _distributions(rows: np.ndarray) -> bool:
+    """True when each row along the last axis is a finite distribution:
+    a NaN fails the minimum's test, an infinity the sums'."""
+    return bool(rows.min() >= 0 and np.abs(rows.sum(axis=-1) - 1.0).max() <= 1e-9)
+
+
+def pattern_codes(d: Dataset) -> tuple[np.ndarray, int]:
+    """Each event's mark pattern and the pattern count: binary feature
+    rows (``Dataset.feature_patterns``), otherwise labels."""
+    if isinstance(d.schema, BinarySchema):
+        rows, index = d.feature_patterns
+        return index, len(rows)
+    return d.label_index, d.n_label_values
+
+
+def draw_index(cum: list[float], x: float) -> int:
+    """The category a draw x in [0, cum[-1]) falls in, given running
+    sums ``cum``: the first entry above x (numpy's ``searchsorted`` with
+    side="right"), clipped to the last category for x >= cum[-1]."""
+    return min(bisect_right(cum, x), len(cum) - 1)
+
+
+# ---------------------------------------------------------------------------
+# mark distributions
 
 
 @dataclass(frozen=True)
@@ -52,6 +96,44 @@ class FeaturePrior:
     def as_array(self) -> np.ndarray:
         return np.asarray(self.probs, dtype=np.float64)
 
+    def check_schema(self, schema: MarkSchema, where: str) -> None:
+        if not isinstance(schema, BinarySchema) or len(self.probs) != schema.width:
+            raise ConfigError(f"{where}: feature prior does not fit the mark schema")
+
+    def default_schema(self) -> MarkSchema:
+        return BinarySchema(tuple(f"f{i + 1}" for i in range(len(self.probs))))
+
+    def pattern_probs(self, d: Dataset) -> np.ndarray:
+        """The product of the feature marginals over each distinct feature
+        row (``Dataset.feature_patterns``)."""
+        p = self.as_array
+        rows = d.feature_patterns[0]
+        return np.prod(np.where(rows == 1, p[None, :], 1.0 - p[None, :]), axis=1)
+
+    def probs_at(self, d: Dataset, events: np.ndarray | None = None) -> np.ndarray:
+        """The probability of the marks of the events at ``events`` (every
+        event when None), gathered by each event's feature row."""
+        index = d.feature_patterns[1]
+        return self.pattern_probs(d)[index if events is None else index[events]]
+
+    def stats(self, d: Dataset, weights: np.ndarray,
+              events: np.ndarray | None = None) -> np.ndarray:
+        """The total weight of the events at ``events`` (every event when
+        None) followed by X^T w."""
+        X = d.feature_matrix
+        return _feature_sums(X if events is None else X[events], weights)
+
+    def stats_from_patterns(self, d: Dataset, weights: np.ndarray) -> np.ndarray:
+        """``stats`` of events weighted per distinct feature row."""
+        return _feature_sums(d.feature_patterns[0], weights)
+
+    def refit(self, stats: np.ndarray) -> FeaturePrior:
+        return fit_prior_weighted(stats)
+
+    def draw(self, rng: np.random.Generator) -> Mark:
+        return BinaryMark(tuple(int(u < p) for u, p in zip(rng.random(len(self.probs)),
+                                                           self.probs)))
+
 
 @dataclass(frozen=True)
 class LabelMarginal:
@@ -62,8 +144,8 @@ class LabelMarginal:
     kind = "labels"
 
     def __post_init__(self):
-        if any(p < 0 for p in self.probs):
-            raise DataError("label marginal probabilities must be nonnegative")
+        if any(not 0.0 <= p < math.inf for p in self.probs):
+            raise DataError("label marginal probabilities must be finite and nonnegative")
         if abs(sum(self.probs) - 1.0) > 1e-9:
             raise DataError("label marginal probabilities must sum to one")
 
@@ -76,50 +158,47 @@ class LabelMarginal:
         """Running sums of the probabilities, the table draws search."""
         return np.cumsum(self.as_array).tolist()
 
+    def check_schema(self, schema: MarkSchema, where: str) -> None:
+        n = label_count(schema)
+        if n is None:
+            raise ConfigError(f"{where}: label marginal needs label or composite marks")
+        if len(self.probs) != n:
+            raise ConfigError(f"{where}: label marginal has the wrong length")
+
+    def default_schema(self) -> MarkSchema:
+        return LabelSchema(len(self.probs))
+
+    def pattern_probs(self, d: Dataset) -> np.ndarray:
+        return self.as_array
+
+    def probs_at(self, d: Dataset, events: np.ndarray | None = None) -> np.ndarray:
+        labels = d.label_index
+        return self.as_array[labels if events is None else labels[events]]
+
+    def stats(self, d: Dataset, weights: np.ndarray,
+              events: np.ndarray | None = None) -> np.ndarray:
+        """The weight per label of the events at ``events`` (every event
+        when None)."""
+        labels = d.label_index
+        return np.bincount(labels if events is None else labels[events], weights=weights,
+                           minlength=d.n_label_values)
+
+    def stats_from_patterns(self, d: Dataset, weights: np.ndarray) -> np.ndarray:
+        return weights
+
+    def refit(self, stats: np.ndarray) -> LabelMarginal:
+        return fit_marginal_weighted(stats)
+
+    def draw(self, rng: np.random.Generator) -> Mark:
+        return LabelMark(draw_index(self.cumulative, rng.random()) + 1)
+
 
 MarkDistribution = Union[FeaturePrior, LabelMarginal]
 
 
-def _mark_label_index(mark: Mark) -> int:
-    if isinstance(mark, LabelMark):
-        return mark.label - 1
-    if isinstance(mark, CompositeMark):
-        return mark.type - 1
-    raise DataError("expected a label or composite mark")
-
-
-def check_mark_dist(dist: MarkDistribution, schema: MarkSchema, where: str) -> None:
-    """Raise ConfigError when ``dist`` cannot score marks of ``schema``."""
-    if isinstance(dist, FeaturePrior):
-        if not isinstance(schema, BinarySchema) or len(dist.probs) != schema.width:
-            raise ConfigError(f"{where}: feature prior does not fit the mark schema")
-    elif isinstance(dist, LabelMarginal):
-        n = label_count(schema)
-        if n is None:
-            raise ConfigError(f"{where}: label marginal needs label or composite marks")
-        if len(dist.probs) != n:
-            raise ConfigError(f"{where}: label marginal has the wrong length")
-    else:
-        raise ConfigError(f"{where}: unknown mark distribution")
-
-
-def mark_probs(dist: MarkDistribution, d: Dataset,
-               events: np.ndarray | None = None) -> np.ndarray:
-    """Probability under ``dist`` of the marks of the events at ``events``
-    (every event when None): the label's mass, or the product of
-    independent feature marginals, taken once per distinct feature row
-    (``Dataset.feature_patterns``) and gathered by each event's row."""
-    if isinstance(dist, FeaturePrior):
-        rows, index = d.feature_patterns
-        return _row_probs(dist, rows)[index if events is None else index[events]]
-    labels = d.label_index
-    return dist.as_array[labels if events is None else labels[events]]
-
-
-def _row_probs(dist: FeaturePrior, X: np.ndarray) -> np.ndarray:
-    """Probability of each feature row of X under independent marginals."""
-    p = dist.as_array
-    return np.prod(np.where(X == 1, p[None, :], 1.0 - p[None, :]), axis=1)
+def _feature_sums(X: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The total weight followed by X^T w."""
+    return np.concatenate([[weights.sum()], X.T.astype(np.float64) @ weights])
 
 
 def fit_prior(d: Dataset) -> FeaturePrior:
@@ -129,25 +208,6 @@ def fit_prior(d: Dataset) -> FeaturePrior:
     if len(d) == 0:
         raise DataError("fit_prior needs at least one event")
     return FeaturePrior(tuple((d.feature_matrix.mean(axis=0)).tolist()))
-
-
-def prior_stats(dist: MarkDistribution, d: Dataset, weights: np.ndarray,
-                events: np.ndarray | None = None) -> np.ndarray:
-    """Additive statistics for refitting a mark distribution from the
-    weights of the events at ``events`` (every event when None): the
-    weight per label, or for a feature prior the total weight followed by
-    X^T w."""
-    if isinstance(dist, FeaturePrior):
-        X = d.feature_matrix
-        return _feature_sums(X if events is None else X[events], weights)
-    labels = d.label_index
-    return np.bincount(labels if events is None else labels[events], weights=weights,
-                       minlength=d.n_label_values)
-
-
-def _feature_sums(X: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """The total weight followed by X^T w."""
-    return np.concatenate([[weights.sum()], X.T.astype(np.float64) @ weights])
 
 
 def fit_prior_weighted(stats: np.ndarray) -> FeaturePrior:
@@ -171,29 +231,11 @@ def fit_marginal_weighted(stats: np.ndarray) -> LabelMarginal:
     return LabelMarginal(tuple((stats / total).tolist()))
 
 
-def fit_mark_dist(dist: MarkDistribution, stats: np.ndarray) -> MarkDistribution:
-    """Refit a mark distribution of the kind of ``dist`` from ``prior_stats``."""
-    if isinstance(dist, FeaturePrior):
-        return fit_prior_weighted(stats)
-    return fit_marginal_weighted(stats)
-
-
-def draw_index(cum: list[float], x: float) -> int:
-    """The category a draw x in [0, cum[-1]) falls in, given running
-    sums ``cum``: the first entry above x (numpy's ``searchsorted`` with
-    side="right"), clipped to the last category for x >= cum[-1]."""
-    return min(bisect_right(cum, x), len(cum) - 1)
-
-
-def sample_mark(dist: MarkDistribution, rng: np.random.Generator) -> Mark:
-    if isinstance(dist, FeaturePrior):
-        bits = tuple(int(u < p) for u, p in zip(rng.random(len(dist.probs)), dist.probs))
-        return BinaryMark(bits)
-    return LabelMark(draw_index(dist.cumulative, rng.random()) + 1)
-
-
 # ---------------------------------------------------------------------------
 # transition kernels
+
+# g_pairs gives g(mark of children[k] | mark of parents[k]) for every pair k
+PairValues = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -201,6 +243,32 @@ class IdentityTransition:
     """Child mark equals the parent mark (type equality for composites)."""
 
     kind = "identity"
+
+    def check_schema(self, schema: MarkSchema, where: str) -> None:
+        pass
+
+    def g_patterns(self, d: Dataset) -> np.ndarray:
+        return np.eye(pattern_codes(d)[1])  # distinct patterns match only themselves
+
+    def g_children(self, d: Dataset, events: np.ndarray) -> None:
+        return None
+
+    def g_pairs(self, d: Dataset, max_table: int) -> PairValues:
+        codes = pattern_codes(d)[0]
+        return lambda children, parents: (codes[parents] == codes[children]).astype(np.float64)
+
+    def stats_from_pairs(self, d: Dataset, children: np.ndarray, parents: np.ndarray,
+                         z: np.ndarray) -> None:
+        return None
+
+    def stats_from_patterns(self, d: Dataset, table: np.ndarray) -> None:
+        return None
+
+    def refit(self, stats) -> IdentityTransition:
+        return self
+
+    def draw(self, parent: Mark, rng: np.random.Generator) -> Mark:
+        return parent
 
 
 @dataclass(frozen=True)
@@ -210,6 +278,43 @@ class PriorTransition:
     mark: MarkDistribution
 
     kind = "prior"
+
+    def check_schema(self, schema: MarkSchema, where: str) -> None:
+        self.mark.check_schema(schema, where)
+
+    def g_patterns(self, d: Dataset) -> np.ndarray:
+        g = self.mark.pattern_probs(d)
+        return np.tile(g, (g.size, 1))
+
+    def g_children(self, d: Dataset, events: np.ndarray) -> np.ndarray:
+        return self.mark.probs_at(d, events)
+
+    def g_pairs(self, d: Dataset, max_table: int) -> PairValues:
+        child = self.mark.probs_at(d)
+        return lambda children, parents: child[children]
+
+    def stats_from_pairs(self, d: Dataset, children: np.ndarray, parents: np.ndarray,
+                         z: np.ndarray) -> np.ndarray:
+        # each child's weight, over the events from the first child to the
+        # last only: a run of pairs costs its own span, not the whole dataset
+        lo = int(children.min()) if children.size else 0
+        w = np.bincount(children - lo, weights=z)
+        return self.stats_from_children(d, w, np.arange(lo, lo + w.size))
+
+    def stats_from_patterns(self, d: Dataset, table: np.ndarray) -> np.ndarray:
+        return self.mark.stats_from_patterns(d, table.sum(axis=0))
+
+    def stats_from_children(self, d: Dataset, weights: np.ndarray,
+                            events: np.ndarray) -> np.ndarray:
+        """The statistics of pairs whose weights sum to ``weights`` over the
+        children at ``events``."""
+        return self.mark.stats(d, weights, events)
+
+    def refit(self, stats: np.ndarray) -> PriorTransition:
+        return PriorTransition(self.mark.refit(stats))
+
+    def draw(self, parent: Mark, rng: np.random.Generator) -> Mark:
+        return self.mark.draw(rng)
 
 
 @dataclass(frozen=True)
@@ -231,6 +336,60 @@ class FeatureMixture:
         if not 0.0 <= self.resample_prob <= 1.0:
             raise DataError("resample_prob must lie in [0, 1]")
 
+    def check_schema(self, schema: MarkSchema, where: str) -> None:
+        if not isinstance(schema, BinarySchema) or len(self.prior.probs) != schema.width:
+            raise ConfigError(f"{where}: feature mixture does not fit the schema")
+
+    def _g(self, xp: np.ndarray, xc: np.ndarray) -> np.ndarray:
+        """g(xc | xp) over the last axis of the feature rows, as a sum of
+        logs so long products cannot underflow."""
+        gamma = self.resample_prob
+        p = self.prior.as_array
+        q = np.where(xc == 1, p, 1.0 - p)
+        with np.errstate(divide="ignore"):
+            logs = np.where(xp == xc, np.log((1.0 - gamma) + gamma * q), np.log(gamma * q))
+        return np.exp(logs.sum(axis=-1))
+
+    def g_patterns(self, d: Dataset) -> np.ndarray:
+        rows = d.feature_patterns[0]
+        return self._g(rows[:, None, :], rows[None, :, :])
+
+    def g_children(self, d: Dataset, events: np.ndarray) -> None:
+        return None
+
+    def g_pairs(self, d: Dataset, max_table: int) -> PairValues:
+        """Gathers from the (parent pattern x child pattern) table when that
+        holds at most ``max_table`` entries, and otherwise evaluates each
+        pair (wide schemas, where distinct patterns can reach the event
+        count)."""
+        codes, n_patterns = pattern_codes(d)
+        if n_patterns ** 2 <= max_table:
+            table = self.g_patterns(d)
+            return lambda children, parents: table[codes[parents], codes[children]]
+        X = d.feature_matrix
+        return lambda children, parents: self._g(X[parents], X[children])
+
+    def stats_from_pairs(self, d: Dataset, children: np.ndarray, parents: np.ndarray,
+                         z: np.ndarray) -> np.ndarray:
+        X = d.feature_matrix
+        return _mixture_table(X[parents], X[children], z)
+
+    def stats_from_patterns(self, d: Dataset, table: np.ndarray) -> np.ndarray:
+        """The mixture table from each pattern pair's bit indicators."""
+        rows = d.feature_patterns[0]
+        parents, children = np.divmod(np.arange(table.size), len(rows))
+        return _mixture_table(rows[parents], rows[children], table.ravel())
+
+    def refit(self, stats: np.ndarray) -> FeatureMixture:
+        return replace(self, resample_prob=fit_mixture_from_stats(stats, self.prior))
+
+    def draw(self, parent: Mark, rng: np.random.Generator) -> Mark:
+        width = len(self.prior.probs)
+        resample = rng.random(width) < self.resample_prob
+        draws = rng.random(width) < self.prior.as_array
+        return BinaryMark(tuple(int(draws[i]) if resample[i] else parent.bits[i]
+                                for i in range(width)))
+
 
 @dataclass(frozen=True)
 class CategoricalMatrix:
@@ -239,7 +398,7 @@ class CategoricalMatrix:
     ``prior_direction`` and ``prior_strength`` describe optional
     Dirichlet shrinkage applied when rows are refit from expected
     counts. The direction may be a single simplex applied to every row
-    or one simplex per row.
+    or one simplex per row; a positive strength needs one.
     """
 
     matrix: tuple[tuple[float, ...], ...]
@@ -249,13 +408,12 @@ class CategoricalMatrix:
     kind = "categorical"
 
     def __post_init__(self):
-        rows = np.asarray(self.matrix, dtype=np.float64)
+        rows = _float_array(self.matrix, "transition matrix must be square")
         if rows.ndim != 2 or rows.shape[0] != rows.shape[1]:
             raise DataError("transition matrix must be square")
-        if np.any(rows < 0) or np.any(np.abs(rows.sum(axis=1) - 1.0) > 1e-9):
+        if not _distributions(rows):
             raise DataError("transition matrix rows must be distributions")
-        if self.prior_strength < 0:
-            raise DataError("Dirichlet strength must be nonnegative")
+        _shrinkage_direction(self.prior_direction, self.prior_strength, rows.shape[0])
 
     @cached_property
     def as_array(self) -> np.ndarray:
@@ -266,134 +424,40 @@ class CategoricalMatrix:
         """Running sums along each row, the tables draws search."""
         return np.cumsum(self.as_array, axis=1).tolist()
 
-
-TransitionSpec = Union[IdentityTransition, PriorTransition, FeatureMixture,
-                       CategoricalMatrix]
-
-
-def check_transition(spec: TransitionSpec, schema: MarkSchema, where: str) -> None:
-    """Raise ConfigError when ``spec`` cannot score marks of ``schema``."""
-    if isinstance(spec, FeatureMixture):
-        if not isinstance(schema, BinarySchema) or len(spec.prior.probs) != schema.width:
-            raise ConfigError(f"{where}: feature mixture does not fit the schema")
-    elif isinstance(spec, CategoricalMatrix):
+    def check_schema(self, schema: MarkSchema, where: str) -> None:
         n = label_count(schema)
         if n is None:
             raise ConfigError(f"{where}: categorical transition needs label marks")
-        if len(spec.matrix) != n:
+        if len(self.matrix) != n:
             raise ConfigError(f"{where}: categorical transition has the wrong size")
-    elif isinstance(spec, PriorTransition):
-        check_mark_dist(spec.mark, schema, where)
-    elif not isinstance(spec, IdentityTransition):
-        raise ConfigError(f"{where}: unknown transition")
+
+    def g_patterns(self, d: Dataset) -> np.ndarray:
+        return self.as_array
+
+    def g_children(self, d: Dataset, events: np.ndarray) -> None:
+        return None
+
+    def g_pairs(self, d: Dataset, max_table: int) -> PairValues:
+        labels, table = d.label_index, self.as_array
+        return lambda children, parents: table[labels[parents], labels[children]]
+
+    def stats_from_pairs(self, d: Dataset, children: np.ndarray, parents: np.ndarray,
+                         z: np.ndarray) -> np.ndarray:
+        return label_pair_table(d, children, parents, z)
+
+    def stats_from_patterns(self, d: Dataset, table: np.ndarray) -> np.ndarray:
+        return table
+
+    def refit(self, stats: np.ndarray) -> CategoricalMatrix:
+        return fit_categorical(stats, self.prior_direction, self.prior_strength)
+
+    def draw(self, parent: Mark, rng: np.random.Generator) -> Mark:
+        row = parent.type if isinstance(parent, CompositeMark) else parent.label
+        return LabelMark(draw_index(self.cumulative[row - 1], rng.random()) + 1)
 
 
-def label_matrix(spec: TransitionSpec, n: int) -> np.ndarray:
-    """g(child label | parent label) as an n x n matrix, for label families."""
-    if isinstance(spec, IdentityTransition):
-        return np.eye(n)
-    if isinstance(spec, PriorTransition):
-        return np.tile(spec.mark.as_array, (n, 1))
-    if isinstance(spec, CategoricalMatrix):
-        return spec.as_array
-    raise DataError("transition not representable as a label matrix")
-
-
-def pattern_codes(d: Dataset) -> tuple[np.ndarray, int]:
-    """Each event's mark pattern and the pattern count: binary feature
-    rows (``Dataset.feature_patterns``), otherwise labels."""
-    if isinstance(d.schema, BinarySchema):
-        rows, index = d.feature_patterns
-        return index, len(rows)
-    return d.label_index, d.n_label_values
-
-
-def pattern_matrix(spec: TransitionSpec, d: Dataset) -> np.ndarray:
-    """g(child pattern | parent pattern) as a (parent, child) matrix over
-    the patterns of ``pattern_codes``."""
-    if not isinstance(d.schema, BinarySchema):
-        return label_matrix(spec, d.n_label_values)
-    rows = d.feature_patterns[0]
-    if isinstance(spec, FeatureMixture):
-        return _mixture_probs(spec, rows[:, None, :], rows[None, :, :])
-    if isinstance(spec, PriorTransition):
-        return np.tile(_row_probs(spec.mark, rows), (len(rows), 1))
-    return np.eye(len(rows))  # identity: distinct rows match only themselves
-
-
-def _mixture_probs(spec: FeatureMixture, xp: np.ndarray, xc: np.ndarray) -> np.ndarray:
-    """g(xc | xp) of a feature mixture over the last axis of the feature
-    rows, as a sum of logs so long products cannot underflow."""
-    gamma = spec.resample_prob
-    p = spec.prior.as_array
-    q = np.where(xc == 1, p, 1.0 - p)
-    with np.errstate(divide="ignore"):
-        logs = np.where(xp == xc, np.log((1.0 - gamma) + gamma * q), np.log(gamma * q))
-    return np.exp(logs.sum(axis=-1))
-
-
-def child_probs(spec: TransitionSpec, d: Dataset, events: np.ndarray) -> np.ndarray | None:
-    """g(child mark) at ``events`` for a transition that does not read the
-    parent's mark (a prior); None for the families that do."""
-    if isinstance(spec, PriorTransition):
-        return mark_probs(spec.mark, d, events)
-    return None
-
-
-class PairProbs:
-    """g(child mark | parent mark) of one transition over (child, parent)
-    event pairs of one dataset.
-
-    A prior reads its child's mark probability. Categorical transitions
-    gather their matrix by (parent label, child label), and identity
-    compares pattern codes. A feature mixture gathers its (parent pattern
-    x child pattern) table when that holds at most ``max_table`` entries,
-    and otherwise evaluates each pair (wide schemas, where distinct
-    patterns can reach the event count).
-    """
-
-    def __init__(self, spec: TransitionSpec, d: Dataset, max_table: int):
-        self.spec = spec
-        self.child = self.table = None
-        if isinstance(spec, PriorTransition):
-            self.child = mark_probs(spec.mark, d)
-            return
-        self.codes, n_patterns = pattern_codes(d)
-        if isinstance(spec, FeatureMixture):
-            if n_patterns ** 2 <= max_table:
-                self.table = pattern_matrix(spec, d)
-            self.X = d.feature_matrix
-        elif isinstance(spec, CategoricalMatrix):
-            self.table = spec.as_array
-
-    def values(self, children: np.ndarray, parents: np.ndarray) -> np.ndarray:
-        """g(mark of children[k] | mark of parents[k]) for every pair k."""
-        if self.child is not None:
-            return self.child[children]
-        if self.table is not None:
-            return self.table[self.codes[parents], self.codes[children]]
-        if isinstance(self.spec, FeatureMixture):
-            return _mixture_probs(self.spec, self.X[parents], self.X[children])
-        return (self.codes[parents] == self.codes[children]).astype(np.float64)
-
-
-def sample_child_mark(spec: TransitionSpec, parent: Mark,
-                      rng: np.random.Generator) -> Mark:
-    """Draw a child mark given the parent's; composite node handling is
-    the caller's job (only the type coordinate is produced here)."""
-    if isinstance(spec, IdentityTransition):
-        return parent
-    if isinstance(spec, PriorTransition):
-        return sample_mark(spec.mark, rng)
-    if isinstance(spec, FeatureMixture):
-        width = len(spec.prior.probs)
-        resample = rng.random(width) < spec.resample_prob
-        draws = rng.random(width) < spec.prior.as_array
-        bits = tuple(int(draws[i]) if resample[i] else parent.bits[i]
-                     for i in range(width))
-        return BinaryMark(bits)
-    cum = spec.cumulative[_mark_label_index(parent)]  # a categorical matrix
-    return LabelMark(draw_index(cum, rng.random()) + 1)
+TransitionSpec = Union[IdentityTransition, PriorTransition, FeatureMixture,
+                       CategoricalMatrix]
 
 
 # ---------------------------------------------------------------------------
@@ -482,65 +546,25 @@ def label_pair_table(d: Dataset, children: np.ndarray, parents: np.ndarray,
     return np.bincount(cells, weights=z, minlength=n * n).reshape(n, n)
 
 
-def transition_stats(spec: TransitionSpec, d: Dataset, children: np.ndarray,
-                     parents: np.ndarray, z: np.ndarray):
-    """Sufficient statistics for refitting ``spec`` from weighted
-    (parent, child) event pairs, shaped by the family, or None when the
-    family has nothing to fit. They have a fixed size and add up, so
-    components sharing a transition group pool theirs with ``+``:
-
-    - categorical: the (parent label, child label) weight table of
-      ``label_pair_table``
-    - feature mixture: the (F, 2, 2) table of ``_mixture_table``
-    - prior: ``prior_stats`` of each child's total weight, the weight per
-      child label or the feature sums over the children
-    - identity: None
-
-    ``pattern_stats`` gives the same from pattern-pair weights.
-    """
-    if isinstance(spec, CategoricalMatrix):
-        return label_pair_table(d, children, parents, z)
-    if isinstance(spec, FeatureMixture):
-        X = d.feature_matrix
-        return _mixture_table(X[parents], X[children], z)
-    if isinstance(spec, PriorTransition):
-        # each child's weight, over the events from the first child to the
-        # last only: a run of pairs costs its own span, not the whole dataset
-        lo = int(children.min()) if children.size else 0
-        w = np.bincount(children - lo, weights=z)
-        return prior_stats(spec.mark, d, w, np.arange(lo, lo + w.size))
-    return None
-
-
-def pattern_stats(spec: TransitionSpec, d: Dataset, table: np.ndarray):
-    """``transition_stats`` of pairs whose weights are summed into
-    ``table``, indexed (parent pattern, child pattern) over the patterns
-    of ``pattern_codes``: a prior reads the child-pattern sums, and on
-    binary marks the mixture's bit indicators and the prior's feature
-    sums are read per pattern row."""
-    if isinstance(spec, CategoricalMatrix):
-        return table
-    if isinstance(spec, IdentityTransition):
+def _shrinkage_direction(direction, strength: float, n: int) -> np.ndarray | None:
+    """The Dirichlet direction of an n-label categorical matrix as an
+    array, (n,) for one simplex that applies to every row or (n, n), or
+    None when there is none. Raises DataError unless every row is a
+    distribution and the strength is finite, nonnegative, and 0 without
+    a direction."""
+    if not 0.0 <= strength < math.inf:
+        raise DataError("Dirichlet strength must be finite and nonnegative")
+    if direction is None:
+        if strength > 0:
+            raise DataError("a positive Dirichlet strength needs a prior direction")
         return None
-    if not isinstance(d.schema, BinarySchema):
-        return table.sum(axis=0)  # a label prior: the weight per child label
-    rows = d.feature_patterns[0]
-    if isinstance(spec, FeatureMixture):
-        parents, children = np.divmod(np.arange(table.size), len(rows))
-        return _mixture_table(rows[parents], rows[children], table.ravel())
-    return _feature_sums(rows, table.sum(axis=0))
-
-
-def fit_transition(spec: TransitionSpec, stats) -> TransitionSpec:
-    """Weighted maximum likelihood refit of ``spec`` from its (pooled)
-    ``transition_stats``."""
-    if isinstance(spec, CategoricalMatrix):
-        return fit_categorical(stats, spec.prior_direction, spec.prior_strength)
-    if isinstance(spec, FeatureMixture):
-        return replace(spec, resample_prob=fit_mixture_from_stats(stats, spec.prior))
-    if isinstance(spec, PriorTransition):
-        return PriorTransition(fit_mark_dist(spec.mark, stats))
-    return spec
+    message = "prior direction must be a length-L simplex or an LxL matrix"
+    rows = _float_array(direction, message)
+    if rows.shape not in ((n,), (n, n)):
+        raise DataError(message)
+    if not _distributions(rows):
+        raise DataError("prior direction rows must be distributions")
+    return rows
 
 
 def fit_categorical(counts, prior_direction=None, prior_strength: float = 0.0,
@@ -557,35 +581,18 @@ def fit_categorical(counts, prior_direction=None, prior_strength: float = 0.0,
     if np.any(counts < 0):
         raise DataError("transition counts must be nonnegative")
     n = counts.shape[0]
-    if prior_direction is not None:
-        direction = np.asarray(prior_direction, dtype=np.float64)
-        if direction.ndim == 1:
-            direction = np.broadcast_to(direction, (n, n))
-        if direction.shape != (n, n):
-            raise DataError("prior direction must be a length-L simplex or an LxL matrix")
-        if np.any(direction < 0) or np.any(np.abs(direction.sum(axis=1) - 1.0) > 1e-9):
-            raise DataError("prior direction rows must be distributions")
-        if prior_strength < 0:
-            raise DataError("Dirichlet strength must be nonnegative")
+    direction = _shrinkage_direction(prior_direction, prior_strength, n)
+    totals = counts.sum(axis=1)
+    if prior_strength > 0:
+        rows = (counts + prior_strength * direction) / (totals + prior_strength)[:, None]
     else:
-        direction = None
-        prior_strength = 0.0
-
-    rows = np.empty_like(counts)
-    for r in range(n):
-        total = counts[r].sum()
-        if direction is not None and prior_strength > 0:
-            rows[r] = (counts[r] + prior_strength * direction[r]) / (total + prior_strength)
-        elif total > 0:
-            rows[r] = counts[r] / total
-        else:
+        empty = totals <= 0
+        for r in np.flatnonzero(empty):
             warnings.warn(f"transition row {r + 1} has no counts and no prior; using uniform")
-            rows[r] = 1.0 / n
-    keep_dir = None
-    if prior_direction is not None:
-        arr = np.asarray(prior_direction, dtype=np.float64)
-        keep_dir = tuple(map(tuple, arr)) if arr.ndim == 2 else tuple(arr.tolist())
-    return CategoricalMatrix(tuple(map(tuple, rows)), prior_direction=keep_dir,
+        rows = np.where(empty[:, None], 1.0 / n, counts / np.where(empty, 1.0, totals)[:, None])
+    keep_dir = (None if direction is None else tuple(direction.tolist()) if direction.ndim == 1
+                else tuple(map(tuple, direction.tolist())))
+    return CategoricalMatrix(tuple(map(tuple, rows.tolist())), prior_direction=keep_dir,
                              prior_strength=float(prior_strength))
 
 

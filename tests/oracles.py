@@ -4,8 +4,8 @@ test oracles.
 ``mixture_stats`` and ``fit_mixture`` read weighted pairs of
 ``BinaryMark``s one Python tuple at a time. The package sums the same
 (F, 2, 2) table from arrays: over candidate pairs in the pairwise E-step
-and over (parent pattern, child pattern) weights in the scan
-(``transitions.pattern_stats``).
+(``FeatureMixture.stats_from_pairs``) and over (parent pattern, child
+pattern) weights in the scan (``FeatureMixture.stats_from_patterns``).
 
 ``label_family_stats`` reads a family's statistic off the (parent label,
 child label) weight table that every label family used to keep.
@@ -23,7 +23,6 @@ import numpy as np
 from cascades import (BinaryMark, CategoricalMatrix, DataError, FeaturePrior,
                       IdentityTransition, PriorTransition)
 from cascades import engine
-from cascades import transitions as trans_mod
 from cascades.transitions import fit_mixture_from_stats
 
 
@@ -39,7 +38,7 @@ def component_stats(model, d, resp) -> list:
         children, parents, z = engine._pair_arrays(resp, c)
         out.append(engine.ComponentStats(
             d.times[children] - d.times[parents], z,
-            trans_mod.transition_stats(comp.transition, d, children, parents, z),
+            comp.transition.stats_from_pairs(d, children, parents, z),
             engine._pattern_credits(pattern, n_patterns, parents, z)))
     return out
 

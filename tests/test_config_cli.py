@@ -29,8 +29,7 @@ LABEL_MODEL_CONF = {
          "fertility": {"kind": "constant", "rate": 0.5},
          "transition": {"kind": "categorical",
                         "matrix": [[0.6, 0.2, 0.2], [0.2, 0.6, 0.2],
-                                   [0.2, 0.2, 0.6]],
-                        "prior_strength": 1.0},
+                                   [0.2, 0.2, 0.6]]},
          "delay": {"kind": "exponential", "rate": 1.0}}],
 }
 
@@ -534,11 +533,12 @@ _terms = st.one_of(
 _fertilities = st.one_of(
     _terms, st.lists(_terms, min_size=1, max_size=3).map(
         lambda ts: CombinedFertility(tuple(ts))))
+# (matrix, direction, strength); a positive strength needs a direction
 _directions = _widths.flatmap(lambda k: st.tuples(
     st.lists(_simplex(k), min_size=k, max_size=k).map(tuple),
     st.one_of(st.none(), _simplex(k),
               st.lists(_simplex(k), min_size=k, max_size=k).map(tuple)),
-    st.floats(0.0, 20.0)))
+    st.floats(0.0, 20.0)).map(lambda a: a if a[1] is not None else (a[0], None, 0.0)))
 _transitions = st.one_of(
     st.just(IdentityTransition()),
     _widths.flatmap(_mark_dists).map(PriorTransition),
@@ -623,6 +623,14 @@ def _transition(**fields):
      "model.components[0].transition.prior_direction"),
     ("fit", _transition(prior_strength=True),
      "model.components[0].transition.prior_strength"),
+    # json writes and reads the NaN literal
+    ("fit", _transition(matrix=[[float("nan"), 0.5, 0.5]] * 3),
+     "model.components[0].transition: transition matrix rows must be distributions"),
+    ("simulate", {"model": dict(LABEL_MODEL_CONF, baseline=dict(
+        LABEL_MODEL_CONF["baseline"], mark={"kind": "labels", "probs": [float("nan"), 1.0, 0.0]})),
+        "horizon": 5.0},
+     "model.baseline.mark: label marginal probabilities must be finite"),
+    ("fit", _transition(prior_strength=5.0), "model.components[0].transition: a positive"),
 ])
 def test_cli_exits_2_naming_malformed_numbers(tmp_path, capsys, command, conf, where):
     data = tmp_path / "e.jsonl"
@@ -662,6 +670,17 @@ def test_cli_exits_2_on_integers_past_the_float_range(tmp_path, capsys, conf, wh
      "model.components[0].delay: gamma shape must be positive and finite, got 0.0"),
     (dict(LABEL_MODEL_CONF, truncation_mass=-1.0),
      "model: truncation mass must be nonnegative"),
+    (_baseline(mark={"kind": "labels", "probs": [float("nan"), 1.0, 0.0]}),
+     "model.baseline.mark: label marginal probabilities must be finite and nonnegative"),
+    (_transition(matrix=[[0.6, 0.2, 0.2], [float("nan"), 0.5, 0.5], [0.2, 0.2, 0.6]])["model"],
+     "model.components[0].transition: transition matrix rows must be distributions"),
+    (_transition(prior_direction=[0.5, 0.5], prior_strength=1.0)["model"],
+     "model.components[0].transition: prior direction must be a length-L simplex "
+     "or an LxL matrix"),
+    (_transition(prior_direction=[0.9, 0.9, 0.9], prior_strength=1.0)["model"],
+     "model.components[0].transition: prior direction rows must be distributions"),
+    (_transition(prior_strength=5.0)["model"],
+     "model.components[0].transition: a positive Dirichlet strength needs a prior direction"),
 ])
 def test_config_errors_name_their_path_once(conf, message):
     with pytest.raises(ConfigError) as err:

@@ -21,7 +21,7 @@ from cascades import (CascadeModel, CategoricalMatrix, ConfigError,
 from cascades import MultiplicativeFertility, engine
 from cascades.engine import (Responsibilities, baseline_integral, estep_stats,
                              validate_model)
-from cascades.events import BinaryMark, BinarySchema, CompositeMark, CompositeSchema
+from cascades.events import BinaryMark, BinarySchema, CompositeMark, CompositeSchema, split
 
 
 def label_toy():
@@ -529,6 +529,56 @@ def test_whole_period_time_shift_changes_no_likelihood(marks, periodic, seed, k)
     np.testing.assert_allclose(got.ll_trace, ref.ll_trace, rtol=1e-12, atol=0)
     # both kernels are covered: label marks on the scan, binary on pairs
     assert bool(scans) == (marks == "label")
+
+
+def _split_case(marks: str, delay, periodic: bool, seed: int):
+    """A two-component model and 200 events on (0, 64] with tied times:
+    label marks under a categorical matrix and a prior, or binary marks
+    under a feature mixture with multiplicative fertility and identity."""
+    rng = np.random.default_rng(seed)
+    n = 200
+    times = np.sort(rng.integers(1, 64 * 8, size=n)) / 8.0
+    if marks == "label":
+        mark = LabelMarginal((0.5, 0.3, 0.2))
+        events = [Event(float(t), LabelMark(int(k)))
+                  for t, k in zip(times, rng.integers(1, 4, size=n))]
+        schema = LabelSchema(3)
+        comps = (KernelComponent("cat", ConstantFertility(0.3),
+                                 CategoricalMatrix(((0.6, 0.2, 0.2), (0.2, 0.6, 0.2),
+                                                    (0.1, 0.3, 0.6))), delay),
+                 KernelComponent("any", ConstantFertility(0.2),
+                                 PriorTransition(LabelMarginal((0.2, 0.3, 0.5))), delay))
+    else:
+        mark = FeaturePrior((0.3, 0.6, 0.5))
+        events = [Event(float(t), BinaryMark(tuple(int(b) for b in row)))
+                  for t, row in zip(times, rng.integers(0, 2, size=(n, 3)))]
+        schema = BinarySchema(("f0", "f1", "f2"))
+        comps = (KernelComponent("mix", MultiplicativeFertility((0.3, 1.5, 0.7, 1.2)),
+                                 FeatureMixture(0.3, mark), delay),
+                 KernelComponent("same", ConstantFertility(0.1), IdentityTransition(), delay))
+    base = (PeriodicBaseline(PERIOD, (1.0, 3.0, 2.0, 0.5), mark) if periodic
+            else HomogeneousBaseline(2.0, mark))
+    return CascadeModel(base, comps), Dataset(events, horizon=64.0, schema=schema)
+
+
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 1000), fraction=st.floats(0.05, 0.95))
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("delay", [ExponentialDelay(0.5), GammaDelay(1.5, 1.0)],
+                         ids=["exponential", "gamma"])
+@pytest.mark.parametrize("marks", ["label", "binary"])
+def test_log_likelihood_is_additive_across_a_split(marks, delay, periodic, seed, fraction):
+    model, d = _split_case(marks, delay, periodic, seed)
+    head, tail = split(d, fraction)
+    scans = []
+    core = engine.fast_estep
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "fast_estep", lambda *a, **kw: scans.append(1) or core(*a, **kw))
+        whole = log_likelihood(model, d)
+        parts = log_likelihood(model, head) + log_likelihood(model, tail, history=head)
+    assert parts == pytest.approx(whole, rel=1e-9, abs=0)
+    # exponential delays run on the scan, gamma delays on pairs
+    assert bool(scans) == isinstance(delay, ExponentialDelay)
 
 
 def _relabeled(model: CascadeModel, perm: np.ndarray) -> CascadeModel:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from cascades import (BinaryMark, BinarySchema, CompositeMark, CompositeSchema,
                       DataError, Dataset, Event, IdentityTransition, LabelMark,
                       LabelSchema, ingest, split, write_events)
-from cascades.transitions import PairProbs
 
 
 def bm(*bits):
@@ -70,8 +69,7 @@ def test_composite_codes_compare_types_only():
     d = Dataset([Event(1.0, CompositeMark(1, "u")), Event(2.0, CompositeMark(1, "v")),
                  Event(3.0, CompositeMark(2, "u"))], horizon=4.0, schema=schema)
     # identity transitions compare the type coordinate only
-    same = PairProbs(IdentityTransition(), d, max_table=0).values(np.array([1, 2]),
-                                                                   np.array([0, 0]))
+    same = IdentityTransition().g_pairs(d, max_table=0)(np.array([1, 2]), np.array([0, 0]))
     assert same.tolist() == [1.0, 0.0]
     assert list(d.node_ids) == ["u", "v", "u"]
 

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cascades import (CategoricalMatrix, ConfigError, DataError, Dataset,
                       Event, ExponentialDelay, GammaDelay, Graph, Hyperparams,
@@ -339,6 +341,38 @@ def test_fit_round_matches_the_old_loop(variant, delay, grids):
     assert g.incoming["a"] == () and g.out["z"] == g.incoming["z"] == ()
     head = d.times <= 0.7 * d.horizon
     assert not np.any(head & (d.node_ids == "q")) and np.any(d.node_ids == "q")
+
+
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 1000), order=st.permutations("wxyz"))
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_node_relabeling_changes_no_fit(variant, seed, order):
+    # a 4-node ring a -> b -> c -> d -> a plus a -> c, so c has two
+    # in-neighbours; a sorts after b once renamed, which reorders c's
+    # per-neighbor components and the sorted node order
+    names = dict(zip("abcd", order))
+    if names["a"] < names["b"]:
+        names["a"], names["b"] = names["b"], names["a"]
+    edges = {"a": ["b", "c"], "b": ["c"], "c": ["d"], "d": ["a"]}
+    g = Graph(list(edges), edges)
+    g_new = Graph(list(names.values()),
+                  {names[u]: [names[v] for v in vs] for u, vs in edges.items()})
+    assert g_new.incoming[names["c"]] == (names["b"], names["a"])
+    d, _ = sim(g, horizon=30.0, seed=seed)
+    d_new = Dataset([Event(ev.t, CompositeMark(ev.mark.type, names[ev.mark.node]))
+                     for ev in d.events], d.horizon,
+                    CompositeSchema(d.schema.n_types, frozenset(names.values())))
+    kw = dict(strength_grid=(1.0, 10.0), pool_grid=(0.0, 1.0), val_fraction=0.3,
+              max_iters=3, tol=1e-4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ref = fit_round(g, d, variant, Hyperparams.uniform(3), **kw)
+        got = fit_round(g_new, d_new, variant, Hyperparams.uniform(3), **kw)
+    assert (got.strength, got.pool_weight) == (ref.strength, ref.pool_weight)
+    assert got.val_total == pytest.approx(ref.val_total, rel=1e-9, abs=0)
+    for v in g.nodes:
+        assert got.fits[names[v]].train_ll == pytest.approx(ref.fits[v].train_ll,
+                                                            rel=1e-9, abs=0), v
 
 
 def ring_graph(n=12):

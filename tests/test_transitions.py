@@ -5,14 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cascades import (BinaryMark, BinarySchema, CategoricalMatrix, DataError,
+from cascades import (BinaryMark, BinarySchema, CategoricalMatrix, CompositeMark, DataError,
                       Dataset, Event, FeatureMixture, FeaturePrior,
                       IdentityTransition, LabelMark, LabelMarginal, LabelSchema,
                       PriorTransition, fit_categorical)
-from cascades.transitions import (PairProbs, child_probs, draw_index,
-                                  fit_mixture_from_stats, mark_probs, pattern_codes,
-                                  pattern_matrix, pattern_stats, prior_stats,
-                                  sample_child_mark, sample_mark, transition_stats,
+from cascades.transitions import (draw_index, fit_mixture_from_stats, pattern_codes,
                                   write_matrix_csv)
 from oracles import fit_mixture, mixture_stats
 
@@ -25,7 +22,7 @@ PRIOR3 = FeaturePrior((0.3, 0.5, 0.8))
 
 
 def trans_prob(spec, parent, child):
-    """g(child | parent) from the pair evaluator, over a two-event dataset."""
+    """g(child | parent) from g_pairs, over a two-event dataset."""
     if isinstance(parent, BinaryMark):
         schema = BinarySchema(tuple(f"f{k}" for k in range(len(parent.bits))))
     else:
@@ -33,9 +30,9 @@ def trans_prob(spec, parent, child):
                                  else spec.mark.probs))
     d = Dataset([Event(0.0, parent), Event(1.0, child)], 1.0, schema)
     pair = (np.array([1]), np.array([0]))
-    value = PairProbs(spec, d, max_table=1 << 18).values(*pair)
+    value = spec.g_pairs(d, max_table=1 << 18)(*pair)
     # a feature mixture evaluated per pair gives the same value as its table
-    np.testing.assert_array_equal(PairProbs(spec, d, max_table=0).values(*pair), value)
+    np.testing.assert_array_equal(spec.g_pairs(d, max_table=0)(*pair), value)
     return float(value[0])
 
 
@@ -103,7 +100,7 @@ def test_mixture_fit_beats_grid():
         pairs = []
         for _ in range(rng.integers(20, 60)):
             parent = bm(*rng.integers(0, 2, size=width).tolist())
-            child = sample_child_mark(spec, parent, rng)
+            child = spec.draw(parent, rng)
             pairs.append((parent, child, rng.uniform(0.1, 1.0)))
         table = mixture_stats(pairs, prior)
         fitted = fit_mixture(pairs, prior)
@@ -190,18 +187,19 @@ def test_fit_categorical_rows_are_distributions(seed):
 def test_sampling_respects_identity_and_prior():
     rng = np.random.default_rng(5)
     parent = bm(1, 0, 1)
-    assert sample_child_mark(IdentityTransition(), parent, rng) == parent
+    assert IdentityTransition().draw(parent, rng) == parent
     spec = FeatureMixture(0.0, PRIOR3)
-    assert sample_child_mark(spec, parent, rng) == parent
+    assert spec.draw(parent, rng) == parent
     mat = CategoricalMatrix(((0.0, 1.0), (1.0, 0.0)))
-    assert sample_child_mark(mat, LabelMark(1), rng) == LabelMark(2)
+    assert mat.draw(LabelMark(1), rng) == LabelMark(2)
+    assert mat.draw(CompositeMark(2, "u"), rng) == LabelMark(1)  # reads the type
 
 
 def test_mixture_sampling_frequencies():
     rng = np.random.default_rng(6)
     spec = FeatureMixture(0.4, FeaturePrior((0.2,)))
     parent = bm(0)
-    flips = sum(sample_child_mark(spec, parent, rng).bits[0] for _ in range(20000))
+    flips = sum(spec.draw(parent, rng).bits[0] for _ in range(20000))
     assert flips / 20000 == pytest.approx(0.4 * 0.2, abs=0.01)
 
 
@@ -227,6 +225,31 @@ def test_categorical_validation():
         CategoricalMatrix(((0.5, 0.5), (0.5, 0.5)), prior_strength=-1.0)
     with pytest.raises(DataError):
         FeatureMixture(1.5, PRIOR3)
+    nan, inf = float("nan"), float("inf")
+    half = ((0.5, 0.5), (0.5, 0.5))
+    for rows in (((nan, 1.0), (0.5, 0.5)), ((inf, -inf), (0.5, 0.5)), ((0.5, 0.5), (1.0,))):
+        with pytest.raises(DataError, match="transition matrix"):
+            CategoricalMatrix(rows)
+    for probs in ((nan, 1.0), (inf, 0.5), (0.5, -inf)):
+        with pytest.raises(DataError, match="label marginal"):
+            LabelMarginal(probs)
+    # the Dirichlet prior is checked when the matrix is built, and by
+    # fit_categorical with the same check
+    for direction, strength, message in (
+            ((0.5, 0.3, 0.2), 1.0, "length-L simplex"),
+            (((0.5, 0.5),), 1.0, "length-L simplex"),
+            (((0.5, 0.5), (1.0,)), 1.0, "length-L simplex"),
+            ((0.9, 0.9), 1.0, "distributions"),
+            (((0.5, 0.5), (nan, 0.5)), 1.0, "distributions"),
+            (None, 5.0, "needs a prior direction"),
+            ((0.5, 0.5), inf, "finite and nonnegative"),
+            ((0.5, 0.5), nan, "finite and nonnegative")):
+        with pytest.raises(DataError, match=message):
+            CategoricalMatrix(half, direction, strength)
+        with pytest.raises(DataError, match=message):
+            fit_categorical(np.ones((2, 2)), direction, strength)
+    assert CategoricalMatrix(half, None, 0.0).prior_strength == 0.0
+    assert CategoricalMatrix(half, (0.9, 0.1), 0.0).prior_direction == (0.9, 0.1)
 
 
 def _old_draw(probs, x):
@@ -257,15 +280,15 @@ def test_label_draws_match_the_searchsorted_formula():
     matrix = CategoricalMatrix(((0.6, 0.2, 0.2), (0.0, 0.0, 1.0), (0.25, 0.5, 0.25)))
     rng, ref = np.random.default_rng(4), np.random.default_rng(4)
     for k in range(300):
-        assert sample_mark(marginal, rng) == LabelMark(
+        assert marginal.draw(rng) == LabelMark(
             _old_draw(marginal.probs, ref.random()) + 1)
         parent = LabelMark(k % 3 + 1)
-        assert sample_child_mark(matrix, parent, rng) == LabelMark(
+        assert matrix.draw(parent, rng) == LabelMark(
             _old_draw(matrix.matrix[k % 3], ref.random()) + 1)
 
 
 def test_feature_prior_stats_cover_only_the_span_of_the_children():
-    # the same sums as prior_stats of per-event weights over the whole data
+    # the same sums as the prior's stats of per-event weights over the whole data
     rng = np.random.default_rng(5)
     n, width = 300, 5
     schema = BinarySchema(tuple(f"f{k}" for k in range(width)))
@@ -276,8 +299,8 @@ def test_feature_prior_stats_cover_only_the_span_of_the_children():
     for size, lo, hi in ((500, 0, n), (40, 120, 180), (1, 299, 300), (0, 0, n)):
         children = rng.integers(lo, hi, size=size)  # any order, with repeats
         z = rng.random(size)
-        got = transition_stats(spec, d, children, np.zeros(size, dtype=np.int64), z)
-        want = prior_stats(spec.mark, d, np.bincount(children, weights=z, minlength=n))
+        got = spec.stats_from_pairs(d, children, np.zeros(size, dtype=np.int64), z)
+        want = spec.mark.stats(d, np.bincount(children, weights=z, minlength=n))
         assert got.shape == (width + 1,) and got.dtype == np.float64
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
@@ -298,19 +321,19 @@ def test_mark_probs_at_given_events():
     every_row = np.prod(np.where(db.feature_matrix == 1, p[None, :], 1.0 - p[None, :]), axis=1)
     for events in (np.arange(n), np.array([5, 17, 17, 199]), np.sort(rng.choice(n, 60)),
                    np.zeros(0, dtype=np.int64)):
-        got = mark_probs(marginal, dl, events)
+        got = marginal.probs_at(dl, events)
         assert got.tobytes() == marginal.as_array[dl.label_index][events].tobytes()
-        assert mark_probs(PRIOR3, db, events).tobytes() == every_row[events].tobytes()
+        assert PRIOR3.probs_at(db, events).tobytes() == every_row[events].tobytes()
         for dist, d in ((marginal, dl), (PRIOR3, db)):
-            prior = child_probs(PriorTransition(dist), d, events)
-            assert prior.tobytes() == mark_probs(dist, d, events).tobytes()
-    assert mark_probs(PRIOR3, db).tobytes() == every_row.tobytes()
-    assert child_probs(IdentityTransition(), dl, np.arange(n)) is None
-    assert child_probs(FeatureMixture(0.3, PRIOR3), db, np.arange(n)) is None
+            prior = PriorTransition(dist).g_children(d, events)
+            assert prior.tobytes() == dist.probs_at(d, events).tobytes()
+    assert PRIOR3.probs_at(db).tobytes() == every_row.tobytes()
+    assert IdentityTransition().g_children(dl, np.arange(n)) is None
+    assert FeatureMixture(0.3, PRIOR3).g_children(db, np.arange(n)) is None
 
 
 def test_pattern_tables_give_the_pair_statistics():
-    # g over mark patterns against PairProbs on each pair, and the
+    # g over mark patterns against g_pairs on each pair, and the
     # statistics of (parent pattern, child pattern) weight tables against
     # those of the pairs, the mixture table also against the tuple oracle
     rng = np.random.default_rng(21)
@@ -326,18 +349,18 @@ def test_pattern_tables_give_the_pair_statistics():
     table = np.bincount(codes[parents] * P + codes[children], weights=z,
                         minlength=P * P).reshape(P, P)
     for spec in (IdentityTransition(), PriorTransition(PRIOR3), FeatureMixture(0.3, PRIOR3)):
-        g = pattern_matrix(spec, d)
+        g = spec.g_patterns(d)
         np.testing.assert_allclose(g[codes[parents], codes[children]],
-                                   PairProbs(spec, d, 0).values(children, parents),
+                                   spec.g_pairs(d, 0)(children, parents),
                                    rtol=1e-14, atol=0)
-        got = pattern_stats(spec, d, table)
-        want = transition_stats(spec, d, children, parents, z)
+        got = spec.stats_from_patterns(d, table)
+        want = spec.stats_from_pairs(d, children, parents, z)
         assert (got is None) == (want is None)
         if want is not None:
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
     pairs = [(BinaryMark(tuple(X[p])), BinaryMark(tuple(X[c])), w)
              for p, c, w in zip(parents, children, z)]
-    np.testing.assert_allclose(pattern_stats(FeatureMixture(0.3, PRIOR3), d, table),
+    np.testing.assert_allclose(FeatureMixture(0.3, PRIOR3).stats_from_patterns(d, table),
                                mixture_stats(pairs, PRIOR3), rtol=1e-12, atol=0)
     # label marks: the statistic takes the family's shape, the table for a
     # categorical matrix, its child-label sums for a prior, none for identity
@@ -349,13 +372,13 @@ def test_pattern_tables_give_the_pair_statistics():
     square = np.bincount(labels[parents] * 3 + labels[children], weights=z,
                          minlength=9).reshape(3, 3)
     cat = CategoricalMatrix(((0.6, 0.2, 0.2), (0.2, 0.6, 0.2), (0.1, 0.3, 0.6)))
-    assert pattern_stats(cat, dl, square) is square
-    np.testing.assert_allclose(transition_stats(cat, dl, children, parents, z), square,
+    assert cat.stats_from_patterns(dl, square) is square
+    np.testing.assert_allclose(cat.stats_from_pairs(dl, children, parents, z), square,
                                rtol=1e-12, atol=0)
     prior = PriorTransition(LabelMarginal((0.2, 0.3, 0.5)))
-    for got in (pattern_stats(prior, dl, square),
-                transition_stats(prior, dl, children, parents, z)):
+    for got in (prior.stats_from_patterns(dl, square),
+                prior.stats_from_pairs(dl, children, parents, z)):
         assert got.shape == (3,)
         np.testing.assert_allclose(got, square.sum(axis=0), rtol=1e-12, atol=0)
-    assert pattern_stats(IdentityTransition(), dl, square) is None
-    assert transition_stats(IdentityTransition(), dl, children, parents, z) is None
+    assert IdentityTransition().stats_from_patterns(dl, square) is None
+    assert IdentityTransition().stats_from_pairs(dl, children, parents, z) is None
