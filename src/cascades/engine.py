@@ -390,11 +390,19 @@ def _parent_pool(comp: KernelComponent, d: Dataset) -> np.ndarray:
 def _window_exposure(comp: KernelComponent, delay: DelaySpec, d: Dataset,
                      a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     """Events that may parent children inside (a, b] under this component,
-    and the delay mass each of them puts there."""
-    pool = _parent_pool(comp, d)
-    pool = pool[d.times[pool] < b]
-    t = d.times[pool]
-    return pool, np.asarray(delay_mod.cdf(delay, b - t)) - np.asarray(delay_mod.cdf(delay, a - t))
+    and the delay mass each of them puts there, both read-only. Cached on
+    the dataset per component and window for the last delay asked, so the
+    compensator after an M-step reuses the exposures the M-step computed."""
+    key = (comp.name, comp.sources, a, b)
+    entry = d.window_exposures.get(key)
+    if entry is None or entry[0] != delay:
+        pool = _parent_pool(comp, d)
+        pool = pool[d.times[pool] < b]
+        t = d.times[pool]
+        mass = np.asarray(delay_mod.cdf(delay, b - t)) - np.asarray(delay_mod.cdf(delay, a - t))
+        pool.flags.writeable = mass.flags.writeable = False
+        entry = d.window_exposures[key] = (delay, pool, mass)
+    return entry[1], entry[2]
 
 
 def _mark_patterns(d: Dataset) -> tuple[np.ndarray | None, np.ndarray, int]:

@@ -10,7 +10,10 @@ view built from the columns, for I/O and the public API.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -226,9 +229,25 @@ class Dataset:
 
     @cached_property
     def feature_patterns(self) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct rows of the feature matrix, and each event's row index."""
-        rows, index = np.unique(self.feature_matrix, axis=0, return_inverse=True)
-        return rows, index.reshape(-1)
+        """Distinct rows of the feature matrix in lexicographic order, as
+        ``np.unique(axis=0)`` gives them, and each event's row index.
+
+        Each row is packed, first feature in the highest bit, into
+        big-endian 64-bit words, so the words' integer order is the rows'
+        lexicographic order; a stable sort over the words finds the rows.
+        """
+        X = self.feature_matrix
+        n, width = X.shape
+        packed = np.zeros((n, max(1, -(-width // 64)) * 8), dtype=np.uint8)
+        packed[:, :-(-width // 8)] = np.packbits(X, axis=1)
+        words = packed.view(">u8")
+        order = np.lexsort(words.T[::-1])  # the first word is the primary key
+        ranked = words[order]
+        first = np.ones(n, dtype=bool)
+        first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+        index = np.empty(n, dtype=np.int64)
+        index[order] = np.cumsum(first) - 1
+        return X[order[first]], index
 
     @property
     def label_index(self) -> np.ndarray:
@@ -249,6 +268,14 @@ class Dataset:
         """Per tuple of node ids: a read-only mask of the events at those
         nodes and their indices. The engine fills it on first use; a
         subset or merged dataset starts with an empty one."""
+        return {}
+
+    @cached_property
+    def window_exposures(self) -> dict:
+        """Per (component name, sources, a, b): the delay last asked for,
+        and the read-only parent pool and delay mass over the window
+        (a, b] under it. The engine fills it on first use; a subset or
+        merged dataset starts with an empty one."""
         return {}
 
     @property
@@ -347,40 +374,170 @@ def _time(value, where: str, key: str) -> float:
         raise DataError(f"{where}: \"{key}\" is too large for a float") from None
 
 
-def _parse_record(obj: dict, schema: MarkSchema, where: str) -> tuple[float, object]:
-    """The time and mark value of one record: the bit row, the label, or
-    the (type, node) pair."""
+def _jsonl_objects(path: str):
+    """(line number, object) for each non-blank line of a JSONL file, in
+    file order; blank lines count toward the numbering. Each line is one
+    ``raw_decode`` call that must reach the end of the stripped line. A line
+    that is not one JSON object raises DataError at path:line, with
+    ``json.loads``'s message for malformed JSON."""
+    decode = json.JSONDecoder().raw_decode
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            text = raw.strip()
+            if not text:
+                continue
+            try:
+                obj, end = decode(text)
+            except json.JSONDecodeError:
+                end = -1
+            if end != len(text):
+                try:  # json.loads raises with the message a whole-line decode gives
+                    obj = json.loads(text)
+                except json.JSONDecodeError as exc:
+                    raise DataError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from exc
+            if not isinstance(obj, dict):
+                raise DataError(f"{path}:{lineno}: expected a JSON object")
+            yield lineno, obj
+
+
+def _record_time(obj: dict, keys: frozenset, where: str) -> float:
+    """The record's time, after the checks every schema makes first, in
+    order: "t" is present, a number (not a bool) and within the float
+    range; then the record has no key outside ``keys``."""
     if "t" not in obj:
         raise DataError(f"{where}: record is missing \"t\"")
     t = obj["t"]
     if not isinstance(t, (int, float)) or isinstance(t, bool):
         raise DataError(f"{where}: \"t\" must be a number")
     t = _time(t, where, "t")
-    allowed = ({"t", "x"} if isinstance(schema, BinarySchema) else
-               {"t", "label"} if isinstance(schema, LabelSchema) else {"t", "type", "node"})
-    if set(obj) - allowed:
-        raise DataError(f"{where}: unexpected keys {sorted(set(obj) - allowed)}")
-    if isinstance(schema, BinarySchema):
-        active = obj.get("x", [])
-        if not isinstance(active, list):
-            raise DataError(f"{where}: \"x\" must be a list of feature indices")
-        bits = [0] * schema.width
-        for idx in active:
-            if not isinstance(idx, int) or isinstance(idx, bool) or not 0 <= idx < schema.width:
-                raise DataError(f"{where}: feature index {idx!r} outside 0..{schema.width - 1}")
-            bits[idx] = 1
-        return t, bits
-    if isinstance(schema, LabelSchema):
+    if not obj.keys() <= keys:
+        raise DataError(f"{where}: unexpected keys {sorted(set(obj) - keys)}")
+    return t
+
+
+def _time_error(t: float, limit: float, where: str) -> DataError:
+    """Why a record time failed ``0 <= t <= limit``: not finite, negative,
+    or beyond the declared horizon, which is the limit when one is declared
+    (otherwise it is the largest float, which no finite time exceeds)."""
+    if not math.isfinite(t):
+        return DataError(f"{where}: timestamp {t} is not finite")
+    if t < 0:
+        return DataError(f"{where}: negative timestamp {t}")
+    return DataError(f"{where}: timestamp {t} beyond declared horizon {limit}")
+
+
+def _codes(values: list) -> np.ndarray:
+    """Label or type codes as int64; an object array of Python ints when
+    one overflows int64, so ``_check_rows`` can name it."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+# Each reader takes the (line, object) records in file order and checks
+# each in the same order: the time and key checks of ``_record_time`` (its
+# common case, a float time and no stray key, is tested inline), the mark
+# fields, then ``0 <= t <= limit``. It returns the times and the mark
+# columns in file order. The first failing record raises at path:line.
+
+def _binary_records(records: Iterable, schema: BinarySchema, path: str,
+                    limit: float) -> tuple[list, dict]:
+    """Active feature indices, scattered into a uint8 matrix at the end."""
+    keys, width, no_indices = frozenset(("t", "x")), schema.width, []
+    times: list[float] = []
+    active: list[int] = []
+    counts: list[int] = []
+    for lineno, obj in records:
+        t = obj.get("t")
+        if type(t) is not float or not obj.keys() <= keys:
+            t = _record_time(obj, keys, f"{path}:{lineno}")
+        x = obj.get("x", no_indices)
+        if type(x) is not list:
+            raise DataError(f"{path}:{lineno}: \"x\" must be a list of feature indices")
+        for idx in x:
+            if type(idx) is not int or not 0 <= idx < width:
+                raise DataError(f"{path}:{lineno}: feature index {idx!r} outside "
+                                f"0..{width - 1}")
+        if not 0.0 <= t <= limit:
+            raise _time_error(t, limit, f"{path}:{lineno}")
+        times.append(t)
+        active += x
+        counts.append(len(x))
+    bits = np.zeros((len(times), width), dtype=np.uint8)
+    bits[np.repeat(np.arange(len(times)), np.array(counts, dtype=np.int64)),
+         np.array(active, dtype=np.int64)] = 1
+    return times, {"feature_matrix": bits}
+
+
+def _label_records(records: Iterable, schema: LabelSchema, path: str,
+                   limit: float) -> tuple[list, dict]:
+    keys = frozenset(("t", "label"))
+    times: list[float] = []
+    labels: list[int] = []
+    for lineno, obj in records:
+        t = obj.get("t")
+        if type(t) is not float or not obj.keys() <= keys:
+            t = _record_time(obj, keys, f"{path}:{lineno}")
         label = obj.get("label")
-        if not isinstance(label, int) or isinstance(label, bool):
-            raise DataError(f"{where}: \"label\" must be an integer")
-        return t, label
-    typ, node = obj.get("type"), obj.get("node")
-    if not isinstance(typ, int) or isinstance(typ, bool):
-        raise DataError(f"{where}: \"type\" must be an integer")
-    if not isinstance(node, str):
-        raise DataError(f"{where}: \"node\" must be a string")
-    return t, (typ, node)
+        if type(label) is not int:
+            raise DataError(f"{path}:{lineno}: \"label\" must be an integer")
+        if not 0.0 <= t <= limit:
+            raise _time_error(t, limit, f"{path}:{lineno}")
+        times.append(t)
+        labels.append(label)
+    return times, {"label_index": _codes(labels) - 1}
+
+
+def _composite_records(records: Iterable, schema: CompositeSchema, path: str,
+                       limit: float) -> tuple[list, dict]:
+    keys = frozenset(("t", "type", "node"))
+    times: list[float] = []
+    types: list[int] = []
+    nodes: list[str] = []
+    for lineno, obj in records:
+        t = obj.get("t")
+        if type(t) is not float or not obj.keys() <= keys:
+            t = _record_time(obj, keys, f"{path}:{lineno}")
+        typ, node = obj.get("type"), obj.get("node")
+        if type(typ) is not int:
+            raise DataError(f"{path}:{lineno}: \"type\" must be an integer")
+        if type(node) is not str:
+            raise DataError(f"{path}:{lineno}: \"node\" must be a string")
+        if not 0.0 <= t <= limit:
+            raise _time_error(t, limit, f"{path}:{lineno}")
+        times.append(t)
+        types.append(typ)
+        nodes.append(node)
+    return times, {"label_index": _codes(types) - 1, "node_ids": np.array(nodes, dtype=object)}
+
+
+_RECORD_READERS = {BinarySchema: _binary_records, LabelSchema: _label_records,
+                   CompositeSchema: _composite_records}
+
+
+def _read_header(header: dict, schema: MarkSchema | None, where: str):
+    """The horizon (None if not declared), units and schema of a header
+    line; a schema passed by the caller must agree with a declared one."""
+    horizon: float | None = None
+    extra = set(header) - _HEADER_KEYS
+    if extra:
+        raise DataError(f"{where}: unexpected header keys {sorted(extra)}")
+    if "T" in header:
+        T = header["T"]
+        if not isinstance(T, (int, float)) or isinstance(T, bool):
+            raise DataError(f"{where}: \"T\" must be a number, got {T!r}")
+        horizon = _time(T, where, "T")
+        if not math.isfinite(horizon):
+            raise DataError(f"{where}: \"T\" must be finite, got {horizon}")
+    units = str(header["units"]) if "units" in header else None
+    if "schema" in header:
+        declared = _schema_from_header(header["schema"], where)
+        if schema is None:
+            schema = declared
+        elif not _schemas_compatible(schema, declared):
+            raise DataError(f"{where}: header schema conflicts with the provided one")
+    return horizon, units, schema
 
 
 def ingest(path: str, schema: MarkSchema | None = None) -> Dataset:
@@ -390,63 +547,41 @@ def ingest(path: str, schema: MarkSchema | None = None) -> Dataset:
     "schema" block; records follow, one JSON object per line. A schema
     must come from the header or the argument (both must agree if given).
     Without a declared horizon the maximum timestamp is used, with a
-    warning. All errors name the offending line. Records are parsed
-    straight into columns.
+    warning. Times must be finite. All errors name the offending line.
+
+    Lines are decoded and read in one pass: the schema's record reader
+    collects each record's time and mark into lists, and the columns are
+    built from them once (binary marks by one scatter of the active
+    indices), so no decoded record is kept. A malformed line is still
+    reported before any header or record fault, wherever it is: after a
+    fault the rest of the file is decoded before the fault is raised.
     """
     horizon: float | None = None
     units: str | None = None
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
-    body: list[tuple[int, dict]] = []
-    for lineno, raw in enumerate(lines, start=1):
-        text = raw.strip()
-        if not text:
-            continue
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from exc
-        if not isinstance(obj, dict):
-            raise DataError(f"{path}:{lineno}: expected a JSON object")
-        body.append((lineno, obj))
-    if body and "t" not in body[0][1]:
-        lineno0, header = body.pop(0)
-        extra = set(header) - _HEADER_KEYS
-        if extra:
-            raise DataError(f"{path}:{lineno0}: unexpected header keys {sorted(extra)}")
-        if "T" in header:
-            T = header["T"]
-            if not isinstance(T, (int, float)) or isinstance(T, bool):
-                raise DataError(f"{path}:{lineno0}: \"T\" must be a number, got {T!r}")
-            horizon = _time(T, f"{path}:{lineno0}", "T")
-        if "units" in header:
-            units = str(header["units"])
-        if "schema" in header:
-            declared = _schema_from_header(header["schema"], f"{path}:{lineno0}")
-            if schema is None:
-                schema = declared
-            elif not _schemas_compatible(schema, declared):
-                raise DataError(f"{path}:{lineno0}: header schema conflicts with the provided one")
-    if schema is None:
-        raise DataError(f"{path}: no schema declared in the header or provided by the caller")
-    times: list[float] = []
-    values: list = []
-    for lineno, obj in body:
-        t, value = _parse_record(obj, schema, f"{path}:{lineno}")
-        if t < 0:
-            raise DataError(f"{path}:{lineno}: negative timestamp {t}")
-        if horizon is not None and t > horizon:
-            raise DataError(f"{path}:{lineno}: timestamp {t} beyond declared horizon {horizon}")
-        times.append(t)
-        values.append(value)
+    objects = _jsonl_objects(path)
+    try:
+        first = next(objects, None)
+        if first is not None and "t" not in first[1]:
+            horizon, units, schema = _read_header(first[1], schema, f"{path}:{first[0]}")
+            first = None
+        if schema is None:
+            raise DataError(f"{path}: no schema declared in the header or provided by the caller")
+        limit = sys.float_info.max if horizon is None else horizon
+        records = objects if first is None else itertools.chain((first,), objects)
+        times, cols = _RECORD_READERS[type(schema)](records, schema, path, limit)
+    except DataError:
+        for _ in objects:  # raises at the first malformed line after the fault
+            pass
+        raise
+    times = np.array(times, dtype=np.float64)
     if horizon is None:
-        if not times:
+        if not times.size:
             raise DataError(f"{path}: empty file without a declared horizon")
-        horizon = max(times)
+        horizon = float(times.max())
         warnings.warn(f"{path}: no horizon declared, defaulting to max timestamp {horizon!r}")
-    order = sorted(range(len(times)), key=times.__getitem__)  # stable, as list.sort
-    cols = _value_columns([values[j] for j in order], schema)
-    cols["times"] = np.array(times, dtype=np.float64)[order]
+    order = np.argsort(times, kind="stable")
+    cols = {name: col[order] for name, col in cols.items()}
+    cols["times"] = times[order]
     _check_rows(cols, horizon, schema, 0.0)
     return Dataset._of(cols, horizon, schema, units=units)
 

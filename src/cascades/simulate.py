@@ -16,7 +16,6 @@ statistics module.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -27,7 +26,7 @@ from scipy import special
 from . import delays as delay_mod
 from .engine import CascadeModel, Responsibilities, baseline_integral, validate_model
 from .errors import ConfigError, DataError, NumericalError
-from .events import BinarySchema, CompositeSchema, Dataset, Event, MarkSchema
+from .events import BinarySchema, CompositeSchema, Dataset, Event, MarkSchema, _jsonl_objects
 
 
 def substream(seed: int, name: str) -> np.random.Generator:
@@ -226,31 +225,21 @@ def load_forest(path: str) -> CausalForest:
     component and gen. A malformed record raises DataError at path:line."""
     keys = ("id", "parent", "component", "gen")
     cols: list[list[int]] = [[], [], []]
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{where}: malformed JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict):
-                raise DataError(f"{where}: expected a JSON object")
-            missing = [key for key in keys if key not in obj]
-            if missing:
-                raise DataError(f"{where}: missing keys {missing}")
-            for key in keys:
-                v = obj[key]
-                if isinstance(v, bool) or not isinstance(v, int) or not -1 <= v < 2 ** 63:
-                    raise DataError(f"{where}: {key} must be an integer of at least -1, "
-                                    f"got {v!r}")
-            i, parent = obj["id"], obj["parent"]
-            if i != len(cols[0]):
-                raise DataError(f"{where}: forest ids must be 0,1,2,...")
-            if parent >= i:
-                raise DataError(f"{where}: parent {parent} is neither -1 nor an earlier id")
-            for col, key in zip(cols, keys[1:]):
-                col.append(obj[key])
+    for lineno, obj in _jsonl_objects(path):
+        where = f"{path}:{lineno}"
+        missing = [key for key in keys if key not in obj]
+        if missing:
+            raise DataError(f"{where}: missing keys {missing}")
+        for key in keys:
+            v = obj[key]
+            if isinstance(v, bool) or not isinstance(v, int) or not -1 <= v < 2 ** 63:
+                raise DataError(f"{where}: {key} must be an integer of at least -1, "
+                                f"got {v!r}")
+        i, parent = obj["id"], obj["parent"]
+        if i != len(cols[0]):
+            raise DataError(f"{where}: forest ids must be 0,1,2,...")
+        if parent >= i:
+            raise DataError(f"{where}: parent {parent} is neither -1 nor an earlier id")
+        for col, key in zip(cols, keys[1:]):
+            col.append(obj[key])
     return CausalForest(*(np.asarray(col, dtype=np.int64) for col in cols))

@@ -14,8 +14,16 @@ child label) weight table that every label family used to keep.
 statistics m_step reads, as m_step did when it still accepted
 responsibilities; the package sums them inside the E-step
 (``estep_stats``).
+
+``ingest`` reads a JSONL event file one ``json.loads`` and one
+``parse_record`` call per line, and builds the mark columns from per-event
+Python values (an object array of bits for binary marks). The package
+decodes each line once and reads records with a reader chosen per schema
+(``events.ingest``); it also rejects non-finite times at their line.
 """
 
+import json
+import warnings
 from typing import Sequence
 
 import numpy as np
@@ -23,6 +31,9 @@ import numpy as np
 from cascades import (BinaryMark, CategoricalMatrix, DataError, FeaturePrior,
                       IdentityTransition, PriorTransition)
 from cascades import engine
+from cascades.events import (_HEADER_KEYS, BinarySchema, Dataset, LabelSchema, MarkSchema,
+                             _check_rows, _schema_from_header, _schemas_compatible, _time,
+                             _value_columns)
 from cascades.transitions import fit_mixture_from_stats
 
 
@@ -82,3 +93,99 @@ def mixture_stats(pairs: Sequence[tuple[BinaryMark, BinaryMark, float]],
 def fit_mixture(pairs: Sequence[tuple[BinaryMark, BinaryMark, float]],
                 prior: FeaturePrior) -> float:
     return fit_mixture_from_stats(mixture_stats(pairs, prior), prior)
+
+
+def parse_record(obj: dict, schema: MarkSchema, where: str) -> tuple[float, object]:
+    """The time and mark value of one record: the bit row, the label, or
+    the (type, node) pair."""
+    if "t" not in obj:
+        raise DataError(f"{where}: record is missing \"t\"")
+    t = obj["t"]
+    if not isinstance(t, (int, float)) or isinstance(t, bool):
+        raise DataError(f"{where}: \"t\" must be a number")
+    t = _time(t, where, "t")
+    allowed = ({"t", "x"} if isinstance(schema, BinarySchema) else
+               {"t", "label"} if isinstance(schema, LabelSchema) else {"t", "type", "node"})
+    if set(obj) - allowed:
+        raise DataError(f"{where}: unexpected keys {sorted(set(obj) - allowed)}")
+    if isinstance(schema, BinarySchema):
+        active = obj.get("x", [])
+        if not isinstance(active, list):
+            raise DataError(f"{where}: \"x\" must be a list of feature indices")
+        bits = [0] * schema.width
+        for idx in active:
+            if not isinstance(idx, int) or isinstance(idx, bool) or not 0 <= idx < schema.width:
+                raise DataError(f"{where}: feature index {idx!r} outside 0..{schema.width - 1}")
+            bits[idx] = 1
+        return t, bits
+    if isinstance(schema, LabelSchema):
+        label = obj.get("label")
+        if not isinstance(label, int) or isinstance(label, bool):
+            raise DataError(f"{where}: \"label\" must be an integer")
+        return t, label
+    typ, node = obj.get("type"), obj.get("node")
+    if not isinstance(typ, int) or isinstance(typ, bool):
+        raise DataError(f"{where}: \"type\" must be an integer")
+    if not isinstance(node, str):
+        raise DataError(f"{where}: \"node\" must be a string")
+    return t, (typ, node)
+
+
+def ingest(path: str, schema: MarkSchema | None = None) -> Dataset:
+    """Read a JSONL event file into a Dataset, one record at a time."""
+    horizon: float | None = None
+    units: str | None = None
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.readlines()
+    body: list[tuple[int, dict]] = []
+    for lineno, raw in enumerate(lines, start=1):
+        text = raw.strip()
+        if not text:
+            continue
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from exc
+        if not isinstance(obj, dict):
+            raise DataError(f"{path}:{lineno}: expected a JSON object")
+        body.append((lineno, obj))
+    if body and "t" not in body[0][1]:
+        lineno0, header = body.pop(0)
+        extra = set(header) - _HEADER_KEYS
+        if extra:
+            raise DataError(f"{path}:{lineno0}: unexpected header keys {sorted(extra)}")
+        if "T" in header:
+            T = header["T"]
+            if not isinstance(T, (int, float)) or isinstance(T, bool):
+                raise DataError(f"{path}:{lineno0}: \"T\" must be a number, got {T!r}")
+            horizon = _time(T, f"{path}:{lineno0}", "T")
+        if "units" in header:
+            units = str(header["units"])
+        if "schema" in header:
+            declared = _schema_from_header(header["schema"], f"{path}:{lineno0}")
+            if schema is None:
+                schema = declared
+            elif not _schemas_compatible(schema, declared):
+                raise DataError(f"{path}:{lineno0}: header schema conflicts with the provided one")
+    if schema is None:
+        raise DataError(f"{path}: no schema declared in the header or provided by the caller")
+    times: list[float] = []
+    values: list = []
+    for lineno, obj in body:
+        t, value = parse_record(obj, schema, f"{path}:{lineno}")
+        if t < 0:
+            raise DataError(f"{path}:{lineno}: negative timestamp {t}")
+        if horizon is not None and t > horizon:
+            raise DataError(f"{path}:{lineno}: timestamp {t} beyond declared horizon {horizon}")
+        times.append(t)
+        values.append(value)
+    if horizon is None:
+        if not times:
+            raise DataError(f"{path}: empty file without a declared horizon")
+        horizon = max(times)
+        warnings.warn(f"{path}: no horizon declared, defaulting to max timestamp {horizon!r}")
+    order = sorted(range(len(times)), key=times.__getitem__)  # stable, as list.sort
+    cols = _value_columns([values[j] for j in order], schema)
+    cols["times"] = np.array(times, dtype=np.float64)[order]
+    _check_rows(cols, horizon, schema, 0.0)
+    return Dataset._of(cols, horizon, schema, units=units)

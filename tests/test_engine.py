@@ -633,3 +633,56 @@ def test_label_relabeling_permutes_the_fit(engine_name, seed, perm):
     np.testing.assert_allclose(got.ll_trace, ref.ll_trace, rtol=1e-12, atol=0)
     np.testing.assert_allclose(_numbers(got.model), _numbers(_relabeled(ref.model, perm)),
                                rtol=1e-12, atol=0)
+
+
+def _exposure_uncached(comp, delay, d, a, b):
+    pool = engine._parent_pool(comp, d)
+    pool = pool[d.times[pool] < b]
+    t = d.times[pool]
+    return pool, engine.delay_mod.cdf(delay, b - t) - engine.delay_mod.cdf(delay, a - t)
+
+
+def test_window_exposure_cache_hits_misses_and_fresh_datasets():
+    rng = np.random.default_rng(5)
+    times = np.sort(rng.uniform(0.0, 10.0, size=40))
+    d = Dataset([Event(float(t), CompositeMark(1, "uv"[k % 2])) for k, t in enumerate(times)],
+                horizon=10.0, schema=CompositeSchema(1, frozenset({"u", "v"})))
+    comp = KernelComponent("k", ConstantFertility(0.5), IdentityTransition(),
+                           ExponentialDelay(1.0), sources=("u",))
+    pool, mass = engine._window_exposure(comp, comp.delay, d, 2.0, 7.0)
+    assert not pool.flags.writeable and not mass.flags.writeable
+    want = _exposure_uncached(comp, comp.delay, d, 2.0, 7.0)
+    np.testing.assert_array_equal(pool, want[0])
+    np.testing.assert_array_equal(mass, want[1])
+    # an equal delay hits, and so does the same component under another fertility
+    hit = engine._window_exposure(replace(comp, fertility=ConstantFertility(0.1)),
+                                  ExponentialDelay(1.0), d, 2.0, 7.0)
+    assert hit[0] is pool and hit[1] is mass
+    for delay, a, b in ((ExponentialDelay(2.0), 2.0, 7.0), (ExponentialDelay(2.0), 2.0, 9.0),
+                        (GammaDelay(2.0, 2.0), 2.0, 9.0), (GammaDelay(2.0, 2.0), 0.0, 9.0)):
+        got = engine._window_exposure(comp, delay, d, a, b)
+        assert got[1] is not mass and not got[1].flags.writeable
+        want = _exposure_uncached(comp, delay, d, a, b)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+    assert d.window_exposures
+    train, test = split(d, 0.5)
+    for fresh in (d.subset(np.arange(0, 40, 2)), train, test, test.merge_history(train)):
+        assert fresh.window_exposures == {}
+
+
+def test_compensator_after_m_step_reuses_its_exposures(monkeypatch):
+    model = CascadeModel(
+        HomogeneousBaseline(0.6, LabelMarginal((0.5, 0.5))),
+        (KernelComponent("a", ConstantFertility(0.4), IdentityTransition(),
+                         ExponentialDelay(1.0)),
+         KernelComponent("b", ConstantFertility(0.2), IdentityTransition(),
+                         GammaDelay(2.0, 1.0))))
+    d, _ = simulate(model, 60.0, seed=3)
+    new = normalize(m_step(model, d, estep_stats(model, d)), d)
+    fresh = d.subset(np.arange(len(d)))
+    cdf, calls = engine.delay_mod.cdf, []
+    monkeypatch.setattr(engine.delay_mod, "cdf", lambda *args: calls.append(1) or cdf(*args))
+    total = compensator(new, d)
+    assert calls == []  # both components' exposures come from m_step
+    assert compensator(new, fresh) == total and len(calls) == 4

@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 from cascades import (BinaryMark, BinarySchema, CompositeMark, CompositeSchema,
                       DataError, Dataset, Event, IdentityTransition, LabelMark,
                       LabelSchema, ingest, split, write_events)
+
+import oracles
 
 
 def bm(*bits):
@@ -492,3 +495,246 @@ def test_ingest_rejects_malformed_headers(tmp_path, header, message):
     path.write_text(json.dumps(header) + '\n\n{"t": 1.0, "label": 1}\n')
     with pytest.raises(DataError, match=rf"bad\.jsonl:1: {message}"):
         ingest(str(path))
+
+
+# ---------------------------------------------------------------------------
+# ingest against the per-record reader it replaced (tests/oracles.py)
+
+INGEST_SPECS = {"label": ({"labels": 3}, LabelSchema(3)),
+                "binary": ({"features": ["a", "b", "c"]}, BinarySchema(("a", "b", "c"))),
+                "composite": ({"types": 3, "nodes": True}, CompositeSchema(3))}
+RECORD_TIMES = [0.0, -0.0, 0.5, 1, 1.0, 1.0, 2.5, 3, 4.75, 5.0]
+BAD_LINES = ["not json", '{"t": 1.0,', "[1, 2]", '"text"', "3", "null",
+             '{"t": 1.0} {"t": 2.0}', "\ufeff{}", "{'t': 1}"]
+DELETE = object()
+TIME_FAULTS = [True, False, "1.0", None, [1], 10 ** 400, -10 ** 400, 10 ** 30, -1.0, -1,
+               -1e-300, 7.0, 5.000001, DELETE]
+NONFINITE = [float("nan"), float("inf"), -float("inf")]
+MARK_FAULTS = {
+    "label": [("label", v) for v in (0, 4, -1, 1.5, "2", True, None, 2 ** 63, 2 ** 63 - 1,
+                                     -2 ** 63, -2 ** 63 - 1, 2 ** 64, DELETE)],
+    "binary": [("x", v) for v in ([3], [-1], [0, 3], [2, 10 ** 20], [1.0], ["1"], [True],
+                                  [None], [0, [1]], 1, "01", {"a": 1}, None)],
+    "composite": [("type", v) for v in (0, 4, 1.5, "2", True, None, 2 ** 63, -2 ** 63 - 1,
+                                        DELETE)]
+                 + [("node", v) for v in (5, None, ["a"], True, DELETE)],
+}
+
+
+def _record(draw, kind):
+    rec = {"t": draw(st.sampled_from(RECORD_TIMES))}
+    if kind == "label":
+        rec["label"] = draw(st.integers(1, 3))
+    elif kind == "binary":
+        if draw(st.booleans()):
+            rec["x"] = draw(st.lists(st.integers(0, 2), max_size=4))
+    else:
+        rec["type"] = draw(st.integers(1, 3))
+        rec["node"] = draw(st.sampled_from(["u", "v", "", "né"]))
+    if draw(st.booleans()):  # key order does not matter
+        rec = dict(reversed(list(rec.items())))
+    return rec
+
+
+def _with(rec, key, value):
+    rec = dict(rec)
+    if value is DELETE:
+        rec.pop(key, None)
+    else:
+        rec[key] = value
+    return rec
+
+
+@st.composite
+def event_files(draw):
+    """(kind, schema argument, lines, the lines with every non-finite time
+    replaced by a valid one, and (line number, "t" or "T", value) of the
+    first non-finite time, or None)."""
+    kind = draw(st.sampled_from(sorted(INGEST_SPECS)))
+    spec, schema = INGEST_SPECS[kind]
+    header = draw(st.sampled_from([{"T": 5.0, "schema": spec}] * 4 + [
+        {"T": 5, "schema": spec}, {"schema": spec}, {"T": 5.0}, None,
+        {"T": 5.0, "schema": spec, "units": "s"}, {"T": "abc", "schema": spec},
+        {"T": 5.0, "schema": spec, "zzz": 1}]))
+    schema_arg = schema if header is None or "schema" not in header or draw(st.booleans()) \
+        else None
+    records = [_record(draw, kind) for _ in range(draw(st.integers(0, 10)))]
+    lines = [json.dumps(r) for r in records]
+    fixed = list(lines)
+    nonfinite = []  # (index into lines, value)
+    for _ in range(draw(st.integers(0, 3))):  # zero, one or several faults
+        fault = draw(st.sampled_from(["line", "time", "time", "nonfinite", "mark", "mark",
+                                      "mark", "extra key"]))
+        if fault == "line" or not records:
+            i = draw(st.integers(0, len(lines)))
+            lines.insert(i, draw(st.sampled_from(BAD_LINES)))
+            fixed.insert(i, lines[i])
+            nonfinite = [(j + (j >= i), v) for j, v in nonfinite]
+            continue
+        i = draw(st.integers(0, len(lines) - 1))
+        try:  # the record as last written, minus non-finite times
+            rec = json.loads(fixed[i])
+        except ValueError:
+            continue
+        if not isinstance(rec, dict):
+            continue
+        if fault == "time":
+            rec = _with(rec, "t", draw(st.sampled_from(TIME_FAULTS)))
+        elif fault == "mark":
+            rec = _with(rec, *draw(st.sampled_from(MARK_FAULTS[kind])))
+        elif fault == "extra key":
+            rec = _with(rec, draw(st.sampled_from(["zzz", "T", "t2"])), 1)
+        if fault == "nonfinite" and "t" in rec:
+            value = draw(st.sampled_from(NONFINITE))
+            lines[i], fixed[i] = json.dumps({**rec, "t": value}), json.dumps({**rec, "t": 1.0})
+            nonfinite = [(j, v) for j, v in nonfinite if j != i] + [(i, value)]
+        else:
+            lines[i] = fixed[i] = json.dumps(rec)
+            nonfinite = [(j, v) for j, v in nonfinite if j != i]
+    if header is not None:
+        head = dict(header)
+        if "zzz" not in head and "T" in head and draw(st.sampled_from([False] * 7 + [True])):
+            value = draw(st.sampled_from(NONFINITE))
+            lines.insert(0, json.dumps({**head, "T": value}))
+            fixed.insert(0, json.dumps(head))
+            nonfinite = [(-1, value)]  # the header outranks every record
+        else:
+            lines.insert(0, json.dumps(head))
+            fixed.insert(0, lines[0])
+            nonfinite = [(j + 1, v) for j, v in nonfinite]
+    blanks = draw(st.lists(st.integers(0, len(lines)), max_size=2))
+    for i in sorted(blanks, reverse=True):  # blank lines still count
+        lines.insert(i, "  ")
+        fixed.insert(i, "")
+        nonfinite = [(j + (j >= i), v) for j, v in nonfinite]
+    first = None
+    if nonfinite:
+        if nonfinite[0][0] == -1:
+            first = (next(i for i, line in enumerate(lines) if line.strip()) + 1, "T",
+                     nonfinite[0][1])
+        else:
+            j, v = min(nonfinite)
+            first = (j + 1, "t", v)
+    return kind, schema_arg, lines, fixed, first
+
+
+def _ingest_outcome(reader, path, schema):
+    """(columns, window, warnings) of a successful read, or the error."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            d = reader(path, schema)
+        except DataError as exc:
+            return ("error", str(exc))
+    cols = [(name, col.dtype, col.shape, col.tolist()) for name, col in d._cols.items()]
+    return ("ok", cols, (d.horizon, d.schema, d.start, d.units),
+            [str(w.message) for w in caught])
+
+
+def _expected_outcome(path, schema, fixed, first):
+    """What ingest must do: the reference's outcome on the file without its
+    non-finite times, unless a non-finite time is the first fault. The
+    reference decodes every line before it checks any, so a malformed line
+    anywhere outranks it; so does any fault on an earlier line or, since a
+    time range is checked last, on the same record."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(fixed) + "\n")
+    outcome = _ingest_outcome(oracles.ingest, path, schema)
+    if first is None:
+        return outcome
+    lineno, key, value = first
+    if outcome[0] == "error":
+        msg = outcome[1]
+        at = re.match(rf"{re.escape(path)}:(\d+): ", msg)
+        if "malformed JSON" in msg or "expected a JSON object" in msg:
+            return outcome
+        if key == "t" and (msg.startswith(f"{path}: no schema")
+                           or (at and int(at.group(1)) <= lineno)):
+            return outcome
+    if key == "T":
+        return ("error", f'{path}:{lineno}: "T" must be finite, got {value}')
+    return ("error", f"{path}:{lineno}: timestamp {value} is not finite")
+
+
+@given(event_files())
+@settings(max_examples=500, deadline=None)
+def test_ingest_matches_the_per_record_reference(tmp_path_factory, case):
+    kind, schema, lines, fixed, first = case
+    folder = tmp_path_factory.mktemp("ingest")
+    path = str(folder / "e.jsonl")
+    expected = _expected_outcome(path, schema, fixed, first)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    assert _ingest_outcome(ingest, path, schema) == expected
+
+
+@pytest.mark.parametrize("kind", sorted(INGEST_SPECS))
+def test_each_fault_alone_matches_the_reference(tmp_path, kind):
+    """Every fault value of the generator above, alone in the third record
+    of an otherwise valid file (with and without a declared horizon)."""
+    spec, schema = INGEST_SPECS[kind]
+    good = {"label": {"t": 1.0, "label": 2}, "binary": {"t": 1.0, "x": [0, 2]},
+            "composite": {"t": 1.0, "type": 2, "node": "u"}}[kind]
+    faults = ([("t", v) for v in TIME_FAULTS + NONFINITE] + MARK_FAULTS[kind]
+              + [("zzz", 1)])
+    path = str(tmp_path / "e.jsonl")
+    for header in ({"T": 5.0, "schema": spec}, {"schema": spec}):
+        cases = [(json.dumps(_with(good, key, value)), value if key == "t" else None)
+                 for key, value in faults] + [(line, None) for line in BAD_LINES]
+        for bad, value in cases:
+            lines = [json.dumps(header), json.dumps(good), json.dumps(good), bad,
+                     json.dumps(good)]
+            nonfinite = isinstance(value, float) and not np.isfinite(value)
+            fixed = lines[:3] + [json.dumps(_with(good, "t", 1.0))] + lines[4:] \
+                if nonfinite else lines
+            expected = _expected_outcome(path, None, fixed,
+                                         (4, "t", value) if nonfinite else None)
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines) + "\n")
+            assert _ingest_outcome(ingest, path, None) == expected, bad
+
+
+@pytest.mark.parametrize("width", [1, 4, 8, 9, 64, 65, 130])
+@pytest.mark.parametrize("n", [0, 1, 40])
+def test_feature_patterns_match_numpy_unique(width, n):
+    rng = np.random.default_rng(width * 100 + n)
+    # few distinct rows, so most repeat; some differ only next to a word
+    # or byte boundary
+    base = rng.integers(0, 2, size=(6, width)).astype(np.uint8)
+    for k, bit in enumerate((width - 1, 63, 64, 7, 8)):
+        if bit < width:
+            base[k + 1] = base[0]
+            base[k + 1, bit] ^= 1
+    X = base[rng.integers(0, len(base), size=n)]
+    d = Dataset._of({"feature_matrix": X, "times": np.arange(n, dtype=np.float64)}, float(n),
+                    BinarySchema(tuple(f"f{i}" for i in range(width))))
+    rows, index = d.feature_patterns
+    want_rows, want_index = np.unique(X, axis=0, return_inverse=True)
+    assert rows.dtype == want_rows.dtype and rows.shape == want_rows.shape
+    np.testing.assert_array_equal(rows, want_rows)
+    assert index.dtype == np.int64 and index.shape == (n,)
+    np.testing.assert_array_equal(index, want_index.reshape(-1))
+
+
+def test_binary_ingest_allocates_no_per_bit_objects(tmp_path):
+    """Ingest keeps per record no more than its time and active indices:
+    the per-record reader it replaced built a row of Python ints and an
+    object array over every bit, and kept every decoded line (about 1,000
+    bytes a record at this width, against about 100 now)."""
+    import tracemalloc
+    width, n = 16, 100_000
+    rng = np.random.default_rng(0)
+    path = tmp_path / "wide.jsonl"
+    with open(path, "w", encoding="utf-8") as fh:
+        header = {"T": float(n), "schema": {"features": [f"f{i}" for i in range(width)]}}
+        fh.write(json.dumps(header) + "\n")
+        for i, (a, b) in enumerate(rng.integers(0, width, size=(n, 2)).tolist()):
+            fh.write('{"t": %r, "x": [%d, %d]}\n' % (i + 0.5, a, b))
+    tracemalloc.start()
+    try:
+        d = ingest(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(d) == n and d.feature_matrix.sum() > n
+    assert peak / n < 300, f"{peak / n:.0f} bytes per record"
