@@ -90,18 +90,26 @@ def _trace_rows(report: engine.FitReport, names: list[str]):
     return header, rows
 
 
-def _dump_transitions(model, out_dir: str) -> None:
+def _dump_transitions(model, out_dir: str | None) -> None:
     """Write fitted categorical transitions (and their log-ratio against
-    the baseline marginal) as CSV, one pair of files per component."""
+    the baseline marginal) as CSV, one pair of files per component. With
+    ``out_dir`` None, write nothing: only raise ConfigError if two
+    components would write the same files, as cmd_fit checks first."""
+    named = {}
+    for comp in model.components:
+        if isinstance(comp.transition, CategoricalMatrix):
+            safe = comp.name.replace("/", "_").replace(":", "_")
+            if safe in named:
+                raise ConfigError(f"components {named[safe].name!r} and {comp.name!r} "
+                                  f"would both write transition_{safe}.csv")
+            named[safe] = comp
+    if out_dir is None:
+        return
     marginal = None
     if isinstance(model.baseline.mark, LabelMarginal):
         marginal = model.baseline.mark.as_array
-    for comp in model.components:
-        if not isinstance(comp.transition, CategoricalMatrix):
-            continue
-        n = len(comp.transition.matrix)
-        labels = [str(i + 1) for i in range(n)]
-        safe = comp.name.replace("/", "_").replace(":", "_")
+    for safe, comp in named.items():
+        labels = [str(i + 1) for i in range(len(comp.transition.matrix))]
         path = os.path.join(out_dir, f"transition_{safe}.csv")
         ratio = os.path.join(out_dir, f"transition_{safe}_logratio.csv")
         write_matrix_csv(comp.transition.as_array, labels, path + ".tmp",
@@ -156,6 +164,7 @@ def cmd_fit(args) -> int:
     d = _load_events(args.data)
     train, test, merged = _split_data(d, args, conf)
     model = cfg.parse_model(conf["model"], "model", data=train)
+    _dump_transitions(model, None)
     opts = _em_options(conf, args)
     report, test_ll = _fit_one(model, train, test, merged, opts)
     os.makedirs(args.out, exist_ok=True)

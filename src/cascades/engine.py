@@ -12,34 +12,24 @@ event count matches the observed one. The baseline families are
 defined here, one class each with its rate, integral, refit and root
 draws.
 
-The E-step is array code over candidate pairs: per component,
-``searchsorted`` bounds each child's window among the allowed parents,
-the windows of a run of children expand into flat (child, parent) pair
-arrays, the kernel factors that vary per pair are evaluated once over
-those pairs, ``reduceat`` sums them per child, and the factors that read
-only the child scale each child's sum (``_kernel_factors``). Mark
+The E-step is one driver (``_estep``) over two kernels, chosen per
+component. The pair kernel (``_Pairs``) is array code over candidate
+(child, parent) pairs inside each component's truncation window, in
+runs of at most ``PAIR_CHUNK`` pairs, evaluating per pair only the
+kernel factors that vary per pair (``_kernel_factors``). The scan
+(``_Scan``) serves a component with an exponential delay when the marks
+form at most ``FAST_MAX_LABELS`` patterns: prefix sums over blocks of
+whole tie groups give every child's decayed parent count per pattern in
+O(N * P) (Ozaki's recursion for exponential Hawkes likelihoods). Mark
 probabilities and transitions are methods of their families
-(``transitions``: a mark distribution's ``probs_at``, a transition's
-``g_children`` and ``g_pairs``), which ``intensity`` uses too. Runs
-hold at most ``PAIR_CHUNK`` pairs and write into output arrays allocated
-once at full size, so memory beyond the responsibilities stays bounded. For fitting,
-the same loop sums each run's pairs into the M-step's statistics while
-they are in hand (``estep_stats``), so no pair is visited twice.
-
-A second kernel, ``fast_estep``, computes the same sufficient
-statistics in O(N * P) for models whose delays are all exponential over
-at most ``FAST_MAX_LABELS`` mark patterns P, labels or distinct binary
-feature rows (Ozaki's recursion for exponential Hawkes likelihoods): per
-component and source pattern, prefix sums over blocks of whole tie
-groups, rebased on each block's first time, give every child's decayed
-parent count and its age-weighted companion at once. Untruncated, it is
-the fast engine; truncated, it subtracts the sums of the parents before
-each child's window. Every truncated E-step (the direct engine's
-training E-steps, held-out scores and the log likelihoods) picks its
-kernel in ``_estep_core``: the scan when it applies and visits fewer
-cells than there are candidate pairs, the pairwise E-step otherwise.
-Every log likelihood, and every E-step of a fit, is one ``_evaluate``
-call, which gives the statistics and the likelihood together.
+(``transitions``), which ``intensity`` uses too. The driver adds the
+kernels' sums to the baseline term, checks the total once, and has each
+kernel sum its statistics while the weights are in hand, so no pair is
+visited twice. ``e_step`` and ``estep_stats`` put every component on
+pairs, ``fast_estep`` on the scan. Every log likelihood and every
+E-step of a fit is one ``_evaluate`` call, which puts each component on
+the kernel that visits fewer cells for it, or, for the fast engine,
+every component on the untruncated scan.
 """
 
 from __future__ import annotations
@@ -62,6 +52,7 @@ from .transitions import MarkDistribution, TransitionSpec
 
 ZERO_CREDIT = 0.0  # component credit at or below this skips parameter updates
 PAIR_CHUNK = 1 << 18  # candidate pairs the pairwise E-step evaluates at once
+SCAN_MIN_PAIRS = 1 << 13  # a component with fewer candidate pairs stays on pairs
 FAST_MAX_LABELS = 256  # label count beyond which fast_estep does not apply
 EXP_LIMIT = 300.0  # largest rate * (time span) inside one fast_estep block
 
@@ -254,16 +245,16 @@ class Responsibilities:
 @dataclass
 class ComponentStats:
     """One component's E-step weights in the forms its families' updates
-    read: a weighted delay sample for ``delays.weighted_mle`` (every
-    candidate pair's delay and weight from the pairwise E-step, or from
-    fast_estep the one sample (sum z*dt / sum z, sum z), which has the
-    same exponential MLE), the transition's statistic in its family's
-    shape (see ``transitions``; None for identity, and on pairs when no
-    pair was weighed), and expected offspring per parent mark pattern
-    (``_mark_patterns``). The pairwise E-step sums the last two run by
-    run (``stats_from_pairs``), or from each child's total weight where
-    they read only the children (``stats_from_children``); fast_estep
-    reads them off the pattern weight table (``stats_from_patterns``)."""
+    read: a weighted delay sample for ``delays.weighted_mle`` (from the
+    pair kernel every candidate pair's delay and weight, from the scan
+    the one sample (sum z*dt / sum z, sum z), which has the same
+    exponential MLE), the transition's statistic in its family's shape
+    (see ``transitions``; None for identity, and on pairs when no pair
+    was weighed), and expected offspring per parent mark pattern
+    (``_mark_patterns``). The pair kernel sums the last two run by run
+    (``stats_from_pairs``), or from each child's total weight where they
+    read only the children (``stats_from_children``); the scan reads them
+    off its pattern weight table (``stats_from_patterns``)."""
 
     deltas: np.ndarray
     weights: np.ndarray
@@ -273,10 +264,10 @@ class ComponentStats:
 
 @dataclass
 class EStepStats:
-    """What m_step reads from an E-step, from either fast_estep or
-    estep_stats: the baseline's share of each event, the intensity at
-    each child event, and per-component statistics. Unlike
-    ``Responsibilities`` it keeps no parent ids."""
+    """What m_step reads from an E-step (estep_stats, fast_estep or a
+    fit's): the baseline's share of each event, the intensity at each
+    child event, and per-component statistics, each from the kernel its
+    component ran on. Unlike ``Responsibilities`` it keeps no parent ids."""
 
     z_base: np.ndarray
     intensity: np.ndarray
@@ -298,11 +289,11 @@ class EStepStats:
 @dataclass
 class FitReport:
     """What fit did. ``engine`` names what the training E-step computes:
-    "fast" is the untruncated scan (fast_estep), which engine="auto"
-    takes on label and composite marks whenever ``fast_applicable``;
-    "direct" is the E-step truncated at the model's ``truncation_mass``,
-    on whichever kernel visits fewer cells (``_estep_core``: the
-    truncated scan or the pairwise E-step)."""
+    "fast" is the untruncated scan for every component, which
+    engine="auto" takes on label and composite marks whenever
+    ``fast_applicable``; "direct" is the E-step truncated at the model's
+    ``truncation_mass``, with each component on the kernel that visits
+    fewer cells for it (``_on_scan``: the scan or the pairs)."""
 
     model: CascadeModel
     ll_trace: list[float]
@@ -488,141 +479,193 @@ def _kernel_factors(comp: KernelComponent, d: Dataset, kids: np.ndarray,
     return (np.full(kids.size, alpha) if g is None else alpha * g), None, pair
 
 
-def _estep_core(model: CascadeModel, d: Dataset, children: np.ndarray | None,
-                window: tuple[float, float] | None, want_resp: bool = False,
-                want_stats: bool = False, scan: bool = False):
-    """The truncated E-step: (out, intensity, child ids), where ``out`` is
-    the ``Responsibilities`` with ``want_resp``, the ``EStepStats`` with
-    ``want_stats`` (summed chunk by chunk, so no pair is visited twice)
-    and otherwise None.
-
-    The E-step runs on candidate pairs unless ``scan`` lets it choose the
-    truncated ``fast_estep``, which it takes when that is cheaper
-    (``_scan_is_cheaper``). ``out`` is then the scan's ``EStepStats``
-    whatever ``want_stats`` says.
-
-    On pairs, each component's kernel factors apart (``_kernel_factors``):
-    the pair loop evaluates the delay density and only those factors that
-    vary by parent, each child's sum of them is scaled by its child
-    factor, and a pair's weight is its value times (child factor /
-    intensity). Statistics that read only the children (the credits on
-    one mark pattern, a prior's ``stats_from_children``) are summed from
-    each child's total weight after the loop; the rest pair by pair."""
-    window = _resolve_window(d, window)
-    times = d.times
-    n = len(d)
-    kids = _child_ids(d, children, window)
-    kid_times = times[kids]
-    comps = model.components
-    pools = [_parent_pool(c, d) for c in comps]
-    pool_times = [times if c.sources is None else times[p] for c, p in zip(comps, pools)]
-    cutoffs = [delay_mod.tail_cutoff(c.delay, model.truncation_mass) for c in comps]
-
-    his = [np.searchsorted(pt, kid_times, side="left") for pt in pool_times]
+def _pair_window(comp: KernelComponent, d: Dataset, kid_times: np.ndarray, cut: float):
+    """Each child's candidate parents under comp: (pool, lo, cnt, starts),
+    the allowed parents (None when all may parent), the first candidate's
+    place among them, their count and the offset of its first pair."""
+    pool = None if comp.sources is None else _parent_pool(comp, d)
+    times = d.times if pool is None else d.times[pool]
     # an infinite cutoff searches for -inf, which lands on the first parent
-    los = [np.searchsorted(pt, kid_times - cut, side="left")
-           for pt, cut in zip(pool_times, cutoffs)]
-    # per component: each child's candidate count and the offset of its
-    # first pair among the pairs of all children
-    counts = [hi - lo for lo, hi in zip(los, his)]
-    starts = [np.concatenate(([0], np.cumsum(cnt))) for cnt in counts]
-    if scan and not want_resp and _scan_is_cheaper(model, d, kids, cutoffs,
-                                                   sum(int(st[-1]) for st in starts)):
-        stats = fast_estep(model, d, children, window, truncated=True)
-        return stats, stats.intensity, kids
+    lo = np.searchsorted(times, kid_times - cut, side="left")
+    cnt = np.searchsorted(times, kid_times, side="left") - lo
+    return pool, lo, cnt, np.concatenate(([0], np.cumsum(cnt)))
 
-    base_vals = model.baseline.rate_at(kid_times) * model.baseline.mark.probs_at(d, kids)
-    rows, pattern, n_patterns = _mark_patterns(d)
-    factors = [_kernel_factors(c, d, kids, rows, n_patterns) for c in comps]
 
-    lam = np.zeros(n, dtype=np.float64)
-    z_base = np.zeros(n, dtype=np.float64)
-    if want_resp or want_stats:
-        comp_z = [np.empty(st[-1], dtype=np.float64) for st in starts]
-    if want_resp:
-        comp_offsets = [np.zeros(n + 1, dtype=np.int64) for _ in comps]
-        for offsets, cnt in zip(comp_offsets, counts):
-            offsets[kids + 1] = cnt
-            np.cumsum(offsets, out=offsets)
-        comp_parents = [np.empty(st[-1], dtype=np.int64) for st in starts]
-    if want_stats:
-        deltas = [np.empty(st[-1], dtype=np.float64) for st in starts]
-        # each child's total weight per component, and the statistics
-        # summed pair by pair from the first run that has pairs
-        kid_z = [np.zeros(kids.size) for _ in comps]
-        pair_trans = [None for _ in comps]
-        pair_credits = [np.zeros(n_patterns) for _ in comps]
+class _Pairs:
+    """The pair kernel for components ``comps`` (model indices) over their
+    candidate windows (``_pair_window``), in runs of at most ``PAIR_CHUNK``
+    pairs (or one child with more) written into arrays allocated once at
+    full size. A run evaluates each component's delay density and only the
+    kernel factors that vary by parent (``_kernel_factors``); each child's
+    sum is scaled by its child factor, and a pair's weight is its value
+    times (child factor / intensity). Statistics that read only the children
+    (one pattern's credits, a prior's ``stats_from_children``) come from
+    each child's total weight at the end; the rest are summed pair by pair."""
 
-    # chunks are runs of whole children holding at most PAIR_CHUNK pairs
-    # over all components (or one child with more)
-    pair_ends = np.cumsum(sum(counts, np.zeros(kids.size, dtype=np.int64)))
-    s = 0
-    while s < kids.size:
-        done = int(pair_ends[s - 1]) if s else 0
-        e = max(int(np.searchsorted(pair_ends, done + PAIR_CHUNK, side="right")), s + 1)
-        total = base_vals[s:e].copy()
-        chunk = []
-        for c, comp in enumerate(comps):
-            p0, p1 = starts[c][s], starts[c][e]
+    def __init__(self, model: CascadeModel, d: Dataset, kids: np.ndarray, kid_times: np.ndarray,
+                 comps: list[int], windows: list, want: str | None):
+        self.d, self.kids, self.kid_times, self.comps, self.want = d, kids, kid_times, comps, want
+        self.specs = [model.components[c] for c in comps]
+        self.windows = [windows[c] for c in comps]
+        self.pair_ends = np.cumsum(sum((w[2] for w in self.windows),
+                                       np.zeros(kids.size, dtype=np.int64)))
+        rows, self.pattern, self.n_patterns = _mark_patterns(d)
+        self.factors = [_kernel_factors(c, d, kids, rows, self.n_patterns) for c in self.specs]
+        if want:
+            self.z = [np.empty(w[3][-1]) for w in self.windows]
+            # what each pair keeps beside its weight: its parent or its delay
+            self.keep = [np.empty(w[3][-1], np.int64 if want == "resp" else np.float64)
+                         for w in self.windows]
+            # each child's total weight, and the statistics summed pair by pair
+            self.kid_z = [np.zeros(kids.size) for _ in comps]
+            self.trans = [None for _ in comps]
+            self.credits = [np.zeros(self.n_patterns) for _ in comps]
+
+    def run_end(self, s: int) -> int:
+        done = int(self.pair_ends[s - 1]) if s else 0
+        return max(int(np.searchsorted(self.pair_ends, done + PAIR_CHUNK, side="right")), s + 1)
+
+    def intensity(self, s: int, e: int, sums: list) -> None:
+        """Put in sums[c] component c's kernel sum at each child of s:e,
+        for the components with pairs there."""
+        times, kids, kid_times = self.d.times, self.kids[s:e], self.kid_times[s:e]
+        self.run = []
+        for i, comp in enumerate(self.specs):
+            pool, lo, cnt, starts = self.windows[i]
+            p0, p1 = starts[s], starts[e]
             if p1 == p0:
                 continue
-            child, alpha, pair = factors[c]
-            cnt = counts[c][s:e]
-            at = np.arange(p0, p1) + np.repeat(los[c][s:e] - starts[c][s:e], cnt)
-            js = at if comp.sources is None else pools[c][at]
-            dt = deltas[c][p0:p1] if want_stats else None
-            dt = np.subtract(np.repeat(kid_times[s:e], cnt), times[js], out=dt)
+            child, alpha, pair = self.factors[i]
+            cnt = cnt[s:e]
+            at = np.arange(p0, p1) + np.repeat(lo[s:e] - starts[s:e], cnt)
+            js = at if pool is None else pool[at]
+            dt = self.keep[i][p0:p1] if self.want == "stats" else None
+            dt = np.subtract(np.repeat(kid_times, cnt), times[js], out=dt)
             # parents are strictly earlier, so every delay is positive
             vals = comp.delay.pdf(dt)
             ch = None
             if alpha is not None:
                 vals *= alpha[js]
             if pair is not None:
-                ch = np.repeat(kids[s:e], cnt)
+                ch = np.repeat(kids, cnt)
                 vals *= pair(ch, js)
-            sums = _child_sums(vals, cnt)
+            part = _child_sums(vals, cnt)
             if child is not None:
-                sums *= child[s:e]
-            total += sums
-            chunk.append((c, p0, p1, cnt, ch, js, vals, sums))
+                part *= child[s:e]
+            self.run.append((i, p0, p1, cnt, ch, js, vals, part))
+            sums[self.comps[i]] = part
+
+    def weigh(self, s: int, e: int, total: np.ndarray) -> None:
+        for i, p0, p1, cnt, ch, js, vals, sums in self.run:
+            child = self.factors[i][0]
+            scale = (1.0 if child is None else child[s:e]) / total
+            z = np.multiply(vals, np.repeat(scale, cnt), out=self.z[i][p0:p1])
+            if self.want == "resp":
+                self.keep[i][p0:p1] = js
+                continue
+            self.kid_z[i][s:e] = sums / total
+            trans = None if ch is None else self.specs[i].transition.stats_from_pairs(
+                self.d, ch, js, z)
+            if trans is not None:
+                self.trans[i] = trans if self.trans[i] is None else self.trans[i] + trans
+            if self.n_patterns != 1:
+                self.credits[i] = self.credits[i] + _pattern_credits(
+                    self.pattern, self.n_patterns, js, z)
+
+    def stats(self) -> dict[int, ComponentStats]:
+        return {c: ComponentStats(
+            self.keep[i], self.z[i],
+            (comp.transition.stats_from_children(self.d, self.kid_z[i], self.kids)
+             if self.factors[i][2] is None else self.trans[i]),
+            np.array([self.kid_z[i].sum()]) if self.n_patterns == 1 else self.credits[i])
+            for i, (c, comp) in enumerate(zip(self.comps, self.specs))}
+
+    def responsibilities(self, n: int) -> tuple[list, list, list]:
+        """Per component every event's pair offsets, the parents and the
+        weights."""
+        offsets = [np.zeros(n + 1, dtype=np.int64) for _ in self.comps]
+        for off, (_, _, cnt, _) in zip(offsets, self.windows):
+            off[self.kids + 1] = cnt
+            np.cumsum(off, out=off)
+        return offsets, self.keep, self.z
+
+
+def _on_scan(model: CascadeModel, d: Dataset, kids: np.ndarray, cutoffs: list[float],
+             windows: list | None, scan: bool | None) -> list[bool]:
+    """Which components run on the scan: all with ``scan`` True, none with
+    False. With None, each one the scan covers (``scan_applicable``) whose
+    candidate pairs, at least ``SCAN_MIN_PAIRS`` (the scan's set-up alone
+    costs about as much), outnumber its own walked cells: the events
+    walked for it alone (``_scan_events``, which hold every child) times
+    its walks (two when truncated) times the patterns."""
+    if scan is not None:
+        return [scan] * len(model.components)
+    choice = []
+    for comp, cut, (*_, starts) in zip(model.components, cutoffs, windows):
+        pairs = int(starts[-1])
+        if pairs < SCAN_MIN_PAIRS:  # settled before the patterns are counted
+            choice.append(False)
+            continue
+        per_event = (1 + (cut < np.inf)) * trans_mod.pattern_codes(d)[1]
+        choice.append(pairs > kids.size * per_event
+                      and scan_applicable(replace(model, components=(comp,)), d)
+                      and pairs > _scan_events([comp], d, kids, [cut]).size * per_event)
+    return choice
+
+
+def _estep(model: CascadeModel, d: Dataset, children: np.ndarray | None,
+           window: tuple[float, float] | None, scan: bool | None = None,
+           want: str | None = None, truncated: bool = True):
+    """The one E-step: (out, intensity, child ids), where ``out`` is the
+    ``Responsibilities`` with ``want="resp"`` (all on pairs), the
+    ``EStepStats`` with ``want="stats"`` and otherwise None. ``_on_scan``
+    puts each component on the pairs (``_Pairs``) or the scan
+    (``_Scan``); truncated, each drops the parents past its
+    ``delays.tail_cutoff``. The children go in runs that end where any
+    kernel's run does. Per run the kernels' sums at each child add to the
+    baseline term in component order, the total is checked once, and
+    each kernel weighs its components' causes by 1 / total."""
+    kids = _child_ids(d, children, _resolve_window(d, window))
+    kid_times = d.times[kids]
+    comps, n = model.components, len(d)
+    cutoffs = [delay_mod.tail_cutoff(c.delay, model.truncation_mass) if truncated else np.inf
+               for c in comps]
+    windows = None if scan else [_pair_window(c, d, kid_times, cut)
+                                 for c, cut in zip(comps, cutoffs)]
+    on_scan = _on_scan(model, d, kids, cutoffs, windows, scan)
+    paired = [c for c, on in enumerate(on_scan) if not on]
+    scanned = [c for c, on in enumerate(on_scan) if on]
+    kernels = [_Scan(model, d, kids, cutoffs, scanned)] if scanned else []
+    if paired or not scanned:
+        kernels.append(_Pairs(model, d, kids, kid_times, paired, windows, want))
+
+    base_vals = model.baseline.rate_at(kid_times) * model.baseline.mark.probs_at(d, kids)
+    lam, z_base = np.zeros(n), np.zeros(n)
+    s = 0
+    while s < kids.size:
+        e = min([k.run_end(s) for k in kernels])
+        sums = [None] * len(comps)
+        for k in kernels:
+            k.intensity(s, e, sums)
+        total = sum((part for part in sums if part is not None), base_vals[s:e])
         bad = ~((total > 0.0) & np.isfinite(total))
         if bad.any():
             i = kids[s + int(np.argmax(bad))]
             raise NumericalError(
-                f"event {int(i)} at t={times[i]!r} has zero intensity under every cause")
+                f"event {int(i)} at t={d.times[i]!r} has zero intensity under every cause")
         lam[kids[s:e]] = total
-        if want_resp or want_stats:
+        if want:
             z_base[kids[s:e]] = base_vals[s:e] / total
-            for c, p0, p1, cnt, ch, js, vals, sums in chunk:
-                child = factors[c][0]
-                scale = (1.0 if child is None else child[s:e]) / total
-                z = np.multiply(vals, np.repeat(scale, cnt), out=comp_z[c][p0:p1])
-                if want_resp:
-                    comp_parents[c][p0:p1] = js
-                if want_stats:
-                    kid_z[c][s:e] = sums / total
-                    if ch is not None:
-                        trans = comps[c].transition.stats_from_pairs(d, ch, js, z)
-                        if trans is not None:
-                            pair_trans[c] = (trans if pair_trans[c] is None
-                                             else pair_trans[c] + trans)
-                    if n_patterns != 1:
-                        pair_credits[c] = pair_credits[c] + _pattern_credits(
-                            pattern, n_patterns, js, z)
+            for k in kernels:
+                k.weigh(s, e, total)
         s = e
 
-    out = None
-    if want_resp:
-        out = Responsibilities(n, z_base, comp_offsets, comp_parents, comp_z)
-    elif want_stats:
-        out = EStepStats(z_base, lam, [
-            ComponentStats(deltas[c], comp_z[c],
-                           (comp.transition.stats_from_children(d, kid_z[c], kids)
-                            if factors[c][2] is None else pair_trans[c]),
-                           (np.array([kid_z[c].sum()]) if n_patterns == 1
-                            else pair_credits[c]))
-            for c, comp in enumerate(comps)])
-    return out, lam, kids
+    if want == "resp":
+        return Responsibilities(n, z_base, *kernels[-1].responsibilities(n)), lam, kids
+    if want == "stats":
+        stats = {c: cs for k in kernels for c, cs in k.stats().items()}
+        return EStepStats(z_base, lam, [stats[c] for c in range(len(comps))]), lam, kids
+    return None, lam, kids
 
 
 def e_step(model: CascadeModel, d: Dataset, children: np.ndarray | None = None,
@@ -636,7 +679,7 @@ def e_step(model: CascadeModel, d: Dataset, children: np.ndarray | None = None,
     under every cause.
     """
     validate_model(model, d.schema)
-    resp, _, _ = _estep_core(model, d, children, window, want_resp=True)
+    resp, _, _ = _estep(model, d, children, window, scan=False, want="resp")
     return resp
 
 
@@ -657,15 +700,11 @@ def _evaluate(model: CascadeModel, d: Dataset, children: np.ndarray | None,
     """The one E-step evaluation under ``model``: (statistics, log
     likelihood of the masked events in the window). With ``fast`` it is
     the untruncated scan, the fast engine; otherwise the truncated E-step
-    on the kernel that visits fewer cells (``_estep_core``), whose
-    statistics are None unless ``want_stats`` or the scan ran. Both
-    kernels raise on an event with zero intensity."""
-    if fast:
-        stats = fast_estep(model, d, children, window)
-        lam, kids = stats.intensity, _child_ids(d, children, _resolve_window(d, window))
-    else:
-        stats, lam, kids = _estep_core(model, d, children, window, want_stats=want_stats,
-                                       scan=True)
+    with each component on the kernel that visits fewer cells
+    (``_on_scan``). The statistics are None unless ``want_stats``. It
+    raises on an event with zero intensity."""
+    stats, lam, kids = _estep(model, d, children, window, scan=True if fast else None,
+                              want="stats" if want_stats else None, truncated=not fast)
     return stats, float(np.log(lam[kids]).sum()) - compensator(model, d, window)
 
 
@@ -697,6 +736,8 @@ def windowed_log_likelihood(model: CascadeModel, d: Dataset,
 def intensity(model: CascadeModel, history: Dataset, t: float, x: Mark) -> float:
     """Conditional intensity at (t, x) given the events of ``history``
     strictly before t (truncation windows applied)."""
+    if not (np.isfinite(t) and t >= 0):
+        raise DataError(f"query time t must be finite and nonnegative, got {t}")
     validate_model(model, history.schema)
     cutoffs = [delay_mod.tail_cutoff(c.delay, model.truncation_mass)
                for c in model.components]
@@ -725,7 +766,7 @@ def em_lower_bound(model: CascadeModel, d: Dataset, resp: Responsibilities,
     exactly when z came from e_step under this model.
     """
     _check_components(resp, model)
-    fresh, lam, kids = _estep_core(model, d, children, window, want_resp=True)
+    fresh, lam, kids = _estep(model, d, children, window, scan=False, want="resp")
     terms = [(resp.baseline[kids], fresh.baseline[kids] * lam[kids])]
     for c in range(len(model.components)):
         offsets = resp.comp_offsets[c]
@@ -760,7 +801,7 @@ def estep_stats(model: CascadeModel, d: Dataset, children: np.ndarray | None = N
     """The pairwise E-step, summed into the statistics m_step reads as it
     goes; no responsibilities are kept."""
     validate_model(model, d.schema)
-    stats, _, _ = _estep_core(model, d, children, window, want_stats=True)
+    stats, _, _ = _estep(model, d, children, window, scan=False, want="stats")
     return stats
 
 
@@ -926,25 +967,20 @@ class _DecayedSums:
                  rates: np.ndarray, n_codes: int, blocks, counting: bool):
         self.times, self.codes, self.sources, self.rates = times, codes, sources, rates
         self.n_codes, self.blocks, self.counting = n_codes, blocks, counting
-        self.D = np.zeros((rates.size, n_codes))
-        self.E = np.zeros((rates.size, n_codes))
-        self.N = np.zeros((rates.size, n_codes))
+        self.D, self.E, self.N = (np.zeros((rates.size, n_codes)) for _ in range(3))
         self.s = self.e = None
 
-    def next(self, lead: _DecayedSums | None = None, c: int = 0) -> bool:
-        """Move to the next block; False past the last. When ``lead``, a
-        walk over every component on the same blocks, stands at that
-        block, component c's sums are read from it, not built again."""
-        block = next(self.blocks, None)
-        if block is None:
-            return False
-        s, e = block
+    def next(self, lead: _DecayedSums | None = None, c: int = 0) -> None:
+        """Move to the next block. When ``lead``, a walk over more
+        components on the same blocks, stands at that block, these sums
+        are its component c's, read from it, not built again."""
+        s, e = next(self.blocks)
         if lead is not None and lead.s == s:
             self.s, self.e, self.t0, self.last = s, e, lead.t0, lead.last
             self.D, self.E, self.N = lead.D[c:c + 1], lead.E[c:c + 1], lead.N[c:c + 1]
             self.prefix, self.aged = lead.prefix[c:c + 1], lead.aged[c:c + 1]
             self.seen = lead.seen[c:c + 1]
-            return True
+            return
         rates = self.rates[:, None]
         t0 = self.times[s]
         if self.s is not None:
@@ -972,211 +1008,166 @@ class _DecayedSums:
         np.cumsum(np.diff(self.last)[None, :, None] * prefix[:, :-1], axis=1,
                   out=self.aged[:, 1:])
         self.prefix = prefix
-        return True
 
-    def at(self, h: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(D, E), each (components, len(t), patterns), at times t over
-        the events before s + h, for h in [0, e - s] and t no earlier
-        than t0 or the time of event s + h - 1."""
-        age = t - self.t0
-        decay = np.exp(-self.rates[:, None] * age)[:, :, None]
-        pk = np.take(self.prefix, h, axis=1)
-        E = age[:, None] * self.D[:, None]
-        E += self.E[:, None]
-        E += np.take(self.aged, h, axis=1)
-        E += (age - self.last[h])[:, None] * pk
-        E *= decay
-        pk += self.D[:, None]
-        pk *= decay
-        return pk, E
+    def gather(self, lo: np.ndarray, t: np.ndarray, lead: _DecayedSums | None = None,
+               c: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """(D, E, N), each (components, len(t), patterns), at times t
+        over the events before k = searchsorted(times, lo, "left"): the
+        sums at the first time t0 of k's block plus its prefixes at k,
+        decayed on to t (no earlier than t0 or event k - 1), and with
+        ``counting`` their count (else N is None). ``lo`` rises with t and
+        across calls, so the walk only moves forward; ``lead`` and c go to
+        ``next``."""
+        ks = np.searchsorted(self.times, lo, side="left")
+        parts, j = [], 0
+        while j < ks.size:
+            while self.e is None or ks[j] >= self.e:
+                self.next(lead, c)
+            j2 = int(np.searchsorted(ks, self.e, side="left"))
+            h, age = ks[j:j2] - self.s, t[j:j2] - self.t0
+            decay = np.exp(-self.rates[:, None] * age)[:, :, None]
+            pk = np.take(self.prefix, h, axis=1)
+            E = age[:, None] * self.D[:, None]
+            E += self.E[:, None]
+            E += np.take(self.aged, h, axis=1)
+            E += (age - self.last[h])[:, None] * pk
+            E *= decay
+            pk += self.D[:, None]
+            pk *= decay
+            parts.append((pk, E, self.N[:, None] + np.take(self.seen, h, axis=1)
+                          if self.counting else None))
+            j = j2
+        if len(parts) == 1:
+            return parts[0]
+        return tuple(None if x[0] is None else np.concatenate(x, axis=1) for x in zip(*parts))
 
-    def count(self, h: np.ndarray) -> np.ndarray:
-        """Parents before s + h per component and pattern, (components,
-        len(h), patterns); needs ``counting``."""
-        return self.N[:, None] + np.take(self.seen, h, axis=1)
 
-
-def _scan_events(model: CascadeModel, d: Dataset, kids: np.ndarray,
-                 cutoffs: list[float]) -> np.ndarray:
-    """The events the scan walks: from the first one inside some child's
-    truncation window to the last child, those that may parent under
-    some component or are children. Events that are neither never enter,
-    so the scan of a node's fit reads only the node's children and its
-    parent pools, as the pairwise E-step does."""
+def _scan_events(comps, d: Dataset, kids: np.ndarray, cutoffs: list[float]) -> np.ndarray:
+    """The events the scan of components ``comps`` walks: from the first
+    one inside some child's truncation window to the last child, those
+    that may parent under some of them or are children, so the scan of a
+    node's fit reads only its children and parent pools, as pairs do."""
     if not kids.size:
         return kids
     t = d.times[kids[0]] - max(cutoffs, default=0.0)
     start, end = int(np.searchsorted(d.times, t, side="left")), int(kids[-1]) + 1
-    if any(c.sources is None for c in model.components):
+    if any(c.sources is None for c in comps):
         return np.arange(start, end)
     keep = np.zeros(end - start, dtype=bool)
     keep[kids - start] = True
-    for c in model.components:
+    for c in comps:
         keep |= _source_mask(c, d)[start:end]
     return start + np.flatnonzero(keep)
 
 
-def _scan_is_cheaper(model: CascadeModel, d: Dataset, kids: np.ndarray,
-                     cutoffs: list[float], pairs: int) -> bool:
-    """True when the truncated scan covers the model (``scan_applicable``)
-    and visits fewer cells than the ``pairs`` candidate pairs: the events
-    it walks (``_scan_events``) times its walks (one per component and a
-    second per truncated component, to the starts of the windows) times
-    the mark patterns. The walk holds every child, which settles small
-    windows before the walked events are counted."""
-    if not kids.size:
-        return False
-    per_event = ((len(model.components) + sum(cut < np.inf for cut in cutoffs))
-                 * trans_mod.pattern_codes(d)[1])
-    return (pairs > kids.size * per_event and scan_applicable(model, d)
-            and pairs > _scan_events(model, d, kids, cutoffs).size * per_event)
+class _Scan:
+    """The scan kernel (Ozaki's recursion) for components ``comps``
+    (model indices), whose delays carry a decay rate, over at most
+    ``FAST_MAX_LABELS`` mark patterns: labels or distinct binary rows.
+
+    Per source pattern r, the decayed count D[r] = sum_j exp(-rate (t -
+    t_j)) over earlier parents j and its age-weighted companion E[r] =
+    sum_j (t - t_j) exp(-rate (t - t_j)) replace the parent pairs: the
+    kernel weight of (child pattern l, parent pattern r) is rate *
+    fertility(r) * g(l | r). The walked events (``_scan_events``) form
+    blocks of whole tie groups (``_scan_blocks``) of at most
+    ``PAIR_CHUNK`` cells, with rate * (time span) below ``EXP_LIMIT``, so
+    exponentials rebased on a block's first time cannot overflow. A run
+    never crosses a block; its children's sums are gathered over the
+    events before each child's time (``_DecayedSums.gather``), so
+    simultaneous events never explain each other. Truncated, a second
+    walk per component gathers the sums before each window the same way,
+    to subtract, clamped at 0 (and 0 for a pattern with no parent inside
+    the window, as its pairs give). The transition statistics and credits
+    come from the (child pattern, parent pattern) weight table; the delay
+    sample (sum z dt / sum z, sum z) has the pairs' exponential MLE."""
+
+    def __init__(self, model: CascadeModel, d: Dataset, kids: np.ndarray,
+                 cutoffs: list[float], comps: list[int]):
+        self.d, self.comps = d, comps
+        self.specs = [model.components[c] for c in comps]
+        # each truncated component's cutoff, by its index here
+        self.cut = {i: cutoffs[c] for i, c in enumerate(comps) if np.isfinite(cutoffs[c])}
+        codes, P = trans_mod.pattern_codes(d)
+        C = len(comps)
+        self.rows = _mark_patterns(d)[0]
+        rates = np.array([c.delay.decay_rate for c in self.specs])
+        # by_child[c, l, r]: delay rate * fertility(r) * g(l | r), read by child pattern l
+        self.by_child = np.array([c.delay.decay_rate * c.fertility.rates(self.rows, P)[None, :]
+                                  * c.transition.g_patterns(d).T
+                                  for c in self.specs]).reshape(C, P, P)
+        # the walk runs over the events of _scan_events, numbered from 0
+        walked = _scan_events(self.specs, d, kids, [cutoffs[c] for c in comps])
+        self.times, self.codes = d.times[walked], codes[walked]
+        sources = np.array([np.ones(walked.size) if comp.sources is None
+                            else _source_mask(comp, d)[walked] for comp in self.specs], float)
+        self.at_kid = np.searchsorted(walked, kids)
+        blocks = list(_scan_blocks(self.times, walked.size, max(1, PAIR_CHUNK // max(C * P, 1)),
+                                   EXP_LIMIT / rates.max() if rates.max() > 0 else np.inf))
+        # the children of each block end where the block does
+        self.ends = np.searchsorted(self.at_kid, [e for _, e in blocks], side="left")
+        self.head = _DecayedSums(self.times, self.codes, sources, rates, P, iter(blocks),
+                                 counting=bool(self.cut))
+        # per truncated component, the walk that gives the sums at window starts
+        self.trail = {i: _DecayedSums(self.times, self.codes, sources[i:i + 1],
+                                      rates[i:i + 1], P, iter(blocks), counting=True)
+                      for i in self.cut}
+        self.comp_z, self.comp_zdt = np.zeros(C), np.zeros(C)
+        self.counts = np.zeros((C, P, P))
+
+    def run_end(self, s: int) -> int:
+        return int(self.ends[np.searchsorted(self.ends, s, side="right")])
+
+    def intensity(self, s: int, e: int, sums: list) -> None:
+        kw = self.at_kid[s:e]
+        tk, self.lk = self.times[kw], self.codes[kw]
+        self.D, self.E, before = self.head.gather(tk, tk)
+        for i, cut in self.cut.items():
+            Dx, Ex, Nx = self.trail[i].gather(tk - cut, tk, self.head, i)
+            # a pattern with no parent inside the window gets exactly
+            # 0, where the subtraction would leave its rounding
+            inside = before[i] > Nx[0]
+            self.D[i] = np.where(inside, np.maximum(self.D[i] - Dx[0], 0.0), 0.0)
+            self.E[i] = np.where(inside, np.maximum(self.E[i] - Ex[0], 0.0), 0.0)
+        self.weights = np.take(self.by_child, self.lk, axis=1)
+        self.wsum = np.einsum("cnl,cnl->cn", self.weights, self.D)
+        for c, part in zip(self.comps, self.wsum):
+            sums[c] = part
+
+    def weigh(self, s: int, e: int, total: np.ndarray) -> None:
+        C, P = self.counts.shape[:2]
+        self.comp_z += (self.wsum / total).sum(axis=1)
+        self.comp_zdt += (np.einsum("cnl,cnl->cn", self.weights, self.E) / total).sum(axis=1)
+        # counts[c, l, r] sums D[r] / total over children of pattern l;
+        # the kernel weights by_child[c, l, r] multiply in at the end
+        cell = ((np.arange(C)[:, None] * P + self.lk) * P)[:, :, None] + np.arange(P)
+        self.counts += np.bincount(cell.ravel(), weights=(self.D / total[:, None]).ravel(),
+                                   minlength=C * P * P).reshape(C, P, P)
+
+    def stats(self) -> dict[int, ComponentStats]:
+        counts, z = self.counts * self.by_child, self.comp_z
+        # per component one delay sample; credits per parent mark pattern
+        mean_dt = np.divide(self.comp_zdt, z, out=np.zeros(z.size), where=z > 0)
+        return {c: ComponentStats(
+            deltas=mean_dt[i:i + 1], weights=z[i:i + 1],
+            transition=comp.transition.stats_from_patterns(self.d, counts[i].T),
+            credits=z[i:i + 1] if self.rows is None else counts[i].sum(axis=0))
+            for i, (c, comp) in enumerate(zip(self.comps, self.specs))}
 
 
 def fast_estep(model: CascadeModel, d: Dataset, children: np.ndarray | None = None,
                window: tuple[float, float] | None = None,
                truncated: bool = False) -> EStepStats:
-    """Exact E-step sufficient statistics from prefix sums over blocks.
-
-    For exponential delays the triggered intensity by source mark pattern
-    r (a label, or a distinct binary feature row) is a decayed count
-    D[r] = sum_j exp(-rate (t - t_j)) over earlier parents j of pattern
-    r, and the delay statistic needs its age-weighted companion E[r] =
-    sum_j (t - t_j) exp(-rate (t - t_j)). Both replace explicit parent
-    pairs: the kernel weight of (child pattern l, parent pattern r) is
-    rate * fertility(r) * g(l | r). Events are cut into blocks of whole
-    tie groups (``_scan_blocks``) holding at most ``PAIR_CHUNK`` cells
-    over components and patterns, with rate * (time span) below
-    ``EXP_LIMIT``, so ``exp(rate (t_j - t0))`` rebased on the block's
-    first time t0 cannot overflow. Inside a block, exclusive ``cumsum``
-    prefixes gathered at ``searchsorted(times, t, "left")`` give D and E
-    at every child at once, so simultaneous events never explain each
-    other (``_DecayedSums``).
-
-    Untruncated (the fast engine), this matches estep_stats with zero
-    tail mass. With ``truncated``, each component drops the parents
-    before k = searchsorted(times, t - cut, "left") for its
-    ``delays.tail_cutoff`` cut, as the pairwise E-step does. Their sums
-    at t are exp(-rate (t - t_k)) D_k and exp(-rate (t - t_k)) (E_k +
-    (t - t_k) D_k), from the sums (D_k, E_k) over them at t_k; a second
-    walk per component gathers these from the block holding k
-    (``_window_start_sums``), and they are subtracted, with rounding
-    below zero clamped to 0 and patterns with no parent inside the
-    window set to 0, as their pairs are. The walks then cover only the
-    events from the first one inside any child's window
-    (``_scan_events``). The transition statistics and per-pattern credits come from the (child
-    pattern, parent pattern) weight table; the delay sample is one
-    (sum z dt / sum z, sum z) per component, which has the same
-    exponential MLE as the pairs.
-    """
+    """Exact E-step statistics with every component on the scan
+    (``_Scan``), in O(N * P) for N events over P mark patterns; raises
+    ConfigError unless ``scan_applicable``. Untruncated (the fast engine),
+    this matches estep_stats with zero tail mass; with ``truncated``, it
+    drops the parents past each ``delays.tail_cutoff``, as pairs do."""
     validate_model(model, d.schema)
     if not scan_applicable(model, d):
         raise ConfigError("fast E-step needs exponential delays and at most "
                           f"{FAST_MAX_LABELS} mark patterns")
-    window = _resolve_window(d, window)
-    comps = model.components
-    codes, P = trans_mod.pattern_codes(d)
-    n, C = len(d), len(comps)
-    kids = _child_ids(d, children, window)
-    base = model.baseline.rate_at(d.times[kids]) * model.baseline.mark.probs_at(d, kids)
-    rates = np.array([c.delay.decay_rate for c in comps])
-    rows = d.feature_patterns[0] if isinstance(d.schema, BinarySchema) else None
-    # by_child[c, l, r]: delay rate * fertility(r) * g(l | r), read by child pattern l
-    by_child = np.array([c.delay.decay_rate * c.fertility.rates(rows, P)[None, :]
-                         * c.transition.g_patterns(d).T
-                         for c in comps]).reshape(C, P, P)
-    cutoffs = ([delay_mod.tail_cutoff(c.delay, model.truncation_mass) for c in comps]
-               if truncated else [np.inf] * C)
-    cut = [c for c in range(C) if np.isfinite(cutoffs[c])]
-    # the walk runs over the events of _scan_events, numbered from 0
-    walked = _scan_events(model, d, kids, cutoffs)
-    times, codes = d.times[walked], codes[walked]
-    sources = np.ones((C, walked.size))
-    for c, comp in enumerate(comps):
-        mask = _source_mask(comp, d)
-        if mask is not None:
-            sources[c] = mask[walked]
-    at_kid = np.searchsorted(walked, kids)
-
-    z_base, lam = np.zeros(n), np.zeros(n)
-    comp_z, comp_zdt = np.zeros(C), np.zeros(C)
-    counts = np.zeros((C, P, P))
-    top = rates.max() if C else 0.0
-
-    def blocks():
-        return _scan_blocks(times, walked.size, max(1, PAIR_CHUNK // max(C * P, 1)),
-                            EXP_LIMIT / top if top > 0 else np.inf)
-
-    lead = _DecayedSums(times, codes, sources, rates, P, blocks(), counting=bool(cut))
-    # per truncated component, the walk that gives the sums at window starts
-    trail = {c: _DecayedSums(times, codes, sources[c:c + 1], rates[c:c + 1], P, blocks(),
-                             counting=True)
-             for c in cut}
-    k0 = 0
-    while lead.next():
-        k1 = int(np.searchsorted(at_kid, lead.e, side="left"))
-        if k1 > k0:
-            kb, kw = kids[k0:k1], at_kid[k0:k1]
-            tk, lk = times[kw], codes[kw]
-            h = np.searchsorted(times[lead.s:lead.e], tk, side="left")
-            Dk, Ek = lead.at(h, tk)
-            if cut:
-                before = lead.count(h)
-            for c in cut:
-                Dx, Ex, Nx = _window_start_sums(trail[c], lead, c, times, tk - cutoffs[c], tk)
-                # a pattern with no parent inside the window gets exactly
-                # 0, where the subtraction would leave its rounding
-                inside = before[c] > Nx
-                Dk[c] = np.where(inside, np.maximum(Dk[c] - Dx, 0.0), 0.0)
-                Ek[c] = np.where(inside, np.maximum(Ek[c] - Ex, 0.0), 0.0)
-            weights = np.take(by_child, lk, axis=1)
-            wsum = np.einsum("cnl,cnl->cn", weights, Dk)
-            total = base[k0:k1] + wsum.sum(axis=0)
-            bad = ~((total > 0.0) & np.isfinite(total))
-            if bad.any():
-                k = int(kb[np.argmax(bad)])
-                raise NumericalError(
-                    f"event {k} at t={d.times[k]!r} has zero intensity under every cause")
-            lam[kb] = total
-            z_base[kb] = base[k0:k1] / total
-            comp_z += (wsum / total).sum(axis=1)
-            comp_zdt += (np.einsum("cnl,cnl->cn", weights, Ek) / total).sum(axis=1)
-            # counts[c, l, r] sums D[r] / total over children of pattern l;
-            # the kernel weights by_child[c, l, r] multiply in after the loop
-            cell = ((np.arange(C)[:, None] * P + lk) * P)[:, :, None] + np.arange(P)
-            counts += np.bincount(cell.ravel(), weights=(Dk / total[:, None]).ravel(),
-                                  minlength=C * P * P).reshape(C, P, P)
-        k0 = k1
-
-    counts *= by_child
-    # per component one delay sample; credits per parent mark pattern
-    mean_dt = np.divide(comp_zdt, comp_z, out=np.zeros(C), where=comp_z > 0)
-    return EStepStats(z_base, lam, [
-        ComponentStats(deltas=mean_dt[c:c + 1], weights=comp_z[c:c + 1],
-                       transition=comps[c].transition.stats_from_patterns(d, counts[c].T),
-                       credits=comp_z[c:c + 1] if rows is None else counts[c].sum(axis=0))
-        for c in range(C)])
-
-
-def _window_start_sums(walk: _DecayedSums, lead: _DecayedSums, c: int, times: np.ndarray,
-                       lo: np.ndarray,
-                       t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (D, E) of component c at times t over the events before
-    k = searchsorted(times, lo, "left"), and their count, each (len(t),
-    patterns): the block sums at k decayed on to t. ``lo`` rises with t,
-    so ``walk`` only moves forward, and it shares ``lead``'s block when
-    it reaches it."""
-    ks = np.searchsorted(times, lo, side="left")
-    D, E, N = (np.empty((ks.size, walk.n_codes)) for _ in range(3))
-    j = 0
-    while j < ks.size:
-        while walk.e is None or ks[j] >= walk.e:
-            walk.next(lead, c)
-        j2 = int(np.searchsorted(ks, walk.e, side="left"))
-        h = ks[j:j2] - walk.s
-        Dx, Ex = walk.at(h, t[j:j2])
-        D[j:j2], E[j:j2], N[j:j2] = Dx[0], Ex[0], walk.count(h)[0]
-        j = j2
-    return D, E, N
+    return _estep(model, d, children, window, scan=True, want="stats", truncated=truncated)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1209,11 +1200,10 @@ def fit(model: CascadeModel, d: Dataset, max_iters: int = 50, tol: float = 1e-6,
     on_decrease="warn", for shrinkage-driven fits that are not exact
     EM). ``heldout`` evaluates a fixed dataset, child mask and window
     after every iteration. ``engine`` is "direct", "fast", or "auto" to
-    use the fast engine whenever ``fast_applicable``. The direct engine
-    keeps only the statistics each E-step sums as it goes, never the
-    responsibilities, and on the pairwise kernel the E-steps of the last
-    allowed iteration, whose statistics no M-step reads, compute the
-    likelihood alone.
+    use the fast engine whenever ``fast_applicable``. Each E-step keeps
+    only the statistics it sums as it goes, never the responsibilities,
+    and those of the last allowed iteration, whose statistics no M-step
+    reads, compute the likelihood alone.
     """
     validate_model(model, d.schema)
     if max_iters < 0:

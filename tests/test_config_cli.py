@@ -641,6 +641,27 @@ def test_cli_exits_2_naming_malformed_numbers(tmp_path, capsys, command, conf, w
     assert where in capsys.readouterr().err
 
 
+def test_fit_exits_2_when_two_components_share_a_transition_file(tmp_path, capsys):
+    # "x:y" and "x_y" both map to transition_x_y.csv, where the last would win
+    data = tmp_path / "e.jsonl"
+    data.write_text(_DATA)
+    comp = LABEL_MODEL_CONF["components"][0]
+    conf = dict(LABEL_MODEL_CONF, components=[dict(comp, name="x:y"), dict(comp, name="x_y")])
+    path = _write(tmp_path / "conf.json", {"model": conf})
+    out = tmp_path / "o"
+    assert main(["fit", "--config", path, "--data", str(data), "--out", str(out)]) == 2
+    assert ("components 'x:y' and 'x_y' would both write transition_x_y.csv"
+            in capsys.readouterr().err)
+    assert not out.exists()  # refused before fitting
+    # names that stay apart still fit and write one file pair each
+    conf["components"][1]["name"] = "x_z"
+    path = _write(tmp_path / "conf.json", {"model": conf})
+    assert main(["fit", "--config", path, "--data", str(data), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.glob("transition_*")) == [
+        "transition_x_y.csv", "transition_x_y_logratio.csv",
+        "transition_x_z.csv", "transition_x_z_logratio.csv"]
+
+
 def _baseline(**fields):
     return {"baseline": dict(LABEL_MODEL_CONF["baseline"], **fields),
             "components": LABEL_MODEL_CONF["components"]}

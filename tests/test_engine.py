@@ -70,6 +70,13 @@ def test_intensity_hand_value():
     assert lam == pytest.approx(0.5 * 0.4 + 0.8 * 0.7 * math.exp(-1.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), float("-inf"), -1.0])
+def test_intensity_names_a_bad_query_time(t):
+    model, d = label_toy()
+    with pytest.raises(DataError, match=f"query time t must be finite and nonnegative, got {t}$"):
+        intensity(model, d, t, LabelMark(2))
+
+
 def test_log_likelihood_hand_value():
     model, d = label_toy()
     lam0 = 0.5 * 0.6
@@ -513,9 +520,9 @@ def test_whole_period_time_shift_changes_no_likelihood(marks, periodic, seed, k)
     assert np.array_equal(ds.times - shift, d.times)
     mask = np.arange(len(d)) % 3 > 0
     scans = []
-    core = engine.fast_estep
+    choose = engine._on_scan
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "fast_estep", lambda *a, **kw: scans.append(1) or core(*a, **kw))
+        mp.setattr(engine, "_on_scan", lambda *a: scans.append(choose(*a)) or scans[-1])
         for window in ((0.0, 64.0), (16.0, 48.0)):
             got = windowed_log_likelihood(model, ds, mask, (window[0] + shift,
                                                             window[1] + shift))
@@ -528,7 +535,7 @@ def test_whole_period_time_shift_changes_no_likelihood(marks, periodic, seed, k)
     assert got.iterations == ref.iterations == 4
     np.testing.assert_allclose(got.ll_trace, ref.ll_trace, rtol=1e-12, atol=0)
     # both kernels are covered: label marks on the scan, binary on pairs
-    assert bool(scans) == (marks == "label")
+    assert any(map(any, scans)) == (marks == "label")
 
 
 def _split_case(marks: str, delay, periodic: bool, seed: int):
@@ -571,14 +578,14 @@ def test_log_likelihood_is_additive_across_a_split(marks, delay, periodic, seed,
     model, d = _split_case(marks, delay, periodic, seed)
     head, tail = split(d, fraction)
     scans = []
-    core = engine.fast_estep
+    choose = engine._on_scan
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "fast_estep", lambda *a, **kw: scans.append(1) or core(*a, **kw))
+        mp.setattr(engine, "_on_scan", lambda *a: scans.append(choose(*a)) or scans[-1])
         whole = log_likelihood(model, d)
         parts = log_likelihood(model, head) + log_likelihood(model, tail, history=head)
     assert parts == pytest.approx(whole, rel=1e-9, abs=0)
     # exponential delays run on the scan, gamma delays on pairs
-    assert bool(scans) == isinstance(delay, ExponentialDelay)
+    assert any(map(any, scans)) == isinstance(delay, ExponentialDelay)
 
 
 def _relabeled(model: CascadeModel, perm: np.ndarray) -> CascadeModel:

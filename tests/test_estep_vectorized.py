@@ -186,8 +186,8 @@ def _assert_matches_reference(model, d, children=None, window=None, chunk=DEFAUL
     lam_ref, zb_ref, off_ref, par_ref, z_ref = _reference_estep(model, d, children, window)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "PAIR_CHUNK", chunk)
-        resp, lam, _ = engine._estep_core(model, d, children, window, want_resp=True)
-        _, lam_only, _ = engine._estep_core(model, d, children, window, want_resp=False)
+        resp, lam, _ = engine._estep(model, d, children, window, scan=False, want="resp")
+        _, lam_only, _ = engine._estep(model, d, children, window, scan=False)
     np.testing.assert_allclose(lam, lam_ref, rtol=1e-12, atol=0)
     np.testing.assert_allclose(resp.baseline, zb_ref, rtol=1e-12, atol=0)
     for c in range(len(model.components)):
@@ -361,7 +361,7 @@ def test_intensity_matches_the_estep(kind, truncation):
         model, d = _binary_model(truncation), _binary_data(seed=14)
     else:
         model, d = _composite_model(truncation), _composite_data(seed=15)
-    _, lam, kids = engine._estep_core(model, d, None, None, want_resp=False)
+    _, lam, kids = engine._estep(model, d, None, None, scan=False)
     evs = d.events
     got = [intensity(model, d, d.times[i], evs[i].mark) for i in kids]
     np.testing.assert_allclose(got, lam[kids], rtol=1e-12, atol=0)
@@ -384,7 +384,7 @@ def test_identity_on_wide_binary_marks():
                          GammaDelay(2.0, 1.0))))
     resp = _assert_matches_reference(model, d)
     assert sum(z.sum() for z in resp.comp_z) > 1.0  # identity pairs carry weight
-    _, lam, _ = engine._estep_core(model, d, None, None, want_resp=False)
+    _, lam, _ = engine._estep(model, d, None, None, scan=False)
     assert log_likelihood(model, d) == pytest.approx(
         np.log(lam).sum() - compensator(model, d), rel=1e-12)
 
@@ -407,7 +407,7 @@ def test_source_mask_matches_node_membership():
 def _run_chunked(chunk, model, d, children=None, window=None):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "PAIR_CHUNK", chunk)
-        return engine._estep_core(model, d, children, window, want_resp=True)
+        return engine._estep(model, d, children, window, scan=False, want="resp")
 
 
 def _assert_bitwise_equal(a, b):
@@ -497,14 +497,15 @@ def test_zero_intensity_under_a_prior_names_the_oracle_event(monkeypatch, chunk)
         _reference_estep(model, d, children=children)
     for want_stats in (False, True):
         with pytest.raises(NumericalError) as got:
-            engine._estep_core(model, d, children, None, want_stats=want_stats)
+            engine._estep(model, d, children, None, scan=False,
+                          want="stats" if want_stats else None)
         assert str(got.value) == str(expected.value)
         assert "event 5 " in str(got.value)
 
 
 def _reference_lower_bound(model, d, resp):
     """The per-child Jensen bound the vectorized one replaced."""
-    fresh, lam, kids = engine._estep_core(model, d, None, None, want_resp=True)
+    fresh, lam, kids = engine._estep(model, d, None, None, scan=False, want="resp")
     bound = 0.0
     for i in kids:
         z, k_base = resp.baseline[i], fresh.baseline[i] * lam[i]
@@ -551,7 +552,7 @@ def _assert_stats_match_oracle(model, d, children=None, window=None, chunk=DEFAU
     ``oracles.component_stats`` of e_step matches the oracle too."""
     ref = _reference_stats(model, d, children, window)
     resp = e_step(model, d, children, window)
-    _, lam, _ = engine._estep_core(model, d, children, window)
+    _, lam, _ = engine._estep(model, d, children, window, scan=False)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "PAIR_CHUNK", chunk)
         got = engine.estep_stats(model, d, children, window)
@@ -672,7 +673,7 @@ def _reference_fit(model, d, max_iters, tol, children=None, window=None):
     kids = engine._child_ids(d, children, window)
 
     def evaluate(m):
-        resp, lam, _ = engine._estep_core(m, d, children, window, want_resp=True)
+        resp, lam, _ = engine._estep(m, d, children, window, scan=False, want="resp")
         return (resp, lam), float(np.log(lam[kids]).sum()) - compensator(m, d, window)
 
     def reduce(m, state):
@@ -763,7 +764,7 @@ def test_direct_fit_matches_the_evaluate_reduce_loop(case, tol):
 
 def test_direct_fit_keeps_statistics_not_responsibilities(monkeypatch):
     built, refits, wants = [], [], []
-    m_step, core = engine.m_step, engine._estep_core
+    m_step, driver = engine.m_step, engine._estep
 
     class CountedResponsibilities(engine.Responsibilities):
         def __init__(self, *args):
@@ -778,11 +779,11 @@ def test_direct_fit_keeps_statistics_not_responsibilities(monkeypatch):
     assert len(built) > 7
     built[:] = []
 
-    def recorded_core(*args, want_stats=False, **kwargs):
-        wants.append(want_stats)
-        return core(*args, want_stats=want_stats, **kwargs)
+    def recorded_driver(*args, want=None, **kwargs):
+        wants.append(want == "stats")
+        return driver(*args, want=want, **kwargs)
 
-    monkeypatch.setattr(engine, "_estep_core", recorded_core)
+    monkeypatch.setattr(engine, "_estep", recorded_driver)
     report = fit(model, d, max_iters=6, tol=0.0, engine="direct")
     assert report.iterations == 6
     assert len(refits) > report.iterations  # the frozen-delay retry fired

@@ -3,13 +3,15 @@
 Untruncated, against ``_reference_fast_estep``, the ordered scan that
 ``fast_estep`` replaced: it walks the events one tie group at a time and
 decays per-label accumulators between groups. Truncated, against the
-pairwise E-step (``_estep_core`` with statistics) on label, composite
-and binary marks. The block scan sums the same terms in another order
+pairwise E-step (``_estep`` with every component on pairs) on label,
+composite and binary marks, with every component on the scan or each
+on either kernel. The block scan sums the same terms in another order
 and rebases each block's exponentials, so the statistics must agree to
 1e-12 relative, not bitwise. The last tests check which kernel the
-truncated E-steps choose.
+truncated E-steps choose for each component.
 """
 
+import itertools
 import tracemalloc
 from dataclasses import replace
 
@@ -20,15 +22,16 @@ from hypothesis import strategies as st
 
 from cascades import (BinaryMark, BinarySchema, CascadeModel, CategoricalMatrix,
                       CombinedFertility, ConstantFertility, Dataset, Event,
-                      ExponentialDelay, FeatureMixture, FeaturePrior, Graph,
+                      ExponentialDelay, FeatureMixture, FeaturePrior, GammaDelay, Graph,
                       HomogeneousBaseline, Hyperparams, IdentityTransition,
                       KernelComponent, LabelMark, LabelMarginal, LinearFertility,
                       MultiplicativeFertility, NumericalError, PeriodicBaseline,
                       PriorTransition, fast_estep, fit, fit_node, log_likelihood,
-                      simulate_graph)
+                      simulate, simulate_graph, split)
 from cascades import delays as delay_mod
 from cascades import engine
 from cascades import transitions as trans_mod
+from cascades.config import parse_model
 from cascades.engine import ComponentStats, EStepStats
 from cascades.events import CompositeMark, CompositeSchema, LabelSchema
 from cascades.graphs import local_data
@@ -348,14 +351,15 @@ def test_memory_is_bounded_by_the_block():
 
 
 def _pairwise(model, d, children=None, window=None):
-    stats, _, _ = engine._estep_core(model, d, children, window, want_stats=True)
+    stats, _, _ = engine._estep(model, d, children, window, scan=False, want="stats")
     return stats
 
 
 def _assert_close_to_pairs(model, d, got, ref, children=None, window=None):
     """Every statistic of the scan against the pairwise E-step's, to RTOL.
     The delay samples differ in form (one summary per component against
-    every pair), so their sums and the exponential refits are compared."""
+    every pair), so their sums and the exponential refits are compared
+    (for the components with exponential delays)."""
     for x, y in ((got.z_base, ref.z_base), (got.intensity, ref.intensity),
                  (got.comp_z, ref.comp_z), (got.comp_zdt, ref.comp_zdt)):
         np.testing.assert_allclose(x, y, rtol=RTOL, atol=0)
@@ -373,7 +377,7 @@ def _assert_close_to_pairs(model, d, got, ref, children=None, window=None):
         for x, y in ((a.transition, b.transition), (a.credits, b.credits)):
             if y is not None:
                 np.testing.assert_allclose(x, y, rtol=RTOL, atol=0)
-        if b.weights.sum() > 0:
+        if b.weights.sum() > 0 and comp.delay.decay_rate is not None:
             rates = [delay_mod.weighted_mle(comp.delay, s.deltas, s.weights).rate
                      for s in (a, b)]
             assert rates[0] == pytest.approx(rates[1], rel=RTOL, abs=0)
@@ -498,29 +502,62 @@ def test_window_starts_straddling_block_cuts():
     _assert_scan_matches_pairs(model, d)
 
 
+def _random_stream(seed, kind, grid):
+    """A label, composite or binary stream of up to 90 events on (0, 30],
+    a model of two or three exponential components for it, and the
+    generator that drew them, for what the caller draws next."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 90))
+    if kind == "label":
+        d = _label_data(_uniform_times(n, horizon=30.0, grid=grid, seed=seed), seed=seed)
+        return d, _label_model(rates=tuple(rng.uniform(0.05, 3.0, size=3))), rng
+    if kind == "composite":
+        return _composite_data(n, horizon=30.0, seed=seed), _composite_model(), rng
+    d = _binary_data(n, horizon=30.0, grid=grid or 1e-9, seed=seed)
+    fert = list(_FERTILITIES.values())[seed % 4]
+    return d, _binary_model(fert, list(_BINARY_TRANSITIONS.values())[seed % 3]), rng
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10_000), kind=st.sampled_from(["label", "composite", "binary"]),
        grid=st.sampled_from([None, 0.25, 1.0]), log_mass=st.floats(-12.0, -0.5),
        masked=st.booleans(), windowed=st.booleans())
 def test_truncated_scan_matches_pairs_on_random_streams(seed, kind, grid, log_mass,
                                                         masked, windowed):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 90))
-    if kind == "label":
-        d = _label_data(_uniform_times(n, horizon=30.0, grid=grid, seed=seed), seed=seed)
-        model = _label_model(rates=tuple(rng.uniform(0.05, 3.0, size=3)))
-    elif kind == "composite":
-        d, model = _composite_data(n, horizon=30.0, seed=seed), _composite_model()
-    else:
-        d = _binary_data(n, horizon=30.0, grid=grid or 1e-9, seed=seed)
-        fert = list(_FERTILITIES.values())[seed % 4]
-        model = _binary_model(fert, list(_BINARY_TRANSITIONS.values())[seed % 3])
+    d, model, rng = _random_stream(seed, kind, grid)
     model = replace(model, truncation_mass=10.0 ** log_mass)
     children = rng.random(len(d)) < 0.6 if masked else None
     window = (0.2 * d.horizon, 0.8 * d.horizon) if windowed else None
     ref = _pairwise(model, d, children, window)
     for size, limit in ((None, DEFAULT_LIMIT), (1, DEFAULT_LIMIT), (7, 1.0)):
         got = _blocked(size, limit, model, d, children, window, truncated=True)
+        _assert_close_to_pairs(model, d, got, ref, children, window)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), kind=st.sampled_from(["label", "composite", "binary"]),
+       grid=st.sampled_from([None, 0.25, 1.0]), log_mass=st.floats(-12.0, -0.5),
+       masked=st.booleans(), windowed=st.booleans(),
+       gamma=st.lists(st.booleans(), min_size=3, max_size=3))
+def test_every_kernel_assignment_matches_all_pairs(seed, kind, grid, log_mass, masked,
+                                                   windowed, gamma):
+    # engine equivalence: each exponential component on the scan or on
+    # pairs, in every combination, beside gamma components on pairs
+    d, model, rng = _random_stream(seed, kind, grid)
+    comps = tuple(replace(c, delay=GammaDelay(1.5, c.delay.rate)) if g else c
+                  for c, g in zip(model.components, gamma))
+    model = replace(model, components=comps, truncation_mass=10.0 ** log_mass)
+    children = rng.random(len(d)) < 0.6 if masked else None
+    window = (0.2 * d.horizon, 0.8 * d.horizon) if windowed else None
+    ref = _pairwise(model, d, children, window)
+    eligible = [c for c, comp in enumerate(comps) if comp.delay.decay_rate is not None]
+    for chosen in itertools.product([False, True], repeat=len(eligible)):
+        on_scan = [False] * len(comps)
+        for c, scan in zip(eligible, chosen):
+            on_scan[c] = scan
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_on_scan", lambda *a: list(on_scan))
+            got = engine._estep(model, d, children, window, want="stats")[0]
         _assert_close_to_pairs(model, d, got, ref, children, window)
 
 
@@ -549,10 +586,10 @@ def test_truncated_memory_is_bounded_by_the_block():
 # which kernel the truncated E-steps choose
 
 
-def _count_scans(monkeypatch) -> list:
-    calls, scan = [], engine.fast_estep
-    monkeypatch.setattr(engine, "fast_estep",
-                        lambda *a, **k: calls.append(k.get("truncated")) or scan(*a, **k))
+def _record_kernels(monkeypatch) -> list:
+    """Each E-step's kernel per component, True for the scan."""
+    calls, choose = [], engine._on_scan
+    monkeypatch.setattr(engine, "_on_scan", lambda *a: calls.append(choose(*a)) or calls[-1])
     return calls
 
 
@@ -567,7 +604,7 @@ def test_graph_ring_node_windows_stay_pairwise(monkeypatch):
     d, _ = simulate_graph(g, 40.0, 1, type_marginal=(1 / L,) * L, base_rate=0.25,
                           self_rate=0.2, neighbor_rate=0.15,
                           transition=CategoricalMatrix(rows), delay=ExponentialDelay(1.0))
-    calls = _count_scans(monkeypatch)
+    calls = _record_kernels(monkeypatch)
     hyper = Hyperparams.uniform(L)
     sizes = []
     for v in names:
@@ -575,7 +612,7 @@ def test_graph_ring_node_windows_stay_pairwise(monkeypatch):
         sizes.append(len(dv))
         fit_node(g, dv, v, "shared_transition", hyper, 10.0, max_iters=4)
     assert 40 < np.median(sizes) < 90
-    assert calls == []
+    assert calls and not any(map(any, calls))
 
 
 def test_long_dense_windows_take_the_scan(monkeypatch):
@@ -591,13 +628,59 @@ def test_long_dense_windows_take_the_scan(monkeypatch):
     model = CascadeModel(HomogeneousBaseline(0.7, _PRIOR), (KernelComponent(
         "k", _FERTILITIES["multiplicative"], _BINARY_TRANSITIONS["feature_mixture"],
         ExponentialDelay(0.6)),))
-    calls = _count_scans(monkeypatch)
+    calls = _record_kernels(monkeypatch)
     report = fit(model, d, max_iters=3, tol=0.0, engine="direct")
-    assert report.engine == "direct" and calls == [True] * 4
+    assert report.engine == "direct" and calls == [[True]] * 4
     ll = log_likelihood(report.model, d)
-    assert len(calls) == 5
-    monkeypatch.setattr(engine, "scan_applicable", lambda model, d: False)
+    assert calls == [[True]] * 5
+    monkeypatch.setattr(engine, "FAST_MAX_LABELS", 0)  # no component qualifies
     assert log_likelihood(report.model, d) == pytest.approx(ll, rel=RTOL, abs=0)
     pairwise = fit(model, d, max_iters=3, tol=0.0, engine="direct")
-    assert len(calls) == 5
+    assert calls[5:] == [[False]] * 5
     np.testing.assert_allclose(report.ll_trace, pairwise.ll_trace, rtol=1e-10, atol=0)
+
+
+def test_compare_gamma_entry_scans_its_exponential_component(monkeypatch):
+    # the benchmark's labels-long stream at seed 1 and the gamma model its
+    # compare fits on the training split: "fast" has tens of candidate
+    # parents per child, "slow" hundreds, but only "fast" may scan
+    cat4 = [[0.55 if r == c else 0.15 for c in range(4)] for r in range(4)]
+    truth = parse_model({
+        "baseline": {"kind": "homogeneous", "rate": 0.8,
+                     "mark": {"kind": "labels", "probs": [0.4, 0.3, 0.2, 0.1]}},
+        "components": [
+            {"name": "fast", "fertility": {"kind": "constant", "rate": 0.35},
+             "transition": {"kind": "categorical", "matrix": cat4},
+             "delay": {"kind": "exponential", "rate": 1.0}},
+            {"name": "slow", "fertility": {"kind": "constant", "rate": 0.25},
+             "transition": {"kind": "prior",
+                            "mark": {"kind": "labels", "probs": [0.1, 0.2, 0.3, 0.4]}},
+             "delay": {"kind": "exponential", "rate": 0.05}}]})
+    train, _ = split(simulate(truth, 5000.0, seed=1)[0], 0.8)
+    model = parse_model({
+        "baseline": {"kind": "homogeneous", "rate": 0.5, "mark": {"kind": "empirical"}},
+        "components": [
+            {"name": "fast", "fertility": {"kind": "constant", "rate": 0.2},
+             "transition": {"kind": "categorical", "matrix": [[0.25] * 4] * 4},
+             "delay": {"kind": "exponential", "rate": 0.8}},
+            {"name": "slow", "fertility": {"kind": "constant", "rate": 0.2},
+             "transition": {"kind": "prior", "mark": {"kind": "empirical"}},
+             "delay": {"kind": "gamma", "shape": 2.0, "rate": 0.1}}]}, data=train)
+    assert len(train) > 7000
+    calls = _record_kernels(monkeypatch)
+    report = fit(model, train, max_iters=1, tol=0.0)
+    assert report.engine == "direct" and report.iterations == 1
+    assert len(calls) >= 2 and all(c == [True, False] for c in calls)
+
+
+def test_few_pairs_stay_on_pairs(monkeypatch):
+    # about 3,000 candidate pairs against 480 walked cells: fewer cells,
+    # but fewer pairs than the scan's set-up costs
+    d = _label_data(_uniform_times(n=80, horizon=40.0, seed=20), seed=20)
+    model = CascadeModel(HomogeneousBaseline(0.5, LabelMarginal((0.3, 0.3, 0.4))), (
+        KernelComponent("k", ConstantFertility(0.3), _CAT3, ExponentialDelay(0.3)),))
+    calls = _record_kernels(monkeypatch)
+    ll = log_likelihood(model, d)
+    monkeypatch.setattr(engine, "SCAN_MIN_PAIRS", 0)
+    assert log_likelihood(model, d) == pytest.approx(ll, rel=RTOL, abs=0)
+    assert calls == [[False], [True]]

@@ -641,9 +641,8 @@ def test_per_neighbor_fit_matches_the_two_estep_loop(delay, pool_weight):
 
 def test_per_neighbor_fit_makes_one_estep_per_iteration(monkeypatch):
     calls = []
-    core = engine._estep_core
-    monkeypatch.setattr(engine, "_estep_core",
-                        lambda *a, **kw: calls.append(1) or core(*a, **kw))
+    choose = engine._on_scan
+    monkeypatch.setattr(engine, "_on_scan", lambda *a: calls.append(choose(*a)) or calls[-1])
     g, d, v, window = per_neighbor_cases()[0]
     model, _ = node_model(g, d, v, "per_neighbor", Hyperparams.uniform(3), 1.0,
                           ExponentialDelay(1.0), window)
