@@ -197,18 +197,24 @@ def cmd_compare(args) -> int:
     models_conf = conf["models"]
     if not isinstance(models_conf, dict) or not models_conf:
         raise ConfigError("models: expected a nonempty object of named models")
+    named: dict = {}  # each model's file stem, checked before any fit
+    for name in models_conf:
+        safe = name.replace("/", "_")
+        if safe in named:
+            raise ConfigError(f"models {named[safe]!r} and {name!r} would both write "
+                              f"model_{safe}.json")
+        named[safe] = name
     d = _load_events(args.data)
     train, test, merged = _split_data(d, args, conf)
     opts = _em_options(conf, args)
     os.makedirs(args.out, exist_ok=True)
     rows = []
-    for name, model_conf in models_conf.items():
-        model = cfg.parse_model(model_conf, f"models.{name}", data=train)
+    for safe, name in named.items():
+        model = cfg.parse_model(models_conf[name], f"models.{name}", data=train)
         report, test_ll = _fit_one(model, train, test, merged, opts)
         rows.append([name, float(report.ll_trace[-1]),
                      float(test_ll) if test_ll is not None else "",
                      report.iterations, report.converged, report.engine])
-        safe = name.replace("/", "_")
         _write_json(os.path.join(args.out, f"model_{safe}.json"),
                     cfg.serialize_model(report.model))
         print(f"{name}: train LL {report.ll_trace[-1]:.4f}"

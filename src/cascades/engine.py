@@ -45,8 +45,7 @@ from . import fertility as fert_mod
 from . import transitions as trans_mod
 from .delays import DelaySpec
 from .errors import ConfigError, DataError, NumericalError
-from .events import (BinarySchema, CompositeSchema, Dataset, Mark, MarkSchema,
-                     label_count)
+from .events import CompositeSchema, Dataset, Mark, MarkSchema
 from .fertility import FertilitySpec
 from .transitions import MarkDistribution, TransitionSpec
 
@@ -250,11 +249,11 @@ class ComponentStats:
     the one sample (sum z*dt / sum z, sum z), which has the same
     exponential MLE), the transition's statistic in its family's shape
     (see ``transitions``; None for identity, and on pairs when no pair
-    was weighed), and expected offspring per parent mark pattern
-    (``_mark_patterns``). The pair kernel sums the last two run by run
-    (``stats_from_pairs``), or from each child's total weight where they
-    read only the children (``stats_from_children``); the scan reads them
-    off its pattern weight table (``stats_from_patterns``)."""
+    was weighed), and expected offspring per parent mark pattern (the
+    schema's ``fertility_patterns``). The pair kernel sums the last two
+    run by run (``stats_from_pairs``), or from each child's total weight
+    where they read only the children (``stats_from_children``); the scan
+    reads them off its pattern weight table (``stats_from_patterns``)."""
 
     deltas: np.ndarray
     weights: np.ndarray
@@ -345,11 +344,6 @@ def baseline_integral(baseline: BaselineSpec, a: float, b: float) -> float:
     return 0.0 if b <= a else baseline.integral(a, b)
 
 
-def _fertility_matrix(model: CascadeModel, d: Dataset) -> list[np.ndarray]:
-    X = d.feature_matrix if isinstance(d.schema, BinarySchema) else None
-    return [c.fertility.rates(X, len(d)) for c in model.components]
-
-
 def _source_entry(comp: KernelComponent, d: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """The (mask, indices) of the events at the component's source nodes,
     cached on the dataset per source tuple and read-only."""
@@ -394,16 +388,6 @@ def _window_exposure(comp: KernelComponent, delay: DelaySpec, d: Dataset,
         pool.flags.writeable = mass.flags.writeable = False
         entry = d.window_exposures[key] = (delay, pool, mass)
     return entry[1], entry[2]
-
-
-def _mark_patterns(d: Dataset) -> tuple[np.ndarray | None, np.ndarray, int]:
-    """Parent mark patterns that fertility can tell apart (distinct feature
-    rows, or one pattern, given as None, for other marks), each event's
-    pattern index and the pattern count."""
-    if isinstance(d.schema, BinarySchema):
-        rows, index = d.feature_patterns
-        return rows, index, len(rows)
-    return None, np.zeros(len(d), dtype=np.int64), 1
 
 
 def _check_components(resp: Responsibilities | EStepStats, model: CascadeModel) -> None:
@@ -466,7 +450,7 @@ def _kernel_factors(comp: KernelComponent, d: Dataset, kids: np.ndarray,
     what each factor reads, as (child, alpha, pair). ``child`` is one
     factor per child at ``kids``, or None: the fertility when it has one
     value, which it has whenever the data have one parent mark pattern
-    (``_mark_patterns``: every label and composite schema), times a
+    (``fertility_patterns``: every label and composite schema), times a
     prior's g(child). ``alpha`` is the fertility per event when it may
     vary by parent, and ``pair`` the ``g_pairs`` of a transition that
     reads the parent's mark; None otherwise. The choice reads only the
@@ -509,7 +493,7 @@ class _Pairs:
         self.windows = [windows[c] for c in comps]
         self.pair_ends = np.cumsum(sum((w[2] for w in self.windows),
                                        np.zeros(kids.size, dtype=np.int64)))
-        rows, self.pattern, self.n_patterns = _mark_patterns(d)
+        rows, self.pattern, self.n_patterns = d.schema.fertility_patterns(d)
         self.factors = [_kernel_factors(c, d, kids, rows, self.n_patterns) for c in self.specs]
         if want:
             self.z = [np.empty(w[3][-1]) for w in self.windows]
@@ -606,7 +590,7 @@ def _on_scan(model: CascadeModel, d: Dataset, kids: np.ndarray, cutoffs: list[fl
         if pairs < SCAN_MIN_PAIRS:  # settled before the patterns are counted
             choice.append(False)
             continue
-        per_event = (1 + (cut < np.inf)) * trans_mod.pattern_codes(d)[1]
+        per_event = (1 + (cut < np.inf)) * d.schema.pattern_codes(d)[1]
         choice.append(pairs > kids.size * per_event
                       and scan_applicable(replace(model, components=(comp,)), d)
                       and pairs > _scan_events([comp], d, kids, [cut]).size * per_event)
@@ -687,10 +671,10 @@ def compensator(model: CascadeModel, d: Dataset,
                 window: tuple[float, float] | None = None) -> float:
     """Expected event count over the window given the realized history."""
     a, b = _resolve_window(d, window)
-    total = baseline_integral(model.baseline, a, b)
-    for alpha, comp in zip(_fertility_matrix(model, d), model.components):
+    total, X = baseline_integral(model.baseline, a, b), d.schema.fertility_features(d)
+    for comp in model.components:
         pool, mass = _window_exposure(comp, comp.delay, d, a, b)
-        total += float(np.dot(alpha[pool], mass))
+        total += float(np.dot(comp.fertility.rates(X, len(d))[pool], mass))
     return float(total)
 
 
@@ -747,7 +731,8 @@ def intensity(model: CascadeModel, history: Dataset, t: float, x: Mark) -> float
     q = len(d) - 1
     total = float(model.baseline.rate_at(d.times[q:])[0]
                   * model.baseline.mark.probs_at(d, np.array([q]))[0])
-    for alpha, comp, cut in zip(_fertility_matrix(model, d), model.components, cutoffs):
+    for comp, cut in zip(model.components, cutoffs):
+        alpha = comp.fertility.rates(d.schema.fertility_features(d), len(d))
         pool = _parent_pool(comp, d)
         js = pool[np.searchsorted(d.times[pool], t - cut, side="left"):]
         js = js[js < q]  # strictly before t, so every delay is positive
@@ -809,7 +794,7 @@ def expected_transition_counts(model: CascadeModel, d: Dataset,
                                resp: Responsibilities) -> list[np.ndarray | None]:
     """Per-component z-weighted (parent label, child label) count matrices
     for label-like schemas; None entries for feature-marked components."""
-    if label_count(d.schema) is None:
+    if d.schema.label_count is None:
         return [None for _ in model.components]
     return [trans_mod.label_pair_table(d, *_pair_arrays(resp, c))
             for c in range(len(model.components))]
@@ -879,7 +864,7 @@ def m_step(model: CascadeModel, d: Dataset, estep: EStepStats,
                 new_transitions[ci] = fitted
 
     # fertilities under the new delays, one row per parent mark pattern
-    rows, pattern, n_patterns = _mark_patterns(d)
+    rows, pattern, n_patterns = d.schema.fertility_patterns(d)
     new_ferts: list[FertilitySpec] = []
     for ci, comp in enumerate(comps):
         pool, exposure = _window_exposure(comp, new_delays[ci], d, a, b)
@@ -927,13 +912,13 @@ def scan_applicable(model: CascadeModel, d: Dataset) -> bool:
     Fertilities become per-pattern factors and transitions pattern
     tables, so every family of those qualifies."""
     return (all(c.delay.decay_rate is not None for c in model.components)
-            and trans_mod.pattern_codes(d)[1] <= FAST_MAX_LABELS)
+            and d.schema.pattern_codes(d)[1] <= FAST_MAX_LABELS)
 
 
 def fast_applicable(model: CascadeModel, d: Dataset) -> bool:
     """True when the fast engine, the untruncated scan, fits this model:
     label or composite marks and ``scan_applicable``."""
-    return label_count(d.schema) is not None and scan_applicable(model, d)
+    return d.schema.label_count is not None and scan_applicable(model, d)
 
 
 def _scan_blocks(times: np.ndarray, n: int, max_events: int, span: float):
@@ -1088,9 +1073,9 @@ class _Scan:
         self.specs = [model.components[c] for c in comps]
         # each truncated component's cutoff, by its index here
         self.cut = {i: cutoffs[c] for i, c in enumerate(comps) if np.isfinite(cutoffs[c])}
-        codes, P = trans_mod.pattern_codes(d)
+        codes, P = d.schema.pattern_codes(d)
         C = len(comps)
-        self.rows = _mark_patterns(d)[0]
+        self.rows = d.schema.fertility_patterns(d)[0]
         rates = np.array([c.delay.decay_rate for c in self.specs])
         # by_child[c, l, r]: delay rate * fertility(r) * g(l | r), read by child pattern l
         self.by_child = np.array([c.delay.decay_rate * c.fertility.rates(self.rows, P)[None, :]
@@ -1177,7 +1162,8 @@ def fast_estep(model: CascadeModel, d: Dataset, children: np.ndarray | None = No
 def _component_shares(model: CascadeModel, d: Dataset) -> list[float]:
     if not model.components or not len(d):
         return [0.0 for _ in model.components]
-    means = [float(v.mean()) for v in _fertility_matrix(model, d)]
+    means = [float(c.fertility.rates(d.schema.fertility_features(d), len(d)).mean())
+             for c in model.components]
     total = sum(means)
     if total <= 0:
         return [0.0 for _ in model.components]

@@ -3,9 +3,12 @@
 An event is a timestamp plus a mark. Three mark families are supported:
 binary feature vectors (fixed width, named features), categorical labels
 (integers 1..L), and composite (type, node) pairs used for graph data.
-A Dataset stores a time-sorted stream over a window (start, horizon] as
-numpy columns, checked once where they enter; ``Event`` objects are a
-view built from the columns, for I/O and the public API.
+Each schema class alone knows how its marks are stored: as codes, a
+uint8 feature row or a zero-based label (a composite's type) index. It
+reads, checks and writes them, and answers the engine's and transitions'
+questions about mark patterns. A Dataset stores a time-sorted stream
+over a window (start, horizon] as numpy columns, checked once where they
+enter; ``Event`` and ``Mark`` objects are a view for the public API.
 """
 
 from __future__ import annotations
@@ -22,47 +25,6 @@ from typing import Iterable, Union
 import numpy as np
 
 from .errors import DataError
-
-
-@dataclass(frozen=True)
-class BinarySchema:
-    """Marks are fixed-width binary feature vectors over named features."""
-
-    features: tuple[str, ...]
-
-    @property
-    def width(self) -> int:
-        return len(self.features)
-
-
-@dataclass(frozen=True)
-class LabelSchema:
-    """Marks are categorical labels in 1..n_labels."""
-
-    n_labels: int
-
-
-@dataclass(frozen=True)
-class CompositeSchema:
-    """Marks pair a categorical type (1..n_types) with a node id string.
-
-    If ``nodes`` is given, every event's node must belong to it.
-    """
-
-    n_types: int
-    nodes: frozenset[str] | None = None
-
-
-MarkSchema = Union[BinarySchema, LabelSchema, CompositeSchema]
-
-
-def label_count(schema: MarkSchema) -> int | None:
-    """Labels (or composite types) of a label-like schema; None for binary."""
-    if isinstance(schema, LabelSchema):
-        return schema.n_labels
-    if isinstance(schema, CompositeSchema):
-        return schema.n_types
-    return None
 
 
 @dataclass(frozen=True)
@@ -93,38 +55,244 @@ class Event:
     id: int = -1
 
 
-def _value_columns(values: list, schema: MarkSchema) -> dict:
-    """Mark columns of per-event values: bit rows (an entry other than 0
-    or 1 is stored as 2), labels, or (type, node) pairs. Label codes stay
-    Python ints until ``_check_rows`` has range-checked them."""
-    if isinstance(schema, BinarySchema):
-        bits = np.array(values, dtype=object).reshape(len(values), schema.width)
-        return {"feature_matrix": np.select([bits == 0, bits == 1], [0, 1], 2).astype(np.uint8)}
-    if isinstance(schema, LabelSchema):
-        return {"label_index": np.array(values, dtype=object) - 1}
-    types, nodes = zip(*values) if values else ((), ())
-    return {"label_index": np.array(types, dtype=object) - 1,
-            "node_ids": np.array(nodes, dtype=object)}
+# Each schema's ``read_records`` takes the (line, object) records in file
+# order and checks each in the same order: the time and key checks of
+# ``_record_time`` (its common case, a float time and no stray key, is
+# tested inline), the mark fields, then ``0 <= t <= limit``. It returns
+# the times and the mark columns in file order. The first failing record
+# raises at path:line.
 
 
-def _mark_columns(marks: list, schema: MarkSchema) -> tuple[dict, tuple]:
-    """Mark columns of Mark objects, and (mask, message) of the marks of the
-    wrong kind or binary width for the schema, which get placeholder values."""
-    if isinstance(schema, BinarySchema):
-        wrong = [not isinstance(m, BinaryMark) or len(m.bits) != schema.width for m in marks]
-        values = [(0,) * schema.width if bad else m.bits for m, bad in zip(marks, wrong)]
-        error = f"mark does not match binary schema of width {schema.width}"
-    elif isinstance(schema, LabelSchema):
+@dataclass(frozen=True)
+class BinarySchema:
+    """Marks are fixed-width binary feature vectors over named features,
+    stored as the uint8 rows of ``feature_matrix``; each distinct row is a
+    mark pattern, for transitions and fertility alike."""
+
+    features: tuple[str, ...]
+
+    label_count = None
+
+    @property
+    def width(self) -> int:
+        return len(self.features)
+
+    def header(self) -> dict:
+        return {"features": list(self.features)}
+
+    def read_records(self, records: Iterable, path: str, limit: float) -> tuple[list, dict]:
+        """Active feature indices, scattered into a uint8 matrix at the end."""
+        keys, width, no_indices = frozenset(("t", "x")), self.width, []
+        times: list[float] = []
+        active: list[int] = []
+        counts: list[int] = []
+        for lineno, obj in records:
+            t = obj.get("t")
+            if type(t) is not float or not obj.keys() <= keys:
+                t = _record_time(obj, keys, f"{path}:{lineno}")
+            x = obj.get("x", no_indices)
+            if type(x) is not list:
+                raise DataError(f"{path}:{lineno}: \"x\" must be a list of feature indices")
+            for idx in x:
+                if type(idx) is not int or not 0 <= idx < width:
+                    raise DataError(f"{path}:{lineno}: feature index {idx!r} outside "
+                                    f"0..{width - 1}")
+            if not 0.0 <= t <= limit:
+                raise _time_error(t, limit, f"{path}:{lineno}")
+            times.append(t)
+            active += x
+            counts.append(len(x))
+        bits = np.zeros((len(times), width), dtype=np.uint8)
+        bits[np.repeat(np.arange(len(times)), np.array(counts, dtype=np.int64)),
+             np.array(active, dtype=np.int64)] = 1
+        return times, {"feature_matrix": bits}
+
+    def code_columns(self, codes) -> dict:
+        return {"feature_matrix": np.asarray(codes, np.uint8).reshape(len(codes), self.width)}
+
+    def mark_columns(self, marks: list) -> tuple[dict, tuple]:
+        """The columns of Mark objects (an entry other than 0 or 1 stored as
+        2), and (mask, message) of the marks of the wrong kind or width."""
+        wrong = [not isinstance(m, BinaryMark) or len(m.bits) != self.width for m in marks]
+        bits = np.array([(0,) * self.width if bad else m.bits for m, bad in zip(marks, wrong)],
+                        dtype=object).reshape(len(marks), self.width)
+        return (self.code_columns(np.select([bits == 0, bits == 1], [0, 1], 2)),
+                (np.array(wrong, dtype=bool),
+                 f"mark does not match binary schema of width {self.width}"))
+
+    def value_checks(self, cols: dict, first: int) -> list:
+        """(mask, message of row i) of each value check on rows ``first:``."""
+        return [((cols["feature_matrix"][first:] > 1).any(axis=1),
+                 lambda i: "binary mark entries must be 0 or 1")]
+
+    def marks(self, d: Dataset) -> list[Mark]:
+        return [BinaryMark(tuple(row)) for row in d.feature_matrix.tolist()]
+
+    def record_lines(self, d: Dataset):
+        """d's JSONL record lines, byte for byte as json.dumps of {"t": ...,
+        <mark fields>} and a newline (tolist gives floats and ints: repr)."""
+        return ('{"t": %r, "x": %s}\n' % (x, [i for i, b in enumerate(bits) if b])
+                for x, bits in zip(d.times.tolist(), d.feature_matrix.tolist()))
+
+    def pattern_codes(self, d: Dataset) -> tuple[np.ndarray, int]:
+        """Each event's mark pattern for transitions, and the pattern count."""
+        rows, index = d.feature_patterns
+        return index, len(rows)
+
+    def fertility_patterns(self, d: Dataset) -> tuple[np.ndarray | None, np.ndarray, int]:
+        """The distinct parent marks that fertility reads (None for one
+        pattern, as for label marks), each event's pattern and the count."""
+        rows, index = d.feature_patterns
+        return rows, index, len(rows)
+
+    def fertility_features(self, d: Dataset) -> np.ndarray | None:
+        """The per-event feature matrix that fertility reads, or None."""
+        return d.feature_matrix
+
+    def fertility_row(self, code: np.ndarray) -> np.ndarray | None:
+        """The one-row feature matrix of one code, or None."""
+        return code[None, :]
+
+
+class _Labels:
+    """What label and composite schemas share: a mark's code is its label
+    (a composite's type) less one, in the ``label_index`` column, and each
+    label is a mark pattern for transitions; fertility sees one pattern."""
+
+    def value_checks(self, cols: dict, first: int) -> list:
+        code, n = cols["label_index"][first:] + 1, self.label_count
+        return [((code < 1) | (code > n), lambda i: f"{self.word} {code[i]} outside 1..{n}")]
+
+    def pattern_codes(self, d: Dataset) -> tuple[np.ndarray, int]:
+        return d.label_index, self.label_count
+
+    def fertility_patterns(self, d: Dataset) -> tuple[None, np.ndarray, int]:
+        return None, np.zeros(len(d), dtype=np.int64), 1
+
+    def fertility_features(self, d: Dataset) -> None:
+        return None
+
+    def fertility_row(self, code: int) -> None:
+        return None
+
+
+@dataclass(frozen=True)
+class LabelSchema(_Labels):
+    """Marks are categorical labels in 1..n_labels."""
+
+    n_labels: int
+
+    word = "label"
+
+    @property
+    def label_count(self) -> int:
+        return self.n_labels
+
+    def header(self) -> dict:
+        return {"labels": self.n_labels}
+
+    def read_records(self, records: Iterable, path: str, limit: float) -> tuple[list, dict]:
+        keys = frozenset(("t", "label"))
+        times: list[float] = []
+        labels: list[int] = []
+        for lineno, obj in records:
+            t = obj.get("t")
+            if type(t) is not float or not obj.keys() <= keys:
+                t = _record_time(obj, keys, f"{path}:{lineno}")
+            label = obj.get("label")
+            if type(label) is not int:
+                raise DataError(f"{path}:{lineno}: \"label\" must be an integer")
+            if not 0.0 <= t <= limit:
+                raise _time_error(t, limit, f"{path}:{lineno}")
+            times.append(t)
+            labels.append(label)
+        return times, {"label_index": _codes(labels) - 1}
+
+    def code_columns(self, codes) -> dict:
+        """The label codes of Mark objects stay Python ints until ``_check_rows``."""
+        return {"label_index": np.asarray(codes)}
+
+    def mark_columns(self, marks: list) -> tuple[dict, tuple]:
         wrong = [not isinstance(m, LabelMark) for m in marks]
-        values = [1 if bad else m.label for m, bad in zip(marks, wrong)]
-        error = "expected a label mark"
-    elif isinstance(schema, CompositeSchema):
+        labels = np.array([1 if bad else m.label for m, bad in zip(marks, wrong)], dtype=object)
+        return self.code_columns(labels - 1), (np.array(wrong, dtype=bool),
+                                               "expected a label mark")
+
+    def marks(self, d: Dataset) -> list[Mark]:
+        return list(map(LabelMark, (d.label_index + 1).tolist()))
+
+    def record_lines(self, d: Dataset):
+        return ('{"t": %r, "label": %r}\n' % row
+                for row in zip(d.times.tolist(), (d.label_index + 1).tolist()))
+
+
+@dataclass(frozen=True)
+class CompositeSchema(_Labels):
+    """Marks pair a categorical type (1..n_types) with a node id string.
+
+    If ``nodes`` is given, every event's node must belong to it.
+    """
+
+    n_types: int
+    nodes: frozenset[str] | None = None
+
+    word = "type"
+
+    @property
+    def label_count(self) -> int:
+        return self.n_types
+
+    def header(self) -> dict:
+        return {"types": self.n_types, "nodes": True}
+
+    def read_records(self, records: Iterable, path: str, limit: float) -> tuple[list, dict]:
+        keys = frozenset(("t", "type", "node"))
+        times: list[float] = []
+        types: list[int] = []
+        nodes: list[str] = []
+        for lineno, obj in records:
+            t = obj.get("t")
+            if type(t) is not float or not obj.keys() <= keys:
+                t = _record_time(obj, keys, f"{path}:{lineno}")
+            typ, node = obj.get("type"), obj.get("node")
+            if type(typ) is not int:
+                raise DataError(f"{path}:{lineno}: \"type\" must be an integer")
+            if type(node) is not str:
+                raise DataError(f"{path}:{lineno}: \"node\" must be a string")
+            if not 0.0 <= t <= limit:
+                raise _time_error(t, limit, f"{path}:{lineno}")
+            times.append(t)
+            types.append(typ)
+            nodes.append(node)
+        return times, self.code_columns(_codes(types) - 1, nodes)
+
+    def code_columns(self, codes, nodes) -> dict:
+        return {"label_index": np.asarray(codes), "node_ids": np.array(nodes, dtype=object)}
+
+    def mark_columns(self, marks: list) -> tuple[dict, tuple]:
         wrong = [not isinstance(m, CompositeMark) for m in marks]
-        values = [(1, "") if bad else (m.type, m.node) for m, bad in zip(marks, wrong)]
-        error = "expected a (type, node) mark"
-    else:
-        return {}, (np.ones(len(marks), dtype=bool), f"unsupported schema {type(schema).__name__}")
-    return _value_columns(values, schema), (np.array(wrong, dtype=bool), error)
+        types = np.array([1 if bad else m.type for m, bad in zip(marks, wrong)], dtype=object)
+        nodes = ["" if bad else m.node for m, bad in zip(marks, wrong)]
+        return self.code_columns(types - 1, nodes), (np.array(wrong, dtype=bool),
+                                                     "expected a (type, node) mark")
+
+    def value_checks(self, cols: dict, first: int) -> list:
+        checks = super().value_checks(cols, first)
+        if self.nodes is not None:
+            nodes = cols["node_ids"][first:]
+            checks.append((np.array([v not in self.nodes for v in nodes], dtype=bool),
+                           lambda i: f"unknown node id {nodes[i]!r}"))
+        return checks
+
+    def marks(self, d: Dataset) -> list[Mark]:
+        return list(map(CompositeMark, (d.label_index + 1).tolist(), d.node_ids.tolist()))
+
+    def record_lines(self, d: Dataset):
+        return ('{"t": %r, "type": %r, "node": %s}\n' % (x, k, json.dumps(v)) for x, k, v in
+                zip(d.times.tolist(), (d.label_index + 1).tolist(), d.node_ids.tolist()))
+
+
+MarkSchema = Union[BinarySchema, LabelSchema, CompositeSchema]
 
 
 def _check_rows(cols: dict, horizon, schema: MarkSchema, start, wrong: tuple | None = None,
@@ -132,7 +300,7 @@ def _check_rows(cols: dict, horizon, schema: MarkSchema, start, wrong: tuple | N
     """Check the window, then raise the DataError of the first faulty row
     (in time order) from ``first`` on, for the first check it fails: time,
     mark kind (``wrong``: the mask over those rows and its message), then
-    mark values. Label codes that pass are stored as int64."""
+    the schema's ``value_checks``. Label codes that pass are stored as int64."""
     if not np.isfinite(horizon) or horizon < 0:
         raise DataError(f"horizon must be finite and nonnegative, got {horizon}")
     if start < 0 or start > horizon:
@@ -143,17 +311,7 @@ def _check_rows(cols: dict, horizon, schema: MarkSchema, start, wrong: tuple | N
               (t > horizon, lambda i: f"timestamp {t[i]} beyond horizon {horizon}")]
     if wrong is not None:
         checks.append((wrong[0], lambda i: wrong[1]))
-    if isinstance(schema, BinarySchema):
-        checks.append(((cols["feature_matrix"][first:] > 1).any(axis=1),
-                       lambda i: "binary mark entries must be 0 or 1"))
-    elif isinstance(schema, (LabelSchema, CompositeSchema)):
-        code, n = cols["label_index"][first:] + 1, label_count(schema)
-        word = "label" if isinstance(schema, LabelSchema) else "type"
-        checks.append(((code < 1) | (code > n), lambda i: f"{word} {code[i]} outside 1..{n}"))
-    if isinstance(schema, CompositeSchema) and schema.nodes is not None:
-        nodes = cols["node_ids"][first:]
-        checks.append((np.array([v not in schema.nodes for v in nodes], dtype=bool),
-                       lambda i: f"unknown node id {nodes[i]!r}"))
+    checks += schema.value_checks(cols, first)
     fault = np.logical_or.reduce([mask for mask, _ in checks])
     if fault.any():
         i = int(fault.argmax())
@@ -175,7 +333,7 @@ class Dataset:
     def __init__(self, events: Iterable[Event], horizon: float, schema: MarkSchema,
                  start: float = 0.0, units: str | None = None):
         events = sorted(events, key=lambda ev: ev.t)
-        cols, wrong = _mark_columns([ev.mark for ev in events], schema)
+        cols, wrong = schema.mark_columns([ev.mark for ev in events])
         cols["times"] = np.array([ev.t for ev in events], dtype=np.float64)
         _check_rows(cols, horizon, schema, start, wrong)
         self._cols, self.horizon, self.schema, self.start, self.units = (
@@ -205,13 +363,7 @@ class Dataset:
     def events(self) -> list[Event]:
         """The events as Event objects, built from the columns on each
         access (take the list once rather than index it in a loop)."""
-        if isinstance(self.schema, BinarySchema):
-            marks = [BinaryMark(tuple(row)) for row in self.feature_matrix.tolist()]
-        elif isinstance(self.schema, LabelSchema):
-            marks = map(LabelMark, (self.label_index + 1).tolist())
-        else:
-            marks = map(CompositeMark, (self.label_index + 1).tolist(), self.node_ids.tolist())
-        return list(map(Event, self.times.tolist(), marks, range(len(self))))
+        return list(map(Event, self.times.tolist(), self.schema.marks(self), range(len(self))))
 
     def _column(self, name: str, needs: str) -> np.ndarray:
         if name not in self._cols:
@@ -280,7 +432,7 @@ class Dataset:
 
     @property
     def n_label_values(self) -> int:
-        n = label_count(self.schema)
+        n = self.schema.label_count
         if n is None:
             raise DataError("schema has no label dimension")
         return n
@@ -308,7 +460,7 @@ class Dataset:
     def _with_query(self, lo: int, hi: int, t: float, mark: Mark) -> "Dataset":
         """Rows lo:hi, which precede t, then the event (t, mark), over the
         window (0, t]; only the new event is checked."""
-        cols, wrong = _mark_columns([mark], self.schema)
+        cols, wrong = self.schema.mark_columns([mark])
         cols["times"] = np.array([t], dtype=np.float64)
         cols = {name: np.concatenate([self._cols[name][lo:hi], col])
                 for name, col in cols.items()}
@@ -357,12 +509,6 @@ def _schema_from_header(spec: dict, where: str) -> MarkSchema:
     if not isinstance(value, list) or not all(isinstance(n, str) for n in value):
         raise DataError(f"{where}: features must be a list of names")
     return BinarySchema(tuple(value))
-
-
-def _schemas_compatible(a: MarkSchema, b: MarkSchema) -> bool:
-    if isinstance(a, CompositeSchema) and isinstance(b, CompositeSchema):
-        return a.n_types == b.n_types
-    return a == b
 
 
 def _time(value, where: str, key: str) -> float:
@@ -435,87 +581,6 @@ def _codes(values: list) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
-# Each reader takes the (line, object) records in file order and checks
-# each in the same order: the time and key checks of ``_record_time`` (its
-# common case, a float time and no stray key, is tested inline), the mark
-# fields, then ``0 <= t <= limit``. It returns the times and the mark
-# columns in file order. The first failing record raises at path:line.
-
-def _binary_records(records: Iterable, schema: BinarySchema, path: str,
-                    limit: float) -> tuple[list, dict]:
-    """Active feature indices, scattered into a uint8 matrix at the end."""
-    keys, width, no_indices = frozenset(("t", "x")), schema.width, []
-    times: list[float] = []
-    active: list[int] = []
-    counts: list[int] = []
-    for lineno, obj in records:
-        t = obj.get("t")
-        if type(t) is not float or not obj.keys() <= keys:
-            t = _record_time(obj, keys, f"{path}:{lineno}")
-        x = obj.get("x", no_indices)
-        if type(x) is not list:
-            raise DataError(f"{path}:{lineno}: \"x\" must be a list of feature indices")
-        for idx in x:
-            if type(idx) is not int or not 0 <= idx < width:
-                raise DataError(f"{path}:{lineno}: feature index {idx!r} outside "
-                                f"0..{width - 1}")
-        if not 0.0 <= t <= limit:
-            raise _time_error(t, limit, f"{path}:{lineno}")
-        times.append(t)
-        active += x
-        counts.append(len(x))
-    bits = np.zeros((len(times), width), dtype=np.uint8)
-    bits[np.repeat(np.arange(len(times)), np.array(counts, dtype=np.int64)),
-         np.array(active, dtype=np.int64)] = 1
-    return times, {"feature_matrix": bits}
-
-
-def _label_records(records: Iterable, schema: LabelSchema, path: str,
-                   limit: float) -> tuple[list, dict]:
-    keys = frozenset(("t", "label"))
-    times: list[float] = []
-    labels: list[int] = []
-    for lineno, obj in records:
-        t = obj.get("t")
-        if type(t) is not float or not obj.keys() <= keys:
-            t = _record_time(obj, keys, f"{path}:{lineno}")
-        label = obj.get("label")
-        if type(label) is not int:
-            raise DataError(f"{path}:{lineno}: \"label\" must be an integer")
-        if not 0.0 <= t <= limit:
-            raise _time_error(t, limit, f"{path}:{lineno}")
-        times.append(t)
-        labels.append(label)
-    return times, {"label_index": _codes(labels) - 1}
-
-
-def _composite_records(records: Iterable, schema: CompositeSchema, path: str,
-                       limit: float) -> tuple[list, dict]:
-    keys = frozenset(("t", "type", "node"))
-    times: list[float] = []
-    types: list[int] = []
-    nodes: list[str] = []
-    for lineno, obj in records:
-        t = obj.get("t")
-        if type(t) is not float or not obj.keys() <= keys:
-            t = _record_time(obj, keys, f"{path}:{lineno}")
-        typ, node = obj.get("type"), obj.get("node")
-        if type(typ) is not int:
-            raise DataError(f"{path}:{lineno}: \"type\" must be an integer")
-        if type(node) is not str:
-            raise DataError(f"{path}:{lineno}: \"node\" must be a string")
-        if not 0.0 <= t <= limit:
-            raise _time_error(t, limit, f"{path}:{lineno}")
-        times.append(t)
-        types.append(typ)
-        nodes.append(node)
-    return times, {"label_index": _codes(types) - 1, "node_ids": np.array(nodes, dtype=object)}
-
-
-_RECORD_READERS = {BinarySchema: _binary_records, LabelSchema: _label_records,
-                   CompositeSchema: _composite_records}
-
-
 def _read_header(header: dict, schema: MarkSchema | None, where: str):
     """The horizon (None if not declared), units and schema of a header
     line; a schema passed by the caller must agree with a declared one."""
@@ -535,7 +600,7 @@ def _read_header(header: dict, schema: MarkSchema | None, where: str):
         declared = _schema_from_header(header["schema"], where)
         if schema is None:
             schema = declared
-        elif not _schemas_compatible(schema, declared):
+        elif schema.header() != declared.header():  # a header names no composite nodes
             raise DataError(f"{where}: header schema conflicts with the provided one")
     return horizon, units, schema
 
@@ -568,7 +633,7 @@ def ingest(path: str, schema: MarkSchema | None = None) -> Dataset:
             raise DataError(f"{path}: no schema declared in the header or provided by the caller")
         limit = sys.float_info.max if horizon is None else horizon
         records = objects if first is None else itertools.chain((first,), objects)
-        times, cols = _RECORD_READERS[type(schema)](records, schema, path, limit)
+        times, cols = schema.read_records(records, path, limit)
     except DataError:
         for _ in objects:  # raises at the first malformed line after the fault
             pass
@@ -586,32 +651,11 @@ def ingest(path: str, schema: MarkSchema | None = None) -> Dataset:
     return Dataset._of(cols, horizon, schema, units=units)
 
 
-def _schema_header(schema: MarkSchema) -> dict:
-    if isinstance(schema, BinarySchema):
-        return {"features": list(schema.features)}
-    if isinstance(schema, LabelSchema):
-        return {"labels": schema.n_labels}
-    return {"types": schema.n_types, "nodes": True}
-
-
-def _record_lines(d: Dataset):
-    """d's JSONL record lines, byte for byte as json.dumps of {"t": ...,
-    <mark fields>} and a newline (tolist gives floats and ints: repr)."""
-    t = d.times.tolist()
-    if isinstance(d.schema, BinarySchema):
-        return ('{"t": %r, "x": %s}\n' % (x, [i for i, b in enumerate(bits) if b])
-                for x, bits in zip(t, d.feature_matrix.tolist()))
-    if isinstance(d.schema, LabelSchema):
-        return ('{"t": %r, "label": %r}\n' % row for row in zip(t, (d.label_index + 1).tolist()))
-    return ('{"t": %r, "type": %r, "node": %s}\n' % (x, k, json.dumps(v))
-            for x, k, v in zip(t, (d.label_index + 1).tolist(), d.node_ids.tolist()))
-
-
 def write_events(d: Dataset, path: str) -> None:
     """Write a Dataset back out as JSONL; ingest(write_events(d)) == d."""
     with open(path, "w", encoding="utf-8") as fh:
-        header: dict = {"T": d.horizon, "schema": _schema_header(d.schema)}
+        header: dict = {"T": d.horizon, "schema": d.schema.header()}
         if d.units is not None:
             header["units"] = d.units
         fh.write(json.dumps(header) + "\n")
-        fh.writelines(_record_lines(d))
+        fh.writelines(d.schema.record_lines(d))

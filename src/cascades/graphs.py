@@ -35,7 +35,7 @@ from .engine import (CascadeModel, HomogeneousBaseline, KernelComponent,
                      _child_ids, _evaluate, e_step, expected_transition_counts, fit,
                      m_step, windowed_log_likelihood)
 from .errors import ConfigError, DataError
-from .events import CompositeMark, CompositeSchema, Dataset
+from .events import CompositeSchema, Dataset
 from .fertility import ConstantFertility
 from .simulate import CausalForest, _poisson_count, _time_ordered, substream
 from .transitions import CategoricalMatrix, LabelMarginal, draw_index
@@ -585,13 +585,30 @@ def simulate_graph(graph: Graph, horizon: float, seed: int, *,
     from the marginal; each event then triggers offspring at its own
     node (rate self_rate) and at each outgoing neighbor (rate
     neighbor_rate), with types drawn from the transition row of the
-    parent type. base_rate is a scalar or a per-node dict. Raises once
-    more than max_events accumulate, counting root events node by node
-    before their times are allocated.
+    parent type. base_rate is a scalar or a dict with a rate for every
+    node; rates and marginal entries must be finite and nonnegative, and
+    the marginal must not sum to zero. Raises once more than max_events
+    accumulate, counting root events node by node before their times are
+    allocated.
     """
     if horizon <= 0 or not np.isfinite(horizon):
         raise ConfigError(f"horizon must be positive and finite, got {horizon}")
     marginal = np.asarray(type_marginal, dtype=np.float64)
+    for p in marginal.ravel().tolist():
+        if not 0.0 <= p < np.inf:
+            raise ConfigError(f"type_marginal entry {p!r} is negative or not finite")
+    if not marginal.sum() > 0:
+        raise ConfigError(f"type_marginal {tuple(marginal.tolist())} sums to zero")
+    rates = base_rate if isinstance(base_rate, dict) else dict.fromkeys(graph.nodes, base_rate)
+    missing = [v for v in graph.nodes if v not in rates]
+    unknown = [v for v in rates if v not in graph.out]
+    if missing or unknown:
+        raise ConfigError(f"base_rate: no rate for node {missing[0]!r}" if missing
+                          else f"base_rate: unknown node {unknown[0]!r}")
+    for v in graph.nodes:
+        if not 0.0 <= rates[v] < np.inf:
+            raise ConfigError(f"base_rate of node {v!r} must be finite and nonnegative, "
+                              f"got {rates[v]!r}")
     L = marginal.size
     theta = transition.as_array
     if theta.shape != (L, L):
@@ -603,51 +620,39 @@ def simulate_graph(graph: Graph, horizon: float, seed: int, *,
     cum_rows = transition.cumulative
 
     def draw_type(cum: list[float]) -> int:
-        return draw_index(cum, rng.random() * cum[-1]) + 1
+        return draw_index(cum, rng.random() * cum[-1])
 
     times: list[float] = []
-    marks: list[CompositeMark] = []
-    parents: list[int] = []
-    gens: list[int] = []
-    queue: deque[int] = deque()
-    n_roots = 0
+    types: list[int] = []  # each event's code: its type index
+    nodes: list[str] = []
     for v in graph.nodes:
-        rate = base_rate[v] if isinstance(base_rate, dict) else float(base_rate)
-        count = _poisson_count(rng, rate * horizon)
-        n_roots += count
-        if n_roots > max_events:
+        count = _poisson_count(rng, rates[v] * horizon)
+        if len(times) + count > max_events:
             raise DataError(f"graph simulation exceeded max_events={max_events}: "
-                            f"{n_roots} root events through node {v!r}")
-        node_times = np.sort(rng.random(count) * horizon)
-        for t in node_times:
-            times.append(float(t))
-            marks.append(CompositeMark(draw_type(cum_marginal), v))
-            parents.append(-1)
-            gens.append(0)
-            queue.append(len(times) - 1)
+                            f"{len(times) + count} root events through node {v!r}")
+        times += np.sort(rng.random(count) * horizon).tolist()
+        types += [draw_type(cum_marginal) for _ in range(count)]
+        nodes += [v] * count
+    parents, gens, queue = [-1] * len(times), [0] * len(times), deque(range(len(times)))
 
     while queue:
         i = queue.popleft()
-        t_i, mark_i = times[i], marks[i]
-        row = cum_rows[mark_i.type - 1]
-        targets = (mark_i.node,) + graph.out[mark_i.node]
-        for k, target in enumerate(targets):
-            rate = self_rate if k == 0 else neighbor_rate
-            count = _poisson_count(rng, rate)
+        t_i, row = times[i], cum_rows[types[i]]
+        for k, target in enumerate((nodes[i],) + graph.out[nodes[i]]):
+            count = _poisson_count(rng, self_rate if k == 0 else neighbor_rate)
             if count == 0:
                 continue
             deltas = np.atleast_1d(delay_mod.sample(delay, rng, count))
-            for dt in deltas:
-                t_child = t_i + float(dt)
-                if t_child > horizon:
-                    continue
-                times.append(t_child)
-                marks.append(CompositeMark(draw_type(row), target))
-                parents.append(i)
-                gens.append(gens[i] + 1)
-                queue.append(len(times) - 1)
-                if len(times) > max_events:
-                    raise DataError(f"graph simulation exceeded max_events={max_events}")
+            kids = [t for t in (t_i + dt for dt in deltas.tolist()) if t <= horizon]
+            queue.extend(range(len(times), len(times) + len(kids)))
+            times += kids
+            types += [draw_type(row) for _ in kids]
+            nodes += [target] * len(kids)
+            parents += [i] * len(kids)
+            gens += [gens[i] + 1] * len(kids)
+            if len(times) > max_events:
+                raise DataError(f"graph simulation exceeded max_events={max_events}")
 
     # every triggered event is component 0's
-    return _time_ordered(times, marks, parents, np.minimum(parents, 0), gens, horizon, schema)
+    return _time_ordered(times, schema.code_columns(types, nodes), parents,
+                         np.minimum(parents, 0), gens, horizon, schema)

@@ -11,6 +11,10 @@ from one uniform through an exact scalar inverse of the Poisson CDF
 (scipy.special's pdtrik and pdtr), so a stream's layout does not depend
 on the counts' sizes and importing the package does not load scipy's
 statistics module.
+
+Marks are drawn and kept as codes (see ``transitions``), the children of
+one parent under one component in one draw, and the dataset is built
+from their columns through the same checks as ``events.ingest``.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from scipy import special
 from . import delays as delay_mod
 from .engine import CascadeModel, Responsibilities, baseline_integral, validate_model
 from .errors import ConfigError, DataError, NumericalError
-from .events import BinarySchema, CompositeSchema, Dataset, Event, MarkSchema, _jsonl_objects
+from .events import CompositeSchema, Dataset, MarkSchema, _check_rows, _jsonl_objects
 
 
 def substream(seed: int, name: str) -> np.random.Generator:
@@ -98,8 +102,9 @@ def simulate(model: CascadeModel, horizon: float, seed: int,
     which keeps the stream layout independent of the horizon clipping.
     Raises when more than max_events accumulate: as soon as the root
     count is drawn if the roots alone exceed it (before any root time is
-    allocated), otherwise at the child that crosses it, which usually
-    means the model is supercritical.
+    allocated), otherwise after the children (of one parent under one
+    component) that cross it, which usually means the model is
+    supercritical.
     """
     if schema is None:
         schema = model.baseline.mark.default_schema()
@@ -116,70 +121,60 @@ def simulate(model: CascadeModel, horizon: float, seed: int,
         raise NumericalError(
             f"simulation exceeded max_events={max_events}: the baseline "
             f"drew {n_roots} root events")
-    root_times = model.baseline.draw_times(horizon, n_roots, rng)
-    times: list[float] = []
-    marks: list = []
-    parents: list[int] = []
-    comp_of: list[int] = []
-    gens: list[int] = []
-    queue: deque[int] = deque()
-    for t in root_times:
-        times.append(float(t))
-        marks.append(model.baseline.mark.draw(rng))
-        parents.append(-1)
-        comp_of.append(-1)
-        gens.append(0)
-        queue.append(len(times) - 1)
+    times = model.baseline.draw_times(horizon, n_roots, rng).tolist()
+    codes = list(model.baseline.mark.draw(rng, n_roots))
+    parents, comp_of, gens = [-1] * n_roots, [-1] * n_roots, [0] * n_roots
+    queue: deque[int] = deque(range(n_roots))
 
-    # fertility depends on the mark alone: one evaluation per distinct
-    # mark, of the mark as a one-row feature matrix
+    # fertility reads the parent's features alone: one evaluation per
+    # distinct feature row, or one in all for marks without features
     mus: dict = {}
-    binary = isinstance(schema, BinarySchema)
     processed = 0
     while queue:
         i = queue.popleft()
         processed += 1
-        t_i, mark_i = times[i], marks[i]
-        mu = mus.get(mark_i)
+        t_i, code_i = times[i], codes[i]
+        X = schema.fertility_row(code_i)
+        key = None if X is None else X.tobytes()
+        mu = mus.get(key)
         if mu is None:
-            row = np.array([mark_i.bits]) if binary else None
-            mu = mus[mark_i] = [float(c.fertility.rates(row, 1)[0]) for c in model.components]
+            mu = mus[key] = [float(c.fertility.rates(X, 1)[0]) for c in model.components]
         for c, comp in enumerate(model.components):
             count = _poisson_count(rng, mu[c])
             if count == 0:
                 continue
             deltas = np.atleast_1d(delay_mod.sample(comp.delay, rng, count))
-            for dt in deltas:
-                t_child = t_i + float(dt)
-                if t_child > horizon:
-                    continue
-                child_mark = comp.transition.draw(mark_i, rng)
-                times.append(t_child)
-                marks.append(child_mark)
-                parents.append(i)
-                comp_of.append(c)
-                gens.append(gens[i] + 1)
-                queue.append(len(times) - 1)
-                if len(times) > max_events:
-                    grown = len(times) - n_roots
-                    ratio = grown / max(processed, 1)
-                    raise NumericalError(
-                        f"simulation exceeded max_events={max_events}; mean "
-                        f"offspring so far is about {ratio:.2f}, the model "
-                        "may be supercritical")
+            kids = [t for t in (t_i + dt for dt in deltas.tolist()) if t <= horizon]
+            queue.extend(range(len(times), len(times) + len(kids)))
+            times += kids
+            codes.extend(comp.transition.draw(code_i, rng, len(kids)))
+            parents += [i] * len(kids)
+            comp_of += [c] * len(kids)
+            gens += [gens[i] + 1] * len(kids)
+            if len(times) > max_events:
+                ratio = (max_events + 1 - n_roots) / max(processed, 1)
+                raise NumericalError(
+                    f"simulation exceeded max_events={max_events}; mean "
+                    f"offspring so far is about {ratio:.2f}, the model "
+                    "may be supercritical")
 
-    return _time_ordered(times, marks, parents, comp_of, gens, horizon, schema)
+    return _time_ordered(times, schema.code_columns(codes), parents, comp_of, gens,
+                         horizon, schema)
 
 
-def _time_ordered(times: list, marks: list, parents: list, comps, gens: list,
+def _time_ordered(times: list, cols: dict, parents: list, comps, gens: list,
                   horizon: float, schema: MarkSchema) -> tuple[Dataset, CausalForest]:
-    """The drawn events stable-sorted by time, and their forest with each
-    parent renumbered to its sorted rank."""
+    """The drawn events stable-sorted by time, as a checked dataset of the
+    mark columns ``cols`` in draw order, and their forest with each parent
+    renumbered to its sorted rank."""
     order = np.argsort(np.asarray(times), kind="stable")
     rank = np.append(np.argsort(order), -1)  # each draw's sorted rank; a root's parent -1 stays -1
-    d = Dataset([Event(times[j], marks[j]) for j in order], horizon, schema)
-    return d, CausalForest(*(np.asarray(col, dtype=np.int64)[order] for col in (
-        rank[np.asarray(parents, dtype=np.int64)], comps, gens)))
+    cols = {name: col[order] for name, col in cols.items()}
+    cols["times"] = np.asarray(times, dtype=np.float64)[order]
+    _check_rows(cols, horizon, schema, 0.0)
+    return Dataset._of(cols, horizon, schema), CausalForest(*(
+        np.asarray(col, dtype=np.int64)[order]
+        for col in (rank[np.asarray(parents, dtype=np.int64)], comps, gens)))
 
 
 def parent_recovery_score(forest: CausalForest, resp: Responsibilities,

@@ -22,11 +22,15 @@ weight table and, for a prior, of each child's weight
 (``stats_from_pairs``, ``stats_from_patterns``,
 ``stats_from_children``), ``refit`` and ``draw``. A mark pattern is a
 label (the type of a composite mark) or a distinct binary feature row
-(``pattern_codes``). The statistics take the family's shape: the (parent
-label, child label) table of a categorical matrix, the (F, 2, 2) table
-of a feature mixture, a prior's weight per child label or feature sums
-over the children, None for identity. They add up, so components
-sharing a transition group pool theirs with ``+``.
+(the schema's ``pattern_codes``). The statistics take the family's
+shape: the (parent label, child label) table of a categorical matrix,
+the (F, 2, 2) table of a feature mixture, a prior's weight per child
+label or feature sums over the children, None for identity. They add
+up, so components sharing a transition group pool theirs with ``+``.
+
+Draws take and return mark codes (zero-based label indices or uint8
+feature rows), m children at a time, child after child: one batch takes
+the stream values of m single draws.
 """
 
 from __future__ import annotations
@@ -42,8 +46,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .events import (BinaryMark, BinarySchema, CompositeMark, Dataset, LabelMark, LabelSchema,
-                     Mark, MarkSchema, label_count)
+from .events import BinarySchema, Dataset, LabelSchema, MarkSchema
 
 
 def _float_array(value, message: str) -> np.ndarray:
@@ -58,15 +61,6 @@ def _distributions(rows: np.ndarray) -> bool:
     """True when each row along the last axis is a finite distribution:
     a NaN fails the minimum's test, an infinity the sums'."""
     return bool(rows.min() >= 0 and np.abs(rows.sum(axis=-1) - 1.0).max() <= 1e-9)
-
-
-def pattern_codes(d: Dataset) -> tuple[np.ndarray, int]:
-    """Each event's mark pattern and the pattern count: binary feature
-    rows (``Dataset.feature_patterns``), otherwise labels."""
-    if isinstance(d.schema, BinarySchema):
-        rows, index = d.feature_patterns
-        return index, len(rows)
-    return d.label_index, d.n_label_values
 
 
 def draw_index(cum: list[float], x: float) -> int:
@@ -130,9 +124,9 @@ class FeaturePrior:
     def refit(self, stats: np.ndarray) -> FeaturePrior:
         return fit_prior_weighted(stats)
 
-    def draw(self, rng: np.random.Generator) -> Mark:
-        return BinaryMark(tuple(int(u < p) for u, p in zip(rng.random(len(self.probs)),
-                                                           self.probs)))
+    def draw(self, rng: np.random.Generator, m: int) -> np.ndarray:
+        """m feature rows, as an (m, F) uint8 array."""
+        return (rng.random((m, len(self.probs))) < self.as_array).astype(np.uint8)
 
 
 @dataclass(frozen=True)
@@ -159,7 +153,7 @@ class LabelMarginal:
         return np.cumsum(self.as_array).tolist()
 
     def check_schema(self, schema: MarkSchema, where: str) -> None:
-        n = label_count(schema)
+        n = schema.label_count
         if n is None:
             raise ConfigError(f"{where}: label marginal needs label or composite marks")
         if len(self.probs) != n:
@@ -189,8 +183,9 @@ class LabelMarginal:
     def refit(self, stats: np.ndarray) -> LabelMarginal:
         return fit_marginal_weighted(stats)
 
-    def draw(self, rng: np.random.Generator) -> Mark:
-        return LabelMark(draw_index(self.cumulative, rng.random()) + 1)
+    def draw(self, rng: np.random.Generator, m: int) -> list[int]:
+        """m label indices."""
+        return [draw_index(self.cumulative, rng.random()) for _ in range(m)]
 
 
 MarkDistribution = Union[FeaturePrior, LabelMarginal]
@@ -248,13 +243,13 @@ class IdentityTransition:
         pass
 
     def g_patterns(self, d: Dataset) -> np.ndarray:
-        return np.eye(pattern_codes(d)[1])  # distinct patterns match only themselves
+        return np.eye(d.schema.pattern_codes(d)[1])  # distinct patterns match only themselves
 
     def g_children(self, d: Dataset, events: np.ndarray) -> None:
         return None
 
     def g_pairs(self, d: Dataset, max_table: int) -> PairValues:
-        codes = pattern_codes(d)[0]
+        codes = d.schema.pattern_codes(d)[0]
         return lambda children, parents: (codes[parents] == codes[children]).astype(np.float64)
 
     def stats_from_pairs(self, d: Dataset, children: np.ndarray, parents: np.ndarray,
@@ -267,8 +262,8 @@ class IdentityTransition:
     def refit(self, stats) -> IdentityTransition:
         return self
 
-    def draw(self, parent: Mark, rng: np.random.Generator) -> Mark:
-        return parent
+    def draw(self, parent, rng: np.random.Generator, m: int) -> list:
+        return [parent] * m
 
 
 @dataclass(frozen=True)
@@ -313,8 +308,8 @@ class PriorTransition:
     def refit(self, stats: np.ndarray) -> PriorTransition:
         return PriorTransition(self.mark.refit(stats))
 
-    def draw(self, parent: Mark, rng: np.random.Generator) -> Mark:
-        return self.mark.draw(rng)
+    def draw(self, parent, rng: np.random.Generator, m: int):
+        return self.mark.draw(rng, m)
 
 
 @dataclass(frozen=True)
@@ -362,7 +357,7 @@ class FeatureMixture:
         holds at most ``max_table`` entries, and otherwise evaluates each
         pair (wide schemas, where distinct patterns can reach the event
         count)."""
-        codes, n_patterns = pattern_codes(d)
+        codes, n_patterns = d.schema.pattern_codes(d)
         if n_patterns ** 2 <= max_table:
             table = self.g_patterns(d)
             return lambda children, parents: table[codes[parents], codes[children]]
@@ -383,12 +378,10 @@ class FeatureMixture:
     def refit(self, stats: np.ndarray) -> FeatureMixture:
         return replace(self, resample_prob=fit_mixture_from_stats(stats, self.prior))
 
-    def draw(self, parent: Mark, rng: np.random.Generator) -> Mark:
-        width = len(self.prior.probs)
-        resample = rng.random(width) < self.resample_prob
-        draws = rng.random(width) < self.prior.as_array
-        return BinaryMark(tuple(int(draws[i]) if resample[i] else parent.bits[i]
-                                for i in range(width)))
+    def draw(self, parent: np.ndarray, rng: np.random.Generator, m: int) -> np.ndarray:
+        u = rng.random((m, 2, len(self.prior.probs)))
+        return np.where(u[:, 0] < self.resample_prob, u[:, 1] < self.prior.as_array,
+                        parent).astype(np.uint8)
 
 
 @dataclass(frozen=True)
@@ -425,7 +418,7 @@ class CategoricalMatrix:
         return np.cumsum(self.as_array, axis=1).tolist()
 
     def check_schema(self, schema: MarkSchema, where: str) -> None:
-        n = label_count(schema)
+        n = schema.label_count
         if n is None:
             raise ConfigError(f"{where}: categorical transition needs label marks")
         if len(self.matrix) != n:
@@ -451,9 +444,9 @@ class CategoricalMatrix:
     def refit(self, stats: np.ndarray) -> CategoricalMatrix:
         return fit_categorical(stats, self.prior_direction, self.prior_strength)
 
-    def draw(self, parent: Mark, rng: np.random.Generator) -> Mark:
-        row = parent.type if isinstance(parent, CompositeMark) else parent.label
-        return LabelMark(draw_index(self.cumulative[row - 1], rng.random()) + 1)
+    def draw(self, parent: int, rng: np.random.Generator, m: int) -> list[int]:
+        row = self.cumulative[parent]
+        return [draw_index(row, rng.random()) for _ in range(m)]
 
 
 TransitionSpec = Union[IdentityTransition, PriorTransition, FeatureMixture,

@@ -16,8 +16,8 @@ responsibilities; the package sums them inside the E-step
 (``estep_stats``).
 
 ``ingest`` reads a JSONL event file one ``json.loads`` and one
-``parse_record`` call per line, and builds the mark columns from per-event
-Python values (an object array of bits for binary marks). The package
+``parse_record`` call per line, and builds the mark columns from one Mark
+object per event (the schema's ``mark_columns``). The package
 decodes each line once and reads records with a reader chosen per schema
 (``events.ingest``); it also rejects non-finite times at their line.
 """
@@ -28,12 +28,11 @@ from typing import Sequence
 
 import numpy as np
 
-from cascades import (BinaryMark, CategoricalMatrix, DataError, FeaturePrior,
-                      IdentityTransition, PriorTransition)
+from cascades import (BinaryMark, CategoricalMatrix, CompositeMark, DataError, FeaturePrior,
+                      IdentityTransition, LabelMark, PriorTransition)
 from cascades import engine
 from cascades.events import (_HEADER_KEYS, BinarySchema, Dataset, LabelSchema, MarkSchema,
-                             _check_rows, _schema_from_header, _schemas_compatible, _time,
-                             _value_columns)
+                             _check_rows, _schema_from_header, _time)
 from cascades.transitions import fit_mixture_from_stats
 
 
@@ -43,7 +42,7 @@ def component_stats(model, d, resp) -> list:
     mark pattern."""
     if resp.n != len(d):
         raise DataError("responsibilities do not match the dataset")
-    _, pattern, n_patterns = engine._mark_patterns(d)
+    _, pattern, n_patterns = d.schema.fertility_patterns(d)
     out = []
     for c, comp in enumerate(model.components):
         children, parents, z = engine._pair_arrays(resp, c)
@@ -96,8 +95,7 @@ def fit_mixture(pairs: Sequence[tuple[BinaryMark, BinaryMark, float]],
 
 
 def parse_record(obj: dict, schema: MarkSchema, where: str) -> tuple[float, object]:
-    """The time and mark value of one record: the bit row, the label, or
-    the (type, node) pair."""
+    """The time and Mark object of one record."""
     if "t" not in obj:
         raise DataError(f"{where}: record is missing \"t\"")
     t = obj["t"]
@@ -117,18 +115,18 @@ def parse_record(obj: dict, schema: MarkSchema, where: str) -> tuple[float, obje
             if not isinstance(idx, int) or isinstance(idx, bool) or not 0 <= idx < schema.width:
                 raise DataError(f"{where}: feature index {idx!r} outside 0..{schema.width - 1}")
             bits[idx] = 1
-        return t, bits
+        return t, BinaryMark(tuple(bits))
     if isinstance(schema, LabelSchema):
         label = obj.get("label")
         if not isinstance(label, int) or isinstance(label, bool):
             raise DataError(f"{where}: \"label\" must be an integer")
-        return t, label
+        return t, LabelMark(label)
     typ, node = obj.get("type"), obj.get("node")
     if not isinstance(typ, int) or isinstance(typ, bool):
         raise DataError(f"{where}: \"type\" must be an integer")
     if not isinstance(node, str):
         raise DataError(f"{where}: \"node\" must be a string")
-    return t, (typ, node)
+    return t, CompositeMark(typ, node)
 
 
 def ingest(path: str, schema: MarkSchema | None = None) -> Dataset:
@@ -165,27 +163,27 @@ def ingest(path: str, schema: MarkSchema | None = None) -> Dataset:
             declared = _schema_from_header(header["schema"], f"{path}:{lineno0}")
             if schema is None:
                 schema = declared
-            elif not _schemas_compatible(schema, declared):
+            elif schema.header() != declared.header():
                 raise DataError(f"{path}:{lineno0}: header schema conflicts with the provided one")
     if schema is None:
         raise DataError(f"{path}: no schema declared in the header or provided by the caller")
     times: list[float] = []
-    values: list = []
+    marks: list = []
     for lineno, obj in body:
-        t, value = parse_record(obj, schema, f"{path}:{lineno}")
+        t, mark = parse_record(obj, schema, f"{path}:{lineno}")
         if t < 0:
             raise DataError(f"{path}:{lineno}: negative timestamp {t}")
         if horizon is not None and t > horizon:
             raise DataError(f"{path}:{lineno}: timestamp {t} beyond declared horizon {horizon}")
         times.append(t)
-        values.append(value)
+        marks.append(mark)
     if horizon is None:
         if not times:
             raise DataError(f"{path}: empty file without a declared horizon")
         horizon = max(times)
         warnings.warn(f"{path}: no horizon declared, defaulting to max timestamp {horizon!r}")
     order = sorted(range(len(times)), key=times.__getitem__)  # stable, as list.sort
-    cols = _value_columns([values[j] for j in order], schema)
+    cols, _ = schema.mark_columns([marks[j] for j in order])
     cols["times"] = np.array(times, dtype=np.float64)[order]
     _check_rows(cols, horizon, schema, 0.0)
     return Dataset._of(cols, horizon, schema, units=units)

@@ -662,6 +662,23 @@ def test_fit_exits_2_when_two_components_share_a_transition_file(tmp_path, capsy
         "transition_x_z.csv", "transition_x_z_logratio.csv"]
 
 
+def test_compare_exits_2_when_two_models_share_a_model_file(tmp_path, capsys):
+    # "a/b" and "a_b" both map to model_a_b.json, where the last would win
+    data = tmp_path / "e.jsonl"
+    data.write_text(_DATA)
+    conf = {"models": {"a/b": LABEL_MODEL_CONF, "a_b": LABEL_MODEL_CONF}}
+    out = tmp_path / "o"
+    path = _write(tmp_path / "conf.json", conf)
+    assert main(["compare", "--config", path, "--data", str(data), "--out", str(out)]) == 2
+    assert "models 'a/b' and 'a_b' would both write model_a_b.json" in capsys.readouterr().err
+    assert not out.exists()  # refused before fitting
+    # names that stay apart still fit and write one file each
+    conf["models"]["a_c"] = conf["models"].pop("a_b")
+    path = _write(tmp_path / "conf.json", conf)
+    assert main(["compare", "--config", path, "--data", str(data), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.glob("model_*")) == ["model_a_b.json", "model_a_c.json"]
+
+
 def _baseline(**fields):
     return {"baseline": dict(LABEL_MODEL_CONF["baseline"], **fields),
             "components": LABEL_MODEL_CONF["components"]}

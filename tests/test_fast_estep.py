@@ -30,7 +30,6 @@ from cascades import (BinaryMark, BinarySchema, CascadeModel, CategoricalMatrix,
                       simulate, simulate_graph, split)
 from cascades import delays as delay_mod
 from cascades import engine
-from cascades import transitions as trans_mod
 from cascades.config import parse_model
 from cascades.engine import ComponentStats, EStepStats
 from cascades.events import CompositeMark, CompositeSchema, LabelSchema
@@ -133,7 +132,7 @@ def _blocked(events_per_block, limit, model, d, children=None, window=None,
              truncated=False):
     """fast_estep with blocks of at most ``events_per_block`` events (None
     keeps the default) and the exponent limit ``limit``."""
-    cells = max(len(model.components), 1) * trans_mod.pattern_codes(d)[1]
+    cells = max(len(model.components), 1) * d.schema.pattern_codes(d)[1]
     with pytest.MonkeyPatch.context() as mp:
         if events_per_block is not None:
             mp.setattr(engine, "PAIR_CHUNK", events_per_block * cells)

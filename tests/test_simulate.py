@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -11,11 +12,11 @@ from scipy import stats as sp_stats
 import cascades
 from cascades import (CascadeModel, CategoricalMatrix, ConfigError,
                       ConstantFertility, DataError, ExponentialDelay,
-                      FeatureMixture, FeaturePrior, HomogeneousBaseline,
+                      FeatureMixture, FeaturePrior, GammaDelay, HomogeneousBaseline,
                       IdentityTransition, KernelComponent, LabelMarginal,
-                      NumericalError, PeriodicBaseline, e_step, load_forest,
-                      parent_recovery_score, simulate, simulate_graph, substream,
-                      write_forest)
+                      MultiplicativeFertility, NumericalError, PeriodicBaseline,
+                      PriorTransition, e_step, load_forest, parent_recovery_score,
+                      simulate, simulate_graph, substream, write_events, write_forest)
 from cascades.engine import Responsibilities
 from cascades.events import BinarySchema, CompositeSchema
 from cascades.graphs import Graph
@@ -155,6 +156,26 @@ def test_graph_event_cap_counts_roots_per_node():
         _graph_sim(1e10, 1000)
     d, forest = _graph_sim(500.0, 10_000)
     assert len(d) > 1000 and np.all(forest.parents == -1)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"base_rate": {"a": 1.0, "b": 1.0}}, "base_rate: no rate for node 'c'"),
+    ({"base_rate": {"a": 1.0, "b": 1.0, "c": 1.0, "d": 1.0}}, "base_rate: unknown node 'd'"),
+    ({"base_rate": {"a": 1.0, "b": -0.5, "c": 1.0}},
+     "base_rate of node 'b' must be finite and nonnegative, got -0.5"),
+    ({"base_rate": float("inf")}, "base_rate of node 'a' must be finite and nonnegative"),
+    ({"base_rate": float("nan")}, "base_rate of node 'a' must be finite and nonnegative"),
+    ({"type_marginal": (1.5, -0.5)}, "type_marginal entry -0.5 is negative or not finite"),
+    ({"type_marginal": (0.5, float("nan"))}, "type_marginal entry nan is negative"),
+    ({"type_marginal": (0.0, 0.0)}, r"type_marginal \(0.0, 0.0\) sums to zero")])
+def test_graph_simulator_rejects_bad_rates_and_marginals(change, message):
+    graph = Graph(("a", "b", "c"), {"a": ("b",), "b": ("c",), "c": ()})
+    args = dict(type_marginal=(0.6, 0.4), base_rate=1.0, self_rate=0.2, neighbor_rate=0.1,
+                transition=CategoricalMatrix(((0.5, 0.5), (0.5, 0.5))),
+                delay=ExponentialDelay(1.0))
+    with pytest.raises(ConfigError, match=message):
+        simulate_graph(graph, 10.0, 3, **dict(args, **change))
+    simulate_graph(graph, 10.0, 3, **args)
 
 
 def test_composite_schema_redirects_to_graph_simulator():
@@ -318,3 +339,70 @@ def test_cli_import_does_not_load_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+# sha256 of write_events and write_forest output, recorded before marks
+# were drawn as codes: the simulators must keep drawing these streams
+STREAMS = {
+    ("labels", 1): ("f3448a6a62248e368e123269f28844ee04eeb4ead9664eeafd57d013c67b8897",
+                    "74e96bd1b802d2e9fe98fbd159c21aa0ac8d8ac2a6e951600f30967711474e4f"),
+    ("labels", 2): ("2278b1bfad3bd2771bfea0d47e2a8cf3732b18a2afb650cee066e0ac15da0336",
+                    "d32d1f145670a6df7b388d5465c549e33406928ec7ccde61ec730a304eb73203"),
+    ("binary", 1): ("328d815e5462219de70217eda8b1fd1650b1022a556b47fba38a93bac701dfdb",
+                    "9a250b364a5188a7d6a8d9a4ab1eae838b12ca6d3fc8eb37af670c54acaee764"),
+    ("binary", 2): ("be65efbf9ad54a349a2f523d7c25130ae5ec6ee58233ddf9b02e93d01cce255d",
+                    "44e9807d06b38f45f1b4435d50389a04c8d6c6a8140765c83219f55d6691dda6"),
+    ("graph", 1): ("d3b2de5955b9a4ed0458d835082ea11f1639ad99f1e47579787cf0021e3052d7",
+                   "e9290a8972af7b4214e6b9c5040aecdd6e68e4c9939e07412ee35033fa3e13aa"),
+    ("graph", 2): ("2444e1967b40444f24ea25eb5f2c57c2e596a22d112a901d0e8b34597503f58d",
+                   "7a2251c882f7a954a7aa54b571635a88df716ad498bf3c5ff08d33f489b7f989"),
+}
+
+
+def _stream(kind, seed):
+    """A short stream of each kind: labels under a categorical, a prior and
+    an identity component; binary marks under multiplicative fertility with
+    a feature mixture, a binary prior and identity; a small graph."""
+    if kind == "graph":
+        names = [f"n{i}" for i in range(8)]
+        graph = Graph(names, {names[i]: [names[(i + 1) % 8], names[(i + 3) % 8]]
+                              for i in range(8)})
+        return simulate_graph(graph, 25.0, seed, type_marginal=(0.5, 0.3, 0.2),
+                              base_rate={v: 0.1 + 0.05 * i for i, v in enumerate(names)},
+                              self_rate=0.2, neighbor_rate=0.15,
+                              transition=CategoricalMatrix(((0.1, 0.8, 0.1), (0.3, 0.3, 0.4),
+                                                            (0.6, 0.2, 0.2))),
+                              delay=ExponentialDelay(1.0))
+    if kind == "labels":
+        model = CascadeModel(
+            HomogeneousBaseline(0.8, LabelMarginal((0.4, 0.3, 0.2, 0.1))),
+            (KernelComponent("cat", ConstantFertility(0.3), CategoricalMatrix(
+                ((0.1, 0.6, 0.2, 0.1), (0.25, 0.25, 0.25, 0.25), (0.0, 0.0, 0.5, 0.5),
+                 (0.7, 0.1, 0.1, 0.1))), ExponentialDelay(1.0)),
+             KernelComponent("prior", ConstantFertility(0.2),
+                             PriorTransition(LabelMarginal((0.1, 0.2, 0.3, 0.4))),
+                             GammaDelay(2.0, 0.5)),
+             KernelComponent("same", ConstantFertility(0.1), IdentityTransition(),
+                             ExponentialDelay(0.2))))
+        return simulate(model, 150.0, seed)
+    prior = FeaturePrior((0.5, 0.2, 0.7, 0.5))
+    model = CascadeModel(
+        HomogeneousBaseline(2.0, prior),
+        (KernelComponent("mix", MultiplicativeFertility((0.3, 1.3, 0.8, 1.5, 0.6)),
+                         FeatureMixture(0.3, prior), ExponentialDelay(1.0)),
+         KernelComponent("prior", ConstantFertility(0.1),
+                         PriorTransition(FeaturePrior((0.9, 0.1, 0.5, 0.3))),
+                         ExponentialDelay(2.0)),
+         KernelComponent("same", ConstantFertility(0.05), IdentityTransition(),
+                         ExponentialDelay(0.5))))
+    return simulate(model, 80.0, seed)
+
+
+@pytest.mark.parametrize("kind, seed", sorted(STREAMS))
+def test_simulated_streams_are_pinned(tmp_path, kind, seed):
+    d, forest = _stream(kind, seed)
+    write_events(d, str(tmp_path / "events.jsonl"))
+    write_forest(forest, str(tmp_path / "forest.jsonl"))
+    got = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                for name in ("events.jsonl", "forest.jsonl"))
+    assert got == STREAMS[kind, seed]

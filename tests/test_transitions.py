@@ -5,17 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cascades import (BinaryMark, BinarySchema, CategoricalMatrix, CompositeMark, DataError,
+from cascades import (BinaryMark, BinarySchema, CategoricalMatrix, DataError,
                       Dataset, Event, FeatureMixture, FeaturePrior,
                       IdentityTransition, LabelMark, LabelMarginal, LabelSchema,
                       PriorTransition, fit_categorical)
-from cascades.transitions import (draw_index, fit_mixture_from_stats, pattern_codes,
-                                  write_matrix_csv)
+from cascades.transitions import draw_index, fit_mixture_from_stats, write_matrix_csv
 from oracles import fit_mixture, mixture_stats
 
 
 def bm(*bits):
     return BinaryMark(tuple(bits))
+
+
+def row(*bits):
+    """A binary mark's code: its uint8 feature row."""
+    return np.array(bits, dtype=np.uint8)
 
 
 PRIOR3 = FeaturePrior((0.3, 0.5, 0.8))
@@ -100,7 +104,7 @@ def test_mixture_fit_beats_grid():
         pairs = []
         for _ in range(rng.integers(20, 60)):
             parent = bm(*rng.integers(0, 2, size=width).tolist())
-            child = spec.draw(parent, rng)
+            child = bm(*spec.draw(row(*parent.bits), rng, 1)[0].tolist())
             pairs.append((parent, child, rng.uniform(0.1, 1.0)))
         table = mixture_stats(pairs, prior)
         fitted = fit_mixture(pairs, prior)
@@ -186,20 +190,20 @@ def test_fit_categorical_rows_are_distributions(seed):
 
 def test_sampling_respects_identity_and_prior():
     rng = np.random.default_rng(5)
-    parent = bm(1, 0, 1)
-    assert IdentityTransition().draw(parent, rng) == parent
+    parent = row(1, 0, 1)
+    assert all(child is parent for child in IdentityTransition().draw(parent, rng, 2))
     spec = FeatureMixture(0.0, PRIOR3)
-    assert spec.draw(parent, rng) == parent
+    drawn = spec.draw(parent, rng, 2)
+    assert drawn.dtype == np.uint8 and drawn.tolist() == [[1, 0, 1]] * 2
     mat = CategoricalMatrix(((0.0, 1.0), (1.0, 0.0)))
-    assert mat.draw(LabelMark(1), rng) == LabelMark(2)
-    assert mat.draw(CompositeMark(2, "u"), rng) == LabelMark(1)  # reads the type
+    assert mat.draw(0, rng, 1) == [1]  # label 1 draws label 2
+    assert mat.draw(1, rng, 1) == [0]  # a composite's code is its type index
 
 
 def test_mixture_sampling_frequencies():
     rng = np.random.default_rng(6)
     spec = FeatureMixture(0.4, FeaturePrior((0.2,)))
-    parent = bm(0)
-    flips = sum(spec.draw(parent, rng).bits[0] for _ in range(20000))
+    flips = int(spec.draw(row(0), rng, 20000)[:, 0].sum())
     assert flips / 20000 == pytest.approx(0.4 * 0.2, abs=0.01)
 
 
@@ -280,11 +284,29 @@ def test_label_draws_match_the_searchsorted_formula():
     matrix = CategoricalMatrix(((0.6, 0.2, 0.2), (0.0, 0.0, 1.0), (0.25, 0.5, 0.25)))
     rng, ref = np.random.default_rng(4), np.random.default_rng(4)
     for k in range(300):
-        assert marginal.draw(rng) == LabelMark(
-            _old_draw(marginal.probs, ref.random()) + 1)
-        parent = LabelMark(k % 3 + 1)
-        assert matrix.draw(parent, rng) == LabelMark(
-            _old_draw(matrix.matrix[k % 3], ref.random()) + 1)
+        assert marginal.draw(rng, 1) == [_old_draw(marginal.probs, ref.random())]
+        assert matrix.draw(k % 3, rng, 1) == [_old_draw(matrix.matrix[k % 3], ref.random())]
+
+
+@pytest.mark.parametrize("spec, parent", [
+    (IdentityTransition(), 2), (IdentityTransition(), row(1, 0, 1)),
+    (PriorTransition(LabelMarginal((0.5, 0.3, 0.2))), 0),
+    (PriorTransition(PRIOR3), row(0, 1, 1)),
+    (FeatureMixture(0.4, PRIOR3), row(1, 1, 0)),
+    (CategoricalMatrix(((0.6, 0.2, 0.2), (0.0, 0.0, 1.0), (0.25, 0.5, 0.25))), 2)])
+def test_a_batch_of_draws_takes_the_stream_of_single_draws(spec, parent):
+    # simulate draws each parent's children under one component at once
+    rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+    for m in (0, 1, 2, 5, 17):
+        batch = np.asarray(spec.draw(parent, rng, m))
+        singles = [np.asarray(spec.draw(parent, ref, 1))[0] for _ in range(m)]
+        np.testing.assert_array_equal(batch, np.array(singles).reshape(batch.shape))
+    assert rng.random() == ref.random()
+    # the root marks: one draw of the distribution for all of them
+    if isinstance(spec, PriorTransition):
+        roots = np.asarray(spec.mark.draw(rng, 40))
+        np.testing.assert_array_equal(
+            roots, np.array([np.asarray(spec.mark.draw(ref, 1))[0] for _ in range(40)]))
 
 
 def test_feature_prior_stats_cover_only_the_span_of_the_children():
@@ -342,7 +364,7 @@ def test_pattern_tables_give_the_pair_statistics():
     d = Dataset([Event(float(t), BinaryMark(tuple(int(b) for b in row)))
                  for t, row in zip(np.sort(rng.uniform(0, 50, n)), X)], 50.0,
                 BinarySchema(("a", "b", "c")))
-    codes, P = pattern_codes(d)
+    codes, P = d.schema.pattern_codes(d)
     assert P == len(d.feature_patterns[0]) <= 2 ** width
     parents, children = rng.integers(0, n, size=(2, size))
     z = rng.random(size)
@@ -367,7 +389,7 @@ def test_pattern_tables_give_the_pair_statistics():
     dl = Dataset([Event(float(t), LabelMark(int(k))) for t, k in
                   zip(np.sort(rng.uniform(0, 50, n)), rng.integers(1, 4, size=n))],
                  50.0, LabelSchema(3))
-    assert pattern_codes(dl)[1] == 3
+    assert dl.schema.pattern_codes(dl)[1] == 3
     labels = dl.label_index
     square = np.bincount(labels[parents] * 3 + labels[children], weights=z,
                          minlength=9).reshape(3, 3)
