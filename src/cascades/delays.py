@@ -331,12 +331,6 @@ def tail_cutoff(spec: DelaySpec, tail_mass: float) -> float:
     return spec.cutoff(tail_mass)
 
 
-def sample(spec: DelaySpec, rng: np.random.Generator, size: int | None = None):
-    """Draw delays; scalars when size is None, else an array of length size."""
-    out = spec.draw(rng, 1 if size is None else size)
-    return float(out[0]) if size is None else out
-
-
 def _clean_samples(deltas, weights) -> tuple[np.ndarray, np.ndarray]:
     d = np.asarray(deltas, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)

@@ -1170,6 +1170,11 @@ def _component_shares(model: CascadeModel, d: Dataset) -> list[float]:
     return [m / total for m in means]
 
 
+def _ll_decreased(prev: float, new: float) -> bool:
+    """Whether an EM step from LL ``prev`` to ``new`` fell beyond rounding."""
+    return prev - new > 1e-8 * abs(prev) + 1e-12
+
+
 def fit(model: CascadeModel, d: Dataset, max_iters: int = 50, tol: float = 1e-6,
         *, children: np.ndarray | None = None,
         window: tuple[float, float] | None = None,
@@ -1243,8 +1248,7 @@ def fit(model: CascadeModel, d: Dataset, max_iters: int = 50, tol: float = 1e-6,
             held.append(_evaluate(candidate, *heldout)[1])
         shares.append(_component_shares(candidate, d))
         dmeans.append([c.delay.mean() for c in candidate.components])
-        drop = ll - ll_new
-        if drop > 1e-8 * abs(ll) + 1e-12:
+        if _ll_decreased(ll, ll_new):
             msg = (f"log likelihood decreased at iteration {iterations}: "
                    f"{ll!r} -> {ll_new!r}")
             if on_decrease == "raise":

@@ -110,15 +110,15 @@ class BinarySchema:
     def code_columns(self, codes) -> dict:
         return {"feature_matrix": np.asarray(codes, np.uint8).reshape(len(codes), self.width)}
 
-    def mark_columns(self, marks: list) -> tuple[dict, tuple]:
+    def mark_columns(self, marks: list) -> tuple[dict, list]:
         """The columns of Mark objects (an entry other than 0 or 1 stored as
-        2), and (mask, message) of the marks of the wrong kind or width."""
+        2), and the check of their kind and width, as ``value_checks`` gives."""
         wrong = [not isinstance(m, BinaryMark) or len(m.bits) != self.width for m in marks]
         bits = np.array([(0,) * self.width if bad else m.bits for m, bad in zip(marks, wrong)],
                         dtype=object).reshape(len(marks), self.width)
         return (self.code_columns(np.select([bits == 0, bits == 1], [0, 1], 2)),
-                (np.array(wrong, dtype=bool),
-                 f"mark does not match binary schema of width {self.width}"))
+                [(np.array(wrong, dtype=bool),
+                  lambda i: f"mark does not match binary schema of width {self.width}")])
 
     def value_checks(self, cols: dict, first: int) -> list:
         """(mask, message of row i) of each value check on rows ``first:``."""
@@ -175,6 +175,15 @@ class _Labels:
     def fertility_row(self, code: int) -> None:
         return None
 
+    def _label_codes(self, labels: list, wrong: list, message: str) -> tuple[np.ndarray, list]:
+        """Codes of Mark objects' labels (types), and the checks of the mark
+        kind (``wrong``) and of a label that is no integer or is a bool."""
+        odd = [isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in labels]
+        codes = np.array([1 if bad else v for v, bad in zip(labels, odd)], dtype=object) - 1
+        return codes, [(np.array(wrong, dtype=bool), lambda i: message),
+                       (np.array(odd, dtype=bool),
+                        lambda i: f"{self.word} must be an integer, got {labels[i]!r}")]
+
 
 @dataclass(frozen=True)
 class LabelSchema(_Labels):
@@ -212,11 +221,11 @@ class LabelSchema(_Labels):
         """The label codes of Mark objects stay Python ints until ``_check_rows``."""
         return {"label_index": np.asarray(codes)}
 
-    def mark_columns(self, marks: list) -> tuple[dict, tuple]:
+    def mark_columns(self, marks: list) -> tuple[dict, list]:
         wrong = [not isinstance(m, LabelMark) for m in marks]
-        labels = np.array([1 if bad else m.label for m, bad in zip(marks, wrong)], dtype=object)
-        return self.code_columns(labels - 1), (np.array(wrong, dtype=bool),
-                                               "expected a label mark")
+        labels = [None if bad else m.label for m, bad in zip(marks, wrong)]
+        codes, checks = self._label_codes(labels, wrong, "expected a label mark")
+        return self.code_columns(codes), checks
 
     def marks(self, d: Dataset) -> list[Mark]:
         return list(map(LabelMark, (d.label_index + 1).tolist()))
@@ -269,12 +278,12 @@ class CompositeSchema(_Labels):
     def code_columns(self, codes, nodes) -> dict:
         return {"label_index": np.asarray(codes), "node_ids": np.array(nodes, dtype=object)}
 
-    def mark_columns(self, marks: list) -> tuple[dict, tuple]:
+    def mark_columns(self, marks: list) -> tuple[dict, list]:
         wrong = [not isinstance(m, CompositeMark) for m in marks]
-        types = np.array([1 if bad else m.type for m, bad in zip(marks, wrong)], dtype=object)
+        types = [None if bad else m.type for m, bad in zip(marks, wrong)]
+        codes, checks = self._label_codes(types, wrong, "expected a (type, node) mark")
         nodes = ["" if bad else m.node for m, bad in zip(marks, wrong)]
-        return self.code_columns(types - 1, nodes), (np.array(wrong, dtype=bool),
-                                                     "expected a (type, node) mark")
+        return self.code_columns(codes, nodes), checks
 
     def value_checks(self, cols: dict, first: int) -> list:
         checks = super().value_checks(cols, first)
@@ -295,12 +304,13 @@ class CompositeSchema(_Labels):
 MarkSchema = Union[BinarySchema, LabelSchema, CompositeSchema]
 
 
-def _check_rows(cols: dict, horizon, schema: MarkSchema, start, wrong: tuple | None = None,
+def _check_rows(cols: dict, horizon, schema: MarkSchema, start, mark_checks: list = (),
                 first: int = 0) -> None:
     """Check the window, then raise the DataError of the first faulty row
     (in time order) from ``first`` on, for the first check it fails: time,
-    mark kind (``wrong``: the mask over those rows and its message), then
-    the schema's ``value_checks``. Label codes that pass are stored as int64."""
+    the checks on Mark objects (``mark_checks``, from ``mark_columns``,
+    over those rows), then the schema's ``value_checks``. Label codes that
+    pass are stored as int64."""
     if not np.isfinite(horizon) or horizon < 0:
         raise DataError(f"horizon must be finite and nonnegative, got {horizon}")
     if start < 0 or start > horizon:
@@ -309,9 +319,7 @@ def _check_rows(cols: dict, horizon, schema: MarkSchema, start, wrong: tuple | N
     checks = [(~np.isfinite(t) | (t < 0),
                lambda i: f"timestamp {t[i]} is not finite and nonnegative"),
               (t > horizon, lambda i: f"timestamp {t[i]} beyond horizon {horizon}")]
-    if wrong is not None:
-        checks.append((wrong[0], lambda i: wrong[1]))
-    checks += schema.value_checks(cols, first)
+    checks += [*mark_checks, *schema.value_checks(cols, first)]
     fault = np.logical_or.reduce([mask for mask, _ in checks])
     if fault.any():
         i = int(fault.argmax())
@@ -333,9 +341,9 @@ class Dataset:
     def __init__(self, events: Iterable[Event], horizon: float, schema: MarkSchema,
                  start: float = 0.0, units: str | None = None):
         events = sorted(events, key=lambda ev: ev.t)
-        cols, wrong = schema.mark_columns([ev.mark for ev in events])
+        cols, checks = schema.mark_columns([ev.mark for ev in events])
         cols["times"] = np.array([ev.t for ev in events], dtype=np.float64)
-        _check_rows(cols, horizon, schema, start, wrong)
+        _check_rows(cols, horizon, schema, start, checks)
         self._cols, self.horizon, self.schema, self.start, self.units = (
             cols, float(horizon), schema, float(start), units)
 
@@ -460,11 +468,11 @@ class Dataset:
     def _with_query(self, lo: int, hi: int, t: float, mark: Mark) -> "Dataset":
         """Rows lo:hi, which precede t, then the event (t, mark), over the
         window (0, t]; only the new event is checked."""
-        cols, wrong = self.schema.mark_columns([mark])
+        cols, checks = self.schema.mark_columns([mark])
         cols["times"] = np.array([t], dtype=np.float64)
         cols = {name: np.concatenate([self._cols[name][lo:hi], col])
                 for name, col in cols.items()}
-        _check_rows(cols, t, self.schema, 0.0, wrong, first=hi - lo)
+        _check_rows(cols, t, self.schema, 0.0, checks, first=hi - lo)
         return Dataset._of(cols, t, self.schema)
 
 

@@ -13,15 +13,16 @@ every node fits only the winning setting on the whole window. A node's
 fits and scores read only its local data (``local_data``: the events at
 the node and at its in-neighbours), so ``workers`` processes each take a
 contiguous block of nodes and receive only that block's local data.
-Likelihood decreases in node fits are counted per fit (``NodeFit``) and
-reported in one warning per round.
+Likelihood decreases in node fits are counted per fit (``NodeFit``) with
+``fit``'s rule and reported in one warning per round. ``simulate_graph``
+draws the roots node by node and leaves their offspring to ``simulate``'s
+queue, with one rule per node an event triggers at.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
@@ -29,15 +30,14 @@ from multiprocessing import get_context
 
 import numpy as np
 
-from . import delays as delay_mod
 from .delays import DelaySpec, ExponentialDelay
 from .engine import (CascadeModel, HomogeneousBaseline, KernelComponent,
-                     _child_ids, _evaluate, e_step, expected_transition_counts, fit,
-                     m_step, windowed_log_likelihood)
+                     _child_ids, _evaluate, _ll_decreased, e_step,
+                     expected_transition_counts, fit, m_step, windowed_log_likelihood)
 from .errors import ConfigError, DataError
-from .events import CompositeSchema, Dataset
+from .events import CompositeSchema, Dataset, _jsonl_objects
 from .fertility import ConstantFertility
-from .simulate import CausalForest, _poisson_count, _time_ordered, substream
+from .simulate import CausalForest, _offspring, _poisson_count, _time_ordered, substream
 from .transitions import CategoricalMatrix, LabelMarginal, draw_index
 
 VARIANTS = ("no_neighbors", "shared_transition", "separate_transitions",
@@ -85,30 +85,22 @@ def load_graph(path: str) -> Graph:
     """Read a graph from JSONL rows {"node": id, "out": [ids...]}."""
     nodes: list[str] = []
     out: dict[str, list[str]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict) or "node" not in obj:
-                raise DataError(f"{path}:{lineno}: expected an object with a 'node' key")
-            unknown = set(obj) - {"node", "out"}
-            if unknown:
-                raise DataError(f"{path}:{lineno}: unknown keys {sorted(unknown)}")
-            v = obj["node"]
-            if not isinstance(v, str):
-                raise DataError(f"{path}:{lineno}: node ids must be strings")
-            if v in out:
-                raise DataError(f"{path}:{lineno}: node {v!r} appears twice")
-            targets = obj.get("out", [])
-            if not isinstance(targets, list) or not all(isinstance(u, str) for u in targets):
-                raise DataError(f"{path}:{lineno}: 'out' must be a list of node ids")
-            nodes.append(v)
-            out[v] = targets
+    for lineno, obj in _jsonl_objects(path):
+        if "node" not in obj:
+            raise DataError(f"{path}:{lineno}: expected an object with a 'node' key")
+        unknown = set(obj) - {"node", "out"}
+        if unknown:
+            raise DataError(f"{path}:{lineno}: unknown keys {sorted(unknown)}")
+        v = obj["node"]
+        if not isinstance(v, str):
+            raise DataError(f"{path}:{lineno}: node ids must be strings")
+        if v in out:
+            raise DataError(f"{path}:{lineno}: node {v!r} appears twice")
+        targets = obj.get("out", [])
+        if not isinstance(targets, list) or not all(isinstance(u, str) for u in targets):
+            raise DataError(f"{path}:{lineno}: 'out' must be a list of node ids")
+        nodes.append(v)
+        out[v] = targets
     return Graph(nodes, out)
 
 
@@ -245,7 +237,7 @@ class NodeFit:
     """One node's fitted model with its training LL, its transition
     counts by shrinkage context (None when not collected), and how its
     EM run went: iterations, whether the tolerance test stopped it, and
-    how many iterations lowered the LL by more than 1e-8 |LL| + 1e-12."""
+    how many iterations lowered the LL by more than ``fit`` tolerates."""
 
     node: str
     model: CascadeModel
@@ -258,8 +250,7 @@ class NodeFit:
 
 def _ll_decreases(trace) -> int:
     """Steps of an LL trace that fall by more than fit's tolerance."""
-    return sum(prev - new > 1e-8 * abs(prev) + 1e-12
-               for prev, new in zip(trace, trace[1:]))
+    return sum(map(_ll_decreased, trace, trace[1:]))
 
 
 def _fit_per_neighbor(model: CascadeModel, d: Dataset, mask: np.ndarray,
@@ -586,10 +577,11 @@ def simulate_graph(graph: Graph, horizon: float, seed: int, *,
     node (rate self_rate) and at each outgoing neighbor (rate
     neighbor_rate), with types drawn from the transition row of the
     parent type. base_rate is a scalar or a dict with a rate for every
-    node; rates and marginal entries must be finite and nonnegative, and
-    the marginal must not sum to zero. Raises once more than max_events
-    accumulate, counting root events node by node before their times are
-    allocated.
+    node; every rate and marginal entry must be finite and nonnegative,
+    and the marginal must not sum to zero. Once more than max_events
+    accumulate this raises DataError while root events are counted node
+    by node (before their times are allocated), and among the offspring
+    ``simulate``'s NumericalError (the model may be supercritical).
     """
     if horizon <= 0 or not np.isfinite(horizon):
         raise ConfigError(f"horizon must be positive and finite, got {horizon}")
@@ -605,54 +597,39 @@ def simulate_graph(graph: Graph, horizon: float, seed: int, *,
     if missing or unknown:
         raise ConfigError(f"base_rate: no rate for node {missing[0]!r}" if missing
                           else f"base_rate: unknown node {unknown[0]!r}")
-    for v in graph.nodes:
-        if not 0.0 <= rates[v] < np.inf:
-            raise ConfigError(f"base_rate of node {v!r} must be finite and nonnegative, "
-                              f"got {rates[v]!r}")
+    named = [(f"base_rate of node {v!r}", rates[v]) for v in graph.nodes]
+    for name, rate in named + [("self_rate", self_rate), ("neighbor_rate", neighbor_rate)]:
+        if not 0.0 <= rate < np.inf:
+            raise ConfigError(f"{name} must be finite and nonnegative, got {rate!r}")
     L = marginal.size
-    theta = transition.as_array
-    if theta.shape != (L, L):
+    if transition.as_array.shape != (L, L):
         raise ConfigError("transition size does not match the type marginal")
     rng = substream(seed, "graph")
     schema = CompositeSchema(L, frozenset(graph.nodes))
+    cum_marginal, cum_rows = np.cumsum(marginal).tolist(), transition.cumulative
 
-    cum_marginal = np.cumsum(marginal).tolist()
-    cum_rows = transition.cumulative
+    def draw_types(cum: list[float], m: int) -> list[int]:
+        return [draw_index(cum, rng.random() * cum[-1]) for _ in range(m)]
 
-    def draw_type(cum: list[float]) -> int:
-        return draw_index(cum, rng.random() * cum[-1])
+    def child_types(code: int, rng, m: int) -> list[int]:
+        return draw_types(cum_rows[code], m)
 
-    times: list[float] = []
-    types: list[int] = []  # each event's code: its type index
-    nodes: list[str] = []
+    times, types, nodes = [], [], []  # an event's code is its type index
     for v in graph.nodes:
         count = _poisson_count(rng, rates[v] * horizon)
         if len(times) + count > max_events:
             raise DataError(f"graph simulation exceeded max_events={max_events}: "
                             f"{len(times) + count} root events through node {v!r}")
         times += np.sort(rng.random(count) * horizon).tolist()
-        types += [draw_type(cum_marginal) for _ in range(count)]
+        types += draw_types(cum_marginal, count)
         nodes += [v] * count
-    parents, gens, queue = [-1] * len(times), [0] * len(times), deque(range(len(times)))
 
-    while queue:
-        i = queue.popleft()
-        t_i, row = times[i], cum_rows[types[i]]
-        for k, target in enumerate((nodes[i],) + graph.out[nodes[i]]):
-            count = _poisson_count(rng, self_rate if k == 0 else neighbor_rate)
-            if count == 0:
-                continue
-            deltas = np.atleast_1d(delay_mod.sample(delay, rng, count))
-            kids = [t for t in (t_i + dt for dt in deltas.tolist()) if t <= horizon]
-            queue.extend(range(len(times), len(times) + len(kids)))
-            times += kids
-            types += [draw_type(row) for _ in kids]
-            nodes += [target] * len(kids)
-            parents += [i] * len(kids)
-            gens += [gens[i] + 1] * len(kids)
-            if len(times) > max_events:
-                raise DataError(f"graph simulation exceeded max_events={max_events}")
-
+    # an event triggers at its own node, then at each outgoing neighbor
+    by_node = {v: [(self_rate, delay, child_types, v)]
+               + [(neighbor_rate, delay, child_types, u) for u in graph.out[v]]
+               for v in graph.nodes}
+    parents, gens = _offspring(rng, times, types, nodes, lambda code, v: by_node[v],
+                               horizon, max_events)
     # every triggered event is component 0's
     return _time_ordered(times, schema.code_columns(types, nodes), parents,
                          np.minimum(parents, 0), gens, horizon, schema)

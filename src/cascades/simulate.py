@@ -4,10 +4,11 @@ Events are generated by the branching construction: baseline events are
 drawn over the window first, then each event independently spawns
 offspring under every kernel component. The true cause of every event
 is recorded in a causal forest so inference output can be scored
-against it.
+against it. One offspring queue (``_offspring``) serves both simulators,
+which draw their own roots and give it their own offspring rules.
 
-Every Poisson count (roots, offspring, and the graph simulator's) comes
-from one uniform through an exact scalar inverse of the Poisson CDF
+Every Poisson count (roots and offspring, in both) comes from one
+uniform through an exact scalar inverse of the Poisson CDF
 (scipy.special's pdtrik and pdtr), so a stream's layout does not depend
 on the counts' sizes and importing the package does not load scipy's
 statistics module.
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from . import delays as delay_mod
 from .engine import CascadeModel, Responsibilities, baseline_integral, validate_model
 from .errors import ConfigError, DataError, NumericalError
 from .events import CompositeSchema, Dataset, MarkSchema, _check_rows, _jsonl_objects
@@ -95,16 +95,10 @@ def simulate(model: CascadeModel, horizon: float, seed: int,
     """Draw one realization on (0, horizon] with its causal forest.
 
     Baseline events are generated first (times, then marks, in time
-    order), then the offspring queue is processed first-in first-out:
-    for each event and each component, an offspring count, then all
-    delays, then marks for the children that land inside the horizon.
-    Children past the horizon are discarded after their delay is drawn,
-    which keeps the stream layout independent of the horizon clipping.
-    Raises when more than max_events accumulate: as soon as the root
-    count is drawn if the roots alone exceed it (before any root time is
-    allocated), otherwise after the children (of one parent under one
-    component) that cross it, which usually means the model is
-    supercritical.
+    order), then ``_offspring`` runs the queue with one rule per
+    component. Raises when more than max_events accumulate: as soon as
+    the root count is drawn if the roots alone exceed it (before any root
+    time is allocated), otherwise as ``_offspring`` does.
     """
     if schema is None:
         schema = model.baseline.mark.default_schema()
@@ -123,43 +117,64 @@ def simulate(model: CascadeModel, horizon: float, seed: int,
             f"drew {n_roots} root events")
     times = model.baseline.draw_times(horizon, n_roots, rng).tolist()
     codes = list(model.baseline.mark.draw(rng, n_roots))
-    parents, comp_of, gens = [-1] * n_roots, [-1] * n_roots, [0] * n_roots
-    queue: deque[int] = deque(range(n_roots))
 
-    # fertility reads the parent's features alone: one evaluation per
+    # fertility reads the parent's features alone: one rule list per
     # distinct feature row, or one in all for marks without features
-    mus: dict = {}
-    processed = 0
-    while queue:
-        i = queue.popleft()
-        processed += 1
-        t_i, code_i = times[i], codes[i]
-        X = schema.fertility_row(code_i)
+    by_key: dict = {}
+
+    def rules(code, tag) -> list:
+        X = schema.fertility_row(code)
         key = None if X is None else X.tobytes()
-        mu = mus.get(key)
-        if mu is None:
-            mu = mus[key] = [float(c.fertility.rates(X, 1)[0]) for c in model.components]
-        for c, comp in enumerate(model.components):
-            count = _poisson_count(rng, mu[c])
+        if key not in by_key:
+            by_key[key] = [(float(comp.fertility.rates(X, 1)[0]), comp.delay,
+                            comp.transition.draw, c) for c, comp in enumerate(model.components)]
+        return by_key[key]
+
+    comp_of = [-1] * n_roots
+    parents, gens = _offspring(rng, times, codes, comp_of, rules, horizon, max_events)
+    return _time_ordered(times, schema.code_columns(codes), parents, comp_of, gens,
+                         horizon, schema)
+
+
+def _offspring(rng: np.random.Generator, times: list, codes: list, tags: list, rules,
+               horizon: float, max_events: int) -> tuple[list, list]:
+    """The offspring queue of both simulators. From the roots ``times``,
+    ``codes`` and ``tags`` it processes events first-in first-out,
+    appending every child to those lists, and returns each event's parent
+    (-1 for a root) and generation. ``rules(code, tag)`` gives an event's
+    offspring rules as (mean, delay, draw, tag); per rule, one Poisson
+    count, then all the delays, then ``draw(parent code, rng, m)`` for the
+    m children inside the horizon, each tagged with the rule's tag.
+    Children past the horizon are discarded after their delay is drawn,
+    which keeps the stream layout independent of the horizon clipping.
+    Raises NumericalError after the children (of one parent under one
+    rule) that take the event count past max_events.
+    """
+    n_roots = len(times)
+    parents, gens = [-1] * n_roots, [0] * n_roots
+    queue: deque[int] = deque(range(n_roots))
+    while queue:
+        i = queue.popleft()  # first in, first out: i events came before
+        t_i, code_i = times[i], codes[i]
+        for mean, delay, draw, tag in rules(code_i, tags[i]):
+            count = _poisson_count(rng, mean)
             if count == 0:
                 continue
-            deltas = np.atleast_1d(delay_mod.sample(comp.delay, rng, count))
-            kids = [t for t in (t_i + dt for dt in deltas.tolist()) if t <= horizon]
+            kids = [t for t in (t_i + dt for dt in delay.draw(rng, count).tolist())
+                    if t <= horizon]
             queue.extend(range(len(times), len(times) + len(kids)))
             times += kids
-            codes.extend(comp.transition.draw(code_i, rng, len(kids)))
+            codes.extend(draw(code_i, rng, len(kids)))
+            tags += [tag] * len(kids)
             parents += [i] * len(kids)
-            comp_of += [c] * len(kids)
             gens += [gens[i] + 1] * len(kids)
             if len(times) > max_events:
-                ratio = (max_events + 1 - n_roots) / max(processed, 1)
+                ratio = (max_events + 1 - n_roots) / (i + 1)
                 raise NumericalError(
                     f"simulation exceeded max_events={max_events}; mean "
                     f"offspring so far is about {ratio:.2f}, the model "
                     "may be supercritical")
-
-    return _time_ordered(times, schema.code_columns(codes), parents, comp_of, gens,
-                         horizon, schema)
+    return parents, gens
 
 
 def _time_ordered(times: list, cols: dict, parents: list, comps, gens: list,

@@ -422,6 +422,46 @@ def test_query_mark_errors_name_the_query_event():
         assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("kind, mark, message", [
+    ("label", LabelMark(1.5), "label must be an integer, got 1.5"),
+    ("label", LabelMark(2.0), "label must be an integer, got 2.0"),
+    ("label", LabelMark(True), "label must be an integer, got True"),
+    ("label", LabelMark("2"), "label must be an integer, got '2'"),
+    ("label", LabelMark(None), "label must be an integer, got None"),
+    ("composite", CompositeMark(2.5, "u"), "type must be an integer, got 2.5"),
+    ("composite", CompositeMark(False, "v"), "type must be an integer, got False"),
+    ("label", LabelMark(np.int64(2)), None),
+    ("composite", CompositeMark(np.int32(3), "v"), None),
+])
+def test_labels_and_types_must_be_integers(kind, mark, message):
+    first = Event(0.5, GOOD_MARKS[kind][0])
+    expected = None if message is None else f"event 1: {message}"
+    assert _built_error([first, Event(0.7, mark)], 4.0, SCHEMAS[kind]) == expected
+    d = Dataset([first], 4.0, SCHEMAS[kind])
+    if message is None:  # numpy integers are integers
+        query = d._with_query(0, 1, 0.7, mark)
+        assert query.label_index.dtype == np.int64 and query.events[1].mark == mark
+    else:  # intensity's query mark takes the same checks
+        with pytest.raises(DataError) as exc:
+            d._with_query(0, 1, 0.7, mark)
+        assert str(exc.value) == expected
+
+
+def test_non_integer_labels_are_not_truncated():
+    from cascades import (CascadeModel, ConstantFertility, ExponentialDelay,
+                          HomogeneousBaseline, KernelComponent, LabelMarginal, intensity)
+    with pytest.raises(DataError, match="event 0: label must be an integer, got 1.5"):
+        Dataset([Event(0.5, LabelMark(1.5)), Event(0.7, LabelMark(2.9))], 1.0, LabelSchema(3))
+    d = Dataset([Event(0.5, LabelMark(1))], 1.0, LabelSchema(3))
+    model = CascadeModel(HomogeneousBaseline(1.0, LabelMarginal((0.2, 0.3, 0.5))), (
+        KernelComponent("k", ConstantFertility(0.4), IdentityTransition(),
+                        ExponentialDelay(1.0)),))
+    with pytest.raises(DataError, match="event 1: label must be an integer, got 2.9"):
+        intensity(model, d, 0.8, LabelMark(2.9))
+    assert intensity(model, d, 0.8, LabelMark(np.int64(2))) == intensity(
+        model, d, 0.8, LabelMark(2))
+
+
 def test_subset_rejects_positions_outside_the_dataset():
     d = Dataset([Event(t, LabelMark(1)) for t in (1.0, 2.0, 3.0)], 4.0, LabelSchema(1))
     for index in ([-1], [0, 3], [5]):

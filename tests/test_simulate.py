@@ -148,6 +148,31 @@ def _graph_sim(horizon, max_events, base_rate=1.0):
                           delay=ExponentialDelay(1.0), max_events=max_events)
 
 
+def _ring_sim(max_events, self_rate=0.3):
+    graph = Graph(("a", "b", "c"), {"a": ("b",), "b": ("c",), "c": ("a",)})
+    return simulate_graph(graph, 40.0, 5, type_marginal=(0.6, 0.4), base_rate=0.2,
+                          self_rate=self_rate, neighbor_rate=0.2,
+                          transition=CategoricalMatrix(((0.9, 0.1), (0.2, 0.8))),
+                          delay=ExponentialDelay(1.0), max_events=max_events)
+
+
+def test_graph_event_cap_leaves_streams_under_it_unchanged():
+    d1, f1 = _ring_sim(1_000_000)
+    assert np.any(f1.parents >= 0)
+    d2, f2 = _ring_sim(len(d1))
+    assert d1.events == d2.events
+    for a, b in ((f1.parents, f2.parents), (f1.components, f2.components),
+                 (f1.generations, f2.generations)):
+        assert np.array_equal(a, b)
+    with pytest.raises(NumericalError, match="max_events"):
+        _ring_sim(len(d1) - 1)
+
+
+def test_supercritical_graph_hits_the_shared_offspring_cap():
+    with pytest.raises(NumericalError, match="max_events=500; mean offspring .* supercritical"):
+        _ring_sim(500, self_rate=1.5)
+
+
 def test_graph_event_cap_counts_roots_per_node():
     # each node alone stays under the cap; the running total crosses it
     with pytest.raises(DataError, match=r"max_events=1000: \d+ root events through node"):
@@ -167,7 +192,18 @@ def test_graph_event_cap_counts_roots_per_node():
     ({"base_rate": float("nan")}, "base_rate of node 'a' must be finite and nonnegative"),
     ({"type_marginal": (1.5, -0.5)}, "type_marginal entry -0.5 is negative or not finite"),
     ({"type_marginal": (0.5, float("nan"))}, "type_marginal entry nan is negative"),
-    ({"type_marginal": (0.0, 0.0)}, r"type_marginal \(0.0, 0.0\) sums to zero")])
+    ({"type_marginal": (0.0, 0.0)}, r"type_marginal \(0.0, 0.0\) sums to zero"),
+    ({"self_rate": -1.0}, "self_rate must be finite and nonnegative, got -1.0"),
+    ({"self_rate": float("nan")}, "self_rate must be finite and nonnegative, got nan"),
+    ({"self_rate": float("inf")}, "self_rate must be finite and nonnegative, got inf"),
+    ({"neighbor_rate": -0.5}, "neighbor_rate must be finite and nonnegative, got -0.5"),
+    ({"neighbor_rate": float("nan")}, "neighbor_rate must be finite and nonnegative, got nan"),
+    ({"neighbor_rate": float("inf")}, "neighbor_rate must be finite and nonnegative, got inf"),
+    # checked before any draw, so an empty stream does not hide them
+    ({"base_rate": 0.0, "self_rate": -1.0, "neighbor_rate": float("nan")},
+     "self_rate must be finite and nonnegative, got -1.0"),
+    ({"base_rate": 0.0, "neighbor_rate": float("nan")},
+     "neighbor_rate must be finite and nonnegative, got nan")])
 def test_graph_simulator_rejects_bad_rates_and_marginals(change, message):
     graph = Graph(("a", "b", "c"), {"a": ("b",), "b": ("c",), "c": ()})
     args = dict(type_marginal=(0.6, 0.4), base_rate=1.0, self_rate=0.2, neighbor_rate=0.1,
