@@ -3,8 +3,12 @@
 Each family is one frozen dataclass that checks its parameters when it
 is built and owns its math, on positive delays only: ``pdf`` and
 ``cdf``, the analytic ``mean``, ``cutoff`` (the delay past which a given
-tail mass lies, for truncation windows), ``draw`` and ``refit`` (the
-weighted maximum likelihood update of the EM M-step). ``decay_rate`` is
+tail mass lies, for truncation windows), ``draw``, ``stats`` and
+``refit``. ``stats(d, w)`` is the family's sufficient statistic of a
+weighted sample: a fixed-size array that adds across disjoint parts of
+the sample, so a sample of any length is read slice by slice.
+``refit(stats)`` is the weighted maximum likelihood update of the EM
+M-step from that statistic. ``decay_rate`` is
 the rate of a single exponential, whose decayed sums the engine's
 prefix-sum scan can carry, and None for every other family. ``kind``
 names the family in JSON configs. The module functions add what every
@@ -22,6 +26,10 @@ import numpy as np
 from scipy import special
 
 from .errors import DataError, NumericalError
+
+# candidate pairs the pairwise E-step evaluates at once, and samples
+# weighted_mle reads at once
+PAIR_CHUNK = 1 << 18
 
 
 def _positive(name: str, value: float) -> None:
@@ -57,8 +65,11 @@ class ExponentialDelay:
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.exponential(1.0 / self.rate, size=n)
 
-    def refit(self, d: np.ndarray, w: np.ndarray) -> ExponentialDelay:
-        return ExponentialDelay(rate=float(w.sum() / np.dot(w, d)))
+    def stats(self, d: np.ndarray, w: np.ndarray) -> np.ndarray:
+        return np.array([w.sum(), np.dot(w, d)])
+
+    def refit(self, stats: np.ndarray) -> ExponentialDelay:
+        return ExponentialDelay(rate=float(stats[0] / stats[1]))
 
 
 @dataclass(frozen=True)
@@ -89,14 +100,17 @@ class GammaDelay:
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.gamma(self.shape, 1.0 / self.rate, size=n)
 
-    def refit(self, d: np.ndarray, w: np.ndarray) -> GammaDelay:
-        total = w.sum()
-        mean = np.dot(w, d) / total
-        mean_log = np.dot(w, np.log(d)) / total
-        s = np.log(mean) - mean_log
+    def stats(self, d: np.ndarray, w: np.ndarray) -> np.ndarray:
+        # the second moment only starts the Newton iteration (Minka, 2002)
+        return np.array([w.sum(), np.dot(w, d), np.dot(w, d * d), np.dot(w, np.log(d))])
+
+    def refit(self, stats: np.ndarray) -> GammaDelay:
+        total, sum_d, sum_d2, sum_log = stats
+        mean = sum_d / total
+        s = np.log(mean) - sum_log / total
         if s < 1e-12:
             raise DataError("gamma MLE is degenerate: all delays at a single point")
-        var = np.dot(w, (d - mean) ** 2) / total
+        var = sum_d2 / total - mean * mean
         init = mean * mean / var if var > 0 else 1.0
         shape = _gamma_shape_mle(s, init)
         return GammaDelay(shape=float(shape), rate=float(shape / mean))
@@ -130,7 +144,10 @@ class UniformDelay:
         # 1 - U keeps the support at (0, width]
         return self.width * (1.0 - rng.random(n))
 
-    def refit(self, d: np.ndarray, w: np.ndarray) -> UniformDelay:
+    def stats(self, d: np.ndarray, w: np.ndarray) -> np.ndarray:
+        return np.array([w.sum()])
+
+    def refit(self, stats: np.ndarray) -> UniformDelay:
         return self
 
 
@@ -188,13 +205,16 @@ class PiecewiseUniformDelay:
         hi = np.asarray(self.edges)[bins + 1]
         return hi - (hi - lo) * rng.random(n)
 
-    def refit(self, d: np.ndarray, w: np.ndarray) -> PiecewiseUniformDelay:
+    def stats(self, d: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """The weight in each bin; samples past the last edge add none."""
         idx = np.searchsorted(np.asarray(self.edges), d, side="left")
         ok = (idx >= 1) & (idx <= len(self.probs))
-        if not np.any(ok):
+        return np.bincount(idx[ok] - 1, weights=w[ok], minlength=len(self.probs))
+
+    def refit(self, stats: np.ndarray) -> PiecewiseUniformDelay:
+        if not np.any(stats > 0):
             raise DataError("piecewise MLE: no weighted samples fall inside the bins")
-        sums = np.bincount(idx[ok] - 1, weights=w[ok], minlength=len(self.probs))
-        return PiecewiseUniformDelay(self.edges, tuple((sums / sums.sum()).tolist()))
+        return PiecewiseUniformDelay(self.edges, tuple((stats / stats.sum()).tolist()))
 
 
 @dataclass(frozen=True)
@@ -263,9 +283,9 @@ class ExpMixtureDelay:
                        0, len(self.rates) - 1)
         return rng.exponential(1.0, size=n) / np.asarray(self.rates)[comp]
 
-    def refit(self, d: np.ndarray, w: np.ndarray) -> ExpMixtureDelay:
-        # one E/M pass over the mixture with the caller-supplied weights
-        total = w.sum()
+    def stats(self, d: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Total weight, then per term the weight and the weighted delay
+        under the term's responsibilities at the incumbent parameters."""
         rates = np.asarray(self.rates)
         mix = np.asarray(self.weights)
         dens = mix[None, :] * rates[None, :] * np.exp(-np.outer(d, rates))
@@ -273,8 +293,12 @@ class ExpMixtureDelay:
         if np.any(norm <= 0):
             raise NumericalError("exp mixture responsibilities vanished")
         resp = dens / norm[:, None]
-        comp_w = w @ resp
-        comp_wd = (w * d) @ resp
+        return np.concatenate(([w.sum()], w @ resp, (w * d) @ resp))
+
+    def refit(self, stats: np.ndarray) -> ExpMixtureDelay:
+        # one E/M pass over the mixture with the caller-supplied weights
+        rates = np.asarray(self.rates)
+        total, comp_w, comp_wd = stats[0], stats[1:rates.size + 1], stats[rates.size + 1:]
         new_mix, new_rates = [], []
         for c in range(len(rates)):
             if comp_w[c] <= 0:
@@ -331,23 +355,6 @@ def tail_cutoff(spec: DelaySpec, tail_mass: float) -> float:
     return spec.cutoff(tail_mass)
 
 
-def _clean_samples(deltas, weights) -> tuple[np.ndarray, np.ndarray]:
-    d = np.asarray(deltas, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    if d.shape != w.shape or d.ndim != 1:
-        raise DataError("delays and weights must be 1-d arrays of the same length")
-    if np.any(w < 0):
-        raise DataError("sample weights must be nonnegative")
-    keep = w > 0
-    if not keep.all():
-        d, w = d[keep], w[keep]
-    if d.size == 0 or w.sum() <= 0:
-        raise DataError("weighted MLE needs positive total weight")
-    if np.any(d <= 0):
-        raise DataError("weighted MLE needs strictly positive delays")
-    return d, w
-
-
 def _gamma_shape_mle(s: float, init: float) -> float:
     """Solve log(k) - digamma(k) = s by guarded Newton iteration."""
     lo, hi = 1e-8, 1e8
@@ -367,12 +374,51 @@ def _gamma_shape_mle(s: float, init: float) -> float:
     raise NumericalError(f"gamma shape update did not converge (score gap {s:.3e})")
 
 
+def weighted_stats(spec: DelaySpec, deltas, weights) -> np.ndarray | None:
+    """``spec.stats`` of the samples with positive weight, summed over
+    slices of at most ``PAIR_CHUNK`` samples, so that the temporaries
+    stay that size whatever the sample's; None when no weight is
+    positive. Zero-weight samples are ignored, whatever their delay.
+    A bad weight anywhere is reported before a bad delay."""
+    deltas = np.asarray(deltas, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    if deltas.shape != weights.shape or deltas.ndim != 1:
+        raise DataError("delays and weights must be 1-d arrays of the same length")
+    total, fault = None, None
+    for lo in range(0, deltas.size, PAIR_CHUNK):
+        d, w = deltas[lo:lo + PAIR_CHUNK], weights[lo:lo + PAIR_CHUNK]
+        # one min and one max per array find any fault, which is then named
+        low = w.min()
+        if not (low >= 0 and w.max() < np.inf):
+            if (w < 0).any():
+                raise DataError("sample weights must be nonnegative")
+            raise DataError(f"sample weights must be finite, got {w[~np.isfinite(w)][0]}")
+        if low == 0:
+            keep = w > 0
+            d, w = d[keep], w[keep]
+        if fault is not None or not d.size:
+            continue
+        if not (d.min() > 0 and d.max() < np.inf):
+            fault = ("weighted MLE needs strictly positive delays" if (d <= 0).any() else
+                     f"weighted MLE needs finite delays, got {d[~np.isfinite(d)][0]}")
+            continue
+        part = spec.stats(d, w)
+        total = part if total is None else total + part
+    if fault is not None:
+        raise DataError(fault)
+    return total
+
+
 def weighted_mle(spec: DelaySpec, deltas, weights) -> DelaySpec:
     """Weighted maximum likelihood update within the family of ``spec``.
 
     The incumbent spec supplies the family, any fixed hyperparameters
     (uniform width, piecewise bin edges) and, for the exponential
     mixture, the current parameters used for its single inner EM pass.
-    Zero-weight samples are ignored; weights may be scaled freely.
+    Zero-weight samples are ignored; weights may be scaled freely. The
+    sample is read slice by slice (``weighted_stats``) and refit once.
     """
-    return spec.refit(*_clean_samples(deltas, weights))
+    stats = weighted_stats(spec, deltas, weights)
+    if stats is None:
+        raise DataError("weighted MLE needs positive total weight")
+    return spec.refit(stats)

@@ -43,14 +43,13 @@ import numpy as np
 from . import delays as delay_mod
 from . import fertility as fert_mod
 from . import transitions as trans_mod
-from .delays import DelaySpec
+from .delays import PAIR_CHUNK, DelaySpec
 from .errors import ConfigError, DataError, NumericalError
 from .events import CompositeSchema, Dataset, Mark, MarkSchema
 from .fertility import FertilitySpec
 from .transitions import MarkDistribution, TransitionSpec
 
 ZERO_CREDIT = 0.0  # component credit at or below this skips parameter updates
-PAIR_CHUNK = 1 << 18  # candidate pairs the pairwise E-step evaluates at once
 SCAN_MIN_PAIRS = 1 << 13  # a component with fewer candidate pairs stays on pairs
 FAST_MAX_LABELS = 256  # label count beyond which fast_estep does not apply
 EXP_LIMIT = 300.0  # largest rate * (time span) inside one fast_estep block
@@ -244,16 +243,20 @@ class Responsibilities:
 @dataclass
 class ComponentStats:
     """One component's E-step weights in the forms its families' updates
-    read: a weighted delay sample for ``delays.weighted_mle`` (from the
-    pair kernel every candidate pair's delay and weight, from the scan
-    the one sample (sum z*dt / sum z, sum z), which has the same
-    exponential MLE), the transition's statistic in its family's shape
-    (see ``transitions``; None for identity, and on pairs when no pair
-    was weighed), and expected offspring per parent mark pattern (the
-    schema's ``fertility_patterns``). The pair kernel sums the last two
-    run by run (``stats_from_pairs``), or from each child's total weight
-    where they read only the children (``stats_from_children``); the scan
-    reads them off its pattern weight table (``stats_from_patterns``)."""
+    read. The delay sample: from the pair kernel every candidate pair's
+    delay and weight, from the scan the one sample (sum z*dt / sum z,
+    sum z), which has the same exponential MLE. m_step reads it in
+    slices of ``PAIR_CHUNK`` into the delay family's fixed-size statistic
+    (``delays.weighted_stats``); once it has, fit collapses a pair sample
+    to the scan's one sample (``_release_pairs``), freeing the pair
+    arrays before the next E-step. Beside it, the transition's statistic
+    in its family's shape (see ``transitions``; None for identity, and on
+    pairs when no pair was weighed), and expected offspring per parent
+    mark pattern (the schema's ``fertility_patterns``). The pair kernel
+    sums the last two run by run (``stats_from_pairs``), or from each
+    child's total weight where they read only the children
+    (``stats_from_children``); the scan reads them off its pattern
+    weight table (``stats_from_patterns``)."""
 
     deltas: np.ndarray
     weights: np.ndarray
@@ -808,13 +811,15 @@ def m_step(model: CascadeModel, d: Dataset, estep: EStepStats,
     """Weighted maximum likelihood updates given the statistics of one
     E-step, from estep_stats or fast_estep.
 
-    Delays refit from weighted delay samples; transitions from their
-    family's statistics; fertilities from credits over edge-corrected
-    exposures under the freshly updated delays, both summed per parent
-    mark pattern; baseline rates from baseline-assigned weight over
-    exposure. Delay and transition groups pool their members'
-    statistics. Components with no credit keep their delay and
-    transition parameters.
+    Delays refit from their family's statistic of the weighted delay
+    samples, read slice by slice (``delays.weighted_stats``); transitions
+    from their family's statistics; fertilities from credits over
+    edge-corrected exposures under the freshly updated delays, both
+    summed per parent mark pattern; baseline rates from baseline-assigned
+    weight over exposure. Delay and transition groups add up their
+    members' statistics. Components with no credit keep their delay and
+    transition parameters. With ``freeze_delays`` no delay sample is
+    read, only each component's total weight.
 
     The delay refit ignores how the edge-corrected compensator depends
     on the delay, so it can overshoot slightly when much of the delay
@@ -841,22 +846,26 @@ def m_step(model: CascadeModel, d: Dataset, estep: EStepStats,
     if update_baseline_mark and float(credit.sum()) > 0:
         baseline = replace(baseline, mark=baseline.mark.refit(baseline.mark.stats(d, z_base)))
 
+    comp_z = [float(c.weights.sum()) for c in stats]
     new_delays: list[DelaySpec] = [c.delay for c in comps]
     if not freeze_delays:
         for members in _groups(comps, "delay_group"):
+            if sum(comp_z[ci] for ci in members) <= ZERO_CREDIT:
+                continue
+            spec = comps[members[0]].delay
             if len(members) == 1:
-                deltas, weights = stats[members[0]].deltas, stats[members[0]].weights
+                st = stats[members[0]]
+                fitted = delay_mod.weighted_mle(spec, st.deltas, st.weights)
             else:
-                deltas = np.concatenate([stats[ci].deltas for ci in members])
-                weights = np.concatenate([stats[ci].weights for ci in members])
-            if weights.sum() > ZERO_CREDIT:
-                fitted = delay_mod.weighted_mle(comps[members[0]].delay, deltas, weights)
-                for ci in members:
-                    new_delays[ci] = fitted
+                parts = [delay_mod.weighted_stats(spec, stats[ci].deltas, stats[ci].weights)
+                         for ci in members]
+                fitted = spec.refit(sum(p for p in parts if p is not None))
+            for ci in members:
+                new_delays[ci] = fitted
 
     new_transitions: list[TransitionSpec] = [c.transition for c in comps]
     for members in _groups(comps, "transition_group"):
-        credit = sum(float(stats[ci].weights.sum()) for ci in members)
+        credit = sum(comp_z[ci] for ci in members)
         pooled = [stats[ci].transition for ci in members if stats[ci].transition is not None]
         if credit > ZERO_CREDIT and pooled:
             fitted = comps[members[0]].transition.refit(sum(pooled))
@@ -1170,6 +1179,16 @@ def _component_shares(model: CascadeModel, d: Dataset) -> list[float]:
     return [m / total for m in means]
 
 
+def _release_pairs(stats: EStepStats) -> None:
+    """Collapse each component's delay sample, in place, to the scan's
+    one sample (sum z*dt / sum z, sum z), freeing the pair arrays. A
+    frozen-delay M-step reads the same total weight from it."""
+    for cs in stats.components:
+        z = cs.weights.sum()
+        cs.deltas = np.array([np.dot(cs.deltas, cs.weights) / z if z > 0 else 0.0])
+        cs.weights = np.array([z])
+
+
 def _ll_decreased(prev: float, new: float) -> bool:
     """Whether an EM step from LL ``prev`` to ``new`` fell beyond rounding."""
     return prev - new > 1e-8 * abs(prev) + 1e-12
@@ -1194,7 +1213,10 @@ def fit(model: CascadeModel, d: Dataset, max_iters: int = 50, tol: float = 1e-6,
     use the fast engine whenever ``fast_applicable``. Each E-step keeps
     only the statistics it sums as it goes, never the responsibilities,
     and those of the last allowed iteration, whose statistics no M-step
-    reads, compute the likelihood alone.
+    reads, compute the likelihood alone. Once the M-step has read an
+    E-step's pair arrays they are released (``_release_pairs``), and a
+    frozen-delay retry drops the candidate's, so every E-step runs beside
+    no other E-step's pairs.
     """
     validate_model(model, d.schema)
     if max_iters < 0:
@@ -1233,15 +1255,21 @@ def fit(model: CascadeModel, d: Dataset, max_iters: int = 50, tol: float = 1e-6,
         # no M-step reads the statistics of the last allowed iteration
         more = it + 1 < max_iters
         candidate = improve(model, stats)
+        _release_pairs(stats)
         stats_new, ll_new = _evaluate(candidate, d, children, window, more, use_fast)
         if ll_new < ll:
             # the delay refit ignores the edge-corrected compensator and
             # can overshoot; redoing the update with delays frozen makes
-            # every remaining piece an exact coordinate ascent
+            # every remaining piece an exact coordinate ascent. The retry
+            # nearly always wins, so its E-step runs without the
+            # candidate's pairs, which are recomputed if the candidate wins
+            stats_new = None
             fallback = improve(model, stats, freeze_delays=True)
             stats_fb, ll_fb = _evaluate(fallback, d, children, window, more, use_fast)
             if ll_fb > ll_new:
                 candidate, stats_new, ll_new = fallback, stats_fb, ll_fb
+            elif more:
+                stats_new = _evaluate(candidate, d, children, window, True, use_fast)[0]
         iterations += 1
         trace.append(ll_new)
         if held is not None:

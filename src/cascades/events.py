@@ -283,6 +283,8 @@ class CompositeSchema(_Labels):
         types = [None if bad else m.type for m, bad in zip(marks, wrong)]
         codes, checks = self._label_codes(types, wrong, "expected a (type, node) mark")
         nodes = ["" if bad else m.node for m, bad in zip(marks, wrong)]
+        checks.append((np.array([not isinstance(v, str) for v in nodes], dtype=bool),
+                       lambda i: f"node must be a string, got {nodes[i]!r}"))
         return self.code_columns(codes, nodes), checks
 
     def value_checks(self, cols: dict, first: int) -> list:
@@ -646,12 +648,13 @@ def ingest(path: str, schema: MarkSchema | None = None) -> Dataset:
         for _ in objects:  # raises at the first malformed line after the fault
             pass
         raise
-    times = np.array(times, dtype=np.float64)
     if horizon is None:
-        if not times.size:
+        if not times:
             raise DataError(f"{path}: empty file without a declared horizon")
-        horizon = float(times.max())
+        # the first of equal maxima in file order, so of 0.0 and -0.0 too
+        horizon = max(times)
         warnings.warn(f"{path}: no horizon declared, defaulting to max timestamp {horizon!r}")
+    times = np.array(times, dtype=np.float64)
     order = np.argsort(times, kind="stable")
     cols = {name: col[order] for name, col in cols.items()}
     cols["times"] = times[order]

@@ -15,6 +15,12 @@ statistics m_step reads, as m_step did when it still accepted
 responsibilities; the package sums them inside the E-step
 (``estep_stats``).
 
+``delay_mle`` is the weighted delay MLE as each family's ``refit(d, w)``
+computed it from the whole sample at once, after ``clean_samples``
+checked the sample and dropped its zero weights. The package reads the
+sample in slices into each family's fixed-size statistic
+(``delays.weighted_stats``) and refits once from their sum.
+
 ``ingest`` reads a JSONL event file one ``json.loads`` and one
 ``parse_record`` call per line, and builds the mark columns from one Mark
 object per event (the schema's ``mark_columns``). The package
@@ -28,9 +34,11 @@ from typing import Sequence
 
 import numpy as np
 
-from cascades import (BinaryMark, CategoricalMatrix, CompositeMark, DataError, FeaturePrior,
-                      IdentityTransition, LabelMark, PriorTransition)
+from cascades import (BinaryMark, CategoricalMatrix, CompositeMark, DataError, ExpMixtureDelay,
+                      ExponentialDelay, FeaturePrior, GammaDelay, IdentityTransition, LabelMark,
+                      NumericalError, PiecewiseUniformDelay, PriorTransition, UniformDelay)
 from cascades import engine
+from cascades.delays import _gamma_shape_mle
 from cascades.events import (_HEADER_KEYS, BinarySchema, Dataset, LabelSchema, MarkSchema,
                              _check_rows, _schema_from_header, _time)
 from cascades.transitions import fit_mixture_from_stats
@@ -92,6 +100,73 @@ def mixture_stats(pairs: Sequence[tuple[BinaryMark, BinaryMark, float]],
 def fit_mixture(pairs: Sequence[tuple[BinaryMark, BinaryMark, float]],
                 prior: FeaturePrior) -> float:
     return fit_mixture_from_stats(mixture_stats(pairs, prior), prior)
+
+
+def clean_samples(deltas, weights) -> tuple[np.ndarray, np.ndarray]:
+    d = np.asarray(deltas, dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
+    if d.shape != w.shape or d.ndim != 1:
+        raise DataError("delays and weights must be 1-d arrays of the same length")
+    if np.any(w < 0):
+        raise DataError("sample weights must be nonnegative")
+    keep = w > 0
+    if not keep.all():
+        d, w = d[keep], w[keep]
+    if d.size == 0 or w.sum() <= 0:
+        raise DataError("weighted MLE needs positive total weight")
+    if np.any(d <= 0):
+        raise DataError("weighted MLE needs strictly positive delays")
+    return d, w
+
+
+def delay_mle(spec, deltas, weights):
+    """The weighted MLE in the family of ``spec`` from the whole cleaned
+    sample."""
+    d, w = clean_samples(deltas, weights)
+    if isinstance(spec, ExponentialDelay):
+        return ExponentialDelay(rate=float(w.sum() / np.dot(w, d)))
+    if isinstance(spec, GammaDelay):
+        total = w.sum()
+        mean = np.dot(w, d) / total
+        mean_log = np.dot(w, np.log(d)) / total
+        s = np.log(mean) - mean_log
+        if s < 1e-12:
+            raise DataError("gamma MLE is degenerate: all delays at a single point")
+        var = np.dot(w, (d - mean) ** 2) / total
+        init = mean * mean / var if var > 0 else 1.0
+        shape = _gamma_shape_mle(s, init)
+        return GammaDelay(shape=float(shape), rate=float(shape / mean))
+    if isinstance(spec, UniformDelay):
+        return spec
+    if isinstance(spec, PiecewiseUniformDelay):
+        idx = np.searchsorted(np.asarray(spec.edges), d, side="left")
+        ok = (idx >= 1) & (idx <= len(spec.probs))
+        if not np.any(ok):
+            raise DataError("piecewise MLE: no weighted samples fall inside the bins")
+        sums = np.bincount(idx[ok] - 1, weights=w[ok], minlength=len(spec.probs))
+        return PiecewiseUniformDelay(spec.edges, tuple((sums / sums.sum()).tolist()))
+    assert isinstance(spec, ExpMixtureDelay)
+    total = w.sum()
+    rates = np.asarray(spec.rates)
+    mix = np.asarray(spec.weights)
+    dens = mix[None, :] * rates[None, :] * np.exp(-np.outer(d, rates))
+    norm = dens.sum(axis=1)
+    if np.any(norm <= 0):
+        raise NumericalError("exp mixture responsibilities vanished")
+    resp = dens / norm[:, None]
+    comp_w = w @ resp
+    comp_wd = (w * d) @ resp
+    new_mix, new_rates = [], []
+    for c in range(len(rates)):
+        if comp_w[c] <= 0:
+            new_mix.append(0.0)
+            new_rates.append(float(rates[c]))
+        else:
+            new_mix.append(float(comp_w[c] / total))
+            new_rates.append(float(comp_w[c] / comp_wd[c]))
+    drift = 1.0 - sum(new_mix)
+    new_mix[int(np.argmax(new_mix))] += drift  # keep an exact simplex
+    return ExpMixtureDelay(tuple(new_mix), tuple(new_rates))
 
 
 def parse_record(obj: dict, schema: MarkSchema, where: str) -> tuple[float, object]:

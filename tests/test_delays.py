@@ -1,6 +1,8 @@
+import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from cascades import (DataError, ExponentialDelay, ExpMixtureDelay, GammaDelay,
                       PiecewiseUniformDelay, UniformDelay)
 from cascades import delays
 from cascades.delays import cdf, density, tail_cutoff, weighted_mle
+
+import oracles
 
 FAMILIES = [
     ExponentialDelay(1.7),
@@ -290,19 +294,136 @@ def test_mle_rejects_bad_input():
         weighted_mle(spec, np.array([1.0]), np.array([-1.0]))
 
 
-def test_clean_samples_copies_only_to_drop_zero_weights():
-    deltas, weights = np.array([0.5, 1.0, 2.0]), np.array([1.0, 2.0, 3.0])
-    d, w = delays._clean_samples(deltas, weights)
-    assert d is deltas and w is weights
-    # a zero-weight sample is dropped, even at a nonpositive delay
-    d, w = delays._clean_samples(np.array([0.5, 0.0, 2.0]), np.array([1.0, 0.0, 3.0]))
-    assert d.tolist() == [0.5, 2.0] and w.tolist() == [1.0, 3.0]
-    for bad, message in (((deltas, weights[:2]), "same length"),
-                         ((deltas, -weights), "nonnegative"),
-                         ((deltas, 0 * weights), "positive total weight"),
-                         ((deltas - 1.0, weights), "strictly positive delays")):
-        with pytest.raises(DataError, match=message):
-            delays._clean_samples(*bad)
+def _params(spec) -> np.ndarray:
+    return np.concatenate([np.atleast_1d(np.asarray(getattr(spec, f.name), dtype=np.float64))
+                           for f in dataclasses.fields(spec)])
+
+
+def _sliced_sample(spec, n_slices=3, seed=0):
+    """A sample over ``n_slices`` slices and part of one more, with zero
+    weights on both sides of every slice edge, some of them at delays the
+    MLE would reject if they counted."""
+    rng = np.random.default_rng(seed)
+    n = n_slices * delays.PAIR_CHUNK + 12_345
+    d = spec.draw(rng, n)
+    w = rng.uniform(0.1, 2.0, size=n)
+    edges = np.arange(1, n_slices + 1) * delays.PAIR_CHUNK
+    for at in (edges - 1, edges, edges + 1):
+        w[at] = 0.0
+    d[edges] = -1.0
+    d[edges - 1] = np.inf
+    w[rng.random(n) < 0.05] = 0.0
+    return d, w
+
+
+@pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: type(s).__name__)
+def test_sliced_mle_matches_the_whole_sample_oracle(spec):
+    d, w = _sliced_sample(spec)
+    got, want = weighted_mle(spec, d, w), oracles.delay_mle(spec, d, w)
+    assert type(got) is type(want)
+    np.testing.assert_allclose(_params(got), _params(want), rtol=1e-12, atol=0)
+
+
+def test_one_slice_exponential_rate_is_bit_identical():
+    rng = np.random.default_rng(7)
+    spec = ExponentialDelay(1.0)
+    for n in (1, 2, 1000, delays.PAIR_CHUNK):
+        d = rng.exponential(rng.uniform(0.1, 10.0), size=n)
+        w = rng.uniform(0.0, 3.0, size=n)
+        w[0] = 1.0
+        assert weighted_mle(spec, d, w).rate == oracles.delay_mle(spec, d, w).rate
+    # the scan's one sample (sum z*dt / sum z, sum z)
+    d, w = np.array([0.731]), np.array([123.25])
+    assert weighted_mle(spec, d, w).rate == oracles.delay_mle(spec, d, w).rate
+
+
+def _faults(spec, d, w, at):
+    """(deltas, weights, message) for each fault that both the package and
+    the whole-sample oracle raise, placed at index ``at``."""
+    bad_d, neg_w, pos_w = d.copy(), w.copy(), w.copy()
+    bad_d[at], neg_w[at], pos_w[at] = 0.0, -1.0, 1.0
+    out = [(d, w[:-1], "1-d arrays of the same length"),
+           (d, neg_w, "sample weights must be nonnegative"),
+           (d, 0.0 * w, "positive total weight"),
+           (bad_d, pos_w, "strictly positive delays")]
+    if isinstance(spec, GammaDelay):
+        out.append((np.full(d.size, 2.0), w, "degenerate"))
+    if isinstance(spec, PiecewiseUniformDelay):
+        out.append((d + 100.0, w, "no weighted samples fall inside the bins"))
+    if isinstance(spec, ExpMixtureDelay):
+        out.append((d + 1e6, w, "responsibilities vanished"))
+    return out
+
+
+@pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: type(s).__name__)
+@pytest.mark.parametrize("sliced", [False, True])
+def test_every_fault_keeps_its_message(spec, sliced):
+    if sliced:
+        d, w = _sliced_sample(spec, n_slices=2, seed=3)
+        at = d.size - 7  # past the last slice edge
+    else:
+        d, w = spec.draw(np.random.default_rng(4), 50), np.linspace(0.5, 1.5, 50)
+        at = 17
+    for deltas, weights, message in _faults(spec, d, w, at):
+        with pytest.raises((DataError, cascades.NumericalError), match=message) as want:
+            oracles.delay_mle(spec, deltas, weights)
+        with pytest.raises(want.type) as got:
+            weighted_mle(spec, deltas, weights)
+        assert str(got.value) == str(want.value)
+
+
+def test_non_finite_samples_are_rejected_by_name():
+    spec = ExponentialDelay(1.0)
+    d, w = np.array([1.0, 2.0, 3.0]), np.array([1.0, np.nan, 1.0])
+    # the whole-sample form dropped a NaN weight and fitted the rest
+    assert oracles.delay_mle(spec, d, w) == ExponentialDelay(rate=0.5)
+    with pytest.raises(DataError, match="^sample weights must be finite, got nan$"):
+        weighted_mle(spec, d, w)
+    with pytest.raises(DataError, match="^sample weights must be finite, got inf$"):
+        weighted_mle(spec, d, np.array([1.0, np.inf, 1.0]))
+    # ... and an infinite delay failed on the rate it led to
+    inf_d = np.array([1.0, np.inf, 3.0])
+    with pytest.raises(DataError, match="exponential rate must be positive and finite, got 0.0"):
+        oracles.delay_mle(spec, inf_d, np.ones(3))
+    for family in FAMILIES:
+        for bad in (np.inf, np.nan):
+            with pytest.raises(DataError, match=f"^weighted MLE needs finite delays, got {bad}$"):
+                weighted_mle(family, np.array([1.0, bad, 3.0]), np.ones(3))
+        # a zero weight still drops its sample, whatever the delay
+        assert weighted_mle(family, inf_d, np.array([1.0, 0.0, 1.0])) == weighted_mle(
+            family, np.array([1.0, 3.0]), np.ones(2))
+
+
+def test_a_bad_weight_anywhere_is_reported_before_a_bad_delay():
+    spec = GammaDelay(2.0, 1.0)
+    d, w = _sliced_sample(spec, n_slices=2, seed=5)
+    d[10] = 0.0  # the first slice
+    w[-3] = -1.0  # past the last slice edge
+    for check in (oracles.delay_mle, weighted_mle):
+        with pytest.raises(DataError, match="sample weights must be nonnegative"):
+            check(spec, d, w)
+    w[-3] = np.nan
+    with pytest.raises(DataError, match="sample weights must be finite"):
+        weighted_mle(spec, d, w)
+
+
+def test_weighted_mle_memory_does_not_grow_with_the_sample():
+    rng = np.random.default_rng(6)
+    spec = GammaDelay(1.0, 1.0)
+    peaks = []
+    for n in (delays.PAIR_CHUNK, 2_000_000):
+        d, w = rng.gamma(2.0, 1.5, size=n), rng.uniform(0.1, 1.0, size=n)
+        w[::7] = 0.0  # so that every slice drops samples
+        tracemalloc.start()
+        try:
+            fitted = weighted_mle(spec, d, w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert fitted.shape == pytest.approx(2.0, rel=0.05)
+        peaks.append(peak)
+    # 2M pairs are 32 MB of delays and weights; a slice is 2 MB of either
+    assert max(peaks) < 4 * delays.PAIR_CHUNK * 8, [f"{p / 1e6:.1f} MB" for p in peaks]
 
 
 def test_spec_validation():

@@ -798,6 +798,99 @@ def test_direct_fit_keeps_statistics_not_responsibilities(monkeypatch):
     assert wants == [False]
 
 
+# the retry's LL trace on _slow_delay_case before fit released any pairs
+RETRY_TRACE = [-89.06761845947715, -88.89444276855163, -88.83107885320234, -88.82422805319095,
+               -88.8229349342497, -88.82226469759769, -88.82172825435657]
+
+
+def test_frozen_delay_retry_reads_only_released_statistics(monkeypatch):
+    released, m_step = [], engine.m_step
+
+    def recorded(m, d, stats, *args):
+        if args[-1]:  # freeze_delays
+            released.append([(c.deltas.size, c.weights.size) for c in stats.components])
+        return m_step(m, d, stats, *args)
+
+    monkeypatch.setattr(engine, "m_step", recorded)
+    model, d = _slow_delay_case()
+    report = fit(model, d, max_iters=6, tol=0.0, engine="direct")
+    assert report.engine == "direct" and len(released) >= 3
+    # each retry reads the one sample (sum z*dt / sum z, sum z), not the pairs
+    assert all(sizes == [(1, 1)] for sizes in released)
+    _assert_close(report.ll_trace, RETRY_TRACE)
+
+
+def _pairs_fit_case(retry: bool):
+    """A gamma fit without truncation, so each E-step weighs every earlier
+    event; with ``retry`` the fitted delay is so slow that the frozen-delay
+    retry fires."""
+    if retry:
+        mk = lambda rate: CascadeModel(
+            HomogeneousBaseline(15.0, LabelMarginal((0.5, 0.5))),
+            (KernelComponent("k", ConstantFertility(0.5), IdentityTransition(),
+                             GammaDelay(1.0, rate)),), truncation_mass=0.0)
+        return mk(0.05), simulate(mk(0.1), 60.0, seed=1)[0]
+    n = 2000
+    rng = np.random.default_rng(41)
+    d = Dataset([Event(float(t), LabelMark(int(k))) for t, k in
+                 zip(np.sort(rng.uniform(0, 500.0, n)), rng.integers(1, 3, n))],
+                horizon=500.0, schema=LabelSchema(2))
+    half = LabelMarginal((0.5, 0.5))
+    return CascadeModel(HomogeneousBaseline(1.0, half),
+                        (KernelComponent("slow", ConstantFertility(0.3), PriorTransition(half),
+                                         GammaDelay(2.0, 0.1)),), truncation_mass=0.0), d
+
+
+@pytest.mark.parametrize("retry", [False, True])
+def test_gamma_fit_holds_one_estep_of_pairs(monkeypatch, retry):
+    model, d = _pairs_fit_case(retry)
+    # each pair keeps its delay and its weight, 16 bytes
+    pair_bytes = 16 * sum(c.weights.size for c in engine.estep_stats(model, d).components)
+    assert pair_bytes > 15 * 2 ** 20
+    retries, m_step = [], engine.m_step
+    monkeypatch.setattr(engine, "m_step",
+                        lambda *args: retries.append(args[-1]) or m_step(*args))
+    d.times, d.label_index  # cached columns belong to the dataset, not the fit
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            report = fit(model, d, max_iters=3, tol=0.0, engine="direct", on_decrease="warn")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.iterations == 3 and report.engine == "direct"
+    assert any(retries) == retry
+    # two E-steps' pairs are never held at once
+    assert peak < 1.25 * pair_bytes + 8 * engine.PAIR_CHUNK * 8, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_a_candidate_that_beats_its_retry_gets_its_statistics_back(monkeypatch):
+    m_step, evaluate, twice = engine.m_step, engine._evaluate, []
+
+    def losing_retry(m, d, stats, *args):
+        new = m_step(m, d, stats, *args)
+        if args[-1]:  # freeze_delays
+            new = replace(new, baseline=new.baseline.scaled(0.2))
+        return new
+
+    def recorded(m, d, children, window, want_stats=False, fast=False):
+        if want_stats:
+            twice.append(m)
+        return evaluate(m, d, children, window, want_stats, fast)
+
+    monkeypatch.setattr(engine, "m_step", losing_retry)
+    model, d = _slow_delay_case()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        _, ref_trace, _ = _reference_fit(model, d, 6, 0.0)
+        monkeypatch.setattr(engine, "_evaluate", recorded)
+        report = fit(model, d, max_iters=6, tol=0.0, engine="direct", on_decrease="warn")
+    # the candidate kept after a retry is evaluated again for its statistics
+    assert len(twice) > len({id(m) for m in twice})
+    _assert_close(report.ll_trace, ref_trace)
+
+
 def test_prior_fit_over_many_labels_keeps_no_label_table(monkeypatch):
     # a prior over L labels has L parameters, so the fit holds no L x L
     # table: one of float64 at L = 4000 is 128 MB, and the whole fit stays

@@ -462,6 +462,27 @@ def test_non_integer_labels_are_not_truncated():
         model, d, 0.8, LabelMark(2))
 
 
+@pytest.mark.parametrize("node", [5, None, 1.5, b"u"])
+def test_composite_nodes_must_be_strings(node):
+    from cascades import (CascadeModel, ConstantFertility, ExponentialDelay,
+                          HomogeneousBaseline, KernelComponent, LabelMarginal, intensity)
+    schema = CompositeSchema(2)  # names no nodes
+    expected = f"event 1: node must be a string, got {node!r}"
+    first = Event(0.5, CompositeMark(1, "u"))
+    assert _built_error([first, Event(0.6, CompositeMark(1, node))], 1.0, schema) == expected
+    d = Dataset([first], 1.0, schema)
+    model = CascadeModel(HomogeneousBaseline(1.0, LabelMarginal((0.5, 0.5))), (
+        KernelComponent("k", ConstantFertility(0.4), IdentityTransition(),
+                        ExponentialDelay(1.0)),))
+    with pytest.raises(DataError) as exc:
+        intensity(model, d, 0.8, CompositeMark(2, node))
+    assert str(exc.value) == expected
+    # the marks write_events would once have written and ingest then refused
+    with pytest.raises(DataError, match="^event 0: node must be a string, got 5$"):
+        Dataset([Event(0.5, CompositeMark(1, 5)), Event(0.6, CompositeMark(1, None))], 1.0,
+                schema)
+
+
 def test_subset_rejects_positions_outside_the_dataset():
     d = Dataset([Event(t, LabelMark(1)) for t in (1.0, 2.0, 3.0)], 4.0, LabelSchema(1))
     for index in ([-1], [0, 3], [5]):
