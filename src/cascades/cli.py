@@ -154,7 +154,10 @@ def _split_data(d: Dataset, args, conf: dict):
     fraction = args.split if args.split is not None else conf.get("split")
     if fraction is None:
         return d, None, None
-    train, test = events.split(d, cfg._number(fraction, "split"))
+    fraction = cfg._number(fraction, "split")
+    if not 0.0 < fraction < 1.0:  # NaN too
+        raise ConfigError(f"split: must lie strictly between 0 and 1, got {fraction!r}")
+    train, test = events.split(d, fraction)
     return train, test, test.merge_history(train) if len(test) else None
 
 

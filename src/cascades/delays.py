@@ -164,11 +164,12 @@ class PiecewiseUniformDelay:
     def __post_init__(self):
         if len(self.edges) < 2 or self.edges[0] != 0.0:
             raise DataError("piecewise delay needs edges starting at 0")
-        if any(b <= a for a, b in zip(self.edges, self.edges[1:])):
-            raise DataError("piecewise delay edges must be strictly increasing")
+        # written so that a NaN fails: every comparison with it is False
+        if not all(a < b < np.inf for a, b in zip(self.edges, self.edges[1:])):
+            raise DataError("piecewise delay edges must be finite and strictly increasing")
         if len(self.probs) != len(self.edges) - 1:
             raise DataError("piecewise delay needs one probability per bin")
-        if abs(sum(self.probs) - 1.0) > 1e-9 or any(p < 0 for p in self.probs):
+        if not (abs(sum(self.probs) - 1.0) <= 1e-9 and all(p >= 0 for p in self.probs)):
             raise DataError("piecewise delay probabilities must form a distribution")
 
     def pdf(self, x: np.ndarray) -> np.ndarray:
@@ -230,10 +231,10 @@ class ExpMixtureDelay:
     def __post_init__(self):
         if len(self.weights) != len(self.rates) or not self.weights:
             raise DataError("exp mixture needs matching, nonempty weights and rates")
-        if abs(sum(self.weights) - 1.0) > 1e-9 or any(w < 0 for w in self.weights):
+        if not (abs(sum(self.weights) - 1.0) <= 1e-9 and all(w >= 0 for w in self.weights)):
             raise DataError("exp mixture weights must form a distribution")
-        if any(r <= 0 for r in self.rates):
-            raise DataError("exp mixture rates must be positive")
+        if not all(0.0 < r < np.inf for r in self.rates):
+            raise DataError("exp mixture rates must be positive and finite")
 
     def pdf(self, x: np.ndarray) -> np.ndarray:
         acc = np.zeros_like(x)

@@ -20,9 +20,10 @@ kernel factors that vary per pair (``_kernel_factors``). The scan
 (``_Scan``) serves a component with an exponential delay when the marks
 form at most ``FAST_MAX_LABELS`` patterns: prefix sums over blocks of
 whole tie groups give every child's decayed parent count per pattern in
-O(N * P) (Ozaki's recursion for exponential Hawkes likelihoods). Mark
-probabilities and transitions are methods of their families
-(``transitions``), which ``intensity`` uses too. The driver adds the
+O(N * P) (Ozaki's recursion for exponential Hawkes likelihoods). The
+families read mark patterns, never events: the engine gathers their
+per-pattern values by the schema's pattern view where it needs one per
+event, and ``intensity`` runs the pair kernel. The driver adds the
 kernels' sums to the baseline term, checks the total once, and has each
 kernel sum its statistics while the weights are in hand, so no pair is
 visited twice. ``e_step`` and ``estep_stats`` put every component on
@@ -191,7 +192,7 @@ class CascadeModel:
     truncation_mass: float = 1e-6
 
     def __post_init__(self):
-        if self.truncation_mass < 0:
+        if not self.truncation_mass >= 0:  # NaN too
             raise ConfigError("truncation mass must be nonnegative")
 
 
@@ -253,8 +254,8 @@ class ComponentStats:
     in its family's shape (see ``transitions``; None for identity, and on
     pairs when no pair was weighed), and expected offspring per parent
     mark pattern (the schema's ``fertility_patterns``). The pair kernel
-    sums the last two run by run (``stats_from_pairs``), or from each
-    child's total weight where they read only the children
+    sums the last two run by run (``stats_from_pairs``), or bins each
+    child's total weight by pattern where they read only the children
     (``stats_from_children``); the scan reads them off its pattern
     weight table (``stats_from_patterns``)."""
 
@@ -377,10 +378,11 @@ def _parent_pool(comp: KernelComponent, d: Dataset) -> np.ndarray:
 
 def _window_exposure(comp: KernelComponent, delay: DelaySpec, d: Dataset,
                      a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Events that may parent children inside (a, b] under this component,
-    and the delay mass each of them puts there, both read-only. Cached on
-    the dataset per component and window for the last delay asked, so the
-    compensator after an M-step reuses the exposures the M-step computed."""
+    """Per fertility pattern, whether some event of it may parent children
+    inside (a, b] under this component, and the delay mass they put there,
+    both read-only. Cached on the dataset per component and window for the
+    last delay asked, so the compensator after an M-step reuses the
+    exposures the M-step computed."""
     key = (comp.name, comp.sources, a, b)
     entry = d.window_exposures.get(key)
     if entry is None or entry[0] != delay:
@@ -388,8 +390,11 @@ def _window_exposure(comp: KernelComponent, delay: DelaySpec, d: Dataset,
         pool = pool[d.times[pool] < b]
         t = d.times[pool]
         mass = np.asarray(delay_mod.cdf(delay, b - t)) - np.asarray(delay_mod.cdf(delay, a - t))
-        pool.flags.writeable = mass.flags.writeable = False
-        entry = d.window_exposures[key] = (delay, pool, mass)
+        _, pattern, n_patterns = d.schema.fertility_patterns(d)
+        seen = np.bincount(pattern[pool], minlength=n_patterns) > 0
+        exposure = np.bincount(pattern[pool], weights=mass, minlength=n_patterns)
+        seen.flags.writeable = exposure.flags.writeable = False
+        entry = d.window_exposures[key] = (delay, seen, exposure)
     return entry[1], entry[2]
 
 
@@ -448,20 +453,20 @@ def _pattern_credits(pattern: np.ndarray, n_patterns: int, parents: np.ndarray,
 
 
 def _kernel_factors(comp: KernelComponent, d: Dataset, kids: np.ndarray,
-                    rows: np.ndarray | None, n_patterns: int):
+                    rows: np.ndarray | None, pattern: np.ndarray, n_patterns: int):
     """Component comp's fertility(parent) * g(child | parent), split by
     what each factor reads, as (child, alpha, pair). ``child`` is one
     factor per child at ``kids``, or None: the fertility when it has one
     value, which it has whenever the data have one parent mark pattern
     (``fertility_patterns``: every label and composite schema), times a
-    prior's g(child). ``alpha`` is the fertility per event when it may
-    vary by parent, and ``pair`` the ``g_pairs`` of a transition that
-    reads the parent's mark; None otherwise. The choice reads only the
-    families and the pattern count."""
+    prior's g(child). ``alpha`` is the fertility per event, gathered from
+    its value per pattern, when it may vary by parent, and ``pair`` the
+    ``g_pairs`` of a transition that reads the parent's mark; None
+    otherwise. The choice reads only the families and the pattern count."""
     g = comp.transition.g_children(d, kids)
     pair = None if g is not None else comp.transition.g_pairs(d, PAIR_CHUNK)
     if n_patterns != 1:
-        return g, comp.fertility.rates(d.feature_matrix, len(d)), pair
+        return g, comp.fertility.rates(rows, n_patterns)[pattern], pair
     alpha = float(comp.fertility.rates(rows, 1)[0])
     return (np.full(kids.size, alpha) if g is None else alpha * g), None, pair
 
@@ -497,7 +502,8 @@ class _Pairs:
         self.pair_ends = np.cumsum(sum((w[2] for w in self.windows),
                                        np.zeros(kids.size, dtype=np.int64)))
         rows, self.pattern, self.n_patterns = d.schema.fertility_patterns(d)
-        self.factors = [_kernel_factors(c, d, kids, rows, self.n_patterns) for c in self.specs]
+        self.factors = [_kernel_factors(c, d, kids, rows, self.pattern, self.n_patterns)
+                        for c in self.specs]
         if want:
             self.z = [np.empty(w[3][-1]) for w in self.windows]
             # what each pair keeps beside its weight: its parent or its delay
@@ -600,6 +606,13 @@ def _on_scan(model: CascadeModel, d: Dataset, kids: np.ndarray, cutoffs: list[fl
     return choice
 
 
+def _baseline_term(model: CascadeModel, d: Dataset, kids: np.ndarray,
+                   kid_times: np.ndarray) -> np.ndarray:
+    """The baseline rate at each child times its mark pattern's probability."""
+    codes = d.schema.pattern_codes(d)[0]
+    return model.baseline.rate_at(kid_times) * model.baseline.mark.pattern_probs(d)[codes[kids]]
+
+
 def _estep(model: CascadeModel, d: Dataset, children: np.ndarray | None,
            window: tuple[float, float] | None, scan: bool | None = None,
            want: str | None = None, truncated: bool = True):
@@ -626,7 +639,7 @@ def _estep(model: CascadeModel, d: Dataset, children: np.ndarray | None,
     if paired or not scanned:
         kernels.append(_Pairs(model, d, kids, kid_times, paired, windows, want))
 
-    base_vals = model.baseline.rate_at(kid_times) * model.baseline.mark.probs_at(d, kids)
+    base_vals = _baseline_term(model, d, kids, kid_times)
     lam, z_base = np.zeros(n), np.zeros(n)
     s = 0
     while s < kids.size:
@@ -672,12 +685,14 @@ def e_step(model: CascadeModel, d: Dataset, children: np.ndarray | None = None,
 
 def compensator(model: CascadeModel, d: Dataset,
                 window: tuple[float, float] | None = None) -> float:
-    """Expected event count over the window given the realized history."""
+    """Expected event count over the window given the realized history: the
+    baseline integral plus each fertility pattern's rate times its exposure."""
     a, b = _resolve_window(d, window)
-    total, X = baseline_integral(model.baseline, a, b), d.schema.fertility_features(d)
+    rows, _, n_patterns = d.schema.fertility_patterns(d)
+    total = baseline_integral(model.baseline, a, b)
     for comp in model.components:
-        pool, mass = _window_exposure(comp, comp.delay, d, a, b)
-        total += float(np.dot(comp.fertility.rates(X, len(d))[pool], mass))
+        exposure = _window_exposure(comp, comp.delay, d, a, b)[1]
+        total += float(np.dot(comp.fertility.rates(rows, n_patterns), exposure))
     return float(total)
 
 
@@ -722,26 +737,23 @@ def windowed_log_likelihood(model: CascadeModel, d: Dataset,
 
 def intensity(model: CascadeModel, history: Dataset, t: float, x: Mark) -> float:
     """Conditional intensity at (t, x) given the events of ``history``
-    strictly before t (truncation windows applied)."""
+    strictly before t (truncation windows applied), added up as the E-step
+    does, but 0.0 where nothing can cause the query."""
     if not (np.isfinite(t) and t >= 0):
         raise DataError(f"query time t must be finite and nonnegative, got {t}")
     validate_model(model, history.schema)
-    cutoffs = [delay_mod.tail_cutoff(c.delay, model.truncation_mass)
-               for c in model.components]
+    comps = model.components
+    cutoffs = [delay_mod.tail_cutoff(c.delay, model.truncation_mass) for c in comps]
     # the events inside some component's truncation window, then (t, x)
     lo, hi = np.searchsorted(history.times, [t - max(cutoffs, default=0.0), t], side="left")
     d = history._with_query(int(lo), int(hi), t, x)
-    q = len(d) - 1
-    total = float(model.baseline.rate_at(d.times[q:])[0]
-                  * model.baseline.mark.probs_at(d, np.array([q]))[0])
-    for comp, cut in zip(model.components, cutoffs):
-        alpha = comp.fertility.rates(d.schema.fertility_features(d), len(d))
-        pool = _parent_pool(comp, d)
-        js = pool[np.searchsorted(d.times[pool], t - cut, side="left"):]
-        js = js[js < q]  # strictly before t, so every delay is positive
-        g = comp.transition.g_pairs(d, PAIR_CHUNK)(np.full(js.size, q), js)
-        total += float(np.sum(alpha[js] * g * comp.delay.pdf(t - d.times[js])))
-    return total
+    kids = np.array([len(d) - 1])
+    kid_times = d.times[kids]
+    windows = [_pair_window(c, d, kid_times, cut) for c, cut in zip(comps, cutoffs)]
+    sums = [None] * len(comps)
+    _Pairs(model, d, kids, kid_times, list(range(len(comps))), windows, None).intensity(0, 1, sums)
+    return float(sum((part for part in sums if part is not None),
+                     _baseline_term(model, d, kids, kid_times))[0])
 
 
 def em_lower_bound(model: CascadeModel, d: Dataset, resp: Responsibilities,
@@ -844,7 +856,10 @@ def m_step(model: CascadeModel, d: Dataset, estep: EStepStats,
     credit = z_base[kids]
     baseline = model.baseline.refit(d.times[kids], credit, a, b)
     if update_baseline_mark and float(credit.sum()) > 0:
-        baseline = replace(baseline, mark=baseline.mark.refit(baseline.mark.stats(d, z_base)))
+        codes, n_codes = d.schema.pattern_codes(d)
+        by_pattern = np.bincount(codes, weights=z_base, minlength=n_codes)
+        baseline = replace(baseline, mark=baseline.mark.refit(
+            baseline.mark.stats_from_patterns(d, by_pattern)))
 
     comp_z = [float(c.weights.sum()) for c in stats]
     new_delays: list[DelaySpec] = [c.delay for c in comps]
@@ -873,14 +888,12 @@ def m_step(model: CascadeModel, d: Dataset, estep: EStepStats,
                 new_transitions[ci] = fitted
 
     # fertilities under the new delays, one row per parent mark pattern
-    rows, pattern, n_patterns = d.schema.fertility_patterns(d)
+    rows = d.schema.fertility_patterns(d)[0]
     new_ferts: list[FertilitySpec] = []
     for ci, comp in enumerate(comps):
-        pool, exposure = _window_exposure(comp, new_delays[ci], d, a, b)
-        seen = np.bincount(pattern[pool], minlength=n_patterns) > 0
-        exposures = np.bincount(pattern[pool], weights=exposure, minlength=n_patterns)
+        seen, exposure = _window_exposure(comp, new_delays[ci], d, a, b)
         new_ferts.append(fert_mod.update(comp.fertility, None if rows is None else rows[seen],
-                                         stats[ci].credits[seen], exposures[seen]))
+                                         stats[ci].credits[seen], exposure[seen]))
 
     rebuilt = tuple(replace(comp, fertility=new_ferts[ci], transition=new_transitions[ci],
                             delay=new_delays[ci])
@@ -1171,7 +1184,8 @@ def fast_estep(model: CascadeModel, d: Dataset, children: np.ndarray | None = No
 def _component_shares(model: CascadeModel, d: Dataset) -> list[float]:
     if not model.components or not len(d):
         return [0.0 for _ in model.components]
-    means = [float(c.fertility.rates(d.schema.fertility_features(d), len(d)).mean())
+    rows, pattern, n_patterns = d.schema.fertility_patterns(d)
+    means = [float(c.fertility.rates(rows, n_patterns)[pattern].mean())
              for c in model.components]
     total = sum(means)
     if total <= 0:
@@ -1221,6 +1235,8 @@ def fit(model: CascadeModel, d: Dataset, max_iters: int = 50, tol: float = 1e-6,
     validate_model(model, d.schema)
     if max_iters < 0:
         raise ConfigError("max_iters must be nonnegative")
+    if not tol >= 0:  # NaN too, which would turn off the convergence test
+        raise ConfigError("tol must be nonnegative")
     if on_decrease not in ("raise", "warn"):
         raise ConfigError("on_decrease must be 'raise' or 'warn'")
     if engine not in ("auto", "direct", "fast"):

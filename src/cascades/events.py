@@ -5,8 +5,12 @@ binary feature vectors (fixed width, named features), categorical labels
 (integers 1..L), and composite (type, node) pairs used for graph data.
 Each schema class alone knows how its marks are stored: as codes, a
 uint8 feature row or a zero-based label (a composite's type) index. It
-reads, checks and writes them, and answers the engine's and transitions'
-questions about mark patterns. A Dataset stores a time-sorted stream
+reads, checks and writes them. Its pattern view is the one map from
+events to mark patterns: ``pattern_codes`` (each event's pattern for
+transitions and mark distributions), ``fertility_patterns`` (the
+distinct parent marks fertility reads, and each event's) and the
+simulator's ``fertility_row``. The families read pattern rows and
+per-pattern weights, never events. A Dataset stores a time-sorted stream
 over a window (start, horizon] as numpy columns, checked once where they
 enter; ``Event`` and ``Mark`` objects are a view for the public API.
 """
@@ -145,10 +149,6 @@ class BinarySchema:
         rows, index = d.feature_patterns
         return rows, index, len(rows)
 
-    def fertility_features(self, d: Dataset) -> np.ndarray | None:
-        """The per-event feature matrix that fertility reads, or None."""
-        return d.feature_matrix
-
     def fertility_row(self, code: np.ndarray) -> np.ndarray | None:
         """The one-row feature matrix of one code, or None."""
         return code[None, :]
@@ -168,9 +168,6 @@ class _Labels:
 
     def fertility_patterns(self, d: Dataset) -> tuple[None, np.ndarray, int]:
         return None, np.zeros(len(d), dtype=np.int64), 1
-
-    def fertility_features(self, d: Dataset) -> None:
-        return None
 
     def fertility_row(self, code: int) -> None:
         return None
@@ -435,9 +432,10 @@ class Dataset:
     @cached_property
     def window_exposures(self) -> dict:
         """Per (component name, sources, a, b): the delay last asked for,
-        and the read-only parent pool and delay mass over the window
-        (a, b] under it. The engine fills it on first use; a subset or
-        merged dataset starts with an empty one."""
+        and, per fertility pattern, whether some event of it may parent
+        children in the window (a, b] and the delay mass they put there
+        under that delay, both read-only. The engine fills it on first use; a subset or merged
+        dataset starts with an empty one."""
         return {}
 
     @property

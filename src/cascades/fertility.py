@@ -82,8 +82,8 @@ class LinearFertility:
     kind = "linear"
 
     def __post_init__(self):
-        if self.bias < 0 or any(s < 0 for s in self.slopes):
-            raise DataError("linear fertility coefficients must be nonnegative")
+        if not all(0.0 <= c < np.inf for c in (self.bias, *self.slopes)):
+            raise DataError("linear fertility coefficients must be finite and nonnegative")
 
     def check_schema(self, schema: MarkSchema, where: str) -> None:
         _binary(schema, where)
@@ -139,8 +139,8 @@ class MultiplicativeFertility:
     def __post_init__(self):
         if not self.weights:
             raise DataError("multiplicative fertility needs at least the bias weight")
-        if any(w <= 0 for w in self.weights):
-            raise DataError("multiplicative fertility weights must be positive")
+        if not all(0.0 < w < np.inf for w in self.weights):
+            raise DataError("multiplicative fertility weights must be positive and finite")
 
     def check_schema(self, schema: MarkSchema, where: str) -> None:
         _binary(schema, where)

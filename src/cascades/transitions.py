@@ -10,19 +10,21 @@ For composite (type, node) marks transitions act on the type coordinate.
 Each family is one frozen dataclass that checks its parameters when it
 is built and owns its math. A mark distribution (``FeaturePrior``,
 ``LabelMarginal``) gives ``check_schema``, its probability per mark
-pattern (``pattern_probs``) and at given events (``probs_at``),
-statistics of weighted events or patterns, ``refit``, ``draw`` and its
+pattern (``pattern_probs``), the statistic of weights per pattern
+(``stats_from_patterns``), ``refit``, ``draw`` and its
 ``default_schema``. A transition gives ``check_schema``, g over mark
 patterns (``g_patterns``, a (parent, child) matrix read by the
 prefix-sum scan), g per child (``g_children``: a prior's, None for the
 families that read the parent), g over (child, parent) event pairs
-(``g_pairs``, read by the pairwise E-step and ``intensity``), the M-step
-statistics of weighted pairs, of a (parent pattern, child pattern)
-weight table and, for a prior, of each child's weight
-(``stats_from_pairs``, ``stats_from_patterns``,
-``stats_from_children``), ``refit`` and ``draw``. A mark pattern is a
-label (the type of a composite mark) or a distinct binary feature row
-(the schema's ``pattern_codes``). The statistics take the family's
+(``g_pairs``, read by the pair kernel), the M-step statistics of
+weighted pairs, of a (parent pattern, child pattern) weight table and,
+for a prior, of each child's weight (``stats_from_pairs``,
+``stats_from_patterns``, ``stats_from_children``), ``refit`` and
+``draw``. A mark pattern is a label (the type of a composite mark) or a
+distinct binary feature row, and the schema's pattern view
+(``pattern_codes``) is the one map from events to patterns: the
+families read per-pattern values and gather them by pattern code, and
+bin per-event weights by it. The statistics take the family's
 shape: the (parent label, child label) table of a categorical matrix,
 the (F, 2, 2) table of a feature mixture, a prior's weight per child
 label or feature sums over the children, None for identity. They add
@@ -104,22 +106,12 @@ class FeaturePrior:
         rows = d.feature_patterns[0]
         return np.prod(np.where(rows == 1, p[None, :], 1.0 - p[None, :]), axis=1)
 
-    def probs_at(self, d: Dataset, events: np.ndarray | None = None) -> np.ndarray:
-        """The probability of the marks of the events at ``events`` (every
-        event when None), gathered by each event's feature row."""
-        index = d.feature_patterns[1]
-        return self.pattern_probs(d)[index if events is None else index[events]]
-
-    def stats(self, d: Dataset, weights: np.ndarray,
-              events: np.ndarray | None = None) -> np.ndarray:
-        """The total weight of the events at ``events`` (every event when
-        None) followed by X^T w."""
-        X = d.feature_matrix
-        return _feature_sums(X if events is None else X[events], weights)
-
     def stats_from_patterns(self, d: Dataset, weights: np.ndarray) -> np.ndarray:
-        """``stats`` of events weighted per distinct feature row."""
-        return _feature_sums(d.feature_patterns[0], weights)
+        """The total of ``weights``, one per distinct feature row, followed
+        by the weighted sum of the rows: the sufficient statistic of
+        events weighted by pattern."""
+        rows = d.feature_patterns[0]
+        return np.concatenate([[weights.sum()], rows.T.astype(np.float64) @ weights])
 
     def refit(self, stats: np.ndarray) -> FeaturePrior:
         return fit_prior_weighted(stats)
@@ -165,18 +157,6 @@ class LabelMarginal:
     def pattern_probs(self, d: Dataset) -> np.ndarray:
         return self.as_array
 
-    def probs_at(self, d: Dataset, events: np.ndarray | None = None) -> np.ndarray:
-        labels = d.label_index
-        return self.as_array[labels if events is None else labels[events]]
-
-    def stats(self, d: Dataset, weights: np.ndarray,
-              events: np.ndarray | None = None) -> np.ndarray:
-        """The weight per label of the events at ``events`` (every event
-        when None)."""
-        labels = d.label_index
-        return np.bincount(labels if events is None else labels[events], weights=weights,
-                           minlength=d.n_label_values)
-
     def stats_from_patterns(self, d: Dataset, weights: np.ndarray) -> np.ndarray:
         return weights
 
@@ -189,11 +169,6 @@ class LabelMarginal:
 
 
 MarkDistribution = Union[FeaturePrior, LabelMarginal]
-
-
-def _feature_sums(X: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """The total weight followed by X^T w."""
-    return np.concatenate([[weights.sum()], X.T.astype(np.float64) @ weights])
 
 
 def fit_prior(d: Dataset) -> FeaturePrior:
@@ -282,28 +257,26 @@ class PriorTransition:
         return np.tile(g, (g.size, 1))
 
     def g_children(self, d: Dataset, events: np.ndarray) -> np.ndarray:
-        return self.mark.probs_at(d, events)
+        return self.mark.pattern_probs(d)[d.schema.pattern_codes(d)[0][events]]
 
     def g_pairs(self, d: Dataset, max_table: int) -> PairValues:
-        child = self.mark.probs_at(d)
-        return lambda children, parents: child[children]
+        probs, codes = self.mark.pattern_probs(d), d.schema.pattern_codes(d)[0]
+        return lambda children, parents: probs[codes[children]]
 
     def stats_from_pairs(self, d: Dataset, children: np.ndarray, parents: np.ndarray,
                          z: np.ndarray) -> np.ndarray:
-        # each child's weight, over the events from the first child to the
-        # last only: a run of pairs costs its own span, not the whole dataset
-        lo = int(children.min()) if children.size else 0
-        w = np.bincount(children - lo, weights=z)
-        return self.stats_from_children(d, w, np.arange(lo, lo + w.size))
+        return self.stats_from_children(d, z, children)
 
     def stats_from_patterns(self, d: Dataset, table: np.ndarray) -> np.ndarray:
         return self.mark.stats_from_patterns(d, table.sum(axis=0))
 
-    def stats_from_children(self, d: Dataset, weights: np.ndarray,
-                            events: np.ndarray) -> np.ndarray:
-        """The statistics of pairs whose weights sum to ``weights`` over the
-        children at ``events``."""
-        return self.mark.stats(d, weights, events)
+    def stats_from_children(self, d: Dataset, z: np.ndarray,
+                            children: np.ndarray) -> np.ndarray:
+        """The statistics of weights ``z`` on the children at ``children``
+        (repeats add up), binned by the children's mark patterns."""
+        codes, n_patterns = d.schema.pattern_codes(d)
+        return self.mark.stats_from_patterns(
+            d, np.bincount(codes[children], weights=z, minlength=n_patterns))
 
     def refit(self, stats: np.ndarray) -> PriorTransition:
         return PriorTransition(self.mark.refit(stats))

@@ -21,6 +21,16 @@ checked the sample and dropped its zero weights. The package reads the
 sample in slices into each family's fixed-size statistic
 (``delays.weighted_stats``) and refits once from their sum.
 
+``probs_at`` and ``mark_stats`` are a mark distribution's probability
+of each event's mark and its statistic of per-event weights, read from
+each event's own label or feature row (for a feature prior, the total
+weight followed by ``X[events].T @ w``). ``compensator`` sums each
+possible parent's fertility times the delay mass it puts in the window,
+event by event. The package reads marks by pattern only: it gathers
+``pattern_probs`` by the schema's ``pattern_codes``, bins weights by
+them into ``stats_from_patterns``, and sums fertility times exposure per
+fertility pattern (``engine._window_exposure``).
+
 ``ingest`` reads a JSONL event file one ``json.loads`` and one
 ``parse_record`` call per line, and builds the mark columns from one Mark
 object per event (the schema's ``mark_columns``). The package
@@ -37,6 +47,7 @@ import numpy as np
 from cascades import (BinaryMark, CategoricalMatrix, CompositeMark, DataError, ExpMixtureDelay,
                       ExponentialDelay, FeaturePrior, GammaDelay, IdentityTransition, LabelMark,
                       NumericalError, PiecewiseUniformDelay, PriorTransition, UniformDelay)
+from cascades import delays as delay_mod
 from cascades import engine
 from cascades.delays import _gamma_shape_mle
 from cascades.events import (_HEADER_KEYS, BinarySchema, Dataset, LabelSchema, MarkSchema,
@@ -77,6 +88,44 @@ def label_family_stats(spec, table: np.ndarray):
         return table.sum(axis=0)
     assert isinstance(spec, IdentityTransition)
     return None
+
+
+def probs_at(dist, d, events=None) -> np.ndarray:
+    """The probability under a mark distribution of the marks of the
+    events at ``events`` (every event when None), event by event."""
+    events = np.arange(len(d)) if events is None else np.asarray(events)
+    if isinstance(dist, FeaturePrior):
+        p = dist.as_array
+        return np.prod(np.where(d.feature_matrix[events] == 1, p, 1.0 - p), axis=1)
+    return dist.as_array[d.label_index[events]]
+
+
+def mark_stats(dist, d, weights, events=None) -> np.ndarray:
+    """A mark distribution's statistic of ``weights`` on the events at
+    ``events`` (every event when None; repeats add up): the total weight
+    followed by X^T w for a feature prior, the weight per label for a
+    label marginal."""
+    events = np.arange(len(d)) if events is None else np.asarray(events)
+    if isinstance(dist, FeaturePrior):
+        X = d.feature_matrix[events]
+        return np.concatenate([[weights.sum()], X.T.astype(np.float64) @ weights])
+    return np.bincount(d.label_index[events], weights=weights, minlength=d.n_label_values)
+
+
+def compensator(model, d, window=None) -> float:
+    """Expected event count over the window: the baseline integral plus,
+    per component, each possible parent's fertility times the delay mass
+    it puts in the window, summed event by event."""
+    a, b = engine._resolve_window(d, window)
+    X = d.feature_matrix if isinstance(d.schema, BinarySchema) else None
+    total = engine.baseline_integral(model.baseline, a, b)
+    for comp in model.components:
+        pool = engine._parent_pool(comp, d)
+        pool = pool[d.times[pool] < b]
+        t = d.times[pool]
+        mass = delay_mod.cdf(comp.delay, b - t) - delay_mod.cdf(comp.delay, a - t)
+        total += float(np.dot(comp.fertility.rates(X, len(d))[pool], mass))
+    return float(total)
 
 
 def mixture_stats(pairs: Sequence[tuple[BinaryMark, BinaryMark, float]],

@@ -392,6 +392,19 @@ def test_cli_exits_2_on_malformed_em_options(tmp_path, capsys, section, field, v
     assert f"{section}.{field}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["-1", "nan"])
+def test_cli_fit_exits_2_on_a_negative_or_nan_tol(tmp_path, capsys, tol):
+    # --tol overrides the config after its checks, so fit checks it
+    data = tmp_path / "e.jsonl"
+    data.write_text(_DATA)
+    conf = _write(tmp_path / "fit.json", {"model": LABEL_MODEL_CONF})
+    out = tmp_path / "o"
+    assert main(["fit", "--config", conf, "--data", str(data), "--out", str(out),
+                 "--tol", tol]) == 2
+    assert "tol must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("field, value", [("rounds", "two"), ("strength_grid", 5)])
 def test_cli_graph_fit_exits_2_on_malformed_options(tmp_path, capsys, field, value):
     conf = _write(tmp_path / "gf.json", {"graph_fit": {field: value}})
@@ -615,6 +628,9 @@ def _transition(**fields):
     ("fit", {"model": LABEL_MODEL_CONF, "split": "half"}, "split"),
     ("fit", {"model": LABEL_MODEL_CONF, "split": [0.5]}, "split"),
     ("fit", {"model": LABEL_MODEL_CONF, "split": False}, "split"),
+    ("fit", {"model": LABEL_MODEL_CONF, "split": 1.5}, "split: must lie strictly between"),
+    ("fit", {"model": LABEL_MODEL_CONF, "split": 0}, "split: must lie strictly between"),
+    ("fit", {"model": LABEL_MODEL_CONF, "split": float("nan")}, "split: must lie strictly"),
     ("fit", _transition(matrix=[["a"]]), "model.components[0].transition.matrix"),
     ("fit", _transition(matrix=[[True]]), "model.components[0].transition.matrix"),
     ("fit", _transition(prior_direction=["x"]),
@@ -707,6 +723,8 @@ def test_cli_exits_2_on_integers_past_the_float_range(tmp_path, capsys, conf, wh
     (_component(delay={"kind": "gamma", "shape": 0.0, "rate": 1.0}),
      "model.components[0].delay: gamma shape must be positive and finite, got 0.0"),
     (dict(LABEL_MODEL_CONF, truncation_mass=-1.0),
+     "model: truncation mass must be nonnegative"),
+    (dict(LABEL_MODEL_CONF, truncation_mass=float("nan")),
      "model: truncation mass must be nonnegative"),
     (_baseline(mark={"kind": "labels", "probs": [float("nan"), 1.0, 0.0]}),
      "model.baseline.mark: label marginal probabilities must be finite and nonnegative"),

@@ -19,6 +19,7 @@ from cascades import (CascadeModel, CategoricalMatrix, ConfigError,
                       log_likelihood, m_step, normalize, simulate,
                       windowed_log_likelihood)
 from cascades import MultiplicativeFertility, engine
+from cascades.delays import ExpMixtureDelay, PiecewiseUniformDelay
 from cascades.engine import (Responsibilities, baseline_integral, estep_stats,
                              validate_model)
 from cascades.events import BinaryMark, BinarySchema, CompositeMark, CompositeSchema, split
@@ -68,6 +69,54 @@ def test_intensity_hand_value():
     history = d.subset(np.array([0]))
     lam = intensity(model, history, 1.0, LabelMark(2))
     assert lam == pytest.approx(0.5 * 0.4 + 0.8 * 0.7 * math.exp(-1.0), rel=1e-12)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: LinearFertility(NAN, (0.1,)), "linear fertility coefficients must be finite"),
+    (lambda: LinearFertility(INF, (0.1,)), "linear fertility coefficients must be finite"),
+    (lambda: LinearFertility(0.1, (0.2, NAN)), "linear fertility coefficients must be finite"),
+    (lambda: MultiplicativeFertility((NAN, 1.0)), "multiplicative fertility weights must be"),
+    (lambda: MultiplicativeFertility((INF, 1.0)), "multiplicative fertility weights must be"),
+    (lambda: MultiplicativeFertility((1.0, NAN)), "multiplicative fertility weights must be"),
+    (lambda: PiecewiseUniformDelay((0.0, NAN, 2.0), (0.5, 0.5)), "piecewise delay edges must"),
+    (lambda: PiecewiseUniformDelay((0.0, 1.0, INF), (0.5, 0.5)), "piecewise delay edges must"),
+    (lambda: PiecewiseUniformDelay((0.0, 1.0, 2.0), (NAN, 1.0)),
+     "piecewise delay probabilities must form a distribution"),
+    (lambda: PiecewiseUniformDelay((0.0, 1.0, 2.0), (0.5, NAN)),
+     "piecewise delay probabilities must form a distribution"),
+    (lambda: ExpMixtureDelay((NAN,), (1.0,)), "exp mixture weights must form a distribution"),
+    (lambda: ExpMixtureDelay((0.5, NAN), (1.0, 2.0)),
+     "exp mixture weights must form a distribution"),
+    (lambda: ExpMixtureDelay((1.0,), (NAN,)), "exp mixture rates must be positive and finite"),
+    (lambda: ExpMixtureDelay((1.0,), (INF,)), "exp mixture rates must be positive and finite"),
+])
+def test_families_reject_non_finite_parameters(build, message):
+    with pytest.raises(DataError, match=message):
+        build()
+
+
+def test_model_and_fit_reject_nan_settings():
+    base = HomogeneousBaseline(0.5, LabelMarginal((0.6, 0.4)))
+    with pytest.raises(ConfigError, match="truncation mass must be nonnegative"):
+        CascadeModel(base, truncation_mass=NAN)
+    with pytest.raises(ConfigError, match="tol must be nonnegative"):
+        fit(CascadeModel(base), label_toy()[1], tol=NAN)
+
+
+def test_intensity_is_zero_where_nothing_can_cause_the_query():
+    # a zero-rate baseline before any event: no cause, and no raise, where
+    # the E-step would raise on an event there
+    model, d = label_toy()
+    model = replace(model, baseline=replace(model.baseline, rate=0.0))
+    for history in (d.subset(np.zeros(0, dtype=np.int64)), d):
+        assert intensity(model, history, 0.0, LabelMark(1)) == 0.0
+    assert intensity(model, d, 0.5, LabelMark(2)) == pytest.approx(0.8 * 0.7 * math.exp(-0.5),
+                                                                   rel=1e-12)
+    with pytest.raises(NumericalError, match="has zero intensity under every cause"):
+        log_likelihood(model, d)
 
 
 @pytest.mark.parametrize("t", [float("nan"), float("inf"), float("-inf"), -1.0])
@@ -643,32 +692,57 @@ def test_label_relabeling_permutes_the_fit(engine_name, seed, perm):
 
 
 def _exposure_uncached(comp, delay, d, a, b):
+    """(seen, exposure) per fertility pattern, binned from every possible
+    parent's own delay mass in (a, b]."""
     pool = engine._parent_pool(comp, d)
     pool = pool[d.times[pool] < b]
     t = d.times[pool]
-    return pool, engine.delay_mod.cdf(delay, b - t) - engine.delay_mod.cdf(delay, a - t)
+    mass = engine.delay_mod.cdf(delay, b - t) - engine.delay_mod.cdf(delay, a - t)
+    _, pattern, n_patterns = d.schema.fertility_patterns(d)
+    return (np.bincount(pattern[pool], minlength=n_patterns) > 0,
+            np.bincount(pattern[pool], weights=mass, minlength=n_patterns))
 
 
-def test_window_exposure_cache_hits_misses_and_fresh_datasets():
+def _exposure_data():
+    """Composite marks, where fertility sees one pattern, under a source
+    restriction, and binary marks, where the patterns whose first and last
+    bits differ occur only after 7.0; both with tied times."""
     rng = np.random.default_rng(5)
     times = np.sort(rng.uniform(0.0, 10.0, size=40))
-    d = Dataset([Event(float(t), CompositeMark(1, "uv"[k % 2])) for k, t in enumerate(times)],
-                horizon=10.0, schema=CompositeSchema(1, frozenset({"u", "v"})))
-    comp = KernelComponent("k", ConstantFertility(0.5), IdentityTransition(),
-                           ExponentialDelay(1.0), sources=("u",))
-    pool, mass = engine._window_exposure(comp, comp.delay, d, 2.0, 7.0)
-    assert not pool.flags.writeable and not mass.flags.writeable
+    times[10:13] = times[10]
+    dc = Dataset([Event(float(t), CompositeMark(1, "uv"[k % 2])) for k, t in enumerate(times)],
+                 horizon=10.0, schema=CompositeSchema(1, frozenset({"u", "v"})))
+    rows = rng.integers(0, 2, size=(40, 3))
+    rows[times < 7.0, 2] = rows[times < 7.0, 0]
+    db = Dataset([Event(float(t), BinaryMark(tuple(int(b) for b in row)))
+                  for t, row in zip(times, rows)], 10.0, BinarySchema(("a", "b", "c")))
+    return ((dc, KernelComponent("k", ConstantFertility(0.5), IdentityTransition(),
+                                 ExponentialDelay(1.0), sources=("u",))),
+            (db, KernelComponent("k", LinearFertility(0.1, (0.2, 0.3, 0.4)),
+                                 IdentityTransition(), ExponentialDelay(1.0))))
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["composite-sources", "binary"])
+def test_window_exposure_cache_hits_misses_and_fresh_datasets(case):
+    d, comp = _exposure_data()[case]
+    n_patterns = d.schema.fertility_patterns(d)[2]
+    seen, exposure = engine._window_exposure(comp, comp.delay, d, 2.0, 7.0)
+    assert not seen.flags.writeable and not exposure.flags.writeable
+    assert seen.shape == exposure.shape == (n_patterns,)
     want = _exposure_uncached(comp, comp.delay, d, 2.0, 7.0)
-    np.testing.assert_array_equal(pool, want[0])
-    np.testing.assert_array_equal(mass, want[1])
+    np.testing.assert_array_equal(seen, want[0])
+    np.testing.assert_array_equal(exposure, want[1])
+    if n_patterns > 1:  # a pattern with no parent before 7.0 is unseen
+        assert not seen.all() and (exposure[~seen] == 0).all()
     # an equal delay hits, and so does the same component under another fertility
     hit = engine._window_exposure(replace(comp, fertility=ConstantFertility(0.1)),
                                   ExponentialDelay(1.0), d, 2.0, 7.0)
-    assert hit[0] is pool and hit[1] is mass
+    assert hit[0] is seen and hit[1] is exposure
     for delay, a, b in ((ExponentialDelay(2.0), 2.0, 7.0), (ExponentialDelay(2.0), 2.0, 9.0),
                         (GammaDelay(2.0, 2.0), 2.0, 9.0), (GammaDelay(2.0, 2.0), 0.0, 9.0)):
         got = engine._window_exposure(comp, delay, d, a, b)
-        assert got[1] is not mass and not got[1].flags.writeable
+        assert got[1] is not exposure and not got[0].flags.writeable
+        assert not got[1].flags.writeable
         want = _exposure_uncached(comp, delay, d, a, b)
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])

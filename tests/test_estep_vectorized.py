@@ -90,7 +90,7 @@ def _reference_estep(model, d, children=None, window=None):
     kids = engine._child_ids(d, children, window)
     base_rates = model.baseline.rate_at(times[kids])
     base_marks = [_reference_mark_prob(model.baseline.mark, d, i) for i in range(n)]
-    X = d.schema.fertility_features(d)
+    X = d.feature_matrix if isinstance(d.schema, BinarySchema) else None
     alphas = [c.fertility.rates(X, len(d)) for c in model.components]
     allowed = []
     for comp in model.components:

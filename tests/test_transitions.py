@@ -309,51 +309,6 @@ def test_a_batch_of_draws_takes_the_stream_of_single_draws(spec, parent):
             roots, np.array([np.asarray(spec.mark.draw(ref, 1))[0] for _ in range(40)]))
 
 
-def test_feature_prior_stats_cover_only_the_span_of_the_children():
-    # the same sums as the prior's stats of per-event weights over the whole data
-    rng = np.random.default_rng(5)
-    n, width = 300, 5
-    schema = BinarySchema(tuple(f"f{k}" for k in range(width)))
-    d = Dataset([Event(float(t), BinaryMark(tuple(int(b) for b in row)))
-                 for t, row in zip(np.sort(rng.uniform(0, 50, n)),
-                                   rng.integers(0, 2, size=(n, width)))], 50.0, schema)
-    spec = PriorTransition(FeaturePrior((0.5,) * width))
-    for size, lo, hi in ((500, 0, n), (40, 120, 180), (1, 299, 300), (0, 0, n)):
-        children = rng.integers(lo, hi, size=size)  # any order, with repeats
-        z = rng.random(size)
-        got = spec.stats_from_pairs(d, children, np.zeros(size, dtype=np.int64), z)
-        want = spec.mark.stats(d, np.bincount(children, weights=z, minlength=n))
-        assert got.shape == (width + 1,) and got.dtype == np.float64
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-
-
-def test_mark_probs_at_given_events():
-    # labels: the marginal's entry per event, bit for bit; feature rows: one
-    # product per distinct row, equal to the product over every event's row
-    rng = np.random.default_rng(7)
-    n = 200
-    times = np.sort(rng.uniform(0, 50, n))
-    dl = Dataset([Event(float(t), LabelMark(int(k)))
-                  for t, k in zip(times, rng.integers(1, 4, size=n))], 50.0, LabelSchema(3))
-    X = rng.integers(0, 2, size=(n, 3))
-    db = Dataset([Event(float(t), BinaryMark(tuple(int(b) for b in row)))
-                  for t, row in zip(times, X)], 50.0, BinarySchema(("a", "b", "c")))
-    marginal = LabelMarginal((0.2, 0.3, 0.5))
-    p = PRIOR3.as_array
-    every_row = np.prod(np.where(db.feature_matrix == 1, p[None, :], 1.0 - p[None, :]), axis=1)
-    for events in (np.arange(n), np.array([5, 17, 17, 199]), np.sort(rng.choice(n, 60)),
-                   np.zeros(0, dtype=np.int64)):
-        got = marginal.probs_at(dl, events)
-        assert got.tobytes() == marginal.as_array[dl.label_index][events].tobytes()
-        assert PRIOR3.probs_at(db, events).tobytes() == every_row[events].tobytes()
-        for dist, d in ((marginal, dl), (PRIOR3, db)):
-            prior = PriorTransition(dist).g_children(d, events)
-            assert prior.tobytes() == dist.probs_at(d, events).tobytes()
-    assert PRIOR3.probs_at(db).tobytes() == every_row.tobytes()
-    assert IdentityTransition().g_children(dl, np.arange(n)) is None
-    assert FeatureMixture(0.3, PRIOR3).g_children(db, np.arange(n)) is None
-
-
 def test_pattern_tables_give_the_pair_statistics():
     # g over mark patterns against g_pairs on each pair, and the
     # statistics of (parent pattern, child pattern) weight tables against
