@@ -28,7 +28,7 @@ from .engine import BaselineSpec, CascadeModel, KernelComponent
 from .errors import CascadesError, ConfigError
 from .events import BinarySchema, Dataset
 from .fertility import FertilitySpec
-from .graphs import POOL_GRID, STRENGTH_GRID, VARIANTS
+from .graphs import POOL_GRID, STRENGTH_GRID, VARIANTS, _grid_rules
 from .transitions import FeaturePrior, LabelMarginal, TransitionSpec
 
 
@@ -268,11 +268,7 @@ def parse_graph_options(obj: dict | None, where: str = "graph_fit") -> GraphOpti
         ("variant", o.variant in VARIANTS,
          f"unknown variant {o.variant!r}, expected one of {', '.join(VARIANTS)}"),
         ("rounds", o.rounds >= 1, "must be at least 1"),
-        ("strength_grid", len(o.strength_grid) > 0, "must be nonempty"),
-        ("strength_grid", all(0.0 <= c < float("inf") for c in o.strength_grid),
-         "strengths must be finite and nonnegative"),
-        ("pool_grid", len(o.pool_grid) > 0 and all(0.0 <= w <= 1.0 for w in o.pool_grid),
-         "must be nonempty, with pool weights in [0, 1]"),
+        *_grid_rules(o.strength_grid, o.pool_grid),
         ("val_fraction", 0.0 < o.val_fraction < 1.0, "must lie strictly between 0 and 1"),
         ("max_iters", o.max_iters >= 0, "must be nonnegative"),
         ("tol", o.tol >= 0, "must be nonnegative")))

@@ -196,49 +196,44 @@ class CascadeModel:
             raise ConfigError("truncation mass must be nonnegative")
 
 
+@dataclass
 class Responsibilities:
-    """Sparse cause weights per child event.
+    """Sparse cause weights per child event, from e_step.
 
     For child i, baseline[i] plus the z entries of every component slice
     sum to one. Component c stores flat arrays (parents, z) with slice
     offsets per child; entries exist exactly for in-window earlier
-    parents, including zero-probability ones.
+    parents, including zero-probability ones. Unlike ``EStepStats`` it
+    keeps every pair's parent id, which is what parent recovery reads
+    (``argmax_parents``).
     """
 
-    def __init__(self, n: int, baseline: np.ndarray,
-                 comp_offsets: list[np.ndarray], comp_parents: list[np.ndarray],
-                 comp_z: list[np.ndarray]):
-        self.n = n
-        self.baseline = baseline
-        self.comp_offsets = comp_offsets
-        self.comp_parents = comp_parents
-        self.comp_z = comp_z
+    n: int
+    baseline: np.ndarray
+    comp_offsets: list[np.ndarray]
+    comp_parents: list[np.ndarray]
+    comp_z: list[np.ndarray]
 
     @property
     def n_components(self) -> int:
         return len(self.comp_offsets)
 
-    def argmax_cause(self, i: int) -> object:
-        """Most responsible cause; ties prefer baseline, then lower parent
-        id, then lower component index."""
-        best_cause, best_z = None, float(self.baseline[i])
-        candidates = []
-        for c in range(self.n_components):
-            lo, hi = self.comp_offsets[c][i], self.comp_offsets[c][i + 1]
-            for k in range(lo, hi):
-                candidates.append((int(self.comp_parents[c][k]), c, float(self.comp_z[c][k])))
-        candidates.sort(key=lambda item: (item[0], item[1]))
-        for parent, c, z in candidates:
-            if z > best_z:
-                best_cause, best_z = (parent, c), z
-        return best_cause
-
-    def total(self, i: int) -> float:
-        s = float(self.baseline[i])
-        for c in range(self.n_components):
-            lo, hi = self.comp_offsets[c][i], self.comp_offsets[c][i + 1]
-            s += float(self.comp_z[c][lo:hi].sum())
-        return s
+    def argmax_parents(self) -> np.ndarray:
+        """Each event's most responsible parent, or -1 where the baseline
+        is (events without candidate parents included). Per child: the
+        largest weight over every component's pairs, then the lowest
+        parent id among the pairs that reach it; the baseline wins a tie.
+        Which component a tied parent comes from never matters."""
+        cnts = [np.diff(off) for off in self.comp_offsets]
+        top = np.full(self.n, -np.inf)
+        for z, cnt in zip(self.comp_z, cnts):
+            np.maximum(top, _child_reduce(np.maximum, z, cnt, -np.inf), out=top)
+        none = np.iinfo(np.int64).max
+        best = np.full(self.n, none)
+        for parents, z, cnt in zip(self.comp_parents, self.comp_z, cnts):
+            tied = np.where(z == np.repeat(top, cnt), parents, none)
+            np.minimum(best, _child_reduce(np.minimum, tied, cnt, none), out=best)
+        return np.where(top > self.baseline, best, -1)
 
 
 @dataclass
@@ -398,9 +393,9 @@ def _window_exposure(comp: KernelComponent, delay: DelaySpec, d: Dataset,
     return entry[1], entry[2]
 
 
-def _check_components(resp: Responsibilities | EStepStats, model: CascadeModel) -> None:
-    if resp.n_components != len(model.components):
-        raise DataError(f"responsibilities cover {resp.n_components} components, "
+def _check_components(estep: EStepStats, model: CascadeModel) -> None:
+    if estep.n_components != len(model.components):
+        raise DataError(f"responsibilities cover {estep.n_components} components, "
                         f"the model has {len(model.components)}")
 
 
@@ -433,13 +428,13 @@ def _child_ids(d: Dataset, children: np.ndarray | None,
 # E-step
 
 
-def _child_sums(vals: np.ndarray, cnt: np.ndarray) -> np.ndarray:
-    """Sums of consecutive runs of ``cnt[k]`` values, 0 for empty runs
-    (where a bare ``reduceat`` would repeat a value, or index past the
-    end for a trailing one)."""
-    out = np.zeros(cnt.size)
+def _child_reduce(ufunc: np.ufunc, vals: np.ndarray, cnt: np.ndarray, empty) -> np.ndarray:
+    """``ufunc`` over consecutive runs of ``cnt[k]`` values, ``empty`` for
+    empty runs (where a bare ``reduceat`` would repeat a value, or index
+    past the end for a trailing one)."""
+    out = np.full(cnt.size, empty, dtype=vals.dtype)
     has = cnt > 0
-    out[has] = np.add.reduceat(vals, (np.cumsum(cnt) - cnt)[has])
+    out[has] = ufunc.reduceat(vals, (np.cumsum(cnt) - cnt)[has])
     return out
 
 
@@ -542,7 +537,7 @@ class _Pairs:
             if pair is not None:
                 ch = np.repeat(kids, cnt)
                 vals *= pair(ch, js)
-            part = _child_sums(vals, cnt)
+            part = _child_reduce(np.add, vals, cnt, 0.0)
             if child is not None:
                 part *= child[s:e]
             self.run.append((i, p0, p1, cnt, ch, js, vals, part))
@@ -754,36 +749,6 @@ def intensity(model: CascadeModel, history: Dataset, t: float, x: Mark) -> float
     _Pairs(model, d, kids, kid_times, list(range(len(comps))), windows, None).intensity(0, 1, sums)
     return float(sum((part for part in sums if part is not None),
                      _baseline_term(model, d, kids, kid_times))[0])
-
-
-def em_lower_bound(model: CascadeModel, d: Dataset, resp: Responsibilities,
-                   children: np.ndarray | None = None,
-                   window: tuple[float, float] | None = None) -> float:
-    """Jensen bound sum_i sum_causes z log(k / z) minus the compensator.
-
-    ``resp`` must share the model's candidate layout (as produced by
-    e_step on the same model). Equality with the log likelihood holds
-    exactly when z came from e_step under this model.
-    """
-    _check_components(resp, model)
-    fresh, lam, kids = _estep(model, d, children, window, scan=False, want="resp")
-    terms = [(resp.baseline[kids], fresh.baseline[kids] * lam[kids])]
-    for c in range(len(model.components)):
-        offsets = resp.comp_offsets[c]
-        cnt = np.diff(fresh.comp_offsets[c])[kids]
-        if len(offsets) != len(d) + 1 or np.any(np.diff(offsets)[kids] != cnt):
-            raise DataError("responsibilities do not match the model's layout")
-        # resp's pairs of the children, in fresh's order
-        first = np.cumsum(cnt) - cnt
-        at = np.arange(cnt.sum()) + np.repeat(offsets[kids] - first, cnt)
-        terms.append((resp.comp_z[c][at], fresh.comp_z[c] * np.repeat(lam[kids], cnt)))
-    bound = 0.0
-    for z, k in terms:
-        pos = z > 0
-        if np.any(k[pos] <= 0):
-            return -np.inf
-        bound += float(np.dot(z[pos], np.log(k[pos] / z[pos])))
-    return bound - compensator(model, d, window)
 
 
 # ---------------------------------------------------------------------------
@@ -1208,6 +1173,14 @@ def _ll_decreased(prev: float, new: float) -> bool:
     return prev - new > 1e-8 * abs(prev) + 1e-12
 
 
+def _check_em_limits(max_iters: int, tol: float) -> None:
+    """The iteration cap and tolerance every EM loop checks first."""
+    if max_iters < 0:
+        raise ConfigError("max_iters must be nonnegative")
+    if not tol >= 0:  # NaN too, which would turn off the convergence test
+        raise ConfigError("tol must be nonnegative")
+
+
 def fit(model: CascadeModel, d: Dataset, max_iters: int = 50, tol: float = 1e-6,
         *, children: np.ndarray | None = None,
         window: tuple[float, float] | None = None,
@@ -1233,10 +1206,7 @@ def fit(model: CascadeModel, d: Dataset, max_iters: int = 50, tol: float = 1e-6,
     no other E-step's pairs.
     """
     validate_model(model, d.schema)
-    if max_iters < 0:
-        raise ConfigError("max_iters must be nonnegative")
-    if not tol >= 0:  # NaN too, which would turn off the convergence test
-        raise ConfigError("tol must be nonnegative")
+    _check_em_limits(max_iters, tol)
     if on_decrease not in ("raise", "warn"):
         raise ConfigError("on_decrease must be 'raise' or 'warn'")
     if engine not in ("auto", "direct", "fast"):

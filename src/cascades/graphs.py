@@ -32,7 +32,7 @@ import numpy as np
 
 from .delays import DelaySpec, ExponentialDelay
 from .engine import (CascadeModel, HomogeneousBaseline, KernelComponent,
-                     _child_ids, _evaluate, _ll_decreased, e_step,
+                     _check_em_limits, _child_ids, _evaluate, _ll_decreased, e_step,
                      expected_transition_counts, fit, m_step, windowed_log_likelihood)
 from .errors import ConfigError, DataError
 from .events import CompositeSchema, Dataset, _jsonl_objects
@@ -45,6 +45,15 @@ VARIANTS = ("no_neighbors", "shared_transition", "separate_transitions",
 STRENGTH_GRID = (0.1, 1.0, 10.0, 100.0)
 POOL_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 CONTEXTS = ("self", "neighbor", "shared")
+
+
+def _grid_rules(strength_grid, pool_grid) -> tuple:
+    """(name, holds, needs) for the shrinkage grids a round searches."""
+    return (("strength_grid", len(strength_grid) > 0, "must be nonempty"),
+            ("strength_grid", all(0.0 <= c < float("inf") for c in strength_grid),
+             "strengths must be finite and nonnegative"),
+            ("pool_grid", len(pool_grid) > 0 and all(0.0 <= w <= 1.0 for w in pool_grid),
+             "must be nonempty, with pool weights in [0, 1]"))
 
 
 class Graph:
@@ -139,8 +148,8 @@ def regularized_rates(triggered, revisions, pool_weight: float) -> np.ndarray:
         raise DataError("triggered and revision counts must align")
     if not 0.0 <= pool_weight <= 1.0:
         raise ConfigError("pool weight must lie in [0, 1]")
-    if np.any(n < 0) or np.any(m < 0):
-        raise DataError("counts must be nonnegative")
+    if not np.all((0.0 <= n) & (n < np.inf) & (0.0 <= m) & (m < np.inf)):  # NaN too
+        raise DataError("counts must be finite and nonnegative")
     total_m = m.sum()
     pooled = n.sum() / total_m if total_m > 0 else 0.0
     own = np.divide(n, m, out=np.zeros_like(n), where=m > 0)
@@ -264,6 +273,7 @@ def _fit_per_neighbor(model: CascadeModel, d: Dataset, mask: np.ndarray,
     Returns the model, the LL trace and whether the tolerance test
     stopped it; like fit, a window without children keeps the initial
     model."""
+    _check_em_limits(max_iters, tol)
     a, b = window
     nbr_idx = [ci for ci, comp in enumerate(model.components)
                if comp.name.startswith("nbr:")]
@@ -465,6 +475,9 @@ def fit_round(graph: Graph, d: Dataset, variant: str, hyper: Hyperparams, *,
         raise ConfigError("val_fraction must lie strictly between 0 and 1")
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
+    for name, holds, needs in _grid_rules(strength_grid, pool_grid):
+        if not holds:
+            raise ConfigError(f"{name}: {needs}")
     a, b = d.start, d.horizon
     cut = a + (1.0 - val_fraction) * (b - a)
     if variant == "per_neighbor":

@@ -199,25 +199,16 @@ def parent_recovery_score(forest: CausalForest, resp: Responsibilities,
     Component identity is ignored; picking the right parent under a
     different component still counts. With triggered_only, root events
     are left out of the denominator; otherwise a root is correct when
-    the baseline wins the argmax.
+    the baseline wins the argmax. Ties prefer the baseline, then the
+    lower parent id (``Responsibilities.argmax_parents``).
     """
     if len(forest) != resp.n:
         raise DataError("forest and responsibilities describe different datasets")
-    correct = 0
-    total = 0
-    for i in range(resp.n):
-        true_parent = int(forest.parents[i])
-        if triggered_only and true_parent < 0:
-            continue
-        total += 1
-        cause = resp.argmax_cause(i)
-        if cause is None:
-            correct += true_parent < 0
-        else:
-            correct += cause[0] == true_parent
+    scored = forest.parents >= 0 if triggered_only else np.ones(resp.n, dtype=bool)
+    total = int(scored.sum())
     if total == 0:
         raise DataError("no events to score")
-    return correct / total
+    return int((resp.argmax_parents() == forest.parents)[scored].sum()) / total
 
 
 def write_forest(forest: CausalForest, path: str) -> None:

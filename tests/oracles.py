@@ -31,6 +31,15 @@ event by event. The package reads marks by pattern only: it gathers
 them into ``stats_from_patterns``, and sums fertility times exposure per
 fertility pattern (``engine._window_exposure``).
 
+``argmax_cause`` is an event's most responsible cause as
+``Responsibilities.argmax_cause`` found it: every candidate pair of the
+event in a sorted Python list, scanned for a strict improvement on the
+baseline. The package reduces every event's pairs at once
+(``Responsibilities.argmax_parents``). ``lower_bound`` is EM's Jensen
+bound of given responsibilities, child by child, which equals the log
+likelihood exactly at the model's own E-step; the package no longer
+carries a bound.
+
 ``ingest`` reads a JSONL event file one ``json.loads`` and one
 ``parse_record`` call per line, and builds the mark columns from one Mark
 object per event (the schema's ``mark_columns``). The package
@@ -76,6 +85,41 @@ def resp_stats(model, d, resp):
     """The EStepStats m_step reads, from e_step's responsibilities; m_step
     does not read the intensity, which is left empty."""
     return engine.EStepStats(resp.baseline, np.zeros(0), component_stats(model, d, resp))
+
+
+def argmax_cause(resp, i: int):
+    """Event i's most responsible cause as (parent, component), or None
+    for the baseline; ties prefer the baseline, then the lower parent id,
+    then the lower component index."""
+    best_cause, best_z = None, float(resp.baseline[i])
+    candidates = []
+    for c in range(resp.n_components):
+        lo, hi = resp.comp_offsets[c][i], resp.comp_offsets[c][i + 1]
+        for k in range(lo, hi):
+            candidates.append((int(resp.comp_parents[c][k]), c, float(resp.comp_z[c][k])))
+    candidates.sort(key=lambda item: (item[0], item[1]))
+    for parent, c, z in candidates:
+        if z > best_z:
+            best_cause, best_z = (parent, c), z
+    return best_cause
+
+
+def lower_bound(model, d, resp) -> float:
+    """Jensen bound sum_i sum_causes z log(k / z) minus the compensator,
+    child by child; ``resp`` must share the model's candidate layout."""
+    fresh, lam, kids = engine._estep(model, d, None, None, scan=False, want="resp")
+    bound = 0.0
+    for i in kids:
+        z, k_base = resp.baseline[i], fresh.baseline[i] * lam[i]
+        if z > 0:
+            bound += z * np.log(k_base / z)
+        for c in range(len(model.components)):
+            lo, hi = fresh.comp_offsets[c][i], fresh.comp_offsets[c][i + 1]
+            k_vals = fresh.comp_z[c][lo:hi] * lam[i]
+            z_vals = resp.comp_z[c][resp.comp_offsets[c][i]:resp.comp_offsets[c][i + 1]]
+            pos = z_vals > 0
+            bound += float(np.dot(z_vals[pos], np.log(k_vals[pos] / z_vals[pos])))
+    return bound - engine.compensator(model, d)
 
 
 def label_family_stats(spec, table: np.ndarray):

@@ -14,7 +14,7 @@ from cascades import (CascadeModel, CategoricalMatrix, ConfigError,
                       GammaDelay, HomogeneousBaseline, IdentityTransition,
                       KernelComponent, LabelMark, LabelMarginal, LabelSchema, LinearFertility,
                       NumericalError, PeriodicBaseline, PriorTransition,
-                      UniformDelay, compensator, e_step, em_lower_bound,
+                      UniformDelay, compensator, e_step,
                       fast_applicable, fast_estep, fit, intensity,
                       log_likelihood, m_step, normalize, simulate,
                       windowed_log_likelihood)
@@ -23,6 +23,7 @@ from cascades.delays import ExpMixtureDelay, PiecewiseUniformDelay
 from cascades.engine import (Responsibilities, baseline_integral, estep_stats,
                              validate_model)
 from cascades.events import BinaryMark, BinarySchema, CompositeMark, CompositeSchema, split
+from oracles import lower_bound
 
 
 def label_toy():
@@ -60,8 +61,11 @@ def test_estep_rows_sum_to_one():
                          GammaDelay(2.0, 1.0))))
     d, _ = simulate(model, 80.0, seed=1)
     resp = e_step(model, d)
-    for i in range(len(d)):
-        assert resp.total(i) == pytest.approx(1.0, abs=1e-12)
+    totals = resp.baseline.copy()
+    for c in range(resp.n_components):
+        children = np.repeat(np.arange(resp.n), np.diff(resp.comp_offsets[c]))
+        totals += np.bincount(children, weights=resp.comp_z[c], minlength=resp.n)
+    np.testing.assert_allclose(totals, 1.0, rtol=0, atol=1e-12)
 
 
 def test_intensity_hand_value():
@@ -143,7 +147,7 @@ def test_lower_bound_matches_ll_at_own_estep():
     d, _ = simulate(model, 60.0, seed=2)
     resp = e_step(model, d)
     ll = log_likelihood(model, d)
-    bound = em_lower_bound(model, d, resp)
+    bound = lower_bound(model, d, resp)
     assert bound == pytest.approx(ll, abs=1e-9 * abs(ll))
     # any other responsibility assignment gives a strictly smaller bound
     blur = Responsibilities(
@@ -159,7 +163,7 @@ def test_lower_bound_matches_ll_at_own_estep():
                 blur.comp_z[0][lo:hi].sum(), 1e-300)
         else:
             blur.baseline[i] = 1.0
-    worse = em_lower_bound(model, d, blur)
+    worse = lower_bound(model, d, blur)
     assert worse < ll - 1e-6
 
 
@@ -444,8 +448,6 @@ def test_component_count_mismatch_rejected():
     for fitted, other in ((wider, model), (model, wider)):
         with pytest.raises(DataError, match="components"):
             m_step(fitted, d, estep_stats(other, d))
-        with pytest.raises(DataError, match="components"):
-            em_lower_bound(fitted, d, e_step(other, d))
 
 
 def test_mstep_rejects_responsibilities():

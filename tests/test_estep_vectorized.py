@@ -29,11 +29,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cascades import (CascadeModel, CategoricalMatrix, ConstantFertility,
-                      DataError, Dataset, Event, ExponentialDelay, FeatureMixture,
+                      Dataset, Event, ExponentialDelay, FeatureMixture,
                       FeaturePrior, GammaDelay, HomogeneousBaseline,
                       IdentityTransition, KernelComponent, LabelMark,
                       LabelMarginal, NumericalError, PeriodicBaseline,
-                      PriorTransition, compensator, e_step, em_lower_bound, fit,
+                      PriorTransition, compensator, e_step, fit,
                       intensity, log_likelihood, simulate)
 from cascades import delays as delay_mod
 from cascades import engine
@@ -43,7 +43,7 @@ from cascades.delays import ExpMixtureDelay, PiecewiseUniformDelay, UniformDelay
 from cascades.events import (BinaryMark, BinarySchema, CompositeMark,
                              CompositeSchema, LabelSchema)
 from cascades.fertility import LinearFertility, MultiplicativeFertility
-from oracles import component_stats, label_family_stats, mixture_stats
+from oracles import component_stats, label_family_stats, lower_bound, mixture_stats
 
 DEFAULT_CHUNK = engine.PAIR_CHUNK
 
@@ -504,43 +504,18 @@ def test_zero_intensity_under_a_prior_names_the_oracle_event(monkeypatch, chunk)
         assert "event 5 " in str(got.value)
 
 
-def _reference_lower_bound(model, d, resp):
-    """The per-child Jensen bound the vectorized one replaced."""
-    fresh, lam, kids = engine._estep(model, d, None, None, scan=False, want="resp")
-    bound = 0.0
-    for i in kids:
-        z, k_base = resp.baseline[i], fresh.baseline[i] * lam[i]
-        if z > 0:
-            bound += z * np.log(k_base / z)
-        for c in range(len(model.components)):
-            lo, hi = fresh.comp_offsets[c][i], fresh.comp_offsets[c][i + 1]
-            k_vals = fresh.comp_z[c][lo:hi] * lam[i]
-            z_vals = resp.comp_z[c][resp.comp_offsets[c][i]:resp.comp_offsets[c][i + 1]]
-            pos = z_vals > 0
-            bound += float(np.dot(z_vals[pos], np.log(k_vals[pos] / z_vals[pos])))
-    return bound - engine.compensator(model, d)
-
-
 def _each_component(model, **changes):
     return replace(model, components=tuple(replace(c, **changes) for c in model.components))
 
 
-def test_lower_bound_matches_reference_and_rejects_other_layouts():
+def test_lower_bound_is_the_ll_only_at_the_own_estep():
+    # EM's Jensen identity on composite data with tied times
     d = _composite_data(seed=10)
     model = _composite_model(1e-6)
-    resp = e_step(model, d)
+    ll = log_likelihood(model, d)
+    assert lower_bound(model, d, e_step(model, d)) == pytest.approx(ll, rel=1e-12)
     other = e_step(_each_component(model, fertility=ConstantFertility(0.05)), d)
-    for r in (resp, other):
-        assert em_lower_bound(model, d, r) == pytest.approx(
-            _reference_lower_bound(model, d, r), rel=1e-12)
-    # longer delays widen the truncation windows
-    wider = e_step(_each_component(model, delay=ExponentialDelay(0.1)), d)
-    with pytest.raises(DataError, match="layout"):
-        em_lower_bound(model, d, wider)
-    # positive weight on causes whose kernel is now zero
-    comps = list(model.components)
-    comps[1] = replace(comps[1], fertility=ConstantFertility(0.0))
-    assert em_lower_bound(replace(model, components=tuple(comps)), d, resp) == -np.inf
+    assert lower_bound(model, d, other) < ll - 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -659,11 +634,17 @@ def test_feature_prior_on_a_wide_schema_matches_the_oracle(chunk):
 
 
 def test_child_sums_leave_children_without_pairs_at_zero():
-    vals = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-    for cnt, want in (([2, 0, 3], [3.0, 0.0, 12.0]), ([0, 5, 0], [0.0, 15.0, 0.0]),
-                      ([1, 1, 3, 0, 0], [1.0, 2.0, 12.0, 0.0, 0.0])):
-        got = engine._child_sums(vals, np.array(cnt))
-        assert got.tolist() == want
+    vals = np.array([1.0, 5.0, 3.0, 4.0, 2.0])
+    inf = np.inf
+    for cnt, sums, tops, lows in (
+            ([2, 0, 3], [6.0, 0.0, 9.0], [5.0, -inf, 4.0], [1.0, inf, 2.0]),
+            ([0, 5, 0], [0.0, 15.0, 0.0], [-inf, 5.0, -inf], [inf, 1.0, inf]),
+            ([1, 1, 3, 0, 0], [1.0, 5.0, 9.0, 0.0, 0.0], [1.0, 5.0, 4.0, -inf, -inf],
+             [1.0, 5.0, 2.0, inf, inf])):
+        for ufunc, empty, want in ((np.add, 0.0, sums), (np.maximum, -inf, tops),
+                                   (np.minimum, inf, lows)):
+            got = engine._child_reduce(ufunc, vals, np.array(cnt), empty)
+            assert got.tolist() == want
 
 
 def _reference_fit(model, d, max_iters, tol, children=None, window=None):

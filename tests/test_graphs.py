@@ -90,6 +90,43 @@ def test_regularized_rates_identity_and_limits():
         regularized_rates(n, m, 1.5)
     with pytest.raises(DataError):
         regularized_rates(n[:2], m, 0.5)
+    # an infinite count would break the identity above; a NaN, every rate
+    for bad in (np.nan, np.inf, -1.0):
+        with pytest.raises(DataError, match="finite and nonnegative"):
+            regularized_rates([bad], [1.0], 0.5)
+        with pytest.raises(DataError, match="finite and nonnegative"):
+            regularized_rates([1.0], [bad], 0.5)
+
+
+@pytest.mark.parametrize("variant", ["shared_transition", "per_neighbor"])
+@pytest.mark.parametrize("limits, message", [
+    ({"max_iters": -1}, "max_iters must be nonnegative"),
+    ({"tol": -1.0}, "tol must be nonnegative"),
+    ({"tol": float("nan")}, "tol must be nonnegative")])
+def test_node_and_graph_fits_check_their_em_limits(variant, limits, message):
+    # in a two-node cycle every node has a neighbor, so per_neighbor fits
+    # run their own EM loop rather than fit's
+    g = Graph(["a", "b"], {"a": ["b"], "b": ["a"]})
+    d, _ = sim(g, horizon=30.0, seed=4)
+    hyper = Hyperparams.uniform(d.n_label_values)
+    with pytest.raises(ConfigError, match=message):
+        fit_node(g, d, "a", variant, hyper, 1.0, **limits)
+    with pytest.raises(ConfigError, match=message):
+        fit_graph(g, d, variant, rounds=1, strength_grid=(1.0,), pool_grid=(0.5,), **limits)
+
+
+@pytest.mark.parametrize("variant, grids, name", [
+    ("shared_transition", {"strength_grid": ()}, "strength_grid: must be nonempty"),
+    ("per_neighbor", {"strength_grid": ()}, "strength_grid: must be nonempty"),
+    ("per_neighbor", {"pool_grid": ()}, "pool_grid: must be nonempty"),
+    ("shared_transition", {"strength_grid": (1.0, -2.0)}, "strength_grid: strengths must"),
+    ("per_neighbor", {"pool_grid": (0.5, 1.5)}, "pool_grid: must be nonempty")])
+def test_fit_round_rejects_a_bad_grid_before_any_fit(monkeypatch, variant, grids, name):
+    g = line_graph()
+    d, _ = sim(g, horizon=30.0, seed=4)
+    monkeypatch.setattr(graphs, "fit_node", lambda *args, **kwargs: pytest.fail("fitted"))
+    with pytest.raises(ConfigError, match=name):
+        fit_round(g, d, variant, Hyperparams.uniform(d.n_label_values), **grids)
 
 
 def test_simulate_graph_basics():
