@@ -223,16 +223,26 @@ class Responsibilities:
         is (events without candidate parents included). Per child: the
         largest weight over every component's pairs, then the lowest
         parent id among the pairs that reach it; the baseline wins a tie.
-        Which component a tied parent comes from never matters."""
-        cnts = [np.diff(off) for off in self.comp_offsets]
-        top = np.full(self.n, -np.inf)
-        for z, cnt in zip(self.comp_z, cnts):
-            np.maximum(top, _child_reduce(np.maximum, z, cnt, -np.inf), out=top)
+        Which component a tied parent comes from never matters. It reduces
+        in runs of whole children of at most ``PAIR_CHUNK`` pairs over all
+        components (or one child with more), so its temporaries are per
+        run, not per pair."""
         none = np.iinfo(np.int64).max
-        best = np.full(self.n, none)
-        for parents, z, cnt in zip(self.comp_parents, self.comp_z, cnts):
-            tied = np.where(z == np.repeat(top, cnt), parents, none)
-            np.minimum(best, _child_reduce(np.minimum, tied, cnt, none), out=best)
+        top, best = np.full(self.n, -np.inf), np.full(self.n, none)
+        ends = np.cumsum(sum((np.diff(off) for off in self.comp_offsets),
+                             np.zeros(self.n, dtype=np.int64)))
+        s = 0
+        while s < self.n:
+            e = _run_end(ends, s)
+            runs = [(off[s], off[e], np.diff(off[s:e + 1])) for off in self.comp_offsets]
+            for z, (p0, p1, cnt) in zip(self.comp_z, runs):
+                np.maximum(top[s:e], _child_reduce(np.maximum, z[p0:p1], cnt, -np.inf),
+                           out=top[s:e])
+            for parents, z, (p0, p1, cnt) in zip(self.comp_parents, self.comp_z, runs):
+                tied = np.where(z[p0:p1] == np.repeat(top[s:e], cnt), parents[p0:p1], none)
+                np.minimum(best[s:e], _child_reduce(np.minimum, tied, cnt, none),
+                           out=best[s:e])
+            s = e
         return np.where(top > self.baseline, best, -1)
 
 
@@ -428,6 +438,14 @@ def _child_ids(d: Dataset, children: np.ndarray | None,
 # E-step
 
 
+def _run_end(pair_ends: np.ndarray, s: int) -> int:
+    """End of the run of whole children from s whose pairs (cumulative
+    counts ``pair_ends``) number at most ``PAIR_CHUNK``, or of child s
+    alone where it has more."""
+    done = int(pair_ends[s - 1]) if s else 0
+    return max(int(np.searchsorted(pair_ends, done + PAIR_CHUNK, side="right")), s + 1)
+
+
 def _child_reduce(ufunc: np.ufunc, vals: np.ndarray, cnt: np.ndarray, empty) -> np.ndarray:
     """``ufunc`` over consecutive runs of ``cnt[k]`` values, ``empty`` for
     empty runs (where a bare ``reduceat`` would repeat a value, or index
@@ -510,8 +528,7 @@ class _Pairs:
             self.credits = [np.zeros(self.n_patterns) for _ in comps]
 
     def run_end(self, s: int) -> int:
-        done = int(self.pair_ends[s - 1]) if s else 0
-        return max(int(np.searchsorted(self.pair_ends, done + PAIR_CHUNK, side="right")), s + 1)
+        return _run_end(self.pair_ends, s)
 
     def intensity(self, s: int, e: int, sums: list) -> None:
         """Put in sums[c] component c's kernel sum at each child of s:e,

@@ -134,9 +134,14 @@ class BinarySchema:
 
     def record_lines(self, d: Dataset):
         """d's JSONL record lines, byte for byte as json.dumps of {"t": ...,
-        <mark fields>} and a newline (tolist gives floats and ints: repr)."""
-        return ('{"t": %r, "x": %s}\n' % (x, [i for i, b in enumerate(bits) if b])
-                for x, bits in zip(d.times.tolist(), d.feature_matrix.tolist()))
+        <mark fields>} and a newline (tolist gives floats and ints: repr).
+        Each distinct feature row's index list is formatted once."""
+        rows, index = d.feature_patterns
+        active = np.nonzero(rows)[1].tolist()  # row by row, in feature order
+        ends = np.cumsum(np.count_nonzero(rows, axis=1)).tolist()
+        xs = [str(active[lo:hi]) for lo, hi in zip([0] + ends[:-1], ends)]
+        return ('{"t": %r, "x": %s}\n' % (x, xs[j])
+                for x, j in zip(d.times.tolist(), index.tolist()))
 
     def pattern_codes(self, d: Dataset) -> tuple[np.ndarray, int]:
         """Each event's mark pattern for transitions, and the pattern count."""

@@ -8,10 +8,14 @@ against it. One offspring queue (``_offspring``) serves both simulators,
 which draw their own roots and give it their own offspring rules.
 
 Every Poisson count (roots and offspring, in both) comes from one
-uniform through an exact scalar inverse of the Poisson CDF
-(scipy.special's pdtrik and pdtr), so a stream's layout does not depend
-on the counts' sizes and importing the package does not load scipy's
-statistics module.
+uniform through the inverse of the Poisson CDF that scipy's poisson.ppf
+runs (scipy.special's pdtrik and pdtr, on scalars), so a stream's layout
+does not depend on the counts' sizes and importing the package does not
+load scipy's statistics module. An offspring mean that the queue draws
+more than once gets a table of its CDF steps, and its counts come from a
+binary search of that table where the table covers the uniform, with the
+inverse's value: the table is a faster route to the same integers, so
+the streams do not change.
 
 Marks are drawn and kept as codes (see ``transitions``), the children of
 one parent under one component in one draw, and the dataset is built
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 
@@ -33,12 +38,26 @@ from .errors import ConfigError, DataError, NumericalError
 from .events import CompositeSchema, Dataset, MarkSchema, _check_rows, _jsonl_objects
 
 
+# A CDF table holds fewer entries than this; a uniform above its last
+# entry takes the inverse.
+CDF_TABLE_SIZE = 256
+# Within this of a CDF step (above it), pdtrik's rounding decides between
+# the step's two counts: the inverse's integer there can be the lower one
+# although pdtr(k, mu) < u, by up to 1e-14 in u for means up to 2e4. The
+# table leaves those uniforms to the inverse so that both give one value.
+_STEP_SLACK = 1e-12
+_UNSEEN = object()  # a mean not yet drawn, in _offspring's tables
+
+
 def substream(seed: int, name: str) -> np.random.Generator:
     """Independent generator derived from one user seed and a role name.
 
     The name is hashed with sha256 so the mapping is stable across runs
-    and platforms, unlike the builtin hash.
+    and platforms, unlike the builtin hash. A seed that is not a
+    nonnegative integer (a bool included) raises ConfigError.
     """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
     digest = hashlib.sha256(name.encode("utf-8")).digest()
     key = int.from_bytes(digest[:8], "little")
     return np.random.default_rng(np.random.SeedSequence([seed, key]))
@@ -65,21 +84,42 @@ class CausalForest:
         return int(np.sum(self.parents < 0))
 
 
-def _poisson_count(rng: np.random.Generator, mu: float) -> int:
+def _cdf_table(mu: float) -> list[float]:
+    """The running maximum of pdtr(k, mu) from k = 0 to about 8 standard
+    deviations above mu, and below CDF_TABLE_SIZE, cut after its first
+    entry of 1.0. It is nondecreasing, and its first entry >= u is at the
+    smallest k with pdtr(k, mu) >= u, even where rounding were to make
+    pdtr dip. Its length sets only which uniforms take the inverse."""
+    size = min(CDF_TABLE_SIZE, int(mu + 8.0 * math.sqrt(mu)) + 16)
+    steps = np.maximum.accumulate(special.pdtr(np.arange(size), mu)).tolist()
+    return steps[:bisect_left(steps, 1.0) + 1]
+
+
+def _poisson_count(rng: np.random.Generator, mu: float,
+                   steps: list[float] | None = None) -> int:
     """Poisson draw by inverting one uniform, so each count consumes
     exactly one stream value regardless of its magnitude.
 
-    This is the inverse that scipy's poisson.ppf runs internally,
-    evaluated on scalars: the smallest k with pdtr(k, mu) >= u, found
-    from the ceiling of pdtrik and one step down. Every u > 0 gets
-    scipy's integer; u == 0 gets 0, where scipy returns -1. Where the
-    inverse has no value (scipy's ppf gives nan) this raises.
+    The count comes from the table ``steps`` (``_cdf_table(mu)``) where
+    it covers u, otherwise from the inverse that scipy's poisson.ppf
+    runs internally, evaluated on scalars; both give the same value. The
+    inverse is the ceiling of pdtrik and one step down: the smallest k
+    with pdtr(k, mu) >= u, except just above a step, where pdtrik's
+    rounding decides (``_STEP_SLACK``). The table's binary search finds
+    that smallest k and leaves the uniforms just above a step to the
+    inverse. Every u > 0 gets scipy's integer; u == 0 gets 0, where
+    scipy returns -1. Where the inverse has no value (scipy's ppf gives
+    nan) this raises.
     """
     if mu < 0 or not math.isfinite(mu):
         raise NumericalError(f"offspring mean must be finite and nonnegative, got {mu}")
     u = rng.random()
     if mu == 0.0 or u == 0.0:
         return 0
+    if steps is not None and u <= steps[-1]:
+        k = bisect_left(steps, u)
+        if k == 0 or u - steps[k - 1] > _STEP_SLACK:
+            return k
     root = special.pdtrik(u, mu)
     if not math.isfinite(root):  # cdflib gives up near mu = 1e11 and above
         raise NumericalError(f"Poisson inverse failed at mean {mu} and uniform {u}")
@@ -147,17 +187,25 @@ def _offspring(rng: np.random.Generator, times: list, codes: list, tags: list, r
     m children inside the horizon, each tagged with the rule's tag.
     Children past the horizon are discarded after their delay is drawn,
     which keeps the stream layout independent of the horizon clipping.
+    A mean's second draw builds its CDF table, which its later draws
+    search (``_poisson_count``); a mean drawn once builds none.
     Raises NumericalError after the children (of one parent under one
     rule) that take the event count past max_events.
     """
     n_roots = len(times)
     parents, gens = [-1] * n_roots, [0] * n_roots
     queue: deque[int] = deque(range(n_roots))
+    tables: dict = {}  # a mean's CDF table, or None after its first draw
     while queue:
         i = queue.popleft()  # first in, first out: i events came before
         t_i, code_i = times[i], codes[i]
         for mean, delay, draw, tag in rules(code_i, tags[i]):
-            count = _poisson_count(rng, mean)
+            steps = tables.get(mean, _UNSEEN)
+            if steps is _UNSEEN:
+                steps = tables[mean] = None
+            elif steps is None:  # its second draw
+                steps = tables[mean] = _cdf_table(mean)
+            count = _poisson_count(rng, mean, steps)
             if count == 0:
                 continue
             kids = [t for t in (t_i + dt for dt in delay.draw(rng, count).tolist())

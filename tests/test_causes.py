@@ -8,6 +8,8 @@ parent comes from never changes the parent. ``parent_recovery_score``
 scores those choices and must equal the loop's score exactly."""
 
 import ast
+import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +22,8 @@ from cascades.engine import Responsibilities
 from cascades.simulate import CausalForest
 from oracles import argmax_cause
 from test_estep_driver import _package_trees
+
+ENGINE = importlib.import_module("cascades.engine")
 
 # few distinct values, so the baseline and pairs tie often
 WEIGHTS = st.sampled_from([0.0, 0.25, 0.5])
@@ -90,6 +94,50 @@ def test_a_parent_tied_under_two_components_is_chosen_once():
         [np.array([0.5, 0.4]), np.array([0.4, 0.4])])
     assert resp.argmax_parents().tolist() == [-1, -1, 0]
     assert _oracle_parents(resp).tolist() == [-1, -1, 0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(layouts(), st.integers(1, 6))
+def test_argmax_parents_over_runs_of_few_pairs_match_the_per_event_loop(resp, chunk):
+    # runs of whole children of at most ``chunk`` pairs, or one child with more
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ENGINE, "PAIR_CHUNK", chunk)
+        assert resp.argmax_parents().tolist() == _oracle_parents(resp).tolist()
+
+
+def _wide_layout(n, per_child, seed):
+    """n children with ``per_child`` pairs under one component and half as
+    many under another, weights on a coarse grid so that ties are common."""
+    rng = np.random.default_rng(seed)
+    offsets, parents, zs = [], [], []
+    for k in (per_child, per_child // 2):
+        offsets.append(np.arange(n + 1, dtype=np.int64) * k)
+        parents.append(rng.integers(0, n, n * k))
+        zs.append(rng.integers(0, 8, n * k) / 16.0)
+    return Responsibilities(n, rng.integers(0, 8, n) / 16.0, offsets, parents, zs)
+
+
+def _transient_bytes(fn):
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_argmax_parents_holds_no_array_per_pair(monkeypatch):
+    # the transient stays within a bound per child and per run, whatever
+    # the pair count: 0.3M and 1.2M pairs in 2000 children
+    chunk, n = 4096, 2000
+    monkeypatch.setattr(ENGINE, "PAIR_CHUNK", chunk)
+    bound = 16 * 8 * (n + chunk)
+    small, large = _wide_layout(n, 100, 0), _wide_layout(n, 400, 1)
+    assert large.argmax_parents().tolist() == _oracle_parents(large).tolist()
+    for resp in (small, large):
+        assert _transient_bytes(resp.argmax_parents) < bound
+    assert 8 * sum(p.size for p in large.comp_parents) > bound  # an int64 per pair would not fit
 
 
 LABELS_LONG = {

@@ -315,6 +315,14 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "intensity" in capsys.readouterr().err
 
 
+def test_cli_simulate_exits_2_on_a_negative_seed(tmp_path, capsys):
+    conf = _write(tmp_path / "sim.json", {"model": LABEL_MODEL_CONF, "horizon": 10.0})
+    assert main(["simulate", "--config", conf, "--out", str(tmp_path / "out"),
+                 "--seed", "-1"]) == 2
+    assert "seed must be a nonnegative integer, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_rejects_unknown_subcommand(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

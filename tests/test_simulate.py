@@ -20,7 +20,10 @@ from cascades import (CascadeModel, CategoricalMatrix, ConfigError,
 from cascades.engine import Responsibilities
 from cascades.events import BinarySchema, CompositeSchema
 from cascades.graphs import Graph
-from cascades.simulate import CausalForest, _poisson_count
+from cascades.simulate import (CDF_TABLE_SIZE, CausalForest, _cdf_table, _offspring,
+                               _poisson_count)
+
+SIM = sys.modules["cascades.simulate"]  # the package exports a function of that name
 
 
 def label_model(rate=1.2, alpha=0.5, delay=1.0):
@@ -364,8 +367,93 @@ def test_poisson_count_matches_scipy_ppf_on_dense_grid():
         expected = sp_stats.poisson.ppf(us, mu)
         got = [_poisson_count(_FixedUniform(float(u)), float(mu)) for u in us]
         assert np.array_equal(got, expected), f"mu={mu!r}"
+        table = _cdf_table(float(mu))
+        got = [_poisson_count(_FixedUniform(float(u)), float(mu), table) for u in us]
+        assert np.array_equal(got, expected), f"table, mu={mu!r}"
         checked += us.size
     assert checked > 20_000
+
+
+def test_cdf_table_gives_the_inverse_count_just_above_every_step():
+    # where the inverse's rounding decides (within about 1e-14 above a
+    # step), the table must defer to it rather than give the exact answer
+    for mu in (0.05, 0.3, 0.5704, 1.0, 2.2778, 3.6143, 17.0, 58.85, 81.97, 179.8):
+        table = _cdf_table(mu)
+        assert len(table) <= CDF_TABLE_SIZE
+        assert all(a <= b for a, b in zip(table, table[1:]))
+        for step in table:
+            for ulps in (1, 2, 3, 8, 64, 512, 4096, 1 << 15):
+                u = step + ulps * np.spacing(step)
+                if not 0.0 < u < 1.0:
+                    continue
+                fixed = _FixedUniform(u)
+                assert _poisson_count(fixed, mu, table) == _poisson_count(fixed, mu), \
+                    (mu, step, ulps)
+
+
+def test_cdf_table_is_bounded_and_a_huge_mean_still_fails_in_the_inverse():
+    table = _cdf_table(1e12)
+    assert 0 < len(table) <= CDF_TABLE_SIZE and max(table) == 0.0
+    with pytest.raises(NumericalError, match="Poisson inverse failed"):
+        _poisson_count(_FixedUniform(0.3), 1e12, table)
+    model = CascadeModel(
+        HomogeneousBaseline(1.0, LabelMarginal((0.5, 0.5))),
+        (KernelComponent("huge", ConstantFertility(1e12), IdentityTransition(),
+                         ExponentialDelay(1.0)),))
+    # seed 1's first offspring draw has a uniform below 0.5, where the
+    # inverse at this mean has no value (above it, its root is near 1e12)
+    with pytest.raises(NumericalError, match="Poisson inverse failed at mean 1000000000000.0"):
+        simulate(model, 5.0, seed=1)
+
+
+def _counting(monkeypatch, name):
+    """Replace the simulate module's function ``name`` (as the benchmark's
+    tracer does) with a wrapper that records each call's arguments."""
+    calls, fn = [], getattr(SIM, name)
+    monkeypatch.setattr(SIM, name, lambda *a: calls.append(a) or fn(*a))
+    return calls
+
+
+def test_one_count_per_event_and_rule(monkeypatch):
+    counts = _counting(monkeypatch, "_poisson_count")
+    d, forest = _stream("binary", 1)
+    # the root count, then one count per event under each of three components
+    assert len(counts) == 1 + 3 * len(d)
+
+
+def test_a_table_only_for_a_mean_drawn_more_than_once(monkeypatch):
+    counts = _counting(monkeypatch, "_poisson_count")
+    tables = _counting(monkeypatch, "_cdf_table")
+    delay = ExponentialDelay(1e-12)  # every child falls past the horizon
+
+    def draw(code, rng, m):
+        return [code] * m
+
+    rules = {tag: [(0.4, delay, draw, 0), (1.0 + tag, delay, draw, 1)] for tag in range(5)}
+    parents, gens = _offspring(np.random.default_rng(0), [0.0] * 5, [0] * 5, list(range(5)),
+                               lambda code, tag: rules[tag], 1.0, 100)
+    assert parents == [-1] * 5 and gens == [0] * 5
+    assert [a[1] for a in counts] == [m for tag in range(5) for m, *_ in rules[tag]]
+    assert tables == [(0.4,)]  # built on its second draw, searched by the later ones
+    assert [a[2] is not None for a in counts[::2]] == [False, True, True, True, True]
+    assert all(a[2] is None for a in counts[1::2])
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "1", None])
+def test_simulators_reject_bad_seeds(seed):
+    with pytest.raises(ConfigError, match=f"seed must be a nonnegative integer, got {seed!r}"):
+        simulate(label_model(), 10.0, seed=seed)
+    graph = Graph(("a", "b"), {"a": ("b",), "b": ()})
+    with pytest.raises(ConfigError, match="seed"):
+        simulate_graph(graph, 10.0, seed, type_marginal=(1.0,), base_rate=0.5,
+                       self_rate=0.1, neighbor_rate=0.1,
+                       transition=CategoricalMatrix(((1.0,),)), delay=ExponentialDelay(1.0))
+
+
+def test_a_numpy_integer_seed_is_the_same_seed():
+    d1, _ = simulate(label_model(), 20.0, seed=np.int64(4))
+    d2, _ = simulate(label_model(), 20.0, seed=4)
+    assert np.array_equal(d1.times, d2.times)
 
 
 def test_cli_import_does_not_load_scipy_stats():
