@@ -57,15 +57,20 @@ def _load_events(path: str) -> Dataset:
         raise DataError(f"cannot read events {path}: {exc}") from exc
 
 
-def _fit_one(model, train, test, merged, opts: cfg.EmOptions):
-    """Fit on train; score test through ``merged`` (see _split_data) if set."""
+def _fit_one(model, train, test, merged, opts: cfg.EmOptions, *, trace: bool):
+    """Fit on train and score test through ``merged`` (see _split_data) if
+    set. With ``trace`` the fit scores the test window after every
+    iteration (``cascades fit`` writes that trace) and the test LL is the
+    trace's last entry; otherwise the fitted model's test window is scored
+    once, by the same evaluation, so both give the same test LL."""
+    heldout = (merged, None, None) if trace and merged is not None else None
     report = engine.fit(model, train, max_iters=opts.max_iters, tol=opts.tol,
-                        heldout=None if merged is None else (merged, None, None),
-                        engine=opts.engine)
+                        heldout=heldout, engine=opts.engine)
     test_ll = None
-    if merged is not None:
-        # the held-out trace ends with the fitted model's test LL
+    if heldout is not None:
         test_ll = report.heldout_trace[-1]
+    elif merged is not None:
+        test_ll = engine.windowed_log_likelihood(report.model, merged)
     elif test is not None:
         test_ll = engine.log_likelihood(report.model, test, history=train)
     return report, test_ll
@@ -169,7 +174,7 @@ def cmd_fit(args) -> int:
     model = cfg.parse_model(conf["model"], "model", data=train)
     _dump_transitions(model, None)
     opts = _em_options(conf, args)
-    report, test_ll = _fit_one(model, train, test, merged, opts)
+    report, test_ll = _fit_one(model, train, test, merged, opts, trace=True)
     os.makedirs(args.out, exist_ok=True)
     _write_json(os.path.join(args.out, "model.json"),
                 cfg.serialize_model(report.model))
@@ -214,7 +219,7 @@ def cmd_compare(args) -> int:
     rows = []
     for safe, name in named.items():
         model = cfg.parse_model(models_conf[name], f"models.{name}", data=train)
-        report, test_ll = _fit_one(model, train, test, merged, opts)
+        report, test_ll = _fit_one(model, train, test, merged, opts, trace=False)
         rows.append([name, float(report.ll_trace[-1]),
                      float(test_ll) if test_ll is not None else "",
                      report.iterations, report.converged, report.engine])

@@ -189,8 +189,9 @@ def _offspring(rng: np.random.Generator, times: list, codes: list, tags: list, r
     which keeps the stream layout independent of the horizon clipping.
     A mean's second draw builds its CDF table, which its later draws
     search (``_poisson_count``); a mean drawn once builds none.
-    Raises NumericalError after the children (of one parent under one
-    rule) that take the event count past max_events.
+    Raises NumericalError on a single count above max_events before any
+    of its delays is drawn, otherwise after the children (of one parent
+    under one rule) that take the event count past max_events.
     """
     n_roots = len(times)
     parents, gens = [-1] * n_roots, [0] * n_roots
@@ -208,6 +209,10 @@ def _offspring(rng: np.random.Generator, times: list, codes: list, tags: list, r
             count = _poisson_count(rng, mean, steps)
             if count == 0:
                 continue
+            if count > max_events:  # refused before its delays are allocated
+                raise NumericalError(
+                    f"simulation exceeded max_events={max_events}: one offspring "
+                    f"draw at mean {mean!r} gave {count} children")
             kids = [t for t in (t_i + dt for dt in delay.draw(rng, count).tolist())
                     if t <= horizon]
             queue.extend(range(len(times), len(times) + len(kids)))

@@ -323,6 +323,16 @@ def test_cli_simulate_exits_2_on_a_negative_seed(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_simulate_exits_4_on_a_huge_offspring_count(tmp_path, capsys):
+    huge = dict(LABEL_MODEL_CONF, components=[
+        dict(LABEL_MODEL_CONF["components"][0], fertility={"kind": "constant", "rate": 1e12})])
+    conf = _write(tmp_path / "sim.json", {"model": huge, "horizon": 10.0})
+    assert main(["simulate", "--config", conf, "--out", str(tmp_path / "out"),
+                 "--seed", "1"]) == 4
+    assert "children" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_rejects_unknown_subcommand(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -344,17 +354,25 @@ def test_fit_takes_the_test_ll_from_the_heldout_trace(monkeypatch):
     log_likelihood = engine.log_likelihood
     monkeypatch.setattr(engine, "log_likelihood",
                         lambda *args, **kw: scored.append(1) or log_likelihood(*args, **kw))
+    merged = test.merge_history(train)
     for model in (exp_model, parse_model(gamma_conf, "model")):
         for name in ("auto", "direct"):
-            report, test_ll = _fit_one(model, train, test, test.merge_history(train),
-                                       EmOptions(max_iters=4, tol=0.0, engine=name))
+            opts = EmOptions(max_iters=4, tol=0.0, engine=name)
+            report, test_ll = _fit_one(model, train, test, merged, opts, trace=True)
             assert scored == []
             assert test_ll == log_likelihood(report.model, test, history=train)
+            # compare's path scores the fitted model once, to the same rows
+            once, once_ll = _fit_one(model, train, test, merged, opts, trace=False)
+            assert once.heldout_trace is None and scored == []
+            assert once_ll == test_ll and once.ll_trace[-1] == report.ll_trace[-1]
     # a present but empty test split is still scored on its own
     empty = Dataset([], d.horizon, d.schema, start=d.horizon)
-    report, test_ll = _fit_one(exp_model, train, empty, None, EmOptions(max_iters=2))
-    assert scored == [1] and report.heldout_trace is None
-    assert test_ll == log_likelihood(report.model, empty, history=train)
+    for trace in (True, False):
+        report, test_ll = _fit_one(exp_model, train, empty, None, EmOptions(max_iters=2),
+                                   trace=trace)
+        assert report.heldout_trace is None
+        assert test_ll == log_likelihood(report.model, empty, history=train)
+    assert scored == [1, 1]
 
 
 @pytest.mark.parametrize("parse, where, field, value", [
@@ -422,7 +440,7 @@ def test_cli_graph_fit_exits_2_on_malformed_options(tmp_path, capsys, field, val
 
 
 def test_compare_merges_the_test_history_once(tmp_path, monkeypatch):
-    from cascades import Dataset
+    from cascades import Dataset, engine
     sim_conf = _write(tmp_path / "sim.json", {"model": LABEL_MODEL_CONF, "horizon": 40.0})
     assert main(["simulate", "--config", sim_conf, "--out", str(tmp_path / "s"),
                  "--seed", "3"]) == 0
@@ -433,10 +451,22 @@ def test_compare_merges_the_test_history_once(tmp_path, monkeypatch):
     merges = []
     merge = Dataset.merge_history
     monkeypatch.setattr(Dataset, "merge_history",
-                        lambda self, h: merges.append(1) or merge(self, h))
+                        lambda self, h: merges.append(merge(self, h)) or merges[-1])
+    # and scores each fitted model's test window once: one E-step per model
+    # on the merged dataset, however many EM iterations the fit takes
+    scored = []
+    evaluate = engine._evaluate
+
+    def counting(model, d, *args, **kw):
+        if merges and d is merges[0]:
+            scored.append(model)
+        return evaluate(model, d, *args, **kw)
+
+    monkeypatch.setattr(engine, "_evaluate", counting)
     assert main(["compare", "--config", cmp_conf, "--data", str(tmp_path / "s/events.jsonl"),
                  "--out", str(tmp_path / "c")]) == 0
-    assert merges == [1]
+    assert len(merges) == 1
+    assert len(scored) == 2
 
 
 # ---------------------------------------------------------------------------

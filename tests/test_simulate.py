@@ -143,6 +143,25 @@ def test_event_cap_leaves_streams_under_it_unchanged():
         simulate(label_model(), 60.0, seed=42, max_events=len(d1) - 1)
 
 
+# a count far too large to allocate: at mean 1e12 pdtrik gives a root near
+# the mean for these seeds' first offspring uniforms (and nan for others)
+HUGE_COUNT = r"max_events=1000: one offspring draw at mean 1000000000000.0 gave \d{13} children"
+
+
+@pytest.mark.parametrize("seed", [1, 2, 4])
+def test_event_cap_refuses_a_huge_offspring_count_before_its_delays(seed):
+    with pytest.raises(NumericalError, match=HUGE_COUNT):
+        simulate(label_model(alpha=1e12), 10.0, seed, max_events=1000)
+
+
+def test_graph_event_cap_refuses_a_huge_offspring_count_before_its_delays():
+    graph = Graph(("a", "b"), {"a": ("b",), "b": ()})
+    with pytest.raises(NumericalError, match=HUGE_COUNT):
+        simulate_graph(graph, 10.0, 2, type_marginal=(1.0,), base_rate=1.0, self_rate=1e12,
+                       neighbor_rate=0.0, transition=CategoricalMatrix(((1.0,),)),
+                       delay=ExponentialDelay(1.0), max_events=1000)
+
+
 def _graph_sim(horizon, max_events, base_rate=1.0):
     graph = Graph(("a", "b", "c"), {"a": ("b",), "b": ("c",), "c": ()})
     return simulate_graph(graph, horizon, 3, type_marginal=(1.0,), base_rate=base_rate,
