@@ -23,7 +23,8 @@ whole tie groups give every child's decayed parent count per pattern in
 O(N * P) (Ozaki's recursion for exponential Hawkes likelihoods). The
 families read mark patterns, never events: the engine gathers their
 per-pattern values by the schema's pattern view where it needs one per
-event, and ``intensity`` runs the pair kernel. The driver adds the
+event, hands the transitions (parent, child) pattern codes, and
+``intensity`` runs the pair kernel. The driver adds the
 kernels' sums to the baseline term, checks the total once, and has each
 kernel sum its statistics while the weights are in hand, so no pair is
 visited twice. ``e_step`` and ``estep_stats`` put every component on
@@ -43,7 +44,6 @@ import numpy as np
 
 from . import delays as delay_mod
 from . import fertility as fert_mod
-from . import transitions as trans_mod
 from .delays import PAIR_CHUNK, DelaySpec
 from .errors import ConfigError, DataError, NumericalError
 from .events import CompositeSchema, Dataset, Mark, MarkSchema
@@ -258,11 +258,12 @@ class ComponentStats:
     arrays before the next E-step. Beside it, the transition's statistic
     in its family's shape (see ``transitions``; None for identity, and on
     pairs when no pair was weighed), and expected offspring per parent
-    mark pattern (the schema's ``fertility_patterns``). The pair kernel
-    sums the last two run by run (``stats_from_pairs``), or bins each
-    child's total weight by pattern where they read only the children
-    (``stats_from_children``); the scan reads them off its pattern
-    weight table (``stats_from_patterns``)."""
+    mark pattern (the schema's ``fertility_patterns``). Both kernels
+    build the transition statistic with the family's one ``stats`` over
+    weighted (parent pattern, child pattern) codes: the pair kernel sums
+    it run by run over its pairs, or over each child's total weight
+    (no parents) where the family reads only the child; the scan passes
+    the cells of its pattern weight table."""
 
     deltas: np.ndarray
     weights: np.ndarray
@@ -465,23 +466,26 @@ def _pattern_credits(pattern: np.ndarray, n_patterns: int, parents: np.ndarray,
     return np.bincount(pattern[parents], weights=z, minlength=n_patterns)
 
 
-def _kernel_factors(comp: KernelComponent, d: Dataset, kids: np.ndarray,
+def _kernel_factors(comp: KernelComponent, d: Dataset, kid_codes: np.ndarray,
                     rows: np.ndarray | None, pattern: np.ndarray, n_patterns: int):
     """Component comp's fertility(parent) * g(child | parent), split by
     what each factor reads, as (child, alpha, pair). ``child`` is one
-    factor per child at ``kids``, or None: the fertility when it has one
-    value, which it has whenever the data have one parent mark pattern
-    (``fertility_patterns``: every label and composite schema), times a
-    prior's g(child). ``alpha`` is the fertility per event, gathered from
+    factor per child, whose mark patterns are ``kid_codes``, or None: the
+    fertility when it has one value, which it has whenever the data have
+    one parent mark pattern (``fertility_patterns``: every label and
+    composite schema), times a prior's g per child pattern gathered by
+    ``kid_codes``. ``alpha`` is the fertility per event, gathered from
     its value per pattern, when it may vary by parent, and ``pair`` the
-    ``g_pairs`` of a transition that reads the parent's mark; None
-    otherwise. The choice reads only the families and the pattern count."""
-    g = comp.transition.g_children(d, kids)
+    ``g_pairs`` of a transition that reads the parent's mark, over
+    (parent, child) pattern codes; None otherwise. The choice reads only
+    the families and the pattern count."""
+    g = comp.transition.g_children(d)
     pair = None if g is not None else comp.transition.g_pairs(d, PAIR_CHUNK)
+    g = None if g is None else g[kid_codes]
     if n_patterns != 1:
         return g, comp.fertility.rates(rows, n_patterns)[pattern], pair
     alpha = float(comp.fertility.rates(rows, 1)[0])
-    return (np.full(kids.size, alpha) if g is None else alpha * g), None, pair
+    return (np.full(kid_codes.size, alpha) if g is None else alpha * g), None, pair
 
 
 def _pair_window(comp: KernelComponent, d: Dataset, kid_times: np.ndarray, cut: float):
@@ -503,9 +507,11 @@ class _Pairs:
     full size. A run evaluates each component's delay density and only the
     kernel factors that vary by parent (``_kernel_factors``); each child's
     sum is scaled by its child factor, and a pair's weight is its value
-    times (child factor / intensity). Statistics that read only the children
-    (one pattern's credits, a prior's ``stats_from_children``) come from
-    each child's total weight at the end; the rest are summed pair by pair."""
+    times (child factor / intensity). A run gathers the parent and child
+    pattern codes of its pairs once, for the transition's ``g_pairs`` and
+    its ``stats``. Statistics that read only the children (one pattern's
+    credits, a prior's ``stats``) come from each child's total weight at
+    the end; the rest are summed pair by pair."""
 
     def __init__(self, model: CascadeModel, d: Dataset, kids: np.ndarray, kid_times: np.ndarray,
                  comps: list[int], windows: list, want: str | None):
@@ -515,7 +521,9 @@ class _Pairs:
         self.pair_ends = np.cumsum(sum((w[2] for w in self.windows),
                                        np.zeros(kids.size, dtype=np.int64)))
         rows, self.pattern, self.n_patterns = d.schema.fertility_patterns(d)
-        self.factors = [_kernel_factors(c, d, kids, rows, self.pattern, self.n_patterns)
+        self.codes = d.schema.pattern_codes(d)[0]
+        self.kid_codes = self.codes[kids]
+        self.factors = [_kernel_factors(c, d, self.kid_codes, rows, self.pattern, self.n_patterns)
                         for c in self.specs]
         if want:
             self.z = [np.empty(w[3][-1]) for w in self.windows]
@@ -533,7 +541,7 @@ class _Pairs:
     def intensity(self, s: int, e: int, sums: list) -> None:
         """Put in sums[c] component c's kernel sum at each child of s:e,
         for the components with pairs there."""
-        times, kids, kid_times = self.d.times, self.kids[s:e], self.kid_times[s:e]
+        times, kid_codes, kid_times = self.d.times, self.kid_codes[s:e], self.kid_times[s:e]
         self.run = []
         for i, comp in enumerate(self.specs):
             pool, lo, cnt, starts = self.windows[i]
@@ -548,20 +556,20 @@ class _Pairs:
             dt = np.subtract(np.repeat(kid_times, cnt), times[js], out=dt)
             # parents are strictly earlier, so every delay is positive
             vals = comp.delay.pdf(dt)
-            ch = None
+            codes = None
             if alpha is not None:
                 vals *= alpha[js]
             if pair is not None:
-                ch = np.repeat(kids, cnt)
-                vals *= pair(ch, js)
+                codes = self.codes[js], np.repeat(kid_codes, cnt)
+                vals *= pair(*codes)
             part = _child_reduce(np.add, vals, cnt, 0.0)
             if child is not None:
                 part *= child[s:e]
-            self.run.append((i, p0, p1, cnt, ch, js, vals, part))
+            self.run.append((i, p0, p1, cnt, codes, js, vals, part))
             sums[self.comps[i]] = part
 
     def weigh(self, s: int, e: int, total: np.ndarray) -> None:
-        for i, p0, p1, cnt, ch, js, vals, sums in self.run:
+        for i, p0, p1, cnt, codes, js, vals, sums in self.run:
             child = self.factors[i][0]
             scale = (1.0 if child is None else child[s:e]) / total
             z = np.multiply(vals, np.repeat(scale, cnt), out=self.z[i][p0:p1])
@@ -569,8 +577,8 @@ class _Pairs:
                 self.keep[i][p0:p1] = js
                 continue
             self.kid_z[i][s:e] = sums / total
-            trans = None if ch is None else self.specs[i].transition.stats_from_pairs(
-                self.d, ch, js, z)
+            trans = None if codes is None else self.specs[i].transition.stats(
+                self.d, *codes, z)
             if trans is not None:
                 self.trans[i] = trans if self.trans[i] is None else self.trans[i] + trans
             if self.n_patterns != 1:
@@ -580,7 +588,7 @@ class _Pairs:
     def stats(self) -> dict[int, ComponentStats]:
         return {c: ComponentStats(
             self.keep[i], self.z[i],
-            (comp.transition.stats_from_children(self.d, self.kid_z[i], self.kids)
+            (comp.transition.stats(self.d, None, self.kid_codes, self.kid_z[i])
              if self.factors[i][2] is None else self.trans[i]),
             np.array([self.kid_z[i].sum()]) if self.n_patterns == 1 else self.credits[i])
             for i, (c, comp) in enumerate(zip(self.comps, self.specs))}
@@ -793,8 +801,10 @@ def expected_transition_counts(model: CascadeModel, d: Dataset,
     for label-like schemas; None entries for feature-marked components."""
     if d.schema.label_count is None:
         return [None for _ in model.components]
-    return [trans_mod.label_pair_table(d, *_pair_arrays(resp, c))
-            for c in range(len(model.components))]
+    codes, n = d.schema.pattern_codes(d)
+    pairs = (_pair_arrays(resp, c) for c in range(len(model.components)))
+    return [np.bincount(codes[parents] * n + codes[children], weights=z,
+                        minlength=n * n).reshape(n, n) for children, parents, z in pairs]
 
 
 def m_step(model: CascadeModel, d: Dataset, estep: EStepStats,
@@ -1067,8 +1077,9 @@ class _Scan:
     simultaneous events never explain each other. Truncated, a second
     walk per component gathers the sums before each window the same way,
     to subtract, clamped at 0 (and 0 for a pattern with no parent inside
-    the window, as its pairs give). The transition statistics and credits
-    come from the (child pattern, parent pattern) weight table; the delay
+    the window, as its pairs give). The credits come from the (child
+    pattern, parent pattern) weight table, and the transition statistic
+    from its cells through the family's ``stats``; the delay
     sample (sum z dt / sum z, sum z) has the pairs' exponential MLE."""
 
     def __init__(self, model: CascadeModel, d: Dataset, kids: np.ndarray,
@@ -1135,11 +1146,13 @@ class _Scan:
 
     def stats(self) -> dict[int, ComponentStats]:
         counts, z = self.counts * self.by_child, self.comp_z
+        P = counts.shape[1]
+        parents, children = np.divmod(np.arange(P * P), P)
         # per component one delay sample; credits per parent mark pattern
         mean_dt = np.divide(self.comp_zdt, z, out=np.zeros(z.size), where=z > 0)
         return {c: ComponentStats(
             deltas=mean_dt[i:i + 1], weights=z[i:i + 1],
-            transition=comp.transition.stats_from_patterns(self.d, counts[i].T),
+            transition=comp.transition.stats(self.d, parents, children, counts[i].T.ravel()),
             credits=z[i:i + 1] if self.rows is None else counts[i].sum(axis=0))
             for i, (c, comp) in enumerate(zip(self.comps, self.specs))}
 
@@ -1223,6 +1236,8 @@ def fit(model: CascadeModel, d: Dataset, max_iters: int = 50, tol: float = 1e-6,
     no other E-step's pairs.
     """
     validate_model(model, d.schema)
+    if heldout:
+        validate_model(model, heldout[0].schema)
     _check_em_limits(max_iters, tol)
     if on_decrease not in ("raise", "warn"):
         raise ConfigError("on_decrease must be 'raise' or 'warn'")

@@ -14,21 +14,21 @@ pattern (``pattern_probs``), the statistic of weights per pattern
 (``stats_from_patterns``), ``refit``, ``draw`` and its
 ``default_schema``. A transition gives ``check_schema``, g over mark
 patterns (``g_patterns``, a (parent, child) matrix read by the
-prefix-sum scan), g per child (``g_children``: a prior's, None for the
-families that read the parent), g over (child, parent) event pairs
-(``g_pairs``, read by the pair kernel), the M-step statistics of
-weighted pairs, of a (parent pattern, child pattern) weight table and,
-for a prior, of each child's weight (``stats_from_pairs``,
-``stats_from_patterns``, ``stats_from_children``), ``refit`` and
-``draw``. A mark pattern is a label (the type of a composite mark) or a
-distinct binary feature row, and the schema's pattern view
-(``pattern_codes``) is the one map from events to patterns: the
-families read per-pattern values and gather them by pattern code, and
-bin per-event weights by it. The statistics take the family's
-shape: the (parent label, child label) table of a categorical matrix,
-the (F, 2, 2) table of a feature mixture, a prior's weight per child
-label or feature sums over the children, None for identity. They add
-up, so components sharing a transition group pool theirs with ``+``.
+prefix-sum scan), g per child pattern (``g_children``: a prior's, None
+for the families that read the parent), g over (parent, child) pattern
+code pairs (``g_pairs``, read by the pair kernel; not for a prior), the
+M-step statistic of weighted (parent, child) pattern code pairs
+(``stats``: the pair kernel's pairs or children, the scan's table
+cells; a prior reads only the children), ``refit`` and ``draw``. A mark
+pattern is a label (the type of a composite mark) or a distinct binary
+feature row, and the schema's pattern view (``pattern_codes``) is the
+one map from events to patterns: the families read mark patterns, never
+events, and the engine gathers their values by pattern code and hands
+them pattern codes. The statistics take the family's shape: the
+(parent label, child label) table of a categorical matrix, the (F, 2,
+2) table of a feature mixture, a prior's weight per child label or
+feature sums over the children, None for identity. They add up, so
+components sharing a transition group pool theirs with ``+``.
 
 Draws take and return mark codes (zero-based label indices or uint8
 feature rows), m children at a time, child after child: one batch takes
@@ -204,7 +204,8 @@ def fit_marginal_weighted(stats: np.ndarray) -> LabelMarginal:
 # ---------------------------------------------------------------------------
 # transition kernels
 
-# g_pairs gives g(mark of children[k] | mark of parents[k]) for every pair k
+# g_pairs gives g(child pattern children[k] | parent pattern parents[k]) for
+# every pair k of pattern codes
 PairValues = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -220,18 +221,14 @@ class IdentityTransition:
     def g_patterns(self, d: Dataset) -> np.ndarray:
         return np.eye(d.schema.pattern_codes(d)[1])  # distinct patterns match only themselves
 
-    def g_children(self, d: Dataset, events: np.ndarray) -> None:
+    def g_children(self, d: Dataset) -> None:
         return None
 
     def g_pairs(self, d: Dataset, max_table: int) -> PairValues:
-        codes = d.schema.pattern_codes(d)[0]
-        return lambda children, parents: (codes[parents] == codes[children]).astype(np.float64)
+        return lambda parents, children: (parents == children).astype(np.float64)
 
-    def stats_from_pairs(self, d: Dataset, children: np.ndarray, parents: np.ndarray,
-                         z: np.ndarray) -> None:
-        return None
-
-    def stats_from_patterns(self, d: Dataset, table: np.ndarray) -> None:
+    def stats(self, d: Dataset, parents: np.ndarray | None, children: np.ndarray,
+              w: np.ndarray) -> None:
         return None
 
     def refit(self, stats) -> IdentityTransition:
@@ -256,27 +253,16 @@ class PriorTransition:
         g = self.mark.pattern_probs(d)
         return np.tile(g, (g.size, 1))
 
-    def g_children(self, d: Dataset, events: np.ndarray) -> np.ndarray:
-        return self.mark.pattern_probs(d)[d.schema.pattern_codes(d)[0][events]]
+    def g_children(self, d: Dataset) -> np.ndarray:
+        return self.mark.pattern_probs(d)
 
-    def g_pairs(self, d: Dataset, max_table: int) -> PairValues:
-        probs, codes = self.mark.pattern_probs(d), d.schema.pattern_codes(d)[0]
-        return lambda children, parents: probs[codes[children]]
-
-    def stats_from_pairs(self, d: Dataset, children: np.ndarray, parents: np.ndarray,
-                         z: np.ndarray) -> np.ndarray:
-        return self.stats_from_children(d, z, children)
-
-    def stats_from_patterns(self, d: Dataset, table: np.ndarray) -> np.ndarray:
-        return self.mark.stats_from_patterns(d, table.sum(axis=0))
-
-    def stats_from_children(self, d: Dataset, z: np.ndarray,
-                            children: np.ndarray) -> np.ndarray:
-        """The statistics of weights ``z`` on the children at ``children``
-        (repeats add up), binned by the children's mark patterns."""
-        codes, n_patterns = d.schema.pattern_codes(d)
+    def stats(self, d: Dataset, parents: np.ndarray | None, children: np.ndarray,
+              w: np.ndarray) -> np.ndarray:
+        """The mark distribution's statistic of the weights binned by
+        child pattern; the parents are not read (and may be None)."""
+        n_patterns = d.schema.pattern_codes(d)[1]
         return self.mark.stats_from_patterns(
-            d, np.bincount(codes[children], weights=z, minlength=n_patterns))
+            d, np.bincount(children, weights=w, minlength=n_patterns))
 
     def refit(self, stats: np.ndarray) -> PriorTransition:
         return PriorTransition(self.mark.refit(stats))
@@ -322,31 +308,25 @@ class FeatureMixture:
         rows = d.feature_patterns[0]
         return self._g(rows[:, None, :], rows[None, :, :])
 
-    def g_children(self, d: Dataset, events: np.ndarray) -> None:
+    def g_children(self, d: Dataset) -> None:
         return None
 
     def g_pairs(self, d: Dataset, max_table: int) -> PairValues:
         """Gathers from the (parent pattern x child pattern) table when that
         holds at most ``max_table`` entries, and otherwise evaluates each
-        pair (wide schemas, where distinct patterns can reach the event
-        count)."""
-        codes, n_patterns = d.schema.pattern_codes(d)
-        if n_patterns ** 2 <= max_table:
-            table = self.g_patterns(d)
-            return lambda children, parents: table[codes[parents], codes[children]]
-        X = d.feature_matrix
-        return lambda children, parents: self._g(X[parents], X[children])
-
-    def stats_from_pairs(self, d: Dataset, children: np.ndarray, parents: np.ndarray,
-                         z: np.ndarray) -> np.ndarray:
-        X = d.feature_matrix
-        return _mixture_table(X[parents], X[children], z)
-
-    def stats_from_patterns(self, d: Dataset, table: np.ndarray) -> np.ndarray:
-        """The mixture table from each pattern pair's bit indicators."""
+        pair's feature rows (wide schemas, where distinct patterns can
+        reach the event count)."""
         rows = d.feature_patterns[0]
-        parents, children = np.divmod(np.arange(table.size), len(rows))
-        return _mixture_table(rows[parents], rows[children], table.ravel())
+        if len(rows) ** 2 <= max_table:
+            table = self.g_patterns(d)
+            return lambda parents, children: table[parents, children]
+        return lambda parents, children: self._g(rows[parents], rows[children])
+
+    def stats(self, d: Dataset, parents: np.ndarray, children: np.ndarray,
+              w: np.ndarray) -> np.ndarray:
+        """The mixture table from each pair's feature rows."""
+        rows = d.feature_patterns[0]
+        return _mixture_table(rows[parents], rows[children], w)
 
     def refit(self, stats: np.ndarray) -> FeatureMixture:
         return replace(self, resample_prob=fit_mixture_from_stats(stats, self.prior))
@@ -400,19 +380,18 @@ class CategoricalMatrix:
     def g_patterns(self, d: Dataset) -> np.ndarray:
         return self.as_array
 
-    def g_children(self, d: Dataset, events: np.ndarray) -> None:
+    def g_children(self, d: Dataset) -> None:
         return None
 
     def g_pairs(self, d: Dataset, max_table: int) -> PairValues:
-        labels, table = d.label_index, self.as_array
-        return lambda children, parents: table[labels[parents], labels[children]]
+        table = self.as_array
+        return lambda parents, children: table[parents, children]
 
-    def stats_from_pairs(self, d: Dataset, children: np.ndarray, parents: np.ndarray,
-                         z: np.ndarray) -> np.ndarray:
-        return label_pair_table(d, children, parents, z)
-
-    def stats_from_patterns(self, d: Dataset, table: np.ndarray) -> np.ndarray:
-        return table
+    def stats(self, d: Dataset, parents: np.ndarray, children: np.ndarray,
+              w: np.ndarray) -> np.ndarray:
+        """The weights summed into a (parent label, child label) table."""
+        n = len(self.matrix)
+        return np.bincount(parents * n + children, weights=w, minlength=n * n).reshape(n, n)
 
     def refit(self, stats: np.ndarray) -> CategoricalMatrix:
         return fit_categorical(stats, self.prior_direction, self.prior_strength)
@@ -502,14 +481,6 @@ def fit_mixture_from_stats(table: np.ndarray, prior: FeaturePrior) -> float:
         if abs(g - prev) <= 4.0 * np.spacing(prev):
             break
     return float(min(max(g, 0.0), 1.0))
-
-
-def label_pair_table(d: Dataset, children: np.ndarray, parents: np.ndarray,
-                     z: np.ndarray) -> np.ndarray:
-    """Pair weights summed into a (parent label, child label) table."""
-    n = d.n_label_values
-    cells = d.label_index[parents] * n + d.label_index[children]
-    return np.bincount(cells, weights=z, minlength=n * n).reshape(n, n)
 
 
 def _shrinkage_direction(direction, strength: float, n: int) -> np.ndarray | None:

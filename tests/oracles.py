@@ -3,16 +3,18 @@ test oracles.
 
 ``mixture_stats`` and ``fit_mixture`` read weighted pairs of
 ``BinaryMark``s one Python tuple at a time. The package sums the same
-(F, 2, 2) table from arrays: over candidate pairs in the pairwise E-step
-(``FeatureMixture.stats_from_pairs``) and over (parent pattern, child
-pattern) weights in the scan (``FeatureMixture.stats_from_patterns``).
+(F, 2, 2) table from arrays with the family's one ``stats`` over
+weighted (parent pattern, child pattern) codes: the candidate pairs of
+the pairwise E-step and the cells of the scan's pattern weight table.
 
 ``label_family_stats`` reads a family's statistic off the (parent label,
-child label) weight table that every label family used to keep.
+child label) weight table that every label family used to keep; the
+package's ``stats`` bins the same pairs by pattern code.
 
 ``component_stats`` sums e_step's responsibilities into the per-component
 statistics m_step reads, as m_step did when it still accepted
-responsibilities; the package sums them inside the E-step
+responsibilities, handing each transition's ``stats`` every pair's
+pattern codes; the package sums them inside the E-step
 (``estep_stats``).
 
 ``delay_mle`` is the weighted delay MLE as each family's ``refit(d, w)``
@@ -71,12 +73,13 @@ def component_stats(model, d, resp) -> list:
     if resp.n != len(d):
         raise DataError("responsibilities do not match the dataset")
     _, pattern, n_patterns = d.schema.fertility_patterns(d)
+    codes = d.schema.pattern_codes(d)[0]
     out = []
     for c, comp in enumerate(model.components):
         children, parents, z = engine._pair_arrays(resp, c)
         out.append(engine.ComponentStats(
             d.times[children] - d.times[parents], z,
-            comp.transition.stats_from_pairs(d, children, parents, z),
+            comp.transition.stats(d, codes[parents], codes[children], z),
             engine._pattern_credits(pattern, n_patterns, parents, z)))
     return out
 

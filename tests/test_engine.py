@@ -299,6 +299,23 @@ def test_fit_heldout_trace_has_matching_length():
     assert len(report.heldout_trace) == len(report.ll_trace)
 
 
+@pytest.mark.parametrize("engine_name", ["auto", "direct"])
+@pytest.mark.parametrize("held, message", [
+    (Dataset([Event(0.5, LabelMark(1)), Event(1.0, LabelMark(3))], horizon=2.0,
+             schema=LabelSchema(3)), "has the wrong length"),
+    (Dataset([Event(0.5, BinaryMark((1,)))], horizon=1.0, schema=BinarySchema(("f",))),
+     "needs label or composite marks"),
+], ids=["three-labels", "binary"])
+def test_fit_checks_the_heldout_schema(held, message, engine_name):
+    # the model fits two labels; its held-out data must fit it too, as
+    # windowed_log_likelihood requires of the same data
+    model, d = label_toy()
+    with pytest.raises(ConfigError, match=f"baseline: label marginal {message}"):
+        windowed_log_likelihood(model, held)
+    with pytest.raises(ConfigError, match=f"baseline: label marginal {message}"):
+        fit(model, d, max_iters=2, heldout=(held, None, None), engine=engine_name)
+
+
 def test_zero_intensity_raises():
     d = Dataset([Event(1.0, LabelMark(1))], horizon=2.0, schema=LabelSchema(1))
     model = CascadeModel(HomogeneousBaseline(0.0, LabelMarginal((1.0,))))

@@ -37,7 +37,6 @@ from cascades import (CascadeModel, CategoricalMatrix, ConstantFertility,
                       intensity, log_likelihood, simulate)
 from cascades import delays as delay_mod
 from cascades import engine
-from cascades import transitions as trans_mod
 from cascades.config import serialize_model
 from cascades.delays import ExpMixtureDelay, PiecewiseUniformDelay, UniformDelay
 from cascades.events import (BinaryMark, BinarySchema, CompositeMark,
@@ -885,10 +884,16 @@ def test_prior_fit_over_many_labels_keeps_no_label_table(monkeypatch):
     model = CascadeModel(HomogeneousBaseline(1.0, uniform),
                          (KernelComponent("slow", ConstantFertility(0.3),
                                           PriorTransition(uniform), GammaDelay(2.0, 0.5)),))
-    tables = []
-    pair_table = trans_mod.label_pair_table
-    monkeypatch.setattr(trans_mod, "label_pair_table",
-                        lambda *args: tables.append(1) or pair_table(*args))
+    # every statistic the prior makes bins the children alone, L values
+    shapes = []
+    prior_stats = PriorTransition.stats
+
+    def spy(self, d, parents, children, w):
+        out = prior_stats(self, d, parents, children, w)
+        shapes.append((parents, out.shape))
+        return out
+
+    monkeypatch.setattr(PriorTransition, "stats", spy)
     tracemalloc.start()
     try:
         report = fit(model, d, max_iters=2, tol=0.0, engine="direct")
@@ -899,5 +904,5 @@ def test_prior_fit_over_many_labels_keeps_no_label_table(monkeypatch):
     pairs = sum(c.weights.size for c in engine.estep_stats(model, d).components)
     assert pairs > 50 * n  # the pairs, not the labels, set the size
     assert peak < 64 * 2 ** 20
-    assert tables == []
+    assert shapes and all(parents is None and shape == (L,) for parents, shape in shapes)
     assert len(report.model.components[0].transition.mark.probs) == L

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cascades import (BinaryMark, BinarySchema, CompositeMark, CompositeSchema,
-                      DataError, Dataset, Event, IdentityTransition, LabelMark,
+from cascades import (BinaryMark, BinarySchema, CategoricalMatrix, CompositeMark,
+                      CompositeSchema, DataError, Dataset, Event, IdentityTransition, LabelMark,
                       LabelSchema, ingest, split, write_events)
 
 import oracles
@@ -71,9 +71,17 @@ def test_composite_codes_compare_types_only():
     schema = CompositeSchema(2, frozenset({"u", "v"}))
     d = Dataset([Event(1.0, CompositeMark(1, "u")), Event(2.0, CompositeMark(1, "v")),
                  Event(3.0, CompositeMark(2, "u"))], horizon=4.0, schema=schema)
-    # identity transitions compare the type coordinate only
-    same = IdentityTransition().g_pairs(d, max_table=0)(np.array([1, 2]), np.array([0, 0]))
+    # a composite mark's pattern is its type: identity transitions compare
+    # the type coordinate only, and a categorical matrix's statistic bins
+    # (parent type, child type) pairs
+    codes = d.schema.pattern_codes(d)[0]
+    assert codes.tolist() == [0, 0, 1]
+    parents, children = codes[[0, 0]], codes[[1, 2]]
+    same = IdentityTransition().g_pairs(d, max_table=0)(parents, children)
     assert same.tolist() == [1.0, 0.0]
+    cat = CategoricalMatrix(((0.5, 0.5), (0.5, 0.5)))
+    assert cat.stats(d, parents, children, np.array([0.25, 2.0])).tolist() == \
+        [[0.25, 2.0], [0.0, 0.0]]
     assert list(d.node_ids) == ["u", "v", "u"]
 
 

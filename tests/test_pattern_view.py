@@ -38,6 +38,49 @@ def test_the_engine_reads_no_feature_matrix():
     assert reads == []
 
 
+def _reads_events(node) -> bool:
+    """A read of an event column, or of per-event pattern codes: a
+    ``pattern_codes`` call whose result is not indexed at [1], the count."""
+    subs = list(ast.walk(node))
+    counts = {id(sub.value) for sub in subs if isinstance(sub, ast.Subscript)
+              and isinstance(sub.slice, ast.Constant) and sub.slice.value == 1}
+    return any(isinstance(sub, ast.Attribute) and sub.attr in ("label_index", "feature_matrix")
+               or isinstance(sub, ast.Call) and getattr(sub.func, "attr", None) == "pattern_codes"
+               and id(sub) not in counts for sub in subs)
+
+
+def _transitions_classes() -> dict:
+    return {node.name: {f.name: f for f in node.body if isinstance(f, ast.FunctionDef)}
+            for node in _trees()["transitions.py"].body if isinstance(node, ast.ClassDef)}
+
+
+def test_transitions_and_mark_distributions_read_no_events():
+    # every method of every class in transitions.py (the transitions and
+    # mark distributions); the module functions that estimate from a
+    # whole dataset, fit_prior and fit_marginal, are outside the rule
+    classes = _transitions_classes()
+    assert set(classes) >= {"FeaturePrior", "LabelMarginal", "IdentityTransition",
+                            "PriorTransition", "FeatureMixture", "CategoricalMatrix"}
+    readers = [(c, f) for c, methods in classes.items() for f, node in methods.items()
+               if _reads_events(node)]
+    assert readers == []
+
+
+def test_each_transition_has_one_statistic():
+    # a transition is a class with g over mark patterns
+    transitions = {c: methods for c, methods in _transitions_classes().items()
+                   if "g_patterns" in methods}
+    assert len(transitions) == 4
+    assert all("stats" in methods for methods in transitions.values())
+    others = [(c, f) for c, methods in transitions.items() for f in methods
+              if f in ("stats_from_pairs", "stats_from_patterns", "stats_from_children")]
+    assert others == []
+    assert "g_pairs" not in transitions["PriorTransition"]
+    defined = [name for name, tree in _trees().items() for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == "label_pair_table"]
+    assert defined == []
+
+
 def test_g_pairs_has_one_engine_caller():
     callers = [func for node, func in _enclosing(_trees()["engine.py"])
                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
@@ -95,10 +138,9 @@ def test_pattern_probs_gathered_by_pattern_are_the_per_event_probabilities(kind)
         want = probs_at(dist, d, events)
         np.testing.assert_allclose(dist.pattern_probs(d)[codes[events]], want,
                                    rtol=1e-12, atol=0)
-        np.testing.assert_allclose(prior.g_children(d, events), want, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(prior.g_pairs(d, 0)(events, np.zeros_like(events)), want,
+        np.testing.assert_allclose(prior.g_children(d)[codes[events]], want,
                                    rtol=1e-12, atol=0)
-    assert IdentityTransition().g_children(d, np.arange(len(d))) is None
+    assert IdentityTransition().g_children(d) is None
 
 
 @pytest.mark.parametrize("kind", sorted(CASES))
@@ -114,13 +156,21 @@ def test_pattern_statistics_are_the_per_event_statistics(kind):
     np.testing.assert_allclose(
         dist.stats_from_patterns(d, np.bincount(codes, weights=w, minlength=n_patterns)),
         mark_stats(dist, d, w), rtol=1e-12, atol=0)
-    # weights on children in any order, with repeats, as the pair kernel's
+    # a prior's one statistic: over weighted children in any order, with
+    # repeats, as the pair kernel's children (no parents) or pairs give
+    # them, and over the cells of their (parent pattern, child pattern)
+    # table, as the scan gives them
+    cells = np.divmod(np.arange(n_patterns ** 2), n_patterns)
     for size, lo, hi in ((500, 0, n), (40, 60, 90), (1, n - 1, n), (0, 0, n)):
         children = rng.integers(lo, hi, size=size)
+        parents = codes[rng.integers(0, n, size=size)]
         z = rng.random(size)
         want = mark_stats(dist, d, z, children)
-        for got in (prior.stats_from_children(d, z, children),
-                    prior.stats_from_pairs(d, children, np.zeros(size, dtype=np.int64), z)):
+        table = np.bincount(parents * n_patterns + codes[children], weights=z,
+                            minlength=n_patterns ** 2)
+        for got in (prior.stats(d, None, codes[children], z),
+                    prior.stats(d, parents, codes[children], z),
+                    prior.stats(d, *cells, table)):
             assert got.shape == want.shape
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 

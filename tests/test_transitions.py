@@ -10,7 +10,7 @@ from cascades import (BinaryMark, BinarySchema, CategoricalMatrix, DataError,
                       IdentityTransition, LabelMark, LabelMarginal, LabelSchema,
                       PriorTransition, fit_categorical)
 from cascades.transitions import draw_index, fit_mixture_from_stats, write_matrix_csv
-from oracles import fit_mixture, mixture_stats
+from oracles import fit_mixture, label_family_stats, mixture_stats
 
 
 def bm(*bits):
@@ -26,17 +26,25 @@ PRIOR3 = FeaturePrior((0.3, 0.5, 0.8))
 
 
 def trans_prob(spec, parent, child):
-    """g(child | parent) from g_pairs, over a two-event dataset."""
+    """g(child | parent) over the pattern codes of a two-event dataset:
+    from g_pairs, or from a prior's g_children; either is g_patterns'
+    (parent, child) entry."""
     if isinstance(parent, BinaryMark):
         schema = BinarySchema(tuple(f"f{k}" for k in range(len(parent.bits))))
     else:
         schema = LabelSchema(len(spec.matrix if isinstance(spec, CategoricalMatrix)
                                  else spec.mark.probs))
     d = Dataset([Event(0.0, parent), Event(1.0, child)], 1.0, schema)
-    pair = (np.array([1]), np.array([0]))
-    value = spec.g_pairs(d, max_table=1 << 18)(*pair)
-    # a feature mixture evaluated per pair gives the same value as its table
-    np.testing.assert_array_equal(spec.g_pairs(d, max_table=0)(*pair), value)
+    codes = d.schema.pattern_codes(d)[0]
+    parents, children = codes[[0]], codes[[1]]
+    by_child = spec.g_children(d)
+    if by_child is None:
+        value = spec.g_pairs(d, max_table=1 << 18)(parents, children)
+        # a feature mixture evaluated per pair gives the same value as its table
+        np.testing.assert_array_equal(spec.g_pairs(d, max_table=0)(parents, children), value)
+    else:
+        value = by_child[children]
+    np.testing.assert_array_equal(spec.g_patterns(d)[parents, children], value)
     return float(value[0])
 
 
@@ -310,52 +318,53 @@ def test_a_batch_of_draws_takes_the_stream_of_single_draws(spec, parent):
 
 
 def test_pattern_tables_give_the_pair_statistics():
-    # g over mark patterns against g_pairs on each pair, and the
-    # statistics of (parent pattern, child pattern) weight tables against
-    # those of the pairs, the mixture table also against the tuple oracle
+    # g over mark patterns against g_pairs and g_children on each pair of
+    # pattern codes, and the one statistic over weighted pairs against the
+    # same statistic over the cells of their (parent pattern, child
+    # pattern) weight table and against the oracles
     rng = np.random.default_rng(21)
     n, width, size = 120, 3, 500
     X = rng.integers(0, 2, size=(n, width))
     d = Dataset([Event(float(t), BinaryMark(tuple(int(b) for b in row)))
                  for t, row in zip(np.sort(rng.uniform(0, 50, n)), X)], 50.0,
                 BinarySchema(("a", "b", "c")))
-    codes, P = d.schema.pattern_codes(d)
-    assert P == len(d.feature_patterns[0]) <= 2 ** width
-    parents, children = rng.integers(0, n, size=(2, size))
-    z = rng.random(size)
-    table = np.bincount(codes[parents] * P + codes[children], weights=z,
-                        minlength=P * P).reshape(P, P)
-    for spec in (IdentityTransition(), PriorTransition(PRIOR3), FeatureMixture(0.3, PRIOR3)):
-        g = spec.g_patterns(d)
-        np.testing.assert_allclose(g[codes[parents], codes[children]],
-                                   spec.g_pairs(d, 0)(children, parents),
-                                   rtol=1e-14, atol=0)
-        got = spec.stats_from_patterns(d, table)
-        want = spec.stats_from_pairs(d, children, parents, z)
-        assert (got is None) == (want is None)
-        if want is not None:
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-    pairs = [(BinaryMark(tuple(X[p])), BinaryMark(tuple(X[c])), w)
-             for p, c, w in zip(parents, children, z)]
-    np.testing.assert_allclose(FeatureMixture(0.3, PRIOR3).stats_from_patterns(d, table),
-                               mixture_stats(pairs, PRIOR3), rtol=1e-12, atol=0)
-    # label marks: the statistic takes the family's shape, the table for a
-    # categorical matrix, its child-label sums for a prior, none for identity
     dl = Dataset([Event(float(t), LabelMark(int(k))) for t, k in
                   zip(np.sort(rng.uniform(0, 50, n)), rng.integers(1, 4, size=n))],
                  50.0, LabelSchema(3))
-    assert dl.schema.pattern_codes(dl)[1] == 3
+    parents, children = rng.integers(0, n, size=(2, size))
+    z = rng.random(size)
+    binary_pairs = [(BinaryMark(tuple(X[p])), BinaryMark(tuple(X[c])), w)
+                    for p, c, w in zip(parents, children, z)]
     labels = dl.label_index
     square = np.bincount(labels[parents] * 3 + labels[children], weights=z,
                          minlength=9).reshape(3, 3)
     cat = CategoricalMatrix(((0.6, 0.2, 0.2), (0.2, 0.6, 0.2), (0.1, 0.3, 0.6)))
-    assert cat.stats_from_patterns(dl, square) is square
-    np.testing.assert_allclose(cat.stats_from_pairs(dl, children, parents, z), square,
-                               rtol=1e-12, atol=0)
+    cases = [(d, IdentityTransition(), None), (d, PriorTransition(PRIOR3), None),
+             (d, FeatureMixture(0.3, PRIOR3), mixture_stats(binary_pairs, PRIOR3)),
+             (dl, IdentityTransition(), label_family_stats(IdentityTransition(), square)),
+             (dl, cat, label_family_stats(cat, square))]
     prior = PriorTransition(LabelMarginal((0.2, 0.3, 0.5)))
-    for got in (prior.stats_from_patterns(dl, square),
-                prior.stats_from_pairs(dl, children, parents, z)):
-        assert got.shape == (3,)
-        np.testing.assert_allclose(got, square.sum(axis=0), rtol=1e-12, atol=0)
-    assert IdentityTransition().stats_from_patterns(dl, square) is None
-    assert IdentityTransition().stats_from_pairs(dl, children, parents, z) is None
+    cases.append((dl, prior, label_family_stats(prior, square)))
+    for data, spec, want in cases:
+        codes, P = data.schema.pattern_codes(data)
+        if data is d:
+            assert P == len(d.feature_patterns[0]) <= 2 ** width
+        pc, cc = codes[parents], codes[children]
+        g = spec.g_patterns(data)
+        by_child = spec.g_children(data)
+        np.testing.assert_allclose(
+            g[pc, cc], spec.g_pairs(data, 0)(pc, cc) if by_child is None else by_child[cc],
+            rtol=1e-14, atol=0)
+        table = np.bincount(pc * P + cc, weights=z, minlength=P * P)
+        cells = np.divmod(np.arange(P * P), P)
+        got = spec.stats(data, pc, cc, z)
+        by_cells = spec.stats(data, *cells, table)
+        if isinstance(spec, IdentityTransition):
+            assert got is None and by_cells is None and want is None
+            continue
+        np.testing.assert_allclose(by_cells, got, rtol=1e-12, atol=0)
+        if want is not None:
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    # a categorical table binned from its own cells is the table exactly
+    assert np.array_equal(cat.stats(dl, *np.divmod(np.arange(9), 3), square.ravel()), square)
