@@ -12,8 +12,8 @@ from .delays import (DelaySpec, ExponentialDelay, ExpMixtureDelay, GammaDelay,
 from .engine import (CascadeModel, EStepStats, FitReport, HomogeneousBaseline,
                      KernelComponent, PeriodicBaseline, Responsibilities,
                      compensator, e_step, estep_stats, fast_applicable,
-                     fast_estep, fit, intensity, log_likelihood, m_step,
-                     normalize, windowed_log_likelihood)
+                     fit, intensity, log_likelihood, m_step, normalize,
+                     windowed_log_likelihood)
 from .errors import CascadesError, ConfigError, DataError, NumericalError
 from .events import (BinaryMark, BinarySchema, CompositeMark, CompositeSchema,
                      Dataset, Event, LabelMark, LabelSchema, ingest, split,

@@ -27,11 +27,10 @@ event, hands the transitions (parent, child) pattern codes, and
 ``intensity`` runs the pair kernel. The driver adds the
 kernels' sums to the baseline term, checks the total once, and has each
 kernel sum its statistics while the weights are in hand, so no pair is
-visited twice. ``e_step`` and ``estep_stats`` put every component on
-pairs, ``fast_estep`` on the scan. Every log likelihood and every
-E-step of a fit is one ``_evaluate`` call, which puts each component on
-the kernel that visits fewer cells for it, or, for the fast engine,
-every component on the untruncated scan.
+visited twice. One rule (``_on_scan``) picks each component's kernel
+from the model alone. Every log likelihood and every E-step of a fit is
+one ``_evaluate`` call; the fast engine's fit evaluates the model at
+truncation mass 0, where the rule puts every component on the scan.
 """
 
 from __future__ import annotations
@@ -52,8 +51,8 @@ from .transitions import MarkDistribution, TransitionSpec
 
 ZERO_CREDIT = 0.0  # component credit at or below this skips parameter updates
 SCAN_MIN_PAIRS = 1 << 13  # a component with fewer candidate pairs stays on pairs
-FAST_MAX_LABELS = 256  # label count beyond which fast_estep does not apply
-EXP_LIMIT = 300.0  # largest rate * (time span) inside one fast_estep block
+FAST_MAX_LABELS = 256  # mark pattern count beyond which the scan does not apply
+EXP_LIMIT = 300.0  # largest rate * (time span) inside one scan block
 
 
 @dataclass(frozen=True)
@@ -194,6 +193,8 @@ class CascadeModel:
     def __post_init__(self):
         if not self.truncation_mass >= 0:  # NaN too
             raise ConfigError("truncation mass must be nonnegative")
+        if self.truncation_mass >= 1:  # no parent would enter any window
+            raise ConfigError("truncation mass must be below 1")
 
 
 @dataclass
@@ -273,10 +274,10 @@ class ComponentStats:
 
 @dataclass
 class EStepStats:
-    """What m_step reads from an E-step (estep_stats, fast_estep or a
-    fit's): the baseline's share of each event, the intensity at each
-    child event, and per-component statistics, each from the kernel its
-    component ran on. Unlike ``Responsibilities`` it keeps no parent ids."""
+    """What m_step reads from an E-step (estep_stats or a fit's): the
+    baseline's share of each event, the intensity at each child event,
+    and per-component statistics, each from the kernel its component ran
+    on. Unlike ``Responsibilities`` it keeps no parent ids."""
 
     z_base: np.ndarray
     intensity: np.ndarray
@@ -297,12 +298,11 @@ class EStepStats:
 
 @dataclass
 class FitReport:
-    """What fit did. ``engine`` names what the training E-step computes:
-    "fast" is the untruncated scan for every component, which
-    engine="auto" takes on label and composite marks whenever
-    ``fast_applicable``; "direct" is the E-step truncated at the model's
-    ``truncation_mass``, with each component on the kernel that visits
-    fewer cells for it (``_on_scan``: the scan or the pairs)."""
+    """What fit did. ``engine`` names the objective of the training
+    E-steps: "direct" is the model at its ``truncation_mass``, "fast" at
+    mass 0, which engine="auto" takes on label and composite marks
+    whenever ``fast_applicable``; one rule (``_on_scan``) picks the
+    kernels of both. ``model`` keeps the caller's ``truncation_mass``."""
 
     model: CascadeModel
     ll_trace: list[float]
@@ -604,22 +604,27 @@ class _Pairs:
 
 
 def _on_scan(model: CascadeModel, d: Dataset, kids: np.ndarray, cutoffs: list[float],
-             windows: list | None, scan: bool | None) -> list[bool]:
-    """Which components run on the scan: all with ``scan`` True, none with
-    False. With None, each one the scan covers (``scan_applicable``) whose
-    candidate pairs, at least ``SCAN_MIN_PAIRS`` (the scan's set-up alone
-    costs about as much), outnumber its own walked cells: the events
-    walked for it alone (``_scan_events``, which hold every child) times
-    its walks (two when truncated) times the patterns."""
-    if scan is not None:
-        return [scan] * len(model.components)
+             windows: list, want: str | None) -> list[bool]:
+    """Which components run on the scan. None with ``want="resp"``, whose
+    ``Responsibilities`` keep every pair. An untruncated one (its window
+    None, as its pairs grow with the square of the events) whenever the
+    scan covers it (``scan_applicable``); a truncated one when, besides,
+    its candidate pairs, at least ``SCAN_MIN_PAIRS`` (the scan's set-up
+    alone costs about as much), outnumber its own walked cells: the
+    events walked for it alone (``_scan_events``, which hold every child)
+    times its two walks times the patterns."""
+    if want == "resp":
+        return [False] * len(model.components)
     choice = []
-    for comp, cut, (*_, starts) in zip(model.components, cutoffs, windows):
-        pairs = int(starts[-1])
+    for comp, cut, window in zip(model.components, cutoffs, windows):
+        if window is None:
+            choice.append(scan_applicable(replace(model, components=(comp,)), d))
+            continue
+        pairs = int(window[3][-1])
         if pairs < SCAN_MIN_PAIRS:  # settled before the patterns are counted
             choice.append(False)
             continue
-        per_event = (1 + (cut < np.inf)) * d.schema.pattern_codes(d)[1]
+        per_event = 2 * d.schema.pattern_codes(d)[1]
         choice.append(pairs > kids.size * per_event
                       and scan_applicable(replace(model, components=(comp,)), d)
                       and pairs > _scan_events([comp], d, kids, [cut]).size * per_event)
@@ -634,27 +639,29 @@ def _baseline_term(model: CascadeModel, d: Dataset, kids: np.ndarray,
 
 
 def _estep(model: CascadeModel, d: Dataset, children: np.ndarray | None,
-           window: tuple[float, float] | None, scan: bool | None = None,
-           want: str | None = None, truncated: bool = True):
+           window: tuple[float, float] | None, want: str | None):
     """The one E-step: (out, intensity, child ids), where ``out`` is the
     ``Responsibilities`` with ``want="resp"`` (all on pairs), the
     ``EStepStats`` with ``want="stats"`` and otherwise None. ``_on_scan``
-    puts each component on the pairs (``_Pairs``) or the scan
-    (``_Scan``); truncated, each drops the parents past its
-    ``delays.tail_cutoff``. The children go in runs that end where any
-    kernel's run does. Per run the kernels' sums at each child add to the
-    baseline term in component order, the total is checked once, and
-    each kernel weighs its components' causes by 1 / total."""
+    puts each component on the pairs (``_Pairs``, its window built only
+    then if untruncated) or the scan (``_Scan``); each drops the parents
+    past its ``delays.tail_cutoff`` at the model's ``truncation_mass``.
+    The children go in runs that end where any kernel's run does. Per run
+    the kernels' sums at each child add to the baseline term in component
+    order, the total is checked once, and each kernel weighs its
+    components' causes by 1 / total."""
     kids = _child_ids(d, children, _resolve_window(d, window))
     kid_times = d.times[kids]
     comps, n = model.components, len(d)
-    cutoffs = [delay_mod.tail_cutoff(c.delay, model.truncation_mass) if truncated else np.inf
-               for c in comps]
-    windows = None if scan else [_pair_window(c, d, kid_times, cut)
-                                 for c, cut in zip(comps, cutoffs)]
-    on_scan = _on_scan(model, d, kids, cutoffs, windows, scan)
+    cutoffs = [delay_mod.tail_cutoff(c.delay, model.truncation_mass) for c in comps]
+    windows = [None if cut == np.inf else _pair_window(c, d, kid_times, cut)
+               for c, cut in zip(comps, cutoffs)]
+    on_scan = _on_scan(model, d, kids, cutoffs, windows, want)
     paired = [c for c, on in enumerate(on_scan) if not on]
     scanned = [c for c, on in enumerate(on_scan) if on]
+    for c in paired:
+        if windows[c] is None:
+            windows[c] = _pair_window(comps[c], d, kid_times, np.inf)
     kernels = [_Scan(model, d, kids, cutoffs, scanned)] if scanned else []
     if paired or not scanned:
         kernels.append(_Pairs(model, d, kids, kid_times, paired, windows, want))
@@ -699,7 +706,7 @@ def e_step(model: CascadeModel, d: Dataset, children: np.ndarray | None = None,
     under every cause.
     """
     validate_model(model, d.schema)
-    resp, _, _ = _estep(model, d, children, window, scan=False, want="resp")
+    resp, _, _ = _estep(model, d, children, window, "resp")
     return resp
 
 
@@ -717,16 +724,13 @@ def compensator(model: CascadeModel, d: Dataset,
 
 
 def _evaluate(model: CascadeModel, d: Dataset, children: np.ndarray | None,
-              window: tuple[float, float] | None, want_stats: bool = False,
-              fast: bool = False) -> tuple[EStepStats | None, float]:
+              window: tuple[float, float] | None,
+              want_stats: bool = False) -> tuple[EStepStats | None, float]:
     """The one E-step evaluation under ``model``: (statistics, log
-    likelihood of the masked events in the window). With ``fast`` it is
-    the untruncated scan, the fast engine; otherwise the truncated E-step
-    with each component on the kernel that visits fewer cells
-    (``_on_scan``). The statistics are None unless ``want_stats``. It
-    raises on an event with zero intensity."""
-    stats, lam, kids = _estep(model, d, children, window, scan=True if fast else None,
-                              want="stats" if want_stats else None, truncated=not fast)
+    likelihood of the masked events in the window), with each component
+    on the kernel ``_on_scan`` picks for it. The statistics are None
+    unless ``want_stats``. It raises on an event with zero intensity."""
+    stats, lam, kids = _estep(model, d, children, window, "stats" if want_stats else None)
     return stats, float(np.log(lam[kids]).sum()) - compensator(model, d, window)
 
 
@@ -788,10 +792,11 @@ def _pair_arrays(resp: Responsibilities, c: int):
 
 def estep_stats(model: CascadeModel, d: Dataset, children: np.ndarray | None = None,
                 window: tuple[float, float] | None = None) -> EStepStats:
-    """The pairwise E-step, summed into the statistics m_step reads as it
+    """The E-step of a fit's ``_evaluate``, each component on the kernel
+    ``_on_scan`` picks, summed into the statistics m_step reads as it
     goes; no responsibilities are kept."""
     validate_model(model, d.schema)
-    stats, _, _ = _estep(model, d, children, window, scan=False, want="stats")
+    stats, _, _ = _estep(model, d, children, window, "stats")
     return stats
 
 
@@ -813,7 +818,7 @@ def m_step(model: CascadeModel, d: Dataset, estep: EStepStats,
            update_baseline_mark: bool = True,
            freeze_delays: bool = False) -> CascadeModel:
     """Weighted maximum likelihood updates given the statistics of one
-    E-step, from estep_stats or fast_estep.
+    E-step, from estep_stats or a fit's.
 
     Delays refit from their family's statistic of the weighted delay
     samples, read slice by slice (``delays.weighted_stats``); transitions
@@ -832,7 +837,7 @@ def m_step(model: CascadeModel, d: Dataset, estep: EStepStats,
     fit() uses as a fallback to keep the likelihood nondecreasing.
     """
     if not isinstance(estep, EStepStats):
-        raise TypeError("m_step reads EStepStats, from estep_stats or fast_estep, "
+        raise TypeError("m_step reads EStepStats, from estep_stats, "
                         f"not {type(estep).__name__}")
     validate_model(model, d.schema)
     window = _resolve_window(d, window)
@@ -920,18 +925,19 @@ def normalize(model: CascadeModel, d: Dataset, children: np.ndarray | None = Non
 
 
 def scan_applicable(model: CascadeModel, d: Dataset) -> bool:
-    """True when fast_estep covers this model on d, given that it passed
-    validate_model for d's schema: every delay family carries a decay
-    rate, and the marks form at most ``FAST_MAX_LABELS`` patterns.
-    Fertilities become per-pattern factors and transitions pattern
-    tables, so every family of those qualifies."""
+    """True when the scan (``_Scan``) covers every component of this
+    model on d, given that it passed validate_model for d's schema: every
+    delay family carries a decay rate, and the marks form at most
+    ``FAST_MAX_LABELS`` patterns. Fertilities become per-pattern factors
+    and transitions pattern tables, so every family of those qualifies."""
     return (all(c.delay.decay_rate is not None for c in model.components)
             and d.schema.pattern_codes(d)[1] <= FAST_MAX_LABELS)
 
 
 def fast_applicable(model: CascadeModel, d: Dataset) -> bool:
-    """True when the fast engine, the untruncated scan, fits this model:
-    label or composite marks and ``scan_applicable``."""
+    """True when the fast engine (the model at truncation mass 0, every
+    component on the scan) fits: label or composite marks and
+    ``scan_applicable``."""
     return d.schema.label_count is not None and scan_applicable(model, d)
 
 
@@ -1157,21 +1163,6 @@ class _Scan:
             for i, (c, comp) in enumerate(zip(self.comps, self.specs))}
 
 
-def fast_estep(model: CascadeModel, d: Dataset, children: np.ndarray | None = None,
-               window: tuple[float, float] | None = None,
-               truncated: bool = False) -> EStepStats:
-    """Exact E-step statistics with every component on the scan
-    (``_Scan``), in O(N * P) for N events over P mark patterns; raises
-    ConfigError unless ``scan_applicable``. Untruncated (the fast engine),
-    this matches estep_stats with zero tail mass; with ``truncated``, it
-    drops the parents past each ``delays.tail_cutoff``, as pairs do."""
-    validate_model(model, d.schema)
-    if not scan_applicable(model, d):
-        raise ConfigError("fast E-step needs exponential delays and at most "
-                          f"{FAST_MAX_LABELS} mark patterns")
-    return _estep(model, d, children, window, scan=True, want="stats", truncated=truncated)[0]
-
-
 # ---------------------------------------------------------------------------
 # the outer EM loop
 
@@ -1226,11 +1217,12 @@ def fit(model: CascadeModel, d: Dataset, max_iters: int = 50, tol: float = 1e-6,
     decrease beyond 1e-8 * |LL| aborts with a diagnostic (or warns, with
     on_decrease="warn", for shrinkage-driven fits that are not exact
     EM). ``heldout`` evaluates a fixed dataset, child mask and window
-    after every iteration. ``engine`` is "direct", "fast", or "auto" to
-    use the fast engine whenever ``fast_applicable``. Each E-step keeps
-    only the statistics it sums as it goes, never the responsibilities,
-    and those of the last allowed iteration, whose statistics no M-step
-    reads, compute the likelihood alone. Once the M-step has read an
+    after every iteration. ``engine`` is "direct", "fast" (the training
+    E-steps at truncation mass 0), or "auto" to use the fast engine
+    whenever ``fast_applicable``. Each E-step keeps only the statistics
+    it sums as it goes, never the responsibilities, and those of the last
+    allowed iteration, whose statistics no M-step reads, compute the
+    likelihood alone. Once the M-step has read an
     E-step's pair arrays they are released (``_release_pairs``), and a
     frozen-delay retry drops the candidate's, so every E-step runs beside
     no other E-step's pairs.
@@ -1249,6 +1241,10 @@ def fit(model: CascadeModel, d: Dataset, max_iters: int = 50, tol: float = 1e-6,
     engine_name = "fast" if use_fast else "direct"
     window = _resolve_window(d, window)
 
+    def train(m: CascadeModel, want_stats: bool) -> tuple[EStepStats | None, float]:
+        m = replace(m, truncation_mass=0.0) if use_fast else m
+        return _evaluate(m, d, children, window, want_stats)
+
     def improve(m: CascadeModel, stats: EStepStats,
                 freeze_delays: bool = False) -> CascadeModel:
         m2 = m_step(m, d, stats, children, window, update_baseline_mark, freeze_delays)
@@ -1261,11 +1257,11 @@ def fit(model: CascadeModel, d: Dataset, max_iters: int = 50, tol: float = 1e-6,
     shares = [_component_shares(model, d)]
     dmeans = [[c.delay.mean() for c in model.components]]
     if kids.size == 0:
-        ll0 = _evaluate(model, d, children, window)[1]
+        ll0 = train(model, False)[1]
         return FitReport(model, [ll0], 0, True, engine_name, heldout_trace=held,
                          component_shares=shares, delay_means=dmeans)
 
-    stats, ll = _evaluate(model, d, children, window, max_iters > 0, use_fast)
+    stats, ll = train(model, max_iters > 0)
     trace = [ll]
     converged = False
     iterations = 0
@@ -1274,7 +1270,7 @@ def fit(model: CascadeModel, d: Dataset, max_iters: int = 50, tol: float = 1e-6,
         more = it + 1 < max_iters
         candidate = improve(model, stats)
         _release_pairs(stats)
-        stats_new, ll_new = _evaluate(candidate, d, children, window, more, use_fast)
+        stats_new, ll_new = train(candidate, more)
         if ll_new < ll:
             # the delay refit ignores the edge-corrected compensator and
             # can overshoot; redoing the update with delays frozen makes
@@ -1283,11 +1279,11 @@ def fit(model: CascadeModel, d: Dataset, max_iters: int = 50, tol: float = 1e-6,
             # candidate's pairs, which are recomputed if the candidate wins
             stats_new = None
             fallback = improve(model, stats, freeze_delays=True)
-            stats_fb, ll_fb = _evaluate(fallback, d, children, window, more, use_fast)
+            stats_fb, ll_fb = train(fallback, more)
             if ll_fb > ll_new:
                 candidate, stats_new, ll_new = fallback, stats_fb, ll_fb
             elif more:
-                stats_new = _evaluate(candidate, d, children, window, True, use_fast)[0]
+                stats_new = train(candidate, True)[0]
         iterations += 1
         trace.append(ll_new)
         if held is not None:

@@ -47,6 +47,11 @@ carries a bound.
 object per event (the schema's ``mark_columns``). The package
 decodes each line once and reads records with a reader chosen per schema
 (``events.ingest``); it also rejects non-finite times at their line.
+
+``forced_estep`` is the package's E-step driver with each component's
+kernel forced through the one place the package chooses it
+(``engine._on_scan``), so a test can run a model on the scan or on
+pairs whatever the rule would pick; the truncation comes from the model.
 """
 
 import json
@@ -54,6 +59,7 @@ import warnings
 from typing import Sequence
 
 import numpy as np
+import pytest
 
 from cascades import (BinaryMark, CategoricalMatrix, CompositeMark, DataError, ExpMixtureDelay,
                       ExponentialDelay, FeaturePrior, GammaDelay, IdentityTransition, LabelMark,
@@ -64,6 +70,16 @@ from cascades.delays import _gamma_shape_mle
 from cascades.events import (_HEADER_KEYS, BinarySchema, Dataset, LabelSchema, MarkSchema,
                              _check_rows, _schema_from_header, _time)
 from cascades.transitions import fit_mixture_from_stats
+
+
+def forced_estep(model, d, children=None, window=None, want=None, *, on_scan):
+    """``engine._estep``'s (out, intensity, child ids) with every component
+    on the scan (``on_scan`` True) or on pairs (False), or component c on
+    the scan where ``on_scan[c]``."""
+    choice = [on_scan] * len(model.components) if isinstance(on_scan, bool) else list(on_scan)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_on_scan", lambda *_: list(choice))
+        return engine._estep(model, d, children, window, want)
 
 
 def component_stats(model, d, resp) -> list:
@@ -110,7 +126,7 @@ def argmax_cause(resp, i: int):
 def lower_bound(model, d, resp) -> float:
     """Jensen bound sum_i sum_causes z log(k / z) minus the compensator,
     child by child; ``resp`` must share the model's candidate layout."""
-    fresh, lam, kids = engine._estep(model, d, None, None, scan=False, want="resp")
+    fresh, lam, kids = forced_estep(model, d, want="resp", on_scan=False)
     bound = 0.0
     for i in kids:
         z, k_base = resp.baseline[i], fresh.baseline[i] * lam[i]

@@ -755,6 +755,19 @@ def test_cli_exits_2_on_integers_past_the_float_range(tmp_path, capsys, conf, wh
     assert f"{where}: number out of floating-point range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mass", [1.0, 5.0, float("inf")])
+def test_cli_fit_exits_2_on_a_truncation_mass_of_1_or_more(tmp_path, capsys, mass):
+    # at such a mass no parent enters any E-step, while the compensator
+    # still charges every kernel's full mass
+    data = tmp_path / "e.jsonl"
+    data.write_text(_DATA)
+    path = _write(tmp_path / "conf.json",
+                  {"model": dict(LABEL_MODEL_CONF, truncation_mass=mass)})
+    assert main(["fit", "--config", path, "--data", str(data),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "model: truncation mass must be below 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("conf, message", [
     (_baseline(rate="x"), "model.baseline.rate: expected a number, got 'x'"),
     (_baseline(rate=-1.0), "model.baseline: baseline rate must be finite and nonnegative"),
@@ -764,6 +777,10 @@ def test_cli_exits_2_on_integers_past_the_float_range(tmp_path, capsys, conf, wh
      "model: truncation mass must be nonnegative"),
     (dict(LABEL_MODEL_CONF, truncation_mass=float("nan")),
      "model: truncation mass must be nonnegative"),
+    (dict(LABEL_MODEL_CONF, truncation_mass=1.0), "model: truncation mass must be below 1"),
+    (dict(LABEL_MODEL_CONF, truncation_mass=5.0), "model: truncation mass must be below 1"),
+    (dict(LABEL_MODEL_CONF, truncation_mass=float("inf")),
+     "model: truncation mass must be below 1"),
     (_baseline(mark={"kind": "labels", "probs": [float("nan"), 1.0, 0.0]}),
      "model.baseline.mark: label marginal probabilities must be finite and nonnegative"),
     (_transition(matrix=[[0.6, 0.2, 0.2], [float("nan"), 0.5, 0.5], [0.2, 0.2, 0.6]])["model"],

@@ -15,7 +15,7 @@ from cascades import (CascadeModel, CategoricalMatrix, ConfigError,
                       KernelComponent, LabelMark, LabelMarginal, LabelSchema, LinearFertility,
                       NumericalError, PeriodicBaseline, PriorTransition,
                       UniformDelay, compensator, e_step,
-                      fast_applicable, fast_estep, fit, intensity,
+                      fast_applicable, fit, intensity,
                       log_likelihood, m_step, normalize, simulate,
                       windowed_log_likelihood)
 from cascades import MultiplicativeFertility, engine
@@ -23,7 +23,7 @@ from cascades.delays import ExpMixtureDelay, PiecewiseUniformDelay
 from cascades.engine import (Responsibilities, baseline_integral, estep_stats,
                              validate_model)
 from cascades.events import BinaryMark, BinarySchema, CompositeMark, CompositeSchema, split
-from oracles import lower_bound
+from oracles import forced_estep, lower_bound
 
 
 def label_toy():
@@ -106,6 +106,9 @@ def test_model_and_fit_reject_nan_settings():
     base = HomogeneousBaseline(0.5, LabelMarginal((0.6, 0.4)))
     with pytest.raises(ConfigError, match="truncation mass must be nonnegative"):
         CascadeModel(base, truncation_mass=NAN)
+    for mass in (1.0, 5.0, INF):  # no parent would enter any truncation window
+        with pytest.raises(ConfigError, match="truncation mass must be below 1"):
+            CascadeModel(base, truncation_mass=mass)
     with pytest.raises(ConfigError, match="tol must be nonnegative"):
         fit(CascadeModel(base), label_toy()[1], tol=NAN)
 
@@ -380,8 +383,9 @@ def test_fast_path_matches_direct_with_ties_and_scopes():
                          PriorTransition(LabelMarginal((0.2, 0.5, 0.3))),
                          ExponentialDelay(2.0))))
     assert fast_applicable(model, d)
-    fast = fast_estep(model, d)
-    direct = estep_stats(replace(model, truncation_mass=0.0), d)
+    untruncated = replace(model, truncation_mass=0.0)
+    fast = forced_estep(untruncated, d, want="stats", on_scan=True)[0]
+    direct = forced_estep(untruncated, d, want="stats", on_scan=False)[0]
     assert np.allclose(fast.z_base, direct.z_base, rtol=1e-9, atol=1e-300)
     assert np.allclose(fast.intensity, direct.intensity, rtol=1e-9)
     assert np.allclose(fast.comp_z, direct.comp_z, rtol=1e-9)
@@ -397,9 +401,8 @@ def test_fast_path_matches_direct_with_ties_and_scopes():
     mask = np.zeros(len(d), dtype=bool)
     mask[::2] = True
     window = (5.0, 25.0)
-    fast_w = fast_estep(model, d, children=mask, window=window)
-    direct_w = estep_stats(replace(model, truncation_mass=0.0), d, children=mask,
-                           window=window)
+    fast_w = forced_estep(untruncated, d, mask, window, "stats", on_scan=True)[0]
+    direct_w = forced_estep(untruncated, d, mask, window, "stats", on_scan=False)[0]
     assert np.allclose(fast_w.z_base, direct_w.z_base, rtol=1e-9)
     assert np.allclose(fast_w.comp_z, direct_w.comp_z, rtol=1e-9)
 
@@ -512,8 +515,8 @@ def test_mstep_from_fast_and_pairwise_statistics_agree():
                          ExponentialDelay(0.3))),
         truncation_mass=0.0)
     assert fast_applicable(model, d)
-    from_fast = m_step(model, d, fast_estep(model, d))
-    from_pairs = m_step(model, d, estep_stats(model, d))
+    from_fast = m_step(model, d, forced_estep(model, d, want="stats", on_scan=True)[0])
+    from_pairs = m_step(model, d, forced_estep(model, d, want="stats", on_scan=False)[0])
     assert from_fast.components[0].delay == from_fast.components[2].delay
     assert from_fast.components[0].transition == from_fast.components[1].transition
     np.testing.assert_allclose(_numbers(from_fast), _numbers(from_pairs), rtol=1e-12, atol=0)
@@ -531,7 +534,7 @@ def test_children_mask_of_the_wrong_length_is_a_data_error(length):
              lambda: fit(model, d, max_iters=2, heldout=(d, mask, None)),
              lambda: e_step(model, d, children=mask),
              lambda: estep_stats(model, d, children=mask),
-             lambda: fast_estep(model, d, children=mask),
+             lambda: forced_estep(model, d, mask, want="stats", on_scan=True),
              lambda: windowed_log_likelihood(model, d, children=mask),
              lambda: m_step(model, d, stats, children=mask),
              lambda: normalize(model, d, children=mask)]

@@ -1,6 +1,7 @@
 """One E-step driver: every E-step's statistics are assembled, and its
 zero-intensity check made, in one place, whichever kernel each component
-runs on."""
+runs on. The driver is a function of its model: no flag beside the model
+picks a kernel or a truncation, and only the driver builds the scan."""
 
 import ast
 import pathlib
@@ -42,3 +43,31 @@ def test_zero_intensity_is_raised_in_one_place():
                  isinstance(s, ast.Constant) and isinstance(s.value, str) and MESSAGE in s.value
                  for s in ast.walk(node))]
     assert [hit[:2] for hit in found] == [("engine.py", "_estep")]
+
+
+def _functions(name):
+    return [(file, node) for file, tree in _package_trees() for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == name]
+
+
+def test_estep_reads_kernels_and_truncation_from_its_model():
+    [(file, driver)] = _functions("_estep")
+    args = driver.args
+    assert file == "engine.py" and not (args.vararg or args.kwarg or args.kwonlyargs)
+    assert [a.arg for a in args.posonlyargs + args.args] == [
+        "model", "d", "children", "window", "want"]
+    assert _functions("fast_estep") == []
+
+
+def test_no_call_passes_a_kernel_or_truncation_flag():
+    found = [(name, node.lineno) for name, tree in _package_trees() for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and any(k.arg in ("scan", "truncated") for k in node.keywords)]
+    assert found == []
+
+
+def test_scan_is_built_only_in_the_driver():
+    found = {(name, func) for name, tree in _package_trees()
+             for node, func in _enclosing(tree)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_Scan"}
+    assert found == {("engine.py", "_estep")}

@@ -10,11 +10,12 @@ weights to 1e-12 relative, because the factors multiply in another
 order and each child's kernel values are summed in another order. The
 chunk size must not change a single bit of the output.
 
-The statistics mode (``estep_stats``) is checked against
-``_reference_stats``, the oracle's pairs summed into each family's
-statistic here (a label prior's from the (parent label, child label)
-table that every label family used to keep): delay samples exactly,
-pair weights, transition statistics and credits to 1e-12 relative.
+The statistics mode (``want="stats"``), forced onto pairs through
+``oracles.forced_estep``, is checked against ``_reference_stats``, the
+oracle's pairs summed into each family's statistic here (a label
+prior's from the (parent label, child label) table that every label
+family used to keep): delay samples exactly, pair weights, transition
+statistics and credits to 1e-12 relative.
 ``_reference_fit`` is fit's direct engine as it was before it kept
 statistics instead of responsibilities, kept as the oracle for fit.
 """
@@ -42,7 +43,8 @@ from cascades.delays import ExpMixtureDelay, PiecewiseUniformDelay, UniformDelay
 from cascades.events import (BinaryMark, BinarySchema, CompositeMark,
                              CompositeSchema, LabelSchema)
 from cascades.fertility import LinearFertility, MultiplicativeFertility
-from oracles import component_stats, label_family_stats, lower_bound, mixture_stats
+from oracles import (component_stats, forced_estep, label_family_stats, lower_bound,
+                     mixture_stats)
 
 DEFAULT_CHUNK = engine.PAIR_CHUNK
 
@@ -186,8 +188,8 @@ def _assert_matches_reference(model, d, children=None, window=None, chunk=DEFAUL
     lam_ref, zb_ref, off_ref, par_ref, z_ref = _reference_estep(model, d, children, window)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "PAIR_CHUNK", chunk)
-        resp, lam, _ = engine._estep(model, d, children, window, scan=False, want="resp")
-        _, lam_only, _ = engine._estep(model, d, children, window, scan=False)
+        resp, lam, _ = forced_estep(model, d, children, window, on_scan=False, want="resp")
+        _, lam_only, _ = forced_estep(model, d, children, window, on_scan=False)
     np.testing.assert_allclose(lam, lam_ref, rtol=1e-12, atol=0)
     np.testing.assert_allclose(resp.baseline, zb_ref, rtol=1e-12, atol=0)
     for c in range(len(model.components)):
@@ -361,7 +363,7 @@ def test_intensity_matches_the_estep(kind, truncation):
         model, d = _binary_model(truncation), _binary_data(seed=14)
     else:
         model, d = _composite_model(truncation), _composite_data(seed=15)
-    _, lam, kids = engine._estep(model, d, None, None, scan=False)
+    _, lam, kids = forced_estep(model, d, None, None, on_scan=False)
     evs = d.events
     got = [intensity(model, d, d.times[i], evs[i].mark) for i in kids]
     np.testing.assert_allclose(got, lam[kids], rtol=1e-12, atol=0)
@@ -384,7 +386,7 @@ def test_identity_on_wide_binary_marks():
                          GammaDelay(2.0, 1.0))))
     resp = _assert_matches_reference(model, d)
     assert sum(z.sum() for z in resp.comp_z) > 1.0  # identity pairs carry weight
-    _, lam, _ = engine._estep(model, d, None, None, scan=False)
+    _, lam, _ = forced_estep(model, d, None, None, on_scan=False)
     assert log_likelihood(model, d) == pytest.approx(
         np.log(lam).sum() - compensator(model, d), rel=1e-12)
 
@@ -407,7 +409,7 @@ def test_source_mask_matches_node_membership():
 def _run_chunked(chunk, model, d, children=None, window=None):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "PAIR_CHUNK", chunk)
-        return engine._estep(model, d, children, window, scan=False, want="resp")
+        return forced_estep(model, d, children, window, on_scan=False, want="resp")
 
 
 def _assert_bitwise_equal(a, b):
@@ -497,7 +499,7 @@ def test_zero_intensity_under_a_prior_names_the_oracle_event(monkeypatch, chunk)
         _reference_estep(model, d, children=children)
     for want_stats in (False, True):
         with pytest.raises(NumericalError) as got:
-            engine._estep(model, d, children, None, scan=False,
+            forced_estep(model, d, children, None, on_scan=False,
                           want="stats" if want_stats else None)
         assert str(got.value) == str(expected.value)
         assert "event 5 " in str(got.value)
@@ -522,15 +524,16 @@ def test_lower_bound_is_the_ll_only_at_the_own_estep():
 
 
 def _assert_stats_match_oracle(model, d, children=None, window=None, chunk=DEFAULT_CHUNK):
-    """estep_stats under ``chunk`` against ``_reference_stats``. Its z_base,
-    intensities and pair weights are e_step's bit for bit, and
-    ``oracles.component_stats`` of e_step matches the oracle too."""
+    """The statistics mode on pairs under ``chunk`` against
+    ``_reference_stats``. Its z_base, intensities and pair weights are
+    e_step's bit for bit, and ``oracles.component_stats`` of e_step
+    matches the oracle too."""
     ref = _reference_stats(model, d, children, window)
     resp = e_step(model, d, children, window)
-    _, lam, _ = engine._estep(model, d, children, window, scan=False)
+    _, lam, _ = forced_estep(model, d, children, window, on_scan=False)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "PAIR_CHUNK", chunk)
-        got = engine.estep_stats(model, d, children, window)
+        got = forced_estep(model, d, children, window, on_scan=False, want="stats")[0]
     assert got.z_base.tobytes() == resp.baseline.tobytes()
     assert got.intensity.tobytes() == lam.tobytes()
     for a, z in zip(got.components, resp.comp_z):
@@ -654,7 +657,7 @@ def _reference_fit(model, d, max_iters, tol, children=None, window=None):
     kids = engine._child_ids(d, children, window)
 
     def evaluate(m):
-        resp, lam, _ = engine._estep(m, d, children, window, scan=False, want="resp")
+        resp, lam, _ = forced_estep(m, d, children, window, on_scan=False, want="resp")
         return (resp, lam), float(np.log(lam[kids]).sum()) - compensator(m, d, window)
 
     def reduce(m, state):
@@ -760,9 +763,9 @@ def test_direct_fit_keeps_statistics_not_responsibilities(monkeypatch):
     assert len(built) > 7
     built[:] = []
 
-    def recorded_driver(*args, want=None, **kwargs):
+    def recorded_driver(model, d, children, window, want):
         wants.append(want == "stats")
-        return driver(*args, want=want, **kwargs)
+        return driver(model, d, children, window, want)
 
     monkeypatch.setattr(engine, "_estep", recorded_driver)
     report = fit(model, d, max_iters=6, tol=0.0, engine="direct")
@@ -854,10 +857,10 @@ def test_a_candidate_that_beats_its_retry_gets_its_statistics_back(monkeypatch):
             new = replace(new, baseline=new.baseline.scaled(0.2))
         return new
 
-    def recorded(m, d, children, window, want_stats=False, fast=False):
+    def recorded(m, d, children, window, want_stats=False):
         if want_stats:
             twice.append(m)
-        return evaluate(m, d, children, window, want_stats, fast)
+        return evaluate(m, d, children, window, want_stats)
 
     monkeypatch.setattr(engine, "m_step", losing_retry)
     model, d = _slow_delay_case()

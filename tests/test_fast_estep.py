@@ -1,14 +1,16 @@
-"""The block prefix-sum exponential E-step against two oracles.
+"""The block prefix-sum exponential E-step (the scan) against two oracles.
 
-Untruncated, against ``_reference_fast_estep``, the ordered scan that
-``fast_estep`` replaced: it walks the events one tie group at a time and
-decays per-label accumulators between groups. Truncated, against the
-pairwise E-step (``_estep`` with every component on pairs) on label,
-composite and binary marks, with every component on the scan or each
-on either kernel. The block scan sums the same terms in another order
-and rebases each block's exponentials, so the statistics must agree to
-1e-12 relative, not bitwise. The last tests check which kernel the
-truncated E-steps choose for each component.
+The scan runs through the E-step driver with its kernels forced
+(``oracles.forced_estep``), the truncation read from the model.
+Untruncated (truncation mass 0), against ``_reference_scan``, the
+ordered scan the block scan replaced: it walks the events one tie group
+at a time and decays per-label accumulators between groups. Truncated,
+against the pairwise E-step (every component forced onto pairs) on
+label, composite and binary marks, with every component on the scan or
+each on either kernel. The block scan sums the same terms in another
+order and rebases each block's exponentials, so the statistics must
+agree to 1e-12 relative, not bitwise. The last tests check which kernel
+the E-step's one rule (``engine._on_scan``) chooses for each component.
 """
 
 import itertools
@@ -26,7 +28,7 @@ from cascades import (BinaryMark, BinarySchema, CascadeModel, CategoricalMatrix,
                       HomogeneousBaseline, Hyperparams, IdentityTransition,
                       KernelComponent, LabelMark, LabelMarginal, LinearFertility,
                       MultiplicativeFertility, NumericalError, PeriodicBaseline,
-                      PriorTransition, fast_estep, fit, fit_node, log_likelihood,
+                      PriorTransition, fit, fit_node, log_likelihood,
                       simulate, simulate_graph, split)
 from cascades import delays as delay_mod
 from cascades import engine
@@ -34,7 +36,7 @@ from cascades.config import parse_model
 from cascades.engine import ComponentStats, EStepStats
 from cascades.events import CompositeMark, CompositeSchema, LabelSchema
 from cascades.graphs import local_data
-from oracles import label_family_stats
+from oracles import forced_estep, label_family_stats
 
 RTOL = 1e-12
 DEFAULT_LIMIT = engine.EXP_LIMIT
@@ -44,8 +46,8 @@ DEFAULT_LIMIT = engine.EXP_LIMIT
 # the per-event reference
 
 
-def _reference_fast_estep(model, d, children=None, window=None):
-    """fast_estep's statistics from one tie group at a time."""
+def _reference_scan(model, d, children=None, window=None):
+    """The untruncated scan's statistics from one tie group at a time."""
     window = engine._resolve_window(d, window)
     b = window[1]
     n, L = len(d), d.n_label_values
@@ -128,16 +130,24 @@ def _assert_close(got, ref):
         np.testing.assert_allclose(a.credits, b.credits, rtol=RTOL, atol=0)
 
 
-def _blocked(events_per_block, limit, model, d, children=None, window=None,
-             truncated=False):
-    """fast_estep with blocks of at most ``events_per_block`` events (None
+def _scan(model, d, children=None, window=None):
+    """The E-step statistics with every component on the scan."""
+    return forced_estep(model, d, children, window, "stats", on_scan=True)[0]
+
+
+def _untruncated(model):
+    return replace(model, truncation_mass=0.0)
+
+
+def _blocked(events_per_block, limit, model, d, children=None, window=None):
+    """``_scan`` with blocks of at most ``events_per_block`` events (None
     keeps the default) and the exponent limit ``limit``."""
     cells = max(len(model.components), 1) * d.schema.pattern_codes(d)[1]
     with pytest.MonkeyPatch.context() as mp:
         if events_per_block is not None:
             mp.setattr(engine, "PAIR_CHUNK", events_per_block * cells)
         mp.setattr(engine, "EXP_LIMIT", limit)
-        return fast_estep(model, d, children, window, truncated=truncated)
+        return _scan(model, d, children, window)
 
 
 # block sizes in events and exponent limits every oracle test runs under
@@ -146,7 +156,8 @@ BLOCKINGS = [(None, DEFAULT_LIMIT), (1, DEFAULT_LIMIT), (7, DEFAULT_LIMIT),
 
 
 def _assert_matches_reference(model, d, children=None, window=None):
-    ref = _reference_fast_estep(model, d, children, window)
+    ref = _reference_scan(model, d, children, window)
+    model = _untruncated(model)
     for size, limit in BLOCKINGS:
         _assert_close(_blocked(size, limit, model, d, children, window), ref)
     return ref
@@ -273,7 +284,7 @@ def test_burst_after_a_long_quiet_spell_matches_reference():
 def test_empty_inputs():
     model = _label_model()
     empty = Dataset([], horizon=5.0, schema=LabelSchema(3))
-    stats = fast_estep(model, empty)
+    stats = _scan(_untruncated(model), empty)
     assert stats.z_base.size == 0 and stats.comp_z.tolist() == [0.0, 0.0, 0.0]
     _assert_matches_reference(model, empty)
     # a window holding no children still sees every earlier event
@@ -296,8 +307,9 @@ def test_block_sizes_agree(seed, grid, masked, composite):
         n = int(rng.integers(1, 80))
         d = _label_data(_uniform_times(n, horizon=30.0, grid=grid, seed=seed), seed=seed)
         model = _label_model(rates=tuple(rng.uniform(0.05, 3.0, size=3)))
+    model = _untruncated(model)
     children = rng.random(len(d)) < 0.6 if masked else None
-    default = fast_estep(model, d, children)
+    default = _scan(model, d, children)
     for size in (1, 7):
         _assert_close(_blocked(size, DEFAULT_LIMIT, model, d, children), default)
 
@@ -312,10 +324,10 @@ def test_zero_intensity_names_the_first_such_event(size):
     model = CascadeModel(
         HomogeneousBaseline(0.0, LabelMarginal((0.4, 0.3, 0.3))),
         (KernelComponent("k", ConstantFertility(0.5), IdentityTransition(),
-                         ExponentialDelay(1.0)),))
+                         ExponentialDelay(1.0)),), truncation_mass=0.0)
     children = np.arange(len(d)) >= 1
     with pytest.raises(NumericalError) as expected:
-        _reference_fast_estep(model, d, children)
+        _reference_scan(model, d, children)
     with pytest.raises(NumericalError) as got:
         _blocked(size, DEFAULT_LIMIT, model, d, children)
     assert str(got.value) == str(expected.value)
@@ -333,11 +345,11 @@ def test_memory_is_bounded_by_the_block():
         KernelComponent("same", ConstantFertility(0.3), IdentityTransition(),
                         ExponentialDelay(1.0)),
         KernelComponent("any", ConstantFertility(0.2), PriorTransition(LabelMarginal(
-            tuple(probs))), ExponentialDelay(0.1))))
+            tuple(probs))), ExponentialDelay(0.1))), truncation_mass=0.0)
     d.times, d.label_index  # cached columns belong to the dataset, not the scan
     tracemalloc.start()
     try:
-        stats = fast_estep(model, d)
+        stats = _scan(model, d)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -350,8 +362,7 @@ def test_memory_is_bounded_by_the_block():
 
 
 def _pairwise(model, d, children=None, window=None):
-    stats, _, _ = engine._estep(model, d, children, window, scan=False, want="stats")
-    return stats
+    return forced_estep(model, d, children, window, "stats", on_scan=False)[0]
 
 
 def _assert_close_to_pairs(model, d, got, ref, children=None, window=None):
@@ -385,7 +396,7 @@ def _assert_close_to_pairs(model, d, got, ref, children=None, window=None):
 def _assert_scan_matches_pairs(model, d, children=None, window=None):
     ref = _pairwise(model, d, children, window)
     for size, limit in BLOCKINGS:
-        got = _blocked(size, limit, model, d, children, window, truncated=True)
+        got = _blocked(size, limit, model, d, children, window)
         _assert_close_to_pairs(model, d, got, ref, children, window)
     return ref
 
@@ -456,8 +467,8 @@ def test_truncated_scan_reads_only_children_and_parent_pools():
     model = replace(model, components=model.components[:1])
     children = d.node_ids != "w"
     assert not children.all()
-    whole = fast_estep(model, d, children, truncated=True)
-    part = fast_estep(model, d.subset(np.nonzero(children)[0]), truncated=True)
+    whole = _scan(model, d, children)
+    part = _scan(model, d.subset(np.nonzero(children)[0]))
     assert whole.intensity[children].tobytes() == part.intensity.tobytes()
     assert whole.components[0].transition.tobytes() == part.components[0].transition.tobytes()
 
@@ -478,8 +489,8 @@ def test_dense_burst_just_outside_the_cutoff():
                             ExponentialDelay(1.0))), truncation_mass=truncation)
         children = d.times > burst[-1]
         assert np.all(d.times[children] - cut > burst[-1])  # no burst parent survives
-        untruncated = fast_estep(model, d, children)
-        scan = fast_estep(model, d, children, truncated=True)
+        untruncated = _scan(_untruncated(model), d, children)
+        scan = _scan(model, d, children)
         if truncation > 0.01:  # the burst outweighs the parents inside
             assert np.max(untruncated.intensity
                           / np.where(children, scan.intensity, 1.0)) > 2.0
@@ -529,7 +540,7 @@ def test_truncated_scan_matches_pairs_on_random_streams(seed, kind, grid, log_ma
     window = (0.2 * d.horizon, 0.8 * d.horizon) if windowed else None
     ref = _pairwise(model, d, children, window)
     for size, limit in ((None, DEFAULT_LIMIT), (1, DEFAULT_LIMIT), (7, 1.0)):
-        got = _blocked(size, limit, model, d, children, window, truncated=True)
+        got = _blocked(size, limit, model, d, children, window)
         _assert_close_to_pairs(model, d, got, ref, children, window)
 
 
@@ -554,9 +565,7 @@ def test_every_kernel_assignment_matches_all_pairs(seed, kind, grid, log_mass, m
         on_scan = [False] * len(comps)
         for c, scan in zip(eligible, chosen):
             on_scan[c] = scan
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(engine, "_on_scan", lambda *a: list(on_scan))
-            got = engine._estep(model, d, children, window, want="stats")[0]
+        got = forced_estep(model, d, children, window, "stats", on_scan=on_scan)[0]
         _assert_close_to_pairs(model, d, got, ref, children, window)
 
 
@@ -573,7 +582,7 @@ def test_truncated_memory_is_bounded_by_the_block():
     d.times, d.label_index
     tracemalloc.start()
     try:
-        stats = fast_estep(model, d, truncated=True)
+        stats = _scan(model, d)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -582,7 +591,7 @@ def test_truncated_memory_is_bounded_by_the_block():
 
 
 # ---------------------------------------------------------------------------
-# which kernel the truncated E-steps choose
+# which kernel the E-step's one rule chooses
 
 
 def _record_kernels(monkeypatch) -> list:
@@ -683,3 +692,30 @@ def test_few_pairs_stay_on_pairs(monkeypatch):
     monkeypatch.setattr(engine, "SCAN_MIN_PAIRS", 0)
     assert log_likelihood(model, d) == pytest.approx(ll, rel=RTOL, abs=0)
     assert calls == [[False], [True]]
+
+
+def test_fast_engine_is_the_direct_engine_at_zero_mass(monkeypatch):
+    # 80 events have fewer untruncated pairs than SCAN_MIN_PAIRS, yet the
+    # rule puts every untruncated component the scan covers on the scan,
+    # so both fits run the same E-steps
+    d = _label_data(_uniform_times(n=80, horizon=40.0, seed=20), seed=20)
+    assert len(d) * (len(d) - 1) // 2 < engine.SCAN_MIN_PAIRS
+    model = _label_model(periodic=False)
+    assert model.truncation_mass == 1e-6
+    calls, windows, pair_window = _record_kernels(monkeypatch), [], engine._pair_window
+    monkeypatch.setattr(engine, "_pair_window", lambda *a: windows.append(a) or pair_window(*a))
+    fast = fit(model, d, max_iters=5, tol=0.0, engine="fast")
+    assert calls and all(c == [True, True, True] for c in calls)
+    assert windows == []  # no untruncated pair window is built for the scan
+    calls[:] = []
+    direct = fit(_untruncated(model), d, max_iters=5, tol=0.0, engine="direct")
+    assert calls and all(c == [True, True, True] for c in calls)
+    assert fast.iterations == direct.iterations == 5
+    assert fast.ll_trace == direct.ll_trace
+    assert fast.model.truncation_mass == model.truncation_mass
+    assert replace(fast.model, truncation_mass=0.0) == direct.model
+    # a held-out score reads the model as given, here on pairs
+    calls[:] = []
+    held = fit(model, d, max_iters=1, tol=0.0, engine="fast", heldout=(d, None, None))
+    assert held.heldout_trace[0] == log_likelihood(model, d) != fast.ll_trace[0]
+    assert calls[0] == [False, False, False]
