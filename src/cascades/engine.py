@@ -277,11 +277,15 @@ class EStepStats:
     """What m_step reads from an E-step (estep_stats or a fit's): the
     baseline's share of each event, the intensity at each child event,
     and per-component statistics, each from the kernel its component ran
-    on. Unlike ``Responsibilities`` it keeps no parent ids."""
+    on. Unlike ``Responsibilities`` it keeps no parent ids. It also
+    records the model the E-step ran and its scope (``_Scope``), which
+    m_step reuses for the same dataset, mask and window."""
 
     z_base: np.ndarray
     intensity: np.ndarray
     components: list[ComponentStats]
+    model: CascadeModel | None = None
+    scope: _Scope | None = None
 
     @property
     def n_components(self) -> int:
@@ -382,26 +386,53 @@ def _parent_pool(comp: KernelComponent, d: Dataset) -> np.ndarray:
     return _source_entry(comp, d)[1]
 
 
+class _ExposureBase:
+    """One component's possible parents against one window (a, b]: the
+    gaps b - t of the pool events before b, the gaps a - t of those
+    before a (the first ones, as times are sorted), each one's fertility
+    pattern, and which patterns occur (``seen``, read-only). Every gap is
+    positive, so the delay mass of a pool event in the window is one
+    ``cdf`` of its b-side gap less, before a only, one of its a-side gap:
+    the other events' a-side ``delays.cdf`` is exactly 0."""
+
+    def __init__(self, comp: KernelComponent, d: Dataset, a: float, b: float):
+        pool = _parent_pool(comp, d)
+        t = d.times[pool]
+        k = int(np.searchsorted(t, b, side="left"))
+        t = t[:k]
+        self.gaps_b, self.gaps_a = b - t, a - t[:int(np.searchsorted(t, a, side="left"))]
+        _, pattern, self.n_patterns = d.schema.fertility_patterns(d)
+        self.pattern = pattern[pool[:k]]
+        self.seen = np.bincount(self.pattern, minlength=self.n_patterns) > 0
+        self.seen.flags.writeable = False
+        self.delay = self.exposure = None
+
+    def under(self, delay: DelaySpec) -> np.ndarray:
+        """The delay mass per fertility pattern under ``delay``, read-only,
+        kept for the last delay asked."""
+        if self.exposure is None or self.delay != delay:
+            mass = delay.cdf(self.gaps_b)
+            if self.gaps_a.size:
+                mass[:self.gaps_a.size] -= delay.cdf(self.gaps_a)
+            exposure = np.bincount(self.pattern, weights=mass, minlength=self.n_patterns)
+            exposure.flags.writeable = False
+            self.delay, self.exposure = delay, exposure
+        return self.exposure
+
+
 def _window_exposure(comp: KernelComponent, delay: DelaySpec, d: Dataset,
                      a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     """Per fertility pattern, whether some event of it may parent children
     inside (a, b] under this component, and the delay mass they put there,
-    both read-only. Cached on the dataset per component and window for the
-    last delay asked, so the compensator after an M-step reuses the
-    exposures the M-step computed."""
+    both read-only. The component's ``_ExposureBase`` is cached on the
+    dataset per window and holds the exposures of the last delay asked, so
+    the compensator after an M-step reuses the exposures the M-step
+    computed."""
     key = (comp.name, comp.sources, a, b)
-    entry = d.window_exposures.get(key)
-    if entry is None or entry[0] != delay:
-        pool = _parent_pool(comp, d)
-        pool = pool[d.times[pool] < b]
-        t = d.times[pool]
-        mass = np.asarray(delay_mod.cdf(delay, b - t)) - np.asarray(delay_mod.cdf(delay, a - t))
-        _, pattern, n_patterns = d.schema.fertility_patterns(d)
-        seen = np.bincount(pattern[pool], minlength=n_patterns) > 0
-        exposure = np.bincount(pattern[pool], weights=mass, minlength=n_patterns)
-        seen.flags.writeable = exposure.flags.writeable = False
-        entry = d.window_exposures[key] = (delay, seen, exposure)
-    return entry[1], entry[2]
+    base = d.window_exposures.get(key)
+    if base is None:
+        base = d.window_exposures[key] = _ExposureBase(comp, d, a, b)
+    return base.seen, base.under(delay)
 
 
 def _check_components(estep: EStepStats, model: CascadeModel) -> None:
@@ -435,6 +466,48 @@ def _child_ids(d: Dataset, children: np.ndarray | None,
     return np.nonzero(inside)[0].astype(np.int64)
 
 
+class _Scope:
+    """What a fit reads of its data, resolved once per fit rather than per
+    E-step and M-step: the dataset, the child mask and the resolved window,
+    the child ids and times, the pattern view (every event's pattern code
+    and fertility pattern, the children's codes), and per parent source
+    restriction the pool, its times and each child's right edge in it (the
+    place of its first pool event at or after the child), which no
+    truncation cutoff moves. A fit builds one for its data and one for its
+    held-out triple; a public function called alone builds its own."""
+
+    def __init__(self, d: Dataset, children: np.ndarray | None,
+                 window: tuple[float, float] | None):
+        self.d, self.children, self.window = d, children, _resolve_window(d, window)
+        self.kids = _child_ids(d, children, self.window)
+        self.kid_times = d.times[self.kids]
+        self.codes, self.n_codes = d.schema.pattern_codes(d)
+        self.kid_codes = self.codes[self.kids]
+        self.rows, self.pattern, self.n_patterns = d.schema.fertility_patterns(d)
+        self.pools: dict = {}
+
+    def serves(self, d: Dataset, children: np.ndarray | None,
+               window: tuple[float, float] | None) -> bool:
+        """Whether this scope is what (d, children, window) resolve to: the
+        same dataset and mask objects and an equal window tuple."""
+        if window is None:
+            window = (d.start, d.horizon)
+        return (d is self.d and children is self.children
+                and isinstance(window, tuple) and window == self.window)
+
+    def pool(self, comp: KernelComponent) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+        """(pool, times, right edges) for comp's sources: the events allowed
+        to parent (None when all may), their times, and each child's
+        ``searchsorted(times, child time)``."""
+        entry = self.pools.get(comp.sources)
+        if entry is None:
+            pool = None if comp.sources is None else _parent_pool(comp, self.d)
+            times = self.d.times if pool is None else self.d.times[pool]
+            entry = self.pools[comp.sources] = (
+                pool, times, np.searchsorted(times, self.kid_times, side="left"))
+        return entry
+
+
 # ---------------------------------------------------------------------------
 # E-step
 
@@ -466,11 +539,10 @@ def _pattern_credits(pattern: np.ndarray, n_patterns: int, parents: np.ndarray,
     return np.bincount(pattern[parents], weights=z, minlength=n_patterns)
 
 
-def _kernel_factors(comp: KernelComponent, d: Dataset, kid_codes: np.ndarray,
-                    rows: np.ndarray | None, pattern: np.ndarray, n_patterns: int):
+def _kernel_factors(comp: KernelComponent, scope: _Scope):
     """Component comp's fertility(parent) * g(child | parent), split by
     what each factor reads, as (child, alpha, pair). ``child`` is one
-    factor per child, whose mark patterns are ``kid_codes``, or None: the
+    factor per child of the scope, by its mark pattern, or None: the
     fertility when it has one value, which it has whenever the data have
     one parent mark pattern (``fertility_patterns``: every label and
     composite schema), times a prior's g per child pattern gathered by
@@ -479,24 +551,25 @@ def _kernel_factors(comp: KernelComponent, d: Dataset, kid_codes: np.ndarray,
     ``g_pairs`` of a transition that reads the parent's mark, over
     (parent, child) pattern codes; None otherwise. The choice reads only
     the families and the pattern count."""
+    d, kid_codes = scope.d, scope.kid_codes
     g = comp.transition.g_children(d)
     pair = None if g is not None else comp.transition.g_pairs(d, PAIR_CHUNK)
     g = None if g is None else g[kid_codes]
-    if n_patterns != 1:
-        return g, comp.fertility.rates(rows, n_patterns)[pattern], pair
-    alpha = float(comp.fertility.rates(rows, 1)[0])
+    if scope.n_patterns != 1:
+        return g, comp.fertility.rates(scope.rows, scope.n_patterns)[scope.pattern], pair
+    alpha = float(comp.fertility.rates(scope.rows, 1)[0])
     return (np.full(kid_codes.size, alpha) if g is None else alpha * g), None, pair
 
 
-def _pair_window(comp: KernelComponent, d: Dataset, kid_times: np.ndarray, cut: float):
+def _pair_window(comp: KernelComponent, scope: _Scope, cut: float):
     """Each child's candidate parents under comp: (pool, lo, cnt, starts),
     the allowed parents (None when all may parent), the first candidate's
-    place among them, their count and the offset of its first pair."""
-    pool = None if comp.sources is None else _parent_pool(comp, d)
-    times = d.times if pool is None else d.times[pool]
+    place among them, their count and the offset of its first pair. Only
+    the left edge depends on the cutoff; the scope keeps the right one."""
+    pool, times, hi = scope.pool(comp)
     # an infinite cutoff searches for -inf, which lands on the first parent
-    lo = np.searchsorted(times, kid_times - cut, side="left")
-    cnt = np.searchsorted(times, kid_times, side="left") - lo
+    lo = np.searchsorted(times, scope.kid_times - cut, side="left")
+    cnt = hi - lo
     return pool, lo, cnt, np.concatenate(([0], np.cumsum(cnt)))
 
 
@@ -513,25 +586,24 @@ class _Pairs:
     credits, a prior's ``stats``) come from each child's total weight at
     the end; the rest are summed pair by pair."""
 
-    def __init__(self, model: CascadeModel, d: Dataset, kids: np.ndarray, kid_times: np.ndarray,
-                 comps: list[int], windows: list, want: str | None):
-        self.d, self.kids, self.kid_times, self.comps, self.want = d, kids, kid_times, comps, want
+    def __init__(self, model: CascadeModel, scope: _Scope, comps: list[int], windows: list,
+                 want: str | None):
+        self.d, self.kids, self.kid_times = scope.d, scope.kids, scope.kid_times
+        self.comps, self.want = comps, want
         self.specs = [model.components[c] for c in comps]
         self.windows = [windows[c] for c in comps]
         self.pair_ends = np.cumsum(sum((w[2] for w in self.windows),
-                                       np.zeros(kids.size, dtype=np.int64)))
-        rows, self.pattern, self.n_patterns = d.schema.fertility_patterns(d)
-        self.codes = d.schema.pattern_codes(d)[0]
-        self.kid_codes = self.codes[kids]
-        self.factors = [_kernel_factors(c, d, self.kid_codes, rows, self.pattern, self.n_patterns)
-                        for c in self.specs]
+                                       np.zeros(self.kids.size, dtype=np.int64)))
+        self.pattern, self.n_patterns = scope.pattern, scope.n_patterns
+        self.codes, self.kid_codes = scope.codes, scope.kid_codes
+        self.factors = [_kernel_factors(c, scope) for c in self.specs]
         if want:
             self.z = [np.empty(w[3][-1]) for w in self.windows]
             # what each pair keeps beside its weight: its parent or its delay
             self.keep = [np.empty(w[3][-1], np.int64 if want == "resp" else np.float64)
                          for w in self.windows]
             # each child's total weight, and the statistics summed pair by pair
-            self.kid_z = [np.zeros(kids.size) for _ in comps]
+            self.kid_z = [np.zeros(self.kids.size) for _ in comps]
             self.trans = [None for _ in comps]
             self.credits = [np.zeros(self.n_patterns) for _ in comps]
 
@@ -603,7 +675,7 @@ class _Pairs:
         return offsets, self.keep, self.z
 
 
-def _on_scan(model: CascadeModel, d: Dataset, kids: np.ndarray, cutoffs: list[float],
+def _on_scan(model: CascadeModel, scope: _Scope, cutoffs: list[float],
              windows: list, want: str | None) -> list[bool]:
     """Which components run on the scan. None with ``want="resp"``, whose
     ``Responsibilities`` keep every pair. An untruncated one (its window
@@ -615,6 +687,7 @@ def _on_scan(model: CascadeModel, d: Dataset, kids: np.ndarray, cutoffs: list[fl
     times its two walks times the patterns."""
     if want == "resp":
         return [False] * len(model.components)
+    d, kids = scope.d, scope.kids
     choice = []
     for comp, cut, window in zip(model.components, cutoffs, windows):
         if window is None:
@@ -624,25 +697,24 @@ def _on_scan(model: CascadeModel, d: Dataset, kids: np.ndarray, cutoffs: list[fl
         if pairs < SCAN_MIN_PAIRS:  # settled before the patterns are counted
             choice.append(False)
             continue
-        per_event = 2 * d.schema.pattern_codes(d)[1]
+        per_event = 2 * scope.n_codes
         choice.append(pairs > kids.size * per_event
                       and scan_applicable(replace(model, components=(comp,)), d)
                       and pairs > _scan_events([comp], d, kids, [cut]).size * per_event)
     return choice
 
 
-def _baseline_term(model: CascadeModel, d: Dataset, kids: np.ndarray,
-                   kid_times: np.ndarray) -> np.ndarray:
+def _baseline_term(model: CascadeModel, scope: _Scope) -> np.ndarray:
     """The baseline rate at each child times its mark pattern's probability."""
-    codes = d.schema.pattern_codes(d)[0]
-    return model.baseline.rate_at(kid_times) * model.baseline.mark.pattern_probs(d)[codes[kids]]
+    return (model.baseline.rate_at(scope.kid_times)
+            * model.baseline.mark.pattern_probs(scope.d)[scope.kid_codes])
 
 
-def _estep(model: CascadeModel, d: Dataset, children: np.ndarray | None,
-           window: tuple[float, float] | None, want: str | None):
-    """The one E-step: (out, intensity, child ids), where ``out`` is the
-    ``Responsibilities`` with ``want="resp"`` (all on pairs), the
-    ``EStepStats`` with ``want="stats"`` and otherwise None. ``_on_scan``
+def _estep(model: CascadeModel, scope: _Scope, want: str | None):
+    """The one E-step over the children of ``scope``: (out, intensity,
+    child ids), where ``out`` is the ``Responsibilities`` with
+    ``want="resp"`` (all on pairs), the ``EStepStats`` with
+    ``want="stats"`` and otherwise None. ``_on_scan``
     puts each component on the pairs (``_Pairs``, its window built only
     then if untruncated) or the scan (``_Scan``); each drops the parents
     past its ``delays.tail_cutoff`` at the model's ``truncation_mass``.
@@ -650,23 +722,22 @@ def _estep(model: CascadeModel, d: Dataset, children: np.ndarray | None,
     the kernels' sums at each child add to the baseline term in component
     order, the total is checked once, and each kernel weighs its
     components' causes by 1 / total."""
-    kids = _child_ids(d, children, _resolve_window(d, window))
-    kid_times = d.times[kids]
+    d, kids = scope.d, scope.kids
     comps, n = model.components, len(d)
     cutoffs = [delay_mod.tail_cutoff(c.delay, model.truncation_mass) for c in comps]
-    windows = [None if cut == np.inf else _pair_window(c, d, kid_times, cut)
+    windows = [None if cut == np.inf else _pair_window(c, scope, cut)
                for c, cut in zip(comps, cutoffs)]
-    on_scan = _on_scan(model, d, kids, cutoffs, windows, want)
+    on_scan = _on_scan(model, scope, cutoffs, windows, want)
     paired = [c for c, on in enumerate(on_scan) if not on]
     scanned = [c for c, on in enumerate(on_scan) if on]
     for c in paired:
         if windows[c] is None:
-            windows[c] = _pair_window(comps[c], d, kid_times, np.inf)
-    kernels = [_Scan(model, d, kids, cutoffs, scanned)] if scanned else []
+            windows[c] = _pair_window(comps[c], scope, np.inf)
+    kernels = [_Scan(model, scope, cutoffs, scanned)] if scanned else []
     if paired or not scanned:
-        kernels.append(_Pairs(model, d, kids, kid_times, paired, windows, want))
+        kernels.append(_Pairs(model, scope, paired, windows, want))
 
-    base_vals = _baseline_term(model, d, kids, kid_times)
+    base_vals = _baseline_term(model, scope)
     lam, z_base = np.zeros(n), np.zeros(n)
     s = 0
     while s < kids.size:
@@ -691,7 +762,8 @@ def _estep(model: CascadeModel, d: Dataset, children: np.ndarray | None,
         return Responsibilities(n, z_base, *kernels[-1].responsibilities(n)), lam, kids
     if want == "stats":
         stats = {c: cs for k in kernels for c, cs in k.stats().items()}
-        return EStepStats(z_base, lam, [stats[c] for c in range(len(comps))]), lam, kids
+        return (EStepStats(z_base, lam, [stats[c] for c in range(len(comps))], model, scope),
+                lam, kids)
     return None, lam, kids
 
 
@@ -706,7 +778,7 @@ def e_step(model: CascadeModel, d: Dataset, children: np.ndarray | None = None,
     under every cause.
     """
     validate_model(model, d.schema)
-    resp, _, _ = _estep(model, d, children, window, "resp")
+    resp, _, _ = _estep(model, _Scope(d, children, window), "resp")
     return resp
 
 
@@ -723,15 +795,15 @@ def compensator(model: CascadeModel, d: Dataset,
     return float(total)
 
 
-def _evaluate(model: CascadeModel, d: Dataset, children: np.ndarray | None,
-              window: tuple[float, float] | None,
+def _evaluate(model: CascadeModel, scope: _Scope,
               want_stats: bool = False) -> tuple[EStepStats | None, float]:
     """The one E-step evaluation under ``model``: (statistics, log
-    likelihood of the masked events in the window), with each component
-    on the kernel ``_on_scan`` picks for it. The statistics are None
-    unless ``want_stats``. It raises on an event with zero intensity."""
-    stats, lam, kids = _estep(model, d, children, window, "stats" if want_stats else None)
-    return stats, float(np.log(lam[kids]).sum()) - compensator(model, d, window)
+    likelihood of the scope's children in its window), with each
+    component on the kernel ``_on_scan`` picks for it. The statistics are
+    None unless ``want_stats``. It raises on an event with zero
+    intensity."""
+    stats, lam, kids = _estep(model, scope, "stats" if want_stats else None)
+    return stats, float(np.log(lam[kids]).sum()) - compensator(model, scope.d, scope.window)
 
 
 def log_likelihood(model: CascadeModel, d: Dataset,
@@ -746,7 +818,7 @@ def log_likelihood(model: CascadeModel, d: Dataset,
     validate_model(model, d.schema)
     if history is not None:
         d = d.merge_history(history)
-    return _evaluate(model, d, None, None)[1]
+    return _evaluate(model, _Scope(d, None, None))[1]
 
 
 def windowed_log_likelihood(model: CascadeModel, d: Dataset,
@@ -756,7 +828,7 @@ def windowed_log_likelihood(model: CascadeModel, d: Dataset,
     earlier event (masked or not) still eligible as a parent and the
     compensator integrated over the same window."""
     validate_model(model, d.schema)
-    return _evaluate(model, d, children, window)[1]
+    return _evaluate(model, _Scope(d, children, window))[1]
 
 
 def intensity(model: CascadeModel, history: Dataset, t: float, x: Mark) -> float:
@@ -771,13 +843,14 @@ def intensity(model: CascadeModel, history: Dataset, t: float, x: Mark) -> float
     # the events inside some component's truncation window, then (t, x)
     lo, hi = np.searchsorted(history.times, [t - max(cutoffs, default=0.0), t], side="left")
     d = history._with_query(int(lo), int(hi), t, x)
-    kids = np.array([len(d) - 1])
-    kid_times = d.times[kids]
-    windows = [_pair_window(c, d, kid_times, cut) for c, cut in zip(comps, cutoffs)]
+    query = np.zeros(len(d), dtype=bool)
+    query[-1] = True  # the one child
+    scope = _Scope(d, query, None)
+    windows = [_pair_window(c, scope, cut) for c, cut in zip(comps, cutoffs)]
     sums = [None] * len(comps)
-    _Pairs(model, d, kids, kid_times, list(range(len(comps))), windows, None).intensity(0, 1, sums)
+    _Pairs(model, scope, list(range(len(comps))), windows, None).intensity(0, 1, sums)
     return float(sum((part for part in sums if part is not None),
-                     _baseline_term(model, d, kids, kid_times))[0])
+                     _baseline_term(model, scope))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -796,7 +869,7 @@ def estep_stats(model: CascadeModel, d: Dataset, children: np.ndarray | None = N
     ``_on_scan`` picks, summed into the statistics m_step reads as it
     goes; no responsibilities are kept."""
     validate_model(model, d.schema)
-    stats, _, _ = _estep(model, d, children, window, "stats")
+    stats, _, _ = _estep(model, _Scope(d, children, window), "stats")
     return stats
 
 
@@ -835,26 +908,36 @@ def m_step(model: CascadeModel, d: Dataset, estep: EStepStats,
     mass falls past the horizon; with ``freeze_delays`` the delays are
     kept and every remaining update is an exact coordinate ascent, which
     fit() uses as a fallback to keep the likelihood nondecreasing.
+
+    The E-step's scope (``_Scope``) is reused when it was built for this
+    dataset object, mask object and window. Then the model is validated
+    unless it shares the baseline and components objects of the E-step's
+    model, which are all that ``validate_model`` reads: an E-step runs
+    only on a validated model or on an M-step's output from one.
     """
     if not isinstance(estep, EStepStats):
         raise TypeError("m_step reads EStepStats, from estep_stats, "
                         f"not {type(estep).__name__}")
-    validate_model(model, d.schema)
-    window = _resolve_window(d, window)
-    a, b = window
+    scope = estep.scope
+    if scope is not None and not scope.serves(d, children, window):
+        scope = None
+    if scope is None or not (estep.model.baseline is model.baseline
+                             and estep.model.components is model.components):
+        validate_model(model, d.schema)
+    a, b = window = _resolve_window(d, window) if scope is None else scope.window
     _check_components(estep, model)
     z_base, stats = estep.z_base, estep.components
     if z_base.size != len(d):
         raise DataError("E-step statistics do not match the dataset")
+    if scope is None:
+        scope = _Scope(d, children, window)
     comps = model.components
     # baseline credit summed over the window's children only, so the sum
     # does not depend on how many other events the dataset holds
-    kids = _child_ids(d, children, window)
-    credit = z_base[kids]
-    baseline = model.baseline.refit(d.times[kids], credit, a, b)
+    credit = z_base[scope.kids]
+    baseline = model.baseline.refit(scope.kid_times, credit, a, b)
     if update_baseline_mark and float(credit.sum()) > 0:
-        codes, n_codes = d.schema.pattern_codes(d)
-        by_pattern = np.bincount(codes, weights=z_base, minlength=n_codes)
+        by_pattern = np.bincount(scope.codes, weights=z_base, minlength=scope.n_codes)
         baseline = replace(baseline, mark=baseline.mark.refit(
             baseline.mark.stats_from_patterns(d, by_pattern)))
 
@@ -885,7 +968,7 @@ def m_step(model: CascadeModel, d: Dataset, estep: EStepStats,
                 new_transitions[ci] = fitted
 
     # fertilities under the new delays, one row per parent mark pattern
-    rows = d.schema.fertility_patterns(d)[0]
+    rows = scope.rows
     new_ferts: list[FertilitySpec] = []
     for ci, comp in enumerate(comps):
         seen, exposure = _window_exposure(comp, new_delays[ci], d, a, b)
@@ -1088,15 +1171,16 @@ class _Scan:
     from its cells through the family's ``stats``; the delay
     sample (sum z dt / sum z, sum z) has the pairs' exponential MLE."""
 
-    def __init__(self, model: CascadeModel, d: Dataset, kids: np.ndarray,
-                 cutoffs: list[float], comps: list[int]):
+    def __init__(self, model: CascadeModel, scope: _Scope, cutoffs: list[float],
+                 comps: list[int]):
+        d, kids = scope.d, scope.kids
         self.d, self.comps = d, comps
         self.specs = [model.components[c] for c in comps]
         # each truncated component's cutoff, by its index here
         self.cut = {i: cutoffs[c] for i, c in enumerate(comps) if np.isfinite(cutoffs[c])}
-        codes, P = d.schema.pattern_codes(d)
+        codes, P = scope.codes, scope.n_codes
         C = len(comps)
-        self.rows = d.schema.fertility_patterns(d)[0]
+        self.rows = scope.rows
         rates = np.array([c.delay.decay_rate for c in self.specs])
         # by_child[c, l, r]: delay rate * fertility(r) * g(l | r), read by child pattern l
         self.by_child = np.array([c.delay.decay_rate * c.fertility.rates(self.rows, P)[None, :]
@@ -1228,7 +1312,7 @@ def fit(model: CascadeModel, d: Dataset, max_iters: int = 50, tol: float = 1e-6,
     no other E-step's pairs.
     """
     validate_model(model, d.schema)
-    if heldout:
+    if heldout and heldout[0].schema != d.schema:
         validate_model(model, heldout[0].schema)
     _check_em_limits(max_iters, tol)
     if on_decrease not in ("raise", "warn"):
@@ -1239,11 +1323,12 @@ def fit(model: CascadeModel, d: Dataset, max_iters: int = 50, tol: float = 1e-6,
     if engine == "fast" and not fast_applicable(model, d):
         raise ConfigError("fast engine requested but the model does not qualify")
     engine_name = "fast" if use_fast else "direct"
-    window = _resolve_window(d, window)
+    scope = _Scope(d, children, window)
+    window = scope.window
 
     def train(m: CascadeModel, want_stats: bool) -> tuple[EStepStats | None, float]:
         m = replace(m, truncation_mass=0.0) if use_fast else m
-        return _evaluate(m, d, children, window, want_stats)
+        return _evaluate(m, scope, want_stats)
 
     def improve(m: CascadeModel, stats: EStepStats,
                 freeze_delays: bool = False) -> CascadeModel:
@@ -1252,11 +1337,11 @@ def fit(model: CascadeModel, d: Dataset, max_iters: int = 50, tol: float = 1e-6,
             m2 = normalize(m2, d, children, window)
         return m2
 
-    kids = _child_ids(d, children, window)
-    held = [_evaluate(model, *heldout)[1]] if heldout else None
+    held_scope = _Scope(*heldout) if heldout else None
+    held = [_evaluate(model, held_scope)[1]] if heldout else None
     shares = [_component_shares(model, d)]
     dmeans = [[c.delay.mean() for c in model.components]]
-    if kids.size == 0:
+    if scope.kids.size == 0:
         ll0 = train(model, False)[1]
         return FitReport(model, [ll0], 0, True, engine_name, heldout_trace=held,
                          component_shares=shares, delay_means=dmeans)
@@ -1287,7 +1372,7 @@ def fit(model: CascadeModel, d: Dataset, max_iters: int = 50, tol: float = 1e-6,
         iterations += 1
         trace.append(ll_new)
         if held is not None:
-            held.append(_evaluate(candidate, *heldout)[1])
+            held.append(_evaluate(candidate, held_scope)[1])
         shares.append(_component_shares(candidate, d))
         dmeans.append([c.delay.mean() for c in candidate.components])
         if _ll_decreased(ll, ll_new):

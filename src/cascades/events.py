@@ -172,7 +172,7 @@ class _Labels:
         return d.label_index, self.label_count
 
     def fertility_patterns(self, d: Dataset) -> tuple[None, np.ndarray, int]:
-        return None, np.zeros(len(d), dtype=np.int64), 1
+        return None, d.single_pattern, 1
 
     def fertility_row(self, code: int) -> None:
         return None
@@ -413,6 +413,14 @@ class Dataset:
         index[order] = np.cumsum(first) - 1
         return X[order[first]], index
 
+    @cached_property
+    def single_pattern(self) -> np.ndarray:
+        """Every event's fertility pattern where all share one (label and
+        composite marks): zeros, read-only."""
+        zeros = np.zeros(len(self), dtype=np.int64)
+        zeros.flags.writeable = False
+        return zeros
+
     @property
     def label_index(self) -> np.ndarray:
         """(N,) zero-based label (or composite type) indices."""
@@ -436,11 +444,12 @@ class Dataset:
 
     @cached_property
     def window_exposures(self) -> dict:
-        """Per (component name, sources, a, b): the delay last asked for,
-        and, per fertility pattern, whether some event of it may parent
-        children in the window (a, b] and the delay mass they put there
-        under that delay, both read-only. The engine fills it on first use; a subset or merged
-        dataset starts with an empty one."""
+        """Per (component name, sources, a, b): the engine's exposure base
+        of that component's parents against the window (a, b], which keeps
+        per fertility pattern whether some event of it may parent children
+        there and the delay mass they put there under the delay last asked
+        for. The engine fills it on first use; a subset or merged dataset
+        starts with an empty one."""
         return {}
 
     @property

@@ -31,9 +31,9 @@ from multiprocessing import get_context
 import numpy as np
 
 from .delays import DelaySpec, ExponentialDelay
-from .engine import (CascadeModel, HomogeneousBaseline, KernelComponent,
-                     _check_em_limits, _child_ids, _evaluate, _ll_decreased, e_step,
-                     expected_transition_counts, fit, m_step, windowed_log_likelihood)
+from .engine import (CascadeModel, HomogeneousBaseline, KernelComponent, _check_em_limits,
+                     _evaluate, _ll_decreased, _Scope, e_step, expected_transition_counts, fit,
+                     m_step, validate_model, windowed_log_likelihood)
 from .errors import ConfigError, DataError
 from .events import CompositeSchema, Dataset, _jsonl_objects
 from .fertility import ConstantFertility
@@ -272,16 +272,19 @@ def _fit_per_neighbor(model: CascadeModel, d: Dataset, mask: np.ndarray,
     the statistics of the next M-step, neighbor credits included.
     Returns the model, the LL trace and whether the tolerance test
     stopped it; like fit, a window without children keeps the initial
-    model."""
+    model. Like fit, it validates the model once and resolves its scope
+    once."""
     _check_em_limits(max_iters, tol)
+    validate_model(model, d.schema)
+    scope = _Scope(d, mask, window)
     a, b = window
     nbr_idx = [ci for ci, comp in enumerate(model.components)
                if comp.name.startswith("nbr:")]
     m_counts = np.array([np.sum((d.node_ids == u) & (d.times < b)) for u in neighbors],
                         dtype=np.float64)
-    stats, ll = _evaluate(model, d, mask, window, want_stats=max_iters > 0)
+    stats, ll = _evaluate(model, scope, want_stats=max_iters > 0)
     trace = [ll]
-    if _child_ids(d, mask, window).size == 0:
+    if scope.kids.size == 0:
         return model, trace, True
     for it in range(max_iters):
         model = m_step(model, d, stats, mask, window, update_baseline_mark=False)
@@ -291,7 +294,7 @@ def _fit_per_neighbor(model: CascadeModel, d: Dataset, mask: np.ndarray,
             comps[ci] = replace(comps[ci], fertility=ConstantFertility(float(rates[k])))
         model = replace(model, components=tuple(comps))
         # no M-step reads the statistics of the last allowed iteration
-        stats, ll = _evaluate(model, d, mask, window, want_stats=it + 1 < max_iters)
+        stats, ll = _evaluate(model, scope, want_stats=it + 1 < max_iters)
         trace.append(ll)
         if abs(trace[-1] - trace[-2]) < tol * max(abs(trace[-1]), 1e-12):
             return model, trace, True

@@ -73,13 +73,14 @@ from cascades.transitions import fit_mixture_from_stats
 
 
 def forced_estep(model, d, children=None, window=None, want=None, *, on_scan):
-    """``engine._estep``'s (out, intensity, child ids) with every component
-    on the scan (``on_scan`` True) or on pairs (False), or component c on
-    the scan where ``on_scan[c]``."""
+    """``engine._estep``'s (out, intensity, child ids) over the scope of
+    (d, children, window), with every component on the scan (``on_scan``
+    True) or on pairs (False), or component c on the scan where
+    ``on_scan[c]``."""
     choice = [on_scan] * len(model.components) if isinstance(on_scan, bool) else list(on_scan)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_on_scan", lambda *_: list(choice))
-        return engine._estep(model, d, children, window, want)
+        return engine._estep(model, engine._Scope(d, children, window), want)
 
 
 def component_stats(model, d, resp) -> list:

@@ -457,10 +457,10 @@ def test_compare_merges_the_test_history_once(tmp_path, monkeypatch):
     scored = []
     evaluate = engine._evaluate
 
-    def counting(model, d, *args, **kw):
-        if merges and d is merges[0]:
+    def counting(model, scope, *args, **kw):
+        if merges and scope.d is merges[0]:
             scored.append(model)
-        return evaluate(model, d, *args, **kw)
+        return evaluate(model, scope, *args, **kw)
 
     monkeypatch.setattr(engine, "_evaluate", counting)
     assert main(["compare", "--config", cmp_conf, "--data", str(tmp_path / "s/events.jsonl"),

@@ -784,8 +784,13 @@ def test_compensator_after_m_step_reuses_its_exposures(monkeypatch):
     d, _ = simulate(model, 60.0, seed=3)
     new = normalize(m_step(model, d, estep_stats(model, d)), d)
     fresh = d.subset(np.arange(len(d)))
-    cdf, calls = engine.delay_mod.cdf, []
-    monkeypatch.setattr(engine.delay_mod, "cdf", lambda *args: calls.append(1) or cdf(*args))
+    calls = []
+    for family in (ExponentialDelay, GammaDelay):
+        cdf = family.cdf
+        monkeypatch.setattr(family, "cdf",
+                            lambda self, x, cdf=cdf: calls.append(1) or cdf(self, x))
     total = compensator(new, d)
     assert calls == []  # both components' exposures come from m_step
-    assert compensator(new, fresh) == total and len(calls) == 4
+    # a fresh exposure is one cdf per component: no event precedes the
+    # window, so none has an a-side gap
+    assert compensator(new, fresh) == total and len(calls) == 2

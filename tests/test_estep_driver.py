@@ -54,8 +54,7 @@ def test_estep_reads_kernels_and_truncation_from_its_model():
     [(file, driver)] = _functions("_estep")
     args = driver.args
     assert file == "engine.py" and not (args.vararg or args.kwarg or args.kwonlyargs)
-    assert [a.arg for a in args.posonlyargs + args.args] == [
-        "model", "d", "children", "window", "want"]
+    assert [a.arg for a in args.posonlyargs + args.args] == ["model", "scope", "want"]
     assert _functions("fast_estep") == []
 
 

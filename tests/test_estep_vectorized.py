@@ -763,9 +763,9 @@ def test_direct_fit_keeps_statistics_not_responsibilities(monkeypatch):
     assert len(built) > 7
     built[:] = []
 
-    def recorded_driver(model, d, children, window, want):
+    def recorded_driver(model, scope, want):
         wants.append(want == "stats")
-        return driver(model, d, children, window, want)
+        return driver(model, scope, want)
 
     monkeypatch.setattr(engine, "_estep", recorded_driver)
     report = fit(model, d, max_iters=6, tol=0.0, engine="direct")
@@ -857,10 +857,10 @@ def test_a_candidate_that_beats_its_retry_gets_its_statistics_back(monkeypatch):
             new = replace(new, baseline=new.baseline.scaled(0.2))
         return new
 
-    def recorded(m, d, children, window, want_stats=False):
+    def recorded(m, scope, want_stats=False):
         if want_stats:
             twice.append(m)
-        return evaluate(m, d, children, window, want_stats)
+        return evaluate(m, scope, want_stats)
 
     monkeypatch.setattr(engine, "m_step", losing_retry)
     model, d = _slow_delay_case()
