@@ -387,52 +387,58 @@ def _parent_pool(comp: KernelComponent, d: Dataset) -> np.ndarray:
 
 
 class _ExposureBase:
-    """One component's possible parents against one window (a, b]: the
-    gaps b - t of the pool events before b, the gaps a - t of those
-    before a (the first ones, as times are sorted), each one's fertility
-    pattern, and which patterns occur (``seen``, read-only). Every gap is
-    positive, so the delay mass of a pool event in the window is one
-    ``cdf`` of its b-side gap less, before a only, one of its a-side gap:
-    the other events' a-side ``delays.cdf`` is exactly 0."""
+    """The possible parents under one source restriction against one
+    window (a, b]: the gaps b - t of the pool events before b, the gaps
+    a - t of those before a (the first ones, as times are sorted), each
+    one's fertility pattern, which patterns occur (``seen``, read-only),
+    and per component name the exposures of the last delay it asked for.
+    Every gap is positive, so the delay mass of a pool event in the window
+    is one ``cdf`` of its b-side gap less, before a only, one of its
+    a-side gap: the other events' a-side ``delays.cdf`` is exactly 0."""
 
     def __init__(self, comp: KernelComponent, d: Dataset, a: float, b: float):
-        pool = _parent_pool(comp, d)
-        t = d.times[pool]
-        k = int(np.searchsorted(t, b, side="left"))
-        t = t[:k]
-        self.gaps_b, self.gaps_a = b - t, a - t[:int(np.searchsorted(t, a, side="left"))]
         _, pattern, self.n_patterns = d.schema.fertility_patterns(d)
-        self.pattern = pattern[pool[:k]]
+        if comp.sources is None:  # every event: slices, no gathered copies
+            k = int(np.searchsorted(d.times, b, side="left"))
+            t, self.pattern = d.times[:k], pattern[:k]
+        else:
+            pool = _parent_pool(comp, d)
+            t = d.times[pool]
+            k = int(np.searchsorted(t, b, side="left"))
+            t, self.pattern = t[:k], pattern[pool[:k]]
+        self.gaps_b, self.gaps_a = b - t, a - t[:int(np.searchsorted(t, a, side="left"))]
         self.seen = np.bincount(self.pattern, minlength=self.n_patterns) > 0
         self.seen.flags.writeable = False
-        self.delay = self.exposure = None
+        self.last: dict = {}
 
-    def under(self, delay: DelaySpec) -> np.ndarray:
+    def under(self, name: str, delay: DelaySpec) -> np.ndarray:
         """The delay mass per fertility pattern under ``delay``, read-only,
-        kept for the last delay asked."""
-        if self.exposure is None or self.delay != delay:
+        kept per component name for the last delay asked."""
+        last = self.last.get(name)
+        if last is None or last[0] != delay:
             mass = delay.cdf(self.gaps_b)
             if self.gaps_a.size:
                 mass[:self.gaps_a.size] -= delay.cdf(self.gaps_a)
             exposure = np.bincount(self.pattern, weights=mass, minlength=self.n_patterns)
             exposure.flags.writeable = False
-            self.delay, self.exposure = delay, exposure
-        return self.exposure
+            last = self.last[name] = (delay, exposure)
+        return last[1]
 
 
 def _window_exposure(comp: KernelComponent, delay: DelaySpec, d: Dataset,
                      a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     """Per fertility pattern, whether some event of it may parent children
     inside (a, b] under this component, and the delay mass they put there,
-    both read-only. The component's ``_ExposureBase`` is cached on the
-    dataset per window and holds the exposures of the last delay asked, so
-    the compensator after an M-step reuses the exposures the M-step
+    both read-only. The ``_ExposureBase`` of the component's sources is
+    cached on the dataset per window, shared by the components with those
+    sources, and holds each component's exposures of the last delay asked,
+    so the compensator after an M-step reuses the exposures the M-step
     computed."""
-    key = (comp.name, comp.sources, a, b)
+    key = (comp.sources, a, b)
     base = d.window_exposures.get(key)
     if base is None:
         base = d.window_exposures[key] = _ExposureBase(comp, d, a, b)
-    return base.seen, base.under(delay)
+    return base.seen, base.under(comp.name, delay)
 
 
 def _check_components(estep: EStepStats, model: CascadeModel) -> None:
@@ -474,26 +480,18 @@ class _Scope:
     restriction the pool, its times and each child's right edge in it (the
     place of its first pool event at or after the child), which no
     truncation cutoff moves. A fit builds one for its data and one for its
-    held-out triple; a public function called alone builds its own."""
+    held-out triple; a public function called alone builds its own, and
+    ``intensity`` one whose child ids (``kids``) are its query alone."""
 
     def __init__(self, d: Dataset, children: np.ndarray | None,
-                 window: tuple[float, float] | None):
+                 window: tuple[float, float] | None, kids: np.ndarray | None = None):
         self.d, self.children, self.window = d, children, _resolve_window(d, window)
-        self.kids = _child_ids(d, children, self.window)
+        self.kids = _child_ids(d, children, self.window) if kids is None else kids
         self.kid_times = d.times[self.kids]
         self.codes, self.n_codes = d.schema.pattern_codes(d)
         self.kid_codes = self.codes[self.kids]
         self.rows, self.pattern, self.n_patterns = d.schema.fertility_patterns(d)
         self.pools: dict = {}
-
-    def serves(self, d: Dataset, children: np.ndarray | None,
-               window: tuple[float, float] | None) -> bool:
-        """Whether this scope is what (d, children, window) resolve to: the
-        same dataset and mask objects and an equal window tuple."""
-        if window is None:
-            window = (d.start, d.horizon)
-        return (d is self.d and children is self.children
-                and isinstance(window, tuple) and window == self.window)
 
     def pool(self, comp: KernelComponent) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
         """(pool, times, right edges) for comp's sources: the events allowed
@@ -843,9 +841,7 @@ def intensity(model: CascadeModel, history: Dataset, t: float, x: Mark) -> float
     # the events inside some component's truncation window, then (t, x)
     lo, hi = np.searchsorted(history.times, [t - max(cutoffs, default=0.0), t], side="left")
     d = history._with_query(int(lo), int(hi), t, x)
-    query = np.zeros(len(d), dtype=bool)
-    query[-1] = True  # the one child
-    scope = _Scope(d, query, None)
+    scope = _Scope(d, None, None, kids=np.array([len(d) - 1]))  # (t, x), the one child
     windows = [_pair_window(c, scope, cut) for c, cut in zip(comps, cutoffs)]
     sums = [None] * len(comps)
     _Pairs(model, scope, list(range(len(comps))), windows, None).intensity(0, 1, sums)
@@ -909,22 +905,25 @@ def m_step(model: CascadeModel, d: Dataset, estep: EStepStats,
     kept and every remaining update is an exact coordinate ascent, which
     fit() uses as a fallback to keep the likelihood nondecreasing.
 
-    The E-step's scope (``_Scope``) is reused when it was built for this
-    dataset object, mask object and window. Then the model is validated
-    unless it shares the baseline and components objects of the E-step's
-    model, which are all that ``validate_model`` reads: an E-step runs
-    only on a validated model or on an M-step's output from one.
+    The model is validated unless the E-step ran on this dataset object
+    and mask object and the model shares the baseline and components
+    objects of the E-step's model, which are all that ``validate_model``
+    reads: an E-step runs only on a validated model or on an M-step's
+    output from one. The E-step's scope (``_Scope``) is reused when it
+    was also built for this window.
     """
     if not isinstance(estep, EStepStats):
         raise TypeError("m_step reads EStepStats, from estep_stats, "
                         f"not {type(estep).__name__}")
     scope = estep.scope
-    if scope is not None and not scope.serves(d, children, window):
+    if scope is not None and not (scope.d is d and scope.children is children):
         scope = None
     if scope is None or not (estep.model.baseline is model.baseline
                              and estep.model.components is model.components):
         validate_model(model, d.schema)
-    a, b = window = _resolve_window(d, window) if scope is None else scope.window
+    a, b = window = _resolve_window(d, window)
+    if scope is not None and scope.window != window:
+        scope = None
     _check_components(estep, model)
     z_base, stats = estep.z_base, estep.components
     if z_base.size != len(d):

@@ -444,12 +444,13 @@ class Dataset:
 
     @cached_property
     def window_exposures(self) -> dict:
-        """Per (component name, sources, a, b): the engine's exposure base
-        of that component's parents against the window (a, b], which keeps
-        per fertility pattern whether some event of it may parent children
-        there and the delay mass they put there under the delay last asked
-        for. The engine fills it on first use; a subset or merged dataset
-        starts with an empty one."""
+        """Per (sources, a, b): the engine's exposure base of the events
+        allowed to parent under those sources against the window (a, b],
+        which keeps per fertility pattern whether some event of it may
+        parent children there and, per component name, the delay mass
+        they put there under the delay last asked for. The engine fills
+        it on first use; a subset or merged dataset starts with an empty
+        one."""
         return {}
 
     @property

@@ -774,6 +774,24 @@ def test_window_exposure_cache_hits_misses_and_fresh_datasets(case):
         assert fresh.window_exposures == {}
 
 
+def test_components_with_the_same_sources_share_one_exposure_base():
+    d, comp = _exposure_data()[1]
+    other = replace(comp, name="other")
+    first = engine._window_exposure(comp, ExponentialDelay(1.0), d, 2.0, 7.0)
+    second = engine._window_exposure(other, GammaDelay(2.0, 2.0), d, 2.0, 7.0)
+    assert first[0] is second[0] and first[1] is not second[1]
+    # each keeps its own last exposure, so asking again hits both
+    assert engine._window_exposure(comp, ExponentialDelay(1.0), d, 2.0, 7.0)[1] is first[1]
+    assert engine._window_exposure(other, GammaDelay(2.0, 2.0), d, 2.0, 7.0)[1] is second[1]
+    np.testing.assert_array_equal(
+        second[1], _exposure_uncached(other, GammaDelay(2.0, 2.0), d, 2.0, 7.0)[1])
+    [base] = d.window_exposures.values()
+    assert sorted(base.last) == ["k", "other"]
+    # every event may parent, so the patterns are a slice of the dataset's
+    # column, not a gathered copy
+    assert np.shares_memory(base.pattern, d.schema.fertility_patterns(d)[1])
+
+
 def test_compensator_after_m_step_reuses_its_exposures(monkeypatch):
     model = CascadeModel(
         HomogeneousBaseline(0.6, LabelMarginal((0.5, 0.5))),

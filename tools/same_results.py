@@ -3,7 +3,7 @@ on the package at a git revision and on the working tree, and compare
 what they write and what they count.
 
     python3 tools/same_results.py REV
-    python3 tools/same_results.py REV --seeds 1 3 --workloads graph-ring --smoke
+    python3 tools/same_results.py REV --smoke
 
 Run from anywhere inside the repository. REV is materialised with
 ``git archive`` and the working tree's ``src/`` is copied, both into one
@@ -19,8 +19,9 @@ compared byte for byte. graph-fit runs twice per side, traced in one
 process (``--workers 1``) and untraced with ``--workers 2``, as forked
 workers' spans are not collected.
 
-Every output tree must match byte for byte and every count exactly. The
-tool prints one verdict table and exits 1 on any difference (2 when an
+Every workload runs at seeds 1 and 3, two processes at a time. Every
+output tree must match byte for byte and every count exactly. The tool
+prints one verdict table and exits 1 on any difference (2 when an
 operation fails). The perfbench definitions (workloads, operations,
 traced entry points) are read from this checkout for both sides.
 """
@@ -70,7 +71,11 @@ def materialise(rev: str, dest: str) -> str:
     tar = subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", rev, "src"],
                          capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as fh:
-        fh.extractall(dest, filter="data")
+        # git's own archive: the "data" filter only where tarfile has one
+        if hasattr(tarfile, "data_filter"):
+            fh.extractall(dest, filter="data")
+        else:
+            fh.extractall(dest)
     return os.path.join(dest, "src")
 
 
@@ -150,7 +155,7 @@ def _runs(names, seeds) -> list[tuple]:
 
 
 def compare_trees(ref_src: str, new_src: str, work: str, names, seeds=SEEDS,
-                  smoke: bool = False, jobs: int = 2) -> list[dict]:
+                  smoke: bool = False) -> list[dict]:
     """Run every operation under both package trees and compare; one row
     per operation, with ``same`` False on any difference."""
     inputs = {(n, s): os.path.join(work, "inputs", f"{n}-{s}") for n in names for s in seeds}
@@ -167,7 +172,7 @@ def compare_trees(ref_src: str, new_src: str, work: str, names, seeds=SEEDS,
         return _child(src, "op", name, seed, flag, inputs[name, seed], op,
                       out_dir(side, run), workers, int(traced))
 
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
+    with ThreadPoolExecutor(max_workers=2) as pool:  # two processes at a time
         made = list(pool.map(lambda key: _child(ref_src, "generate", key[0], key[1], flag,
                                                 inputs[key]), inputs))
         bad = [m["error"] for m in made if "error" in m]
@@ -217,17 +222,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("rev", help="git revision to compare the working tree with")
-    parser.add_argument("--seeds", type=int, nargs="+", default=list(SEEDS))
-    parser.add_argument("--workloads", nargs="+", choices=names, default=names)
     parser.add_argument("--smoke", action="store_true", help="the workloads' tiny inputs")
-    parser.add_argument("--jobs", type=int, default=2, help="processes run at once")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="same-results-") as work:
         ref = materialise(args.rev, os.path.join(work, "rev"))
         new = copy_working_tree(os.path.join(work, "tree"))
-        rows = compare_trees(ref, new, work, args.workloads, args.seeds, args.smoke,
-                             max(1, args.jobs))
-    print(f"# {args.rev} against the working tree, seeds {args.seeds}"
+        rows = compare_trees(ref, new, work, names, SEEDS, args.smoke)
+    print(f"# {args.rev} against the working tree, seeds {list(SEEDS)}"
           + (", smoke size" if args.smoke else ""))
     print(format_table(rows))
     if any(r["failed"] for r in rows):
