@@ -31,11 +31,17 @@ visited twice. One rule (``_on_scan``) picks each component's kernel
 from the model alone. Every log likelihood and every E-step of a fit is
 one ``_evaluate`` call; the fast engine's fit evaluates the model at
 truncation mass 0, where the rule puts every component on the scan.
+
+The dataset derives node membership (``Dataset.at_nodes``); the engine
+keeps per dataset and source restriction one pool (``_Pool``) of the
+events that may parent, with per window the exposures the M-step and
+the compensator read; a fit's ``_Scope`` keeps its children's edges.
 """
 
 from __future__ import annotations
 
 import warnings
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import Union
 
@@ -358,87 +364,64 @@ def baseline_integral(baseline: BaselineSpec, a: float, b: float) -> float:
     return 0.0 if b <= a else baseline.integral(a, b)
 
 
-def _source_entry(comp: KernelComponent, d: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """The (mask, indices) of the events at the component's source nodes,
-    cached on the dataset per source tuple and read-only."""
-    key = tuple(comp.sources)
-    entry = d.source_pools.get(key)
-    if entry is None:
-        names, codes = d.node_codes
-        mask = np.isin(names, key)[codes]
-        pool = np.nonzero(mask)[0].astype(np.int64)
-        mask.flags.writeable = pool.flags.writeable = False
-        entry = d.source_pools[key] = (mask, pool)
-    return entry
+class _Pool:
+    """The events of a dataset that may parent under ``sources`` (None:
+    every event): their mask and indices (``Dataset.at_nodes``; None for
+    every event), times and fertility patterns (for every event, the
+    dataset's own columns). Per window (a, b] it keeps the gaps b - t of
+    its events before b, the gaps a - t of those before a, which patterns
+    occur (``seen``) and, per component name, the exposures of the last
+    delay asked. Every gap is positive, so an event's delay mass in the
+    window is one ``cdf`` of its b-side gap less, before a only, one of
+    its a-side gap: the other a-side ``delays.cdf`` is exactly 0."""
 
-
-def _source_mask(comp: KernelComponent, d: Dataset) -> np.ndarray | None:
-    """Which events may parent under this component; None when all may."""
-    if comp.sources is None:
-        return None
-    return _source_entry(comp, d)[0]
-
-
-def _parent_pool(comp: KernelComponent, d: Dataset) -> np.ndarray:
-    """Sorted indices of the events allowed to parent under this component."""
-    if comp.sources is None:
-        return np.arange(len(d), dtype=np.int64)
-    return _source_entry(comp, d)[1]
-
-
-class _ExposureBase:
-    """The possible parents under one source restriction against one
-    window (a, b]: the gaps b - t of the pool events before b, the gaps
-    a - t of those before a (the first ones, as times are sorted), each
-    one's fertility pattern, which patterns occur (``seen``, read-only),
-    and per component name the exposures of the last delay it asked for.
-    Every gap is positive, so the delay mass of a pool event in the window
-    is one ``cdf`` of its b-side gap less, before a only, one of its
-    a-side gap: the other events' a-side ``delays.cdf`` is exactly 0."""
-
-    def __init__(self, comp: KernelComponent, d: Dataset, a: float, b: float):
+    def __init__(self, d: Dataset, sources: tuple | None):
         _, pattern, self.n_patterns = d.schema.fertility_patterns(d)
-        if comp.sources is None:  # every event: slices, no gathered copies
-            k = int(np.searchsorted(d.times, b, side="left"))
-            t, self.pattern = d.times[:k], pattern[:k]
+        if sources is None:
+            self.mask = self.index = None
+            self.times, self.pattern = d.times, pattern
         else:
-            pool = _parent_pool(comp, d)
-            t = d.times[pool]
-            k = int(np.searchsorted(t, b, side="left"))
-            t, self.pattern = t[:k], pattern[pool[:k]]
-        self.gaps_b, self.gaps_a = b - t, a - t[:int(np.searchsorted(t, a, side="left"))]
-        self.seen = np.bincount(self.pattern, minlength=self.n_patterns) > 0
-        self.seen.flags.writeable = False
-        self.last: dict = {}
+            self.mask, self.index = d.at_nodes(sources)
+            self.times, self.pattern = d.times[self.index], pattern[self.index]
+        self.windows: dict = {}
 
-    def under(self, name: str, delay: DelaySpec) -> np.ndarray:
-        """The delay mass per fertility pattern under ``delay``, read-only,
-        kept per component name for the last delay asked."""
-        last = self.last.get(name)
-        if last is None or last[0] != delay:
-            mass = delay.cdf(self.gaps_b)
-            if self.gaps_a.size:
-                mass[:self.gaps_a.size] -= delay.cdf(self.gaps_a)
-            exposure = np.bincount(self.pattern, weights=mass, minlength=self.n_patterns)
+    def exposure(self, name: str, delay: DelaySpec, a: float,
+                 b: float) -> tuple[np.ndarray, np.ndarray]:
+        """Per fertility pattern, whether a pool event of it may parent
+        inside (a, b] and their delay mass there under ``delay``, both
+        read-only; the compensator after an M-step reuses the M-step's."""
+        base = self.windows.get((a, b))
+        if base is None:
+            t = self.times[:int(np.searchsorted(self.times, b, side="left"))]
+            seen = np.bincount(self.pattern[:t.size], minlength=self.n_patterns) > 0
+            seen.flags.writeable = False
+            base = self.windows[a, b] = (
+                b - t, a - t[:int(np.searchsorted(t, a, side="left"))], seen, {})
+        gaps_b, gaps_a, seen, last = base
+        kept = last.get(name)
+        if kept is None or kept[0] != delay:
+            mass = delay.cdf(gaps_b)
+            if gaps_a.size:
+                mass[:gaps_a.size] -= delay.cdf(gaps_a)
+            exposure = np.bincount(self.pattern[:gaps_b.size], weights=mass,
+                                   minlength=self.n_patterns)
             exposure.flags.writeable = False
-            last = self.last[name] = (delay, exposure)
-        return last[1]
+            kept = last[name] = (delay, exposure)
+        return seen, kept[1]
 
 
-def _window_exposure(comp: KernelComponent, delay: DelaySpec, d: Dataset,
-                     a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per fertility pattern, whether some event of it may parent children
-    inside (a, b] under this component, and the delay mass they put there,
-    both read-only. The ``_ExposureBase`` of the component's sources is
-    cached on the dataset per window, shared by the components with those
-    sources, and holds each component's exposures of the last delay asked,
-    so the compensator after an M-step reuses the exposures the M-step
-    computed."""
-    key = (comp.sources, a, b)
-    base = d.window_exposures.get(key)
-    if base is None:
-        base = d.window_exposures[key] = _ExposureBase(comp, d, a, b)
-    return base.seen, base.under(comp.name, delay)
+# per dataset, its pools by source restriction, dropped with the dataset
+_pools: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _pool(d: Dataset, sources: tuple | None) -> _Pool:
+    """The events of ``d`` that may parent under ``sources``, built once
+    per dataset and restriction."""
+    pools = _pools.setdefault(d, {})
+    pool = pools.get(sources)
+    if pool is None:
+        pool = pools[sources] = _Pool(d, sources)
+    return pool
 
 
 def _check_components(estep: EStepStats, model: CascadeModel) -> None:
@@ -477,11 +460,13 @@ class _Scope:
     E-step and M-step: the dataset, the child mask and the resolved window,
     the child ids and times, the pattern view (every event's pattern code
     and fertility pattern, the children's codes), and per parent source
-    restriction the pool, its times and each child's right edge in it (the
-    place of its first pool event at or after the child), which no
-    truncation cutoff moves. A fit builds one for its data and one for its
-    held-out triple; a public function called alone builds its own, and
-    ``intensity`` one whose child ids (``kids``) are its query alone."""
+    restriction each child's right edge in its pool (the place of its
+    first pool event at or after the child), which no truncation cutoff
+    moves. The pools themselves (``_Pool``) belong to the dataset, so
+    every scope over it shares them. A fit builds one scope for its data
+    and one for its held-out triple; a public function called alone
+    builds its own, and ``intensity`` one whose child ids (``kids``) are
+    its query alone."""
 
     def __init__(self, d: Dataset, children: np.ndarray | None,
                  window: tuple[float, float] | None, kids: np.ndarray | None = None):
@@ -491,18 +476,16 @@ class _Scope:
         self.codes, self.n_codes = d.schema.pattern_codes(d)
         self.kid_codes = self.codes[self.kids]
         self.rows, self.pattern, self.n_patterns = d.schema.fertility_patterns(d)
-        self.pools: dict = {}
+        self.edges: dict = {}
 
-    def pool(self, comp: KernelComponent) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-        """(pool, times, right edges) for comp's sources: the events allowed
-        to parent (None when all may), their times, and each child's
-        ``searchsorted(times, child time)``."""
-        entry = self.pools.get(comp.sources)
+    def parents(self, comp: KernelComponent) -> tuple[_Pool, np.ndarray]:
+        """comp's pool and each child's ``searchsorted(pool.times, child
+        time)``."""
+        entry = self.edges.get(comp.sources)
         if entry is None:
-            pool = None if comp.sources is None else _parent_pool(comp, self.d)
-            times = self.d.times if pool is None else self.d.times[pool]
-            entry = self.pools[comp.sources] = (
-                pool, times, np.searchsorted(times, self.kid_times, side="left"))
+            pool = _pool(self.d, comp.sources)
+            entry = self.edges[comp.sources] = (
+                pool, np.searchsorted(pool.times, self.kid_times, side="left"))
         return entry
 
 
@@ -560,15 +543,16 @@ def _kernel_factors(comp: KernelComponent, scope: _Scope):
 
 
 def _pair_window(comp: KernelComponent, scope: _Scope, cut: float):
-    """Each child's candidate parents under comp: (pool, lo, cnt, starts),
-    the allowed parents (None when all may parent), the first candidate's
-    place among them, their count and the offset of its first pair. Only
-    the left edge depends on the cutoff; the scope keeps the right one."""
-    pool, times, hi = scope.pool(comp)
+    """Each child's candidate parents under comp: (index, lo, cnt, starts),
+    the indices of its pool (None when all may parent), the first
+    candidate's place in the pool, their count and the offset of its
+    first pair. Only the left edge depends on the cutoff; the scope keeps
+    the right one."""
+    pool, hi = scope.parents(comp)
     # an infinite cutoff searches for -inf, which lands on the first parent
-    lo = np.searchsorted(times, scope.kid_times - cut, side="left")
+    lo = np.searchsorted(pool.times, scope.kid_times - cut, side="left")
     cnt = hi - lo
-    return pool, lo, cnt, np.concatenate(([0], np.cumsum(cnt)))
+    return pool.index, lo, cnt, np.concatenate(([0], np.cumsum(cnt)))
 
 
 class _Pairs:
@@ -698,7 +682,8 @@ def _on_scan(model: CascadeModel, scope: _Scope, cutoffs: list[float],
         per_event = 2 * scope.n_codes
         choice.append(pairs > kids.size * per_event
                       and scan_applicable(replace(model, components=(comp,)), d)
-                      and pairs > _scan_events([comp], d, kids, [cut]).size * per_event)
+                      and pairs > per_event * _scan_events(
+                          [_pool(d, comp.sources).mask], d, kids, [cut]).size)
     return choice
 
 
@@ -788,7 +773,7 @@ def compensator(model: CascadeModel, d: Dataset,
     rows, _, n_patterns = d.schema.fertility_patterns(d)
     total = baseline_integral(model.baseline, a, b)
     for comp in model.components:
-        exposure = _window_exposure(comp, comp.delay, d, a, b)[1]
+        exposure = _pool(d, comp.sources).exposure(comp.name, comp.delay, a, b)[1]
         total += float(np.dot(comp.fertility.rates(rows, n_patterns), exposure))
     return float(total)
 
@@ -970,7 +955,7 @@ def m_step(model: CascadeModel, d: Dataset, estep: EStepStats,
     rows = scope.rows
     new_ferts: list[FertilitySpec] = []
     for ci, comp in enumerate(comps):
-        seen, exposure = _window_exposure(comp, new_delays[ci], d, a, b)
+        seen, exposure = _pool(d, comp.sources).exposure(comp.name, new_delays[ci], a, b)
         new_ferts.append(fert_mod.update(comp.fertility, None if rows is None else rows[seen],
                                          stats[ci].credits[seen], exposure[seen]))
 
@@ -1129,21 +1114,22 @@ class _DecayedSums:
         return tuple(None if x[0] is None else np.concatenate(x, axis=1) for x in zip(*parts))
 
 
-def _scan_events(comps, d: Dataset, kids: np.ndarray, cutoffs: list[float]) -> np.ndarray:
-    """The events the scan of components ``comps`` walks: from the first
-    one inside some child's truncation window to the last child, those
-    that may parent under some of them or are children, so the scan of a
-    node's fit reads only its children and parent pools, as pairs do."""
+def _scan_events(masks, d: Dataset, kids: np.ndarray, cutoffs: list[float]) -> np.ndarray:
+    """The events a scan walks: from the first one inside some child's
+    truncation window to the last child, those that may parent under some
+    of its components (their pools' ``masks``, None for every event) or
+    are children, so the scan of a node's fit reads only its children and
+    parent pools, as pairs do."""
     if not kids.size:
         return kids
     t = d.times[kids[0]] - max(cutoffs, default=0.0)
     start, end = int(np.searchsorted(d.times, t, side="left")), int(kids[-1]) + 1
-    if any(c.sources is None for c in comps):
+    if any(mask is None for mask in masks):
         return np.arange(start, end)
     keep = np.zeros(end - start, dtype=bool)
     keep[kids - start] = True
-    for c in comps:
-        keep |= _source_mask(c, d)[start:end]
+    for mask in masks:
+        keep |= mask[start:end]
     return start + np.flatnonzero(keep)
 
 
@@ -1186,10 +1172,11 @@ class _Scan:
                                   * c.transition.g_patterns(d).T
                                   for c in self.specs]).reshape(C, P, P)
         # the walk runs over the events of _scan_events, numbered from 0
-        walked = _scan_events(self.specs, d, kids, [cutoffs[c] for c in comps])
+        masks = [_pool(d, comp.sources).mask for comp in self.specs]
+        walked = _scan_events(masks, d, kids, [cutoffs[c] for c in comps])
         self.times, self.codes = d.times[walked], codes[walked]
-        sources = np.array([np.ones(walked.size) if comp.sources is None
-                            else _source_mask(comp, d)[walked] for comp in self.specs], float)
+        sources = np.array([np.ones(walked.size) if mask is None else mask[walked]
+                            for mask in masks], float)
         self.at_kid = np.searchsorted(walked, kids)
         blocks = list(_scan_blocks(self.times, walked.size, max(1, PAIR_CHUNK // max(C * P, 1)),
                                    EXP_LIMIT / rates.max() if rates.max() > 0 else np.inf))

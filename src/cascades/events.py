@@ -340,6 +340,8 @@ class Dataset:
     equal timestamps keep their input order, and checked; an event's id
     is its sorted rank. ``start`` is nonzero only for split tails, where
     the dataset represents the window (start, horizon] of a longer stream.
+    Node membership is derived here alone (``at_nodes``), for the
+    engine's parent pools and for graph-fit.
     """
 
     def __init__(self, events: Iterable[Event], horizon: float, schema: MarkSchema,
@@ -435,23 +437,17 @@ class Dataset:
         """Distinct node ids (sorted), and each event's index into them."""
         return np.unique(self.node_ids, return_inverse=True)
 
-    @cached_property
-    def source_pools(self) -> dict:
-        """Per tuple of node ids: a read-only mask of the events at those
-        nodes and their indices. The engine fills it on first use; a
-        subset or merged dataset starts with an empty one."""
-        return {}
-
-    @cached_property
-    def window_exposures(self) -> dict:
-        """Per (sources, a, b): the engine's exposure base of the events
-        allowed to parent under those sources against the window (a, b],
-        which keeps per fertility pattern whether some event of it may
-        parent children there and, per component name, the delay mass
-        they put there under the delay last asked for. The engine fills
-        it on first use; a subset or merged dataset starts with an empty
-        one."""
-        return {}
+    def at_nodes(self, nodes: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """A read-only mask of the events at ``nodes`` (a tuple of node
+        ids) and their indices, ascending. The one place node membership
+        is derived, by one set lookup per distinct node (``node_codes``);
+        not cached, as the engine keeps its parent pools."""
+        names, codes = self.node_codes
+        wanted = set(nodes)
+        mask = np.array([name in wanted for name in names.tolist()], dtype=bool)[codes]
+        index = np.nonzero(mask)[0].astype(np.int64)
+        mask.flags.writeable = index.flags.writeable = False
+        return mask, index
 
     @property
     def n_label_values(self) -> int:

@@ -32,8 +32,9 @@ import numpy as np
 
 from .delays import DelaySpec, ExponentialDelay
 from .engine import (CascadeModel, HomogeneousBaseline, KernelComponent, _check_em_limits,
-                     _evaluate, _ll_decreased, _Scope, e_step, expected_transition_counts, fit,
-                     m_step, validate_model, windowed_log_likelihood)
+                     _child_ids, _evaluate, _ll_decreased, _pool, _Scope, e_step,
+                     expected_transition_counts, fit, m_step, validate_model,
+                     windowed_log_likelihood)
 from .errors import ConfigError, DataError
 from .events import CompositeSchema, Dataset, _jsonl_objects
 from .fertility import ConstantFertility
@@ -187,8 +188,8 @@ def node_model(graph: Graph, d: Dataset, v: str, variant: str,
     L = d.n_label_values
     if marginal is None:
         marginal = _smoothed_marginal(d)
-    mask_v = d.node_ids == v
-    n_v = int(np.sum(mask_v & (d.times > a) & (d.times <= b)))
+    # the node's events the fit scores: an event at t = 0 counts when a == 0
+    n_v = _child_ids(d, d.at_nodes((v,))[0], window).size
     baseline = HomogeneousBaseline(max(n_v, 0.5) / duration, marginal)
 
     uniform_dir = tuple(tuple(1.0 / L for _ in range(L)) for _ in range(L))
@@ -263,24 +264,24 @@ def _ll_decreases(trace) -> int:
 
 
 def _fit_per_neighbor(model: CascadeModel, d: Dataset, mask: np.ndarray,
-                      window: tuple[float, float], neighbors: tuple[str, ...],
-                      pool_weight: float, max_iters: int,
+                      window: tuple[float, float], pool_weight: float, max_iters: int,
                       tol: float) -> tuple[CascadeModel, list, bool]:
     """EM with the neighbor rates replaced by their shrunken blend after
     every M-step. Not exact EM, so no monotonicity is enforced. One
     E-step per iteration gives both the LL of the model it scores and
-    the statistics of the next M-step, neighbor credits included.
-    Returns the model, the LL trace and whether the tolerance test
-    stopped it; like fit, a window without children keeps the initial
-    model. Like fit, it validates the model once and resolves its scope
-    once."""
+    the statistics of the next M-step, neighbor credits included. As
+    ``node_model`` builds the model, each component after "self" is one
+    in-neighbour's, whose raw count is its pool's events before the
+    window's end. Returns the model, the LL trace and whether the
+    tolerance test stopped it; like fit, a window without children keeps
+    the initial model. Like fit, it validates the model once and
+    resolves its scope once."""
     _check_em_limits(max_iters, tol)
     validate_model(model, d.schema)
     scope = _Scope(d, mask, window)
-    a, b = window
-    nbr_idx = [ci for ci, comp in enumerate(model.components)
-               if comp.name.startswith("nbr:")]
-    m_counts = np.array([np.sum((d.node_ids == u) & (d.times < b)) for u in neighbors],
+    nbr_idx = list(range(1, len(model.components)))
+    m_counts = np.array([np.searchsorted(_pool(d, model.components[ci].sources).times,
+                                         window[1], side="left") for ci in nbr_idx],
                         dtype=np.float64)
     stats, ll = _evaluate(model, scope, want_stats=max_iters > 0)
     trace = [ll]
@@ -319,10 +320,10 @@ def fit_node(graph: Graph, d: Dataset, v: str, variant: str, hyper: Hyperparams,
         window = (d.start, d.horizon)
     model, contexts = node_model(graph, d, v, variant, hyper, strength,
                                  delay_init, window, marginal)
-    mask = d.node_ids == v
+    mask = d.at_nodes((v,))[0]
     if variant == "per_neighbor" and graph.incoming[v]:
-        model, trace, converged = _fit_per_neighbor(
-            model, d, mask, window, graph.incoming[v], pool_weight, max_iters, tol)
+        model, trace, converged = _fit_per_neighbor(model, d, mask, window, pool_weight,
+                                                    max_iters, tol)
     else:
         report = fit(model, d, max_iters, tol, children=mask, window=window,
                      update_baseline_mark=False, on_decrease="warn",
@@ -345,8 +346,7 @@ def local_data(graph: Graph, d: Dataset, nodes) -> Dataset:
     keep = set(nodes)
     for v in nodes:
         keep.update(graph.incoming[v])
-    names, codes = d.node_codes
-    index = np.nonzero(np.isin(names, sorted(keep))[codes])[0]
+    index = d.at_nodes(tuple(sorted(keep)))[1]
     return d if index.size == len(d) else d.subset(index)
 
 
@@ -387,7 +387,7 @@ def _score_block(task) -> list:
     out = []
     for v in nodes:
         dv = local_data(fitter.graph, d, (v,))
-        mask = dv.node_ids == v
+        mask = dv.at_nodes((v,))[0]
         scores = {}
         for cand in candidates:
             head = fitter(dv, v, cand, (a, cut), with_counts=False)
@@ -471,7 +471,7 @@ def fit_round(graph: Graph, d: Dataset, variant: str, hyper: Hyperparams, *,
     """
     if not isinstance(d.schema, CompositeSchema):
         raise DataError("graph fitting needs composite-marked events")
-    unknown = set(np.unique(d.node_ids).tolist()) - set(graph.nodes)
+    unknown = set(d.node_ids[~d.at_nodes(graph.nodes)[0]].tolist())
     if unknown:
         raise DataError(f"events mention nodes missing from the graph: {sorted(unknown)}")
     if not 0.0 < val_fraction < 1.0:
@@ -577,7 +577,7 @@ def graph_log_likelihood(models: dict, d: Dataset, graph: Graph,
     total = 0.0
     for v in graph.nodes:
         dv = local_data(graph, d, (v,))
-        total += windowed_log_likelihood(models[v], dv, dv.node_ids == v, window)
+        total += windowed_log_likelihood(models[v], dv, dv.at_nodes((v,))[0], window)
     return float(total)
 
 

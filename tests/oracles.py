@@ -31,7 +31,7 @@ possible parent's fertility times the delay mass it puts in the window,
 event by event. The package reads marks by pattern only: it gathers
 ``pattern_probs`` by the schema's ``pattern_codes``, bins weights by
 them into ``stats_from_patterns``, and sums fertility times exposure per
-fertility pattern (``engine._window_exposure``).
+fertility pattern (``engine._Pool.exposure``).
 
 ``argmax_cause`` is an event's most responsible cause as
 ``Responsibilities.argmax_cause`` found it: every candidate pair of the
@@ -184,7 +184,8 @@ def compensator(model, d, window=None) -> float:
     X = d.feature_matrix if isinstance(d.schema, BinarySchema) else None
     total = engine.baseline_integral(model.baseline, a, b)
     for comp in model.components:
-        pool = engine._parent_pool(comp, d)
+        pool = (np.arange(len(d)) if comp.sources is None
+                else np.nonzero(np.isin(d.node_ids, comp.sources))[0])
         pool = pool[d.times[pool] < b]
         t = d.times[pool]
         mass = delay_mod.cdf(comp.delay, b - t) - delay_mod.cdf(comp.delay, a - t)

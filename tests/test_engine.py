@@ -1,5 +1,7 @@
+import gc
 import math
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -716,7 +718,8 @@ def test_label_relabeling_permutes_the_fit(engine_name, seed, perm):
 def _exposure_uncached(comp, delay, d, a, b):
     """(seen, exposure) per fertility pattern, binned from every possible
     parent's own delay mass in (a, b]."""
-    pool = engine._parent_pool(comp, d)
+    pool = (np.arange(len(d)) if comp.sources is None
+            else np.nonzero(np.isin(d.node_ids, comp.sources))[0])
     pool = pool[d.times[pool] < b]
     t = d.times[pool]
     mass = engine.delay_mod.cdf(delay, b - t) - engine.delay_mod.cdf(delay, a - t)
@@ -744,11 +747,16 @@ def _exposure_data():
                                  IdentityTransition(), ExponentialDelay(1.0))))
 
 
+def _exposure(comp, delay, d, a, b):
+    """(seen, exposure) of comp's pool under ``delay`` over (a, b]."""
+    return engine._pool(d, comp.sources).exposure(comp.name, delay, a, b)
+
+
 @pytest.mark.parametrize("case", [0, 1], ids=["composite-sources", "binary"])
 def test_window_exposure_cache_hits_misses_and_fresh_datasets(case):
     d, comp = _exposure_data()[case]
     n_patterns = d.schema.fertility_patterns(d)[2]
-    seen, exposure = engine._window_exposure(comp, comp.delay, d, 2.0, 7.0)
+    seen, exposure = _exposure(comp, comp.delay, d, 2.0, 7.0)
     assert not seen.flags.writeable and not exposure.flags.writeable
     assert seen.shape == exposure.shape == (n_patterns,)
     want = _exposure_uncached(comp, comp.delay, d, 2.0, 7.0)
@@ -757,39 +765,51 @@ def test_window_exposure_cache_hits_misses_and_fresh_datasets(case):
     if n_patterns > 1:  # a pattern with no parent before 7.0 is unseen
         assert not seen.all() and (exposure[~seen] == 0).all()
     # an equal delay hits, and so does the same component under another fertility
-    hit = engine._window_exposure(replace(comp, fertility=ConstantFertility(0.1)),
-                                  ExponentialDelay(1.0), d, 2.0, 7.0)
+    hit = _exposure(replace(comp, fertility=ConstantFertility(0.1)),
+                    ExponentialDelay(1.0), d, 2.0, 7.0)
     assert hit[0] is seen and hit[1] is exposure
     for delay, a, b in ((ExponentialDelay(2.0), 2.0, 7.0), (ExponentialDelay(2.0), 2.0, 9.0),
                         (GammaDelay(2.0, 2.0), 2.0, 9.0), (GammaDelay(2.0, 2.0), 0.0, 9.0)):
-        got = engine._window_exposure(comp, delay, d, a, b)
+        got = _exposure(comp, delay, d, a, b)
         assert got[1] is not exposure and not got[0].flags.writeable
         assert not got[1].flags.writeable
         want = _exposure_uncached(comp, delay, d, a, b)
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
-    assert d.window_exposures
+    assert engine._pool(d, comp.sources).windows
     train, test = split(d, 0.5)
     for fresh in (d.subset(np.arange(0, 40, 2)), train, test, test.merge_history(train)):
-        assert fresh.window_exposures == {}
+        assert fresh not in engine._pools
 
 
 def test_components_with_the_same_sources_share_one_exposure_base():
     d, comp = _exposure_data()[1]
     other = replace(comp, name="other")
-    first = engine._window_exposure(comp, ExponentialDelay(1.0), d, 2.0, 7.0)
-    second = engine._window_exposure(other, GammaDelay(2.0, 2.0), d, 2.0, 7.0)
+    first = _exposure(comp, ExponentialDelay(1.0), d, 2.0, 7.0)
+    second = _exposure(other, GammaDelay(2.0, 2.0), d, 2.0, 7.0)
     assert first[0] is second[0] and first[1] is not second[1]
     # each keeps its own last exposure, so asking again hits both
-    assert engine._window_exposure(comp, ExponentialDelay(1.0), d, 2.0, 7.0)[1] is first[1]
-    assert engine._window_exposure(other, GammaDelay(2.0, 2.0), d, 2.0, 7.0)[1] is second[1]
+    assert _exposure(comp, ExponentialDelay(1.0), d, 2.0, 7.0)[1] is first[1]
+    assert _exposure(other, GammaDelay(2.0, 2.0), d, 2.0, 7.0)[1] is second[1]
     np.testing.assert_array_equal(
         second[1], _exposure_uncached(other, GammaDelay(2.0, 2.0), d, 2.0, 7.0)[1])
-    [base] = d.window_exposures.values()
-    assert sorted(base.last) == ["k", "other"]
-    # every event may parent, so the patterns are a slice of the dataset's
-    # column, not a gathered copy
-    assert np.shares_memory(base.pattern, d.schema.fertility_patterns(d)[1])
+    [pool] = engine._pools[d].values()
+    [(_, _, _, last)] = pool.windows.values()
+    assert sorted(last) == ["k", "other"]
+    # every event may parent, so the patterns are the dataset's column,
+    # which a window slices, not a gathered copy
+    assert pool.pattern is d.schema.fertility_patterns(d)[1]
+
+
+def test_pools_are_dropped_with_their_dataset():
+    d, comp = _exposure_data()[0]
+    _exposure(comp, comp.delay, d, 2.0, 7.0)
+    assert d in engine._pools
+    gone = weakref.ref(d)
+    del d
+    gc.collect()
+    # no pool keeps its dataset alive
+    assert gone() is None
 
 
 def test_compensator_after_m_step_reuses_its_exposures(monkeypatch):

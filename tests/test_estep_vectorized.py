@@ -397,7 +397,8 @@ def test_source_mask_matches_node_membership():
         comp = KernelComponent("k", ConstantFertility(0.1), IdentityTransition(),
                                ExponentialDelay(1.0), sources=sources)
         expect = np.array([node in sources for node in d.node_ids])
-        np.testing.assert_array_equal(engine._source_mask(comp, d), expect)
+        np.testing.assert_array_equal(engine._pool(d, comp.sources).mask, expect)
+        np.testing.assert_array_equal(d.at_nodes(sources)[0], expect)
     names, codes = d.node_codes
     np.testing.assert_array_equal(names[codes], d.node_ids)
 

@@ -61,7 +61,8 @@ def _reference_scan(model, d, children=None, window=None):
     # weight[c][r, j]: delay rate * fertility(r) * g(j | r)
     weight = [c.delay.rate * c.fertility.rate * c.transition.g_patterns(d)
               for c in comps]
-    masks = [engine._source_mask(comp, d) for comp in comps]
+    masks = [None if comp.sources is None else np.isin(d.node_ids, comp.sources)
+             for comp in comps]
     D, E = np.zeros((C, L)), np.zeros((C, L))
     z_base, lam = np.zeros(n), np.zeros(n)
     comp_z, comp_zdt = np.zeros(C), np.zeros(C)

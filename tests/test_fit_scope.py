@@ -165,8 +165,8 @@ def test_node_fits_equal_the_public_em_loop(variant, window):
             if variant == "per_neighbor" and g.incoming[v]:
                 ref = _public_per_neighbor(model, d, mask, window, g.incoming[v], 0.25, 5,
                                            1e-9)
-                assert graphs._fit_per_neighbor(model, d, mask, window, g.incoming[v],
-                                                0.25, 5, 1e-9)[1] == ref[1]
+                assert graphs._fit_per_neighbor(model, d, mask, window, 0.25, 5,
+                                                1e-9)[1] == ref[1]
             else:
                 ref = _public_em(model, d, 5, 1e-9, mask, window, update_baseline_mark=False)
         _same((got.model, [got.train_ll], got.converged), (ref[0], ref[1][-1:], ref[2]))
@@ -205,7 +205,7 @@ def test_a_per_neighbor_fit_validates_its_model_once(monkeypatch):
                           ExponentialDelay(1.0), (0.0, 60.0))
     calls = _count_validations(monkeypatch)
     _, trace, _ = graphs._fit_per_neighbor(model, d, d.node_ids == "d", (0.0, 60.0),
-                                           g.incoming["d"], 0.5, 4, 0.0)
+                                           0.5, 4, 0.0)
     assert len(trace) == 5 and len(calls) == 1
 
 

@@ -13,11 +13,9 @@ from cascades import (CategoricalMatrix, ConfigError, DataError, Dataset,
                       update_hyperparams, windowed_log_likelihood, write_graph)
 from cascades import engine, graphs
 from cascades.config import serialize_model
-from cascades.engine import KernelComponent
 from cascades.events import CompositeMark, CompositeSchema, split
 from cascades.fertility import ConstantFertility
 from cascades.graphs import VARIANTS, _smoothed_marginal, local_data
-from cascades.transitions import IdentityTransition
 from oracles import resp_stats
 
 TRANS = CategoricalMatrix(((0.7, 0.2, 0.1), (0.1, 0.8, 0.1), (0.2, 0.2, 0.6)))
@@ -191,6 +189,19 @@ def test_node_model_variants_shape():
         node_model(g, d, "b", "nope", hyper, 1.0, ExponentialDelay(1.0), window)
 
 
+def test_node_model_counts_the_node_events_its_fit_scores():
+    # the origin is closed: a fit over (0, 10] scores b's event at t = 0
+    g = Graph(["a", "b"], {"a": ["b"]})
+    d = Dataset([Event(t, CompositeMark(1, v))
+                 for t, v in ((0.0, "b"), (1.0, "b"), (2.0, "a"), (3.0, "b"))],
+                10.0, CompositeSchema(1, frozenset(g.nodes)))
+    for window, scored in (((0.0, 10.0), 3), ((1.0, 10.0), 1)):
+        model, _ = node_model(g, d, "b", "no_neighbors", Hyperparams.uniform(1), 1.0,
+                              ExponentialDelay(1.0), window)
+        assert engine._child_ids(d, d.node_ids == "b", window).size == scored
+        assert model.baseline.rate == scored / (window[1] - window[0])
+
+
 def test_node_model_rejects_negative_strength():
     g = line_graph()
     d, _ = sim(g, seed=5)
@@ -280,6 +291,25 @@ def test_fit_round_worker_count_is_invisible():
             rounds = [fit_round(g, d, variant, hyper, workers=w, **kw) for w in (1, 2, 3)]
         for r in rounds[1:]:
             assert_fits_equal(rounds[0], r)
+
+
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 1000), shape=st.sampled_from(["line", "shapes", "ring"]),
+       variant=st.sampled_from(VARIANTS))
+def test_fit_round_at_two_and_three_workers_equals_one(seed, shape, variant):
+    # the one-worker round runs first, so the forked workers inherit the
+    # node masks it cached on d, and build masks and parent pools of their
+    # own for the block data they receive
+    g = {"line": line_graph, "shapes": shapes_graph, "ring": ring_graph}[shape]()
+    d, _ = sim(g, horizon=20.0, seed=seed)
+    kw = dict(strength_grid=(1.0, 10.0), pool_grid=(0.0, 1.0), val_fraction=0.3,
+              max_iters=3, tol=1e-4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rounds = [fit_round(g, d, variant, Hyperparams.uniform(3), workers=w, **kw)
+                  for w in (1, 2, 3)]
+    for r in rounds[1:]:
+        assert_fits_equal(rounds[0], r)
 
 
 def test_fit_round_rejects_worker_counts_below_one():
@@ -504,22 +534,23 @@ def test_parent_pool_cache_matches_isin_and_stays_on_its_dataset():
     d, _ = sim(g, seed=12)
     train, test = split(d, 0.7)
     for data in (d, train, test.merge_history(train), d.subset(np.arange(0, len(d), 3))):
-        assert data.source_pools == {}
+        assert data not in engine._pools
         for sources in (("b",), ("c", "a"), ("absent",)):
-            comp = KernelComponent("k", ConstantFertility(0.1), IdentityTransition(),
-                                   ExponentialDelay(1.0), sources=sources)
             expect = np.isin(data.node_ids, sources)
-            mask = engine._source_mask(comp, data)
-            pool = engine._parent_pool(comp, data)
-            np.testing.assert_array_equal(mask, expect)
-            np.testing.assert_array_equal(pool, np.nonzero(expect)[0])
-            assert engine._source_mask(comp, data) is mask
-            assert engine._parent_pool(comp, data) is pool
-            assert not mask.flags.writeable and not pool.flags.writeable
-        assert sorted(data.source_pools) == [("absent",), ("b",), ("c", "a")]
-    # datasets derived after the cache filled start empty
-    assert d.subset(np.arange(len(d))).source_pools == {}
-    assert train.source_pools and test.merge_history(train).source_pools == {}
+            mask, index = data.at_nodes(sources)
+            pool = engine._pool(data, sources)
+            for got in (mask, pool.mask):
+                np.testing.assert_array_equal(got, expect)
+            for got in (index, pool.index):
+                np.testing.assert_array_equal(got, np.nonzero(expect)[0])
+            np.testing.assert_array_equal(pool.times, data.times[expect])
+            assert engine._pool(data, sources) is pool
+            for got in (mask, index, pool.mask, pool.index):
+                assert not got.flags.writeable
+        assert sorted(engine._pools[data]) == [("absent",), ("b",), ("c", "a")]
+    # datasets derived after the pools were built start with none
+    assert d.subset(np.arange(len(d))) not in engine._pools
+    assert train in engine._pools and test.merge_history(train) not in engine._pools
 
 
 def test_local_data_keeps_the_node_and_its_in_neighbours():
@@ -668,9 +699,10 @@ def test_per_neighbor_fit_matches_the_two_estep_loop(delay, pool_weight):
     for g, d, v, window in per_neighbor_cases():
         model, _ = node_model(g, d, v, "per_neighbor", hyper, 1.0, delay, window)
         mask = d.node_ids == v
-        args = (model, d, mask, window, g.incoming[v], pool_weight, 6, 1e-5)
+        args = (model, d, mask, window, pool_weight, 6, 1e-5)
         got, trace, converged = graphs._fit_per_neighbor(*args)
-        ref, ref_trace, ref_converged = two_estep_per_neighbor(*args)
+        ref, ref_trace, ref_converged = two_estep_per_neighbor(
+            model, d, mask, window, g.incoming[v], pool_weight, 6, 1e-5)
         assert (len(trace), converged) == (len(ref_trace), ref_converged), v
         assert_close(trace, ref_trace, v)
         assert_close(serialize_model(got), serialize_model(ref), v)
@@ -684,10 +716,10 @@ def test_per_neighbor_fit_makes_one_estep_per_iteration(monkeypatch):
     model, _ = node_model(g, d, v, "per_neighbor", Hyperparams.uniform(3), 1.0,
                           ExponentialDelay(1.0), window)
     for k in (0, 1, 4):
-        args = (model, d, d.node_ids == v, window, g.incoming[v], 0.5, k, 0.0)
+        args = (model, d, d.node_ids == v, window, 0.5, k, 0.0)
         calls[:] = []
         _, trace, _ = graphs._fit_per_neighbor(*args)
         assert len(trace) == k + 1 and len(calls) == k + 1
         calls[:] = []
-        two_estep_per_neighbor(*args)
+        two_estep_per_neighbor(*args[:4], g.incoming[v], *args[4:])
         assert len(calls) == 2 * k + 1
