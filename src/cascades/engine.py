@@ -284,8 +284,10 @@ class EStepStats:
     baseline's share of each event, the intensity at each child event,
     and per-component statistics, each from the kernel its component ran
     on. Unlike ``Responsibilities`` it keeps no parent ids. It also
-    records the model the E-step ran and its scope (``_Scope``), which
-    m_step reuses for the same dataset, mask and window."""
+    records the model the E-step ran and its scope (``_Scope``): m_step
+    refits over that scope's dataset, child mask and window, and skips
+    validating a model that shares the E-step model's baseline and
+    components."""
 
     z_base: np.ndarray
     intensity: np.ndarray
@@ -422,12 +424,6 @@ def _pool(d: Dataset, sources: tuple | None) -> _Pool:
     if pool is None:
         pool = pools[sources] = _Pool(d, sources)
     return pool
-
-
-def _check_components(estep: EStepStats, model: CascadeModel) -> None:
-    if estep.n_components != len(model.components):
-        raise DataError(f"responsibilities cover {estep.n_components} components, "
-                        f"the model has {len(model.components)}")
 
 
 def _resolve_window(d: Dataset, window: tuple[float, float] | None) -> tuple[float, float]:
@@ -662,28 +658,21 @@ def _on_scan(model: CascadeModel, scope: _Scope, cutoffs: list[float],
     """Which components run on the scan. None with ``want="resp"``, whose
     ``Responsibilities`` keep every pair. An untruncated one (its window
     None, as its pairs grow with the square of the events) whenever the
-    scan covers it (``scan_applicable``); a truncated one when, besides,
+    scan covers it (``_scan_covers``); a truncated one when, besides,
     its candidate pairs, at least ``SCAN_MIN_PAIRS`` (the scan's set-up
     alone costs about as much), outnumber its own walked cells: the
     events walked for it alone (``_scan_events``, which hold every child)
     times its two walks times the patterns."""
     if want == "resp":
         return [False] * len(model.components)
-    d, kids = scope.d, scope.kids
+    d, kids, per_event = scope.d, scope.kids, 2 * scope.n_codes
     choice = []
     for comp, cut, window in zip(model.components, cutoffs, windows):
-        if window is None:
-            choice.append(scan_applicable(replace(model, components=(comp,)), d))
-            continue
-        pairs = int(window[3][-1])
-        if pairs < SCAN_MIN_PAIRS:  # settled before the patterns are counted
-            choice.append(False)
-            continue
-        per_event = 2 * scope.n_codes
-        choice.append(pairs > kids.size * per_event
-                      and scan_applicable(replace(model, components=(comp,)), d)
-                      and pairs > per_event * _scan_events(
-                          [_pool(d, comp.sources).mask], d, kids, [cut]).size)
+        pairs = None if window is None else int(window[3][-1])
+        choice.append(_scan_covers(comp, scope.n_codes) and (
+            pairs is None or (pairs >= SCAN_MIN_PAIRS and pairs > kids.size * per_event
+                              and pairs > per_event * _scan_events(
+                                  [_pool(d, comp.sources).mask], d, kids, [cut]).size)))
     return choice
 
 
@@ -866,13 +855,11 @@ def expected_transition_counts(model: CascadeModel, d: Dataset,
                         minlength=n * n).reshape(n, n) for children, parents, z in pairs]
 
 
-def m_step(model: CascadeModel, d: Dataset, estep: EStepStats,
-           children: np.ndarray | None = None,
-           window: tuple[float, float] | None = None,
-           update_baseline_mark: bool = True,
+def m_step(model: CascadeModel, estep: EStepStats, update_baseline_mark: bool = True,
            freeze_delays: bool = False) -> CascadeModel:
     """Weighted maximum likelihood updates given the statistics of one
-    E-step, from estep_stats or a fit's.
+    E-step, from estep_stats or a fit's, over that E-step's dataset, child
+    mask and window (its scope, ``_Scope``).
 
     Delays refit from their family's statistic of the weighted delay
     samples, read slice by slice (``delays.weighted_stats``); transitions
@@ -890,31 +877,23 @@ def m_step(model: CascadeModel, d: Dataset, estep: EStepStats,
     kept and every remaining update is an exact coordinate ascent, which
     fit() uses as a fallback to keep the likelihood nondecreasing.
 
-    The model is validated unless the E-step ran on this dataset object
-    and mask object and the model shares the baseline and components
+    The model is validated unless it shares the baseline and components
     objects of the E-step's model, which are all that ``validate_model``
     reads: an E-step runs only on a validated model or on an M-step's
-    output from one. The E-step's scope (``_Scope``) is reused when it
-    was also built for this window.
+    output from one. Statistics that record no scope are rejected.
     """
-    if not isinstance(estep, EStepStats):
-        raise TypeError("m_step reads EStepStats, from estep_stats, "
-                        f"not {type(estep).__name__}")
+    if not isinstance(estep, EStepStats) or estep.scope is None:
+        raise TypeError("m_step reads the EStepStats of estep_stats, which record the "
+                        f"E-step's scope; got a {type(estep).__name__} with no scope")
     scope = estep.scope
-    if scope is not None and not (scope.d is d and scope.children is children):
-        scope = None
-    if scope is None or not (estep.model.baseline is model.baseline
-                             and estep.model.components is model.components):
+    d, (a, b) = scope.d, scope.window
+    if estep.model is None or not (estep.model.baseline is model.baseline
+                                   and estep.model.components is model.components):
         validate_model(model, d.schema)
-    a, b = window = _resolve_window(d, window)
-    if scope is not None and scope.window != window:
-        scope = None
-    _check_components(estep, model)
+    if estep.n_components != len(model.components):
+        raise DataError(f"responsibilities cover {estep.n_components} components, "
+                        f"the model has {len(model.components)}")
     z_base, stats = estep.z_base, estep.components
-    if z_base.size != len(d):
-        raise DataError("E-step statistics do not match the dataset")
-    if scope is None:
-        scope = _Scope(d, children, window)
     comps = model.components
     # baseline credit summed over the window's children only, so the sum
     # does not depend on how many other events the dataset holds
@@ -991,14 +970,21 @@ def normalize(model: CascadeModel, d: Dataset, children: np.ndarray | None = Non
 # prefix-sum scan for exponential delays over few mark patterns
 
 
+def _scan_covers(comp: KernelComponent, n_codes: int) -> bool:
+    """Whether the scan (``_Scan``) covers comp over ``n_codes`` mark
+    patterns, given a model that passed validate_model: its delay family
+    carries a decay rate, and the patterns number at most
+    ``FAST_MAX_LABELS``. Fertilities become per-pattern factors and
+    transitions pattern tables, so every family of those qualifies."""
+    return n_codes <= FAST_MAX_LABELS and comp.delay.decay_rate is not None
+
+
 def scan_applicable(model: CascadeModel, d: Dataset) -> bool:
-    """True when the scan (``_Scan``) covers every component of this
-    model on d, given that it passed validate_model for d's schema: every
-    delay family carries a decay rate, and the marks form at most
-    ``FAST_MAX_LABELS`` patterns. Fertilities become per-pattern factors
-    and transitions pattern tables, so every family of those qualifies."""
-    return (all(c.delay.decay_rate is not None for c in model.components)
-            and d.schema.pattern_codes(d)[1] <= FAST_MAX_LABELS)
+    """True when d's marks form at most ``FAST_MAX_LABELS`` patterns and
+    the scan covers every component of this model on d (``_scan_covers``)."""
+    n_codes = d.schema.pattern_codes(d)[1]
+    return n_codes <= FAST_MAX_LABELS and all(_scan_covers(c, n_codes)
+                                              for c in model.components)
 
 
 def fast_applicable(model: CascadeModel, d: Dataset) -> bool:
@@ -1318,7 +1304,7 @@ def fit(model: CascadeModel, d: Dataset, max_iters: int = 50, tol: float = 1e-6,
 
     def improve(m: CascadeModel, stats: EStepStats,
                 freeze_delays: bool = False) -> CascadeModel:
-        m2 = m_step(m, d, stats, children, window, update_baseline_mark, freeze_delays)
+        m2 = m_step(m, stats, update_baseline_mark, freeze_delays)
         if m2.normalization:
             m2 = normalize(m2, d, children, window)
         return m2

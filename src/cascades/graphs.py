@@ -49,12 +49,16 @@ CONTEXTS = ("self", "neighbor", "shared")
 
 
 def _grid_rules(strength_grid, pool_grid) -> tuple:
-    """(name, holds, needs) for the shrinkage grids a round searches."""
+    """(name, holds, needs) for the shrinkage grids a round searches. A
+    repeated value would count its candidate's validation score twice."""
     return (("strength_grid", len(strength_grid) > 0, "must be nonempty"),
             ("strength_grid", all(0.0 <= c < float("inf") for c in strength_grid),
              "strengths must be finite and nonnegative"),
             ("pool_grid", len(pool_grid) > 0 and all(0.0 <= w <= 1.0 for w in pool_grid),
-             "must be nonempty, with pool weights in [0, 1]"))
+             "must be nonempty, with pool weights in [0, 1]"),
+            ("strength_grid", len(set(strength_grid)) == len(strength_grid),
+             "values must be distinct"),
+            ("pool_grid", len(set(pool_grid)) == len(pool_grid), "values must be distinct"))
 
 
 class Graph:
@@ -62,6 +66,10 @@ class Graph:
     (an edge u -> v lets events at u trigger events at v)."""
 
     def __init__(self, nodes, out_edges: dict):
+        # a string would be read as a collection of one-letter node ids
+        if isinstance(nodes, str) or any(isinstance(us, str) for us in out_edges.values()):
+            raise DataError("graph nodes and edge lists must be collections of node ids, "
+                            "not strings")
         self.nodes = tuple(sorted(nodes))
         if len(set(self.nodes)) != len(self.nodes):
             raise DataError("duplicate node ids in graph")
@@ -288,7 +296,7 @@ def _fit_per_neighbor(model: CascadeModel, d: Dataset, mask: np.ndarray,
     if scope.kids.size == 0:
         return model, trace, True
     for it in range(max_iters):
-        model = m_step(model, d, stats, mask, window, update_baseline_mark=False)
+        model = m_step(model, stats, update_baseline_mark=False)
         rates = regularized_rates(stats.comp_z[nbr_idx], m_counts, pool_weight)
         comps = list(model.components)
         for k, ci in enumerate(nbr_idx):

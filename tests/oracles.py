@@ -103,7 +103,9 @@ def component_stats(model, d, resp) -> list:
 
 def resp_stats(model, d, resp):
     """The EStepStats m_step reads, from e_step's responsibilities; m_step
-    does not read the intensity, which is left empty."""
+    does not read the intensity, which is left empty. They record no
+    E-step model or scope: a caller that hands them to m_step attaches
+    both (``replace(..., model=m, scope=engine._Scope(d, mask, window))``)."""
     return engine.EStepStats(resp.baseline, np.zeros(0), component_stats(model, d, resp))
 
 

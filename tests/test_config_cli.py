@@ -104,7 +104,8 @@ def test_em_and_graph_option_parsing():
 
 @pytest.mark.parametrize("field, value", [
     ("max_iters", -1), ("tol", -1), ("strength_grid", [-5]), ("pool_grid", [2.0]),
-    ("pool_grid", []), ("val_fraction", 1.5)])
+    ("pool_grid", []), ("val_fraction", 1.5), ("strength_grid", [1, 1, 10]),
+    ("pool_grid", [0.5, 0.5])])
 def test_graph_options_reject_out_of_range_values(field, value):
     with pytest.raises(ConfigError, match=f"^graph_fit.{field}: "):
         parse_graph_options({field: value})

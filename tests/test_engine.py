@@ -25,7 +25,7 @@ from cascades.delays import ExpMixtureDelay, PiecewiseUniformDelay
 from cascades.engine import (Responsibilities, baseline_integral, estep_stats,
                              validate_model)
 from cascades.events import BinaryMark, BinarySchema, CompositeMark, CompositeSchema, split
-from oracles import forced_estep, lower_bound
+from oracles import forced_estep, lower_bound, resp_stats
 
 
 def label_toy():
@@ -176,7 +176,7 @@ def test_mstep_closed_forms_on_toy():
     model, d = label_toy()
     resp = e_step(model, d)
     with pytest.warns(UserWarning):  # the unused transition row has no counts
-        new = m_step(model, d, estep_stats(model, d))
+        new = m_step(model, estep_stats(model, d))
     z_base_total = resp.baseline.sum()
     assert new.baseline.rate == pytest.approx(z_base_total / 4.0, rel=1e-12)
     z = resp.comp_z[0][0]
@@ -235,7 +235,7 @@ def test_periodic_baseline_integral_and_mstep():
     d = Dataset([Event(t, LabelMark(1)) for t in (1.0, 2.0, 3.0, 6.0)],
                 horizon=10.0, schema=LabelSchema(1))
     model = CascadeModel(PeriodicBaseline(10.0, (1.0, 1.0), LabelMarginal((1.0,))))
-    new = m_step(model, d, estep_stats(model, d))
+    new = m_step(model, estep_stats(model, d))
     assert new.baseline.rates == pytest.approx((3 / 5.0, 1 / 5.0), rel=1e-12)
 
 
@@ -454,7 +454,7 @@ def test_delay_group_pools_statistics():
                                       delay_group="shared")
     model = CascadeModel(base, (mk("a"), mk("b")), truncation_mass=0.0)
     resp = e_step(model, d)
-    new = m_step(model, d, estep_stats(model, d))
+    new = m_step(model, estep_stats(model, d))
     assert new.components[0].delay == new.components[1].delay
     # pooled exponential MLE over all pairs of both components
     z = np.concatenate([resp.comp_z[0], resp.comp_z[1]])
@@ -469,13 +469,23 @@ def test_component_count_mismatch_rejected():
     wider = replace(model, components=model.components + (second,))
     for fitted, other in ((wider, model), (model, wider)):
         with pytest.raises(DataError, match="components"):
-            m_step(fitted, d, estep_stats(other, d))
+            m_step(fitted, estep_stats(other, d))
 
 
 def test_mstep_rejects_responsibilities():
     model, d = label_toy()
     with pytest.raises(TypeError, match="estep_stats"):
-        m_step(model, d, e_step(model, d))
+        m_step(model, e_step(model, d))
+
+
+def test_mstep_rejects_statistics_without_a_scope():
+    # the scope names the dataset, children and window the M-step refits
+    # over; oracle-built statistics carry none unless one is attached
+    model, d = label_toy()
+    stats = estep_stats(model, d)
+    for bare in (replace(stats, scope=None), resp_stats(model, d, e_step(model, d))):
+        with pytest.raises(TypeError, match="estep_stats"):
+            m_step(model, bare)
 
 
 def _numbers(obj) -> list[float]:
@@ -517,8 +527,8 @@ def test_mstep_from_fast_and_pairwise_statistics_agree():
                          ExponentialDelay(0.3))),
         truncation_mass=0.0)
     assert fast_applicable(model, d)
-    from_fast = m_step(model, d, forced_estep(model, d, want="stats", on_scan=True)[0])
-    from_pairs = m_step(model, d, forced_estep(model, d, want="stats", on_scan=False)[0])
+    from_fast = m_step(model, forced_estep(model, d, want="stats", on_scan=True)[0])
+    from_pairs = m_step(model, forced_estep(model, d, want="stats", on_scan=False)[0])
     assert from_fast.components[0].delay == from_fast.components[2].delay
     assert from_fast.components[0].transition == from_fast.components[1].transition
     np.testing.assert_allclose(_numbers(from_fast), _numbers(from_pairs), rtol=1e-12, atol=0)
@@ -530,7 +540,6 @@ def test_children_mask_of_the_wrong_length_is_a_data_error(length):
     d = Dataset([Event(t, LabelMark(k)) for t, k in ((0.5, 1), (1.0, 2), (2.0, 1))],
                 horizon=4.0, schema=LabelSchema(2))
     mask = np.ones(length, dtype=bool)
-    stats = estep_stats(model, d)
     calls = [lambda: fit(model, d, max_iters=2, children=mask),
              lambda: fit(model, d, max_iters=2, children=mask, engine="direct"),
              lambda: fit(model, d, max_iters=2, heldout=(d, mask, None)),
@@ -538,7 +547,6 @@ def test_children_mask_of_the_wrong_length_is_a_data_error(length):
              lambda: estep_stats(model, d, children=mask),
              lambda: forced_estep(model, d, mask, want="stats", on_scan=True),
              lambda: windowed_log_likelihood(model, d, children=mask),
-             lambda: m_step(model, d, stats, children=mask),
              lambda: normalize(model, d, children=mask)]
     for call in calls:
         with pytest.raises(DataError, match=f"length {length} for 3 events"):
@@ -820,7 +828,7 @@ def test_compensator_after_m_step_reuses_its_exposures(monkeypatch):
          KernelComponent("b", ConstantFertility(0.2), IdentityTransition(),
                          GammaDelay(2.0, 1.0))))
     d, _ = simulate(model, 60.0, seed=3)
-    new = normalize(m_step(model, d, estep_stats(model, d)), d)
+    new = normalize(m_step(model, estep_stats(model, d)), d)
     fresh = d.subset(np.arange(len(d)))
     calls = []
     for family in (ExponentialDelay, GammaDelay):

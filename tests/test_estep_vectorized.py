@@ -653,7 +653,7 @@ def test_child_sums_leave_children_without_pairs_at_zero():
 def _reference_fit(model, d, max_iters, tol, children=None, window=None):
     """fit's direct engine as it was: every E-step keeps the
     responsibilities, which ``oracles.component_stats`` sums for each
-    refit state."""
+    refit state, with the E-step's model and scope that m_step reads."""
     window = engine._resolve_window(d, window)
     kids = engine._child_ids(d, children, window)
 
@@ -663,10 +663,11 @@ def _reference_fit(model, d, max_iters, tol, children=None, window=None):
 
     def reduce(m, state):
         resp, lam = state
-        return engine.EStepStats(resp.baseline, lam, component_stats(m, d, resp))
+        return engine.EStepStats(resp.baseline, lam, component_stats(m, d, resp), m,
+                                 engine._Scope(d, children, window))
 
     def improve(m, stats, freeze_delays=False):
-        m2 = engine.m_step(m, d, stats, children, window, True, freeze_delays)
+        m2 = engine.m_step(m, stats, True, freeze_delays)
         return engine.normalize(m2, d, children, window) if m2.normalization else m2
 
     state, ll = evaluate(model)
@@ -790,10 +791,10 @@ RETRY_TRACE = [-89.06761845947715, -88.89444276855163, -88.83107885320234, -88.8
 def test_frozen_delay_retry_reads_only_released_statistics(monkeypatch):
     released, m_step = [], engine.m_step
 
-    def recorded(m, d, stats, *args):
+    def recorded(m, stats, *args):
         if args[-1]:  # freeze_delays
             released.append([(c.deltas.size, c.weights.size) for c in stats.components])
-        return m_step(m, d, stats, *args)
+        return m_step(m, stats, *args)
 
     monkeypatch.setattr(engine, "m_step", recorded)
     model, d = _slow_delay_case()
@@ -852,8 +853,8 @@ def test_gamma_fit_holds_one_estep_of_pairs(monkeypatch, retry):
 def test_a_candidate_that_beats_its_retry_gets_its_statistics_back(monkeypatch):
     m_step, evaluate, twice = engine.m_step, engine._evaluate, []
 
-    def losing_retry(m, d, stats, *args):
-        new = m_step(m, d, stats, *args)
+    def losing_retry(m, stats, *args):
+        new = m_step(m, stats, *args)
         if args[-1]:  # freeze_delays
             new = replace(new, baseline=new.baseline.scaled(0.2))
         return new

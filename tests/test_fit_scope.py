@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import cascades
-from cascades import (ConfigError, DataError, ExponentialDelay, GammaDelay, Graph,
+from cascades import (ConfigError, ExponentialDelay, GammaDelay, Graph,
                       Hyperparams, LabelMarginal, engine, graphs, simulate_graph)
 from cascades.config import serialize_model
 from cascades.engine import estep_stats, fit, m_step, normalize, windowed_log_likelihood
@@ -33,14 +33,14 @@ def _public_em(model, d, max_iters, tol, children=None, window=None,
                update_baseline_mark=True, fresh_masks=False):
     """fit's direct engine from public calls alone: estep_stats, m_step,
     normalize and windowed_log_likelihood, with the frozen-delay retry
-    and the tolerance test. With ``fresh_masks`` every M-step and
-    normalisation gets a copy of the mask, so none can reuse the
-    E-step's scope."""
+    and the tolerance test. Each M-step reads its E-step's dataset, mask
+    and window from the statistics; with ``fresh_masks`` every
+    normalisation gets a copy of the mask."""
     def mask():
         return children.copy() if fresh_masks and children is not None else children
 
     def improve(m, stats, freeze):
-        m2 = m_step(m, d, stats, mask(), window, update_baseline_mark, freeze)
+        m2 = m_step(m, stats, update_baseline_mark, freeze)
         return normalize(m2, d, mask(), window) if m2.normalization else m2
 
     ll = windowed_log_likelihood(model, d, children, window)
@@ -126,7 +126,7 @@ def _public_per_neighbor(model, d, mask, window, neighbors, pool_weight, max_ite
         return model, trace, True
     for _ in range(max_iters):
         stats = estep_stats(model, d, mask, window)
-        model = m_step(model, d, stats, mask, window, update_baseline_mark=False)
+        model = m_step(model, stats, update_baseline_mark=False)
         rates = regularized_rates(stats.comp_z[nbr_idx], m_counts, pool_weight)
         comps = list(model.components)
         for k, ci in enumerate(nbr_idx):
@@ -213,8 +213,8 @@ def _fit_statistics(monkeypatch, model, d, children, window):
     """The (model, statistics) of each m_step call a fit makes."""
     seen, step = [], engine.m_step
     monkeypatch.setattr(engine, "m_step",
-                        lambda m, dd, stats, *args: seen.append((m, stats))
-                        or step(m, dd, stats, *args))
+                        lambda m, stats, *args: seen.append((m, stats))
+                        or step(m, stats, *args))
     fit(model, d, max_iters=2, tol=0.0, children=children, window=window, engine="direct")
     monkeypatch.setattr(engine, "m_step", step)
     return seen
@@ -227,10 +227,11 @@ def test_m_step_keeps_its_checks_on_a_fits_statistics(monkeypatch):
     # the pairs once its M-step has read them
     model = _label_model(ExponentialDelay(1.3), 1e-6)
     (m, stats), *_ = _fit_statistics(monkeypatch, model, d, mask, window)
-    # the fit's own scope, which the same dataset, mask and window reuse
+    # the fit's own scope, which the M-step refits over
     assert stats.scope.d is d and stats.scope.children is mask and stats.model is m
-    reused = m_step(m, d, stats, mask, window)
-    assert serialize_model(reused) == serialize_model(m_step(m, d, stats, mask.copy(), window))
+    reused = m_step(m, stats)
+    rebuilt = replace(stats, scope=engine._Scope(d, mask.copy(), window))
+    assert serialize_model(reused) == serialize_model(m_step(m, rebuilt))
 
     wrong_labels = replace(m, baseline=replace(m.baseline, mark=LabelMarginal((0.5, 0.5))))
     dupes = replace(m, components=(m.components[0], m.components[0], m.components[2]))
@@ -238,18 +239,8 @@ def test_m_step_keeps_its_checks_on_a_fits_statistics(monkeypatch):
         with pytest.raises(ConfigError) as want:
             engine.validate_model(bad, d.schema)
         with pytest.raises(ConfigError) as got:
-            m_step(bad, d, stats, mask, window)
+            m_step(bad, stats)
         assert str(got.value) == str(want.value)
-
-    other = d.subset(np.arange(0, len(d), 2))
-    with pytest.raises(DataError, match="E-step statistics do not match the dataset"):
-        m_step(m, other, stats)
-    with pytest.raises(DataError, match="E-step statistics do not match the dataset"):
-        m_step(m, other, stats, other.times > 6.0, window)
-    # the same model on marks it cannot score is checked, not waved through
-    binary = _binary_data(n=len(d), seed=3)
-    with pytest.raises(ConfigError):
-        m_step(m, binary, stats)
 
 
 # ---------------------------------------------------------------------------

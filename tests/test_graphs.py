@@ -47,6 +47,14 @@ def test_graph_construction_and_validation():
         Graph(["a", "a"], {})
 
 
+def test_graph_rejects_strings_for_node_collections():
+    # a string would be read letter by letter as node ids
+    for nodes, edges in ((["a", "b", "c"], {"a": "bc"}), ("abc", {}),
+                         (("a", "b"), {"a": ["b"], "b": "a"})):
+        with pytest.raises(DataError, match="not strings"):
+            Graph(nodes, edges)
+
+
 def test_graph_rejects_edges_out_of_unknown_nodes():
     with pytest.raises(DataError, match="unknown nodes.*'zz'"):
         Graph(["a", "b"], {"zz": ["a"], "a": ["b"]})
@@ -118,7 +126,12 @@ def test_node_and_graph_fits_check_their_em_limits(variant, limits, message):
     ("per_neighbor", {"strength_grid": ()}, "strength_grid: must be nonempty"),
     ("per_neighbor", {"pool_grid": ()}, "pool_grid: must be nonempty"),
     ("shared_transition", {"strength_grid": (1.0, -2.0)}, "strength_grid: strengths must"),
-    ("per_neighbor", {"pool_grid": (0.5, 1.5)}, "pool_grid: must be nonempty")])
+    ("per_neighbor", {"pool_grid": (0.5, 1.5)}, "pool_grid: must be nonempty"),
+    # a repeated value would count its candidate's validation score twice
+    ("shared_transition", {"strength_grid": (1.0, 10.0, 10.0)},
+     "strength_grid: values must be distinct"),
+    ("per_neighbor", {"strength_grid": (1.0,), "pool_grid": (0.0, 1.0, 1.0)},
+     "pool_grid: values must be distinct")])
 def test_fit_round_rejects_a_bad_grid_before_any_fit(monkeypatch, variant, grids, name):
     g = line_graph()
     d, _ = sim(g, horizon=30.0, seed=4)
@@ -660,8 +673,9 @@ def two_estep_per_neighbor(model, d, mask, window, neighbors, pool_weight, max_i
         return model, trace, True
     for _ in range(max_iters):
         resp = engine.e_step(model, d, mask, window)
-        model = engine.m_step(model, d, resp_stats(model, d, resp), mask, window,
-                              update_baseline_mark=False)
+        stats = replace(resp_stats(model, d, resp), model=model,
+                        scope=engine._Scope(d, mask, window))
+        model = engine.m_step(model, stats, update_baseline_mark=False)
         n = np.array([resp.comp_z[ci].sum() for ci in nbr_idx])
         rates = regularized_rates(n, m_counts, pool_weight)
         comps = list(model.components)
