@@ -57,40 +57,49 @@ def _load_events(path: str) -> Dataset:
         raise DataError(f"cannot read events {path}: {exc}") from exc
 
 
-def _fit_one(model, train, test, merged, opts: cfg.EmOptions, *, trace: bool):
-    """Fit on train and score test through ``merged`` (see _split_data) if
-    set. With ``trace`` the fit scores the test window after every
-    iteration (``cascades fit`` writes that trace) and the test LL is the
-    trace's last entry; otherwise the fitted model's test window is scored
-    once, by the same evaluation, so both give the same test LL."""
-    heldout = (merged, None, None) if trace and merged is not None else None
-    report = engine.fit(model, train, max_iters=opts.max_iters, tol=opts.tol,
-                        heldout=heldout, engine=opts.engine)
-    test_ll = None
-    if heldout is not None:
-        test_ll = report.heldout_trace[-1]
-    elif merged is not None:
-        test_ll = engine.windowed_log_likelihood(report.model, merged)
-    elif test is not None:
-        test_ll = engine.log_likelihood(report.model, test, history=train)
-    return report, test_ll
+def _test_ll(model: engine.CascadeModel, train: Dataset, test: Dataset | None,
+             merged: Dataset | None):
+    """The test LL of ``model`` fitted on train: the held-out window of
+    ``merged`` (see _split_data), or an empty test split scored on its
+    own with train as history; None without a split."""
+    if merged is not None:
+        return engine.windowed_log_likelihood(model, merged)
+    if test is not None:
+        return engine.log_likelihood(model, test, history=train)
+    return None
 
 
-def _trace_rows(report: engine.FitReport, names: list[str]):
+def _component_shares(model: engine.CascadeModel, d: Dataset) -> list[float]:
+    """Each component's mean fertility rate over d's events, as a share
+    of their sum (zeros when the sum is not positive)."""
+    if not model.components or not len(d):
+        return [0.0 for _ in model.components]
+    rows, pattern, n_patterns = d.schema.fertility_patterns(d)
+    means = [float(c.fertility.rates(rows, n_patterns)[pattern].mean())
+             for c in model.components]
+    total = sum(means)
+    if total <= 0:
+        return [0.0 for _ in model.components]
+    return [m / total for m in means]
+
+
+def _trace_rows(report: engine.FitReport, train: Dataset, held: list[float] | None):
+    """trace.csv: one row per iterate of ``report``, with its held-out LL
+    from ``held`` when given, and its component shares over train and
+    delay means."""
+    names = [c.name for c in report.model.components]
     header = ["iteration", "log_likelihood"]
-    if report.heldout_trace is not None:
+    if held is not None:
         header.append("heldout_log_likelihood")
-    for name in names:
-        header.append(f"share_{name}")
-    for name in names:
-        header.append(f"delay_mean_{name}")
+    header.extend(f"share_{name}" for name in names)
+    header.extend(f"delay_mean_{name}" for name in names)
     rows = []
-    for it, ll in enumerate(report.ll_trace):
+    for it, (ll, m) in enumerate(zip(report.ll_trace, report.models)):
         row: list = [it, float(ll)]
-        if report.heldout_trace is not None:
-            row.append(float(report.heldout_trace[it]))
-        row.extend(float(s) for s in report.component_shares[it])
-        row.extend(float(m) for m in report.delay_means[it])
+        if held is not None:
+            row.append(float(held[it]))
+        row.extend(_component_shares(m, train))
+        row.extend(float(c.delay.mean()) for c in m.components)
         rows.append(row)
     return header, rows
 
@@ -174,12 +183,17 @@ def cmd_fit(args) -> int:
     model = cfg.parse_model(conf["model"], "model", data=train)
     _dump_transitions(model, None)
     opts = _em_options(conf, args)
-    report, test_ll = _fit_one(model, train, test, merged, opts, trace=True)
+    report = engine.fit(model, train, max_iters=opts.max_iters, tol=opts.tol,
+                        engine=opts.engine)
+    # every iterate's held-out LL; the fitted model's is the test LL
+    held = None
+    if merged is not None:
+        held = [_test_ll(m, train, test, merged) for m in report.models]
+    test_ll = held[-1] if held else _test_ll(report.model, train, test, merged)
     os.makedirs(args.out, exist_ok=True)
     _write_json(os.path.join(args.out, "model.json"),
                 cfg.serialize_model(report.model))
-    names = [c.name for c in report.model.components]
-    header, rows = _trace_rows(report, names)
+    header, rows = _trace_rows(report, train, held)
     _write_csv(os.path.join(args.out, "trace.csv"), header, rows)
     summary = {"n_train": len(train),
                "n_test": len(test) if test is not None else None,
@@ -219,7 +233,9 @@ def cmd_compare(args) -> int:
     rows = []
     for safe, name in named.items():
         model = cfg.parse_model(models_conf[name], f"models.{name}", data=train)
-        report, test_ll = _fit_one(model, train, test, merged, opts, trace=False)
+        report = engine.fit(model, train, max_iters=opts.max_iters, tol=opts.tol,
+                            engine=opts.engine)
+        test_ll = _test_ll(report.model, train, test, merged)
         rows.append([name, float(report.ll_trace[-1]),
                      float(test_ll) if test_ll is not None else "",
                      report.iterations, report.converged, report.engine])

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import warnings
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
@@ -310,20 +310,21 @@ class EStepStats:
 
 @dataclass
 class FitReport:
-    """What fit did. ``engine`` names the objective of the training
-    E-steps: "direct" is the model at its ``truncation_mass``, "fast" at
-    mass 0, which engine="auto" takes on label and composite marks
-    whenever ``fast_applicable``; one rule (``_on_scan``) picks the
-    kernels of both. ``model`` keeps the caller's ``truncation_mass``."""
+    """What fit did. ``models`` holds the iterates: the caller's model,
+    then the model each iteration kept, the last being ``model``;
+    ``ll_trace[i]`` is the training log likelihood of ``models[i]``.
+    ``engine`` names the objective of the training E-steps: "direct" is
+    the model at its ``truncation_mass``, "fast" at mass 0, which
+    engine="auto" takes on label and composite marks whenever
+    ``fast_applicable``; one rule (``_on_scan``) picks the kernels of
+    both. Every iterate keeps the caller's ``truncation_mass``."""
 
     model: CascadeModel
     ll_trace: list[float]
     iterations: int
     converged: bool
     engine: str
-    heldout_trace: list[float] | None = None
-    component_shares: list[list[float]] = field(default_factory=list)
-    delay_means: list[list[float]] = field(default_factory=list)
+    models: list[CascadeModel]
 
 
 # ---------------------------------------------------------------------------
@@ -459,10 +460,9 @@ class _Scope:
     restriction each child's right edge in its pool (the place of its
     first pool event at or after the child), which no truncation cutoff
     moves. The pools themselves (``_Pool``) belong to the dataset, so
-    every scope over it shares them. A fit builds one scope for its data
-    and one for its held-out triple; a public function called alone
-    builds its own, and ``intensity`` one whose child ids (``kids``) are
-    its query alone."""
+    every scope over it shares them. A fit builds one scope for its data;
+    a public function called alone builds its own, and ``intensity`` one
+    whose child ids (``kids``) are its query alone."""
 
     def __init__(self, d: Dataset, children: np.ndarray | None,
                  window: tuple[float, float] | None, kids: np.ndarray | None = None):
@@ -979,19 +979,16 @@ def _scan_covers(comp: KernelComponent, n_codes: int) -> bool:
     return n_codes <= FAST_MAX_LABELS and comp.delay.decay_rate is not None
 
 
-def scan_applicable(model: CascadeModel, d: Dataset) -> bool:
-    """True when d's marks form at most ``FAST_MAX_LABELS`` patterns and
-    the scan covers every component of this model on d (``_scan_covers``)."""
+def fast_applicable(model: CascadeModel, d: Dataset) -> bool:
+    """True when the fast engine (the model at truncation mass 0, every
+    component on the scan) fits: label or composite marks forming at most
+    ``FAST_MAX_LABELS`` patterns, with the scan covering every component
+    of this model on d (``_scan_covers``)."""
+    if d.schema.label_count is None:
+        return False
     n_codes = d.schema.pattern_codes(d)[1]
     return n_codes <= FAST_MAX_LABELS and all(_scan_covers(c, n_codes)
                                               for c in model.components)
-
-
-def fast_applicable(model: CascadeModel, d: Dataset) -> bool:
-    """True when the fast engine (the model at truncation mass 0, every
-    component on the scan) fits: label or composite marks and
-    ``scan_applicable``."""
-    return d.schema.label_count is not None and scan_applicable(model, d)
 
 
 def _scan_blocks(times: np.ndarray, n: int, max_events: int, span: float):
@@ -1223,18 +1220,6 @@ class _Scan:
 # the outer EM loop
 
 
-def _component_shares(model: CascadeModel, d: Dataset) -> list[float]:
-    if not model.components or not len(d):
-        return [0.0 for _ in model.components]
-    rows, pattern, n_patterns = d.schema.fertility_patterns(d)
-    means = [float(c.fertility.rates(rows, n_patterns)[pattern].mean())
-             for c in model.components]
-    total = sum(means)
-    if total <= 0:
-        return [0.0 for _ in model.components]
-    return [m / total for m in means]
-
-
 def _release_pairs(stats: EStepStats) -> None:
     """Collapse each component's delay sample, in place, to the scan's
     one sample (sum z*dt / sum z, sum z), freeing the pair arrays. A
@@ -1261,7 +1246,6 @@ def _check_em_limits(max_iters: int, tol: float) -> None:
 def fit(model: CascadeModel, d: Dataset, max_iters: int = 50, tol: float = 1e-6,
         *, children: np.ndarray | None = None,
         window: tuple[float, float] | None = None,
-        heldout: tuple[Dataset, np.ndarray | None, tuple[float, float] | None] | None = None,
         update_baseline_mark: bool = True, on_decrease: str = "raise",
         engine: str = "auto") -> FitReport:
     """Run EM until the relative likelihood gain drops below tol.
@@ -1272,20 +1256,18 @@ def fit(model: CascadeModel, d: Dataset, max_iters: int = 50, tol: float = 1e-6,
     retried with delays frozen, which is an exact ascent. A remaining
     decrease beyond 1e-8 * |LL| aborts with a diagnostic (or warns, with
     on_decrease="warn", for shrinkage-driven fits that are not exact
-    EM). ``heldout`` evaluates a fixed dataset, child mask and window
-    after every iteration. ``engine`` is "direct", "fast" (the training
-    E-steps at truncation mass 0), or "auto" to use the fast engine
-    whenever ``fast_applicable``. Each E-step keeps only the statistics
-    it sums as it goes, never the responsibilities, and those of the last
-    allowed iteration, whose statistics no M-step reads, compute the
-    likelihood alone. Once the M-step has read an
-    E-step's pair arrays they are released (``_release_pairs``), and a
+    EM). The report keeps every iterate (``FitReport.models``) for the
+    caller to score or summarise. ``engine`` is "direct", "fast" (the
+    training E-steps at truncation mass 0), or "auto" to use the fast
+    engine whenever ``fast_applicable``. Each E-step keeps only the
+    statistics it sums as it goes, never the responsibilities, and those
+    of the last allowed iteration, whose statistics no M-step reads,
+    compute the likelihood alone. Once the M-step has read an E-step's
+    pair arrays they are released (``_release_pairs``), and a
     frozen-delay retry drops the candidate's, so every E-step runs beside
     no other E-step's pairs.
     """
     validate_model(model, d.schema)
-    if heldout and heldout[0].schema != d.schema:
-        validate_model(model, heldout[0].schema)
     _check_em_limits(max_iters, tol)
     if on_decrease not in ("raise", "warn"):
         raise ConfigError("on_decrease must be 'raise' or 'warn'")
@@ -1309,17 +1291,11 @@ def fit(model: CascadeModel, d: Dataset, max_iters: int = 50, tol: float = 1e-6,
             m2 = normalize(m2, d, children, window)
         return m2
 
-    held_scope = _Scope(*heldout) if heldout else None
-    held = [_evaluate(model, held_scope)[1]] if heldout else None
-    shares = [_component_shares(model, d)]
-    dmeans = [[c.delay.mean() for c in model.components]]
     if scope.kids.size == 0:
-        ll0 = train(model, False)[1]
-        return FitReport(model, [ll0], 0, True, engine_name, heldout_trace=held,
-                         component_shares=shares, delay_means=dmeans)
+        return FitReport(model, [train(model, False)[1]], 0, True, engine_name, [model])
 
     stats, ll = train(model, max_iters > 0)
-    trace = [ll]
+    trace, models = [ll], [model]
     converged = False
     iterations = 0
     for it in range(max_iters):
@@ -1343,10 +1319,7 @@ def fit(model: CascadeModel, d: Dataset, max_iters: int = 50, tol: float = 1e-6,
                 stats_new = train(candidate, True)[0]
         iterations += 1
         trace.append(ll_new)
-        if held is not None:
-            held.append(_evaluate(candidate, held_scope)[1])
-        shares.append(_component_shares(candidate, d))
-        dmeans.append([c.delay.mean() for c in candidate.components])
+        models.append(candidate)
         if _ll_decreased(ll, ll_new):
             msg = (f"log likelihood decreased at iteration {iterations}: "
                    f"{ll!r} -> {ll_new!r}")
@@ -1359,5 +1332,4 @@ def fit(model: CascadeModel, d: Dataset, max_iters: int = 50, tol: float = 1e-6,
         if gain < tol * max(abs(ll_new), 1e-12):
             converged = True
             break
-    return FitReport(model, trace, iterations, converged, engine_name, heldout_trace=held,
-                     component_shares=shares, delay_means=dmeans)
+    return FitReport(model, trace, iterations, converged, engine_name, models)

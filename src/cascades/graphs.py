@@ -70,6 +70,12 @@ class Graph:
         if isinstance(nodes, str) or any(isinstance(us, str) for us in out_edges.values()):
             raise DataError("graph nodes and edge lists must be collections of node ids, "
                             "not strings")
+        nodes = tuple(nodes)
+        if not all(isinstance(us, (list, tuple)) for us in out_edges.values()):
+            raise DataError("graph edge lists must be lists or tuples of node ids")
+        # load_graph reads back only string ids
+        if not all(isinstance(u, str) for us in (nodes, *out_edges.values()) for u in us):
+            raise DataError("graph node ids must be strings")
         self.nodes = tuple(sorted(nodes))
         if len(set(self.nodes)) != len(self.nodes):
             raise DataError("duplicate node ids in graph")

@@ -340,40 +340,56 @@ def test_cli_rejects_unknown_subcommand(capsys):
     assert exc.value.code == 2
 
 
-def test_fit_takes_the_test_ll_from_the_heldout_trace(monkeypatch):
+def test_fit_takes_the_test_ll_from_the_heldout_trace(tmp_path, monkeypatch):
     from cascades import Dataset, engine, simulate
-    from cascades.cli import _fit_one
-    from cascades.config import EmOptions
-    from cascades.events import split
+    from cascades.events import ingest, split, write_events
     exp_model = parse_model(LABEL_MODEL_CONF, "model")
     gamma_conf = dict(LABEL_MODEL_CONF, components=[
         dict(LABEL_MODEL_CONF["components"][0],
              delay={"kind": "gamma", "shape": 2.0, "rate": 1.5})])
     d, _ = simulate(exp_model, 100.0, seed=5)
-    train, test = split(d, 0.75)
+    write_events(d, str(tmp_path / "events.jsonl"))
+    train, test = split(ingest(str(tmp_path / "events.jsonl")), 0.75)
+    # a present but empty test split: no events after the cut
+    write_events(Dataset(list(train), d.horizon, d.schema), str(tmp_path / "early.jsonl"))
+    reports, fit = [], engine.fit
+    monkeypatch.setattr(engine, "fit", lambda *a, **kw: reports.append(fit(*a, **kw))
+                        or reports[-1])
     scored = []
     log_likelihood = engine.log_likelihood
     monkeypatch.setattr(engine, "log_likelihood",
                         lambda *args, **kw: scored.append(1) or log_likelihood(*args, **kw))
-    merged = test.merge_history(train)
-    for model in (exp_model, parse_model(gamma_conf, "model")):
+
+    def run(conf, data, name):
+        em = {"max_iters": 4, "tol": 0.0, "engine": name}
+        fit_conf = _write(tmp_path / "fit.json", {"model": conf, "em": em, "split": 0.75})
+        cmp_conf = _write(tmp_path / "cmp.json", {"models": {"m": conf}, "em": em,
+                                                  "split": 0.75})
+        for cmd, conf_path in (("fit", fit_conf), ("compare", cmp_conf)):
+            assert main([cmd, "--config", conf_path, "--data", str(tmp_path / data),
+                         "--out", str(tmp_path / cmd)]) == 0
+        with open(tmp_path / "fit" / "trace.csv") as fh:
+            trace = list(csv.DictReader(fh))
+        with open(tmp_path / "compare" / "compare.csv") as fh:
+            (row,) = csv.DictReader(fh)
+        summary = json.loads((tmp_path / "fit" / "summary.json").read_text())
+        assert row["train_ll"] == repr(reports[-2].ll_trace[-1])
+        return trace, summary, float(row["test_ll"]), reports[-2].model
+
+    for conf in (LABEL_MODEL_CONF, gamma_conf):
         for name in ("auto", "direct"):
-            opts = EmOptions(max_iters=4, tol=0.0, engine=name)
-            report, test_ll = _fit_one(model, train, test, merged, opts, trace=True)
+            trace, summary, compare_ll, fitted = run(conf, "events.jsonl", name)
             assert scored == []
-            assert test_ll == log_likelihood(report.model, test, history=train)
-            # compare's path scores the fitted model once, to the same rows
-            once, once_ll = _fit_one(model, train, test, merged, opts, trace=False)
-            assert once.heldout_trace is None and scored == []
-            assert once_ll == test_ll and once.ll_trace[-1] == report.ll_trace[-1]
-    # a present but empty test split is still scored on its own
-    empty = Dataset([], d.horizon, d.schema, start=d.horizon)
-    for trace in (True, False):
-        report, test_ll = _fit_one(exp_model, train, empty, None, EmOptions(max_iters=2),
-                                   trace=trace)
-        assert report.heldout_trace is None
-        assert test_ll == log_likelihood(report.model, empty, history=train)
+            test_ll = float(trace[-1]["heldout_log_likelihood"])
+            assert test_ll == summary["test_ll"] == compare_ll
+            assert test_ll == log_likelihood(fitted, test, history=train)
+    # an empty test split is still scored on its own, with no held-out column
+    trace, summary, compare_ll, fitted = run(LABEL_MODEL_CONF, "early.jsonl", "auto")
+    assert "heldout_log_likelihood" not in trace[0]
     assert scored == [1, 1]
+    empty = split(ingest(str(tmp_path / "early.jsonl")), 0.75)[1]
+    assert len(empty) == 0
+    assert summary["test_ll"] == compare_ll == log_likelihood(fitted, empty, history=train)
 
 
 @pytest.mark.parametrize("parse, where, field, value", [

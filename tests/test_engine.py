@@ -1,4 +1,5 @@
 import gc
+import inspect
 import math
 import warnings
 import weakref
@@ -295,30 +296,31 @@ def test_fit_increases_ll_every_iteration():
 
 
 def test_fit_heldout_trace_has_matching_length():
-    model, d = label_toy()
+    model, _ = label_toy()
     big, _ = simulate(model, 60.0, seed=7)
-    from cascades import split
-    train, test = split(big, 0.7)
-    heldout = (test.merge_history(train), None, None)
-    report = fit(model, train, max_iters=3, tol=0.0, heldout=heldout)
-    assert len(report.heldout_trace) == len(report.ll_trace)
+    train, _ = split(big, 0.7)
+    report = fit(model, train, max_iters=3, tol=0.0)
+    assert len(report.models) == len(report.ll_trace)
+    assert report.models[0] is model and report.models[-1] == report.model
 
 
-@pytest.mark.parametrize("engine_name", ["auto", "direct"])
 @pytest.mark.parametrize("held, message", [
     (Dataset([Event(0.5, LabelMark(1)), Event(1.0, LabelMark(3))], horizon=2.0,
              schema=LabelSchema(3)), "has the wrong length"),
     (Dataset([Event(0.5, BinaryMark((1,)))], horizon=1.0, schema=BinarySchema(("f",))),
      "needs label or composite marks"),
 ], ids=["three-labels", "binary"])
-def test_fit_checks_the_heldout_schema(held, message, engine_name):
-    # the model fits two labels; its held-out data must fit it too, as
-    # windowed_log_likelihood requires of the same data
-    model, d = label_toy()
+def test_fit_checks_the_heldout_schema(held, message):
+    # the model fits two labels; its held-out data must fit it too
+    model, _ = label_toy()
     with pytest.raises(ConfigError, match=f"baseline: label marginal {message}"):
         windowed_log_likelihood(model, held)
-    with pytest.raises(ConfigError, match=f"baseline: label marginal {message}"):
-        fit(model, d, max_iters=2, heldout=(held, None, None), engine=engine_name)
+
+
+def test_fit_leaves_heldout_scores_to_its_caller():
+    # the iterates are on the report; nothing else scores them in the loop
+    assert "heldout" not in inspect.signature(fit).parameters
+    assert not hasattr(engine, "_component_shares")
 
 
 def test_zero_intensity_raises():
@@ -542,7 +544,6 @@ def test_children_mask_of_the_wrong_length_is_a_data_error(length):
     mask = np.ones(length, dtype=bool)
     calls = [lambda: fit(model, d, max_iters=2, children=mask),
              lambda: fit(model, d, max_iters=2, children=mask, engine="direct"),
-             lambda: fit(model, d, max_iters=2, heldout=(d, mask, None)),
              lambda: e_step(model, d, children=mask),
              lambda: estep_stats(model, d, children=mask),
              lambda: forced_estep(model, d, mask, want="stats", on_scan=True),

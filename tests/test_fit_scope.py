@@ -194,7 +194,7 @@ def test_a_fit_validates_its_model_once(monkeypatch, engine_name):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         report = fit(model, d, max_iters=4, tol=0.0, engine=engine_name,
-                     on_decrease="warn", heldout=(d, None, (10.0, 30.0)))
+                     on_decrease="warn")
     assert report.engine == engine_name and len(steps) >= 4
     assert len(calls) == 1
 

@@ -53,6 +53,12 @@ def test_graph_rejects_strings_for_node_collections():
                          (("a", "b"), {"a": ["b"], "b": "a"})):
         with pytest.raises(DataError, match="not strings"):
             Graph(nodes, edges)
+    # and ids that are not strings, which load_graph could not read back
+    for nodes, edges, message in (([1, 2], {1: [2]}, "ids must be strings"),
+                                  (["a", "b"], {"a": 5}, "lists or tuples"),
+                                  (["a", 1], {}, "ids must be strings")):
+        with pytest.raises(DataError, match=message):
+            Graph(nodes, edges)
 
 
 def test_graph_rejects_edges_out_of_unknown_nodes():
