@@ -304,17 +304,24 @@ def test_fit_heldout_trace_has_matching_length():
     assert report.models[0] is model and report.models[-1] == report.model
 
 
+@pytest.mark.parametrize("engine_name", ["auto", "direct"])
 @pytest.mark.parametrize("held, message", [
     (Dataset([Event(0.5, LabelMark(1)), Event(1.0, LabelMark(3))], horizon=2.0,
              schema=LabelSchema(3)), "has the wrong length"),
     (Dataset([Event(0.5, BinaryMark((1,)))], horizon=1.0, schema=BinarySchema(("f",))),
      "needs label or composite marks"),
 ], ids=["three-labels", "binary"])
-def test_fit_checks_the_heldout_schema(held, message):
-    # the model fits two labels; its held-out data must fit it too
-    model, _ = label_toy()
+def test_fit_checks_the_heldout_schema(held, message, engine_name):
+    # the model fits two labels; its held-out data must fit it too, as
+    # every iterate a fit reports is scored on it, and as fit requires of
+    # its own data
+    model, d = label_toy()
+    report = fit(model, d, max_iters=2, tol=0.0, engine=engine_name)
+    for iterate in report.models:
+        with pytest.raises(ConfigError, match=f"baseline: label marginal {message}"):
+            windowed_log_likelihood(iterate, held)
     with pytest.raises(ConfigError, match=f"baseline: label marginal {message}"):
-        windowed_log_likelihood(model, held)
+        fit(model, held, max_iters=2, engine=engine_name)
 
 
 def test_fit_leaves_heldout_scores_to_its_caller():
