@@ -1235,14 +1235,6 @@ def _ll_decreased(prev: float, new: float) -> bool:
     return prev - new > 1e-8 * abs(prev) + 1e-12
 
 
-def _check_em_limits(max_iters: int, tol: float) -> None:
-    """The iteration cap and tolerance every EM loop checks first."""
-    if max_iters < 0:
-        raise ConfigError("max_iters must be nonnegative")
-    if not tol >= 0:  # NaN too, which would turn off the convergence test
-        raise ConfigError("tol must be nonnegative")
-
-
 def fit(model: CascadeModel, d: Dataset, max_iters: int = 50, tol: float = 1e-6,
         *, children: np.ndarray | None = None,
         window: tuple[float, float] | None = None,
@@ -1259,16 +1251,11 @@ def fit(model: CascadeModel, d: Dataset, max_iters: int = 50, tol: float = 1e-6,
     EM). The report keeps every iterate (``FitReport.models``) for the
     caller to score or summarise. ``engine`` is "direct", "fast" (the
     training E-steps at truncation mass 0), or "auto" to use the fast
-    engine whenever ``fast_applicable``. Each E-step keeps only the
-    statistics it sums as it goes, never the responsibilities, and those
-    of the last allowed iteration, whose statistics no M-step reads,
-    compute the likelihood alone. Once the M-step has read an E-step's
-    pair arrays they are released (``_release_pairs``), and a
-    frozen-delay retry drops the candidate's, so every E-step runs beside
-    no other E-step's pairs.
+    engine whenever ``fast_applicable``. The loop itself is ``_em``,
+    which graph-fit's ``per_neighbor`` node fits also run, with their
+    rate blend after each M-step.
     """
     validate_model(model, d.schema)
-    _check_em_limits(max_iters, tol)
     if on_decrease not in ("raise", "warn"):
         raise ConfigError("on_decrease must be 'raise' or 'warn'")
     if engine not in ("auto", "direct", "fast"):
@@ -1276,20 +1263,36 @@ def fit(model: CascadeModel, d: Dataset, max_iters: int = 50, tol: float = 1e-6,
     use_fast = engine == "fast" or (engine == "auto" and fast_applicable(model, d))
     if engine == "fast" and not fast_applicable(model, d):
         raise ConfigError("fast engine requested but the model does not qualify")
-    engine_name = "fast" if use_fast else "direct"
     scope = _Scope(d, children, window)
-    window = scope.window
+
+    def improve(m: CascadeModel, stats: EStepStats, freeze_delays: bool) -> CascadeModel:
+        m2 = m_step(m, stats, update_baseline_mark, freeze_delays)
+        if m2.normalization:
+            m2 = normalize(m2, d, children, scope.window)
+        return m2
+
+    return _em(model, scope, max_iters, tol, improve, use_fast, on_decrease)
+
+
+def _em(model: CascadeModel, scope: _Scope, max_iters: int, tol: float,
+        improve, use_fast: bool, on_decrease: str) -> FitReport:
+    """fit's EM loop over a validated model and a resolved scope, with the
+    M-step ``improve(model, stats, freeze_delays)``. Each E-step keeps
+    only the statistics it sums as it goes, never the responsibilities,
+    and those of the last allowed iteration, whose statistics no M-step
+    reads, compute the likelihood alone. Once the M-step has read an
+    E-step's pair arrays they are released (``_release_pairs``), and a
+    frozen-delay retry drops the candidate's, so every E-step runs beside
+    no other E-step's pairs."""
+    if max_iters < 0:
+        raise ConfigError("max_iters must be nonnegative")
+    if not tol >= 0:  # NaN too, which would turn off the convergence test
+        raise ConfigError("tol must be nonnegative")
+    engine_name = "fast" if use_fast else "direct"
 
     def train(m: CascadeModel, want_stats: bool) -> tuple[EStepStats | None, float]:
         m = replace(m, truncation_mass=0.0) if use_fast else m
         return _evaluate(m, scope, want_stats)
-
-    def improve(m: CascadeModel, stats: EStepStats,
-                freeze_delays: bool = False) -> CascadeModel:
-        m2 = m_step(m, stats, update_baseline_mark, freeze_delays)
-        if m2.normalization:
-            m2 = normalize(m2, d, children, window)
-        return m2
 
     if scope.kids.size == 0:
         return FitReport(model, [train(model, False)[1]], 0, True, engine_name, [model])
@@ -1301,7 +1304,7 @@ def fit(model: CascadeModel, d: Dataset, max_iters: int = 50, tol: float = 1e-6,
     for it in range(max_iters):
         # no M-step reads the statistics of the last allowed iteration
         more = it + 1 < max_iters
-        candidate = improve(model, stats)
+        candidate = improve(model, stats, False)
         _release_pairs(stats)
         stats_new, ll_new = train(candidate, more)
         if ll_new < ll:
@@ -1311,7 +1314,7 @@ def fit(model: CascadeModel, d: Dataset, max_iters: int = 50, tol: float = 1e-6,
             # nearly always wins, so its E-step runs without the
             # candidate's pairs, which are recomputed if the candidate wins
             stats_new = None
-            fallback = improve(model, stats, freeze_delays=True)
+            fallback = improve(model, stats, True)
             stats_fb, ll_fb = train(fallback, more)
             if ll_fb > ll_new:
                 candidate, stats_new, ll_new = fallback, stats_fb, ll_fb

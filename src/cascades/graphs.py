@@ -13,10 +13,13 @@ every node fits only the winning setting on the whole window. A node's
 fits and scores read only its local data (``local_data``: the events at
 the node and at its in-neighbours), so ``workers`` processes each take a
 contiguous block of nodes and receive only that block's local data.
-Likelihood decreases in node fits are counted per fit (``NodeFit``) with
-``fit``'s rule and reported in one warning per round. ``simulate_graph``
-draws the roots node by node and leaves their offspring to ``simulate``'s
-queue, with one rule per node an event triggers at.
+Every node fit runs ``fit``'s EM loop (``engine._em``); a ``per_neighbor``
+fit gives it an M-step that also blends the neighbour rates, and a fit
+that fails names its node and candidate. Likelihood decreases in node
+fits are counted per fit (``NodeFit``) with ``fit``'s rule and reported
+in one warning per round. ``simulate_graph`` draws the roots node by node
+and leaves their offspring to ``simulate``'s queue, with one rule per
+node an event triggers at.
 """
 
 from __future__ import annotations
@@ -31,11 +34,10 @@ from multiprocessing import get_context
 import numpy as np
 
 from .delays import DelaySpec, ExponentialDelay
-from .engine import (CascadeModel, HomogeneousBaseline, KernelComponent, _check_em_limits,
-                     _child_ids, _evaluate, _ll_decreased, _pool, _Scope, e_step,
-                     expected_transition_counts, fit, m_step, validate_model,
-                     windowed_log_likelihood)
-from .errors import ConfigError, DataError
+from .engine import (CascadeModel, HomogeneousBaseline, KernelComponent, _child_ids, _em,
+                     _ll_decreased, _pool, _Scope, e_step, expected_transition_counts, fit,
+                     m_step, validate_model, windowed_log_likelihood)
+from .errors import CascadesError, ConfigError, DataError
 from .events import CompositeSchema, Dataset, _jsonl_objects
 from .fertility import ConstantFertility
 from .simulate import CausalForest, _offspring, _poisson_count, _time_ordered, substream
@@ -277,45 +279,6 @@ def _ll_decreases(trace) -> int:
     return sum(map(_ll_decreased, trace, trace[1:]))
 
 
-def _fit_per_neighbor(model: CascadeModel, d: Dataset, mask: np.ndarray,
-                      window: tuple[float, float], pool_weight: float, max_iters: int,
-                      tol: float) -> tuple[CascadeModel, list, bool]:
-    """EM with the neighbor rates replaced by their shrunken blend after
-    every M-step. Not exact EM, so no monotonicity is enforced. One
-    E-step per iteration gives both the LL of the model it scores and
-    the statistics of the next M-step, neighbor credits included. As
-    ``node_model`` builds the model, each component after "self" is one
-    in-neighbour's, whose raw count is its pool's events before the
-    window's end. Returns the model, the LL trace and whether the
-    tolerance test stopped it; like fit, a window without children keeps
-    the initial model. Like fit, it validates the model once and
-    resolves its scope once."""
-    _check_em_limits(max_iters, tol)
-    validate_model(model, d.schema)
-    scope = _Scope(d, mask, window)
-    nbr_idx = list(range(1, len(model.components)))
-    m_counts = np.array([np.searchsorted(_pool(d, model.components[ci].sources).times,
-                                         window[1], side="left") for ci in nbr_idx],
-                        dtype=np.float64)
-    stats, ll = _evaluate(model, scope, want_stats=max_iters > 0)
-    trace = [ll]
-    if scope.kids.size == 0:
-        return model, trace, True
-    for it in range(max_iters):
-        model = m_step(model, stats, update_baseline_mark=False)
-        rates = regularized_rates(stats.comp_z[nbr_idx], m_counts, pool_weight)
-        comps = list(model.components)
-        for k, ci in enumerate(nbr_idx):
-            comps[ci] = replace(comps[ci], fertility=ConstantFertility(float(rates[k])))
-        model = replace(model, components=tuple(comps))
-        # no M-step reads the statistics of the last allowed iteration
-        stats, ll = _evaluate(model, scope, want_stats=it + 1 < max_iters)
-        trace.append(ll)
-        if abs(trace[-1] - trace[-2]) < tol * max(abs(trace[-1]), 1e-12):
-            return model, trace, True
-    return model, trace, False
-
-
 def fit_node(graph: Graph, d: Dataset, v: str, variant: str, hyper: Hyperparams,
              strength: float, *, pool_weight: float = 0.5,
              delay_init: DelaySpec = ExponentialDelay(1.0),
@@ -335,22 +298,43 @@ def fit_node(graph: Graph, d: Dataset, v: str, variant: str, hyper: Hyperparams,
     model, contexts = node_model(graph, d, v, variant, hyper, strength,
                                  delay_init, window, marginal)
     mask = d.at_nodes((v,))[0]
-    if variant == "per_neighbor" and graph.incoming[v]:
-        model, trace, converged = _fit_per_neighbor(model, d, mask, window, pool_weight,
-                                                    max_iters, tol)
-    else:
-        report = fit(model, d, max_iters, tol, children=mask, window=window,
-                     update_baseline_mark=False, on_decrease="warn",
-                     engine="direct")
-        model, trace, converged = report.model, report.ll_trace, report.converged
-    counts: dict[str, np.ndarray] | None = None
-    if with_counts:
-        counts = {}
-        resp = e_step(model, d, mask, window)
-        for ctx, mat in zip(contexts, expected_transition_counts(model, d, resp)):
-            if mat is not None:
-                counts[ctx] = counts.get(ctx, 0) + mat
-    return NodeFit(v, model, trace[-1], counts, len(trace) - 1, converged,
+    try:
+        if variant == "per_neighbor" and graph.incoming[v]:
+            # fit's loop, with the neighbour rates replaced by their blend
+            # after every M-step; as node_model builds the model, each
+            # component after "self" is one in-neighbour's, whose raw count is
+            # its pool's events before the window's end
+            validate_model(model, d.schema)
+            scope = _Scope(d, mask, window)
+            raw = np.array([np.searchsorted(_pool(d, c.sources).times, window[1], side="left")
+                            for c in model.components[1:]], dtype=np.float64)
+
+            def improve(m: CascadeModel, stats, freeze_delays: bool) -> CascadeModel:
+                m = m_step(m, stats, False, freeze_delays)
+                rates = regularized_rates(stats.comp_z[1:], raw, pool_weight)
+                return replace(m, components=m.components[:1] + tuple(
+                    replace(c, fertility=ConstantFertility(float(r)))
+                    for c, r in zip(m.components[1:], rates)))
+
+            report = _em(model, scope, max_iters, tol, improve, False, "warn")
+        else:
+            report = fit(model, d, max_iters, tol, children=mask, window=window,
+                         update_baseline_mark=False, on_decrease="warn",
+                         engine="direct")
+        model, counts = report.model, None
+        if with_counts:
+            counts = {}
+            resp = e_step(model, d, mask, window)
+            for ctx, mat in zip(contexts, expected_transition_counts(model, d, resp)):
+                if mat is not None:
+                    counts[ctx] = counts.get(ctx, 0) + mat
+    except CascadesError as exc:
+        # a graph-fit runs hundreds of node fits: say which one failed
+        pooled = f", pool weight {pool_weight}" if variant == "per_neighbor" else ""
+        raise type(exc)(f"node {v!r} (strength {strength}{pooled}, window {window}): "
+                        f"{exc}") from exc
+    trace = report.ll_trace
+    return NodeFit(v, model, trace[-1], counts, len(trace) - 1, report.converged,
                    _ll_decreases(trace))
 
 

@@ -30,18 +30,21 @@ from test_estep_vectorized import (_binary_data, _binary_model, _composite_data,
 
 
 def _public_em(model, d, max_iters, tol, children=None, window=None,
-               update_baseline_mark=True, fresh_masks=False):
+               update_baseline_mark=True, fresh_masks=False, blend=None):
     """fit's direct engine from public calls alone: estep_stats, m_step,
     normalize and windowed_log_likelihood, with the frozen-delay retry
     and the tolerance test. Each M-step reads its E-step's dataset, mask
     and window from the statistics; with ``fresh_masks`` every
-    normalisation gets a copy of the mask."""
+    normalisation gets a copy of the mask. ``blend(model, stats)``, if
+    given, follows every M-step, the retry's too, as the per-neighbour
+    node fits' rate blend does (``_public_blend``)."""
     def mask():
         return children.copy() if fresh_masks and children is not None else children
 
     def improve(m, stats, freeze):
         m2 = m_step(m, stats, update_baseline_mark, freeze)
-        return normalize(m2, d, mask(), window) if m2.normalization else m2
+        m2 = normalize(m2, d, mask(), window) if m2.normalization else m2
+        return m2 if blend is None else blend(m2, stats)
 
     ll = windowed_log_likelihood(model, d, children, window)
     trace, converged = [ll], False
@@ -115,27 +118,32 @@ def test_fit_equals_the_public_em_loop(case, fresh_masks):
     _same((report.model, report.ll_trace, report.converged), ref)
 
 
-def _public_per_neighbor(model, d, mask, window, neighbors, pool_weight, max_iters, tol):
-    """graphs._fit_per_neighbor from public calls alone."""
-    b = window[1]
+def _public_blend(model, d, window, neighbors, pool_weight):
+    """The per-neighbour rate blend from public calls alone: each
+    neighbour's rate becomes regularized_rates of its credit and its raw
+    count, the neighbour's events before the window's end."""
     nbr_idx = [ci for ci, comp in enumerate(model.components) if comp.name.startswith("nbr:")]
-    m_counts = np.array([np.sum((d.node_ids == u) & (d.times < b)) for u in neighbors],
+    m_counts = np.array([np.sum((d.node_ids == u) & (d.times < window[1])) for u in neighbors],
                         dtype=np.float64)
-    trace = [windowed_log_likelihood(model, d, mask, window)]
-    if engine._child_ids(d, mask, window).size == 0:
-        return model, trace, True
-    for _ in range(max_iters):
-        stats = estep_stats(model, d, mask, window)
-        model = m_step(model, stats, update_baseline_mark=False)
+
+    def blend(m, stats):
         rates = regularized_rates(stats.comp_z[nbr_idx], m_counts, pool_weight)
-        comps = list(model.components)
+        comps = list(m.components)
         for k, ci in enumerate(nbr_idx):
             comps[ci] = replace(comps[ci], fertility=ConstantFertility(float(rates[k])))
-        model = replace(model, components=tuple(comps))
-        trace.append(windowed_log_likelihood(model, d, mask, window))
-        if abs(trace[-1] - trace[-2]) < tol * max(abs(trace[-1]), 1e-12):
-            return model, trace, True
-    return model, trace, False
+        return replace(m, components=tuple(comps))
+    return blend
+
+
+def node_em(monkeypatch, *args, **kwargs):
+    """fit_node(*args, **kwargs) and the report of the EM loop it ran."""
+    reports, em = [], engine._em
+    with monkeypatch.context() as patched:
+        for module in (engine, graphs):
+            patched.setattr(module, "_em", lambda *a: reports.append(em(*a)) or reports[-1])
+        got = fit_node(*args, **kwargs)
+    (report,) = reports
+    return got, report
 
 
 TRANS = CategoricalMatrix(((0.7, 0.2, 0.1), (0.1, 0.7, 0.2), (0.2, 0.1, 0.7)))
@@ -151,26 +159,58 @@ def _star():
 
 @pytest.mark.parametrize("variant", ["shared_transition", "per_neighbor"])
 @pytest.mark.parametrize("window", [(0.0, 42.0), (0.0, 60.0)], ids=["head", "whole"])
-def test_node_fits_equal_the_public_em_loop(variant, window):
+def test_node_fits_equal_the_public_em_loop(monkeypatch, variant, window):
     g, d = _star()
     hyper = Hyperparams.uniform(3)
     for v in ("d", "a"):
         mask = d.node_ids == v
         model, _ = node_model(g, d, v, variant, hyper, 1.0, GammaDelay(1.5, 1.2), window)
+        blend = (_public_blend(model, d, window, g.incoming[v], 0.25)
+                 if variant == "per_neighbor" and g.incoming[v] else None)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            got = fit_node(g, d, v, variant, hyper, 1.0, pool_weight=0.25,
-                           delay_init=GammaDelay(1.5, 1.2), window=window, max_iters=5,
-                           tol=1e-9, with_counts=False)
-            if variant == "per_neighbor" and g.incoming[v]:
-                ref = _public_per_neighbor(model, d, mask, window, g.incoming[v], 0.25, 5,
-                                           1e-9)
-                assert graphs._fit_per_neighbor(model, d, mask, window, 0.25, 5,
-                                                1e-9)[1] == ref[1]
-            else:
-                ref = _public_em(model, d, 5, 1e-9, mask, window, update_baseline_mark=False)
+            got, report = node_em(monkeypatch, g, d, v, variant, hyper, 1.0, pool_weight=0.25,
+                                  delay_init=GammaDelay(1.5, 1.2), window=window,
+                                  max_iters=5, tol=1e-9, with_counts=False)
+            ref = _public_em(model, d, 5, 1e-9, mask, window, update_baseline_mark=False,
+                             blend=blend)
+        assert report.ll_trace == ref[1]
         _same((got.model, [got.train_ll], got.converged), (ref[0], ref[1][-1:], ref[2]))
         assert got.iterations == len(ref[1]) - 1 >= 1
+
+
+def twelve_nodes():
+    """A random 12-node graph, each node with up to three out-edges, and
+    40 time units of its events."""
+    rng = np.random.default_rng(1)
+    nodes = [f"n{i:02d}" for i in range(12)]
+    out = {v: sorted({nodes[j] for j in rng.choice(12, 3, replace=False) if nodes[j] != v})
+           for v in nodes}
+    g = Graph(nodes, out)
+    d, _ = simulate_graph(g, 40.0, 1, type_marginal=(0.5, 0.3, 0.2), base_rate=0.2,
+                          self_rate=0.3, neighbor_rate=0.15, transition=TRANS,
+                          delay=ExponentialDelay(1.0))
+    return g, d
+
+
+def test_a_per_neighbor_fit_takes_the_retry_and_stops_on_the_gain(monkeypatch):
+    # a node whose blended steps lower the LL: the per-neighbour fit
+    # retries them with delays frozen and stops once the gain is small,
+    # as every fit does
+    g, d = twelve_nodes()
+    hyper, window = Hyperparams.uniform(3), (0.0, 40.0)
+    model, _ = node_model(g, d, "n01", "per_neighbor", hyper, 0.1, ExponentialDelay(1.0),
+                          window)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got, report = node_em(monkeypatch, g, d, "n01", "per_neighbor", hyper, 0.1,
+                              pool_weight=0.5, window=window)
+        ref = _public_em(model, d, 25, 1e-5, d.node_ids == "n01", window,
+                         update_baseline_mark=False,
+                         blend=_public_blend(model, d, window, g.incoming["n01"], 0.5))
+    _same((report.model, report.ll_trace, report.converged), ref)
+    assert got.iterations == len(ref[1]) - 1
+    assert got.ll_decreases == graphs._ll_decreases(ref[1]) >= 1 and got.converged
 
 
 # ---------------------------------------------------------------------------
@@ -201,12 +241,11 @@ def test_a_fit_validates_its_model_once(monkeypatch, engine_name):
 
 def test_a_per_neighbor_fit_validates_its_model_once(monkeypatch):
     g, d = _star()
-    model, _ = node_model(g, d, "d", "per_neighbor", Hyperparams.uniform(3), 1.0,
-                          ExponentialDelay(1.0), (0.0, 60.0))
     calls = _count_validations(monkeypatch)
-    _, trace, _ = graphs._fit_per_neighbor(model, d, d.node_ids == "d", (0.0, 60.0),
-                                           0.5, 4, 0.0)
-    assert len(trace) == 5 and len(calls) == 1
+    _, report = node_em(monkeypatch, g, d, "d", "per_neighbor", Hyperparams.uniform(3), 1.0,
+                        pool_weight=0.5, window=(0.0, 60.0), max_iters=4, tol=0.0,
+                        with_counts=False)
+    assert len(report.ll_trace) == 5 and len(calls) == 1
 
 
 def _fit_statistics(monkeypatch, model, d, children, window):

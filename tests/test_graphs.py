@@ -17,6 +17,7 @@ from cascades.events import CompositeMark, CompositeSchema, split
 from cascades.fertility import ConstantFertility
 from cascades.graphs import VARIANTS, _smoothed_marginal, local_data
 from oracles import resp_stats
+from test_fit_scope import node_em, twelve_nodes
 
 TRANS = CategoricalMatrix(((0.7, 0.2, 0.1), (0.1, 0.8, 0.1), (0.2, 0.2, 0.6)))
 
@@ -117,7 +118,7 @@ def test_regularized_rates_identity_and_limits():
     ({"tol": float("nan")}, "tol must be nonnegative")])
 def test_node_and_graph_fits_check_their_em_limits(variant, limits, message):
     # in a two-node cycle every node has a neighbor, so per_neighbor fits
-    # run their own EM loop rather than fit's
+    # run fit's loop with their rate blend rather than fit itself
     g = Graph(["a", "b"], {"a": ["b"], "b": ["a"]})
     d, _ = sim(g, horizon=30.0, seed=4)
     hyper = Hyperparams.uniform(d.n_label_values)
@@ -125,6 +126,20 @@ def test_node_and_graph_fits_check_their_em_limits(variant, limits, message):
         fit_node(g, d, "a", variant, hyper, 1.0, **limits)
     with pytest.raises(ConfigError, match=message):
         fit_graph(g, d, variant, rounds=1, strength_grid=(1.0,), pool_grid=(0.5,), **limits)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("variant, candidate", [
+    ("separate_transitions", "strength 0.1"),
+    ("per_neighbor", "strength 0.1, pool weight 0.5")], ids=["separate", "per_neighbor"])
+def test_a_failing_node_fit_names_its_node(variant, candidate, workers):
+    # node n03's gamma self delay collapses onto one pair in phase one
+    g, d = twelve_nodes()
+    want = (rf"^node 'n03' \({candidate}, window \(0\.0, 30\.0\)\): "
+            "gamma MLE is degenerate")
+    with pytest.raises(DataError, match=want):
+        fit_round(g, d, variant, Hyperparams.uniform(3), strength_grid=(0.1,),
+                  pool_grid=(0.5,), delay_init=GammaDelay(1.5, 1.2), workers=workers)
 
 
 @pytest.mark.parametrize("variant, grids, name", [
@@ -666,30 +681,42 @@ def test_per_neighbor_pooling_changes_rates():
 
 
 def two_estep_per_neighbor(model, d, mask, window, neighbors, pool_weight, max_iters, tol):
-    """graphs._fit_per_neighbor as it was: each iteration runs e_step for
-    the M-step and the neighbor credits, then a second E-step for the LL
-    of the updated model."""
-    a, b = window
+    """The per-neighbour node fit as it was: each iteration runs e_step
+    for the M-step and the neighbor credits, then a second E-step for the
+    LL of the updated model; a step that lowers the LL is retried with
+    delays frozen, and a small gain stops the loop, as in fit."""
     nbr_idx = [ci for ci, comp in enumerate(model.components)
                if comp.name.startswith("nbr:")]
-    m_counts = np.array([np.sum((d.node_ids == u) & (d.times < b)) for u in neighbors],
+    m_counts = np.array([np.sum((d.node_ids == u) & (d.times < window[1])) for u in neighbors],
                         dtype=np.float64)
-    trace = [windowed_log_likelihood(model, d, mask, window)]
+    ll = windowed_log_likelihood(model, d, mask, window)
+    trace = [ll]
     if engine._child_ids(d, mask, window).size == 0:
         return model, trace, True
     for _ in range(max_iters):
         resp = engine.e_step(model, d, mask, window)
         stats = replace(resp_stats(model, d, resp), model=model,
                         scope=engine._Scope(d, mask, window))
-        model = engine.m_step(model, stats, update_baseline_mark=False)
         n = np.array([resp.comp_z[ci].sum() for ci in nbr_idx])
-        rates = regularized_rates(n, m_counts, pool_weight)
-        comps = list(model.components)
-        for k, ci in enumerate(nbr_idx):
-            comps[ci] = replace(comps[ci], fertility=ConstantFertility(float(rates[k])))
-        model = replace(model, components=tuple(comps))
-        trace.append(windowed_log_likelihood(model, d, mask, window))
-        if abs(trace[-1] - trace[-2]) < tol * max(abs(trace[-1]), 1e-12):
+
+        def step(freeze_delays):
+            m = engine.m_step(model, stats, False, freeze_delays)
+            rates = regularized_rates(n, m_counts, pool_weight)
+            comps = list(m.components)
+            for k, ci in enumerate(nbr_idx):
+                comps[ci] = replace(comps[ci], fertility=ConstantFertility(float(rates[k])))
+            return replace(m, components=tuple(comps))
+
+        candidate = step(False)
+        ll_new = windowed_log_likelihood(candidate, d, mask, window)
+        if ll_new < ll:
+            fallback = step(True)
+            ll_fb = windowed_log_likelihood(fallback, d, mask, window)
+            if ll_fb > ll_new:
+                candidate, ll_new = fallback, ll_fb
+        trace.append(ll_new)
+        model, gain, ll = candidate, ll_new - ll, ll_new
+        if gain < tol * max(abs(ll_new), 1e-12):
             return model, trace, True
     return model, trace, False
 
@@ -714,13 +741,15 @@ def per_neighbor_cases():
 @pytest.mark.parametrize("delay", [ExponentialDelay(1.0), GammaDelay(1.5, 1.2)],
                          ids=["exponential", "gamma"])
 @pytest.mark.parametrize("pool_weight", [0.0, 0.5, 1.0])
-def test_per_neighbor_fit_matches_the_two_estep_loop(delay, pool_weight):
+def test_per_neighbor_fit_matches_the_two_estep_loop(monkeypatch, delay, pool_weight):
     hyper = Hyperparams.uniform(3)
     for g, d, v, window in per_neighbor_cases():
         model, _ = node_model(g, d, v, "per_neighbor", hyper, 1.0, delay, window)
         mask = d.node_ids == v
-        args = (model, d, mask, window, pool_weight, 6, 1e-5)
-        got, trace, converged = graphs._fit_per_neighbor(*args)
+        _, report = node_em(monkeypatch, g, d, v, "per_neighbor", hyper, 1.0,
+                            pool_weight=pool_weight, delay_init=delay, window=window,
+                            max_iters=6, tol=1e-5, with_counts=False)
+        got, trace, converged = report.model, report.ll_trace, report.converged
         ref, ref_trace, ref_converged = two_estep_per_neighbor(
             model, d, mask, window, g.incoming[v], pool_weight, 6, 1e-5)
         assert (len(trace), converged) == (len(ref_trace), ref_converged), v
@@ -736,10 +765,11 @@ def test_per_neighbor_fit_makes_one_estep_per_iteration(monkeypatch):
     model, _ = node_model(g, d, v, "per_neighbor", Hyperparams.uniform(3), 1.0,
                           ExponentialDelay(1.0), window)
     for k in (0, 1, 4):
-        args = (model, d, d.node_ids == v, window, 0.5, k, 0.0)
         calls[:] = []
-        _, trace, _ = graphs._fit_per_neighbor(*args)
-        assert len(trace) == k + 1 and len(calls) == k + 1
+        _, report = node_em(monkeypatch, g, d, v, "per_neighbor", Hyperparams.uniform(3), 1.0,
+                            pool_weight=0.5, window=window, max_iters=k, tol=0.0,
+                            with_counts=False)
+        assert len(report.ll_trace) == k + 1 and len(calls) == k + 1
         calls[:] = []
-        two_estep_per_neighbor(*args[:4], g.incoming[v], *args[4:])
+        two_estep_per_neighbor(model, d, d.node_ids == v, window, g.incoming[v], 0.5, k, 0.0)
         assert len(calls) == 2 * k + 1

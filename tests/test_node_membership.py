@@ -53,5 +53,6 @@ def _string_constants(path: pathlib.Path, needle: str) -> set[str]:
 
 
 def test_per_neighbor_components_are_named_where_they_are_built_only():
-    # _fit_per_neighbor finds its neighbour components without parsing names
+    # the per_neighbor rate blend finds its neighbour components without
+    # parsing names
     assert _string_constants(PACKAGE / "graphs.py", "nbr:") == {"node_model"}

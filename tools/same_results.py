@@ -17,7 +17,9 @@ derives its counters from. The benchmark's extra ``e_step`` probes on the
 fitted models are not rerun; they read the fitted model files, which are
 compared byte for byte. graph-fit runs twice per side, traced in one
 process (``--workers 1``) and untraced with ``--workers 2``, as forked
-workers' spans are not collected.
+workers' spans are not collected. Both runs happen with the workload's
+own variant and again with ``--variant per_neighbor``
+(``GRAPH_VARIANTS``), a variant no workload runs.
 
 Every workload runs at seeds 1 and 3, two processes at a time. Every
 output tree must match byte for byte and every count exactly. The tool
@@ -47,6 +49,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
 SEEDS = (1, 3)
 GRAPH_WORKERS = 2
+# graph-fit variants run besides the workload's own (None)
+GRAPH_VARIANTS = (None, "per_neighbor")
 
 
 def _perfbench(name: str):
@@ -99,9 +103,10 @@ def _child(src: str, *args) -> dict:
 
 def child(argv: list[str]) -> int:
     """In a fresh interpreter: ``generate NAME SEED SMOKE INPUTS`` writes a
-    workload's inputs; ``op NAME SEED SMOKE INPUTS OP OUT WORKERS TRACE``
-    runs one operation through ``cascades.cli.main``, traced when TRACE
-    is 1. Prints one JSON line."""
+    workload's inputs; ``op NAME SEED SMOKE INPUTS OP OUT WORKERS TRACE
+    [VARIANT]`` runs one operation through ``cascades.cli.main``, traced
+    when TRACE is 1, with ``--variant VARIANT`` when given. Prints one
+    JSON line."""
     mode, name, seed, smoke, inputs = argv[0], argv[1], int(argv[2]), argv[3] == "1", argv[4]
     workload = _perfbench("workloads").WORKLOADS[name](smoke=smoke)
     if mode == "generate":
@@ -110,13 +115,14 @@ def child(argv: list[str]) -> int:
         return 0
     from cascades import cli  # every package module, before the tracer wraps them
     op, out, workers, trace = argv[5], argv[6], int(argv[7]), argv[8] == "1"
+    variant = ["--variant", argv[9]] if len(argv) > 9 else []
     tracer = _perfbench("tracer").Tracer()
     if trace:
         tracer.install(_perfbench("bench").TRACE_TARGETS)
     try:
         with contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            code = cli.main(workload.argv(op, seed, inputs, out, workers))
+            code = cli.main(workload.argv(op, seed, inputs, out, workers) + variant)
     finally:
         tracer.restore()
     counts: dict[str, list[int]] = {}
@@ -143,14 +149,18 @@ def _same_tree(a: str, b: str) -> tuple[int, int]:
 
 
 def _runs(names, seeds) -> list[tuple]:
-    """(workload, seed, op, workers, traced) for every operation to run."""
+    """(workload, seed, op, workers, traced, variant) for every operation
+    to run; the variant is None but for graph-fit's extra runs."""
     out = []
     for name in names:
         for seed in seeds:
             for op in _perfbench("workloads").WORKLOADS[name].ops:
-                out.append((name, seed, op, 1, True))
-                if op == "graph-fit":
-                    out.append((name, seed, op, GRAPH_WORKERS, False))
+                if op != "graph-fit":
+                    out.append((name, seed, op, 1, True, None))
+                    continue
+                for variant in GRAPH_VARIANTS:
+                    out.append((name, seed, op, 1, True, variant))
+                    out.append((name, seed, op, GRAPH_WORKERS, False, variant))
     return out
 
 
@@ -163,14 +173,15 @@ def compare_trees(ref_src: str, new_src: str, work: str, names, seeds=SEEDS,
     flag = "1" if smoke else "0"
 
     def out_dir(side, run):
-        name, seed, op, workers, _ = run
-        return os.path.join(work, side, f"{name}-{seed}-{op}-w{workers}")
+        name, seed, op, workers, _, variant = run
+        return os.path.join(work, side, f"{name}-{seed}-{op}-w{workers}-{variant}")
 
     def run_op(task):
         side, src, run = task
-        name, seed, op, workers, traced = run
+        name, seed, op, workers, traced, variant = run
         return _child(src, "op", name, seed, flag, inputs[name, seed], op,
-                      out_dir(side, run), workers, int(traced))
+                      out_dir(side, run), workers, int(traced),
+                      *([variant] if variant else []))
 
     with ThreadPoolExecutor(max_workers=2) as pool:  # two processes at a time
         made = list(pool.map(lambda key: _child(ref_src, "generate", key[0], key[1], flag,
@@ -190,24 +201,26 @@ def compare_trees(ref_src: str, new_src: str, work: str, names, seeds=SEEDS,
                                                                out_dir("new", run))
         counts = None if failed or not run[4] else ref["counts"] == new["counts"]
         rows.append({"workload": run[0], "seed": run[1], "op": run[2], "workers": run[3],
-                     "failed": failed, "files": (same_files, n_files), "counts": counts,
+                     "variant": run[5], "failed": failed, "files": (same_files, n_files),
+                     "counts": counts,
                      "n_counts": len(ref.get("counts", {})),
                      "same": not failed and same_files == n_files and counts is not False})
     return rows
 
 
 def format_table(rows: list[dict]) -> str:
-    head = f"{'workload':<12} {'seed':>4}  {'operation':<18} {'files':<14} {'counts':<14} verdict"
+    head = f"{'workload':<12} {'seed':>4}  {'operation':<28} {'files':<14} {'counts':<14} verdict"
     lines = [head, "-" * len(head)]
     for r in rows:
-        op = f"{r['op']} (w={r['workers']})" if r["op"] == "graph-fit" else r["op"]
+        op = r["op"] + (f" {r['variant']}" if r["variant"] else "")
+        op = f"{op} (w={r['workers']})" if r["op"] == "graph-fit" else op
         same, n = r["files"]
         files = "-" if r["failed"] else f"{same}/{n} same"
         counts = ("-" if r["counts"] is None else
                   f"{r['n_counts']} " + ("same" if r["counts"] else "DIFFER"))
         verdict = ("FAILED: " + "; ".join(r["failed"])) if r["failed"] else (
             "same" if r["same"] else "DIFFERENT")
-        lines.append(f"{r['workload']:<12} {r['seed']:>4}  {op:<18} {files:<14} {counts:<14} "
+        lines.append(f"{r['workload']:<12} {r['seed']:>4}  {op:<28} {files:<14} {counts:<14} "
                      f"{verdict}")
     n_diff = sum(not r["same"] for r in rows)
     lines.append(f"{len(rows) - n_diff} of {len(rows)} operations the same")
