@@ -40,7 +40,6 @@ the compensator read; a fit's ``_Scope`` keeps its children's edges.
 
 from __future__ import annotations
 
-import warnings
 import weakref
 from dataclasses import dataclass, replace
 from typing import Union
@@ -317,7 +316,10 @@ class FitReport:
     the model at its ``truncation_mass``, "fast" at mass 0, which
     engine="auto" takes on label and composite marks whenever
     ``fast_applicable``; one rule (``_on_scan``) picks the kernels of
-    both. Every iterate keeps the caller's ``truncation_mass``."""
+    both. Every iterate keeps the caller's ``truncation_mass``.
+    ``ll_decreases`` counts the iterations whose LL fell beyond rounding
+    (``_ll_decreased``); it is 0 unless the fit ran with
+    ``on_decrease="count"``."""
 
     model: CascadeModel
     ll_trace: list[float]
@@ -325,6 +327,7 @@ class FitReport:
     converged: bool
     engine: str
     models: list[CascadeModel]
+    ll_decreases: int
 
 
 # ---------------------------------------------------------------------------
@@ -1246,18 +1249,20 @@ def fit(model: CascadeModel, d: Dataset, max_iters: int = 50, tol: float = 1e-6,
     one entry per iteration. Iterations that would lower the likelihood
     (the delay refit is blind to the edge-corrected compensator) are
     retried with delays frozen, which is an exact ascent. A remaining
-    decrease beyond 1e-8 * |LL| aborts with a diagnostic (or warns, with
-    on_decrease="warn", for shrinkage-driven fits that are not exact
-    EM). The report keeps every iterate (``FitReport.models``) for the
-    caller to score or summarise. ``engine`` is "direct", "fast" (the
-    training E-steps at truncation mass 0), or "auto" to use the fast
-    engine whenever ``fast_applicable``. The loop itself is ``_em``,
-    which graph-fit's ``per_neighbor`` node fits also run, with their
-    rate blend after each M-step.
+    decrease beyond 1e-8 * |LL| aborts with a diagnostic, or, with
+    on_decrease="count" (for shrinkage-driven fits that are not exact
+    EM), is counted in ``FitReport.ll_decreases``; like any gain below
+    the tolerance, it ends the loop. The report keeps every iterate
+    (``FitReport.models``) for the caller to score or summarise.
+    ``engine`` is "direct", "fast" (the training E-steps at truncation
+    mass 0), or "auto" to use the fast engine whenever
+    ``fast_applicable``. The loop itself is ``_em``, which graph-fit's
+    ``per_neighbor`` node fits also run, with their rate blend after
+    each M-step.
     """
     validate_model(model, d.schema)
-    if on_decrease not in ("raise", "warn"):
-        raise ConfigError("on_decrease must be 'raise' or 'warn'")
+    if on_decrease not in ("raise", "count"):
+        raise ConfigError("on_decrease must be 'raise' or 'count'")
     if engine not in ("auto", "direct", "fast"):
         raise ConfigError("engine must be 'auto', 'direct' or 'fast'")
     use_fast = engine == "fast" or (engine == "auto" and fast_applicable(model, d))
@@ -1283,7 +1288,8 @@ def _em(model: CascadeModel, scope: _Scope, max_iters: int, tol: float,
     reads, compute the likelihood alone. Once the M-step has read an
     E-step's pair arrays they are released (``_release_pairs``), and a
     frozen-delay retry drops the candidate's, so every E-step runs beside
-    no other E-step's pairs."""
+    no other E-step's pairs. It is the one place an LL decrease is judged
+    (``_ll_decreased``), raised or counted per ``on_decrease``."""
     if max_iters < 0:
         raise ConfigError("max_iters must be nonnegative")
     if not tol >= 0:  # NaN too, which would turn off the convergence test
@@ -1295,12 +1301,12 @@ def _em(model: CascadeModel, scope: _Scope, max_iters: int, tol: float,
         return _evaluate(m, scope, want_stats)
 
     if scope.kids.size == 0:
-        return FitReport(model, [train(model, False)[1]], 0, True, engine_name, [model])
+        return FitReport(model, [train(model, False)[1]], 0, True, engine_name, [model], 0)
 
     stats, ll = train(model, max_iters > 0)
     trace, models = [ll], [model]
     converged = False
-    iterations = 0
+    iterations = decreases = 0
     for it in range(max_iters):
         # no M-step reads the statistics of the last allowed iteration
         more = it + 1 < max_iters
@@ -1324,15 +1330,14 @@ def _em(model: CascadeModel, scope: _Scope, max_iters: int, tol: float,
         trace.append(ll_new)
         models.append(candidate)
         if _ll_decreased(ll, ll_new):
-            msg = (f"log likelihood decreased at iteration {iterations}: "
-                   f"{ll!r} -> {ll_new!r}")
             if on_decrease == "raise":
-                raise NumericalError(msg)
-            warnings.warn(msg)
+                raise NumericalError(f"log likelihood decreased at iteration {iterations}: "
+                                     f"{ll!r} -> {ll_new!r}")
+            decreases += 1
         model, stats = candidate, stats_new
         gain = ll_new - ll
         ll = ll_new
         if gain < tol * max(abs(ll_new), 1e-12):
             converged = True
             break
-    return FitReport(model, trace, iterations, converged, engine_name, models)
+    return FitReport(model, trace, iterations, converged, engine_name, models, decreases)

@@ -437,14 +437,26 @@ class Dataset:
         """Distinct node ids (sorted), and each event's index into them."""
         return np.unique(self.node_ids, return_inverse=True)
 
+    @cached_property
+    def _node_code_of(self) -> dict:
+        """Each distinct node id's index into ``node_codes``' names."""
+        names = self.node_codes[0]
+        return dict(zip(names.tolist(), range(len(names))))
+
     def at_nodes(self, nodes: tuple) -> tuple[np.ndarray, np.ndarray]:
         """A read-only mask of the events at ``nodes`` (a tuple of node
         ids) and their indices, ascending. The one place node membership
-        is derived, by one set lookup per distinct node (``node_codes``);
-        not cached, as the engine keeps its parent pools."""
+        is derived: one dict lookup per id asked for (``node_codes``,
+        indexed once per dataset), so a call costs the ids asked for and
+        one pass over the events; the result is not cached, as the
+        engine keeps its parent pools."""
         names, codes = self.node_codes
-        wanted = set(nodes)
-        mask = np.array([name in wanted for name in names.tolist()], dtype=bool)[codes]
+        code_of = self._node_code_of
+        hit = np.zeros(len(names), dtype=bool)
+        for v in nodes:
+            if v in code_of:
+                hit[code_of[v]] = True
+        mask = hit[codes]
         index = np.nonzero(mask)[0].astype(np.int64)
         mask.flags.writeable = index.flags.writeable = False
         return mask, index
@@ -631,7 +643,10 @@ def ingest(path: str, schema: MarkSchema | None = None) -> Dataset:
     "schema" block; records follow, one JSON object per line. A schema
     must come from the header or the argument (both must agree if given).
     Without a declared horizon the maximum timestamp is used, with a
-    warning. Times must be finite. All errors name the offending line.
+    warning. Times must be finite. Errors name the offending line, except
+    a label or type out of range: that is found once the columns are
+    built, and names the event by its time-sorted id ("event 0: label 7
+    outside 1..3").
 
     Lines are decoded and read in one pass: the schema's record reader
     collects each record's time and mark into lists, and the columns are

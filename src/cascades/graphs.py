@@ -15,9 +15,10 @@ the node and at its in-neighbours), so ``workers`` processes each take a
 contiguous block of nodes and receive only that block's local data.
 Every node fit runs ``fit``'s EM loop (``engine._em``); a ``per_neighbor``
 fit gives it an M-step that also blends the neighbour rates, and a fit
-that fails names its node and candidate. Likelihood decreases in node
-fits are counted per fit (``NodeFit``) with ``fit``'s rule and reported
-in one warning per round. ``simulate_graph`` draws the roots node by node
+that fails names its node and candidate. The loop counts a node fit's
+likelihood decreases instead of raising (``FitReport.ll_decreases``);
+each ``NodeFit`` keeps its count and ``fit_round`` reports them in one
+warning per round. ``simulate_graph`` draws the roots node by node
 and leaves their offspring to ``simulate``'s queue, with one rule per
 node an event triggers at.
 """
@@ -29,13 +30,14 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from functools import partial
 from multiprocessing import get_context
 
 import numpy as np
 
 from .delays import DelaySpec, ExponentialDelay
 from .engine import (CascadeModel, HomogeneousBaseline, KernelComponent, _child_ids, _em,
-                     _ll_decreased, _pool, _Scope, e_step, expected_transition_counts, fit,
+                     _pool, _Scope, e_step, expected_transition_counts, fit,
                      m_step, validate_model, windowed_log_likelihood)
 from .errors import CascadesError, ConfigError, DataError
 from .events import CompositeSchema, Dataset, _jsonl_objects
@@ -263,7 +265,7 @@ class NodeFit:
     """One node's fitted model with its training LL, its transition
     counts by shrinkage context (None when not collected), and how its
     EM run went: iterations, whether the tolerance test stopped it, and
-    how many iterations lowered the LL by more than ``fit`` tolerates."""
+    how many iterations lowered the LL (``FitReport.ll_decreases``)."""
 
     node: str
     model: CascadeModel
@@ -272,11 +274,6 @@ class NodeFit:
     iterations: int
     converged: bool
     ll_decreases: int
-
-
-def _ll_decreases(trace) -> int:
-    """Steps of an LL trace that fall by more than fit's tolerance."""
-    return sum(map(_ll_decreased, trace, trace[1:]))
 
 
 def fit_node(graph: Graph, d: Dataset, v: str, variant: str, hyper: Hyperparams,
@@ -316,10 +313,10 @@ def fit_node(graph: Graph, d: Dataset, v: str, variant: str, hyper: Hyperparams,
                     replace(c, fertility=ConstantFertility(float(r)))
                     for c, r in zip(m.components[1:], rates)))
 
-            report = _em(model, scope, max_iters, tol, improve, False, "warn")
+            report = _em(model, scope, max_iters, tol, improve, False, "count")
         else:
             report = fit(model, d, max_iters, tol, children=mask, window=window,
-                         update_baseline_mark=False, on_decrease="warn",
+                         update_baseline_mark=False, on_decrease="count",
                          engine="direct")
         model, counts = report.model, None
         if with_counts:
@@ -335,7 +332,7 @@ def fit_node(graph: Graph, d: Dataset, v: str, variant: str, hyper: Hyperparams,
                         f"{exc}") from exc
     trace = report.ll_trace
     return NodeFit(v, model, trace[-1], counts, len(trace) - 1, report.converged,
-                   _ll_decreases(trace))
+                   report.ll_decreases)
 
 
 def local_data(graph: Graph, d: Dataset, nodes) -> Dataset:
@@ -348,49 +345,25 @@ def local_data(graph: Graph, d: Dataset, nodes) -> Dataset:
     return d if index.size == len(d) else d.subset(index)
 
 
-@dataclass(frozen=True)
-class _NodeFitter:
-    """What every node fit of one round shares; each worker task gets a
-    copy along with its block's events."""
-
-    graph: Graph
-    variant: str
-    hyper: Hyperparams
-    marginal: LabelMarginal
-    delay_init: DelaySpec
-    max_iters: int
-    tol: float
-
-    def __call__(self, d: Dataset, v: str, cand: tuple,
-                 window: tuple[float, float], with_counts: bool) -> NodeFit:
-        strength, pool_weight = cand
-        with warnings.catch_warnings():
-            # NodeFit counts fit's LL decreases; fit_round reports them
-            warnings.filterwarnings("ignore", message="log likelihood decreased")
-            return fit_node(self.graph, d, v, self.variant, self.hyper, strength,
-                            pool_weight=0.5 if pool_weight is None else pool_weight,
-                            delay_init=self.delay_init, window=window,
-                            max_iters=self.max_iters, tol=self.tol,
-                            marginal=self.marginal, with_counts=with_counts)
-
-
 def _score_block(task) -> list:
     """Phase one for a block of nodes: per node and candidate, fit the
     head window of the node's local data, without the transition counts
     that only phase two's fits feed, and score the validation window.
     Returns (node, {candidate: (validation LL, LL decreases)}) pairs in
     node order."""
-    fitter, d, nodes, candidates, cut = task
+    fit_one, graph, d, nodes, candidates, cut = task
     a, b = d.start, d.horizon
     out = []
     for v in nodes:
-        dv = local_data(fitter.graph, d, (v,))
+        dv = local_data(graph, d, (v,))
         mask = dv.at_nodes((v,))[0]
         scores = {}
-        for cand in candidates:
-            head = fitter(dv, v, cand, (a, cut), with_counts=False)
+        for strength, w in candidates:
+            head = fit_one(graph, dv, v, strength=strength,
+                           pool_weight=0.5 if w is None else w, window=(a, cut),
+                           with_counts=False)
             val_ll = windowed_log_likelihood(head.model, dv, mask, (cut, b))
-            scores[cand] = (float(val_ll), head.ll_decreases)
+            scores[strength, w] = (float(val_ll), head.ll_decreases)
         out.append((v, scores))
     return out
 
@@ -398,9 +371,10 @@ def _score_block(task) -> list:
 def _fit_block(task) -> list:
     """Phase two for a block of nodes: fit the winning candidate on the
     whole window of each node's local data; (node, NodeFit) pairs."""
-    fitter, d, nodes, best = task
-    return [(v, fitter(local_data(fitter.graph, d, (v,)), v, best, (d.start, d.horizon),
-                       with_counts=True))
+    fit_one, graph, d, nodes, (strength, w) = task
+    return [(v, fit_one(graph, local_data(graph, d, (v,)), v, strength=strength,
+                        pool_weight=0.5 if w is None else w, window=(d.start, d.horizon),
+                        with_counts=True))
             for v in nodes]
 
 
@@ -485,8 +459,9 @@ def fit_round(graph: Graph, d: Dataset, variant: str, hyper: Hyperparams, *,
         candidates = [(float(c), float(w)) for c in strength_grid for w in pool_grid]
     else:
         candidates = [(float(c), None) for c in strength_grid]
-    fitter = _NodeFitter(graph, variant, hyper, _smoothed_marginal(d), delay_init,
-                         max_iters, tol)
+    # what every node fit of the round shares; each task carries it
+    fit_one = partial(fit_node, variant=variant, hyper=hyper, delay_init=delay_init,
+                      max_iters=max_iters, tol=tol, marginal=_smoothed_marginal(d))
     blocks = [(nodes, local_data(graph, d, nodes))
               for nodes in _blocks(graph.nodes, workers)]
     pool = (ProcessPoolExecutor(max_workers=len(blocks), mp_context=get_context("fork"))
@@ -495,7 +470,7 @@ def fit_round(graph: Graph, d: Dataset, variant: str, hyper: Hyperparams, *,
 
     def each_block(task, *args) -> dict:
         """The task's results over every block, by node."""
-        outs = run(task, [(fitter, bd, nodes, *args) for nodes, bd in blocks])
+        outs = run(task, [(fit_one, graph, bd, nodes, *args) for nodes, bd in blocks])
         return {v: res for out in outs for v, res in out}
 
     with pool or nullcontext():

@@ -17,6 +17,7 @@ from cascades.cli import main
 from cascades.config import (parse_em_options, parse_graph_options,
                              parse_model, serialize_model)
 from cascades.delays import ExpMixtureDelay, PiecewiseUniformDelay, UniformDelay
+from cascades.events import BinaryMark, BinarySchema, Dataset, Event, LabelMark, LabelSchema
 from cascades.fertility import (CombinedFertility, LinearFertility,
                                 MultiplicativeFertility)
 from cascades.transitions import FeatureMixture, FeaturePrior, PriorTransition
@@ -85,6 +86,21 @@ def test_empirical_mark_needs_data():
                          "mark": {"kind": "empirical"}}}
     with pytest.raises(ConfigError, match="empirical"):
         parse_model(conf)
+    # on binary marks the placeholder is the training data's feature means
+    bits = [(1, 0, 1), (0, 0, 1), (1, 1, 1)]
+    binary = Dataset([Event(0.5 * (i + 1), BinaryMark(b)) for i, b in enumerate(bits)], 2.0,
+                     BinarySchema(("a", "b", "c")))
+    prior = parse_model(conf, data=binary).baseline.mark
+    assert prior == FeaturePrior(tuple(binary.feature_matrix.mean(axis=0).tolist()))
+    assert prior == FeaturePrior((2 / 3, 1 / 3, 1.0))
+    # a family that the data's marks do not give
+    labels = Dataset([Event(1.0, LabelMark(2))], 2.0, LabelSchema(3))
+    mixture = _component(transition={"kind": "feature_mixture", "resample_prob": 0.3,
+                                     "prior": "empirical"})
+    with pytest.raises(ConfigError, match=re.escape(
+            "model.components[0].transition.prior: the data's marks give a 'labels' "
+            "distribution, expected 'features'")):
+        parse_model(mixture, data=labels)
 
 
 def test_em_and_graph_option_parsing():

@@ -619,8 +619,8 @@ def test_whole_period_time_shift_changes_no_likelihood(marks, periodic, seed, k)
                                         rel=1e-12, abs=0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            ref = fit(model, d, max_iters=4, tol=0.0, engine="direct", on_decrease="warn")
-            got = fit(model, ds, max_iters=4, tol=0.0, engine="direct", on_decrease="warn")
+            ref = fit(model, d, max_iters=4, tol=0.0, engine="direct", on_decrease="count")
+            got = fit(model, ds, max_iters=4, tol=0.0, engine="direct", on_decrease="count")
     assert got.iterations == ref.iterations == 4
     np.testing.assert_allclose(got.ll_trace, ref.ll_trace, rtol=1e-12, atol=0)
     # both kernels are covered: label marks on the scan, binary on pairs

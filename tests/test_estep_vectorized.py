@@ -29,7 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cascades import (CascadeModel, CategoricalMatrix, ConstantFertility,
+from cascades import (CascadeModel, CategoricalMatrix, ConfigError, ConstantFertility,
                       Dataset, Event, ExponentialDelay, FeatureMixture,
                       FeaturePrior, GammaDelay, HomogeneousBaseline,
                       IdentityTransition, KernelComponent, LabelMark,
@@ -740,7 +740,7 @@ def test_direct_fit_matches_the_evaluate_reduce_loop(case, tol):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         report = fit(model, d, max_iters=5, tol=tol, children=children, window=window,
-                     on_decrease="warn", engine="direct")
+                     on_decrease="count", engine="direct")
         ref_model, ref_trace, ref_converged = _reference_fit(model, d, 5, tol,
                                                              children, window)
     assert (report.iterations, report.converged) == (len(ref_trace) - 1, ref_converged)
@@ -840,7 +840,7 @@ def test_gamma_fit_holds_one_estep_of_pairs(monkeypatch, retry):
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            report = fit(model, d, max_iters=3, tol=0.0, engine="direct", on_decrease="warn")
+            report = fit(model, d, max_iters=3, tol=0.0, engine="direct", on_decrease="count")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -870,10 +870,34 @@ def test_a_candidate_that_beats_its_retry_gets_its_statistics_back(monkeypatch):
         warnings.simplefilter("ignore")
         _, ref_trace, _ = _reference_fit(model, d, 6, 0.0)
         monkeypatch.setattr(engine, "_evaluate", recorded)
-        report = fit(model, d, max_iters=6, tol=0.0, engine="direct", on_decrease="warn")
+        report = fit(model, d, max_iters=6, tol=0.0, engine="direct", on_decrease="count")
     # the candidate kept after a retry is evaluated again for its statistics
     assert len(twice) > len({id(m) for m in twice})
     _assert_close(report.ll_trace, ref_trace)
+
+
+def test_a_decrease_is_raised_by_default_and_counted_on_request(monkeypatch):
+    # every M-step, candidate and frozen-delay retry alike, is followed by
+    # a cut of the baseline rate that lowers the likelihood
+    m_step = engine.m_step
+
+    def losing_step(m, stats, *args):
+        new = m_step(m, stats, *args)
+        return replace(new, baseline=new.baseline.scaled(0.2))
+
+    monkeypatch.setattr(engine, "m_step", losing_step)
+    model, d = _slow_delay_case()
+    with pytest.raises(NumericalError, match="^log likelihood decreased at iteration 1: "):
+        fit(model, d, max_iters=4, tol=0.0, engine="direct")
+    report = fit(model, d, max_iters=4, tol=0.0, engine="direct", on_decrease="count")
+    trace = report.ll_trace
+    # a fall stops the loop, as any gain below the tolerance does
+    assert (report.iterations, report.converged) == (1, True)
+    assert report.ll_decreases == sum(map(engine._ll_decreased, trace, trace[1:])) == 1
+    with pytest.raises(ConfigError, match="on_decrease must be 'raise' or 'count'"):
+        fit(model, d, max_iters=4, tol=0.0, engine="direct", on_decrease="warn")
+    # a one-entry trace has no step to count
+    assert fit(model, d, max_iters=0, engine="direct", on_decrease="count").ll_decreases == 0
 
 
 def test_prior_fit_over_many_labels_keeps_no_label_table(monkeypatch):

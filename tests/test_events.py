@@ -807,3 +807,24 @@ def test_binary_ingest_allocates_no_per_bit_objects(tmp_path):
         tracemalloc.stop()
     assert len(d) == n and d.feature_matrix.sum() > n
     assert peak / n < 300, f"{peak / n:.0f} bytes per record"
+
+
+NODE_POOL = ("a", "b", "c", "d", "e")
+
+
+@settings(max_examples=60, deadline=None)
+@given(at=st.lists(st.sampled_from(NODE_POOL[:4]), max_size=15),
+       asks=st.lists(st.lists(st.sampled_from(NODE_POOL + ("zz", "")), max_size=6),
+                     min_size=1, max_size=4))
+def test_at_nodes_equals_isin(at, asks):
+    # events at up to four of the nodes (none: an empty dataset), asked
+    # about tuples with unknown ids, repeats and the empty tuple
+    schema = CompositeSchema(2, frozenset(NODE_POOL))
+    d = Dataset([Event(0.5 * (i + 1), CompositeMark(1 + i % 2, v)) for i, v in enumerate(at)],
+                horizon=10.0, schema=schema)
+    for nodes in [tuple(ask) for ask in asks] + [()]:
+        mask, index = d.at_nodes(nodes)
+        want = np.isin(d.node_ids, list(nodes))
+        assert mask.dtype == bool and mask.tolist() == want.tolist()
+        assert index.dtype == np.int64 and index.tolist() == np.nonzero(want)[0].tolist()
+        assert not mask.flags.writeable and not index.flags.writeable

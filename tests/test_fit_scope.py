@@ -112,7 +112,7 @@ def test_fit_equals_the_public_em_loop(case, fresh_masks):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         report = fit(model, d, max_iters=4, tol=1e-9, children=children, window=window,
-                     on_decrease="warn", engine="direct")
+                     on_decrease="count", engine="direct")
         ref = _public_em(model, d, 4, 1e-9, children, window, fresh_masks=fresh_masks)
     assert report.iterations == len(ref[1]) - 1 >= 1
     _same((report.model, report.ll_trace, report.converged), ref)
@@ -210,7 +210,25 @@ def test_a_per_neighbor_fit_takes_the_retry_and_stops_on_the_gain(monkeypatch):
                          blend=_public_blend(model, d, window, g.incoming["n01"], 0.5))
     _same((report.model, report.ll_trace, report.converged), ref)
     assert got.iterations == len(ref[1]) - 1
-    assert got.ll_decreases == graphs._ll_decreases(ref[1]) >= 1 and got.converged
+    assert got.ll_decreases == sum(map(engine._ll_decreased, ref[1], ref[1][1:])) >= 1
+    assert got.converged
+
+
+@pytest.mark.parametrize("variant", ["shared_transition", "per_neighbor"])
+def test_a_node_fit_counts_its_decreases_without_warning(monkeypatch, variant):
+    # the EM loop counts a node fit's falls; fit_node passes its count on
+    # and warns nothing, so no caller has a warning to filter
+    g, d = twelve_nodes()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got, report = node_em(monkeypatch, g, d, "n01", variant, Hyperparams.uniform(3), 0.1,
+                              pool_weight=0.5, window=(0.0, 40.0), with_counts=False)
+    assert [w for w in caught if "log likelihood decreased" in str(w.message)] == []
+    trace = report.ll_trace
+    assert got.ll_decreases == report.ll_decreases == sum(
+        map(engine._ll_decreased, trace, trace[1:]))
+    if variant == "per_neighbor":
+        assert got.ll_decreases == 1
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +252,7 @@ def test_a_fit_validates_its_model_once(monkeypatch, engine_name):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         report = fit(model, d, max_iters=4, tol=0.0, engine=engine_name,
-                     on_decrease="warn")
+                     on_decrease="count")
     assert report.engine == engine_name and len(steps) >= 4
     assert len(calls) == 1
 

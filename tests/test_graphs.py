@@ -1,3 +1,4 @@
+import re
 import warnings
 from dataclasses import replace
 
@@ -83,6 +84,13 @@ def test_graph_loader_rejects_bad_rows(tmp_path):
     path.write_text('{"node": "a"}\n{"node": "a"}\n')
     with pytest.raises(DataError, match="twice"):
         load_graph(path)
+    for row, error in [('{"out": ["a"]}', "expected an object with a 'node' key"),
+                       ('{"node": 7, "out": []}', "node ids must be strings"),
+                       ('{"node": "a", "out": "b"}', "'out' must be a list of node ids"),
+                       ('{"node": "a", "out": ["b", 2]}', "'out' must be a list of node ids")]:
+        path.write_text('{"node": "b"}\n' + row + "\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:2: {re.escape(error)}$"):
+            load_graph(path)
 
 
 def test_regularized_rates_identity_and_limits():
@@ -557,10 +565,36 @@ def test_fit_round_warns_once_naming_nodes_whose_ll_fell():
     assert messages[0].endswith("this round: a")
 
 
+def test_a_round_prints_each_distinct_warning_once():
+    # graph-ring's smoke graph, seed 3: node fits warn about empty
+    # transition rows, and under the "default" filter each distinct
+    # warning is shown once however many node fits raise it
+    n, L = 12, 6
+    names = [f"n{i:03d}" for i in range(n)]
+    g = Graph(names, {names[i]: [names[(i + 1) % n], names[(i + 7) % n]] for i in range(n)})
+    shift = CategoricalMatrix(tuple(tuple(0.75 if c == (r + 1) % L else 0.05 for c in range(L))
+                                    for r in range(L)))
+    d, _ = simulate_graph(g, 20.0, 3, type_marginal=(1 / L,) * L, base_rate=0.25,
+                          self_rate=0.2, neighbor_rate=0.15, transition=shift,
+                          delay=ExponentialDelay(1.0))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        fit_round(g, d, "shared_transition", Hyperparams.uniform(L), strength_grid=(0.0, 1.0),
+                  max_iters=4)
+    messages = [str(w.message) for w in caught]
+    assert sum("has no counts" in m for m in messages) >= 2
+    assert sorted(messages) == sorted(set(messages))
+
+
 def test_ll_decreases_count_drops_beyond_fit_tolerance():
-    from cascades.graphs import _ll_decreases
-    assert _ll_decreases([-10.0]) == 0
-    assert _ll_decreases([-10.0, -9.0, -9.5, -9.5 - 1e-9, -9.4, -9.6]) == 2
+    # the one rule a node fit's count comes from: a step that falls by
+    # more than rounding (1e-8 * |LL| + 1e-12) counts, a smaller one not
+    trace = [-10.0, -9.0, -9.5, -9.5 - 1e-9, -9.4, -9.6]
+    assert [engine._ll_decreased(prev, new) for prev, new in zip(trace, trace[1:])] == [
+        False, True, False, False, True]
+    assert not engine._ll_decreased(-9.5, -9.5 - 9e-8)
+    assert engine._ll_decreased(-9.5, -9.5 - 1e-7)
+    assert not engine._ll_decreased(0.0, -1e-12) and engine._ll_decreased(0.0, -2e-12)
 
 
 def test_parent_pool_cache_matches_isin_and_stays_on_its_dataset():

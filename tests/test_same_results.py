@@ -31,17 +31,18 @@ def test_identical_copies_give_the_same_results(tmp_path):
     table = same_results.format_table(rows)
     assert all(r["same"] for r in rows), table
     # every operation ran, graph-fit at both worker counts with the
-    # workload's variant and with per_neighbor, and counted
+    # workload's variant and with each other variant, and counted
     assert [(r["workload"], r["op"], r["workers"], r["variant"]) for r in rows] == [
         ("binary-mult", "simulate", 1, None), ("binary-mult", "fit", 1, None),
-        ("graph-ring", "graph-fit", 1, None), ("graph-ring", "graph-fit", 2, None),
-        ("graph-ring", "graph-fit", 1, "per_neighbor"),
-        ("graph-ring", "graph-fit", 2, "per_neighbor"),
+        *[("graph-ring", "graph-fit", w, variant)
+          for variant in (None, "per_neighbor", "no_neighbors", "separate_transitions")
+          for w in (1, 2)],
         ("labels-long", "simulate", 1, None), ("labels-long", "fit", 1, None),
         ("labels-long", "compare", 1, None)]
     assert all(r["files"][1] >= 2 and (r["counts"] or r["workers"] == 2) for r in rows)
     assert "graph-fit per_neighbor (w=2)" in table
-    assert table.endswith("9 of 9 operations the same")
+    assert "graph-fit separate_transitions (w=2)" in table
+    assert table.endswith("13 of 13 operations the same")
 
 
 def test_a_transposed_categorical_table_is_a_difference(tmp_path):
@@ -56,7 +57,7 @@ def test_a_transposed_categorical_table_is_a_difference(tmp_path):
                                       seeds=(3,), smoke=True)
     assert not any(r["failed"] for r in rows)
     assert not any(r["same"] for r in rows), same_results.format_table(rows)
-    assert "0 of 4 operations the same" in same_results.format_table(rows)
+    assert "0 of 8 operations the same" in same_results.format_table(rows)
 
 
 def _has_head() -> bool:
@@ -99,7 +100,7 @@ def test_main_materialises_the_revision_and_prints_one_verdict(monkeypatch, caps
     names = sorted(same_results._perfbench("workloads").WORKLOADS)
     assert seen["args"] == (names, same_results.SEEDS, True)
     assert out.startswith("# HEAD against the working tree, seeds [1, 3], smoke size")
-    assert out.rstrip().endswith("4 of 4 operations the same")
+    assert out.rstrip().endswith("8 of 8 operations the same")
 
 
 @pytest.mark.parametrize("failed, same, code", [([], True, 0), ([], False, 1),

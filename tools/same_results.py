@@ -18,8 +18,9 @@ fitted models are not rerun; they read the fitted model files, which are
 compared byte for byte. graph-fit runs twice per side, traced in one
 process (``--workers 1``) and untraced with ``--workers 2``, as forked
 workers' spans are not collected. Both runs happen with the workload's
-own variant and again with ``--variant per_neighbor``
-(``GRAPH_VARIANTS``), a variant no workload runs.
+own variant and again with each other variant, ``--variant
+per_neighbor``, ``no_neighbors`` and ``separate_transitions``
+(``GRAPH_VARIANTS``), variants no workload runs.
 
 Every workload runs at seeds 1 and 3, two processes at a time. Every
 output tree must match byte for byte and every count exactly. The tool
@@ -50,7 +51,7 @@ PERFBENCH = os.path.join(ROOT, "perfbench")
 SEEDS = (1, 3)
 GRAPH_WORKERS = 2
 # graph-fit variants run besides the workload's own (None)
-GRAPH_VARIANTS = (None, "per_neighbor")
+GRAPH_VARIANTS = (None, "per_neighbor", "no_neighbors", "separate_transitions")
 
 
 def _perfbench(name: str):
@@ -209,7 +210,7 @@ def compare_trees(ref_src: str, new_src: str, work: str, names, seeds=SEEDS,
 
 
 def format_table(rows: list[dict]) -> str:
-    head = f"{'workload':<12} {'seed':>4}  {'operation':<28} {'files':<14} {'counts':<14} verdict"
+    head = f"{'workload':<12} {'seed':>4}  {'operation':<36} {'files':<14} {'counts':<14} verdict"
     lines = [head, "-" * len(head)]
     for r in rows:
         op = r["op"] + (f" {r['variant']}" if r["variant"] else "")
@@ -220,7 +221,7 @@ def format_table(rows: list[dict]) -> str:
                   f"{r['n_counts']} " + ("same" if r["counts"] else "DIFFER"))
         verdict = ("FAILED: " + "; ".join(r["failed"])) if r["failed"] else (
             "same" if r["same"] else "DIFFERENT")
-        lines.append(f"{r['workload']:<12} {r['seed']:>4}  {op:<28} {files:<14} {counts:<14} "
+        lines.append(f"{r['workload']:<12} {r['seed']:>4}  {op:<36} {files:<14} {counts:<14} "
                      f"{verdict}")
     n_diff = sum(not r["same"] for r in rows)
     lines.append(f"{len(rows) - n_diff} of {len(rows)} operations the same")
